@@ -9,10 +9,6 @@
 package acyclicity
 
 import (
-	"fmt"
-
-	"airct/internal/chase"
-	"airct/internal/critical"
 	"airct/internal/logic"
 	"airct/internal/tgds"
 )
@@ -215,114 +211,4 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 		}
 	}
 	return true
-}
-
-// MFAResult reports the outcome of the model-faithful-style check.
-type MFAResult struct {
-	// Acyclic is true when the semi-oblivious chase of the critical
-	// instance saturated without creating a cyclic null.
-	Acyclic bool
-	// CyclicNull holds the offending null when Acyclic is false and the
-	// check found an ancestry cycle (same TGD and existential variable
-	// nested inside itself).
-	CyclicNull logic.Term
-	// Steps is the number of chase steps performed.
-	Steps int
-}
-
-// CheckMFA runs the MFA-style test: chase the critical instance D* with the
-// semi-oblivious chase, tracking null ancestry; if a null created by
-// (σ, z) has an ancestor null created by the same (σ, z), the set is
-// reported cyclic. If the chase saturates first, the set is MFA and every
-// chase variant terminates on every database. maxSteps bounds the search
-// (0: 100_000); hitting the bound reports Acyclic = false with no witness.
-func CheckMFA(set *tgds.Set, maxSteps int) MFAResult {
-	if maxSteps <= 0 {
-		maxSteps = 100_000
-	}
-	db := critical.Instance(set)
-	inst := db.Instance()
-	nulls := chase.NewNullFactory(chase.StructuralNaming)
-	// origin[n] = "tgdIndex|var" creating n; parents[n] = nulls in the
-	// frontier image of the creating trigger.
-	origin := make(map[logic.Term]string)
-	parents := make(map[logic.Term][]logic.Term)
-	appliedFrontier := make(map[string]struct{})
-	steps := 0
-	for {
-		if steps >= maxSteps {
-			return MFAResult{Acyclic: false, Steps: steps}
-		}
-		progressed := false
-		for _, tr := range chase.AllTriggers(set, inst) {
-			fk := tr.FrontierKey()
-			if _, done := appliedFrontier[fk]; done {
-				continue
-			}
-			appliedFrontier[fk] = struct{}{}
-			result := chase.Result(tr, nulls)
-			frontierNulls := frontierNullsOf(tr)
-			for _, atom := range result {
-				for _, term := range atom.Args {
-					if !term.IsNull() {
-						continue
-					}
-					if _, known := origin[term]; known {
-						continue
-					}
-					// Origin granularity is the creating TGD. The textbook
-					// MFA condition keys on (σ, z); collapsing the
-					// existential variables of one TGD only makes the
-					// cycle test fire earlier, which keeps acceptance
-					// sound (an accepted set still saturated cycle-free).
-					origin[term] = fmt.Sprintf("%d", tr.TGDIndex)
-					parents[term] = frontierNulls
-					if hasCyclicAncestry(term, origin, parents) {
-						return MFAResult{Acyclic: false, CyclicNull: term, Steps: steps}
-					}
-				}
-				inst.Add(atom)
-			}
-			steps++
-			progressed = true
-			if steps >= maxSteps {
-				return MFAResult{Acyclic: false, Steps: steps}
-			}
-		}
-		if !progressed {
-			return MFAResult{Acyclic: true, Steps: steps}
-		}
-	}
-}
-
-func frontierNullsOf(tr chase.Trigger) []logic.Term {
-	var out []logic.Term
-	seen := map[logic.Term]bool{}
-	for x := range tr.TGD.Frontier() {
-		t := tr.H.ApplyTerm(x)
-		if t.IsNull() && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func hasCyclicAncestry(n logic.Term, origin map[logic.Term]string, parents map[logic.Term][]logic.Term) bool {
-	want := origin[n]
-	seen := map[logic.Term]bool{n: true}
-	stack := append([]logic.Term{}, parents[n]...)
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if origin[v] == want {
-			return true
-		}
-		stack = append(stack, parents[v]...)
-	}
-	return false
 }

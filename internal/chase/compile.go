@@ -130,3 +130,16 @@ func (d *discSorter) Less(i, j int) bool {
 }
 
 var _ sort.Interface = (*discSorter)(nil)
+
+// SortTriggerTuples sorts offs — offsets into buf of trigger tuples
+// [rule, body TermIDs...] of one rule, stride words each — into the
+// canonical trigger order: the order AllTriggers lists one TGD's triggers
+// in. It lets kernels outside the engine enumerate triggers on the
+// interned core and still apply them in the engine's order.
+func SortTriggerTuples(itab *logic.Interner, buf []uint32, offs []int32, stride int) {
+	if len(offs) < 2 {
+		return
+	}
+	ds := discSorter{itab: itab, disc: &buf, idx: &offs, stride: int32(stride)}
+	sort.Sort(&ds)
+}

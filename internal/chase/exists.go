@@ -25,6 +25,10 @@ type ExistsResult struct {
 	Cancelled bool
 	// Stats counts the search's work.
 	Stats SearchStats
+	// Replayed is true when the result came from the cross-run cache
+	// instead of a search: Stats then describe the recorded search, and
+	// this call expanded no states.
+	Replayed bool
 }
 
 // ExistsTerminatingDerivation searches the space of restricted chase

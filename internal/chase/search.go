@@ -603,14 +603,15 @@ func recordExistsOutcome(res *ExistsResult, maxStates int) *ExistsOutcome {
 }
 
 // replayExistsOutcome rebuilds the recorded run's ExistsResult against the
-// caller's set. Trigger rendering sorts bindings, so a replayed witness
-// prints byte-identically to the recorded one.
+// caller's set, marked Replayed. Trigger rendering sorts bindings, so a
+// replayed witness prints byte-identically to the recorded one.
 func replayExistsOutcome(set *tgds.Set, o *ExistsOutcome) *ExistsResult {
 	res := &ExistsResult{
 		Found:         o.Found,
 		Exhausted:     o.Exhausted,
 		StatesVisited: o.StatesVisited,
 		Stats:         o.Stats,
+		Replayed:      true,
 	}
 	for _, st := range o.Derivation {
 		h := logic.NewSubstitution()

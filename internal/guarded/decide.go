@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"airct/internal/acyclicity"
 	"airct/internal/chase"
@@ -132,24 +129,20 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 		return &Verdict{Terminates: true, Method: "weak-acyclicity"}, nil
 	}
 	budget := opts.maxSteps()
-	seeds := generateSeedsCached(set, opts.maxSeeds(), opts.Cache)
-	seeds = append(seeds, opts.ExtraSeeds...)
-	outcomes, err := chaseSeedsContext(ctx, set, seeds, budget, opts.workers(), opts.Cache)
+	sw := newSeedSweep(set, opts)
+	pos, v, err := scanSeeds(ctx, set, sw, budget, opts.workers())
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range outcomes {
-		if v == nil {
-			continue // seed chased quietly to fixpoint under every order
-		}
-		v.SeedsTried = i + 1
+	if v != nil {
+		v.SeedsTried = pos + 1
 		v.Budget = budget
 		return v, nil
 	}
 	return &Verdict{
 		Terminates: true,
 		Method:     "seed-exhaustion",
-		SeedsTried: len(seeds),
+		SeedsTried: sw.pos,
 		Budget:     budget,
 	}, nil
 }
@@ -234,153 +227,6 @@ func chaseSeedBattery(ctx context.Context, set *tgds.Set, seed *instance.Databas
 	return nil, depth
 }
 
-// chaseSeedsContext computes every seed's outcome on a bounded worker pool. The
-// per-seed chases are independent (each RunChase clones the seed into a
-// fresh instance with its own interner), so the pool may finish them in any
-// order; Decide then combines outcomes in canonical seed order, which keeps
-// the verdict bit-identical to a sequential scan. Seeds are claimed in
-// ascending index order and a worker stops once every remaining index lies
-// beyond the lowest diverging index found so far — those outcomes cannot
-// affect the combined verdict.
-//
-// Seeds are deduplicated by exact content fingerprint before chasing:
-// GenerateSeeds dedups isomorphism-insensitively within its own pool, but
-// ExtraSeeds and treeification can repeat exact databases, and within one
-// pool the cross-run cache cannot hit (every fingerprint is new there).
-// Each distinct fingerprint is chased once; a duplicate's outcome slot is
-// simply left nil, which cannot change the combined verdict — its
-// representative sits at a strictly earlier index with the identical
-// outcome (the engine's trigger order is canonical in term content), so
-// Decide's first-non-nil scan never reaches the duplicate.
-func chaseSeedsContext(ctx context.Context, set *tgds.Set, seeds []*instance.Database, budget, workers int, cache *chase.Cache) ([]*Verdict, error) {
-	out := make([]*Verdict, len(seeds))
-	fps := make([]logic.Fingerprint, len(seeds))
-	first := make(map[logic.Fingerprint]struct{}, len(seeds))
-	uniq := make([]int, 0, len(seeds))
-	for i, s := range seeds {
-		fps[i] = logic.FingerprintAtoms(s.Atoms())
-		if _, dup := first[fps[i]]; !dup {
-			first[fps[i]] = struct{}{}
-			uniq = append(uniq, i)
-		}
-	}
-	var setFP logic.Fingerprint
-	if cache != nil {
-		setFP = set.Fingerprint()
-	}
-	chaseOne := func(i int) *Verdict {
-		v, _ := chaseSeed(ctx, set, seeds[i], budget, cache, setFP, fps[i])
-		return v
-	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers <= 1 {
-		for _, i := range uniq {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			out[i] = chaseOne(i)
-			if out[i] == cancelledVerdict {
-				return nil, ctx.Err()
-			}
-			if out[i] != nil {
-				break
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var best atomic.Int64 // lowest diverging seed index found so far
-		best.Store(int64(len(seeds)))
-		var cancelled atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
-						cancelled.Store(true)
-						return
-					}
-					u := int(next.Add(1) - 1)
-					if u >= len(uniq) || int64(uniq[u]) > best.Load() {
-						return
-					}
-					i := uniq[u]
-					if v := chaseOne(i); v != nil {
-						if v == cancelledVerdict {
-							cancelled.Store(true)
-							return
-						}
-						out[i] = v
-						for {
-							b := best.Load()
-							if int64(i) >= b || best.CompareAndSwap(b, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-	}
-	return out, nil
-}
-
-// cachedSeedPool rebuilds the cross-run cached seed pool for (set
-// fingerprint, pool cap): fresh Database values from the stored atoms in
-// the stored order, reproducing the generated pool exactly.
-func cachedSeedPool(setFP logic.Fingerprint, maxSeeds int, cache *chase.Cache) ([]*instance.Database, bool) {
-	pool, ok := cache.LookupSeedPool(setFP, maxSeeds)
-	if !ok {
-		return nil, false
-	}
-	out := make([]*instance.Database, len(pool.Seeds))
-	for i, atoms := range pool.Seeds {
-		db := instance.NewDatabase()
-		for _, a := range atoms {
-			if err := db.Add(a); err != nil {
-				// Cached pools are GenerateSeeds output: ground atoms a
-				// Database already accepted once.
-				panic(err)
-			}
-		}
-		out[i] = db
-	}
-	return out, true
-}
-
-// storeSeedPool records a fully generated pool in the cross-run cache.
-func storeSeedPool(setFP logic.Fingerprint, maxSeeds int, cache *chase.Cache, seeds []*instance.Database) {
-	pool := &chase.SeedPool{Seeds: make([][]logic.Atom, len(seeds))}
-	for i, db := range seeds {
-		pool.Seeds[i] = append([]logic.Atom(nil), db.Atoms()...)
-	}
-	cache.StoreSeedPool(setFP, maxSeeds, pool)
-}
-
-// generateSeedsCached wraps GenerateSeeds with the cross-run seed-pool
-// cache: generation — including the oblivious-chase treeification
-// expansions, the expensive part — runs once per (set fingerprint, pool
-// cap).
-func generateSeedsCached(set *tgds.Set, maxSeeds int, cache *chase.Cache) []*instance.Database {
-	if cache == nil {
-		return GenerateSeeds(set, maxSeeds)
-	}
-	setFP := set.Fingerprint()
-	if pool, ok := cachedSeedPool(setFP, maxSeeds, cache); ok {
-		return pool
-	}
-	seeds := GenerateSeeds(set, maxSeeds)
-	storeSeedPool(setFP, maxSeeds, cache, seeds)
-	return seeds
-}
-
 // seedEnum enumerates the GenerateSeeds pool incrementally, in exactly
 // GenerateSeeds' order: first every frozen body of every TGD under every
 // unification of its body variables (the canonical databases, refined by
@@ -460,12 +306,6 @@ func (e *seedEnum) Next() (*instance.Database, bool) {
 	return db, true
 }
 
-// drained reports whether the enumeration ran to completion, i.e. the pool
-// slice now equals GenerateSeeds' output.
-func (e *seedEnum) drained() bool {
-	return e.next >= len(e.pool) && (e.base >= e.nbase || len(e.pool) >= e.maxSeeds)
-}
-
 // GenerateSeeds produces candidate databases for the search — see seedEnum
 // for the enumeration order.
 func GenerateSeeds(set *tgds.Set, maxSeeds int) []*instance.Database {
@@ -541,25 +381,31 @@ func DivergenceEvidence(run *chase.Run) (string, bool) {
 // a full-budget chase of the same order would surface.
 func DivergencePump(run *chase.Run) (string, int, bool) {
 	type info struct {
-		step     int
 		parentFP logic.Fingerprint // guard image atom hash
-		sig      string
-		fresh    bool // produced atom invents a null at this step
+		sig      int32             // interned Λ_T letter
+		fresh    bool              // produced atom invents a null at this step
 	}
 	infos := make([]info, len(run.Steps))
 	producedBy := make(map[logic.Fingerprint]int) // atom hash -> producing step
+	letters := logic.NewTupleTable(64)
+	guards := make(map[int]logic.Atom) // per TGD index
+	var buf []uint32
 	for i, step := range run.Steps {
 		tr := step.Trigger
-		guard, ok := tr.TGD.Guard()
+		guard, ok := guards[tr.TGDIndex]
 		if !ok {
-			return "", 0, false
+			if guard, ok = tr.TGD.Guard(); !ok {
+				return "", 0, false
+			}
+			guards[tr.TGDIndex] = guard
 		}
 		guardImage := guard.Apply(tr.H)
 		produced := step.Result[0]
+		buf = appendLetter(buf[:0], tr.TGDIndex, produced, guardImage)
+		sig, _ := letters.Intern(buf)
 		infos[i] = info{
-			step:     i,
 			parentFP: logic.HashAtom(guardImage),
-			sig:      stepSignature(tr.TGDIndex, produced, guardImage),
+			sig:      sig,
 			fresh:    introducesFreshNull(produced, guardImage),
 		}
 		for _, a := range step.Added {
@@ -573,22 +419,28 @@ func DivergencePump(run *chase.Run) (string, int, bool) {
 	// signature whose steps invent fresh nulls — a repetition of a
 	// null-free signature cannot grow the term set and is no pump (a
 	// terminating cycle closed by a frontier-free existential TGD would
-	// otherwise be misread as divergence).
+	// otherwise be misread as divergence). seenIn[sig] == i+1 marks a
+	// letter met on the walk from step i, first at step seenAt[sig].
+	seenIn := make([]int, letters.Len())
+	seenAt := make([]int, letters.Len())
 	for i := len(run.Steps) - 1; i >= 0; i-- {
-		seenSigs := map[string]int{infos[i].sig: i}
+		walk := i + 1
+		seenIn[infos[i].sig], seenAt[infos[i].sig] = walk, i
 		cur := i
 		for {
 			parentStep, ok := producedBy[infos[cur].parentFP]
 			if !ok || parentStep >= cur {
 				break
 			}
-			if first, dup := seenSigs[infos[parentStep].sig]; dup && infos[parentStep].fresh && infos[first].fresh {
-				tr := run.Steps[parentStep].Trigger
-				return fmt.Sprintf("guard-chain pump: %s repeats signature between steps %d and %d (period %d)",
-					tr.TGD.Label, parentStep, first, first-parentStep), first + 1, true
-			}
-			if _, dup := seenSigs[infos[parentStep].sig]; !dup {
-				seenSigs[infos[parentStep].sig] = parentStep
+			sig := infos[parentStep].sig
+			if seenIn[sig] == walk {
+				if first := seenAt[sig]; infos[parentStep].fresh && infos[first].fresh {
+					tr := run.Steps[parentStep].Trigger
+					return fmt.Sprintf("guard-chain pump: %s repeats signature between steps %d and %d (period %d)",
+						tr.TGD.Label, parentStep, first, first-parentStep), first + 1, true
+				}
+			} else {
+				seenIn[sig], seenAt[sig] = walk, parentStep
 			}
 			cur = parentStep
 		}
@@ -620,17 +472,24 @@ func introducesFreshNull(produced, guardImage logic.Atom) bool {
 	return false
 }
 
-// stepSignature abstracts a produced atom to its Λ_T letter: the TGD, the
-// atom's equality type, and which positions it shares with its guard image.
-func stepSignature(tgdIndex int, produced, guardImage logic.Atom) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|", tgdIndex, etypes.Of(produced).Key())
+// appendLetter appends a produced atom's Λ_T letter to dst as an integer
+// tuple: the TGD index, the atom's equality type (each position's first
+// equal position) and the (produced, guard image) position pairs that
+// carry the same term. In a single-head guarded set the TGD fixes the
+// produced atom's predicate and the guard's, hence both arities, so two
+// steps get the same tuple iff they have the same letter.
+func appendLetter(dst []uint32, tgdIndex int, produced, guardImage logic.Atom) []uint32 {
+	dst = append(dst, uint32(tgdIndex))
+	et := etypes.Of(produced)
+	for i := range produced.Args {
+		dst = append(dst, uint32(et.ClassOf(i+1)-1))
+	}
 	for i, t := range produced.Args {
 		for j, u := range guardImage.Args {
 			if t == u {
-				fmt.Fprintf(&b, "%d=%d,", i, j)
+				dst = append(dst, uint32(i), uint32(j))
 			}
 		}
 	}
-	return b.String()
+	return dst
 }

@@ -32,8 +32,6 @@ import (
 
 	"airct/internal/acyclicity"
 	"airct/internal/chase"
-	"airct/internal/instance"
-	"airct/internal/logic"
 	"airct/internal/tgds"
 )
 
@@ -118,60 +116,23 @@ func ProbeSeeds(ctx context.Context, set *tgds.Set, opts DecideOptions, probeSte
 		k = budget
 	}
 	out.ProbeSteps = k
-	cache := opts.Cache
-	var setFP logic.Fingerprint
-	if cache != nil {
-		setFP = set.Fingerprint()
-	}
-	// Warm path: a cached pool is already materialised — sweep it directly.
-	// Cold path: enumerate the pool lazily, in GenerateSeeds' exact order,
-	// so a probe that decides on (or is stopped by) an early seed never
-	// pays to generate the rest of the pool — in particular its
-	// treeification expansions, the dominant generation cost.
-	var pooled []*instance.Database
-	var enum *seedEnum
-	if cache != nil {
-		pooled, _ = cachedSeedPool(setFP, opts.maxSeeds(), cache)
-	}
-	if pooled == nil {
-		enum = newSeedEnum(set, opts.maxSeeds())
-	}
-	pi, extra := 0, 0
-	nextSeed := func() (*instance.Database, bool) {
-		if pooled != nil {
-			if pi < len(pooled) {
-				s := pooled[pi]
-				pi++
-				return s, true
-			}
-		} else if s, ok := enum.Next(); ok {
-			return s, true
-		}
-		if extra < len(opts.ExtraSeeds) {
-			s := opts.ExtraSeeds[extra]
-			extra++
-			return s, true
-		}
-		return nil, false
-	}
-	seen := make(map[logic.Fingerprint]struct{})
-	i := -1 // 0-based position in the pool Decide scans, counting duplicates
+	// The shared sweep: a cached pool is replayed; a cold pool is
+	// enumerated lazily, so a probe that decides on (or is stopped by) an
+	// early seed never pays to generate the rest of the pool — in
+	// particular its treeification expansions, the dominant generation
+	// cost. A full sweep drains the enumeration and stores the pool, so the
+	// follow-up Decide — and future probes — skip generation.
+	sw := newSeedSweep(set, opts)
 	for {
-		s, ok := nextSeed()
-		if !ok {
-			break
-		}
-		i++
 		if ctx.Err() != nil {
 			return out, ctx.Err()
 		}
-		fp := logic.FingerprintAtoms(s.Atoms())
-		if _, dup := seen[fp]; dup {
-			continue
+		s, ok := sw.next()
+		if !ok {
+			break
 		}
-		seen[fp] = struct{}{}
 		out.Seeds++
-		v, steps := chaseSeed(ctx, set, s, k, cache, setFP, fp)
+		v, steps := chaseSeed(ctx, set, s.db, k, sw.cache, sw.setFP, s.fp)
 		if v == cancelledVerdict {
 			return out, ctx.Err()
 		}
@@ -187,7 +148,7 @@ func ProbeSeeds(ctx context.Context, set *tgds.Set, opts DecideOptions, probeSte
 				out.Rejected = true
 				out.Method = v.Method
 				out.Evidence = v.Evidence
-				out.SeedsTried = i + 1
+				out.SeedsTried = s.pos + 1
 				// The shortest certifying prefix, not the truncated run's
 				// length: this is what an adaptive probe budget should
 				// converge towards (still covering the saturating seeds
@@ -208,20 +169,13 @@ func ProbeSeeds(ctx context.Context, set *tgds.Set, opts DecideOptions, probeSte
 		if steps > out.Depth {
 			out.Depth = steps
 		}
-		if cache != nil && k < budget {
+		if sw.cache != nil && k < budget {
 			// Sound at the full budget: the budget-k runs reached their
 			// fixpoints, so the budget-B runs are the same runs — including
 			// their depth.
-			cache.StoreSeedOutcome(setFP, fp, budget, chase.SeedOutcome{Steps: steps})
+			sw.cache.StoreSeedOutcome(sw.setFP, s.fp, budget, chase.SeedOutcome{Steps: steps})
 		}
 	}
 	out.Decided = true
-	if cache != nil && enum != nil && enum.drained() {
-		// A fully drained cold enumeration IS GenerateSeeds' pool: store it
-		// so the follow-up Decide — and future probes — skip generation. An
-		// early-stopped probe stores nothing; the onward Decide generates
-		// (and stores) the pool itself.
-		storeSeedPool(setFP, opts.maxSeeds(), cache, enum.pool)
-	}
 	return out, nil
 }

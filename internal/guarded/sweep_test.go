@@ -1,0 +1,151 @@
+package guarded
+
+import (
+	"context"
+	"testing"
+
+	"airct/internal/acyclicity"
+	"airct/internal/chase"
+	"airct/internal/instance"
+	"airct/internal/logic"
+	"airct/internal/parser"
+	"airct/internal/tgds"
+	"airct/internal/workload"
+)
+
+// referenceDecide is DecideContext as an eager scan, the shape the seed
+// sweep replaced: generate the whole GenerateSeeds pool, append the extra
+// seeds, dedup by exact fingerprint, chase the distinct seeds in order and
+// report the first that does not saturate. No cache, one worker.
+func referenceDecide(set *tgds.Set, opts DecideOptions) *Verdict {
+	if acyclicity.IsWeaklyAcyclic(set) {
+		return &Verdict{Terminates: true, Method: "weak-acyclicity"}
+	}
+	budget := opts.maxSteps()
+	seeds := append(GenerateSeeds(set, opts.maxSeeds()), opts.ExtraSeeds...)
+	seen := make(map[logic.Fingerprint]struct{}, len(seeds))
+	for i, s := range seeds {
+		fp := logic.FingerprintAtoms(s.Atoms())
+		if _, dup := seen[fp]; dup {
+			continue
+		}
+		seen[fp] = struct{}{}
+		if v, _ := chaseSeedBattery(context.Background(), set, s, budget, nil); v != nil {
+			v.SeedsTried = i + 1
+			v.Budget = budget
+			return v
+		}
+	}
+	return &Verdict{Terminates: true, Method: "seed-exhaustion", SeedsTried: len(seeds), Budget: budget}
+}
+
+// sameVerdictFields compares every Verdict field, the witness by rendering.
+func sameVerdictFields(a, b *Verdict) bool {
+	return sameVerdict(a, b) && a.PumpDepth == b.PumpDepth
+}
+
+// sweepSets are the guarded inputs of the sweep identity test: the
+// guarded families at small n, the corpus' guarded programs and random
+// guarded sets that weak acyclicity does not already decide.
+func sweepSets() []*tgds.Set {
+	var sets []*tgds.Set
+	for _, fam := range []func(int) workload.Labeled{
+		workload.GuardedLadder, workload.LinearCycle, workload.StickyRelay,
+		workload.SwapIntro, workload.ExistentialChain,
+	} {
+		for n := 2; n <= 4; n++ {
+			sets = append(sets, fam(n).Set)
+		}
+	}
+	for _, l := range workload.Corpus() {
+		if l.Set.IsGuarded() {
+			sets = append(sets, l.Set)
+		}
+	}
+	for seed := int64(0); len(sets) < 50; seed++ {
+		if s := workload.RandomTGDSet(seed, workload.RandomOptions{Rules: 3}); s.IsGuarded() && !acyclicity.IsWeaklyAcyclic(s) {
+			sets = append(sets, s)
+		}
+	}
+	return sets
+}
+
+// TestSeedSweepMatchesEagerScan pins the lazy seed sweep to the eager
+// scan: every Verdict field agrees for workers 1, 2 and 4, without a
+// cache, on a cold cache, on the cache that cold run left behind, and on
+// a cache warmed only by a probe. A second variant adds extra seeds — an
+// exact duplicate of the first pool seed and a fresh database — to
+// exercise the dedup and the extra-seed tail.
+func TestSeedSweepMatchesEagerScan(t *testing.T) {
+	methods := map[string]int{}
+	for i, set := range sweepSets() {
+		first := GenerateSeeds(set, 1)
+		extra := []*instance.Database{first[0], instance.MustDatabase(first[0].Atoms()[0])}
+		for _, opts := range []DecideOptions{
+			{MaxSteps: 200},
+			{MaxSteps: 200, MaxSeeds: 6, ExtraSeeds: extra},
+		} {
+			want := referenceDecide(set, opts)
+			methods[want.Method]++
+			for _, workers := range []int{1, 2, 4} {
+				opts.Workers = workers
+				check := func(label string, cache *chase.Cache) {
+					t.Helper()
+					opts.Cache = cache
+					got, err := Decide(set, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameVerdictFields(got, want) {
+						t.Fatalf("set %d (%d extra), workers=%d, %s: sweep %+v, eager scan %+v\n%v",
+							i, len(opts.ExtraSeeds), workers, label, got, want, set)
+					}
+				}
+				check("no cache", nil)
+				cache := chase.NewCache()
+				check("cold cache", cache)
+				check("warm cache", cache)
+				probed := chase.NewCache()
+				if _, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: opts.MaxSteps, MaxSeeds: opts.MaxSeeds, ExtraSeeds: opts.ExtraSeeds, Cache: probed}, 16); err != nil {
+					t.Fatal(err)
+				}
+				check("probe-warmed cache", probed)
+			}
+		}
+	}
+	if methods["divergence-witness"] < 10 || methods["seed-exhaustion"] < 10 {
+		t.Fatalf("verdict methods %v: the sweep must cover diverging and saturating pools", methods)
+	}
+}
+
+// TestSeedSweepStoresDrainedPoolOnly pins when a sweep writes the seed
+// pool: a sweep that drains its cold enumeration stores it, one that stops
+// at an early seed does not.
+func TestSeedSweepStoresDrainedPoolOnly(t *testing.T) {
+	for _, tc := range []struct {
+		src    string
+		stores bool
+	}{
+		{`T(X,Y) -> T(X,W). T(X,Y) -> T(Y,X).`, true}, // every seed saturates
+		{`S(X) -> R(X,Y). R(X,Y) -> S(Y).`, false},    // the first seed diverges
+	} {
+		set := mustSet(t, tc.src)
+		cache := chase.NewCache()
+		if _, err := Decide(set, DecideOptions{MaxSteps: 200, Workers: 1, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		_, stored := cache.LookupSeedPool(set.Fingerprint(), DecideOptions{}.maxSeeds())
+		if stored != tc.stores {
+			t.Errorf("%s: pool stored = %v, want %v", tc.src, stored, tc.stores)
+		}
+	}
+}
+
+func mustSet(t *testing.T, src string) *tgds.Set {
+	t.Helper()
+	set, err := parser.ParseTGDs(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}

@@ -12,6 +12,7 @@ package logic
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -159,7 +160,7 @@ func NewFreshNamer(prefix string) *FreshNamer {
 
 // Next returns the next fresh name.
 func (f *FreshNamer) Next() string {
-	name := fmt.Sprintf("%s%d", f.prefix, f.next)
+	name := f.prefix + strconv.Itoa(f.next)
 	f.next++
 	return name
 }

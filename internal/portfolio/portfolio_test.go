@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,6 +301,34 @@ func TestWorkersOneIsSequentialCascade(t *testing.T) {
 	for _, s := range res.Stages {
 		if s.Stage == "guarded" && s.Detail != "skipped: an earlier stage decided" {
 			t.Errorf("W=1 loser not skipped: %+v", s)
+		}
+	}
+}
+
+// TestGuardedRacerStageRecords pins the guarded racer's stage record for
+// each verdict shape it can receive — weak acyclicity, seed exhaustion, a
+// divergence witness and a budget exhausted without a pump — by running
+// the racer directly, whatever racer a schedule lets finish first.
+func TestGuardedRacerStageRecords(t *testing.T) {
+	for _, tc := range []struct {
+		src        string
+		budget     int
+		conclusion core.Conclusion
+		detail     string
+	}{
+		{`A(X) -> R(X,Y). R(X,Y) -> B(Y).`, 500, core.Terminates, "guarded: weak acyclicity"},
+		{`T(X,Y) -> T(X,W). T(X,Y) -> T(Y,X).`, 500, core.Terminates, "seeds exhausted at budget 500"},
+		{`S(X) -> R(X,Y). R(X,Y) -> S(Y).`, 500, core.Diverges, "guarded: diverging witness database"},
+		{`S(X) -> R(X,Y). R(X,Y) -> S(Y).`, 1, core.Unknown, "guarded: budget exhausted without certificate"},
+	} {
+		r := &runner{set: mustSet(t, tc.src), opts: Options{Guarded: guarded.DecideOptions{MaxSteps: tc.budget, Workers: 1}}}
+		s, err := r.runGuarded(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Stage != "guarded" || s.Tier != 2 || s.Decided != (tc.conclusion != core.Unknown) ||
+			s.Conclusion != tc.conclusion || !strings.Contains(s.Detail, tc.detail) {
+			t.Errorf("%s at budget %d: stage %+v, want %v with detail %q", tc.src, tc.budget, s, tc.conclusion, tc.detail)
 		}
 	}
 }

@@ -122,12 +122,14 @@ type RequestStats struct {
 // FlightStats tallies the singleflight table's work: Started counts
 // underlying analyses actually run, Deduped counts requests served by
 // joining one, Shed counts 429s from the admission gate, Cancelled counts
-// flights stopped by disconnect, timeout or shutdown.
+// flights stopped by disconnect, timeout or shutdown, Panics counts
+// flights whose analysis panicked (answered 500, daemon unharmed).
 type FlightStats struct {
 	Started   int64 `json:"started"`
 	Deduped   int64 `json:"deduped"`
 	Shed      int64 `json:"shed"`
 	Cancelled int64 `json:"cancelled"`
+	Panics    int64 `json:"panics"`
 }
 
 // SnapshotStats reports the background snapshotter's work.

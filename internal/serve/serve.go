@@ -103,6 +103,7 @@ type metrics struct {
 	flightsStarted   atomic.Int64
 	flightsDeduped   atomic.Int64
 	flightsCancelled atomic.Int64
+	flightPanics     atomic.Int64
 	requestsShed     atomic.Int64
 	probeRejects     atomic.Int64
 
@@ -379,6 +380,7 @@ func (s *Server) Stats() StatsResponse {
 			Deduped:   s.metrics.flightsDeduped.Load(),
 			Shed:      s.metrics.requestsShed.Load(),
 			Cancelled: s.metrics.flightsCancelled.Load(),
+			Panics:    s.metrics.flightPanics.Load(),
 		},
 		Cache:    s.cache.Stats(),
 		Activity: s.cache.ActivityTotals(),
@@ -402,8 +404,12 @@ func (s *Server) Stats() StatsResponse {
 }
 
 // tallyExists aggregates one search's work counters — the serving-level
-// `trigger-index:` line.
+// `trigger-index:` line. A cache replay did no search and adds nothing:
+// its Stats are the recorded search's, already counted when it ran.
 func (s *Server) tallyExists(res *chase.ExistsResult) {
+	if res.Replayed {
+		return
+	}
 	s.metrics.mu.Lock()
 	a := &s.metrics.existsAgg
 	a.StatesExpanded += res.Stats.StatesExpanded

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -437,6 +438,66 @@ func TestServeWarmIsSharedCache(t *testing.T) {
 	wr := renderExists(warm.Verdict, warm.States, warm.Stats, warm.Derivation)
 	if cr != wr {
 		t.Errorf("warm rendering drifted from cold:\n  cold %s\n  warm %s", cr, wr)
+	}
+}
+
+// TestServeExistsReplayCountsStatesOnce pins the /v1/stats exists
+// aggregate to work actually done: the second of two identical requests
+// is a cache replay that searches nothing, so the aggregate holds the
+// first search's counters once, not twice.
+func TestServeExistsReplayCountsStatesOnce(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	req := ExistsRequest{Program: programText(workload.StageGrid(5)), MaxStates: confExistsStates, MaxAtoms: confExistsAtoms}
+	var cold, warm ExistsResponse
+	postJSON(t, ts.url("/v1/exists"), req, http.StatusOK, &cold)
+	postJSON(t, ts.url("/v1/exists"), req, http.StatusOK, &warm)
+	if cold.Stats.StatesExpanded == 0 || warm.Stats != cold.Stats {
+		t.Fatalf("replay should report the recorded search: cold %+v, warm %+v", cold.Stats, warm.Stats)
+	}
+	var st StatsResponse
+	getJSON(t, ts.url("/v1/stats"), http.StatusOK, &st)
+	if st.Exists.StatesExpanded != cold.Stats.StatesExpanded || st.Exists.MemoHits != cold.Stats.MemoHits {
+		t.Errorf("exists aggregate = %+v, want the one search's %+v", st.Exists, cold.Stats)
+	}
+}
+
+// TestFlightPanicIsContained pins the safety net around flight work: a
+// panicking analysis fails its request with 500, is logged and counted in
+// /v1/stats, and releases its admission slot and its flight-table entry,
+// so the daemon keeps serving.
+func TestFlightPanicIsContained(t *testing.T) {
+	var logged strings.Builder
+	srv := New(Config{MaxInflight: 1, Logf: func(format string, args ...any) { fmt.Fprintf(&logged, format, args...) }})
+	defer srv.Close()
+	key := flightKey{salt: 7}
+	_, _, err := srv.doFlight(context.Background(), key, 0, func(context.Context) (any, error) {
+		panic("decider bug")
+	})
+	if !errors.Is(err, errFlightPanic) || !strings.Contains(err.Error(), "decider bug") {
+		t.Fatalf("doFlight error = %v, want the contained panic", err)
+	}
+	rec := httptest.NewRecorder()
+	srv.finish(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", nil), nil, err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("panicked flight answered %d, want 500", rec.Code)
+	}
+	if got := srv.Stats().Flights.Panics; got != 1 {
+		t.Errorf("flights.panics = %d, want 1", got)
+	}
+	if !strings.Contains(logged.String(), "decider bug") {
+		t.Errorf("panic not logged: %q", logged.String())
+	}
+	// The slot is released once the flight goroutine exits; then the one
+	// slot admits a new leader on the same key.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.gate) > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	val, shared, err := srv.doFlight(context.Background(), key, 0, func(context.Context) (any, error) {
+		return "ok", nil
+	})
+	if err != nil || val != "ok" || shared {
+		t.Fatalf("flight after a panic = (%v, %v, %v), want a fresh leader's result", val, shared, err)
 	}
 }
 

@@ -23,6 +23,9 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -96,7 +99,7 @@ func (s *Server) doFlight(ctx context.Context, key flightKey, timeout time.Durat
 
 	go func() {
 		defer func() { <-s.gate }()
-		val, err := fn(runCtx)
+		val, err := s.runFlight(runCtx, fn)
 		if runCtx.Err() != nil {
 			// The underlying work was stopped by cancellation (every
 			// interested client left, the flight timed out, or the server
@@ -111,6 +114,27 @@ func (s *Server) doFlight(ctx context.Context, key flightKey, timeout time.Durat
 		t.mu.Unlock()
 	}()
 	return s.waitFlight(ctx, f, false)
+}
+
+// errFlightPanic marks a flight whose work panicked; the request is
+// answered 500.
+var errFlightPanic = errors.New("serve: analysis panicked")
+
+// runFlight runs a flight's work and contains a panic in it: the flight
+// then fails with errFlightPanic instead of taking the daemon and every
+// other in-flight request down, its admission slot is released as usual,
+// and /v1/stats counts the panic.
+func (s *Server) runFlight(ctx context.Context, fn func(ctx context.Context) (any, error)) (val any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.metrics.flightPanics.Add(1)
+			if s.cfg.Logf != nil {
+				s.cfg.Logf("serve: flight panicked: %v\n%s", p, debug.Stack())
+			}
+			val, err = nil, fmt.Errorf("%w: %v", errFlightPanic, p)
+		}
+	}()
+	return fn(ctx)
 }
 
 // waitFlight blocks until the flight publishes or the caller's own context
