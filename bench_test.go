@@ -6,17 +6,18 @@
 package airct_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"airct/internal/acyclicity"
 	"airct/internal/buchi"
 	"airct/internal/chase"
-	"airct/internal/core"
 	"airct/internal/fairness"
 	"airct/internal/guarded"
 	"airct/internal/ochase"
 	"airct/internal/parser"
+	"airct/internal/portfolio"
 	"airct/internal/sticky"
 	"airct/internal/workload"
 )
@@ -237,7 +238,7 @@ func BenchmarkE9BaselineCoverage(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, l := range corpus {
-				if _, err := core.Analyze(l.Set, core.Options{}); err != nil {
+				if _, err := portfolio.Report(context.Background(), l.Set, portfolio.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

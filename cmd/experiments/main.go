@@ -332,7 +332,7 @@ func e9() {
 		score("weak acyclicity", wa)
 		score("joint acyclicity", ja)
 		score("MFA (critical)", mfa)
-		rep, err := core.Analyze(l.Set, core.Options{})
+		rep, err := portfolio.Report(context.Background(), l.Set, portfolio.Options{})
 		if err == nil {
 			score("analyzer (ours)", rep.Conclusion == core.Terminates)
 		}
@@ -372,7 +372,7 @@ func e10() {
 // e11 runs the staged portfolio over the whole labeled corpus with one
 // shared cross-run cache and aggregates which stage decides which program:
 // attempts, decisions and cumulative in-stage time per stage, plus a
-// drift count against core.Analyze (which must be zero — the portfolio's
+// drift count against the flat report (which must be zero — the cascade's
 // conclusion-identity contract).
 func e11() {
 	cache := chase.NewCache()
@@ -386,9 +386,9 @@ func e11() {
 	mismatches, undecided := 0, 0
 	corpus := workload.Corpus()
 	for _, l := range corpus {
-		rep, err := core.Analyze(l.Set, core.Options{})
+		rep, err := portfolio.Report(context.Background(), l.Set, portfolio.Options{})
 		if err != nil {
-			fmt.Printf("core.Analyze(%s): %v\n", l.Name, err)
+			fmt.Printf("portfolio.Report(%s): %v\n", l.Name, err)
 			continue
 		}
 		res, err := portfolio.Analyze(context.Background(), l.Set, portfolio.Options{Cache: cache})
@@ -398,7 +398,7 @@ func e11() {
 		}
 		if res.Conclusion != rep.Conclusion {
 			mismatches++
-			fmt.Printf("DRIFT on %s: portfolio %v vs analyzer %v\n", l.Name, res.Conclusion, rep.Conclusion)
+			fmt.Printf("DRIFT on %s: cascade %v vs flat report %v\n", l.Name, res.Conclusion, rep.Conclusion)
 		}
 		if res.Conclusion == core.Unknown {
 			undecided++
@@ -419,7 +419,7 @@ func e11() {
 			a.elapsed += s.Duration
 		}
 	}
-	fmt.Printf("corpus: %d programs, %d undecided, %d conclusion mismatches vs core.Analyze (must be 0)\n\n",
+	fmt.Printf("corpus: %d programs, %d undecided, %d conclusion mismatches vs the flat report (must be 0)\n\n",
 		len(corpus), undecided, mismatches)
 	fmt.Println("| stage | tier | attempted | decided | cumulative time |")
 	fmt.Println("|---|---|---|---|---|")

@@ -5,7 +5,10 @@
 //
 // The program is read from the file argument or stdin. Facts in the input
 // are ignored for the decision (the question is all-instances) but are
-// reported. Exit status: 0 terminating, 1 diverging, 2 unknown, 3 error.
+// reported. By default every check and decision procedure runs and the flat
+// report (portfolio.Report) is printed: class flags, the verdict and one
+// reason per finding. Exit status: 0 terminating, 1 diverging, 2 unknown,
+// 3 error.
 //
 // With -exists the question changes to the paper's open question (3),
 // CT^res_∀∃ on the *given* database: does some trigger order reach a
@@ -17,12 +20,12 @@
 // bounded space was exhausted (every derivation is infinite), 2 a budget
 // stopped the search, 3 error.
 //
-// -portfolio answers the ∀∀ question through the staged decider portfolio
-// (internal/portfolio): Tier 0 cheap sufficient conditions in cost order,
+// -portfolio answers the ∀∀ question through the staged cascade
+// (portfolio.Analyze): Tier 0 cheap sufficient conditions in cost order,
 // Tier 1 a k-round chase probe over the guarded seed pool (-probe-steps),
 // Tier 2 the semantic deciders raced on -workers workers with context
 // cancellation for the losers. The conclusion — and hence the exit code —
-// is pinned bit-identical to the plain analysis; a `portfolio:` line
+// is pinned bit-identical to the flat report's; a `portfolio:` line
 // reports the verdict, the deciding stage and per-stage work. Facts in the
 // input feed a non-authoritative ∀∃ racer whose outcome is reported but
 // never concludes.
@@ -76,7 +79,6 @@ func main() {
 	existsStrategy := flag.String("exists-strategy", "smallest", "frontier discipline for the -exists search: smallest, bfs, dfs or index")
 	usePortfolio := flag.Bool("portfolio", false, "answer the all-instances question through the staged decider portfolio (cheap checks, k-round probe, raced semantic deciders)")
 	probeSteps := flag.Int("probe-steps", guarded.DefaultProbeSteps, "per-seed step budget k of the -portfolio Tier 1 probe")
-	adaptive := flag.Bool("adaptive", false, "let an online cost model reorder the -portfolio cheap stages per workload class and pick the probe budget (persists through -cache-file; verdicts are unchanged; an explicit -probe-steps is respected)")
 	workers := flag.Int("workers", 1, "parallel workers for the -exists search and the -portfolio Tier 2 race (1 = sequential)")
 	useCache := flag.Bool("cache", false, "memoise chase work (guarded seeds, sticky Büchi verdicts, -exists searches, portfolio runs) in a cross-run cache and report a cache: stats line")
 	cacheFile := flag.String("cache-file", "", "persist the cross-run cache: load the snapshot at this path if it exists and save it back atomically on exit (implies -cache)")
@@ -108,18 +110,7 @@ func main() {
 				}
 			}()
 		}
-		resolvedProbe := *probeSteps
-		if *adaptive {
-			// Under -adaptive an unset -probe-steps means "let the model
-			// pick"; an explicit value wins either way.
-			resolvedProbe = 0
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "probe-steps" {
-					resolvedProbe = *probeSteps
-				}
-			})
-		}
-		return run(*guardedBudget, *stickyStates, *exists, *existsStates, *existsAtoms, *existsStrategy, *usePortfolio, resolvedProbe, *adaptive, *workers, *useCache, *cacheFile, *cacheSaveEvery)
+		return run(*guardedBudget, *stickyStates, *exists, *existsStates, *existsAtoms, *existsStrategy, *usePortfolio, *probeSteps, *workers, *useCache, *cacheFile, *cacheSaveEvery)
 	}())
 }
 
@@ -133,7 +124,7 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms int, existsStrategy string, usePortfolio bool, probeSteps int, adaptive bool, workers int, useCache bool, cacheFile string, cacheSaveEvery time.Duration) int {
+func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms int, existsStrategy string, usePortfolio bool, probeSteps, workers int, useCache bool, cacheFile string, cacheSaveEvery time.Duration) int {
 	src, err := readInput(flag.Arg(0))
 	if err != nil {
 		return fail(err)
@@ -164,9 +155,9 @@ func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms
 			return runExists(prog, existsStates, existsAtoms, existsStrategy, workers, cache)
 		}
 		if usePortfolio {
-			return runPortfolio(prog, guardedBudget, stickyStates, existsStates, existsAtoms, probeSteps, adaptive, workers, cache)
+			return runPortfolio(prog, guardedBudget, stickyStates, existsStates, existsAtoms, probeSteps, workers, cache)
 		}
-		return runAnalyze(prog, guardedBudget, stickyStates, cache)
+		return runReport(prog, guardedBudget, stickyStates, cache)
 	}()
 	if snap != nil {
 		if err := snap.Close(); err != nil {
@@ -201,14 +192,15 @@ func printCacheStats(cache *chase.Cache) {
 	fmt.Println(cache.Stats().String())
 }
 
-// runAnalyze answers the ∀∀ question through the plain sequential analysis.
-func runAnalyze(prog *parser.Program, guardedBudget, stickyStates int, cache *chase.Cache) int {
+// runReport answers the ∀∀ question with the flat report.
+func runReport(prog *parser.Program, guardedBudget, stickyStates int, cache *chase.Cache) int {
 	if prog.Database.Len() > 0 {
 		fmt.Printf("note: %d facts ignored (the question is all-instances)\n", prog.Database.Len())
 	}
-	rep, err := core.Analyze(prog.TGDs, core.Options{
-		GuardedOptions: guarded.DecideOptions{MaxSteps: guardedBudget, Cache: cache},
-		StickyOptions:  sticky.DecideOptions{MaxStates: stickyStates, Cache: cache},
+	rep, err := portfolio.Report(context.Background(), prog.TGDs, portfolio.Options{
+		Guarded: guarded.DecideOptions{MaxSteps: guardedBudget},
+		Sticky:  sticky.DecideOptions{MaxStates: stickyStates},
+		Cache:   cache,
 	})
 	if err != nil {
 		return fail(err)
@@ -216,32 +208,19 @@ func runAnalyze(prog *parser.Program, guardedBudget, stickyStates int, cache *ch
 	fmt.Print(setLine(prog))
 	fmt.Print(rep.Summary())
 	printCacheStats(cache)
-	switch rep.Conclusion {
-	case core.Terminates:
-		return 0
-	case core.Diverges:
-		return 1
-	default:
-		return 2
-	}
+	return exitCode(rep.Conclusion)
 }
 
-// runPortfolio answers the ∀∀ question through the staged portfolio and
-// reports per-stage work. The exit code funnel matches the plain analysis:
-// the portfolio's conclusion is pinned bit-identical to core.Analyze's.
-func runPortfolio(prog *parser.Program, guardedBudget, stickyStates, existsStates, existsAtoms, probeSteps int, adaptive bool, workers int, cache *chase.Cache) int {
+// runPortfolio answers the ∀∀ question through the staged cascade and
+// reports per-stage work. The exit code funnel matches the flat report's:
+// the cascade's conclusion is pinned bit-identical to it.
+func runPortfolio(prog *parser.Program, guardedBudget, stickyStates, existsStates, existsAtoms, probeSteps, workers int, cache *chase.Cache) int {
 	opts := portfolio.Options{
 		Guarded:    guarded.DecideOptions{MaxSteps: guardedBudget},
 		Sticky:     sticky.DecideOptions{MaxStates: stickyStates},
 		ProbeSteps: probeSteps,
 		Workers:    workers,
 		Cache:      cache,
-	}
-	if adaptive {
-		// A one-shot process only benefits across runs: the model pulls
-		// learned state from the cache (warm under -cache-file) and pushes
-		// this run's observations back before the exit snapshot.
-		opts.Model = portfolio.NewCostModel()
 	}
 	if prog.Database.Len() > 0 {
 		fmt.Printf("note: %d facts feed the non-authoritative ∀∃ racer only (the question is all-instances)\n", prog.Database.Len())
@@ -262,7 +241,12 @@ func runPortfolio(prog *parser.Program, guardedBudget, stickyStates, existsState
 			s.Stage, s.Tier, s.Decided, s.Conclusion, s.Steps, s.Saturated, s.Seeds, s.Depth, s.Duration.Round(time.Microsecond), s.Detail)
 	}
 	printCacheStats(cache)
-	switch res.Conclusion {
+	return exitCode(res.Conclusion)
+}
+
+// exitCode maps a ∀∀ conclusion onto the documented exit status.
+func exitCode(c core.Conclusion) int {
+	switch c {
 	case core.Terminates:
 		return 0
 	case core.Diverges:

@@ -5,8 +5,8 @@
 //	termcheckd [-addr HOST:PORT] [-cache-file PATH] [-cache-save-every D]
 //	           [-max-inflight N] [-request-timeout D] [-workers N]
 //
-// Endpoints: POST /v1/decide (CT^res_∀∀, plain analysis or the staged
-// portfolio), POST /v1/exists (CT^res_∀∃ on the program's database),
+// Endpoints: POST /v1/decide (CT^res_∀∀, the flat report or the staged
+// cascade), POST /v1/exists (CT^res_∀∃ on the program's database),
 // GET /v1/stats (cache / trigger-index / portfolio / serving counters as
 // JSON), GET /healthz. Request and response shapes are internal/serve's
 // codec; verdicts are pinned bit-identical to in-process analysis by the
@@ -49,12 +49,11 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "maximum concurrently executing analyses before requests are shed with 429 (0: 2×GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 0, "wall-clock cap per request; also the default for requests without timeout-ms (0: unbounded)")
 	workers := flag.Int("workers", 1, "default worker count for requests that omit workers (exists search shards, portfolio race pool)")
-	adaptive := flag.Bool("adaptive", false, "give portfolio requests a shared online cost model: cheap stages reorder per workload class and the probe budget adapts, learned state persists through -cache-file (verdicts are unchanged)")
 	flag.Parse()
-	os.Exit(run(*addr, *cacheFile, *saveEvery, *maxInflight, *requestTimeout, *workers, *adaptive))
+	os.Exit(run(*addr, *cacheFile, *saveEvery, *maxInflight, *requestTimeout, *workers))
 }
 
-func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, requestTimeout time.Duration, workers int, adaptive bool) int {
+func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, requestTimeout time.Duration, workers int) int {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "termcheckd: "+format+"\n", args...)
 	}
@@ -69,10 +68,15 @@ func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, reque
 		DefaultTimeout: requestTimeout,
 		MaxTimeout:     requestTimeout,
 		Workers:        workers,
-		Adaptive:       adaptive,
 		Snapshot:       snap,
 		Logf:           logf,
 	})
+
+	// Install the signal handler before the port opens: a SIGTERM that
+	// arrives as soon as the address line is out must take the graceful
+	// path (drain, final snapshot, exit 0), not the default kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -85,9 +89,6 @@ func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, reque
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
 	code := 0
 	select {

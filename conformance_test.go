@@ -39,7 +39,6 @@ import (
 	"testing"
 
 	"airct/internal/chase"
-	"airct/internal/core"
 	"airct/internal/guarded"
 	"airct/internal/parser"
 	"airct/internal/portfolio"
@@ -171,8 +170,8 @@ func TestConformanceCorpus(t *testing.T) {
 // runServedColumn drives the program through the HTTP serving front end at
 // the harness budgets and holds the served verdicts to the same golden
 // directives as the in-process columns: the ∀∀ decision must agree with
-// core.Analyze (and with decide= where the set is guarded), and exists=
-// must come back verbatim over the wire.
+// the in-process flat report (and with decide= where the set is guarded),
+// and exists= must come back verbatim over the wire.
 func runServedColumn(t *testing.T, baseURL, src string, prog *parser.Program, expect map[string]string) {
 	post := func(path string, req, out any) {
 		t.Helper()
@@ -193,16 +192,16 @@ func runServedColumn(t *testing.T, baseURL, src string, prog *parser.Program, ex
 		}
 	}
 
-	rep, err := core.Analyze(prog.TGDs, core.Options{
-		GuardedOptions: guarded.DecideOptions{MaxSteps: confDecideSteps},
+	rep, err := portfolio.Report(context.Background(), prog.TGDs, portfolio.Options{
+		Guarded: guarded.DecideOptions{MaxSteps: confDecideSteps},
 	})
 	if err != nil {
-		t.Fatalf("served: core.Analyze: %v", err)
+		t.Fatalf("served: portfolio.Report: %v", err)
 	}
 	var dec serve.DecideResponse
 	post("/v1/decide", serve.DecideRequest{Program: src, GuardedBudget: confDecideSteps}, &dec)
 	if dec.Verdict != rep.Conclusion.String() {
-		t.Errorf("served/decide: verdict = %s, want %s (core.Analyze)", dec.Verdict, rep.Conclusion)
+		t.Errorf("served/decide: verdict = %s, want %s (flat report)", dec.Verdict, rep.Conclusion)
 	}
 	if want, ok := expect["decide"]; ok && dec.Verdict != want {
 		t.Errorf("served/decide: verdict = %s, want %s (golden)", dec.Verdict, want)
@@ -210,7 +209,7 @@ func runServedColumn(t *testing.T, baseURL, src string, prog *parser.Program, ex
 	var pf serve.DecideResponse
 	post("/v1/decide", serve.DecideRequest{Program: src, Portfolio: true, GuardedBudget: confDecideSteps}, &pf)
 	if pf.Verdict != rep.Conclusion.String() {
-		t.Errorf("served/portfolio: verdict = %s, want %s (core.Analyze)", pf.Verdict, rep.Conclusion)
+		t.Errorf("served/portfolio: verdict = %s, want %s (flat report)", pf.Verdict, rep.Conclusion)
 	}
 	if want, ok := expect["exists"]; ok {
 		var ex serve.ExistsResponse
@@ -291,8 +290,8 @@ func runExistsColumn(t *testing.T, prog *parser.Program, want string) {
 	}
 }
 
-// runPortfolioColumn pins the portfolio's conclusion bit-identical to
-// core.Analyze's on every corpus file, cache off / cold / warm, at the same
+// runPortfolioColumn pins the cascade's conclusion bit-identical to the
+// flat report's on every corpus file, cache off / cold / warm, at the same
 // budgets. The column runs unconditionally — the identity contract covers
 // every class, including sets neither guarded nor sticky (both sides must
 // then agree on Unknown).
@@ -300,19 +299,17 @@ func runPortfolioColumn(t *testing.T, prog *parser.Program) {
 	if prog.TGDs.Len() == 0 && !prog.TGDs.HasEGDs() {
 		return
 	}
-	rep, err := core.Analyze(prog.TGDs, core.Options{
-		GuardedOptions: guarded.DecideOptions{MaxSteps: confDecideSteps},
-	})
-	if err != nil {
-		t.Fatalf("portfolio: core.Analyze: %v", err)
-	}
 	opts := portfolio.Options{Guarded: guarded.DecideOptions{MaxSteps: confDecideSteps}}
+	rep, err := portfolio.Report(context.Background(), prog.TGDs, opts)
+	if err != nil {
+		t.Fatalf("portfolio: Report: %v", err)
+	}
 	off, err := portfolio.Analyze(context.Background(), prog.TGDs, opts)
 	if err != nil {
 		t.Fatalf("portfolio/off: %v", err)
 	}
 	if off.Conclusion != rep.Conclusion {
-		t.Errorf("portfolio/off: conclusion = %v, want %v (core.Analyze)", off.Conclusion, rep.Conclusion)
+		t.Errorf("portfolio/off: conclusion = %v, want %v (flat report)", off.Conclusion, rep.Conclusion)
 	}
 	opts.Cache = chase.NewCache()
 	cold, err := portfolio.Analyze(context.Background(), prog.TGDs, opts)
@@ -339,7 +336,7 @@ func runPortfolioColumn(t *testing.T, prog *parser.Program) {
 	}
 	for label, got := range map[string]*portfolio.Result{"cold": cold, "warm": warm, "snap": snap} {
 		if got.Conclusion != rep.Conclusion {
-			t.Errorf("portfolio/%s: conclusion = %v, want %v (core.Analyze)", label, got.Conclusion, rep.Conclusion)
+			t.Errorf("portfolio/%s: conclusion = %v, want %v (flat report)", label, got.Conclusion, rep.Conclusion)
 		}
 		if got.DecidedBy != off.DecidedBy {
 			t.Errorf("portfolio/%s: decided-by = %q, want %q (cache off)", label, got.DecidedBy, off.DecidedBy)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 	"airct/internal/core"
 	"airct/internal/logic"
 	"airct/internal/parser"
+	"airct/internal/portfolio"
 )
 
 const program = `
@@ -40,7 +42,7 @@ func main() {
 
 	// 1. Static analysis: does the restricted chase terminate on *every*
 	// database, under *every* trigger order?
-	report, err := core.Analyze(prog.TGDs, core.Options{})
+	report, err := portfolio.Report(context.Background(), prog.TGDs, portfolio.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

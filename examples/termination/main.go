@@ -9,10 +9,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"airct/internal/core"
+	"airct/internal/portfolio"
 	"airct/internal/workload"
 )
 
@@ -22,7 +24,7 @@ func main() {
 		"program", "guarded", "sticky", "linear", "ground truth", "verdict", "decided by")
 	agree, verdicts := 0, 0
 	for _, l := range corpus {
-		rep, err := core.Analyze(l.Set, core.Options{})
+		rep, err := portfolio.Report(context.Background(), l.Set, portfolio.Options{})
 		if err != nil {
 			log.Fatalf("%s: %v", l.Name, err)
 		}

@@ -6,7 +6,7 @@ package chase
 // does constantly, both inside one Decide call (each seed runs a battery of
 // trigger orders; treeification re-derives seeds) and across Decide calls
 // (a served workload repeats programs) — costs one map probe instead of a
-// chase. Seven entry kinds share the store:
+// chase. Six entry kinds share the store, among them:
 //
 //   - seed outcomes (guarded.chaseSeed): the per-seed divergence verdict of
 //     the bounded chase battery, keyed additionally by the step budget. A
@@ -67,7 +67,9 @@ const (
 )
 
 // entry-kind salts; ORed with per-kind scalar parameters (budgets, caps)
-// so distinct kinds and parameters occupy distinct key space.
+// so distinct kinds and parameters occupy distinct key space. Tag 7 is
+// retired: it held the deleted portfolio cost model, and v3 snapshots that
+// still carry such frames skip them as unknown kinds. Never reuse it.
 const (
 	kindSeedOutcome   uint64 = 1 << 56
 	kindSeedIndex     uint64 = 2 << 56
@@ -75,7 +77,6 @@ const (
 	kindStageOutcomes uint64 = 4 << 56
 	kindStickyOutcome uint64 = 5 << 56
 	kindExistsOutcome uint64 = 6 << 56
-	kindCostModel     uint64 = 7 << 56
 )
 
 // CacheKey identifies one cached chase artefact.
@@ -211,30 +212,6 @@ type StageOutcomes struct {
 	Records   []StageRecord
 	Verdict   string
 	DecidedBy string
-}
-
-// StageCostRecord is one stage's learned cost statistics inside a cached
-// CostModelEntry: EWMA run cost in nanoseconds (integer — the codec stores
-// no floats), attempt and decision counts, and for the probe stage the
-// EWMA saturation depth of its decisive runs.
-type StageCostRecord struct {
-	Stage     string
-	EwmaNS    int64
-	Attempts  int64
-	Decided   int64
-	EwmaDepth int64
-}
-
-// CostModelEntry is a cached per-workload-class stage cost model: the
-// portfolio's online EWMA cost/decisiveness statistics for one class of
-// TGD sets (internal/portfolio.CostModel), persisted so the learned
-// ordering survives restarts and is shared fleet-wide through the daemon's
-// cache. Keyed by a fingerprint of the class string; richer-observation
-// entries replace poorer ones (attempts are monotone across a model's
-// pushes).
-type CostModelEntry struct {
-	Class  string
-	Stages []StageCostRecord
 }
 
 // StickyOutcome is a cached sticky Büchi decision, keyed by (set
@@ -511,26 +488,6 @@ func (c *Cache) evictOldestHalfLocked(s *cacheStripe) {
 	c.evictedEntries.Add(int64(drop))
 }
 
-// storeReplace inserts like store, but when the key already holds an entry
-// it asks better(old) whether the new value is more useful and replaces the
-// old one if so (the replacement takes a fresh sequence number — it is the
-// stripe's newest knowledge). Entry kinds with a single slot per key and a
-// usefulness order (CostModelEntry's observation count) store through this;
-// everything else keeps the cheaper first-writer-wins store.
-func (c *Cache) storeReplace(k CacheKey, v any, size int64, better func(old any) bool) {
-	size += entryOverhead
-	s := c.stripe(k)
-	s.mu.Lock()
-	old, dup := s.m[k]
-	switch {
-	case !dup:
-		c.insertLocked(s, k, v, size)
-	case better(old.v):
-		c.replaceLocked(s, k, old, v, size)
-	}
-	s.mu.Unlock()
-}
-
 // replaceLocked swaps the value under an existing key, re-stamping its age
 // and adjusting the byte accounting by the size delta.
 func (c *Cache) replaceLocked(s *cacheStripe, k CacheKey, old *cacheEntry, v any, size int64) {
@@ -614,38 +571,6 @@ func (c *Cache) LookupStageOutcomes(set, inst logic.Fingerprint, salt uint64) (*
 // must not be mutated afterwards.
 func (c *Cache) StoreStageOutcomes(set, inst logic.Fingerprint, salt uint64, o *StageOutcomes) {
 	c.store(stageOutcomesKey(set, inst, salt), o, stageOutcomesSize(o))
-}
-
-func costModelKey(class string) CacheKey {
-	// The class string is the identity: fingerprint it into the key's Set
-	// half (the Inst half stays zero — a class spans databases).
-	return CacheKey{Set: logic.FingerprintString(class), Salt: kindCostModel}
-}
-
-// LookupCostModel returns the cached stage cost model of the workload
-// class. The caller must not mutate the result.
-func (c *Cache) LookupCostModel(class string) (*CostModelEntry, bool) {
-	v, ok := c.lookup(costModelKey(class))
-	if !ok {
-		return nil, false
-	}
-	return v.(*CostModelEntry), true
-}
-
-// StoreCostModel records a stage cost model for the class, keeping the
-// entry with more total observations (a model's attempt counts only grow,
-// so the richer entry subsumes the poorer one). The entry must not be
-// mutated afterwards.
-func (c *Cache) StoreCostModel(e *CostModelEntry) {
-	attempts := func(e *CostModelEntry) int64 {
-		var n int64
-		for _, s := range e.Stages {
-			n += s.Attempts
-		}
-		return n
-	}
-	c.storeReplace(costModelKey(e.Class), e, costModelSize(e),
-		func(old any) bool { return attempts(e) > attempts(old.(*CostModelEntry)) })
 }
 
 // StoreSeedPool records the candidate-seed pool. The pool must not be
@@ -834,14 +759,6 @@ func stageOutcomesSize(o *StageOutcomes) int64 {
 	size := int64(48 + len(o.Verdict) + len(o.DecidedBy))
 	for _, r := range o.Records {
 		size += int64(len(r.Stage)+len(r.Verdict)+len(r.Detail)+len(r.Evidence)) + 88
-	}
-	return size
-}
-
-func costModelSize(e *CostModelEntry) int64 {
-	size := int64(24 + len(e.Class))
-	for _, s := range e.Stages {
-		size += int64(len(s.Stage)) + 48
 	}
 	return size
 }

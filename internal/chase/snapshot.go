@@ -46,7 +46,8 @@ import (
 const (
 	snapshotMagic = "airctcsn"
 	// Version 2 (PR 9): StageRecord gained Evidence, StageOutcomes keys
-	// gained the instance fingerprint, and the CostModelEntry kind joined.
+	// gained the instance fingerprint, and the cost-model kind (7, since
+	// retired; its frames now load as skipped unknown kinds) joined.
 	// Version 3 (PR 10): SeedOutcome gained PumpDepth, and an ∀∃ frame
 	// carries the key's whole two-rung ladder (a rung count then each
 	// outcome) instead of a single outcome.
@@ -285,16 +286,6 @@ func appendEntry(b []byte, k CacheKey, v any) []byte {
 			b = appendInt(b, int64(r.Saturated))
 			b = appendInt(b, int64(r.Depth))
 		}
-	case *CostModelEntry:
-		b = appendString(b, e.Class)
-		b = binary.AppendUvarint(b, uint64(len(e.Stages)))
-		for _, s := range e.Stages {
-			b = appendString(b, s.Stage)
-			b = appendInt(b, s.EwmaNS)
-			b = appendInt(b, s.Attempts)
-			b = appendInt(b, s.Decided)
-			b = appendInt(b, s.EwmaDepth)
-		}
 	case *StickyOutcome:
 		b = appendBool(b, e.Terminates)
 		b = appendString(b, e.Method)
@@ -413,26 +404,6 @@ func (c *Cache) restoreEntry(payload []byte) bool {
 			})
 		}
 		v, size = o, stageOutcomesSize(o)
-	case kindCostModel:
-		e := &CostModelEntry{Class: d.string()}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			e.Stages = append(e.Stages, StageCostRecord{
-				Stage:     d.string(),
-				EwmaNS:    d.int(),
-				Attempts:  d.int(),
-				Decided:   d.int(),
-				EwmaDepth: d.int(),
-			})
-		}
-		if d.err == nil && len(d.b) == d.off {
-			// Replace-preferring store: a restored model merges with live
-			// entries by observation count, like StoreExistsOutcome's
-			// budget preference.
-			c.StoreCostModel(e)
-			return true
-		}
-		return false
 	case kindStickyOutcome:
 		o := &StickyOutcome{
 			Terminates:     d.bool(),

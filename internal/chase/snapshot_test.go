@@ -9,15 +9,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
 	"airct/internal/logic"
 )
 
-// populateAllKinds stores one entry of each of the seven kinds and returns
+// populateAllKinds stores one entry of each of the six kinds and returns
 // the stored values for later comparison.
-func populateAllKinds(c *Cache) (SeedOutcome, *SeedIndex, *SeedPool, *StageOutcomes, *StickyOutcome, *ExistsOutcome, *CostModelEntry) {
+func populateAllKinds(c *Cache) (SeedOutcome, *SeedIndex, *SeedPool, *StageOutcomes, *StickyOutcome, *ExistsOutcome) {
 	set, inst := fpOf("set"), fpOf("inst")
 	so := SeedOutcome{Diverges: true, Method: "pump", Evidence: "step 3: R(a,n1)", Steps: 17, PumpDepth: 5}
 	c.StoreSeedOutcome(set, inst, 100, so)
@@ -49,17 +50,12 @@ func populateAllKinds(c *Cache) (SeedOutcome, *SeedIndex, *SeedPool, *StageOutco
 		}},
 		Stats: SearchStats{StatesExpanded: 36, MemoHits: 2, PeakFrontier: 5, IndexRepairs: 30, IndexRebuilds: 1, ActivityRechecks: 7}}
 	c.StoreExistsOutcome(set, inst, SmallestFirst, 200, eo)
-	cm := &CostModelEntry{Class: "g1s0f0:b2", Stages: []StageCostRecord{
-		{Stage: "mfa", EwmaNS: 17_000_000, Attempts: 9, Decided: 1, EwmaDepth: 0},
-		{Stage: "probe", EwmaNS: 350_000, Attempts: 9, Decided: 8, EwmaDepth: 21},
-	}}
-	c.StoreCostModel(cm)
-	return so, si, sp, sg, st, eo, cm
+	return so, si, sp, sg, st, eo
 }
 
 func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	c := NewCache()
-	so, si, sp, sg, st, eo, cm := populateAllKinds(c)
+	so, si, sp, sg, st, eo := populateAllKinds(c)
 	set, inst := fpOf("set"), fpOf("inst")
 
 	var buf bytes.Buffer
@@ -70,8 +66,8 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCache: %v", err)
 	}
-	if rep.Restored != 7 || rep.Skipped != 0 || rep.Truncated {
-		t.Fatalf("LoadReport = %+v, want 7 restored, clean", rep)
+	if rep.Restored != 6 || rep.Skipped != 0 || rep.Truncated {
+		t.Fatalf("LoadReport = %+v, want 6 restored, clean", rep)
 	}
 
 	if got, ok := c2.LookupSeedOutcome(set, inst, 100); !ok || !reflect.DeepEqual(got, so) {
@@ -91,9 +87,6 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	}
 	if got, ok := c2.LookupExistsOutcome(set, inst, SmallestFirst, 200, 500); !ok || !reflect.DeepEqual(got, eo) {
 		t.Errorf("ExistsOutcome round-trip = %+v, %v; want %+v", got, ok, eo)
-	}
-	if got, ok := c2.LookupCostModel(cm.Class); !ok || !reflect.DeepEqual(got, cm) {
-		t.Errorf("CostModelEntry round-trip = %+v, %v; want %+v", got, ok, cm)
 	}
 
 	// Restored entries went through the normal store path: entry and byte
@@ -177,6 +170,45 @@ func TestSnapshotRefusesForeignHeaders(t *testing.T) {
 		if st := c2.Stats(); st.Entries != 0 {
 			t.Errorf("%s: refused stream left %d entries in the cache", name, st.Entries)
 		}
+	}
+}
+
+// TestSnapshotSkipsRetiredKind: a v3 snapshot written by a build that still
+// had the portfolio cost model carries kind-7 frames. Such a frame loads as
+// an unknown kind — skipped, never fatal — and every other frame restores.
+func TestSnapshotSkipsRetiredKind(t *testing.T) {
+	c := NewCache()
+	populateAllKinds(c)
+	var buf bytes.Buffer
+	if err := c.Snapshot(&buf); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	// The old kind-7 body: class label, then a stage count and per stage a
+	// name and four integers (EWMA cost, attempts, decisions, EWMA depth).
+	payload := make([]byte, 40)
+	binary.LittleEndian.PutUint64(payload[32:40], 7<<56)
+	payload = appendString(payload, "g1s0f0:b2")
+	payload = binary.AppendUvarint(payload, 1)
+	payload = appendString(payload, "probe")
+	for _, v := range []int64{350_000, 9, 8, 21} {
+		payload = appendInt(payload, v)
+	}
+	var frame [8]byte
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	stream := append(append(bytes.Clone(buf.Bytes()[:16]), frame[:]...), payload...)
+	stream = append(stream, buf.Bytes()[16:]...)
+
+	c2, rep, err := LoadCache(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatalf("LoadCache: %v", err)
+	}
+	if rep.Restored != 6 || rep.Skipped != 1 || rep.Truncated {
+		t.Errorf("LoadReport = %+v, want 6 restored and the kind-7 frame skipped", rep)
+	}
+	if a, b := c.Stats(), c2.Stats(); a.Entries != b.Entries || a.Bytes != b.Bytes {
+		t.Errorf("accounting drifted: source %d entries/%dB, restored %d entries/%dB",
+			a.Entries, a.Bytes, b.Entries, b.Bytes)
 	}
 }
 

@@ -1,20 +1,20 @@
-// Package core is the library's façade: it analyses a set of TGDs for
-// all-instances restricted chase termination (the paper's CT^res_∀∀
-// membership problem), combining class detection, the sufficient-condition
-// baselines, and the two decision procedures of the paper — the abstract-
-// join-tree search for guarded sets (Section 5) and the caterpillar Büchi
-// automaton for sticky sets (Section 6).
+// Package core holds the shapes of a termination analysis of a set of
+// TGDs for all-instances restricted chase termination (the paper's
+// CT^res_∀∀ membership problem): the Conclusion and the flat Report with its
+// terminal rendering. The analysis itself — class detection, the
+// sufficient-condition baselines, and the two decision procedures of the
+// paper (the abstract-join-tree search for guarded sets, Section 5, and the
+// caterpillar Büchi automaton for sticky sets, Section 6) — is
+// orchestrated by internal/portfolio, whose Report fills this package's
+// Report.
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"airct/internal/acyclicity"
 	"airct/internal/guarded"
 	"airct/internal/sticky"
-	"airct/internal/tgds"
 )
 
 // Conclusion is the aggregate termination verdict.
@@ -44,7 +44,7 @@ func (c Conclusion) String() string {
 	}
 }
 
-// Report collects everything the analyzer derived about a set.
+// Report collects everything the analysis derived about a set.
 type Report struct {
 	// Class flags.
 	SingleHead      bool
@@ -77,166 +77,6 @@ type Report struct {
 	// the aggregation, in order of application.
 	Conclusion Conclusion
 	Reasons    []string
-}
-
-// Options configures the analyzer.
-type Options struct {
-	// GuardedOptions tunes the guarded seed search.
-	GuardedOptions guarded.DecideOptions
-	// StickyOptions tunes the Büchi exploration.
-	StickyOptions sticky.DecideOptions
-	// MFASteps bounds the MFA check's semi-oblivious critical-instance
-	// chase (0: 20_000 steps). The check is skipped with SkipBaselines.
-	MFASteps int
-	// SkipBaselines disables the sufficient-condition checks — WA, JA,
-	// the never-firing prune and MFA — used by experiments that time the
-	// decision procedures in isolation.
-	SkipBaselines bool
-}
-
-func (o Options) mfaSteps() int {
-	if o.MFASteps <= 0 {
-		return 20_000
-	}
-	return o.MFASteps
-}
-
-// Analyze inspects the set and decides CT^res_∀∀ membership where the
-// paper's results make that possible.
-func Analyze(set *tgds.Set, opts Options) (*Report, error) {
-	return AnalyzeContext(context.Background(), set, opts)
-}
-
-// AnalyzeContext is Analyze with cancellation: the context is threaded into
-// the sticky Büchi exploration and the guarded seed search (the two
-// procedures that can run long), which observe it inside their inner loops
-// and return its error promptly. The report is bit-identical to Analyze's
-// on an uncancelled context — the baselines and the procedure order are
-// unchanged.
-func AnalyzeContext(ctx context.Context, set *tgds.Set, opts Options) (*Report, error) {
-	if set.Len() == 0 && !set.HasEGDs() {
-		return nil, fmt.Errorf("core: empty TGD set")
-	}
-	r := &Report{
-		SingleHead:      set.IsSingleHead(),
-		Guarded:         set.IsGuarded(),
-		Linear:          set.IsLinear(),
-		Sticky:          set.IsSticky(),
-		Full:            set.IsFull(),
-		FrontierGuarded: set.IsFrontierGuarded(),
-		EGDs:            set.NumEGDs(),
-	}
-	if r.Full {
-		// Full (existential-free) sets never invent nulls: every chase is
-		// bounded by the closure of the active domain. Equality steps only
-		// merge existing terms, so the bound survives arbitrary EGDs.
-		if set.HasEGDs() {
-			r.conclude(Terminates, "existential-free TGDs with EGDs: no invented values, and equality steps strictly shrink the term count")
-		} else {
-			r.conclude(Terminates, "full (existential-free) set: the chase cannot invent values")
-		}
-	}
-	if !opts.SkipBaselines {
-		// Weak acyclicity is computed over the TGDs alone; the classic data
-		// exchange result (Fagin et al.) makes it a sufficient termination
-		// condition for weakly acyclic TGDs together with arbitrary EGDs.
-		// The other baselines — joint acyclicity, the never-firing prune,
-		// MFA — have no published EGD-aware counterpart, so they are gated
-		// to TGD-only sets: their termination arguments do not account for
-		// the triggers an equality merge can create.
-		r.WeaklyAcyclic = acyclicity.IsWeaklyAcyclic(set)
-		if r.WeaklyAcyclic {
-			if set.HasEGDs() {
-				r.conclude(Terminates, "weak acyclicity of the TGDs (sufficient with arbitrary EGDs, Fagin et al.)")
-			} else {
-				r.conclude(Terminates, "weak acyclicity (sufficient condition)")
-			}
-		}
-		if set.HasEGDs() {
-			r.reason("EGDs present: joint acyclicity, the never-firing prune and MFA are TGD-only baselines and were skipped")
-		} else {
-			r.JointlyAcyclic = acyclicity.IsJointlyAcyclic(set)
-			if r.JointlyAcyclic {
-				r.conclude(Terminates, "joint acyclicity (sufficient condition)")
-			}
-			if pruned, removed := acyclicity.PruneNeverFiring(set); len(removed) > 0 {
-				for _, i := range removed {
-					r.NeverFiring = append(r.NeverFiring, set.TGDs[i].Label)
-				}
-				switch {
-				case pruned == nil:
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: all %d TGDs are never-firing (head folds into body over the frontier)", len(removed)))
-				case pruned.IsFull():
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is existential-free", len(removed)))
-				case acyclicity.IsWeaklyAcyclic(pruned):
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is weakly acyclic", len(removed)))
-				case acyclicity.IsJointlyAcyclic(pruned):
-					r.conclude(Terminates, fmt.Sprintf("jointree prune: %d never-firing TGDs removed; remainder is jointly acyclic", len(removed)))
-				}
-			}
-			if mfa := acyclicity.CheckMFA(set, opts.mfaSteps()); mfa.Acyclic {
-				r.MFA = true
-				r.conclude(Terminates, fmt.Sprintf("MFA: semi-oblivious critical-instance chase saturated in %d steps (sufficient condition)", mfa.Steps))
-			}
-		}
-	}
-	if r.Sticky {
-		v, err := sticky.DecideContext(ctx, set, opts.StickyOptions)
-		if err != nil {
-			return nil, err
-		}
-		r.StickyVerdict = v
-		if v.Terminates {
-			if v.Complete {
-				r.conclude(Terminates, "sticky Büchi automaton A_T is empty (Theorem 6.1)")
-			} else {
-				r.reason("sticky Büchi exploration incomplete (state bound); no witness found")
-			}
-		} else {
-			r.conclude(Diverges, fmt.Sprintf(
-				"sticky Büchi witness: caterpillar lasso of length %d+%d (Theorem 6.1)",
-				len(v.Lasso.Prefix), len(v.Lasso.Cycle)))
-		}
-	}
-	if r.Guarded {
-		v, err := guarded.DecideContext(ctx, set, opts.GuardedOptions)
-		if err != nil {
-			return nil, err
-		}
-		r.GuardedVerdict = v
-		switch {
-		case v.Terminates && v.Method == "weak-acyclicity":
-			r.conclude(Terminates, "guarded: weak acyclicity")
-		case v.Terminates:
-			r.conclude(Terminates, fmt.Sprintf("guarded: %d seeds exhausted at budget %d (Theorem 5.1, bounded search)", v.SeedsTried, v.Budget))
-		case v.Method == "divergence-witness":
-			r.conclude(Diverges, fmt.Sprintf("guarded: diverging witness database (%s)", v.Evidence))
-		default:
-			r.reason(fmt.Sprintf("guarded: budget exhausted without certificate (%s)", v.Evidence))
-		}
-	}
-	if set.HasEGDs() && r.Conclusion == Unknown {
-		r.reason("the guarded and sticky decision procedures are TGD-only and do not run on sets with EGDs")
-	}
-	if r.Conclusion == Unknown && len(r.Reasons) == 0 {
-		r.reason("outside the guarded and sticky classes; no sufficient condition fired (CT^res_∀∀ is undecidable in general, Theorem 3.6)")
-	}
-	return r, nil
-}
-
-// conclude records a verdict with its justification, surfacing
-// contradictions between procedures loudly instead of masking them.
-func (r *Report) conclude(c Conclusion, why string) {
-	if r.Conclusion != Unknown && r.Conclusion != c {
-		r.Reasons = append(r.Reasons, fmt.Sprintf("CONTRADICTION: %s says %v but prior verdict was %v", why, c, r.Conclusion))
-		return
-	}
-	r.Conclusion = c
-	r.Reasons = append(r.Reasons, why)
-}
-
-func (r *Report) reason(why string) {
-	r.Reasons = append(r.Reasons, why)
 }
 
 // Summary renders the report for terminals.

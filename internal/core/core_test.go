@@ -1,12 +1,24 @@
-package core
+package core_test
+
+// The flat report's tests. The report is filled by portfolio.Report, the
+// exhaustive schedule of the one orchestrator; these tests hold it to the
+// ground truth and to its rendering.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"airct/internal/core"
 	"airct/internal/parser"
+	"airct/internal/portfolio"
+	"airct/internal/tgds"
 	"airct/internal/workload"
 )
+
+func analyze(set *tgds.Set) (*core.Report, error) {
+	return portfolio.Report(context.Background(), set, portfolio.Options{})
+}
 
 func TestAnalyzeCorpusMatchesGroundTruth(t *testing.T) {
 	// The whole point of the reproduction: on the labeled corpus, the
@@ -16,20 +28,20 @@ func TestAnalyzeCorpusMatchesGroundTruth(t *testing.T) {
 	for _, l := range workload.Corpus() {
 		l := l
 		t.Run(l.Name, func(t *testing.T) {
-			rep, err := Analyze(l.Set, Options{})
+			rep, err := analyze(l.Set)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := Diverges
+			want := core.Diverges
 			if l.Terminates {
-				want = Terminates
+				want = core.Terminates
 			}
 			if l.Guarded || l.Sticky {
-				if rep.Conclusion == Unknown {
+				if rep.Conclusion == core.Unknown {
 					t.Fatalf("guarded/sticky member must get a verdict: %s", rep.Summary())
 				}
 			}
-			if rep.Conclusion != Unknown && rep.Conclusion != want {
+			if rep.Conclusion != core.Unknown && rep.Conclusion != want {
 				t.Errorf("verdict %v, ground truth %v\n%s", rep.Conclusion, want, rep.Summary())
 			}
 			for _, why := range rep.Reasons {
@@ -46,7 +58,7 @@ func TestAnalyzeRejectsEmptySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(set, Options{}); err == nil {
+	if _, err := analyze(set); err == nil {
 		t.Error("empty set must error")
 	}
 }
@@ -61,7 +73,7 @@ func TestAnalyzeUnknownOutsideClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(set, Options{})
+	rep, err := analyze(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +83,7 @@ func TestAnalyzeUnknownOutsideClasses(t *testing.T) {
 	if rep.WeaklyAcyclic || rep.JointlyAcyclic {
 		t.Skip("baseline fired; pick a harder program")
 	}
-	if rep.Conclusion != Unknown {
+	if rep.Conclusion != core.Unknown {
 		t.Errorf("expected Unknown:\n%s", rep.Summary())
 	}
 	if len(rep.Reasons) == 0 || !strings.Contains(rep.Reasons[len(rep.Reasons)-1], "undecidable") {
@@ -84,11 +96,11 @@ func TestSummaryRendersWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(set, Options{})
+	rep, err := analyze(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Conclusion != Diverges {
+	if rep.Conclusion != core.Diverges {
 		t.Fatalf("ladder diverges:\n%s", rep.Summary())
 	}
 	s := rep.Summary()
@@ -97,26 +109,8 @@ func TestSummaryRendersWitness(t *testing.T) {
 	}
 }
 
-func TestSkipBaselines(t *testing.T) {
-	set, err := parser.ParseTGDs(`A(X) -> B(X).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Analyze(set, Options{SkipBaselines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WeaklyAcyclic || rep.JointlyAcyclic {
-		t.Error("baselines must be skipped")
-	}
-	// The sticky/guarded procedures still settle it.
-	if rep.Conclusion != Terminates {
-		t.Errorf("verdict = %v", rep.Conclusion)
-	}
-}
-
 func TestConclusionString(t *testing.T) {
-	if Unknown.String() != "unknown" || Terminates.String() != "terminates" || Diverges.String() != "diverges" {
+	if core.Unknown.String() != "unknown" || core.Terminates.String() != "terminates" || core.Diverges.String() != "diverges" {
 		t.Error("Conclusion.String mismatch")
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"testing"
@@ -152,7 +152,7 @@ func TestCrossCheckWAImpliesEveryVerdictTerminates(t *testing.T) {
 func TestCrossCheckAnalyzeNeverContradicts(t *testing.T) {
 	for seed := int64(0); seed < randomSets; seed++ {
 		set := workload.RandomTGDSet(seed, workload.RandomOptions{})
-		rep, err := Analyze(set, Options{})
+		rep, err := analyze(set)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -63,14 +63,6 @@ type DecideOptions struct {
 	// a cache, and across cold and warm caches. Safe to share one cache
 	// across concurrent Decide calls and across the seed worker pool.
 	Cache *chase.Cache
-	// ProbeAcceptOnly restricts ProbeSeeds to its accept-only behaviour:
-	// a probe never rejects, a pump surfaced at budget k only routes the
-	// input onward. The zero value enables the rejecting fast path (a
-	// pump on a seed's k-prefix is a budget-independent divergence
-	// certificate and decides outright — see ProbeSeeds). The toggle
-	// exists so benchmarks can reproduce the pre-reject cascade as a
-	// baseline; it does not affect Decide itself.
-	ProbeAcceptOnly bool
 }
 
 func (o DecideOptions) maxSteps() int {

@@ -24,7 +24,6 @@ package guarded
 // agree; only the pump pair quoted in the evidence string may differ with
 // the prefix length. A probe whose first non-saturating seed carries no
 // pump claims nothing and routes the input onward to Tier 2.
-// DecideOptions.ProbeAcceptOnly restores the accept-only probe.
 
 import (
 	"context"
@@ -143,16 +142,15 @@ func ProbeSeeds(ctx context.Context, set *tgds.Set, opts DecideOptions, probeSte
 			// decides outright, at probe cost (see the package comment).
 			// "budget-exhausted" at k carries no certificate and claims
 			// nothing.
-			if !opts.ProbeAcceptOnly && v.Method == "divergence-witness" {
+			if v.Method == "divergence-witness" {
 				out.Decided = true
 				out.Rejected = true
 				out.Method = v.Method
 				out.Evidence = v.Evidence
 				out.SeedsTried = s.pos + 1
 				// The shortest certifying prefix, not the truncated run's
-				// length: this is what an adaptive probe budget should
-				// converge towards (still covering the saturating seeds
-				// swept before it, hence the max).
+				// length, still covering the saturating seeds swept before
+				// it (hence the max).
 				d := steps
 				if v.PumpDepth > 0 {
 					d = v.PumpDepth

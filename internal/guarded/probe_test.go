@@ -96,10 +96,11 @@ func TestProbeRejectsDivergingSetAndPinsDecide(t *testing.T) {
 	}
 }
 
-// TestProbeAcceptOnlyRestoresOldBehaviour pins the baseline toggle: with
-// ProbeAcceptOnly set, a diverging set leaves the probe undecided exactly as
-// the pre-reject cascade did.
-func TestProbeAcceptOnlyRestoresOldBehaviour(t *testing.T) {
+// TestProbeWithoutCertificateRoutesOnward pins the probe's abstention: at
+// k=1 the diverging ladder's first non-saturating seed has too short a
+// prefix to carry a pump, so the probe claims nothing and leaves the input
+// undecided for the full procedure.
+func TestProbeWithoutCertificateRoutesOnward(t *testing.T) {
 	set, err := parser.ParseTGDs(`
 		S(X) -> R(X,Y).
 		R(X,Y) -> S(Y).
@@ -107,12 +108,12 @@ func TestProbeAcceptOnlyRestoresOldBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: 2000, ProbeAcceptOnly: true}, 16)
+	out, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: 2000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Decided || out.Rejected {
-		t.Fatalf("accept-only probe decided a diverging set: %+v", out)
+		t.Fatalf("probe decided without a certificate: %+v", out)
 	}
 	if out.Saturated >= out.Seeds && out.Seeds > 0 {
 		t.Errorf("undecided probe with a fully saturated pool: %+v", out)

@@ -133,17 +133,6 @@ func FingerprintAtoms(atoms []Atom) Fingerprint {
 	return f
 }
 
-// FingerprintString returns the content fingerprint of a raw string — the
-// identity non-structural cache artefacts key on (the portfolio cost
-// model's workload-class labels, internal/chase.CostModelEntry). Its kind
-// bytes keep it distinct from the term, predicate and rule domains.
-func FingerprintString(s string) Fingerprint {
-	return Fingerprint{
-		Hi: mix64(fnv64(1469598103934665603, 'S', s)),
-		Lo: mix64(fnv64(0x27d4eb2f165667c5, 's', s)),
-	}
-}
-
 // ruleSeed starts every rule fingerprint; distinct from the atom-hash and
 // null-identity domains by construction.
 var ruleSeed = Fingerprint{Hi: 0x8f14e45fceea1671, Lo: 0x9b05688c2b3e6c1f}

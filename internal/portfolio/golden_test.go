@@ -1,0 +1,114 @@
+package portfolio
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"airct/internal/core"
+	"airct/internal/guarded"
+	"airct/internal/parser"
+	"airct/internal/tgds"
+	"airct/internal/workload"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/report.golden from the current flat report")
+
+// goldenPrograms lists every program the flat-report golden pins, in file
+// order: the repository's .chase examples, the conformance corpus, the
+// labeled workload corpus and the seven parametric families at n=2..6.
+func goldenPrograms(t *testing.T) (names []string, sets []*tgds.Set) {
+	t.Helper()
+	for _, pattern := range []string{"../../testdata/*.chase", "../../testdata/conformance/*.chase"} {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no programs match %s: %v", pattern, err)
+		}
+		for _, file := range files {
+			raw, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := parser.Parse(string(raw))
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			names = append(names, strings.TrimPrefix(file, "../../"))
+			sets = append(sets, prog.TGDs)
+		}
+	}
+	for _, l := range workload.Corpus() {
+		names = append(names, "corpus/"+l.Name)
+		sets = append(sets, l.Set)
+	}
+	families := []func(int) workload.Labeled{
+		workload.DatalogChain, workload.ExistentialChain, workload.LinearCycle,
+		workload.SwapIntro, workload.GuardedLadder, workload.StickyJoin, workload.StickyRelay,
+	}
+	for _, family := range families {
+		for n := 2; n <= 6; n++ {
+			l := family(n)
+			names = append(names, "family/"+l.Name)
+			sets = append(sets, l.Set)
+		}
+	}
+	return names, sets
+}
+
+// flatReport is the flat analysis at the conformance budgets (guarded
+// budget 500, sticky and MFA bounds at their defaults).
+func flatReport(set *tgds.Set) (*core.Report, error) {
+	return Report(context.Background(), set, Options{Guarded: guarded.DecideOptions{MaxSteps: 500}})
+}
+
+// TestFlatReportGolden pins the flat report's rendering — class flags,
+// verdict, every reason line in order and the witnesses — on every golden
+// program. Regenerate with `go test ./internal/portfolio -run
+// TestFlatReportGolden -update` only when a change to the report is
+// intended.
+func TestFlatReportGolden(t *testing.T) {
+	names, sets := goldenPrograms(t)
+	var b strings.Builder
+	for i, set := range sets {
+		rep, err := flatReport(set)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		fmt.Fprintf(&b, "== %s ==\n%s", names[i], rep.Summary())
+	}
+	got := b.String()
+	const path = "testdata/report.golden"
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("flat report drifted from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+		}
+	}
+}

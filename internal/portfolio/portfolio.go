@@ -1,33 +1,36 @@
-// Package portfolio schedules the library's termination deciders as a
-// cheap-first cascade: Tier 0 runs the syntactic and sufficient-condition
-// checks (existential-freeness, weak acyclicity, joint acyclicity, the
-// never-firing jointree prune, MFA), Tier 1 runs a k-round bounded chase
-// probe over the guarded seed pool — accepting when every seed saturates,
-// rejecting when a seed's k-prefix carries a guard-chain pump certificate —
-// and Tier 2 races the expensive semantic deciders —
-// sticky's Büchi emptiness test and the guarded seed search — on a bounded
-// worker pool with context cancellation for the losers.
+// Package portfolio is the library's one orchestrator of the termination
+// deciders. The same stage code runs on two schedules:
 //
-// The cheap prefix (Tier 0 plus the probe) runs in core.Analyze's static
-// cost order by default; with Options.Model set, an online cost model
-// reorders it per workload class and picks the probe budget adaptively
-// (see costmodel.go).
+//   - Analyze, the cheap-first cascade. Tier 0 runs the syntactic and
+//     sufficient-condition checks (existential-freeness, weak acyclicity,
+//     joint acyclicity, the never-firing jointree prune, MFA) in static cost
+//     order. Tier 1 runs a k-round bounded chase probe over the guarded seed
+//     pool — accepting when every seed saturates, rejecting when a seed's
+//     k-prefix carries a guard-chain pump certificate. Tier 2 races the
+//     expensive semantic deciders — sticky's Büchi emptiness test and the
+//     guarded seed search — on a bounded worker pool with context
+//     cancellation for the losers. The first decisive stage ends the run.
+//   - Report, the exhaustive schedule behind the flat report (core.Report).
+//     Every Tier 0 check runs in the same order with no early exit, the
+//     probe is skipped, and the Tier 2 deciders run one after another in
+//     canonical order. Each stage adds its reason, and a decisive stage that
+//     disagrees with an earlier verdict adds a CONTRADICTION line instead of
+//     masking it.
 //
-// The portfolio's contract is conclusion identity: for every input set, the
-// Conclusion (and the error, if any) equals core.Analyze's with the same
-// budgets, bit for bit. The cascade earns its speed purely from stopping
-// early, reordering abstain-or-exact stages and cancelling losers, never
-// from answering differently. Three invariants enforce this:
+// The cascade's contract is conclusion identity: for every input set, the
+// Conclusion (and the error, if any) equals Report's with the same budgets,
+// bit for bit. The cascade earns its speed purely from stopping early and
+// cancelling losers, never from answering differently. Three invariants
+// enforce this:
 //
-//   - every cheap stage either abstains or fixes the conclusion
-//     core.Analyze reaches: the Tier 0 checks are the checks core.Analyze
-//     runs (sound for acceptance only), an accepting Tier 1 probe is
-//     bit-compatible with the full guarded procedure by the
-//     deterministic-prefix argument in guarded.ProbeSeeds, and a rejecting
-//     probe decides through the same guard-chain pump lemma the full
-//     procedure trusts on its own budget-truncated runs. Running any
-//     subset of the cheap prefix in any order therefore cannot change the
-//     conclusion, only which stage gets credit;
+//   - every cheap stage either abstains or fixes the conclusion Report
+//     reaches: the Tier 0 checks are the checks Report runs (sound for
+//     acceptance only), an accepting Tier 1 probe is bit-compatible with the
+//     full guarded procedure by the deterministic-prefix argument in
+//     guarded.ProbeSeeds, and a rejecting probe decides through the same
+//     guard-chain pump lemma the full procedure trusts on its own
+//     budget-truncated runs. Stopping after any decisive cheap stage
+//     therefore cannot change the conclusion, only which stage gets credit;
 //   - the probe rejects only on a certificate, never on bare budget
 //     exhaustion — the certificate string rides along as
 //     StageOutcome.Evidence. The certificate is budget-independent, so in
@@ -39,8 +42,8 @@
 //   - Tier 2 results are combined in the canonical racer order
 //     [sticky, guarded] regardless of wall-clock finish order: a racer's
 //     verdict counts only once every earlier racer has completed without
-//     deciding, which is exactly core.Analyze's sequential order. The
-//     worker count therefore never changes the conclusion, only latency.
+//     deciding, which is exactly Report's sequential order. The worker
+//     count therefore never changes the conclusion, only latency.
 //
 // The ∀∃ derivation search (chase.SearchTerminatingDerivation) can join
 // Tier 2 as a NON-authoritative racer when the caller supplies a concrete
@@ -67,9 +70,9 @@ import (
 	"airct/internal/tgds"
 )
 
-// Options configures the portfolio run. The budget fields mirror
-// core.Options so that a portfolio conclusion stays comparable to an
-// Analyze conclusion computed with the same numbers.
+// Options configures a portfolio run. Analyze and Report read the same
+// budget fields, so a cascade conclusion stays comparable to a flat report
+// computed with the same numbers.
 type Options struct {
 	// Guarded tunes the guarded racer and the Tier 1 probe. Its Cache field
 	// is overwritten with Options.Cache.
@@ -77,30 +80,26 @@ type Options struct {
 	// Sticky tunes the sticky racer. Its Cache field is overwritten with
 	// Options.Cache, so a warm cache also serves the Büchi lasso verdicts.
 	Sticky sticky.DecideOptions
-	// MFASteps bounds the MFA check (0: 20_000, matching core.Options).
+	// MFASteps bounds the MFA check's semi-oblivious critical-instance chase
+	// (0: 20_000).
 	MFASteps int
 	// ProbeSteps is the Tier 1 per-seed step budget k
-	// (0: guarded.DefaultProbeSteps).
+	// (0: guarded.DefaultProbeSteps). Report runs no probe.
 	ProbeSteps int
 	// Workers bounds the Tier 2 racer pool (0: one worker per racer). The
 	// conclusion is worker-count-invariant: results are always combined in
 	// canonical racer order. Workers: 1 degenerates to a sequential cascade
 	// with early exit.
 	Workers int
-	// Cache, when set, memoises the whole portfolio run — keyed by the set
+	// Cache, when set, is shared by the guarded stages (per-seed and
+	// seed-pool entries) and the sticky stage (Büchi lasso verdicts). Under
+	// Analyze it also memoises the whole run — keyed by the set
 	// fingerprint, the database fingerprint (zero without a database) and a
-	// salt folding in every budget (never worker counts) — in addition to
-	// the per-seed and seed-pool entries the guarded stages already share
-	// through it.
+	// salt folding in every budget (never worker counts).
 	Cache *chase.Cache
-	// Model, when set, reorders the cheap stage prefix per workload class
-	// and adapts the probe budget from past decisive depths (costmodel.go).
-	// The model learns from this run's live stages and synchronises with
-	// Cache, making it fleet-wide under a shared cache file. Nil runs the
-	// static cascade. The conclusion is model-invariant.
-	Model *CostModel
 	// Database, when set, adds the ∀∃ derivation search over this database
-	// as a non-authoritative Tier 2 racer (reported, never concluding).
+	// as a non-authoritative Tier 2 racer of Analyze (reported, never
+	// concluding). Report ignores it.
 	Database *instance.Database
 	// Exists tunes the non-authoritative ∀∃ racer.
 	Exists chase.SearchOptions
@@ -143,7 +142,7 @@ type StageOutcome struct {
 	// Conclusion is the stage's own verdict contribution (Unknown when the
 	// stage was non-decisive, cancelled or skipped).
 	Conclusion core.Conclusion
-	// Detail explains the outcome in core.Analyze's reason vocabulary.
+	// Detail explains the outcome in the flat report's reason vocabulary.
 	Detail string
 	// Steps counts the stage's dominant work unit (chase steps, Büchi
 	// states, seeds — see each stage).
@@ -168,8 +167,8 @@ type StageOutcome struct {
 
 // Result is the portfolio's combined answer.
 type Result struct {
-	// Conclusion is pinned bit-identical to core.Analyze's on the same set
-	// and budgets.
+	// Conclusion is pinned bit-identical to Report's on the same set and
+	// budgets.
 	Conclusion core.Conclusion
 	// DecidedBy names the stage that fixed the conclusion ("" when
 	// Unknown). Deterministic across worker counts.
@@ -181,31 +180,36 @@ type Result struct {
 	CacheHit bool
 }
 
-// runner accumulates the cascade state for one Analyze call.
+// tier0Stages is the static cost order of the Tier 0 checks, the order
+// both schedules run them in.
+var tier0Stages = []string{"full", "weak-acyclicity", "joint-acyclicity", "jointree-prune", "mfa"}
+
+// runner accumulates one run's state.
 type runner struct {
-	set    *tgds.Set
-	opts   Options
-	class  string
-	res    *Result
-	probed bool
+	set  *tgds.Set
+	opts Options
+	res  *Result
+	// flat is Report's flat report, filled as each stage concludes; nil
+	// under Analyze.
+	flat *core.Report
 }
 
-// Analyze runs the cascade. The conclusion (and error behaviour) is pinned
-// to core.Analyze with the same budgets; see the package comment for the
-// argument. A cancelled call returns ctx's error.
-func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) {
+func newRunner(set *tgds.Set, opts Options) (*runner, error) {
 	if set.Len() == 0 && !set.HasEGDs() {
 		return nil, fmt.Errorf("portfolio: empty TGD set")
 	}
 	opts.Guarded.Cache = opts.Cache
 	opts.Sticky.Cache = opts.Cache
-	class := classOf(set)
-	if opts.Model != nil {
-		// Adopt richer fleet history first, then resolve the adaptive probe
-		// budget BEFORE the salt is computed: the cache key must reflect
-		// the k that actually runs.
-		opts.Model.pull(opts.Cache, class)
-		opts.ProbeSteps = opts.Model.ProbeSteps(class, opts.ProbeSteps)
+	return &runner{set: set, opts: opts, res: &Result{}}, nil
+}
+
+// Analyze runs the cascade. The conclusion (and error behaviour) is pinned
+// to Report's with the same budgets; see the package comment for the
+// argument. A cancelled call returns ctx's error.
+func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) {
+	r, err := newRunner(set, opts)
+	if err != nil {
+		return nil, err
 	}
 	var instFP logic.Fingerprint
 	if opts.Database != nil {
@@ -217,13 +221,8 @@ func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) 
 			return replay(so), nil
 		}
 	}
-	r := &runner{set: set, opts: opts, class: class, res: &Result{}}
 	if err := r.run(ctx); err != nil {
 		return nil, err
-	}
-	if opts.Model != nil {
-		opts.Model.Observe(class, r.res.Stages)
-		opts.Model.push(opts.Cache, class)
 	}
 	if opts.Cache != nil {
 		opts.Cache.StoreStageOutcomes(setFP, instFP, salt, record(r.res))
@@ -232,21 +231,17 @@ func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) 
 }
 
 func (r *runner) run(ctx context.Context) error {
-	order := stageOrderStatic
-	if r.opts.Model != nil {
-		order = r.opts.Model.Order(r.class, stageOrderStatic)
-	}
-	for _, name := range order {
+	for _, name := range tier0Stages {
 		if r.decided() {
-			break
-		}
-		if name == "probe" {
-			if err := r.tier1(ctx); err != nil {
-				return err
-			}
-			continue
+			return nil
 		}
 		r.tier0Stage(name)
+	}
+	if r.decided() {
+		return nil
+	}
+	if err := r.tier1(ctx); err != nil {
+		return err
 	}
 	if r.decided() {
 		return nil
@@ -254,14 +249,64 @@ func (r *runner) run(ctx context.Context) error {
 	return r.tier2(ctx)
 }
 
+// Report runs the exhaustive schedule and returns the flat report: the
+// class flags, the conclusion and one reason per finding, in stage order.
+// Every Tier 0 check runs, the probe does not, and the sticky and guarded
+// deciders run one after another whatever earlier stages concluded, so a
+// disagreement surfaces as a CONTRADICTION line. Nothing is memoised across
+// runs: Cache serves only the guarded and sticky stages. A cancelled call
+// returns ctx's error.
+func Report(ctx context.Context, set *tgds.Set, opts Options) (*core.Report, error) {
+	opts.Database = nil // the ∀∃ racer is the cascade's diagnostic only
+	r, err := newRunner(set, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.flat = &core.Report{
+		SingleHead:      set.IsSingleHead(),
+		Guarded:         set.IsGuarded(),
+		Linear:          set.IsLinear(),
+		Sticky:          set.IsSticky(),
+		Full:            set.IsFull(),
+		FrontierGuarded: set.IsFrontierGuarded(),
+		EGDs:            set.NumEGDs(),
+	}
+	for _, name := range tier0Stages {
+		if set.HasEGDs() && name == "joint-acyclicity" {
+			// Joint acyclicity, the prune and MFA close the order; on an
+			// EGD set one reason line stands for all three.
+			r.flat.Reasons = append(r.flat.Reasons, "EGDs present: joint acyclicity, the never-firing prune and MFA are TGD-only baselines and were skipped")
+			break
+		}
+		r.tier0Stage(name)
+	}
+	for _, rc := range r.buildRacers() {
+		s, err := rc.run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		r.conclude(s)
+	}
+	rep := r.flat
+	if set.HasEGDs() && rep.Conclusion == core.Unknown {
+		rep.Reasons = append(rep.Reasons, "the guarded and sticky decision procedures are TGD-only and do not run on sets with EGDs")
+	}
+	if rep.Conclusion == core.Unknown && len(rep.Reasons) == 0 {
+		rep.Reasons = append(rep.Reasons, "outside the guarded and sticky classes; no sufficient condition fired (CT^res_∀∀ is undecidable in general, Theorem 3.6)")
+	}
+	return rep, nil
+}
+
 func (r *runner) decided() bool { return r.res.DecidedBy != "" }
 
-// conclude fixes the conclusion on the first decisive stage, mirroring
-// core.Report.conclude's first-verdict-wins rule. A stage that finished
-// decisively after the conclusion was already fixed (a racer beaten to the
-// line) is recorded with Decided cleared: its Conclusion field still shows
-// its own verdict, but only one stage ever "decided".
+// conclude fixes the conclusion on the first decisive stage. A stage that
+// finished decisively after the conclusion was already fixed (a racer
+// beaten to the line) is recorded with Decided cleared: its Conclusion
+// field still shows its own verdict, but only one stage ever "decided".
 func (r *runner) conclude(s StageOutcome) {
+	if r.flat != nil {
+		r.fold(s)
+	}
 	if !r.decided() && s.Decided {
 		r.res.Conclusion = s.Conclusion
 		r.res.DecidedBy = s.Stage
@@ -271,14 +316,37 @@ func (r *runner) conclude(s StageOutcome) {
 	r.res.Stages = append(r.res.Stages, s)
 }
 
+// fold adds one stage outcome to the flat report. A decisive stage sets
+// the conclusion and gives its reason, or a CONTRADICTION line when it
+// disagrees with an earlier verdict. A non-decisive Tier 2 decider still
+// gives its reason (an incomplete exploration, an exhausted budget); a
+// non-decisive Tier 0 check gives none.
+func (r *runner) fold(s StageOutcome) {
+	rep := r.flat
+	switch s.Stage {
+	case "weak-acyclicity":
+		rep.WeaklyAcyclic = s.Decided
+	case "joint-acyclicity":
+		rep.JointlyAcyclic = s.Decided
+	case "mfa":
+		rep.MFA = s.Decided
+	}
+	switch {
+	case !s.Decided && s.Tier == 2:
+		rep.Reasons = append(rep.Reasons, s.Detail)
+	case !s.Decided:
+	case rep.Conclusion != core.Unknown && rep.Conclusion != s.Conclusion:
+		rep.Reasons = append(rep.Reasons, fmt.Sprintf("CONTRADICTION: %s says %v but prior verdict was %v", s.Detail, s.Conclusion, rep.Conclusion))
+	default:
+		rep.Conclusion = s.Conclusion
+		rep.Reasons = append(rep.Reasons, s.Detail)
+	}
+}
+
 // tier0Stage runs one cheap syntactic or sufficient-condition check. Every
 // Tier 0 check is sound for acceptance only, so a decisive stage always
-// concludes Terminates — which is why the cost model may run them in any
-// order without touching the conclusion.
+// concludes Terminates.
 func (r *runner) tier0Stage(name string) {
-	if r.decided() {
-		return
-	}
 	s := StageOutcome{Stage: name, Tier: 0}
 	start := time.Now()
 	r.tier0Check(name, &s)
@@ -331,6 +399,11 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 			return
 		}
 		pruned, removed := acyclicity.PruneNeverFiring(set)
+		if r.flat != nil {
+			for _, i := range removed {
+				r.flat.NeverFiring = append(r.flat.NeverFiring, set.TGDs[i].Label)
+			}
+		}
 		if len(removed) == 0 {
 			s.Detail = "no never-firing TGDs"
 			return
@@ -378,13 +451,12 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 // guarded.ProbeSeeds); a rejecting probe carries the guard-chain pump
 // certificate — the same budget-independent witness the guarded procedure
 // itself trusts on budget-truncated runs — so concluding here preserves
-// conclusion identity with core.Analyze, where the guarded stage would
-// have decided.
+// conclusion identity with Report, where the guarded stage would have
+// decided.
 func (r *runner) tier1(ctx context.Context) error {
 	if !r.set.IsGuarded() || r.set.IsSticky() {
 		return nil
 	}
-	r.probed = true
 	start := time.Now()
 	out, err := guarded.ProbeSeeds(ctx, r.set, r.opts.Guarded, r.opts.ProbeSteps)
 	if err != nil {
@@ -431,7 +503,7 @@ type racer struct {
 // tier2 races the semantic deciders on a bounded worker pool. Workers claim
 // racers in canonical order off an atomic counter; the combiner then walks
 // the same order, so racer i's verdict counts only after racers j < i all
-// completed without deciding — exactly core.Analyze's sequential semantics.
+// completed without deciding — exactly Report's sequential semantics.
 // Once the conclusion is fixed the race context is cancelled: running
 // losers observe ctx.Done() inside their chase/Büchi loops and stop
 // promptly; unclaimed racers are skipped outright.
@@ -543,8 +615,8 @@ func (r *runner) concludeRacer(rc racer, out StageOutcome) {
 	r.conclude(out)
 }
 
-// buildRacers assembles the canonical Tier 2 field: sticky before guarded
-// (core.Analyze's order), then the optional non-authoritative ∀∃ search.
+// buildRacers assembles the canonical Tier 2 field: sticky before guarded,
+// then the optional non-authoritative ∀∃ search.
 func (r *runner) buildRacers() []racer {
 	var out []racer
 	if r.set.IsSticky() {
@@ -565,6 +637,9 @@ func (r *runner) runSticky(ctx context.Context) (StageOutcome, error) {
 	v, err := sticky.DecideContext(ctx, r.set, r.opts.Sticky)
 	if err != nil {
 		return StageOutcome{}, err
+	}
+	if r.flat != nil {
+		r.flat.StickyVerdict = v
 	}
 	s := StageOutcome{Stage: "sticky", Tier: 2, Steps: v.StatesExplored, Duration: time.Since(start)}
 	switch {
@@ -588,6 +663,9 @@ func (r *runner) runGuarded(ctx context.Context) (StageOutcome, error) {
 	v, err := guarded.DecideContext(ctx, r.set, r.opts.Guarded)
 	if err != nil {
 		return StageOutcome{}, err
+	}
+	if r.flat != nil {
+		r.flat.GuardedVerdict = v
 	}
 	s := StageOutcome{Stage: "guarded", Tier: 2, Steps: v.SeedsTried, Duration: time.Since(start)}
 	switch {

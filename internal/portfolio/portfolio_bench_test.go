@@ -1,14 +1,14 @@
 package portfolio
 
 // BenchmarkPortfolioMixed measures time-to-verdict of the staged portfolio
-// against flat core.Analyze on a mixed serving workload: the repeated-seed
+// against the flat Report on a mixed serving workload: the repeated-seed
 // stream of the cache benchmarks plus one request from every labeled
 // family class (datalog, acyclic existential, prunable, sticky terminating
 // and diverging, guarded diverging) and a multi-head set that is honestly
 // Unknown. The portfolio side shares one chase.Cache per family, warmed by
 // a single untimed decision — the serving configuration `termcheck
-// -portfolio -cache` exposes; the baseline pays a fresh core.Analyze per
-// request with the same budgets. Conclusions are asserted identical before
+// -portfolio -cache` exposes; the baseline pays a fresh Report per request
+// with the same budgets. Conclusions are asserted identical before
 // the timer, so the speedup recorded in BENCH_portfolio.json is never
 // bought with verdict drift.
 
@@ -56,14 +56,13 @@ func benchFamilies() []struct {
 
 func BenchmarkPortfolioMixed(b *testing.B) {
 	for _, fam := range benchFamilies() {
-		coreOpts := core.Options{GuardedOptions: guarded.DecideOptions{MaxSteps: benchDecideSteps}}
 		portOpts := Options{Guarded: guarded.DecideOptions{MaxSteps: benchDecideSteps}}
 
 		// Drift gate: every request must conclude identically in both modes
 		// before either is timed.
 		want := make([]core.Conclusion, len(fam.reqs))
 		for i, set := range fam.reqs {
-			rep, err := core.Analyze(set, coreOpts)
+			rep, err := Report(context.Background(), set, portOpts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -81,7 +80,7 @@ func BenchmarkPortfolioMixed(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				set := fam.reqs[i%len(fam.reqs)]
-				rep, err := core.Analyze(set, coreOpts)
+				rep, err := Report(context.Background(), set, portOpts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,13 +14,9 @@ import (
 	"airct/internal/workload"
 )
 
-// testBudgets keeps the corpus sweeps fast while matching core.Analyze's
-// budgets exactly on both sides of every identity assertion.
+// testDecideSteps keeps the corpus sweeps fast; both sides of every
+// cascade-versus-Report identity assertion run at the same budgets.
 const testDecideSteps = 500
-
-func coreOpts() core.Options {
-	return core.Options{GuardedOptions: guarded.DecideOptions{MaxSteps: testDecideSteps}}
-}
 
 func portOpts() Options {
 	return Options{Guarded: guarded.DecideOptions{MaxSteps: testDecideSteps}}
@@ -36,12 +32,12 @@ func mustSet(t *testing.T, src string) *tgds.Set {
 }
 
 // TestConclusionIdentityOnWorkloadCorpus is the portfolio's core contract:
-// on every corpus family, the cascade's conclusion equals core.Analyze's,
-// cache off, cold and warm.
+// on every corpus family, the cascade's conclusion equals the exhaustive
+// Report's, cache off, cold and warm.
 func TestConclusionIdentityOnWorkloadCorpus(t *testing.T) {
 	for _, l := range workload.Corpus() {
 		t.Run(l.Name, func(t *testing.T) {
-			rep, err := core.Analyze(l.Set, coreOpts())
+			rep, err := Report(context.Background(), l.Set, portOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +47,7 @@ func TestConclusionIdentityOnWorkloadCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			if off.Conclusion != rep.Conclusion {
-				t.Fatalf("conclusion = %v, want %v (core.Analyze); decided by %q\nstages: %+v",
+				t.Fatalf("conclusion = %v, want %v (Report); decided by %q\nstages: %+v",
 					off.Conclusion, rep.Conclusion, off.DecidedBy, off.Stages)
 			}
 			if off.Conclusion != core.Unknown && off.DecidedBy == "" {
@@ -176,7 +172,7 @@ func TestStageAttribution(t *testing.T) {
 // 5.6's guarded non-sticky diverging shape: a pump certificate surfaces on
 // a seed's k-prefix and the probe decides Diverges — carrying the
 // certificate — before Tier 2 starts. The conclusion must still equal
-// core.Analyze's, where the guarded racer reaches the identical verdict.
+// Report's, where the guarded racer reaches the identical verdict.
 func TestProbeTierAttribution(t *testing.T) {
 	// Guarded, not sticky (marked X recurs in body positions), not WA/JA,
 	// not prunable — and genuinely diverging through the P self-feed.
@@ -188,12 +184,12 @@ func TestProbeTierAttribution(t *testing.T) {
 	if set.IsSticky() || !set.IsGuarded() {
 		t.Fatal("example 5.6 class flags shifted")
 	}
-	rep, err := core.Analyze(set, coreOpts())
+	rep, err := Report(context.Background(), set, portOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Conclusion != core.Diverges {
-		t.Fatalf("core.Analyze on example 5.6 = %v, want diverges", rep.Conclusion)
+		t.Fatalf("Report on example 5.6 = %v, want diverges", rep.Conclusion)
 	}
 	res, err := Analyze(context.Background(), set, portOpts())
 	if err != nil {
@@ -256,19 +252,65 @@ func TestEmptySetRejected(t *testing.T) {
 	if _, err := Analyze(context.Background(), &tgds.Set{}, Options{}); err == nil {
 		t.Fatal("empty set accepted")
 	}
+	if _, err := Report(context.Background(), &tgds.Set{}, Options{}); err == nil {
+		t.Fatal("empty set accepted by Report")
+	}
+}
+
+// TestReportExhaustiveSchedule pins the flat report's own branches, which
+// the golden programs never reach: an EGD set outside every sufficient
+// condition, a decider that contradicts an earlier verdict, and a
+// cancelled run.
+func TestReportExhaustiveSchedule(t *testing.T) {
+	egd, err := parser.Parse(`
+		S(X) -> R(X,Y).
+		R(X,Y) -> S(Y).
+		key: R(X,Y), R(X,Z) -> Y = Z.
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Report(context.Background(), egd.TGDs, portOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"EGDs present: joint acyclicity, the never-firing prune and MFA are TGD-only baselines and were skipped",
+		"the guarded and sticky decision procedures are TGD-only and do not run on sets with EGDs",
+	}
+	if rep.Conclusion != core.Unknown || strings.Join(rep.Reasons, "\n") != strings.Join(want, "\n") {
+		t.Errorf("EGD set outside every condition: %v %q, want unknown %q", rep.Conclusion, rep.Reasons, want)
+	}
+
+	// Every decider runs whatever the others concluded, so a disagreement
+	// is reported next to the verdict it contradicts, never masking it.
+	r := &runner{res: &Result{}, flat: &core.Report{}}
+	r.conclude(StageOutcome{Stage: "sticky", Tier: 2, Decided: true, Conclusion: core.Terminates, Detail: "sticky says so"})
+	r.conclude(StageOutcome{Stage: "guarded", Tier: 2, Decided: true, Conclusion: core.Diverges, Detail: "guarded says so"})
+	want = []string{"sticky says so", "CONTRADICTION: guarded says so says diverges but prior verdict was terminates"}
+	if r.flat.Conclusion != core.Terminates || strings.Join(r.flat.Reasons, "\n") != strings.Join(want, "\n") {
+		t.Errorf("contradiction: %v %q, want terminates %q", r.flat.Conclusion, r.flat.Reasons, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Report(ctx, workload.GuardedLadder(2).Set, portOpts()); err != context.Canceled {
+		t.Errorf("cancelled Report: err = %v, want context.Canceled", err)
+	}
 }
 
 // TestAnalyzeCancelledPropagates pins the cascade's own cancellation: a
 // context cancelled mid-race surfaces as ctx's error, promptly. The probe
-// is pinned accept-only — its rejecting fast path would otherwise decide
-// the diverging ladder in well under the cancellation delay, leaving no
-// race to cancel — so the cascade reaches the Tier 2 chase the cancel is
-// meant to interrupt.
+// runs at k=1 — too short a prefix for the ladder's pump certificate (the
+// probe routes onward for every k ≤ 5), where the default budget would
+// reject in well under the cancellation delay and leave no race to cancel
+// — so the cascade reaches the Tier 2 chase the cancel is meant to
+// interrupt.
 func TestAnalyzeCancelledPropagates(t *testing.T) {
 	set := workload.GuardedLadder(2).Set
 	opts := portOpts()
 	opts.Guarded.MaxSteps = 50_000_000
-	opts.Guarded.ProbeAcceptOnly = true
+	opts.ProbeSteps = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)

@@ -9,28 +9,26 @@ import (
 	"airct/internal/workload"
 )
 
-// TestQuickAdaptiveConclusionIdentity is the adaptive cascade's property
-// test: over a deterministic sweep of random existential programs, the
-// portfolio under ONE shared cost model and cache — the model reordering
-// stages and re-picking probe budgets as it learns — reaches exactly
-// core.Analyze's conclusion on every program. In particular a Tier 1
-// divergence certificate can never contradict the Tier 2 semantic deciders:
-// whenever the rejecting probe decides, core.Analyze (which reaches the
-// same question through the guarded racer) must say Diverges too. Runs
-// under the CI -race job, so the model's locking is exercised alongside.
-func TestQuickAdaptiveConclusionIdentity(t *testing.T) {
-	model := NewCostModel()
+// TestQuickCascadeMatchesReport is the cascade's property test: over a
+// deterministic sweep of random existential programs, the cascade — one
+// shared cache, the programs' databases feeding the ∀∃ racer — reaches
+// exactly the exhaustive Report's conclusion on every program. In
+// particular a Tier 1 divergence certificate can never contradict the
+// Tier 2 semantic deciders: whenever the rejecting probe decides, Report
+// (which reaches the same question through the guarded decider) must say
+// Diverges too. Runs under the CI -race job, so the shared cache's locking
+// is exercised alongside.
+func TestQuickCascadeMatchesReport(t *testing.T) {
 	cache := chase.NewCache()
 	probeRejects := 0
 	for seed := int64(0); seed < 200; seed++ {
 		prog := workload.RandomExistentialProgram(seed)
-		rep, err := core.Analyze(prog.TGDs, coreOpts())
+		rep, err := Report(context.Background(), prog.TGDs, portOpts())
 		if err != nil {
-			t.Fatalf("seed %d: core.Analyze: %v", seed, err)
+			t.Fatalf("seed %d: Report: %v", seed, err)
 		}
 		opts := portOpts()
 		opts.Cache = cache
-		opts.Model = model
 		opts.Database = prog.Database
 		opts.Exists = chase.SearchOptions{MaxStates: 200, MaxAtoms: 40}
 		res, err := Analyze(context.Background(), prog.TGDs, opts)
@@ -38,7 +36,7 @@ func TestQuickAdaptiveConclusionIdentity(t *testing.T) {
 			t.Fatalf("seed %d: Analyze: %v", seed, err)
 		}
 		if res.Conclusion != rep.Conclusion {
-			t.Fatalf("seed %d: adaptive portfolio drifted: %v by %q, want %v (core.Analyze)\nstages: %+v",
+			t.Fatalf("seed %d: cascade drifted: %v by %q, want %v (Report)\nstages: %+v",
 				seed, res.Conclusion, res.DecidedBy, rep.Conclusion, res.Stages)
 		}
 		if res.DecidedBy == "probe" && res.Conclusion == core.Diverges {

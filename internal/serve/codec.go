@@ -141,23 +141,13 @@ type SnapshotStats struct {
 	LastUnixMS int64  `json:"last-unix-ms"`
 }
 
-// AdaptiveStats reports the cost-model layer: whether it is on, how often
-// the Tier 1 probe's rejecting fast path decided, and the learned per-class
-// stage orderings and probe budgets.
-type AdaptiveStats struct {
-	Enabled      bool                   `json:"enabled"`
-	ProbeRejects int64                  `json:"probe-rejects"`
-	Classes      []portfolio.ClassState `json:"classes,omitempty"`
-}
-
 // StatsResponse is the /v1/stats body: the shared cache's counters (the
 // CLI's `cache:` line as JSON), the chase engine's aggregated activity-
 // check and seed-index work (the `activity:` line), the aggregated ∀∃
 // search work including the trigger-index and activity-recheck counters
 // (the `trigger-index:` line), per-stage portfolio decision tallies (the
 // `portfolio-stage:` lines' decisive outcomes, with the probe's rejecting
-// fast path broken out as "probe-reject"), the adaptive cost-model state,
-// and the serving-layer counters.
+// fast path broken out as "probe-reject") and the serving-layer counters.
 type StatsResponse struct {
 	UptimeMS  int64                `json:"uptime-ms"`
 	Requests  RequestStats         `json:"requests"`
@@ -166,7 +156,6 @@ type StatsResponse struct {
 	Activity  chase.ActivityTotals `json:"activity"`
 	Exists    chase.SearchStats    `json:"exists"`
 	Portfolio map[string]int64     `json:"portfolio"`
-	Adaptive  AdaptiveStats        `json:"adaptive"`
 	Snapshot  SnapshotStats        `json:"snapshot"`
 }
 
@@ -232,7 +221,7 @@ func existsSalt(strategy chase.SearchStrategy, maxStates, maxAtoms int) uint64 {
 	return h.Sum64()
 }
 
-// decideResponseOf renders a flat analysis report.
+// decideResponseOf renders a flat report.
 func decideResponseOf(rep *core.Report) DecideResponse {
 	return DecideResponse{
 		Verdict: rep.Conclusion.String(),

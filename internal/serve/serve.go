@@ -5,8 +5,9 @@
 //
 // Endpoints (all JSON):
 //
-//	POST /v1/decide  — CT^res_∀∀ via core.AnalyzeContext, or the staged
-//	                   decider portfolio with portfolio=true
+//	POST /v1/decide  — CT^res_∀∀: the flat report (portfolio.Report), or
+//	                   the staged cascade (portfolio.Analyze) with
+//	                   portfolio=true
 //	POST /v1/exists  — CT^res_∀∃ on the program's database via
 //	                   chase.SearchTerminatingDerivationContext
 //	GET  /v1/stats   — cache / trigger-index / portfolio / serving counters
@@ -81,13 +82,6 @@ type Config struct {
 	// the ∀∃ search shards, the portfolio Tier 2 pool and the guarded
 	// seed pool (0: 1, sequential).
 	Workers int
-	// Adaptive, when true, gives portfolio requests a shared online cost
-	// model (portfolio.CostModel): the cheap stage prefix is reordered per
-	// workload class and the Tier 1 probe budget adapts, with learned state
-	// synchronised through the shared cache (and hence its snapshots).
-	// Verdicts are model-invariant; only latency changes. Requests that set
-	// probe-steps explicitly keep their requested budget.
-	Adaptive bool
 	// Snapshot, when set, is reported by /v1/stats. The server does not
 	// drive it — the owner (the daemon) ticks and closes it.
 	Snapshot *Snapshotter
@@ -105,7 +99,6 @@ type metrics struct {
 	flightsCancelled atomic.Int64
 	flightPanics     atomic.Int64
 	requestsShed     atomic.Int64
-	probeRejects     atomic.Int64
 
 	mu             sync.Mutex
 	existsAgg      chase.SearchStats
@@ -117,7 +110,6 @@ type metrics struct {
 type Server struct {
 	cfg     Config
 	cache   *chase.Cache
-	model   *portfolio.CostModel
 	gate    chan struct{}
 	flights flightTable
 	metrics metrics
@@ -148,9 +140,6 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 	}
 	s.baseCtx, s.stopAll = context.WithCancel(context.Background())
-	if cfg.Adaptive {
-		s.model = portfolio.NewCostModel()
-	}
 	s.metrics.portfolioTally = make(map[string]int64)
 	s.mux.HandleFunc("/v1/decide", s.handleDecide)
 	s.mux.HandleFunc("/v1/exists", s.handleExists)
@@ -240,11 +229,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	guardedBudget := orDefault(req.GuardedBudget, defaultGuardedBudget)
 	stickyStates := orDefault(req.StickyStates, defaultStickyStates)
 	probeSteps := orDefault(req.ProbeSteps, guarded.DefaultProbeSteps)
-	if s.model != nil {
-		// Adaptive: a zero request lets the cost model pick the probe
-		// budget per workload class; an explicit request is respected.
-		probeSteps = req.ProbeSteps
-	}
 	workers := s.workersFor(req.Workers)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
@@ -253,34 +237,30 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	val, shared, err := s.doFlight(r.Context(), key, s.timeoutFor(req.TimeoutMS), func(ctx context.Context) (any, error) {
-		if req.Portfolio {
-			opts := portfolio.Options{
-				Guarded:    guarded.DecideOptions{MaxSteps: guardedBudget, Workers: workers},
-				Sticky:     sticky.DecideOptions{MaxStates: stickyStates},
-				ProbeSteps: probeSteps,
-				Workers:    workers,
-				Cache:      s.cache,
-				Model:      s.model,
-			}
-			if prog.Database.Len() > 0 {
-				opts.Database = prog.Database
-				opts.Exists = chase.SearchOptions{MaxStates: defaultExistsStates, MaxAtoms: defaultExistsAtoms}
-			}
-			res, err := portfolio.Analyze(ctx, prog.TGDs, opts)
+		opts := portfolio.Options{
+			Guarded:    guarded.DecideOptions{MaxSteps: guardedBudget, Workers: workers},
+			Sticky:     sticky.DecideOptions{MaxStates: stickyStates},
+			ProbeSteps: probeSteps,
+			Workers:    workers,
+			Cache:      s.cache,
+		}
+		if !req.Portfolio {
+			rep, err := portfolio.Report(ctx, prog.TGDs, opts)
 			if err != nil {
 				return nil, err
 			}
-			s.tallyPortfolio(res)
-			return portfolioResponseOf(res), nil
+			return decideResponseOf(rep), nil
 		}
-		rep, err := core.AnalyzeContext(ctx, prog.TGDs, core.Options{
-			GuardedOptions: guarded.DecideOptions{MaxSteps: guardedBudget, Workers: workers, Cache: s.cache},
-			StickyOptions:  sticky.DecideOptions{MaxStates: stickyStates, Cache: s.cache},
-		})
+		if prog.Database.Len() > 0 {
+			opts.Database = prog.Database
+			opts.Exists = chase.SearchOptions{MaxStates: defaultExistsStates, MaxAtoms: defaultExistsAtoms}
+		}
+		res, err := portfolio.Analyze(ctx, prog.TGDs, opts)
 		if err != nil {
 			return nil, err
 		}
-		return decideResponseOf(rep), nil
+		s.tallyPortfolio(res)
+		return portfolioResponseOf(res), nil
 	})
 	val, ok := s.finish(w, r, val, err)
 	if !ok {
@@ -385,11 +365,6 @@ func (s *Server) Stats() StatsResponse {
 		Cache:    s.cache.Stats(),
 		Activity: s.cache.ActivityTotals(),
 	}
-	out.Adaptive.Enabled = s.model != nil
-	out.Adaptive.ProbeRejects = s.metrics.probeRejects.Load()
-	if s.model != nil {
-		out.Adaptive.Classes = s.model.States()
-	}
 	s.metrics.mu.Lock()
 	out.Exists = s.metrics.existsAgg
 	out.Portfolio = make(map[string]int64, len(s.metrics.portfolioTally))
@@ -433,7 +408,6 @@ func (s *Server) tallyPortfolio(res *portfolio.Result) {
 		name = "undecided"
 	} else if name == "probe" && res.Conclusion == core.Diverges {
 		name = "probe-reject"
-		s.metrics.probeRejects.Add(1)
 	}
 	s.metrics.mu.Lock()
 	s.metrics.portfolioTally[name]++

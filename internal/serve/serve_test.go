@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"airct/internal/chase"
-	"airct/internal/core"
 	"airct/internal/guarded"
 	"airct/internal/parser"
 	"airct/internal/portfolio"
@@ -164,21 +163,18 @@ func referenceFor(t *testing.T, src string) reference {
 		t.Fatal(err)
 	}
 	var ref reference
-	rep, err := core.AnalyzeContext(context.Background(), prog.TGDs, core.Options{
-		GuardedOptions: guarded.DecideOptions{MaxSteps: confDecideSteps, Workers: 1},
-		StickyOptions:  sticky.DecideOptions{MaxStates: defaultStickyStates},
-	})
-	if err != nil {
-		t.Fatalf("core.AnalyzeContext: %v", err)
-	}
-	ref.decide = renderDecide(rep.Conclusion.String(), rep.Reasons)
-
 	popts := portfolio.Options{
 		Guarded:    guarded.DecideOptions{MaxSteps: confDecideSteps, Workers: 1},
 		Sticky:     sticky.DecideOptions{MaxStates: defaultStickyStates},
 		ProbeSteps: guarded.DefaultProbeSteps,
 		Workers:    1,
 	}
+	rep, err := portfolio.Report(context.Background(), prog.TGDs, popts)
+	if err != nil {
+		t.Fatalf("portfolio.Report: %v", err)
+	}
+	ref.decide = renderDecide(rep.Conclusion.String(), rep.Reasons)
+
 	if prog.Database.Len() > 0 {
 		popts.Database = prog.Database
 		popts.Exists = chase.SearchOptions{MaxStates: defaultExistsStates, MaxAtoms: defaultExistsAtoms}
