@@ -6,30 +6,32 @@ import (
 )
 
 // modAutomaton accepts words over {a,b} with infinitely many a's: states
-// "a"/"b" remember the last symbol; accepting = "a".
+// 1 ("a") and 2 ("b") remember the last symbol, 0 is the start; accepting
+// = 1.
 func modAutomaton() *Automaton {
 	return &Automaton{
 		Alphabet: []string{"a", "b"},
-		Initial:  "start",
-		Step: func(state, sym string) (string, bool) {
-			return sym, true
+		Initial:  0,
+		Step: func(state, sym int) (int, bool) {
+			return sym + 1, true
 		},
-		Accepting: func(state string) bool { return state == "a" },
+		Accepting: func(state int) bool { return state == 1 },
 	}
 }
 
-// rejectAfterB rejects any word containing b (sink), accepting = seen an a.
+// rejectAfterB rejects any word containing b (sink), accepting = seen an a
+// (state 1).
 func rejectAfterB() *Automaton {
 	return &Automaton{
 		Alphabet: []string{"a", "b"},
-		Initial:  "start",
-		Step: func(state, sym string) (string, bool) {
-			if sym == "b" {
-				return "", false
+		Initial:  0,
+		Step: func(state, sym int) (int, bool) {
+			if sym == 1 {
+				return 0, false
 			}
-			return "a", true
+			return 1, true
 		},
-		Accepting: func(state string) bool { return state == "a" },
+		Accepting: func(state int) bool { return state == 1 },
 	}
 }
 
@@ -37,18 +39,18 @@ func rejectAfterB() *Automaton {
 func emptyAutomaton() *Automaton {
 	return &Automaton{
 		Alphabet: []string{"a"},
-		Initial:  "q0",
-		Step: func(state, sym string) (string, bool) {
+		Initial:  0,
+		Step: func(state, sym int) (int, bool) {
 			switch state {
-			case "q0":
-				return "q1", true // accepting but transient
-			case "q1":
-				return "q2", true
+			case 0:
+				return 1, true // accepting but transient
+			case 1:
+				return 2, true
 			default:
-				return "q2", true // non-accepting self-loop
+				return 2, true // non-accepting self-loop
 			}
 		},
-		Accepting: func(state string) bool { return state == "q1" },
+		Accepting: func(state int) bool { return state == 1 },
 	}
 }
 
@@ -66,11 +68,11 @@ func TestExploreRespectsBound(t *testing.T) {
 	// Counter automaton with unbounded state space.
 	counter := &Automaton{
 		Alphabet: []string{"a"},
-		Initial:  "",
-		Step: func(state, sym string) (string, bool) {
-			return state + "a", true
+		Initial:  0,
+		Step: func(state, sym int) (int, bool) {
+			return state + 1, true
 		},
-		Accepting: func(string) bool { return false },
+		Accepting: func(int) bool { return false },
 	}
 	e := Explore(counter, 10)
 	if e.Complete {
@@ -180,5 +182,44 @@ func TestUnion(t *testing.T) {
 	}
 	if _, _, ok := Union(nil, 0); ok {
 		t.Error("empty union is empty")
+	}
+}
+
+func TestExploreSparseIDs(t *testing.T) {
+	// IDs need not start at 0 or be contiguous: 7 -a-> 3 -a-> 7, accepting 3.
+	a := &Automaton{
+		Alphabet: []string{"a"},
+		Initial:  7,
+		Step: func(state, sym int) (int, bool) {
+			if state == 7 {
+				return 3, true
+			}
+			return 7, true
+		},
+		Accepting: func(state int) bool { return state == 3 },
+	}
+	e := Explore(a, 0)
+	if e.Len() != 2 || !e.reached(3) || !e.reached(7) || e.reached(5) {
+		t.Fatalf("explored %d states (3:%v 7:%v 5:%v)", e.Len(), e.reached(3), e.reached(7), e.reached(5))
+	}
+	lasso, ok := e.NonEmpty()
+	if !ok || strings.Join(lasso.Prefix, "") != "a" || strings.Join(lasso.Cycle, "") != "aa" || lasso.Gap != 1 {
+		t.Fatalf("lasso = %+v, %v", lasso, ok)
+	}
+	if acc, err := a.AcceptsLasso(lasso.Prefix, lasso.Cycle); err != nil || !acc {
+		t.Errorf("witness not accepted: %v %v", acc, err)
+	}
+}
+
+func TestUnknownSymbolKeys(t *testing.T) {
+	a := modAutomaton()
+	if states, ok := a.Run([]string{"a", "z"}); ok || len(states) != 1 {
+		t.Errorf("Run over an unknown symbol = %v, %v", states, ok)
+	}
+	if _, err := a.AcceptsLasso([]string{"z"}, []string{"a"}); err == nil {
+		t.Error("unknown prefix symbol must error")
+	}
+	if _, err := a.AcceptsLasso(nil, []string{"z"}); err == nil {
+		t.Error("unknown cycle symbol must error")
 	}
 }

@@ -2,7 +2,6 @@ package buchi
 
 import (
 	"context"
-	"strconv"
 	"testing"
 )
 
@@ -12,15 +11,14 @@ import (
 func chainAutomaton(n int) *Automaton {
 	return &Automaton{
 		Alphabet: []string{"t"},
-		Initial:  "0",
-		Step: func(state, sym string) (string, bool) {
-			i, _ := strconv.Atoi(state)
-			if i+1 >= n {
-				return "", false
+		Initial:  0,
+		Step: func(state, sym int) (int, bool) {
+			if state+1 >= n {
+				return 0, false
 			}
-			return strconv.Itoa(i + 1), true
+			return state + 1, true
 		},
-		Accepting: func(state string) bool { return false },
+		Accepting: func(state int) bool { return false },
 	}
 }
 

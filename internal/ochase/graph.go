@@ -14,6 +14,9 @@
 package ochase
 
 import (
+	"slices"
+	"sort"
+
 	"airct/internal/chase"
 	"airct/internal/instance"
 	"airct/internal/logic"
@@ -58,184 +61,374 @@ type Graph struct {
 	Set      *tgds.Set
 	Database *instance.Database
 	nodes    []*Node
-	byPred   map[logic.Predicate][]*Node
-	children map[NodeID][]NodeID
+	children [][]NodeID // per node ID, in creation order
 	// Complete reports whether the graph is the whole of ochase(D,T):
 	// construction reached a fixpoint within the bounds.
 	Complete bool
-	nulls    *chase.NullFactory
 
-	// (σ, h, parent tuple) identities, interned: [tgdIdx, binding TermIDs
-	// in sorted-body-variable order, parent node IDs]. One table probe
-	// answers "spawned before?" — no per-candidate key strings.
-	itab     *logic.Interner
-	seen     *logic.TupleTable
-	seenBuf  []uint32
-	bodyVars [][]logic.Term // sorted body variables per TGD index
+	// Interned node data: every node's argument TermIDs and depth, and the
+	// nodes of each predicate in creation order.
+	itab   *logic.Interner
+	args   []logic.TermID // per node, flat: node i's are args[argOff[i]:argOff[i+1]]
+	argOff []int32
+	depth  []int32
+	byPred [][]NodeID // per PredID
+
+	guard []int // per TGD index: the guard's body index, -1 if unguarded
+}
+
+func newGraph(db *instance.Database, set *tgds.Set) *Graph {
+	g := &Graph{Set: set, Database: db, itab: logic.NewInterner(), argOff: []int32{0}, guard: make([]int, len(set.TGDs))}
+	for i, t := range set.TGDs {
+		g.guard[i] = t.GuardIndex()
+	}
+	return g
 }
 
 // Build materialises ochase(D,T) up to the given bounds.
+//
+// Matching runs on interned node data: each TGD body is compiled once to
+// slot form (one slot per body variable, in sorted-variable order), and
+// each body atom draws its candidates from the shortest posting that its
+// already-bound arguments select — per predicate, or per (predicate,
+// position, TermID) — always in node-creation order. A candidate match is
+// a slot array, not a logic.Substitution. Matches are still enumerated
+// body atom by body atom in creation order (a posting is the creation-order
+// subsequence of its predicate's nodes that agree on one argument), and
+// the (σ, h, parent tuple) identity, node creation, trigger bindings and
+// structural null naming are unchanged, so nodes, NodeIDs and null names
+// come out in the same sequence as a substitution-based matcher's.
 func Build(db *instance.Database, set *tgds.Set, opts BuildOptions) *Graph {
-	g := &Graph{
-		Set:      set,
-		Database: db,
-		byPred:   make(map[logic.Predicate][]*Node),
-		children: make(map[NodeID][]NodeID),
-		nulls:    chase.NewNullFactory(chase.StructuralNaming),
-		itab:     logic.NewInterner(),
-		seen:     logic.NewTupleTable(64),
-		bodyVars: make([][]logic.Term, len(set.TGDs)),
-	}
-	for i, t := range set.TGDs {
-		g.bodyVars[i] = t.BodyVars().Sorted()
-	}
+	g := newGraph(db, set)
+	b := newBuildState(g, opts)
 	for _, fact := range db.Atoms() {
-		g.addNode(fact, nil, nil)
+		b.addFact(fact)
 	}
 	frontierStart := 0
 	for {
-		if len(g.nodes) >= opts.maxNodes() {
+		if len(g.nodes) >= b.maxNodes {
 			g.Complete = false
 			return g
 		}
 		next := len(g.nodes)
-		added := g.expand(frontierStart, opts)
+		added := b.expand(frontierStart)
 		frontierStart = next
 		if !added {
-			g.Complete = len(g.nodes) < opts.maxNodes()
+			g.Complete = len(g.nodes) < b.maxNodes
 			return g
 		}
 	}
 }
 
-func (g *Graph) addNode(atom logic.Atom, tr *chase.Trigger, parents []NodeID) *Node {
-	depth := 0
+// nodeArgs returns node id's argument TermIDs.
+func (g *Graph) nodeArgs(id NodeID) []logic.TermID { return g.args[g.argOff[id]:g.argOff[id+1]] }
+
+// addNode appends a node with its interned data and postings.
+func (g *Graph) addNode(atom logic.Atom, tr *chase.Trigger, parents []NodeID, pid logic.PredID, args []logic.TermID, depth int32) NodeID {
+	id := NodeID(len(g.nodes))
+	g.nodes = append(g.nodes, &Node{ID: id, Atom: atom, Trigger: tr, Parents: parents, Depth: int(depth)})
+	g.children = append(g.children, nil)
 	for _, p := range parents {
-		if d := g.nodes[p].Depth + 1; d > depth {
-			depth = d
+		g.children[p] = append(g.children[p], id)
+	}
+	g.args = append(g.args, args...)
+	g.argOff = append(g.argOff, int32(len(g.args)))
+	g.depth = append(g.depth, depth)
+	for int(pid) >= len(g.byPred) {
+		g.byPred = append(g.byPred, nil)
+	}
+	g.byPred[pid] = append(g.byPred[pid], id)
+	return id
+}
+
+// slotAtom is a body or head atom in slot form. For body atoms bind[k]
+// tells whether position k binds its slot (first occurrence in the body)
+// or checks it; head arguments >= 0 are body slots (frontier variables),
+// and -(k+1) is the k-th existential variable in sorted order.
+type slotAtom struct {
+	pred logic.Predicate
+	pid  logic.PredID
+	args []int32
+	bind []bool
+}
+
+// compiledTGD is one TGD laid out for matching and result construction.
+type compiledTGD struct {
+	tgd      tgds.TGD
+	vars     []logic.Term // sorted body variables: slot i holds vars[i]
+	body     []slotAtom
+	head     []slotAtom
+	nExist   int
+	preBound [][]int // per body atom: positions whose slot an earlier atom bound
+}
+
+func compileTGD(t tgds.TGD, itab *logic.Interner) compiledTGD {
+	ct := compiledTGD{tgd: t, vars: t.BodyVars().Sorted()}
+	slot := make(map[logic.Term]int32, len(ct.vars))
+	for i, v := range ct.vars {
+		slot[v] = int32(i)
+	}
+	bound := make([]bool, len(ct.vars))
+	for _, a := range t.Body {
+		sa := slotAtom{pred: a.Pred, pid: itab.InternPred(a.Pred), args: make([]int32, len(a.Args)), bind: make([]bool, len(a.Args))}
+		var pre []int
+		seenHere := make([]bool, len(ct.vars))
+		for k, v := range a.Args {
+			s := slot[v]
+			sa.args[k] = s
+			switch {
+			case bound[s]:
+				pre = append(pre, k)
+			case !seenHere[s]:
+				sa.bind[k] = true
+				seenHere[s] = true
+			}
+		}
+		for s, ok := range seenHere {
+			if ok {
+				bound[s] = true
+			}
+		}
+		ct.body = append(ct.body, sa)
+		ct.preBound = append(ct.preBound, pre)
+	}
+	exist := make(map[logic.Term]int32)
+	frontier := t.Frontier()
+	for _, x := range t.HeadVars().Sorted() {
+		if !frontier.Has(x) {
+			exist[x] = int32(len(exist))
 		}
 	}
-	n := &Node{
-		ID:      NodeID(len(g.nodes)),
-		Atom:    atom,
-		Trigger: tr,
-		Parents: parents,
-		Depth:   depth,
+	ct.nExist = len(exist)
+	for _, a := range t.Head {
+		sa := slotAtom{pred: a.Pred, pid: itab.InternPred(a.Pred), args: make([]int32, len(a.Args))}
+		for k, v := range a.Args {
+			if s, ok := slot[v]; ok {
+				sa.args[k] = s
+			} else {
+				sa.args[k] = -(exist[v] + 1)
+			}
+		}
+		ct.head = append(ct.head, sa)
 	}
-	g.nodes = append(g.nodes, n)
-	g.byPred[atom.Pred] = append(g.byPred[atom.Pred], n)
-	for _, p := range parents {
-		g.children[p] = append(g.children[p], n.ID)
+	return ct
+}
+
+// argKey names a (predicate, position, term) posting.
+type argKey struct {
+	pid logic.PredID
+	pos int32
+	tid logic.TermID
+}
+
+// buildState is Build's working state.
+type buildState struct {
+	g        *Graph
+	maxNodes int
+	maxDepth int32
+	tgds     []compiledTGD
+	byArg    map[argKey][]NodeID
+	indexed  [][]bool // per PredID and position: some body atom selects candidates by it
+
+	// trig interns trigger identities (σ, body bindings) — the key of the
+	// structural nulls c^{σ,h}_x; trigNulls[t] is the first of trigger t's
+	// nulls in nullIDs, minted in sorted-existential order when the
+	// trigger first spawns. seen interns (trigger, parent tuple): one
+	// probe answers "spawned before?".
+	trig      *logic.TupleTable
+	trigNulls []int32
+	nullIDs   []logic.TermID
+	namer     *logic.FreshNamer
+	seen      *logic.TupleTable
+
+	// The current round: matches draw parents from nodes below limit and
+	// need one at or above frontierStart.
+	limit, frontierStart NodeID
+	added                bool
+
+	// Per-match scratch.
+	binding []logic.TermID
+	parents []NodeID
+	buf     []uint32
+	argBuf  []logic.TermID
+}
+
+func newBuildState(g *Graph, opts BuildOptions) *buildState {
+	b := &buildState{
+		g:        g,
+		maxNodes: opts.maxNodes(),
+		maxDepth: int32(opts.MaxDepth),
+		byArg:    make(map[argKey][]NodeID),
+		trig:     logic.NewTupleTable(64),
+		namer:    logic.NewFreshNamer("n"),
+		seen:     logic.NewTupleTable(64),
 	}
-	return n
+	for _, t := range g.Set.TGDs {
+		ct := compileTGD(t, g.itab)
+		for i, pre := range ct.preBound {
+			pat := ct.body[i]
+			for int(pat.pid) >= len(b.indexed) {
+				b.indexed = append(b.indexed, nil)
+			}
+			if b.indexed[pat.pid] == nil {
+				b.indexed[pat.pid] = make([]bool, len(pat.args))
+			}
+			for _, k := range pre {
+				b.indexed[pat.pid][k] = true
+			}
+		}
+		b.tgds = append(b.tgds, ct)
+	}
+	return b
+}
+
+func (b *buildState) add(atom logic.Atom, tr *chase.Trigger, parents []NodeID, pid logic.PredID, args []logic.TermID, depth int32) {
+	id := b.g.addNode(atom, tr, parents, pid, args, depth)
+	if int(pid) >= len(b.indexed) {
+		return
+	}
+	for k, on := range b.indexed[pid] {
+		if on {
+			key := argKey{pid, int32(k), args[k]}
+			b.byArg[key] = append(b.byArg[key], id)
+		}
+	}
+}
+
+func (b *buildState) addFact(fact logic.Atom) {
+	b.argBuf = b.argBuf[:0]
+	for _, t := range fact.Args {
+		b.argBuf = append(b.argBuf, b.g.itab.InternTerm(t))
+	}
+	b.add(fact, nil, nil, b.g.itab.InternPred(fact.Pred), b.argBuf, 0)
 }
 
 // expand performs one closure round: every (σ, h, parent-tuple) with at
 // least one parent in the latest frontier (or any tuple in the first round)
 // spawns a node. It reports whether any node was added.
-func (g *Graph) expand(frontierStart int, opts BuildOptions) bool {
-	added := false
-	limit := len(g.nodes) // only match against pre-round nodes
-	for idx, t := range g.Set.TGDs {
-		g.matchBody(t, limit, func(h logic.Substitution, parents []NodeID) bool {
-			if frontierStart > 0 {
-				inFrontier := false
-				for _, p := range parents {
-					if int(p) >= frontierStart {
-						inFrontier = true
-						break
-					}
-				}
-				if !inFrontier {
-					return true
-				}
-			}
-			if opts.MaxDepth > 0 {
-				d := 0
-				for _, p := range parents {
-					if pd := g.nodes[p].Depth + 1; pd > d {
-						d = pd
-					}
-				}
-				if d > opts.MaxDepth {
-					return true
-				}
-			}
-			g.seenBuf = g.seenBuf[:0]
-			g.seenBuf = append(g.seenBuf, uint32(idx))
-			for _, v := range g.bodyVars[idx] {
-				g.seenBuf = append(g.seenBuf, uint32(g.itab.InternTerm(h.ApplyTerm(v))))
-			}
-			for _, p := range parents {
-				g.seenBuf = append(g.seenBuf, uint32(p))
-			}
-			if _, isNew := g.seen.Intern(g.seenBuf); !isNew {
-				return true
-			}
-			tr := chase.NewTrigger(idx, t, h)
-			result := chase.Result(tr, g.nulls)
-			// Definition 3.3 is stated for single-head TGDs; for multi-head
-			// sets we add one node per head atom sharing the parent tuple.
-			for _, atom := range result {
-				trc := tr
-				g.addNode(atom, &trc, append([]NodeID(nil), parents...))
-			}
-			added = true
-			return len(g.nodes) < opts.maxNodes()
-		})
-		if len(g.nodes) >= opts.maxNodes() {
-			return added
+func (b *buildState) expand(frontierStart int) bool {
+	b.added = false
+	b.limit = NodeID(len(b.g.nodes)) // only match against pre-round nodes
+	b.frontierStart = NodeID(frontierStart)
+	for idx := range b.tgds {
+		ct := &b.tgds[idx]
+		b.binding = slices.Grow(b.binding[:0], len(ct.vars))[:len(ct.vars)]
+		b.parents = slices.Grow(b.parents[:0], len(ct.body))[:len(ct.body)]
+		b.match(idx, ct, 0, frontierStart == 0)
+		if len(b.g.nodes) >= b.maxNodes {
+			break
 		}
 	}
-	return added
+	return b.added
 }
 
-// matchBody enumerates homomorphisms of t's body onto node tuples drawn from
-// nodes[0:limit], yielding the substitution and the parent tuple. The yield
-// function returns false to stop enumeration.
-func (g *Graph) matchBody(t tgds.TGD, limit int, yield func(logic.Substitution, []NodeID) bool) {
-	h := logic.NewSubstitution()
-	parents := make([]NodeID, len(t.Body))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(t.Body) {
-			return yield(h, parents)
+// match enumerates the candidates of body atom i in creation order and
+// recurses; it returns false once the node bound stops enumeration.
+// inFrontier records whether some parent chosen so far lies in the latest
+// frontier (always true in the first round).
+func (b *buildState) match(idx int, ct *compiledTGD, i int, inFrontier bool) bool {
+	if i == len(ct.body) {
+		return b.spawn(idx, ct)
+	}
+	g := b.g
+	pat := &ct.body[i]
+	var cands []NodeID
+	if int(pat.pid) < len(g.byPred) {
+		cands = g.byPred[pat.pid]
+	}
+	for _, k := range ct.preBound[i] {
+		post := b.byArg[argKey{pat.pid, int32(k), b.binding[pat.args[k]]}]
+		if len(post) < len(cands) {
+			cands = post
 		}
-		pat := t.Body[i]
-		for _, cand := range g.byPred[pat.Pred] {
-			if int(cand.ID) >= limit {
-				continue
-			}
-			var trail []logic.Term
-			ok := true
-			for k, v := range pat.Args {
-				got := cand.Atom.Args[k]
-				if bound, has := h.Lookup(v); has {
-					if bound != got {
-						ok = false
-						break
-					}
-					continue
-				}
-				h[v] = got
-				trail = append(trail, v)
-			}
-			if ok {
-				parents[i] = cand.ID
-				if !rec(i + 1) {
-					for _, v := range trail {
-						delete(h, v)
-					}
-					return false
-				}
-			}
-			for _, v := range trail {
-				delete(h, v)
+	}
+	if i == len(ct.body)-1 && !inFrontier {
+		// A match with no parent in the latest frontier was spawned (or
+		// refused) in an earlier round: the last atom must supply one.
+		cands = cands[sort.Search(len(cands), func(j int) bool { return cands[j] >= b.frontierStart }):]
+	}
+	for _, cand := range cands {
+		if cand >= b.limit {
+			break
+		}
+		if b.maxDepth > 0 && g.depth[cand] >= b.maxDepth {
+			continue // the child would lie below the depth bound
+		}
+		args := g.nodeArgs(cand)
+		ok := true
+		for k, s := range pat.args {
+			if pat.bind[k] {
+				b.binding[s] = args[k]
+			} else if b.binding[s] != args[k] {
+				ok = false
+				break
 			}
 		}
+		if !ok {
+			continue
+		}
+		b.parents[i] = cand
+		if !b.match(idx, ct, i+1, inFrontier || cand >= b.frontierStart) {
+			return false
+		}
+	}
+	return true
+}
+
+// spawn handles one complete match: unless its (σ, h, parent tuple) was
+// spawned before, it creates one node per head atom (Definition 3.3 is
+// stated for single-head TGDs; multi-head sets get one node per head atom
+// sharing the parent tuple). It returns false once the node bound is hit.
+func (b *buildState) spawn(idx int, ct *compiledTGD) bool {
+	b.buf = append(b.buf[:0], uint32(idx))
+	for _, tid := range b.binding {
+		b.buf = append(b.buf, uint32(tid))
+	}
+	trigID, newTrig := b.trig.Intern(b.buf)
+	b.buf = append(b.buf[:0], uint32(trigID))
+	for _, p := range b.parents {
+		b.buf = append(b.buf, uint32(p))
+	}
+	if _, isNew := b.seen.Intern(b.buf); !isNew {
 		return true
 	}
-	rec(0)
+	g := b.g
+	if newTrig {
+		b.trigNulls = append(b.trigNulls, int32(len(b.nullIDs)))
+		for k := 0; k < ct.nExist; k++ {
+			b.nullIDs = append(b.nullIDs, g.itab.InternTerm(b.namer.NextNull()))
+		}
+	}
+	nulls := b.nullIDs[b.trigNulls[trigID]:][:ct.nExist]
+	depth := int32(0)
+	for _, p := range b.parents {
+		if d := g.depth[p] + 1; d > depth {
+			depth = d
+		}
+	}
+	h := make(logic.Substitution, len(ct.vars))
+	for s, v := range ct.vars {
+		h[v] = g.itab.Term(b.binding[s])
+	}
+	tr := chase.Trigger{TGDIndex: idx, TGD: ct.tgd, H: h}
+	for _, ha := range ct.head {
+		b.argBuf = b.argBuf[:0]
+		terms := make([]logic.Term, len(ha.args))
+		for k, s := range ha.args {
+			var tid logic.TermID
+			if s >= 0 {
+				tid = b.binding[s]
+			} else {
+				tid = nulls[-s-1]
+			}
+			b.argBuf = append(b.argBuf, tid)
+			terms[k] = g.itab.Term(tid)
+		}
+		trc := tr
+		b.add(logic.Atom{Pred: ha.pred, Args: terms}, &trc, append([]NodeID(nil), b.parents...), ha.pid, b.argBuf, depth)
+	}
+	b.added = true
+	return len(g.nodes) < b.maxNodes
 }
 
 // Len returns the number of nodes.
@@ -269,8 +462,12 @@ func (g *Graph) MultisetSize() int { return len(g.nodes) }
 // order — the copies of the atom in the multiset.
 func (g *Graph) NodesByAtom(a logic.Atom) []*Node {
 	var out []*Node
-	for _, n := range g.byPred[a.Pred] {
-		if n.Atom.Equal(a) {
+	pid, ok := g.itab.LookupPred(a.Pred)
+	if !ok || int(pid) >= len(g.byPred) {
+		return nil
+	}
+	for _, id := range g.byPred[pid] {
+		if n := g.nodes[id]; n.Atom.Equal(a) {
 			out = append(out, n)
 		}
 	}
@@ -285,7 +482,7 @@ func (g *Graph) GuardParent(id NodeID) (NodeID, bool) {
 	if n.IsDatabase() {
 		return 0, false
 	}
-	gi := n.Trigger.TGD.GuardIndex()
+	gi := g.guard[n.Trigger.TGDIndex]
 	if gi < 0 {
 		return 0, false
 	}
@@ -298,7 +495,7 @@ func (g *Graph) SideParents(id NodeID) []NodeID {
 	if n.IsDatabase() {
 		return nil
 	}
-	gi := n.Trigger.TGD.GuardIndex()
+	gi := g.guard[n.Trigger.TGDIndex]
 	var out []NodeID
 	for i, p := range n.Parents {
 		if i != gi {

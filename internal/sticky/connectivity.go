@@ -33,7 +33,7 @@ func AnalyzeConnectivity(cat *Caterpillar, set *tgds.Set, passOn []int) (*Connec
 	if len(passOn) == 0 {
 		return nil, fmt.Errorf("sticky: no pass-on points supplied")
 	}
-	marking, err := tgds.ComputeMarking(set)
+	marking, err := set.Marking()
 	if err != nil {
 		return nil, err
 	}

@@ -67,13 +67,17 @@ func Decide(set *tgds.Set, opts DecideOptions) (*Verdict, error) {
 // returns ctx's error instead of a verdict — a partial exploration is never
 // interpreted. Uncancelled calls behave identically to Decide.
 func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Verdict, error) {
+	if set.HasEGDs() {
+		return nil, fmt.Errorf("sticky: Decide is TGD-only; the set has %d EGDs", set.NumEGDs())
+	}
 	if !set.IsSingleHead() {
 		return nil, fmt.Errorf("sticky: Decide requires single-head TGDs")
 	}
-	if ok, m, err := tgds.IsSticky(set); err != nil {
+	ok, marking, err := tgds.IsSticky(set)
+	if err != nil {
 		return nil, err
 	} else if !ok {
-		return nil, fmt.Errorf("sticky: input is not sticky: %v", m.Violation())
+		return nil, fmt.Errorf("sticky: input is not sticky: %v", marking.Violation())
 	}
 	var setFP logic.Fingerprint
 	if opts.Cache != nil {
@@ -82,14 +86,11 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 			return replayVerdict(set, o), nil
 		}
 	}
+	m := newMachine(set, marking)
 	verdict := &Verdict{Terminates: true, Method: "buchi-empty", Complete: true}
 	seedIndex := int32(-1)
 	for i, seed := range Seeds(set) {
-		a, err := BuildAutomaton(set, seed)
-		if err != nil {
-			return nil, err
-		}
-		explored := buchi.ExploreContext(ctx, a, opts.maxStates())
+		explored := buchi.ExploreContext(ctx, m.automaton(seed), opts.maxStates())
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

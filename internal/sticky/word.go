@@ -85,16 +85,6 @@ func Alphabet(set *tgds.Set) []Symbol {
 	return out
 }
 
-// AlphabetKeys returns the symbol keys, aligned with Alphabet.
-func AlphabetKeys(set *tgds.Set) []string {
-	syms := Alphabet(set)
-	out := make([]string, len(syms))
-	for i, s := range syms {
-		out[i] = s.Key()
-	}
-	return out
-}
-
 // SymbolString renders a symbol readably against its set.
 func SymbolString(set *tgds.Set, s Symbol) string {
 	t := set.TGDs[s.TGDIndex]

@@ -11,8 +11,9 @@ import (
 // NewSet standardises TGDs apart, a variable identifies its TGD, so the
 // marking is a single variable set.
 type Marking struct {
-	set    *Set
-	marked logic.TermSet
+	set       *Set
+	marked    logic.TermSet
+	violation *StickyViolation
 }
 
 // ComputeMarking runs the inductive marking procedure to fixpoint:
@@ -58,7 +59,9 @@ func ComputeMarking(s *Set) (*Marking, error) {
 			}
 		}
 	}
-	return &Marking{set: s, marked: marked}, nil
+	m := &Marking{set: s, marked: marked}
+	m.violation = m.findViolation()
+	return m, nil
 }
 
 // propagatesMark reports whether some TGD of s has a body atom with
@@ -104,7 +107,9 @@ func (v *StickyViolation) Error() string {
 
 // Violation returns a sticky violation if one exists: some TGD whose body
 // mentions a marked variable at two or more argument positions.
-func (m *Marking) Violation() *StickyViolation {
+func (m *Marking) Violation() *StickyViolation { return m.violation }
+
+func (m *Marking) findViolation() *StickyViolation {
 	for _, t := range m.set.TGDs {
 		counts := make(map[logic.Term]int)
 		for _, a := range t.Body {
@@ -123,11 +128,20 @@ func (m *Marking) Violation() *StickyViolation {
 	return nil
 }
 
+// Marking returns the set's stickiness marking, computed on first use and
+// memoised like Fingerprint: the sticky gate, the Büchi decider and its
+// compiled machine all read this one value. The error is non-nil only for
+// multi-head sets. The marking looks at the TGDs alone.
+func (s *Set) Marking() (*Marking, error) {
+	s.markOnce.Do(func() { s.marking, s.markErr = ComputeMarking(s) })
+	return s.marking, s.markErr
+}
+
 // IsSticky reports whether the (single-head) set is sticky, returning the
-// marking used for the check; the error is non-nil only for multi-head
-// inputs.
+// memoised marking used for the check; the error is non-nil only for
+// multi-head inputs. Like the marking it looks at the TGDs alone.
 func IsSticky(s *Set) (bool, *Marking, error) {
-	m, err := ComputeMarking(s)
+	m, err := s.Marking()
 	if err != nil {
 		return false, nil, err
 	}

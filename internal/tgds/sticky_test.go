@@ -195,3 +195,26 @@ func TestStickinessOfGuardedExample(t *testing.T) {
 		t.Error("Example 3.2 set is guarded")
 	}
 }
+
+func TestMarkingIsMemoised(t *testing.T) {
+	s := MustSet(
+		MustNew("", []logic.Atom{atom("R", "X", "Y")}, []logic.Atom{atom("R", "Y", "Z")}),
+	)
+	m1, err := s.Marking()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := s.Marking()
+	_, m3, _ := IsSticky(s)
+	if m1 != m2 || m1 != m3 {
+		t.Error("Marking and IsSticky must return one memoised marking")
+	}
+	fresh, _ := ComputeMarking(s)
+	if got, want := m1.MarkedVars(), fresh.MarkedVars(); len(got) != len(want) {
+		t.Errorf("memoised marking %v, fresh %v", got, want)
+	}
+	multi := MustSet(MustNew("", []logic.Atom{atom("R", "X", "Y")}, []logic.Atom{atom("R", "Y", "Z"), atom("S", "Y")}))
+	if _, err := multi.Marking(); err == nil {
+		t.Error("a multi-head set has no stickiness marking")
+	}
+}

@@ -238,6 +238,10 @@ type Set struct {
 
 	fpOnce sync.Once
 	fp     logic.Fingerprint
+
+	markOnce sync.Once
+	marking  *Marking
+	markErr  error
 }
 
 // NewSet builds a set, validating every member and standardising the TGDs

@@ -148,33 +148,26 @@ func RandomExistentialProgram(seed int64) *parser.Program {
 // preserved.
 func RandomAutomaton(seed int64, nStates int) *buchi.Automaton {
 	rng := rand.New(rand.NewSource(seed))
-	type key struct {
-		state string
-		sym   string
-	}
-	states := make([]string, nStates)
-	for i := range states {
-		states[i] = fmt.Sprintf("q%d", i)
-	}
-	trans := make(map[key]string)
-	accepting := make(map[string]bool)
-	for _, s := range states {
-		for _, a := range []string{"0", "1"} {
+	type key struct{ state, sym int }
+	trans := make(map[key]int)
+	accepting := make([]bool, nStates)
+	for s := 0; s < nStates; s++ {
+		for a := 0; a < 2; a++ {
 			if rng.Intn(10) == 0 {
 				continue // reject sink
 			}
-			trans[key{s, a}] = states[rng.Intn(nStates)]
+			trans[key{s, a}] = rng.Intn(nStates)
 		}
 		accepting[s] = rng.Intn(4) == 0
 	}
 	return &buchi.Automaton{
 		Alphabet: []string{"0", "1"},
-		Initial:  "q0",
-		Step: func(state, sym string) (string, bool) {
+		Initial:  0,
+		Step: func(state, sym int) (int, bool) {
 			next, ok := trans[key{state, sym}]
 			return next, ok
 		},
-		Accepting: func(state string) bool { return accepting[state] },
+		Accepting: func(state int) bool { return accepting[state] },
 	}
 }
 
