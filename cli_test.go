@@ -246,21 +246,21 @@ func TestCLIHelpMatchesDocs(t *testing.T) {
 }
 
 // TestTermcheckCacheStats pins the -cache surface: a cache: stats line
-// with a nonzero hit count (the seed battery re-chases each seed under
-// three trigger orders, sharing the cached initial trigger queue), and a
-// report otherwise byte-identical to the uncached run.
+// with a nonzero entry count (a seed-exhaustion decision stores its seed
+// pool and one outcome per seed; a single invocation has nothing to hit),
+// and a report otherwise byte-identical to the uncached run.
 func TestTermcheckCacheStats(t *testing.T) {
 	bin := binary(t, "termcheck")
 	cached, code := run(t, bin, "-cache", "testdata/conformance/swap-intro.chase")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, cached)
 	}
-	m := regexp.MustCompile(`(?m)^cache: hits=(\d+) misses=\d+ entries=\d+ bytes=\d+ evictions=\d+ evicted-entries=\d+\n`).FindStringSubmatch(cached)
+	m := regexp.MustCompile(`(?m)^cache: hits=\d+ misses=\d+ entries=(\d+) bytes=\d+ evictions=\d+ evicted-entries=\d+\n`).FindStringSubmatch(cached)
 	if m == nil {
 		t.Fatalf("no cache: stats line:\n%s", cached)
 	}
 	if m[1] == "0" {
-		t.Errorf("cache: hit count is zero on a seed-exhaustion decision:\n%s", cached)
+		t.Errorf("cache: entry count is zero on a seed-exhaustion decision:\n%s", cached)
 	}
 	plain, code := run(t, bin, "testdata/conformance/swap-intro.chase")
 	if code != 0 {

@@ -31,12 +31,13 @@
 // never concludes.
 //
 // -cache routes the run through a cross-run chase cache
-// (internal/chase/cache.go): seed pools, seed chase outcomes, the engine's
-// initial trigger queues, sticky Büchi lasso verdicts, whole portfolio
-// runs and whole -exists search outcomes are memoised on (TGD-set
-// fingerprint, instance fingerprint) keys, and a `cache:` stats line
-// reports hits/misses/entries/bytes and stripe evictions. Verdicts are
-// bit-identical with and without the cache.
+// (internal/chase/cache.go): seed pools, seed chase outcomes, sticky
+// Büchi lasso verdicts, whole portfolio runs and whole -exists search
+// outcomes are memoised on (TGD-set fingerprint, instance fingerprint)
+// keys, and a `cache:` stats line reports hits/misses/entries/bytes and
+// evictions. Within one invocation nothing repeats, so the cache only
+// takes writes; hits come from -cache-file. Verdicts are bit-identical
+// with and without the cache.
 //
 // -cache-file PATH makes that cache persistent (and implies -cache): an
 // existing snapshot at PATH is loaded before the run — a corrupt or

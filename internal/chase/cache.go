@@ -3,42 +3,41 @@ package chase
 // The cross-run chase-state cache: verdict-bearing chase work memoised on
 // (TGD-set fingerprint, instance fingerprint) keys so that re-chasing the
 // same seed database under the same rules — which the guarded ∀∀ decision
-// does constantly, both inside one Decide call (each seed runs a battery of
-// trigger orders; treeification re-derives seeds) and across Decide calls
-// (a served workload repeats programs) — costs one map probe instead of a
-// chase. Six entry kinds share the store, among them:
+// does across Decide calls (treeification re-derives seeds; a served
+// workload repeats programs) — costs one map probe and one decode instead
+// of a chase. Five entry kinds share the store:
 //
-//   - seed outcomes (guarded.chaseSeed): the per-seed divergence verdict of
-//     the bounded chase battery, keyed additionally by the step budget. A
-//     hit skips the whole battery; the witness database is the caller's
+//   - seed outcomes (guarded.chaseSeed): the per-seed divergence verdict
+//     of the bounded chase battery, keyed additionally by the step budget.
+//     A hit skips the whole battery; the witness database is the caller's
 //     seed, so nothing interner-bound is stored.
-//   - seed indexes (engine.RunChase): the root trigger index of a
-//     (set, database) pair — every trigger on the database in canonical
-//     enqueue order with its birth-activity flag, stored portably as terms
-//     by value. A hit re-interns the terms into the new run's private
-//     interner and skips both the per-TGD enumeration that seeds the
-//     pending queue and the birth activity checks of the delta-maintained
-//     activity machinery (engine.go). This is the "reuse the index instead
-//     of re-seeding the queue" half of the ROADMAP follow-up.
 //   - seed pools (guarded.Decide): the generated candidate databases of a
 //     set, keyed by the pool cap. A hit skips seed generation — including
-//     the oblivious-chase treeification expansions, the expensive part —
-//     and rebuilds fresh Database values from stored atoms.
+//     the oblivious-chase treeification expansions, the expensive part.
+//   - stage outcomes (portfolio.Analyze), sticky outcomes
+//     (sticky.DecideContext) and ∀∃ ladders (SearchTerminatingDerivation):
+//     whole recorded runs, replayed without running the decider.
+//
+// An entry is stored as its kind's snapshot body (snapshot.go): the bytes a
+// snapshot frame carries after the key. Store encodes, Lookup decodes a
+// fresh value the caller owns, an entry costs its body length plus a fixed
+// overhead, and Snapshot writes the stored bytes unchanged.
 //
 // Key derivation: the set fingerprint is tgds.Set.Fingerprint (order-
 // sensitive over rule labels and atoms — the identity under which runs and
 // evidence strings are reproducible); the instance fingerprint is the
 // order-independent logic.FingerprintAtoms / Instance.Fingerprint of the
-// database. The kind and any scalar parameters (budget, pool cap) are
-// folded into a salt so the three kinds never collide. Fingerprint equality
-// is trusted as content equality, like every other fingerprint consumer.
+// database. The kind tag and any scalar parameters (budget, pool cap) are
+// folded into a salt so the kinds never collide. Fingerprint equality is
+// trusted as content equality, like every other fingerprint consumer.
 //
 // Concurrency contract (docs/ARCHITECTURE.md): the cache is shared by the
 // guarded decision's bounded worker pool and must not serialise it — the
 // store is striped by key hash across cacheStripes mutexes, like the
-// parallel search's memo shards. Entries are immutable after Store and
-// contain no interner-bound identity (terms and atoms by value only), so a
-// hit never touches another run's interner and no interner grows a lock.
+// parallel search's memo shards. Stored bodies are never written after
+// store (a merge swaps in a new body) and hold no interner-bound identity,
+// so a hit never touches another run's interner and no interner grows a
+// lock.
 //
 // Eviction is age-aware: each stripe owns a 1/cacheStripes share of the
 // byte limit, every entry carries the stripe's insertion sequence number,
@@ -62,17 +61,22 @@ import (
 const (
 	cacheStripes = 64
 
-	// DefaultCacheBytes bounds the cache's estimated footprint by default.
+	// DefaultCacheBytes bounds the cache's footprint by default.
 	DefaultCacheBytes = 64 << 20
+
+	// entryOverhead is the fixed per-entry cost added to the body length:
+	// the 40-byte key plus the insertion sequence number.
+	entryOverhead = 48
 )
 
-// entry-kind salts; ORed with per-kind scalar parameters (budgets, caps)
-// so distinct kinds and parameters occupy distinct key space. Tag 7 is
-// retired: it held the deleted portfolio cost model, and v3 snapshots that
-// still carry such frames skip them as unknown kinds. Never reuse it.
+// Entry-kind salt tags (the salt's top byte); ORed with per-kind scalar
+// parameters (budgets, caps) so distinct kinds and parameters occupy
+// distinct key space. Tags 2 and 7 are retired: 2 held the engine's root
+// trigger index, deleted because it cost more than it saved, and 7 the
+// deleted portfolio cost model. v3 snapshots that still carry such frames
+// skip them as unknown kinds. Never reuse them.
 const (
 	kindSeedOutcome   uint64 = 1 << 56
-	kindSeedIndex     uint64 = 2 << 56
 	kindSeedPool      uint64 = 3 << 56
 	kindStageOutcomes uint64 = 4 << 56
 	kindStickyOutcome uint64 = 5 << 56
@@ -98,13 +102,14 @@ type CacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int64 `json:"entries"`
-	// Bytes estimates the retained footprint (keys, strings, slices).
+	// Bytes is the retained footprint: every entry's body length plus a
+	// fixed per-entry overhead.
 	Bytes int64 `json:"bytes"`
-	// Evictions counts stripe segment evictions (a store that would
-	// overflow its stripe's byte share drops the whole stripe first);
-	// EvictedEntries totals the entries those evictions discarded. A warm
-	// entry silently lost to eviction is otherwise unobservable, and the
-	// planned age/size-aware policy needs this signal.
+	// Evictions counts eviction events: a store that would overflow its
+	// stripe's byte share first drops the stripe's oldest half by
+	// insertion sequence. EvictedEntries totals the entries those events
+	// discarded — a warm entry silently lost to eviction is otherwise
+	// unobservable.
 	Evictions      int64 `json:"evictions"`
 	EvictedEntries int64 `json:"evicted-entries"`
 }
@@ -152,26 +157,8 @@ type SeedOutcome struct {
 	PumpDepth int
 }
 
-// SeedTrigger is one portable trigger of a SeedIndex: the TGD index and the
-// body bindings in slot order, as terms by value (interner-free).
-type SeedTrigger struct {
-	TGD  int32
-	Bind []logic.Term
-	// Active is the trigger's birth activity on the database (Restricted
-	// semantics): false when the head is already satisfied at enqueue time.
-	Active bool
-}
-
-// SeedIndex is the portable root trigger index of a (set, database) pair:
-// every trigger on the database, in the exact canonical order the engine
-// enqueues them. Loading it reproduces the engine's initial pending queue
-// byte-for-byte without enumerating a single homomorphism.
-type SeedIndex struct {
-	Triggers []SeedTrigger
-}
-
 // SeedPool is a cached candidate-seed pool: each seed database's atoms in
-// generation order, by value.
+// generation order, by value. Every atom is a fact.
 type SeedPool struct {
 	Seeds [][]logic.Atom
 }
@@ -229,7 +216,8 @@ type StickyOutcome struct {
 	// the decision ran live; replays report the recorded number.
 	StatesExplored int
 	// SeedIndex is the witnessing component's index into sticky.Seeds(set)
-	// (a deterministic enumeration); -1 when there is no witness.
+	// (a deterministic enumeration); -1 when there is no witness. A
+	// diverging outcome always has a witness.
 	SeedIndex int32
 	// LassoPrefix/LassoCycle/LassoGap mirror buchi.Lasso by value.
 	LassoPrefix []string
@@ -286,7 +274,6 @@ func (o *ExistsOutcome) serves(maxStates int) bool {
 // decisive outcome recorded at budget B says nothing to a query below B,
 // where the deep inconclusive rung still replays — a single "prefer
 // decisive" slot would discard it and force those queries to re-search.
-// Ladders are immutable; a rung update swaps in a fresh ladder value.
 type existsLadder struct {
 	decisive     *ExistsOutcome
 	inconclusive *ExistsOutcome
@@ -304,19 +291,31 @@ func (l *existsLadder) serve(maxStates int) (*ExistsOutcome, bool) {
 	return nil, false
 }
 
-// merged returns the ladder with o folded into its rung, or nil when o is
-// no improvement (rung already present at a better budget).
-func (l *existsLadder) merged(o *ExistsOutcome) *existsLadder {
+// merge folds o into its rung and reports whether the ladder changed: it
+// does not when the rung already holds an outcome at a better budget.
+func (l *existsLadder) merge(o *ExistsOutcome) bool {
 	if o.decisive() {
 		if l.decisive != nil && l.decisive.Budget <= o.Budget {
-			return nil
+			return false
 		}
-		return &existsLadder{decisive: o, inconclusive: l.inconclusive}
+		l.decisive = o
+		return true
 	}
 	if l.inconclusive != nil && l.inconclusive.Budget >= o.Budget {
-		return nil
+		return false
 	}
-	return &existsLadder{decisive: l.decisive, inconclusive: o}
+	l.inconclusive = o
+	return true
+}
+
+// absorb folds v's rungs into l and reports whether l changed — the
+// ladder kind's merge.
+func (l *existsLadder) absorb(v *existsLadder) (*existsLadder, bool) {
+	changed := false
+	for _, o := range v.rungs() {
+		changed = l.merge(o) || changed
+	}
+	return l, changed
 }
 
 // rungs lists the ladder's outcomes, decisive first — the snapshot codec's
@@ -332,22 +331,87 @@ func (l *existsLadder) rungs() []*ExistsOutcome {
 	return out
 }
 
-func existsLadderSize(l *existsLadder) int64 {
-	size := int64(16)
-	for _, o := range l.rungs() {
-		size += existsOutcomeSize(o)
-	}
-	return size
+// kind is one entry kind: the codec between its values and their stored
+// bodies. decode reports a body it cannot accept through d.fail. merge,
+// set only for the ∀∃ ladder, replaces first-writer-wins: it folds v into
+// the stored value and reports whether that changed it.
+type kind[T any] struct {
+	encode func(b []byte, v T) []byte
+	decode func(d *decoder) T
+	merge  func(stored, v T) (T, bool)
 }
 
-// cacheEntry wraps a stored value with its byte estimate and the stripe's
-// insertion sequence number — the age signal the evictor sorts by. The
-// wrapped value stays immutable; replacement swaps the whole entry.
+// decodeBody decodes one whole body; trailing bytes are a failure.
+func (k *kind[T]) decodeBody(body []byte) (T, bool) {
+	d := &decoder{b: body}
+	v := k.decode(d)
+	return v, d.err == nil && d.off == len(body)
+}
+
+// get returns the decoded entry under key without counting the lookup. A
+// body the decoder refuses reads as absent.
+func (k *kind[T]) get(c *Cache, key CacheKey) (T, bool) {
+	s := c.stripe(key)
+	s.mu.Lock()
+	e, ok := s.m[key]
+	s.mu.Unlock()
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return k.decodeBody(e.body)
+}
+
+// lookup is get, counting the hit or miss.
+func (k *kind[T]) lookup(c *Cache, key CacheKey) (T, bool) {
+	v, ok := k.get(c, key)
+	c.count(ok)
+	return v, ok
+}
+
+// store encodes v under key: first writer wins (entries are deterministic,
+// so racing writers store equal values), or, for a merging kind, v is
+// folded into the stored value and the merged body replaces it.
+func (k *kind[T]) store(c *Cache, key CacheKey, v T) {
+	s := c.stripe(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, dup := s.m[key]
+	if dup {
+		if k.merge == nil {
+			return
+		}
+		if stored, ok := k.decodeBody(old.body); ok {
+			merged, changed := k.merge(stored, v)
+			if !changed {
+				return
+			}
+			v = merged
+		}
+	}
+	c.putLocked(s, key, old, k.encode(nil, v))
+}
+
+// restore decodes one snapshot frame body and stores it through the
+// normal store path, reporting false (skip the frame) when the body does
+// not decode.
+func (k *kind[T]) restore(c *Cache, key CacheKey, body []byte) bool {
+	v, ok := k.decodeBody(body)
+	if ok {
+		k.store(c, key, v)
+	}
+	return ok
+}
+
+// cacheEntry is one stored entry: its kind's snapshot body and the
+// stripe's insertion sequence number — the age signal the evictor sorts
+// by. A merge swaps in a new entry; a body is never written after store.
 type cacheEntry struct {
-	v    any
-	size int64
+	body []byte
 	seq  uint64
 }
+
+func (e *cacheEntry) size() int64 { return int64(len(e.body)) + entryOverhead }
 
 type cacheStripe struct {
 	mu    sync.Mutex
@@ -377,14 +441,13 @@ type Cache struct {
 	actBirth     atomic.Int64
 	actWatermark atomic.Int64
 	actDelta     atomic.Int64
-	actSeedHits  atomic.Int64
 }
 
 // NewCache returns an empty cache bounded by DefaultCacheBytes.
 func NewCache() *Cache { return NewCacheWithLimit(DefaultCacheBytes) }
 
-// NewCacheWithLimit returns an empty cache that segment-evicts once its
-// byte estimate passes maxBytes (0 or negative: DefaultCacheBytes).
+// NewCacheWithLimit returns an empty cache that evicts once its footprint
+// passes maxBytes (0 or negative: DefaultCacheBytes).
 func NewCacheWithLimit(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
@@ -415,54 +478,40 @@ func (c *Cache) stripe(k CacheKey) *cacheStripe {
 	return &c.stripes[(k.Set.Lo^k.Inst.Lo^k.Salt)%cacheStripes]
 }
 
-// lookup returns the immutable entry for the key, counting the hit or miss.
-func (c *Cache) lookup(k CacheKey) (any, bool) {
-	s := c.stripe(k)
-	s.mu.Lock()
-	e, ok := s.m[k]
-	s.mu.Unlock()
-	if ok {
+func (c *Cache) count(hit bool) {
+	if hit {
 		c.hits.Add(1)
-		return e.v, true
+	} else {
+		c.misses.Add(1)
 	}
-	c.misses.Add(1)
-	return nil, false
 }
 
-// store inserts the entry (first writer wins; entries are deterministic, so
-// racing writers store equal values), evicting the stripe's oldest half
-// BEFORE the insert when it would overflow its 1/cacheStripes share of the
-// byte limit — so the newest (hottest) entry always survives its own
-// eviction and a saturated cache sheds its cold tail, never fresh work. An
-// entry larger than a whole share still gets stored (alone in its stripe).
-func (c *Cache) store(k CacheKey, v any, size int64) {
-	size += entryOverhead
-	s := c.stripe(k)
-	s.mu.Lock()
-	if _, dup := s.m[k]; !dup {
-		c.insertLocked(s, k, v, size)
-	}
-	s.mu.Unlock()
-}
-
-// entryOverhead approximates the key + map bookkeeping cost per entry.
-const entryOverhead = 48
-
-// insertLocked performs the evict-then-insert step of store under the
-// stripe's lock.
-func (c *Cache) insertLocked(s *cacheStripe, k CacheKey, v any, size int64) {
-	for s.bytes+size > c.maxBytes/cacheStripes && len(s.m) > 0 {
-		c.evictOldestHalfLocked(s)
-	}
+// putLocked stores body under k in the locked stripe: it replaces old when
+// there is one, re-stamping its age, and otherwise inserts, evicting the
+// stripe's oldest half BEFORE the insert when the body would overflow its
+// 1/cacheStripes share of the byte limit — so the newest (hottest) entry
+// always survives its own eviction and a saturated cache sheds its cold
+// tail, never fresh work. An entry larger than a whole share still gets
+// stored (alone in its stripe).
+func (c *Cache) putLocked(s *cacheStripe, k CacheKey, old *cacheEntry, body []byte) {
 	s.seq++
-	s.m[k] = &cacheEntry{v: v, size: size, seq: s.seq}
+	e := &cacheEntry{body: body, seq: s.seq}
+	size := e.size()
+	if old != nil {
+		size -= old.size()
+	} else {
+		for s.bytes+size > c.maxBytes/cacheStripes && len(s.m) > 0 {
+			c.evictOldestHalfLocked(s)
+		}
+		c.entries.Add(1)
+	}
+	s.m[k] = e
 	s.bytes += size
-	c.entries.Add(1)
 	c.bytes.Add(size)
 }
 
 // evictOldestHalfLocked drops the stripe's oldest ⌈n/2⌉ entries by
-// insertion sequence — one eviction event. insertLocked loops it for the
+// insertion sequence — one eviction event. putLocked loops it for the
 // rare store that still overflows after one round (a near-share-sized
 // entry), which converges because every round halves the entry count.
 func (c *Cache) evictOldestHalfLocked(s *cacheStripe) {
@@ -478,7 +527,7 @@ func (c *Cache) evictOldestHalfLocked(s *cacheStripe) {
 	drop := (len(order) + 1) / 2
 	var freed int64
 	for _, a := range order[:drop] {
-		freed += s.m[a.k].size
+		freed += s.m[a.k].size()
 		delete(s.m, a.k)
 	}
 	s.bytes -= freed
@@ -488,15 +537,6 @@ func (c *Cache) evictOldestHalfLocked(s *cacheStripe) {
 	c.evictedEntries.Add(int64(drop))
 }
 
-// replaceLocked swaps the value under an existing key, re-stamping its age
-// and adjusting the byte accounting by the size delta.
-func (c *Cache) replaceLocked(s *cacheStripe, k CacheKey, old *cacheEntry, v any, size int64) {
-	s.seq++
-	s.m[k] = &cacheEntry{v: v, size: size, seq: s.seq}
-	s.bytes += size - old.size
-	c.bytes.Add(size - old.size)
-}
-
 func outcomeKey(set, inst logic.Fingerprint, budget int) CacheKey {
 	return CacheKey{Set: set, Inst: inst, Salt: kindSeedOutcome | uint64(uint32(budget))}
 }
@@ -504,36 +544,12 @@ func outcomeKey(set, inst logic.Fingerprint, budget int) CacheKey {
 // LookupSeedOutcome returns the cached battery outcome of the seed under
 // the step budget.
 func (c *Cache) LookupSeedOutcome(set, inst logic.Fingerprint, budget int) (SeedOutcome, bool) {
-	v, ok := c.lookup(outcomeKey(set, inst, budget))
-	if !ok {
-		return SeedOutcome{}, false
-	}
-	return v.(SeedOutcome), true
+	return seedOutcomes.lookup(c, outcomeKey(set, inst, budget))
 }
 
 // StoreSeedOutcome records the battery outcome of the seed.
 func (c *Cache) StoreSeedOutcome(set, inst logic.Fingerprint, budget int, o SeedOutcome) {
-	c.store(outcomeKey(set, inst, budget), o, seedOutcomeSize(o))
-}
-
-func seedIndexKey(set, inst logic.Fingerprint) CacheKey {
-	return CacheKey{Set: set, Inst: inst, Salt: kindSeedIndex}
-}
-
-// LookupSeedIndex returns the cached root trigger index of the
-// (set, database) pair. The caller must not mutate the result.
-func (c *Cache) LookupSeedIndex(set, inst logic.Fingerprint) (*SeedIndex, bool) {
-	v, ok := c.lookup(seedIndexKey(set, inst))
-	if !ok {
-		return nil, false
-	}
-	return v.(*SeedIndex), true
-}
-
-// StoreSeedIndex records the root trigger index. The index must not be
-// mutated afterwards.
-func (c *Cache) StoreSeedIndex(set, inst logic.Fingerprint, si *SeedIndex) {
-	c.store(seedIndexKey(set, inst), si, seedIndexSize(si))
+	seedOutcomes.store(c, outcomeKey(set, inst, budget), o)
 }
 
 func seedPoolKey(set logic.Fingerprint, maxSeeds int) CacheKey {
@@ -541,13 +557,14 @@ func seedPoolKey(set logic.Fingerprint, maxSeeds int) CacheKey {
 }
 
 // LookupSeedPool returns the cached candidate-seed pool of the set under
-// the pool cap. The caller must not mutate the result.
+// the pool cap.
 func (c *Cache) LookupSeedPool(set logic.Fingerprint, maxSeeds int) (*SeedPool, bool) {
-	v, ok := c.lookup(seedPoolKey(set, maxSeeds))
-	if !ok {
-		return nil, false
-	}
-	return v.(*SeedPool), true
+	return seedPools.lookup(c, seedPoolKey(set, maxSeeds))
+}
+
+// StoreSeedPool records the candidate-seed pool.
+func (c *Cache) StoreSeedPool(set logic.Fingerprint, maxSeeds int, p *SeedPool) {
+	seedPools.store(c, seedPoolKey(set, maxSeeds), p)
 }
 
 func stageOutcomesKey(set, inst logic.Fingerprint, salt uint64) CacheKey {
@@ -558,25 +575,14 @@ func stageOutcomesKey(set, inst logic.Fingerprint, salt uint64) CacheKey {
 
 // LookupStageOutcomes returns the cached portfolio stage outcomes of the
 // (set, database) pair under the options salt (inst is the zero
-// fingerprint for pure rule sets). The caller must not mutate the result.
+// fingerprint for pure rule sets).
 func (c *Cache) LookupStageOutcomes(set, inst logic.Fingerprint, salt uint64) (*StageOutcomes, bool) {
-	v, ok := c.lookup(stageOutcomesKey(set, inst, salt))
-	if !ok {
-		return nil, false
-	}
-	return v.(*StageOutcomes), true
+	return stageOutcomes.lookup(c, stageOutcomesKey(set, inst, salt))
 }
 
-// StoreStageOutcomes records a portfolio run's stage outcomes. The entry
-// must not be mutated afterwards.
+// StoreStageOutcomes records a portfolio run's stage outcomes.
 func (c *Cache) StoreStageOutcomes(set, inst logic.Fingerprint, salt uint64, o *StageOutcomes) {
-	c.store(stageOutcomesKey(set, inst, salt), o, stageOutcomesSize(o))
-}
-
-// StoreSeedPool records the candidate-seed pool. The pool must not be
-// mutated afterwards.
-func (c *Cache) StoreSeedPool(set logic.Fingerprint, maxSeeds int, p *SeedPool) {
-	c.store(seedPoolKey(set, maxSeeds), p, seedPoolSize(p))
+	stageOutcomes.store(c, stageOutcomesKey(set, inst, salt), o)
 }
 
 func stickyOutcomeKey(set logic.Fingerprint, maxStates int) CacheKey {
@@ -584,20 +590,14 @@ func stickyOutcomeKey(set logic.Fingerprint, maxStates int) CacheKey {
 }
 
 // LookupStickyOutcome returns the cached sticky Büchi decision of the set
-// under the per-component state bound. The caller must not mutate the
-// result.
+// under the per-component state bound.
 func (c *Cache) LookupStickyOutcome(set logic.Fingerprint, maxStates int) (*StickyOutcome, bool) {
-	v, ok := c.lookup(stickyOutcomeKey(set, maxStates))
-	if !ok {
-		return nil, false
-	}
-	return v.(*StickyOutcome), true
+	return stickyOutcomes.lookup(c, stickyOutcomeKey(set, maxStates))
 }
 
-// StoreStickyOutcome records a sticky Büchi decision. The entry must not be
-// mutated afterwards.
+// StoreStickyOutcome records a sticky Büchi decision.
 func (c *Cache) StoreStickyOutcome(set logic.Fingerprint, maxStates int, o *StickyOutcome) {
-	c.store(stickyOutcomeKey(set, maxStates), o, stickyOutcomeSize(o))
+	stickyOutcomes.store(c, stickyOutcomeKey(set, maxStates), o)
 }
 
 func existsOutcomeKey(set, inst logic.Fingerprint, strat SearchStrategy, maxAtoms int) CacheKey {
@@ -611,46 +611,26 @@ func existsOutcomeKey(set, inst logic.Fingerprint, strat SearchStrategy, maxAtom
 // LookupExistsOutcome returns a cached ∀∃ search outcome able to serve a
 // query at the given state budget under the budget-monotonicity rule (see
 // ExistsOutcome and existsLadder). A ladder present but with no serving
-// rung counts as a miss. The caller must not mutate the result.
+// rung counts as a miss.
 func (c *Cache) LookupExistsOutcome(set, inst logic.Fingerprint, strat SearchStrategy, maxAtoms, maxStates int) (*ExistsOutcome, bool) {
-	k := existsOutcomeKey(set, inst, strat, maxAtoms)
-	s := c.stripe(k)
-	s.mu.Lock()
-	e, ok := s.m[k]
-	s.mu.Unlock()
+	l, ok := existsLadders.get(c, existsOutcomeKey(set, inst, strat, maxAtoms))
+	var o *ExistsOutcome
 	if ok {
-		if o, served := e.v.(*existsLadder).serve(maxStates); served {
-			c.hits.Add(1)
-			return o, true
-		}
+		o, ok = l.serve(maxStates)
 	}
-	c.misses.Add(1)
-	return nil, false
+	c.count(ok)
+	return o, ok
 }
 
 // StoreExistsOutcome records a search outcome on the key's two-rung ladder:
 // among decisive outcomes the lowest budget wins, among inconclusive ones
 // the deepest budget wins, and both rungs persist — a decisive outcome no
 // longer discards a deeper inconclusive one, so queries below the decisive
-// budget keep replaying instead of re-searching. The entry must not be
-// mutated afterwards.
+// budget keep replaying instead of re-searching.
 func (c *Cache) StoreExistsOutcome(set, inst logic.Fingerprint, strat SearchStrategy, maxAtoms int, o *ExistsOutcome) {
-	c.mergeExistsOutcome(existsOutcomeKey(set, inst, strat, maxAtoms), o)
-}
-
-// mergeExistsOutcome folds one outcome into the key's ladder under the
-// stripe lock — shared by StoreExistsOutcome and the snapshot loader.
-func (c *Cache) mergeExistsOutcome(k CacheKey, o *ExistsOutcome) {
-	s := c.stripe(k)
-	s.mu.Lock()
-	old, dup := s.m[k]
-	if !dup {
-		l := (&existsLadder{}).merged(o)
-		c.insertLocked(s, k, l, existsLadderSize(l)+entryOverhead)
-	} else if l := old.v.(*existsLadder).merged(o); l != nil {
-		c.replaceLocked(s, k, old, l, existsLadderSize(l)+entryOverhead)
-	}
-	s.mu.Unlock()
+	l := &existsLadder{}
+	l.merge(o)
+	existsLadders.store(c, existsOutcomeKey(set, inst, strat, maxAtoms), l)
 }
 
 // ActivityTotals aggregates the engine's delta-activity diagnostics across
@@ -666,8 +646,9 @@ type ActivityTotals struct {
 	BirthChecks    int64 `json:"birth-checks"`
 	WatermarkSkips int64 `json:"watermark-skips"`
 	DeltaRechecks  int64 `json:"delta-rechecks"`
-	// SeedIndexHits counts runs whose initial pending queue loaded from
-	// the cached root trigger index instead of being enumerated.
+	// SeedIndexHits is always 0. It counted runs whose initial pending
+	// queue loaded from a cached root trigger index, a cache kind since
+	// deleted; the field stays so /v1/stats readers keep their shape.
 	SeedIndexHits int64 `json:"seed-index-hits"`
 }
 
@@ -680,9 +661,6 @@ func (c *Cache) NoteRunActivity(stats Stats, act DeltaActivityStats) {
 	c.actBirth.Add(int64(act.BirthChecks))
 	c.actWatermark.Add(int64(act.WatermarkSkips))
 	c.actDelta.Add(int64(act.DeltaRechecks))
-	if act.SeedIndexHit {
-		c.actSeedHits.Add(1)
-	}
 }
 
 // ActivityTotals snapshots the aggregated engine activity counters. Taken
@@ -694,83 +672,19 @@ func (c *Cache) ActivityTotals() ActivityTotals {
 		BirthChecks:    c.actBirth.Load(),
 		WatermarkSkips: c.actWatermark.Load(),
 		DeltaRechecks:  c.actDelta.Load(),
-		SeedIndexHits:  c.actSeedHits.Load(),
 	}
 }
 
-// forEachEntry visits every entry, one stripe at a time under its lock, in
-// unspecified order — the snapshot writer's iteration. Entries are
-// immutable, so f may retain them.
-func (c *Cache) forEachEntry(f func(k CacheKey, v any)) {
+// forEachEntry visits every entry's key and body, one stripe at a time
+// under its lock, in unspecified order — the snapshot writer's iteration.
+// Bodies are never written after store, so f may retain them.
+func (c *Cache) forEachEntry(f func(k CacheKey, body []byte)) {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
 		for k, e := range s.m {
-			f(k, e.v)
+			f(k, e.body)
 		}
 		s.mu.Unlock()
 	}
-}
-
-// The per-kind size estimators, shared by the Store methods and the
-// snapshot loader so a restored cache accounts bytes like the cache that
-// wrote it.
-
-func termsSize(ts []logic.Term) int64 {
-	size := int64(0)
-	for _, t := range ts {
-		size += int64(len(t.Name)) + 24
-	}
-	return size
-}
-
-func stringsSize(ss []string) int64 {
-	size := int64(0)
-	for _, s := range ss {
-		size += int64(len(s)) + 16
-	}
-	return size
-}
-
-func seedOutcomeSize(o SeedOutcome) int64 {
-	return int64(len(o.Method)+len(o.Evidence)) + 24
-}
-
-func seedIndexSize(si *SeedIndex) int64 {
-	size := int64(24)
-	for _, tr := range si.Triggers {
-		size += 32 + termsSize(tr.Bind)
-	}
-	return size
-}
-
-func seedPoolSize(p *SeedPool) int64 {
-	size := int64(24)
-	for _, atoms := range p.Seeds {
-		size += 24
-		for _, a := range atoms {
-			size += int64(len(a.Pred.Name)) + 32 + termsSize(a.Args)
-		}
-	}
-	return size
-}
-
-func stageOutcomesSize(o *StageOutcomes) int64 {
-	size := int64(48 + len(o.Verdict) + len(o.DecidedBy))
-	for _, r := range o.Records {
-		size += int64(len(r.Stage)+len(r.Verdict)+len(r.Detail)+len(r.Evidence)) + 88
-	}
-	return size
-}
-
-func stickyOutcomeSize(o *StickyOutcome) int64 {
-	return int64(len(o.Method)) + 64 + stringsSize(o.LassoPrefix) + stringsSize(o.LassoCycle)
-}
-
-func existsOutcomeSize(o *ExistsOutcome) int64 {
-	size := int64(96)
-	for _, st := range o.Derivation {
-		size += 56 + termsSize(st.Vars) + termsSize(st.Vals)
-	}
-	return size
 }

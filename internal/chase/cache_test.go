@@ -24,9 +24,6 @@ func TestCacheStatsAndKindSeparation(t *testing.T) {
 	}
 	c.StoreSeedOutcome(set, inst, 100, SeedOutcome{Diverges: true, Method: "m", Evidence: "e"})
 	// Same fingerprints, different kind and different budget: all misses.
-	if _, ok := c.LookupSeedIndex(set, inst); ok {
-		t.Error("seed-index lookup hit a seed-outcome entry")
-	}
 	if _, ok := c.LookupSeedPool(set, 100); ok {
 		t.Error("seed-pool lookup hit a seed-outcome entry")
 	}
@@ -38,8 +35,8 @@ func TestCacheStatsAndKindSeparation(t *testing.T) {
 		t.Errorf("outcome round-trip = %+v, %v", o, ok)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 4 || st.Entries != 1 || st.Bytes <= 0 {
-		t.Errorf("stats = %+v, want 1 hit, 4 misses, 1 entry, positive bytes", st)
+	if st.Hits != 1 || st.Misses != 3 || st.Entries != 1 || st.Bytes <= 0 {
+		t.Errorf("stats = %+v, want 1 hit, 3 misses, 1 entry, positive bytes", st)
 	}
 }
 
@@ -110,16 +107,18 @@ func TestCacheConcurrentStripes(t *testing.T) {
 // — the hot ones — survive. The pre-PR policy dropped the whole stripe,
 // hot entries included, and fails this test.
 func TestCacheEvictionDropsOldestHalf(t *testing.T) {
-	// Share per stripe: 1024 bytes. Each entry below costs exactly
-	// 40 (evidence) + 24 (scalars) + 48 (overhead) = 112 bytes, so nine
-	// entries (1008B) fit and the tenth store triggers an eviction.
+	// Share per stripe: 1024 bytes. Each entry below costs exactly its
+	// 64-byte body (the 59-byte evidence, its length byte and one byte
+	// each for the flag, the empty method, the steps and the pump depth)
+	// + 48 (overhead) = 112 bytes, so nine entries (1008B) fit and the
+	// tenth store triggers an eviction.
 	c := NewCacheWithLimit(int64(cacheStripes * 1024))
 	// Zero instance fingerprint and a zero budget keep the salt's low bits
 	// constant; Set.Lo multiples of cacheStripes pin every key to stripe 0.
 	key := func(i int) logic.Fingerprint {
 		return logic.Fingerprint{Hi: uint64(i), Lo: uint64(i * cacheStripes)}
 	}
-	evidence := string(make([]byte, 40))
+	evidence := string(make([]byte, 59))
 	for i := 1; i <= 9; i++ {
 		c.StoreSeedOutcome(key(i), logic.Fingerprint{}, 0, SeedOutcome{Evidence: evidence, Steps: i})
 	}

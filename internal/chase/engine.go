@@ -120,10 +120,8 @@ type Options struct {
 	Naming NullNaming
 	// DropSteps disables derivation recording (benchmarks).
 	DropSteps bool
-	// Cache, when set, consults and feeds the cross-run chase cache
-	// (cache.go): a Restricted run whose (TGD-set, database) pair was
-	// chased before loads its initial pending queue — with birth-activity
-	// flags — from the cache instead of enumerating it. Runs are
+	// Cache, when set, receives the run's activity counters
+	// (Cache.NoteRunActivity), aggregated for /v1/stats. Runs are
 	// byte-identical with and without a cache.
 	Cache *Cache
 
@@ -212,9 +210,6 @@ type DeltaActivityStats struct {
 	// DeltaRechecks counts pops that ran the delta-pinned head search over
 	// the atoms inserted since the trigger's discovery.
 	DeltaRechecks int
-	// SeedIndexHit is true when the initial pending queue was loaded from
-	// the cross-run cache (Options.Cache) instead of enumerated.
-	SeedIndexHit bool
 }
 
 // Run is the outcome of a chase: the final instance, the derivation, and
@@ -402,72 +397,14 @@ func RunChaseContext(ctx context.Context, db *instance.Database, set *tgds.Set, 
 		e.rng = rand.New(rand.NewSource(opts.Seed))
 	}
 	// Seed the queue with every trigger on the database, per TGD in
-	// canonical order (the order AllTriggers produces) — or, when the
-	// cross-run cache holds this (set, database) pair's root trigger index,
-	// by re-interning the cached queue, skipping the enumeration and the
-	// birth activity checks both.
-	seeded := false
-	cacheSeeds := opts.Cache != nil && e.deltaAct
-	var setFP, instFP logic.Fingerprint
-	if cacheSeeds {
-		setFP, instFP = set.Fingerprint(), inst.Fingerprint()
-		if si, ok := opts.Cache.LookupSeedIndex(setFP, instFP); ok {
-			e.loadSeedIndex(si)
-			e.run.Activity.SeedIndexHit = true
-			seeded = true
-		}
-	}
-	if !seeded {
-		e.seedAllTriggers()
-		if cacheSeeds {
-			opts.Cache.StoreSeedIndex(setFP, instFP, e.snapshotSeedIndex())
-		}
-	}
+	// canonical order (the order AllTriggers produces).
+	e.seedAllTriggers()
 	e.loop()
 	e.run.Final = e.inst
 	if opts.Cache != nil {
 		opts.Cache.NoteRunActivity(e.run.Stats, e.run.Activity)
 	}
 	return e.run
-}
-
-// loadSeedIndex replays a cached root trigger index: the stored queue is
-// duplicate-free and already in canonical enqueue order, so re-interning it
-// reproduces the fresh-enumeration queue (and birth-activity bookkeeping)
-// byte for byte.
-func (e *engine) loadSeedIndex(si *SeedIndex) {
-	for _, tr := range si.Triggers {
-		e.tupbuf = e.tupbuf[:0]
-		e.tupbuf = append(e.tupbuf, uint32(tr.TGD))
-		for _, t := range tr.Bind {
-			e.tupbuf = append(e.tupbuf, uint32(e.itab.InternTerm(t)))
-		}
-		id, _ := e.trig.Intern(e.tupbuf)
-		e.run.Stats.TriggersEnqueued++
-		e.queue = append(e.queue, id)
-		e.born = append(e.born, int32(e.inst.Len()))
-		e.activeAtBirth = append(e.activeAtBirth, tr.Active)
-	}
-}
-
-// snapshotSeedIndex renders the just-seeded queue portably (terms by value)
-// for the cross-run cache. Called before the first pop: queue positions and
-// trigger TupleIDs still coincide.
-func (e *engine) snapshotSeedIndex() *SeedIndex {
-	si := &SeedIndex{Triggers: make([]SeedTrigger, 0, len(e.queue))}
-	for _, id := range e.queue {
-		tup := e.trig.Tuple(id)
-		bind := make([]logic.Term, len(tup)-1)
-		for i, raw := range tup[1:] {
-			bind[i] = e.itab.Term(logic.TermID(raw))
-		}
-		si.Triggers = append(si.Triggers, SeedTrigger{
-			TGD:    int32(tup[0]),
-			Bind:   bind,
-			Active: e.activeAtBirth[id],
-		})
-	}
-	return si
 }
 
 // seedAllTriggers enumerates every trigger of every rule — TGDs then EGDs,

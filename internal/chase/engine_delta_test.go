@@ -3,7 +3,7 @@ package chase
 // Differential tests for the engine's delta-maintained activity checks
 // (engine.go): the pop-time resolution — birth verdict + head-predicate
 // watermark + delta-pinned head search — must match the old full activity
-// check at EVERY pop, not just produce the same run. Three angles:
+// check at EVERY pop, not just produce the same run. Two angles:
 //
 //   - ground truth at every pop: the onActivity hook receives the delta
 //     resolution next to a freshly computed full-search answer on the very
@@ -12,10 +12,7 @@ package chase
 //     program generators;
 //   - the fullActivity baseline: with the machinery disabled the engine is
 //     the pre-delta engine, and the two modes must agree byte-for-byte
-//     (sameRun: Final insertion order, Steps, Stats, StopReason);
-//   - the cross-run seed-index cache: a run that loads its initial queue
-//     (and birth-activity flags) from the cache must be byte-identical to
-//     the run that stored it.
+//     (sameRun: Final insertion order, Steps, Stats, StopReason).
 
 import (
 	"fmt"
@@ -101,36 +98,6 @@ func TestEngineDeltaActivityMatchesFullActivityRuns(t *testing.T) {
 	}
 }
 
-// TestEngineSeedIndexCacheRoundTrip pins cache-loaded runs byte-identical
-// to the storing run, across strategies sharing one (set, database) entry.
-func TestEngineSeedIndexCacheRoundTrip(t *testing.T) {
-	for name, src := range differentialPrograms() {
-		prog := parser.MustParse(src)
-		cache := NewCache()
-		for _, strat := range []Strategy{FIFO, LIFO, Random} {
-			opts := Options{
-				Variant:  Restricted,
-				Strategy: strat,
-				Seed:     3,
-				MaxSteps: 300,
-				MaxAtoms: 400,
-				Cache:    cache,
-			}
-			plain := RunChase(prog.Database, prog.TGDs, Options{
-				Variant: Restricted, Strategy: strat, Seed: 3, MaxSteps: 300, MaxAtoms: 400,
-			})
-			cached := RunChase(prog.Database, prog.TGDs, opts)
-			sameRun(t, fmt.Sprintf("%s/%v", name, strat), cached, plain)
-			if strat != FIFO && !cached.Activity.SeedIndexHit {
-				t.Errorf("%s/%v: expected a seed-index hit after the first run stored it", name, strat)
-			}
-		}
-		if cache.Stats().Hits == 0 {
-			t.Errorf("%s: no seed-index hits across the strategy battery", name)
-		}
-	}
-}
-
 // TestCacheActivityTotalsAggregateRuns pins the /v1/stats engine-activity
 // surface: every run sharing the cache reports into ActivityTotals, and the
 // totals mirror the per-run Activity/Stats counters it folded in.
@@ -143,7 +110,7 @@ func TestCacheActivityTotalsAggregateRuns(t *testing.T) {
 		E(X,Y) -> E(Y,Z).
 		E(a,b).
 	`)
-	var wantChecks, wantBirth, wantSeedHits int64
+	var wantChecks, wantBirth int64
 	const runs = 3
 	for i := 0; i < runs; i++ {
 		run := RunChase(prog.Database, prog.TGDs, Options{
@@ -151,9 +118,6 @@ func TestCacheActivityTotalsAggregateRuns(t *testing.T) {
 		})
 		wantChecks += int64(run.Stats.ActivityChecks)
 		wantBirth += int64(run.Activity.BirthChecks)
-		if run.Activity.SeedIndexHit {
-			wantSeedHits++
-		}
 	}
 	got := cache.ActivityTotals()
 	if got.Runs != runs {
@@ -162,7 +126,7 @@ func TestCacheActivityTotalsAggregateRuns(t *testing.T) {
 	if got.ActivityChecks != wantChecks || got.BirthChecks != wantBirth {
 		t.Errorf("totals %+v drifted from per-run sums (checks %d, birth %d)", got, wantChecks, wantBirth)
 	}
-	if got.SeedIndexHits != wantSeedHits || wantSeedHits == 0 {
-		t.Errorf("seed-index hits = %d, want %d (>0: repeat runs load the cached root index)", got.SeedIndexHits, wantSeedHits)
+	if got.SeedIndexHits != 0 {
+		t.Errorf("seed-index hits = %d, want 0 (the seed-index kind is deleted)", got.SeedIndexHits)
 	}
 }

@@ -552,7 +552,9 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 		setFP = set.Fingerprint()
 		instFP = logic.FingerprintAtoms(db.Atoms())
 		if o, ok := opts.Cache.LookupExistsOutcome(setFP, instFP, opts.Strategy, opts.MaxAtoms, opts.MaxStates); ok {
-			return replayExistsOutcome(set, o)
+			if res, ok := replayExistsOutcome(set, o); ok {
+				return res
+			}
 		}
 	}
 	var res *ExistsResult
@@ -604,8 +606,10 @@ func recordExistsOutcome(res *ExistsResult, maxStates int) *ExistsOutcome {
 
 // replayExistsOutcome rebuilds the recorded run's ExistsResult against the
 // caller's set, marked Replayed. Trigger rendering sorts bindings, so a
-// replayed witness prints byte-identically to the recorded one.
-func replayExistsOutcome(set *tgds.Set, o *ExistsOutcome) *ExistsResult {
+// replayed witness prints byte-identically to the recorded one. It reports
+// false when a step's TGD index does not fit the set — an entry the set
+// could not have produced — and the caller searches afresh.
+func replayExistsOutcome(set *tgds.Set, o *ExistsOutcome) (*ExistsResult, bool) {
 	res := &ExistsResult{
 		Found:         o.Found,
 		Exhausted:     o.Exhausted,
@@ -614,13 +618,16 @@ func replayExistsOutcome(set *tgds.Set, o *ExistsOutcome) *ExistsResult {
 		Replayed:      true,
 	}
 	for _, st := range o.Derivation {
+		if int(st.TGD) >= len(set.TGDs) {
+			return nil, false
+		}
 		h := logic.NewSubstitution()
 		for i, v := range st.Vars {
 			h[v] = st.Vals[i]
 		}
 		res.Derivation = append(res.Derivation, Trigger{TGDIndex: int(st.TGD), TGD: set.TGDs[st.TGD], H: h})
 	}
-	return res
+	return res, true
 }
 
 func (s *searcher) loop() {

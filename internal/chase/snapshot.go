@@ -1,12 +1,12 @@
 package chase
 
 // The persistent cache tier: a versioned, checksummed binary snapshot of
-// the cross-run cache (ROADMAP item 5). Cache entries are immutable and
-// interner-free by construction — terms, atoms and lasso symbols by value —
-// so serialisation needs no identity translation: a restored entry is
-// byte-for-byte the entry that was stored, and warm wins finally compound
-// across process restarts (`termcheck -cache-file`) and between machines
-// (ship the snapshot, warm-start a fleet).
+// the cross-run cache. A cache entry already is its snapshot body (the
+// kind codecs at the end of this file), interner-free by construction —
+// terms, atoms and lasso symbols by value — so Snapshot writes the stored
+// bytes unchanged, and warm wins compound across process restarts
+// (`termcheck -cache-file`) and between machines (ship the snapshot,
+// warm-start a fleet).
 //
 // Format (all integers little-endian; varints are encoding/binary uvarints,
 // signed values zigzag-folded):
@@ -45,12 +45,8 @@ import (
 // foreign layout.
 const (
 	snapshotMagic = "airctcsn"
-	// Version 2 (PR 9): StageRecord gained Evidence, StageOutcomes keys
-	// gained the instance fingerprint, and the cost-model kind (7, since
-	// retired; its frames now load as skipped unknown kinds) joined.
-	// Version 3 (PR 10): SeedOutcome gained PumpDepth, and an ∀∃ frame
-	// carries the key's whole two-rung ladder (a rung count then each
-	// outcome) instead of a single outcome.
+	// Version 3 added SeedOutcome.PumpDepth and the ∀∃ frame that carries
+	// the key's whole two-rung ladder (a rung count, then each outcome).
 	snapshotVersion = 3
 
 	// maxEntryLen bounds a single entry frame; a larger declared length is
@@ -63,25 +59,25 @@ const (
 var ErrSnapshotFormat = errors.New("chase: unrecognised cache snapshot format")
 
 // LoadReport summarises a snapshot load: how many entries were restored,
-// how many were skipped as corrupt (bad CRC, unknown kind, undecodable
-// body), and whether the stream ended mid-frame.
+// how many were skipped (bad CRC, an unknown or retired kind, a body its
+// kind's decoder refuses), and whether the stream ended mid-frame.
 type LoadReport struct {
 	Restored  int
 	Skipped   int
 	Truncated bool
 }
 
-// Snapshot writes every cache entry to w in the versioned snapshot format.
-// Entries are sorted by key, so two caches with equal contents produce
-// identical bytes. Counters (hits/misses/evictions) are not part of a
-// snapshot — they describe a process's run, not the cached knowledge.
+// Snapshot writes every cache entry — its key and stored body — to w in
+// the versioned snapshot format, sorted by key, so two caches with equal
+// contents produce identical bytes. Counters are not part of a snapshot —
+// they describe a process's run, not the cached knowledge.
 func (c *Cache) Snapshot(w io.Writer) error {
 	type kv struct {
-		k CacheKey
-		v any
+		k    CacheKey
+		body []byte
 	}
 	var entries []kv
-	c.forEachEntry(func(k CacheKey, v any) { entries = append(entries, kv{k, v}) })
+	c.forEachEntry(func(k CacheKey, body []byte) { entries = append(entries, kv{k, body}) })
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i].k, entries[j].k
 		switch {
@@ -108,31 +104,30 @@ func (c *Cache) Snapshot(w io.Writer) error {
 		return err
 	}
 
-	var payload []byte
-	var frame [8]byte
+	var frame [48]byte // payload length, CRC, then the 40-byte key
 	for _, e := range entries {
-		payload = appendEntry(payload[:0], e.k, e.v)
-		if payload == nil {
-			// Unknown in-memory kind: unreachable by construction, but a
-			// snapshot must never write a frame it cannot read back.
-			continue
-		}
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+		key := frame[8:]
+		binary.LittleEndian.PutUint64(key[0:8], e.k.Set.Hi)
+		binary.LittleEndian.PutUint64(key[8:16], e.k.Set.Lo)
+		binary.LittleEndian.PutUint64(key[16:24], e.k.Inst.Hi)
+		binary.LittleEndian.PutUint64(key[24:32], e.k.Inst.Lo)
+		binary.LittleEndian.PutUint64(key[32:40], e.k.Salt)
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(key)+len(e.body)))
+		binary.LittleEndian.PutUint32(frame[4:8], crc32.Update(crc32.ChecksumIEEE(key), crc32.IEEETable, e.body))
 		if _, err := bw.Write(frame[:]); err != nil {
 			return err
 		}
-		if _, err := bw.Write(payload); err != nil {
+		if _, err := bw.Write(e.body); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// Restore reads a snapshot stream into the cache, inserting entries through
-// the normal store path (first writer wins, eviction accounting intact). A
-// bad magic or version returns ErrSnapshotFormat before anything is
-// restored; per-entry corruption is skipped, not fatal — see LoadReport.
+// Restore reads a snapshot stream into the cache, sending each frame
+// through its kind's store path (eviction accounting intact). A bad magic
+// or version returns ErrSnapshotFormat before anything is restored;
+// per-entry corruption is skipped, not fatal — see LoadReport.
 func (c *Cache) Restore(r io.Reader) (LoadReport, error) {
 	var rep LoadReport
 	br := bufio.NewReader(r)
@@ -173,11 +168,16 @@ func (c *Cache) Restore(r io.Reader) (LoadReport, error) {
 			rep.Truncated = true
 			return rep, nil
 		}
-		if crc32.ChecksumIEEE(payload) != want {
+		if crc32.ChecksumIEEE(payload) != want || len(payload) < 40 {
 			rep.Skipped++
 			continue
 		}
-		if c.restoreEntry(payload) {
+		k := CacheKey{
+			Set:  logic.Fingerprint{Hi: binary.LittleEndian.Uint64(payload[0:8]), Lo: binary.LittleEndian.Uint64(payload[8:16])},
+			Inst: logic.Fingerprint{Hi: binary.LittleEndian.Uint64(payload[16:24]), Lo: binary.LittleEndian.Uint64(payload[24:32])},
+			Salt: binary.LittleEndian.Uint64(payload[32:40]),
+		}
+		if restore := kinds[k.Salt>>56<<56]; restore != nil && restore(c, k, payload[40:]) {
 			rep.Restored++
 		} else {
 			rep.Skipped++
@@ -232,36 +232,44 @@ func LoadCacheFile(path string) (*Cache, LoadReport, error) {
 	return LoadCache(f)
 }
 
-// --- entry encoding ---
+// --- entry kinds ---
 
-// appendEntry appends the payload (key + kind body) of one entry, or
-// returns nil for an unknown in-memory kind.
-func appendEntry(b []byte, k CacheKey, v any) []byte {
-	var kb [40]byte
-	binary.LittleEndian.PutUint64(kb[0:8], k.Set.Hi)
-	binary.LittleEndian.PutUint64(kb[8:16], k.Set.Lo)
-	binary.LittleEndian.PutUint64(kb[16:24], k.Inst.Hi)
-	binary.LittleEndian.PutUint64(kb[24:32], k.Inst.Lo)
-	binary.LittleEndian.PutUint64(kb[32:40], k.Salt)
-	b = append(b, kb[:]...)
+// kinds registers each live entry kind under its salt tag: Restore routes a
+// frame to its kind's store path by the tag in the key's top byte. Retired
+// tags (cache.go) have no entry, so their frames are skipped.
+var kinds = map[uint64]func(c *Cache, k CacheKey, body []byte) bool{
+	kindSeedOutcome:   seedOutcomes.restore,
+	kindSeedPool:      seedPools.restore,
+	kindStageOutcomes: stageOutcomes.restore,
+	kindStickyOutcome: stickyOutcomes.restore,
+	kindExistsOutcome: existsLadders.restore,
+}
 
-	switch e := v.(type) {
-	case SeedOutcome:
-		b = appendBool(b, e.Diverges)
-		b = appendString(b, e.Method)
-		b = appendString(b, e.Evidence)
-		b = appendInt(b, int64(e.Steps))
-		b = appendInt(b, int64(e.PumpDepth))
-	case *SeedIndex:
-		b = binary.AppendUvarint(b, uint64(len(e.Triggers)))
-		for _, tr := range e.Triggers {
-			b = appendInt(b, int64(tr.TGD))
-			b = appendBool(b, tr.Active)
-			b = appendTerms(b, tr.Bind)
+var seedOutcomes = &kind[SeedOutcome]{
+	encode: func(b []byte, o SeedOutcome) []byte {
+		b = appendBool(b, o.Diverges)
+		b = appendString(b, o.Method)
+		b = appendString(b, o.Evidence)
+		b = appendInt(b, int64(o.Steps))
+		return appendInt(b, int64(o.PumpDepth))
+	},
+	decode: func(d *decoder) SeedOutcome {
+		return SeedOutcome{
+			Diverges:  d.bool(),
+			Method:    d.string(),
+			Evidence:  d.string(),
+			Steps:     int(d.int()),
+			PumpDepth: int(d.int()),
 		}
-	case *SeedPool:
-		b = binary.AppendUvarint(b, uint64(len(e.Seeds)))
-		for _, atoms := range e.Seeds {
+	},
+}
+
+// seedPools refuses an atom that is not a fact of its predicate's arity:
+// the pool's consumer adds every atom to a Database.
+var seedPools = &kind[*SeedPool]{
+	encode: func(b []byte, p *SeedPool) []byte {
+		b = binary.AppendUvarint(b, uint64(len(p.Seeds)))
+		for _, atoms := range p.Seeds {
 			b = binary.AppendUvarint(b, uint64(len(atoms)))
 			for _, a := range atoms {
 				b = appendString(b, a.Pred.Name)
@@ -269,11 +277,36 @@ func appendEntry(b []byte, k CacheKey, v any) []byte {
 				b = appendTerms(b, a.Args)
 			}
 		}
-	case *StageOutcomes:
-		b = appendString(b, e.Verdict)
-		b = appendString(b, e.DecidedBy)
-		b = binary.AppendUvarint(b, uint64(len(e.Records)))
-		for _, r := range e.Records {
+		return b
+	},
+	decode: func(d *decoder) *SeedPool {
+		n := d.count()
+		p := &SeedPool{Seeds: sized[[]logic.Atom](n)}
+		for i := 0; i < n && d.err == nil; i++ {
+			m := d.count()
+			atoms := sized[logic.Atom](m)
+			for j := 0; j < m && d.err == nil; j++ {
+				a := logic.Atom{
+					Pred: logic.Predicate{Name: d.string(), Arity: int(d.int())},
+					Args: d.terms(),
+				}
+				if a.Pred.Arity != len(a.Args) || !a.IsFact() {
+					d.fail()
+				}
+				atoms = append(atoms, a)
+			}
+			p.Seeds = append(p.Seeds, atoms)
+		}
+		return p
+	},
+}
+
+var stageOutcomes = &kind[*StageOutcomes]{
+	encode: func(b []byte, o *StageOutcomes) []byte {
+		b = appendString(b, o.Verdict)
+		b = appendString(b, o.DecidedBy)
+		b = binary.AppendUvarint(b, uint64(len(o.Records)))
+		for _, r := range o.Records {
 			b = appendString(b, r.Stage)
 			b = appendInt(b, int64(r.Tier))
 			b = appendBool(b, r.Decided)
@@ -286,25 +319,89 @@ func appendEntry(b []byte, k CacheKey, v any) []byte {
 			b = appendInt(b, int64(r.Saturated))
 			b = appendInt(b, int64(r.Depth))
 		}
-	case *StickyOutcome:
-		b = appendBool(b, e.Terminates)
-		b = appendString(b, e.Method)
-		b = appendBool(b, e.Complete)
-		b = appendInt(b, int64(e.StatesExplored))
-		b = appendInt(b, int64(e.SeedIndex))
-		b = appendStrings(b, e.LassoPrefix)
-		b = appendStrings(b, e.LassoCycle)
-		b = appendInt(b, int64(e.LassoGap))
-	case *existsLadder:
-		rungs := e.rungs()
+		return b
+	},
+	decode: func(d *decoder) *StageOutcomes {
+		o := &StageOutcomes{
+			Verdict:   d.string(),
+			DecidedBy: d.string(),
+		}
+		n := d.count()
+		o.Records = sized[StageRecord](n)
+		for i := 0; i < n && d.err == nil; i++ {
+			o.Records = append(o.Records, StageRecord{
+				Stage:      d.string(),
+				Tier:       int(d.int()),
+				Decided:    d.bool(),
+				Verdict:    d.string(),
+				Detail:     d.string(),
+				Evidence:   d.string(),
+				Steps:      int(d.int()),
+				DurationNS: d.int(),
+				Seeds:      int(d.int()),
+				Saturated:  int(d.int()),
+				Depth:      int(d.int()),
+			})
+		}
+		return o
+	},
+}
+
+// stickyOutcomes refuses a witness index below -1 and a diverging outcome
+// without a witness: a replayed diverging Verdict carries its lasso.
+var stickyOutcomes = &kind[*StickyOutcome]{
+	encode: func(b []byte, o *StickyOutcome) []byte {
+		b = appendBool(b, o.Terminates)
+		b = appendString(b, o.Method)
+		b = appendBool(b, o.Complete)
+		b = appendInt(b, int64(o.StatesExplored))
+		b = appendInt(b, int64(o.SeedIndex))
+		b = appendStrings(b, o.LassoPrefix)
+		b = appendStrings(b, o.LassoCycle)
+		return appendInt(b, int64(o.LassoGap))
+	},
+	decode: func(d *decoder) *StickyOutcome {
+		o := &StickyOutcome{
+			Terminates:     d.bool(),
+			Method:         d.string(),
+			Complete:       d.bool(),
+			StatesExplored: int(d.int()),
+			SeedIndex:      int32(d.int()),
+			LassoPrefix:    d.strings(),
+			LassoCycle:     d.strings(),
+			LassoGap:       int(d.int()),
+		}
+		if o.SeedIndex < -1 || (!o.Terminates && o.SeedIndex < 0) {
+			d.fail()
+		}
+		return o
+	},
+}
+
+// existsLadders stores a key's whole ladder: a rung count, then each rung,
+// decisive first. Decoding folds the rungs through the ladder's merge, so
+// a frame rebuilds the ladder it was written from.
+var existsLadders = &kind[*existsLadder]{
+	encode: func(b []byte, l *existsLadder) []byte {
+		rungs := l.rungs()
 		b = binary.AppendUvarint(b, uint64(len(rungs)))
 		for _, o := range rungs {
 			b = appendExistsOutcome(b, o)
 		}
-	default:
-		return nil
-	}
-	return b
+		return b
+	},
+	decode: func(d *decoder) *existsLadder {
+		l := &existsLadder{}
+		n := d.count()
+		if n == 0 || n > 2 {
+			d.fail()
+		}
+		for i := 0; i < n && d.err == nil; i++ {
+			l.merge(decodeExistsOutcome(d))
+		}
+		return l
+	},
+	merge: (*existsLadder).absorb,
 }
 
 func appendExistsOutcome(b []byte, e *ExistsOutcome) []byte {
@@ -323,126 +420,11 @@ func appendExistsOutcome(b []byte, e *ExistsOutcome) []byte {
 	b = appendInt(b, int64(e.Stats.PeakFrontier))
 	b = appendInt(b, int64(e.Stats.IndexRepairs))
 	b = appendInt(b, int64(e.Stats.IndexRebuilds))
-	b = appendInt(b, int64(e.Stats.ActivityRechecks))
-	return b
+	return appendInt(b, int64(e.Stats.ActivityRechecks))
 }
 
-// restoreEntry decodes one CRC-verified payload and inserts it through the
-// normal store path. Returns false (skip) on any structural problem: short
-// key, unknown kind, undecodable body, or trailing bytes.
-func (c *Cache) restoreEntry(payload []byte) bool {
-	if len(payload) < 40 {
-		return false
-	}
-	k := CacheKey{
-		Set:  logic.Fingerprint{Hi: binary.LittleEndian.Uint64(payload[0:8]), Lo: binary.LittleEndian.Uint64(payload[8:16])},
-		Inst: logic.Fingerprint{Hi: binary.LittleEndian.Uint64(payload[16:24]), Lo: binary.LittleEndian.Uint64(payload[24:32])},
-		Salt: binary.LittleEndian.Uint64(payload[32:40]),
-	}
-	d := &decoder{b: payload[40:]}
-
-	var v any
-	var size int64
-	switch k.Salt &^ ((1 << 56) - 1) {
-	case kindSeedOutcome:
-		o := SeedOutcome{
-			Diverges:  d.bool(),
-			Method:    d.string(),
-			Evidence:  d.string(),
-			Steps:     int(d.int()),
-			PumpDepth: int(d.int()),
-		}
-		v, size = o, seedOutcomeSize(o)
-	case kindSeedIndex:
-		si := &SeedIndex{}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			si.Triggers = append(si.Triggers, SeedTrigger{
-				TGD:    int32(d.int()),
-				Active: d.bool(),
-				Bind:   d.terms(),
-			})
-		}
-		v, size = si, seedIndexSize(si)
-	case kindSeedPool:
-		p := &SeedPool{}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			m := d.count()
-			var atoms []logic.Atom
-			if m > 0 {
-				atoms = make([]logic.Atom, 0, min(m, 64))
-			}
-			for j := 0; j < m && d.err == nil; j++ {
-				atoms = append(atoms, logic.Atom{
-					Pred: logic.Predicate{Name: d.string(), Arity: int(d.int())},
-					Args: d.terms(),
-				})
-			}
-			p.Seeds = append(p.Seeds, atoms)
-		}
-		v, size = p, seedPoolSize(p)
-	case kindStageOutcomes:
-		o := &StageOutcomes{
-			Verdict:   d.string(),
-			DecidedBy: d.string(),
-		}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			o.Records = append(o.Records, StageRecord{
-				Stage:      d.string(),
-				Tier:       int(d.int()),
-				Decided:    d.bool(),
-				Verdict:    d.string(),
-				Detail:     d.string(),
-				Evidence:   d.string(),
-				Steps:      int(d.int()),
-				DurationNS: d.int(),
-				Seeds:      int(d.int()),
-				Saturated:  int(d.int()),
-				Depth:      int(d.int()),
-			})
-		}
-		v, size = o, stageOutcomesSize(o)
-	case kindStickyOutcome:
-		o := &StickyOutcome{
-			Terminates:     d.bool(),
-			Method:         d.string(),
-			Complete:       d.bool(),
-			StatesExplored: int(d.int()),
-			SeedIndex:      int32(d.int()),
-			LassoPrefix:    d.strings(),
-			LassoCycle:     d.strings(),
-			LassoGap:       int(d.int()),
-		}
-		v, size = o, stickyOutcomeSize(o)
-	case kindExistsOutcome:
-		// A frame carries the key's whole ladder; each rung re-enters
-		// through the merge path, which rebuilds the identical ladder (the
-		// rungs were written in canonical decisive-first order and land on
-		// disjoint rungs).
-		n := d.count()
-		var rungs []*ExistsOutcome
-		for i := 0; i < n && d.err == nil; i++ {
-			rungs = append(rungs, decodeExistsOutcome(d))
-		}
-		if d.err != nil || len(d.b) != d.off || len(rungs) == 0 || len(rungs) > 2 {
-			return false
-		}
-		for _, o := range rungs {
-			c.mergeExistsOutcome(k, o)
-		}
-		return true
-	default:
-		return false
-	}
-	if d.err != nil || len(d.b) != d.off {
-		return false
-	}
-	c.store(k, v, size)
-	return true
-}
-
+// decodeExistsOutcome refuses a step with a negative TGD index or unequal
+// variable and value lists: replay pairs them into a substitution.
 func decodeExistsOutcome(d *decoder) *ExistsOutcome {
 	o := &ExistsOutcome{
 		Found:         d.bool(),
@@ -451,12 +433,17 @@ func decodeExistsOutcome(d *decoder) *ExistsOutcome {
 		StatesVisited: int(d.int()),
 	}
 	n := d.count()
+	o.Derivation = sized[ExistsStep](n)
 	for i := 0; i < n && d.err == nil; i++ {
-		o.Derivation = append(o.Derivation, ExistsStep{
+		st := ExistsStep{
 			TGD:  int32(d.int()),
 			Vars: d.terms(),
 			Vals: d.terms(),
-		})
+		}
+		if st.TGD < 0 || len(st.Vars) != len(st.Vals) {
+			d.fail()
+		}
+		o.Derivation = append(o.Derivation, st)
 	}
 	o.Stats = SearchStats{
 		StatesExpanded:   int(d.int()),
@@ -467,6 +454,15 @@ func decodeExistsOutcome(d *decoder) *ExistsOutcome {
 		ActivityRechecks: int(d.int()),
 	}
 	return o
+}
+
+// sized returns an empty slice with room for n decoded elements (nil for
+// none), capped so that a corrupt count cannot size a large allocation.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, min(n, 64))
 }
 
 // --- scalar codecs ---

@@ -10,26 +10,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"reflect"
 	"testing"
 
 	"airct/internal/logic"
+	"airct/internal/parser"
 )
 
-// populateAllKinds stores one entry of each of the six kinds and returns
+// populateAllKinds stores one entry of each of the five kinds and returns
 // the stored values for later comparison.
-func populateAllKinds(c *Cache) (SeedOutcome, *SeedIndex, *SeedPool, *StageOutcomes, *StickyOutcome, *ExistsOutcome) {
+func populateAllKinds(c *Cache) (SeedOutcome, *SeedPool, *StageOutcomes, *StickyOutcome, *ExistsOutcome) {
 	set, inst := fpOf("set"), fpOf("inst")
 	so := SeedOutcome{Diverges: true, Method: "pump", Evidence: "step 3: R(a,n1)", Steps: 17, PumpDepth: 5}
 	c.StoreSeedOutcome(set, inst, 100, so)
-	si := &SeedIndex{Triggers: []SeedTrigger{
-		{TGD: 0, Active: true, Bind: []logic.Term{logic.Const("a"), logic.NewNull("n1")}},
-		{TGD: 2, Active: false, Bind: []logic.Term{logic.Var("X")}},
-	}}
-	c.StoreSeedIndex(set, inst, si)
 	sp := &SeedPool{Seeds: [][]logic.Atom{
 		{logic.MustAtom("R", logic.Const("a"), logic.Const("b"))},
-		{logic.MustAtom("S", logic.NewNull("n2"))},
+		{logic.MustAtom("S", logic.Const("c"))},
 		nil,
 	}}
 	c.StoreSeedPool(set, 8, sp)
@@ -39,7 +36,7 @@ func populateAllKinds(c *Cache) (SeedOutcome, *SeedIndex, *SeedPool, *StageOutco
 	}}
 	c.StoreStageOutcomes(set, inst, 0xBEEF, sg)
 	st := &StickyOutcome{Terminates: false, Method: "büchi lasso", Complete: true,
-		StatesExplored: 42, SeedIndex: -1,
+		StatesExplored: 42, SeedIndex: 0,
 		LassoPrefix: []string{"q0", "q1"}, LassoCycle: []string{"q1", "q2"}, LassoGap: 1}
 	c.StoreStickyOutcome(set, 200000, st)
 	eo := &ExistsOutcome{Found: true, Budget: 500, StatesVisited: 37,
@@ -50,12 +47,12 @@ func populateAllKinds(c *Cache) (SeedOutcome, *SeedIndex, *SeedPool, *StageOutco
 		}},
 		Stats: SearchStats{StatesExpanded: 36, MemoHits: 2, PeakFrontier: 5, IndexRepairs: 30, IndexRebuilds: 1, ActivityRechecks: 7}}
 	c.StoreExistsOutcome(set, inst, SmallestFirst, 200, eo)
-	return so, si, sp, sg, st, eo
+	return so, sp, sg, st, eo
 }
 
 func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	c := NewCache()
-	so, si, sp, sg, st, eo := populateAllKinds(c)
+	so, sp, sg, st, eo := populateAllKinds(c)
 	set, inst := fpOf("set"), fpOf("inst")
 
 	var buf bytes.Buffer
@@ -66,15 +63,12 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCache: %v", err)
 	}
-	if rep.Restored != 6 || rep.Skipped != 0 || rep.Truncated {
-		t.Fatalf("LoadReport = %+v, want 6 restored, clean", rep)
+	if rep.Restored != 5 || rep.Skipped != 0 || rep.Truncated {
+		t.Fatalf("LoadReport = %+v, want 5 restored, clean", rep)
 	}
 
 	if got, ok := c2.LookupSeedOutcome(set, inst, 100); !ok || !reflect.DeepEqual(got, so) {
 		t.Errorf("SeedOutcome round-trip = %+v, %v; want %+v", got, ok, so)
-	}
-	if got, ok := c2.LookupSeedIndex(set, inst); !ok || !reflect.DeepEqual(got, si) {
-		t.Errorf("SeedIndex round-trip = %+v, %v; want %+v", got, ok, si)
 	}
 	if got, ok := c2.LookupSeedPool(set, 8); !ok || !reflect.DeepEqual(got, sp) {
 		t.Errorf("SeedPool round-trip = %+v, %v; want %+v", got, ok, sp)
@@ -173,9 +167,10 @@ func TestSnapshotRefusesForeignHeaders(t *testing.T) {
 	}
 }
 
-// TestSnapshotSkipsRetiredKind: a v3 snapshot written by a build that still
-// had the portfolio cost model carries kind-7 frames. Such a frame loads as
-// an unknown kind — skipped, never fatal — and every other frame restores.
+// TestSnapshotSkipsRetiredKind: a v3 snapshot written by an older build
+// can carry frames of the retired kinds — 7 (the portfolio cost model) and
+// 2 (the engine's root trigger index). Such a frame loads as an unknown
+// kind — skipped, never fatal — and every other frame restores.
 func TestSnapshotSkipsRetiredKind(t *testing.T) {
 	c := NewCache()
 	populateAllKinds(c)
@@ -183,28 +178,42 @@ func TestSnapshotSkipsRetiredKind(t *testing.T) {
 	if err := c.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	frame := func(payload []byte) []byte {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+		return append(hdr[:], payload...)
+	}
 	// The old kind-7 body: class label, then a stage count and per stage a
 	// name and four integers (EWMA cost, attempts, decisions, EWMA depth).
-	payload := make([]byte, 40)
-	binary.LittleEndian.PutUint64(payload[32:40], 7<<56)
-	payload = appendString(payload, "g1s0f0:b2")
-	payload = binary.AppendUvarint(payload, 1)
-	payload = appendString(payload, "probe")
+	cost := make([]byte, 40)
+	binary.LittleEndian.PutUint64(cost[32:40], 7<<56)
+	cost = appendString(cost, "g1s0f0:b2")
+	cost = binary.AppendUvarint(cost, 1)
+	cost = appendString(cost, "probe")
 	for _, v := range []int64{350_000, 9, 8, 21} {
-		payload = appendInt(payload, v)
+		cost = appendInt(cost, v)
 	}
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	stream := append(append(bytes.Clone(buf.Bytes()[:16]), frame[:]...), payload...)
+	// The old kind-2 body: a trigger count, then per trigger the TGD
+	// index, the birth-activity flag and the body bindings.
+	index := make([]byte, 40)
+	binary.LittleEndian.PutUint64(index[32:40], 2<<56)
+	index = binary.AppendUvarint(index, 1)
+	index = appendInt(index, 0)
+	index = appendBool(index, true)
+	index = appendTerms(index, []logic.Term{logic.Const("a")})
+
+	stream := bytes.Clone(buf.Bytes()[:16])
+	stream = append(stream, frame(cost)...)
+	stream = append(stream, frame(index)...)
 	stream = append(stream, buf.Bytes()[16:]...)
 
 	c2, rep, err := LoadCache(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatalf("LoadCache: %v", err)
 	}
-	if rep.Restored != 6 || rep.Skipped != 1 || rep.Truncated {
-		t.Errorf("LoadReport = %+v, want 6 restored and the kind-7 frame skipped", rep)
+	if rep.Restored != 5 || rep.Skipped != 2 || rep.Truncated {
+		t.Errorf("LoadReport = %+v, want 5 restored and the kind-7 and kind-2 frames skipped", rep)
 	}
 	if a, b := c.Stats(), c2.Stats(); a.Entries != b.Entries || a.Bytes != b.Bytes {
 		t.Errorf("accounting drifted: source %d entries/%dB, restored %d entries/%dB",
@@ -350,4 +359,176 @@ func TestSnapshotExistsLadderRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Errorf("re-snapshot differs: %d vs %d bytes", buf.Len(), buf2.Len())
 	}
+}
+
+// TestSnapshotGoldenV3 loads testdata/cache-v3.snap, written by the build
+// that still had the seed-index kind: `termcheck -cache-file` in flat,
+// -portfolio and -exists mode over testdata/conformance/{swap-intro,
+// guard-chain-pump,sticky-relay-2,stage-grid-3,intro}.chase. It holds
+// frames of all six kinds that build stored, tag 2 among them. The tag-2
+// frames are skipped and counted, every other frame restores, and the
+// re-snapshot is the golden with exactly those frames removed, byte for
+// byte.
+func TestSnapshotGoldenV3(t *testing.T) {
+	golden, err := os.ReadFile("testdata/cache-v3.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(golden[:16])
+	tags := map[uint64]int{}
+	frames := 0
+	for off := 16; off < len(golden); frames++ {
+		n := int(binary.LittleEndian.Uint32(golden[off:]))
+		frame := golden[off : off+8+n]
+		off += 8 + n
+		tag := binary.LittleEndian.Uint64(frame[8+32:]) >> 56
+		tags[tag]++
+		if tag != 2 {
+			want = append(want, frame...)
+		}
+	}
+	if len(tags) != 6 || tags[2] == 0 {
+		t.Fatalf("golden frames per tag = %v, want all six kinds including tag 2", tags)
+	}
+
+	c, rep, err := LoadCache(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("LoadCache: %v", err)
+	}
+	if rep.Skipped != tags[2] || rep.Restored != frames-tags[2] || rep.Truncated {
+		t.Errorf("LoadReport = %+v, want %d restored and the %d tag-2 frames skipped", rep, frames-tags[2], tags[2])
+	}
+	var buf bytes.Buffer
+	if err := c.Snapshot(&buf); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("re-snapshot (%d bytes) differs from the golden without its tag-2 frames (%d bytes)", buf.Len(), len(want))
+	}
+}
+
+// TestRestoreSkipsUnreplayableBodies: a frame with a valid CRC whose body
+// its replay would panic on is skipped, never restored, and the same value
+// stored in-process is never served. Each case would otherwise reach a
+// panic: Database.Add in the guarded seed pool, the substitution pairing
+// in the ∀∃ replay, or the lasso of a diverging sticky verdict.
+func TestRestoreSkipsUnreplayableBodies(t *testing.T) {
+	set, inst := fpOf("set"), fpOf("inst")
+	pool := func(a logic.Atom) func(c *Cache) bool {
+		return func(c *Cache) bool {
+			c.StoreSeedPool(set, 8, &SeedPool{Seeds: [][]logic.Atom{{a}}})
+			_, ok := c.LookupSeedPool(set, 8)
+			return ok
+		}
+	}
+	step := func(st ExistsStep) func(c *Cache) bool {
+		return func(c *Cache) bool {
+			c.StoreExistsOutcome(set, inst, SmallestFirst, 20, &ExistsOutcome{Found: true, Budget: 10, Derivation: []ExistsStep{st}})
+			_, ok := c.LookupExistsOutcome(set, inst, SmallestFirst, 20, 10)
+			return ok
+		}
+	}
+	sticky := func(o *StickyOutcome) func(c *Cache) bool {
+		return func(c *Cache) bool {
+			c.StoreStickyOutcome(set, 100, o)
+			_, ok := c.LookupStickyOutcome(set, 100)
+			return ok
+		}
+	}
+	cases := map[string]func(c *Cache) bool{
+		"pool atom with a null":     pool(logic.MustAtom("S", logic.NewNull("n2"))),
+		"pool atom with a variable": pool(logic.MustAtom("S", logic.Var("X"))),
+		"pool atom arity mismatch": pool(logic.Atom{
+			Pred: logic.Predicate{Name: "R", Arity: 2}, Args: []logic.Term{logic.Const("a")},
+		}),
+		"exists step with unequal vars and vals": step(ExistsStep{
+			Vars: []logic.Term{logic.Var("X"), logic.Var("Y")}, Vals: []logic.Term{logic.Const("a")},
+		}),
+		"exists step with a negative TGD index": step(ExistsStep{TGD: -1}),
+		"sticky witness index below -1":         sticky(&StickyOutcome{Terminates: true, SeedIndex: -2}),
+		"diverging sticky outcome without a witness": sticky(&StickyOutcome{
+			Method: "buchi-witness", Complete: true, SeedIndex: -1,
+		}),
+	}
+	for name, storeAndLookup := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := NewCache()
+			if storeAndLookup(c) {
+				t.Error("an in-process store of the value is served")
+			}
+			var buf bytes.Buffer
+			if err := c.Snapshot(&buf); err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			_, rep, err := LoadCache(bytes.NewReader(buf.Bytes()))
+			if err != nil || rep.Restored != 0 || rep.Skipped != 1 || rep.Truncated {
+				t.Errorf("LoadCache = %+v, %v; want the frame skipped", rep, err)
+			}
+		})
+	}
+}
+
+// TestExistsReplayOfUnfitTGDIndexRecomputes: a cached ∀∃ outcome whose
+// step names a TGD the set does not have — a fingerprint collision or a
+// foreign snapshot frame; no search of this set records it — is a miss:
+// the search runs and answers as cold.
+func TestExistsReplayOfUnfitTGDIndexRecomputes(t *testing.T) {
+	prog := parser.MustParse(`
+		P(c).
+		s1: P(X) -> Q(X).
+	`)
+	opts := SearchOptions{MaxStates: 100, MaxAtoms: 20}
+	cold := SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+	opts.Cache = NewCache()
+	opts.Cache.StoreExistsOutcome(prog.TGDs.Fingerprint(), logic.FingerprintAtoms(prog.Database.Atoms()),
+		opts.Strategy, opts.MaxAtoms, &ExistsOutcome{Found: true, Budget: 100, Derivation: []ExistsStep{{TGD: 5}}})
+	got := SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+	if got.Replayed || got.Found != cold.Found || got.StatesVisited != cold.StatesVisited ||
+		got.Stats != cold.Stats || len(got.Derivation) != len(cold.Derivation) {
+		t.Errorf("unfit replay drifted: cold %+v, got %+v", cold, got)
+	}
+}
+
+// FuzzRestore: restoring any byte stream never panics and fails only with
+// ErrSnapshotFormat, and what it restored reaches a fixed point — the
+// snapshot of the restored cache restores cleanly and re-snapshots to the
+// same bytes.
+func FuzzRestore(f *testing.F) {
+	golden, err := os.ReadFile("testdata/cache-v3.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	c := NewCache()
+	populateAllKinds(c)
+	var buf bytes.Buffer
+	if err := c.Snapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, _, err := LoadCache(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotFormat) {
+				t.Fatalf("Restore failed with %v, want ErrSnapshotFormat", err)
+			}
+			return
+		}
+		var first bytes.Buffer
+		if err := c.Snapshot(&first); err != nil {
+			t.Fatal(err)
+		}
+		c2, rep, err := LoadCache(bytes.NewReader(first.Bytes()))
+		if err != nil || rep.Skipped != 0 || rep.Truncated {
+			t.Fatalf("re-restore = %+v, %v; want clean", rep, err)
+		}
+		var second bytes.Buffer
+		if err := c2.Snapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("re-snapshot differs: %d vs %d bytes", first.Len(), second.Len())
+		}
+	})
 }

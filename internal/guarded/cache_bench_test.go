@@ -9,7 +9,7 @@ package guarded
 //   - cold:    a fresh cache per decision — pays lookup misses and stores,
 //     the worst case for the cache;
 //   - warm:    one shared cache, warmed by a single decision before the
-//     timer — every seed pool, seed outcome and seed queue hits.
+//     timer — every seed pool and seed outcome hits.
 //
 // The warm/cold time-to-verdict ratio is the headline recorded in
 // BENCH_cache.json; TestQuickDecideWarmCacheEqualsCold and the conformance

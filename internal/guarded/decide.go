@@ -57,11 +57,11 @@ type DecideOptions struct {
 	// worker count: outcomes are combined in canonical seed order.
 	Workers int
 	// Cache, when set, memoises the per-seed chase batteries (and the
-	// generated seed pools and the engine's initial trigger queues) across
-	// Decide calls on (TGD-set fingerprint, seed fingerprint) keys — see
-	// internal/chase/cache.go. Verdicts are bit-identical with and without
-	// a cache, and across cold and warm caches. Safe to share one cache
-	// across concurrent Decide calls and across the seed worker pool.
+	// generated seed pools) across Decide calls on (TGD-set fingerprint,
+	// seed fingerprint) keys — see internal/chase/cache.go. Verdicts are
+	// bit-identical with and without a cache, and across cold and warm
+	// caches. Safe to share one cache across concurrent Decide calls and
+	// across the seed worker pool.
 	Cache *chase.Cache
 }
 
@@ -146,9 +146,7 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 // run's step count. SeedsTried and Budget are filled by the caller. With a
 // cache, the battery outcome is keyed by (set fingerprint, seed
 // fingerprint, budget): a hit rebuilds the verdict around the caller's own
-// seed database without chasing and replays the recorded depth; the three
-// chase orders of a miss share the engine-level seed-index entries through
-// chase.Options.Cache.
+// seed database without chasing and replays the recorded depth.
 func chaseSeed(ctx context.Context, set *tgds.Set, seed *instance.Database, budget int, cache *chase.Cache, setFP, seedFP logic.Fingerprint) (*Verdict, int) {
 	if cache != nil {
 		if o, ok := cache.LookupSeedOutcome(setFP, seedFP, budget); ok {

@@ -214,8 +214,7 @@ func cachedSeedPool(setFP logic.Fingerprint, maxSeeds int, cache *chase.Cache) (
 		db := instance.NewDatabase()
 		for _, a := range atoms {
 			if err := db.Add(a); err != nil {
-				// Cached pools are GenerateSeeds output: ground atoms a
-				// Database already accepted once.
+				// The pool codec refuses any atom that is not a fact.
 				panic(err)
 			}
 		}
@@ -228,7 +227,7 @@ func cachedSeedPool(setFP logic.Fingerprint, maxSeeds int, cache *chase.Cache) (
 func storeSeedPool(setFP logic.Fingerprint, maxSeeds int, cache *chase.Cache, seeds []*instance.Database) {
 	pool := &chase.SeedPool{Seeds: make([][]logic.Atom, len(seeds))}
 	for i, db := range seeds {
-		pool.Seeds[i] = append([]logic.Atom(nil), db.Atoms()...)
+		pool.Seeds[i] = db.Atoms()
 	}
 	cache.StoreSeedPool(setFP, maxSeeds, pool)
 }

@@ -143,11 +143,12 @@ type SnapshotStats struct {
 
 // StatsResponse is the /v1/stats body: the shared cache's counters (the
 // CLI's `cache:` line as JSON), the chase engine's aggregated activity-
-// check and seed-index work (the `activity:` line), the aggregated ∀∃
-// search work including the trigger-index and activity-recheck counters
-// (the `trigger-index:` line), per-stage portfolio decision tallies (the
-// `portfolio-stage:` lines' decisive outcomes, with the probe's rejecting
-// fast path broken out as "probe-reject") and the serving-layer counters.
+// check work (the `activity:` line; its seed-index-hits is always 0), the
+// aggregated ∀∃ search work including the trigger-index and
+// activity-recheck counters (the `trigger-index:` line), per-stage
+// portfolio decision tallies (the `portfolio-stage:` lines' decisive
+// outcomes, with the probe's rejecting fast path broken out as
+// "probe-reject") and the serving-layer counters.
 type StatsResponse struct {
 	UptimeMS  int64                `json:"uptime-ms"`
 	Requests  RequestStats         `json:"requests"`

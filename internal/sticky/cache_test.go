@@ -114,3 +114,20 @@ func TestDecideCacheKeysByStateBound(t *testing.T) {
 		t.Errorf("second bound did not store its own entry: entries %d -> %d", before.Entries, after.Entries)
 	}
 }
+
+// TestDecideReplayOfUnfitWitnessIndexRecomputes: a cached outcome whose
+// witness index does not fit the set's Seeds — a fingerprint collision or
+// a foreign snapshot frame; no decision of this set records it — is a
+// miss: Decide explores afresh and answers as cold.
+func TestDecideReplayOfUnfitWitnessIndexRecomputes(t *testing.T) {
+	s := set(t, `S(X) -> R(X,Y). R(X,Y) -> S(Y).`)
+	cold := decideWith(t, s, nil)
+	cache := chase.NewCache()
+	cache.StoreStickyOutcome(s.Fingerprint(), DecideOptions{}.maxStates(), &chase.StickyOutcome{
+		Method: "buchi-witness", Complete: true, SeedIndex: int32(len(Seeds(s))),
+		LassoCycle: []string{"x"},
+	})
+	if warm := decideWith(t, s, cache); !reflect.DeepEqual(warm, cold) {
+		t.Errorf("unfit replay drifted:\n  cold %+v\n  got  %+v", cold, warm)
+	}
+}

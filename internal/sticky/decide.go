@@ -83,7 +83,9 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 	if opts.Cache != nil {
 		setFP = set.Fingerprint()
 		if o, ok := opts.Cache.LookupStickyOutcome(setFP, opts.maxStates()); ok {
-			return replayVerdict(set, o), nil
+			if v, ok := replayVerdict(set, o); ok {
+				return v, nil
+			}
 		}
 	}
 	m := newMachine(set, marking)
@@ -119,8 +121,7 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 }
 
 // recordVerdict converts a finished decision into the portable cache entry:
-// the witness seed as its Seeds index, the lasso's symbol keys copied by
-// value so the entry stays immutable however the caller uses the Verdict.
+// the witness seed as its Seeds index, the lasso by its symbol keys.
 func recordVerdict(v *Verdict, seedIndex int32) *chase.StickyOutcome {
 	o := &chase.StickyOutcome{
 		Terminates:     v.Terminates,
@@ -130,18 +131,18 @@ func recordVerdict(v *Verdict, seedIndex int32) *chase.StickyOutcome {
 		SeedIndex:      seedIndex,
 	}
 	if v.Lasso != nil {
-		o.LassoPrefix = append([]string(nil), v.Lasso.Prefix...)
-		o.LassoCycle = append([]string(nil), v.Lasso.Cycle...)
+		o.LassoPrefix = v.Lasso.Prefix
+		o.LassoCycle = v.Lasso.Cycle
 		o.LassoGap = v.Lasso.Gap
 	}
 	return o
 }
 
-// replayVerdict rebuilds the recorded Verdict: the witness seed comes back
-// out of the deterministic Seeds enumeration and the lasso slices are
-// copied, so a replay and a live run hand the caller equal — and equally
-// mutable — witness material.
-func replayVerdict(set *tgds.Set, o *chase.StickyOutcome) *Verdict {
+// replayVerdict rebuilds the recorded Verdict, the witness seed coming
+// back out of the deterministic Seeds enumeration. It reports false when
+// the witness index does not fit the set's Seeds — an entry the set could
+// not have produced — and the caller decides afresh.
+func replayVerdict(set *tgds.Set, o *chase.StickyOutcome) (*Verdict, bool) {
 	v := &Verdict{
 		Terminates:     o.Terminates,
 		Method:         o.Method,
@@ -150,15 +151,14 @@ func replayVerdict(set *tgds.Set, o *chase.StickyOutcome) *Verdict {
 	}
 	if o.SeedIndex >= 0 {
 		seeds := Seeds(set)
+		if int(o.SeedIndex) >= len(seeds) {
+			return nil, false
+		}
 		seedCopy := seeds[o.SeedIndex]
 		v.Seed = &seedCopy
-		v.Lasso = &buchi.Lasso{
-			Prefix: append([]string(nil), o.LassoPrefix...),
-			Cycle:  append([]string(nil), o.LassoCycle...),
-			Gap:    o.LassoGap,
-		}
+		v.Lasso = &buchi.Lasso{Prefix: o.LassoPrefix, Cycle: o.LassoCycle, Gap: o.LassoGap}
 	}
-	return v
+	return v, true
 }
 
 // MaterializeWitness turns an accepting lasso into a concrete finitary

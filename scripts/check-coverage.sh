@@ -16,7 +16,10 @@
 # with their sweep suites): internal/portfolio 89.1%. At the ratchet that
 # moved the Büchi and oblivious-chase kernels onto interned data (each with
 # an identity suite against the string/substitution reference):
-# internal/buchi 99.5%, internal/ochase 95.9%, internal/sticky 89.0%.
+# internal/buchi 99.5%, internal/ochase 95.9%, internal/sticky 89.0%. At
+# the ratchet that stored cache entries as their snapshot bytes (with the
+# golden-snapshot, body-rejection and restore-fuzz suites): internal/chase
+# 94.0%.
 set -eu
 
 check() {
@@ -33,7 +36,7 @@ check() {
 	echo "check-coverage: $pkg ${total}% (floor ${floor}%)"
 }
 
-check ./internal/chase 89.2
+check ./internal/chase 92.0
 check ./internal/guarded 90.5
 check ./internal/portfolio 87.0
 check ./internal/sticky 87.0
