@@ -1,6 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: null
-// naming policy, trigger strategy, positional indexing in the homomorphism
-// search, and seed generation for the guarded decision. Run with
+// Ablation benchmarks for design choices docs/ARCHITECTURE.md describes:
+// null naming policy, trigger strategy, positional indexing in the
+// homomorphism search, and seed generation for the guarded decision ("The
+// guarded decider: a bounded search"). Run with
 // `go test -bench=Ablation -benchmem .`
 package airct_test
 

@@ -151,28 +151,6 @@ func TestTermcheckExistsSearch(t *testing.T) {
 	}
 }
 
-func TestTermcheckExistsParallelWorkers(t *testing.T) {
-	bin := binary(t, "termcheck")
-	// The parallel search must reach the same verdict as the sequential one
-	// and report its worker count in the stats line.
-	for _, workers := range []string{"1", "4"} {
-		out, code := run(t, bin, "-exists", "-workers", workers, "testdata/exampleB1.chase")
-		if code != 0 {
-			t.Fatalf("workers=%s: exit = %d, want 0\n%s", workers, code, out)
-		}
-		if !strings.Contains(out, "workers="+workers) {
-			t.Errorf("workers=%s: stats line lacks worker count:\n%s", workers, out)
-		}
-		if !strings.Contains(out, "finite derivation exists") {
-			t.Errorf("workers=%s: missing witness banner:\n%s", workers, out)
-		}
-	}
-	// Invalid worker counts are a usage error.
-	if _, code := run(t, bin, "-exists", "-workers", "0", "testdata/exampleB1.chase"); code != 3 {
-		t.Error("-workers 0 must exit 3")
-	}
-}
-
 func TestTermcheckProfiles(t *testing.T) {
 	bin := binary(t, "termcheck")
 	dir := t.TempDir()
@@ -206,7 +184,7 @@ func TestTermcheckProfiles(t *testing.T) {
 // command. TestCLIHelpMatchesDocs asserts each appears both in the
 // command's -h output and in the doc file, so the three stay in sync.
 var documentedFlags = map[string][]string{
-	"termcheck":   {"-guarded-budget", "-sticky-states", "-exists", "-exists-states", "-exists-atoms", "-exists-strategy", "-portfolio", "-probe-steps", "-workers", "-cache", "-cache-file", "-cache-save-every", "-cpuprofile", "-memprofile"},
+	"termcheck":   {"-guarded-budget", "-sticky-states", "-exists", "-exists-states", "-exists-atoms", "-exists-strategy", "-portfolio", "-probe-steps", "-cache", "-cache-file", "-cache-save-every", "-cpuprofile", "-memprofile"},
 	"termcheckd":  {"-addr", "-cache-file", "-cache-save-every", "-max-inflight", "-request-timeout", "-workers"},
 	"chase":       {"-variant", "-strategy", "-seed", "-max-steps", "-max-atoms", "-quiet", "-core"},
 	"benchgen":    {"-family", "-n", "-db", "-size", "-seed"},
@@ -361,7 +339,7 @@ func TestTermcheckPortfolio(t *testing.T) {
 		t.Errorf("exampleB1: undecided set not reported as such:\n%s", out)
 	}
 
-	out, code = run(t, bin, "-portfolio", "-cache", "-workers", "4", "testdata/conformance/swap-intro.chase")
+	out, code = run(t, bin, "-portfolio", "-cache", "testdata/conformance/swap-intro.chase")
 	if code != 0 {
 		t.Fatalf("swap-intro cached: exit = %d, want 0\n%s", code, out)
 	}

@@ -7,7 +7,7 @@
 // key-graph. Database kinds (appended as facts): none, star, chain, random.
 // The exchange, ontology, stage-grid and key-graph families generate their
 // own facts (stage-grid is the 3^n-state ∀∃ search workload; feed it to
-// `termcheck -exists -workers=N`; key-graph is the key-constrained EGD
+// `termcheck -exists`; key-graph is the key-constrained EGD
 // workload behind BENCH_egd.json — -n nodes, a key EGD merging the invented
 // values that flow along the random edges).
 package main

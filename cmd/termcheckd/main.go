@@ -20,7 +20,8 @@
 // analysis (singleflight); -max-inflight bounds concurrently executing
 // analyses, further ones are shed with 429; -request-timeout caps each
 // request's wall clock, and a request whose every client disconnected is
-// cancelled promptly.
+// cancelled promptly. Each analysis runs on its request's goroutine;
+// -workers is accepted and ignored.
 //
 // SIGINT/SIGTERM drain in-flight requests, cancel detached work, write the
 // final cache snapshot and exit 0; startup or shutdown failures exit 3
@@ -48,12 +49,12 @@ func main() {
 	saveEvery := flag.Duration("cache-save-every", 30*time.Second, "background cache snapshot cadence under -cache-file (0 disables the ticker; shutdown still saves)")
 	maxInflight := flag.Int("max-inflight", 0, "maximum concurrently executing analyses before requests are shed with 429 (0: 2×GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 0, "wall-clock cap per request; also the default for requests without timeout-ms (0: unbounded)")
-	workers := flag.Int("workers", 1, "default worker count for requests that omit workers (exists search shards, portfolio race pool)")
+	flag.Int("workers", 1, "ignored: every analysis runs on its request's goroutine (accepted so existing command lines keep working)")
 	flag.Parse()
-	os.Exit(run(*addr, *cacheFile, *saveEvery, *maxInflight, *requestTimeout, *workers))
+	os.Exit(run(*addr, *cacheFile, *saveEvery, *maxInflight, *requestTimeout))
 }
 
-func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, requestTimeout time.Duration, workers int) int {
+func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, requestTimeout time.Duration) int {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "termcheckd: "+format+"\n", args...)
 	}
@@ -67,7 +68,6 @@ func run(addr, cacheFile string, saveEvery time.Duration, maxInflight int, reque
 		MaxInflight:    maxInflight,
 		DefaultTimeout: requestTimeout,
 		MaxTimeout:     requestTimeout,
-		Workers:        workers,
 		Snapshot:       snap,
 		Logf:           logf,
 	})

@@ -246,23 +246,16 @@ func runEngineColumn(t *testing.T, prog *parser.Program, want string) {
 	}
 }
 
-// runExistsColumn runs the ∀∃ search sequentially and at W ∈ {2, 4},
-// expecting the golden verdict at every width, then adds the sequential
-// cache dimension: cold, in-process warm and snapshot→restore→warm runs
-// must render bit-identically — verdict, stats and witness derivation.
+// runExistsColumn runs the ∀∃ search, expecting the golden verdict, then
+// adds the cache dimension: cold, in-process warm and
+// snapshot→restore→warm runs must render bit-identically — verdict, stats
+// and witness derivation.
 func runExistsColumn(t *testing.T, prog *parser.Program, want string) {
-	for _, workers := range []int{1, 2, 4} {
-		res := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
-			MaxStates: confExistsStates,
-			MaxAtoms:  confExistsAtoms,
-			Workers:   workers,
-		})
-		if got := existsVerdict(res); got != want {
-			t.Errorf("exists/workers=%d: verdict = %s, want %s", workers, got, want)
-		}
-	}
 	opts := chase.SearchOptions{MaxStates: confExistsStates, MaxAtoms: confExistsAtoms}
 	off := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+	if got := existsVerdict(off); got != want {
+		t.Errorf("exists: verdict = %s, want %s", got, want)
+	}
 	cache := chase.NewCache()
 	opts.Cache = cache
 	cold := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
@@ -338,8 +331,8 @@ func runPortfolioColumn(t *testing.T, prog *parser.Program) {
 	}
 }
 
-// runDecideColumn runs the guarded ∀∀ decision cache off / cold / warm and
-// at worker counts {1, 2}, expecting the golden verdict (and method, when
+// runDecideColumn runs the guarded ∀∀ decision cache off / cold / warm /
+// snapshot-restored, expecting the golden verdict (and method, when
 // pinned) plus bit-identical verdicts across every cell.
 func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod string) {
 	if !prog.TGDs.IsGuarded() {
@@ -355,40 +348,36 @@ func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod string
 	if wantMethod != "" && base.Method != wantMethod {
 		t.Errorf("decide: method = %s, want %s", base.Method, wantMethod)
 	}
-	for _, workers := range []int{1, 2} {
-		cache := chase.NewCache()
-		for _, label := range []string{"cold", "warm", "snap"} {
-			if label == "snap" {
-				// The snapshot cell restarts the process: the warm cache's
-				// snapshot rebuilt from bytes must serve identically.
-				cache = snapshotRoundTrip(t, cache)
-			}
-			v, err := guarded.Decide(prog.TGDs, guarded.DecideOptions{
-				MaxSteps: confDecideSteps,
-				Workers:  workers,
-				Cache:    cache,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.Terminates != base.Terminates || v.Method != base.Method ||
-				v.Evidence != base.Evidence || v.SeedsTried != base.SeedsTried || v.Budget != base.Budget {
-				t.Errorf("decide/%s/workers=%d: verdict drifted: %+v vs %+v", label, workers, v, base)
-			}
-			switch {
-			case (v.Witness == nil) != (base.Witness == nil):
-				t.Errorf("decide/%s/workers=%d: witness presence drifted", label, workers)
-			case v.Witness != nil && v.Witness.String() != base.Witness.String():
-				t.Errorf("decide/%s/workers=%d: witness drifted:\n%s\nvs\n%s",
-					label, workers, v.Witness, base.Witness)
-			}
+	cache := chase.NewCache()
+	for _, label := range []string{"cold", "warm", "snap"} {
+		if label == "snap" {
+			// The snapshot cell restarts the process: the warm cache's
+			// snapshot rebuilt from bytes must serve identically.
+			cache = snapshotRoundTrip(t, cache)
 		}
-		// Weak acyclicity decides before any seed is generated or chased, so
-		// only seed-searching decisions can (and must) hit the cache. After
-		// the loop `cache` is the snapshot-restored one, so this also pins
-		// that the restored entries actually served the snap cell.
-		if st := cache.Stats(); st.Hits == 0 && base.Method != "weak-acyclicity" {
-			t.Errorf("decide/workers=%d: snapshot-warmed pass recorded no cache hits", workers)
+		v, err := guarded.Decide(prog.TGDs, guarded.DecideOptions{
+			MaxSteps: confDecideSteps,
+			Cache:    cache,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if v.Terminates != base.Terminates || v.Method != base.Method ||
+			v.Evidence != base.Evidence || v.SeedsTried != base.SeedsTried || v.Budget != base.Budget {
+			t.Errorf("decide/%s: verdict drifted: %+v vs %+v", label, v, base)
+		}
+		switch {
+		case (v.Witness == nil) != (base.Witness == nil):
+			t.Errorf("decide/%s: witness presence drifted", label)
+		case v.Witness != nil && v.Witness.String() != base.Witness.String():
+			t.Errorf("decide/%s: witness drifted:\n%s\nvs\n%s", label, v.Witness, base.Witness)
+		}
+	}
+	// Weak acyclicity decides before any seed is generated or chased, so
+	// only seed-searching decisions can (and must) hit the cache. After the
+	// loop `cache` is the snapshot-restored one, so this also pins that the
+	// restored entries actually served the snap cell.
+	if st := cache.Stats(); st.Hits == 0 && base.Method != "weak-acyclicity" {
+		t.Errorf("decide: snapshot-warmed pass recorded no cache hits")
 	}
 }

@@ -67,7 +67,7 @@ const exploreCtxInterval = 64
 
 // ExploreContext is Explore under a context: the BFS polls ctx.Done()
 // every exploreCtxInterval dequeues and returns the partial graph with
-// Complete = false when it fires. Callers that race explorations must
+// Complete = false when it fires. Callers that cancel explorations must
 // check ctx.Err() before trusting a partial result. Uncancelled runs are
 // byte-identical to Explore.
 func ExploreContext(ctx context.Context, a *Automaton, maxStates int) *Explored {

@@ -31,10 +31,9 @@ package chase
 // folded into a salt so the kinds never collide. Fingerprint equality is
 // trusted as content equality, like every other fingerprint consumer.
 //
-// Concurrency contract (docs/ARCHITECTURE.md): the cache is shared by the
-// guarded decision's bounded worker pool and must not serialise it — the
-// store is striped by key hash across cacheStripes mutexes, like the
-// parallel search's memo shards. Stored bodies are never written after
+// Concurrency contract (docs/ARCHITECTURE.md): the cache is shared by
+// concurrent analyses and must not serialise them — the store is striped
+// by key hash across cacheStripes mutexes. Stored bodies are never written after
 // store (a merge swaps in a new body) and hold no interner-bound identity,
 // so a hit never touches another run's interner and no interner grows a
 // lock.
@@ -193,8 +192,7 @@ type StageRecord struct {
 // fingerprint, the instance fingerprint of the request's database (zero
 // for pure rule sets — keeping the ledger's diagnostics honest about which
 // database they describe) and an options salt (the caller folds its
-// budgets into it), never by worker counts — verdicts are worker-invariant
-// by construction.
+// budgets into it).
 type StageOutcomes struct {
 	Records   []StageRecord
 	Verdict   string

@@ -56,29 +56,25 @@ func TestRunChaseContextBackgroundMatchesPlainRun(t *testing.T) {
 
 func TestSearchContextCancelSequentialAndParallel(t *testing.T) {
 	prog := parser.MustParse(ladderProgram)
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		res := SearchTerminatingDerivationContext(ctx, prog.Database, prog.TGDs, SearchOptions{
-			MaxStates: 50_000_000,
-			MaxAtoms:  1 << 20,
-			Workers:   workers,
-		})
-		elapsed := time.Since(start)
-		if !res.Cancelled {
-			t.Fatalf("workers=%d: Cancelled = false after ctx fired (found=%v exhausted=%v)",
-				workers, res.Found, res.Exhausted)
-		}
-		if res.Exhausted {
-			t.Errorf("workers=%d: a cancelled search must not claim exhaustion", workers)
-		}
-		if elapsed > cancelLatencyBound {
-			t.Errorf("workers=%d: cancelled search took %v", workers, elapsed)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	res := SearchTerminatingDerivationContext(ctx, prog.Database, prog.TGDs, SearchOptions{
+		MaxStates: 50_000_000,
+		MaxAtoms:  1 << 20,
+	})
+	elapsed := time.Since(start)
+	if !res.Cancelled {
+		t.Fatalf("Cancelled = false after ctx fired (found=%v exhausted=%v)", res.Found, res.Exhausted)
+	}
+	if res.Exhausted {
+		t.Errorf("a cancelled search must not claim exhaustion")
+	}
+	if elapsed > cancelLatencyBound {
+		t.Errorf("cancelled search took %v", elapsed)
 	}
 }
 

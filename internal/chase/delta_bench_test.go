@@ -1,10 +1,10 @@
 package chase
 
 // Benchmarks for the delta-maintained trigger index (triggerindex.go): the
-// same searcher with the index on (default) and off (fullRescan — the PR 3
+// same searcher with the index on (default) and off (fullRescan — the
 // per-expansion full re-enumeration), so the ratio isolates exactly the
-// tentpole of ISSUE 4. Workloads are the deep stage grids of
-// BENCH_parallel.json (6561 and 59049 states; every expansion's delta is a
+// index. Workloads are the deep stage grids n = 8 and 10 (6561 and 59049
+// states; every expansion's delta is a
 // single atom while instances grow to 3n atoms — delta ≪ instance) plus the
 // schedule-independent sweep ladder. BENCH_delta.json records the measured
 // numbers; TestSearchDeltaIndexMatchesFullRescan pins the two modes

@@ -33,9 +33,7 @@ package chase
 // state's active-trigger index — inherited from the parent and repaired
 // with the delta, see triggerindex.go — compute a successor's fingerprint
 // and delta, invent nulls by structural identity) lives in the expander
-// type so the sequential searcher below and the sharded parallel
-// coordinator (parallel.go) share it: a parallel worker is an expander over
-// a private interner, exchanging states symbolically at the boundary.
+// type, which the searcher below embeds.
 
 import (
 	"container/heap"
@@ -107,24 +105,12 @@ type SearchOptions struct {
 	MaxAtoms int
 	// Strategy selects the frontier discipline.
 	Strategy SearchStrategy
-	// Workers sets the number of parallel search workers; 0 or 1 run the
-	// sequential search. With W > 1 the fingerprint memo is sharded and each
-	// worker owns a private interner (see parallel.go); verdicts are
-	// invariant in W, frontier ordering under BreadthFirst/DepthFirst is
-	// approximate, and SmallestFirst keeps per-worker priority frontiers
-	// with work-stealing.
-	Workers int
-	// Seed seeds scheduling tie-breaks of the parallel search (the
-	// work-stealing victim order). Verdicts are seed-invariant; schedules,
-	// witnesses and stats need not be. Ignored by the sequential search.
-	Seed int64
 	// Cache, when non-nil, memoises whole search outcomes across runs as
 	// ExistsOutcome entries keyed by (set fingerprint, instance fingerprint,
 	// strategy, MaxAtoms) under the budget-monotonicity rule — see
 	// ExistsOutcome. A hit replays the recorded run's verdict, witness and
 	// statistics without exploring a single state; cancelled runs are never
-	// stored. The key excludes Workers: verdicts are worker-invariant, so a
-	// warm hit may replay a run recorded at a different worker count.
+	// stored.
 	Cache *Cache
 
 	// fullRescan disables the delta-maintained trigger index and rebuilds
@@ -139,7 +125,7 @@ type SearchOptions struct {
 	// the state's index is computed, receiving the materialised instance and
 	// the index's triggers in enumeration order — the differential tests'
 	// hook for pinning the index against ActiveTriggers ground truth.
-	// Unexported; test-only, sequential search only.
+	// Unexported; test-only.
 	onExpand func(inst *instance.Instance, active []Trigger)
 }
 
@@ -151,14 +137,12 @@ type SearchStats struct {
 	StatesExpanded int `json:"states-expanded"`
 	// MemoHits counts generated successors that merged into a visited state.
 	MemoHits int `json:"memo-hits"`
-	// PeakFrontier is the largest frontier size reached. Under parallelism
-	// it is the peak of the atomically tracked total across all per-worker
-	// frontiers — approximate, since pushes and pops race.
+	// PeakFrontier is the largest frontier size reached.
 	PeakFrontier int `json:"peak-frontier"`
 	// IndexRepairs counts expanded states whose active-trigger index was
 	// inherited from the parent and repaired with the delta; IndexRebuilds
-	// counts full re-enumerations (the root, parallel steal boundaries, and
-	// every state when the index is disabled).
+	// counts full re-enumerations (the root, and every state when the index
+	// is disabled).
 	IndexRepairs  int `json:"index-repairs"`
 	IndexRebuilds int `json:"index-rebuilds"`
 	// ActivityRechecks counts delta-pinned activity re-checks of inherited
@@ -180,34 +164,6 @@ type searchNode struct {
 	kids   int        // frontier children that may still repair from idx
 }
 
-// frontierLess is the one definition of the frontier disciplines, shared by
-// the sequential searchFrontier and the parallel recHeap so the two can
-// never drift: SmallestFirst orders by (size, seq), BreadthFirst by seq
-// ascending, DepthFirst by seq descending, IndexAware by (size, trig, seq)
-// where trig is the parent's active-trigger count at generation —
-// trigIndex.total, the free branching-factor signal.
-func frontierLess(strat SearchStrategy, sizeA, trigA, seqA, sizeB, trigB, seqB int64) bool {
-	switch strat {
-	case BreadthFirst:
-		return seqA < seqB
-	case DepthFirst:
-		return seqA > seqB
-	case IndexAware:
-		if sizeA != sizeB {
-			return sizeA < sizeB
-		}
-		if trigA != trigB {
-			return trigA < trigB
-		}
-		return seqA < seqB
-	default: // SmallestFirst
-		if sizeA != sizeB {
-			return sizeA < sizeB
-		}
-		return seqA < seqB
-	}
-}
-
 // searchFrontier is the heap of pending states.
 type searchFrontier struct {
 	nodes []*searchNode
@@ -216,9 +172,32 @@ type searchFrontier struct {
 
 func (f *searchFrontier) Len() int { return len(f.nodes) }
 
+// Less defines the frontier disciplines: SmallestFirst orders by (size,
+// seq), BreadthFirst by seq ascending, DepthFirst by seq descending,
+// IndexAware by (size, btrig, seq) where btrig is the parent's
+// active-trigger count at generation — trigIndex.total, the free
+// branching-factor signal.
 func (f *searchFrontier) Less(i, j int) bool {
 	a, b := f.nodes[i], f.nodes[j]
-	return frontierLess(f.strat, int64(a.size), int64(a.btrig), int64(a.seq), int64(b.size), int64(b.btrig), int64(b.seq))
+	switch f.strat {
+	case BreadthFirst:
+		return a.seq < b.seq
+	case DepthFirst:
+		return a.seq > b.seq
+	case IndexAware:
+		if a.size != b.size {
+			return a.size < b.size
+		}
+		if a.btrig != b.btrig {
+			return a.btrig < b.btrig
+		}
+		return a.seq < b.seq
+	default: // SmallestFirst
+		if a.size != b.size {
+			return a.size < b.size
+		}
+		return a.seq < b.seq
+	}
 }
 
 func (f *searchFrontier) Swap(i, j int) { f.nodes[i], f.nodes[j] = f.nodes[j], f.nodes[i] }
@@ -241,10 +220,8 @@ var nullIdentitySeed = logic.Fingerprint{Hi: 0x9d39247e33776d41, Lo: 0x2af739800
 // index σ, the body-binding term hashes of h in slot order, and the
 // existential index of x, mixed order-sensitively from nullIdentitySeed.
 // Binding hashes are content hashes for constants and canonical fingerprints
-// for nulls, so the identity is interner-independent — the property the
-// parallel search's symbolic state exchange relies on. Every code path that
-// invents or renames nulls (expander.nullFor, the witness rebuilders) must
-// go through this one function.
+// for nulls, so the identity depends only on the trigger's content, never on
+// the order in which the search met it.
 func nullIdentity(tgd uint32, bindingHashes []logic.Fingerprint, k int) logic.Fingerprint {
 	h := nullIdentitySeed.MixUint64(uint64(tgd))
 	for _, b := range bindingHashes {
@@ -254,29 +231,21 @@ func nullIdentity(tgd uint32, bindingHashes []logic.Fingerprint, k int) logic.Fi
 }
 
 // expander is the reusable single-state expansion step of the ∀∃ search: a
-// private interner holding the deterministic startup vocabulary (compiled
-// patterns first, then database atoms — so shared-prefix IDs agree across
-// expanders built from the same inputs), the delta-maintained active-trigger
-// index over a reused scratch instance (triggerindex.go), successor
-// fingerprint/delta computation, and null invention by structural identity. The sequential searcher owns one; each
-// parallel worker owns one. Single writer, no internal locking — the
-// interner is never shared across expanders (see the concurrency contract in
-// docs/ARCHITECTURE.md).
+// private interner holding the startup vocabulary (compiled patterns first,
+// then database atoms), the delta-maintained active-trigger index over a
+// reused scratch instance (triggerindex.go), successor fingerprint/delta
+// computation, and null invention by structural identity. The searcher
+// embeds one. Single writer, no internal locking — the interner is never
+// shared (see the concurrency contract in docs/ARCHITECTURE.md).
 type expander struct {
 	set *tgds.Set
 
 	itab *logic.Interner // private identity of every state this expander touches
 	ct   []compiledTGD
 
-	trig        *logic.TupleTable                  // trigger identity: [tgd, body TermIDs...]
-	structNulls map[uint64]logic.TermID            // (trigger ID, exist index) -> null
-	nullByFp    map[logic.Fingerprint]logic.TermID // canonical identity -> local null
+	trig        *logic.TupleTable       // trigger identity: [tgd, body TermIDs...]
+	structNulls map[uint64]logic.TermID // (trigger ID, exist index) -> null
 	namer       *logic.FreshNamer
-
-	// nShared is the size of the startup vocabulary: IDs below it are the
-	// shared prefix (identical across expanders over the same db and set),
-	// IDs at or above it are invented nulls. See logic.SymTerm.
-	nShared int
 
 	rootDelta []uint32 // the database atoms, flattened [pid, args...]*
 	rootFp    logic.Fingerprint
@@ -310,15 +279,13 @@ type expander struct {
 
 // newExpander builds an expander for the database and set, interning the
 // startup vocabulary in the canonical order: compiled patterns, then the
-// database atoms. Two expanders over the same inputs mint identical shared
-// IDs and an identical root fingerprint.
+// database atoms.
 func newExpander(db *instance.Database, set *tgds.Set) *expander {
 	e := &expander{
 		set:         set,
 		itab:        logic.NewInterner(),
 		trig:        logic.NewTupleTable(64),
 		structNulls: make(map[uint64]logic.TermID),
-		nullByFp:    make(map[logic.Fingerprint]logic.TermID),
 		namer:       logic.NewFreshNamer("n"),
 	}
 	e.ct = compileSet(set, e.itab)
@@ -335,7 +302,6 @@ func newExpander(db *instance.Database, set *tgds.Set) *expander {
 		e.rootFp = e.rootFp.Merge(e.itab.HashAtomIDs(pid, e.rootDelta[off+1:]))
 	}
 	e.rootSize = db.Len()
-	e.nShared = e.itab.NumTerms()
 	return e
 }
 
@@ -391,7 +357,7 @@ func (e *expander) isActive(tgd int, bt []uint32, inst *instance.Instance) bool 
 // not already present merge into the returned fingerprint, the flattened new
 // atoms are left in e.deltaBuf ([pid, args...]*), and added counts them.
 // Nulls are invented (or reused) by structural identity, so the returned
-// fingerprint is the same no matter which expander computes it.
+// fingerprint is the same whichever path reached the state.
 func (e *expander) childState(inst *instance.Instance, fp logic.Fingerprint, trigID logic.TupleID, tgd int, bt []uint32) (logic.Fingerprint, int) {
 	ct := &e.ct[tgd]
 	e.deltaBuf = e.deltaBuf[:0]
@@ -452,9 +418,7 @@ func (e *expander) deltaHas(pid logic.PredID, raw []uint32) bool {
 // (nullIdentity over the trigger's content — the paper's c^{σ,h}_x) rather
 // than its arbitrary counter name. Well-founded: every binding term was
 // interned (and hashed) before the null it helps invent. The (trigger, k)
-// cache makes repeats a single map probe; the fingerprint-keyed table
-// (resolveNull) additionally unifies nulls that first arrived through a
-// symbolic boundary exchange.
+// cache gives each null one ID, so repeats are a single map probe.
 func (e *expander) nullFor(trigID logic.TupleID, k int) logic.TermID {
 	key := uint64(uint32(trigID))<<32 | uint64(uint32(k))
 	if id, ok := e.structNulls[key]; ok {
@@ -465,22 +429,8 @@ func (e *expander) nullFor(trigID logic.TupleID, k int) logic.TermID {
 	for _, b := range tup[1:] {
 		e.hashBuf = append(e.hashBuf, e.itab.TermHash(logic.TermID(b)))
 	}
-	id := e.resolveNull(nullIdentity(tup[0], e.hashBuf, k))
+	id := e.itab.InternTermWithHash(e.namer.NextNull(), nullIdentity(tup[0], e.hashBuf, k))
 	e.structNulls[key] = id
-	return id
-}
-
-// resolveNull returns the local TermID of the null with the given canonical
-// fingerprint, minting a fresh local name (with the fingerprint installed as
-// its hash override) on first sight. This is the re-interning boundary of
-// the parallel search: a null that crossed from another worker arrives as
-// its fingerprint and leaves as a local ID.
-func (e *expander) resolveNull(h logic.Fingerprint) logic.TermID {
-	if id, ok := e.nullByFp[h]; ok {
-		return id
-	}
-	id := e.itab.InternTermWithHash(e.namer.NextNull(), h)
-	e.nullByFp[h] = id
 	return id
 }
 
@@ -503,8 +453,7 @@ func (s *searcher) triggersOf(idx *trigIndex) []Trigger {
 	return out
 }
 
-// searcher is the sequential search's engine-like state. Single writer,
-// single run.
+// searcher is the search's engine-like state. Single writer, single run.
 type searcher struct {
 	*expander
 	opts SearchOptions
@@ -522,21 +471,15 @@ type searcher struct {
 // SearchTerminatingDerivation searches the space of restricted chase
 // derivations of D w.r.t. T for one that reaches a fixpoint — the ∀∃ side
 // of the paper's open question (3). See ExistsTerminatingDerivation for the
-// semantics; this entry point exposes the strategy, budgets and worker
-// count. With Workers > 1 the search runs on the sharded parallel
-// coordinator (parallel.go); verdicts are identical, witnesses and stats
-// may differ by schedule.
+// semantics; this entry point exposes the strategy and budgets.
 func SearchTerminatingDerivation(db *instance.Database, set *tgds.Set, opts SearchOptions) *ExistsResult {
 	return SearchTerminatingDerivationContext(context.Background(), db, set, opts)
 }
 
 // SearchTerminatingDerivationContext is SearchTerminatingDerivation under a
-// context: the sequential searcher polls ctx.Done() at every pop and the
-// parallel coordinator propagates cancellation through its shared done flag,
-// which every worker already checks per iteration and inside the expansion
-// inner loop. A cancelled search returns Cancelled = true with
-// Exhausted = false; uncancelled runs are byte-identical to the plain entry
-// point.
+// context: the searcher polls ctx.Done() at every pop. A cancelled search
+// returns Cancelled = true with Exhausted = false; uncancelled runs are
+// byte-identical to the plain entry point.
 func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Database, set *tgds.Set, opts SearchOptions) *ExistsResult {
 	if set.HasEGDs() {
 		panic("chase: the ∀∃ derivation search is TGD-only: its state space memoises instances by fingerprint under trigger application, and equality steps rewrite states in place; gate EGD sets before calling")
@@ -557,24 +500,19 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 			}
 		}
 	}
-	var res *ExistsResult
-	if opts.Workers > 1 {
-		res = newParallelSearch(db, set, opts).runContext(ctx)
-	} else {
-		s := &searcher{
-			expander: newExpander(db, set),
-			opts:     opts,
-			done:     ctx.Done(),
-			memo:     make(map[logic.Fingerprint]struct{}),
-			front:    searchFrontier{strat: opts.Strategy},
-			res:      &ExistsResult{Exhausted: true},
-		}
-		root := &searchNode{trig: -1, delta: s.rootDelta, size: s.rootSize, fp: s.rootFp}
-		s.memo[root.fp] = struct{}{}
-		heap.Push(&s.front, root)
-		s.loop()
-		res = s.res
+	s := &searcher{
+		expander: newExpander(db, set),
+		opts:     opts,
+		done:     ctx.Done(),
+		memo:     make(map[logic.Fingerprint]struct{}),
+		front:    searchFrontier{strat: opts.Strategy},
+		res:      &ExistsResult{Exhausted: true},
 	}
+	root := &searchNode{trig: -1, delta: s.rootDelta, size: s.rootSize, fp: s.rootFp}
+	s.memo[root.fp] = struct{}{}
+	heap.Push(&s.front, root)
+	s.loop()
+	res := s.res
 	if opts.Cache != nil && !res.Cancelled {
 		opts.Cache.StoreExistsOutcome(setFP, instFP, opts.Strategy, opts.MaxAtoms, recordExistsOutcome(res, opts.MaxStates))
 	}
@@ -660,10 +598,10 @@ func (s *searcher) loop() {
 		}
 		idx, repaired := s.stateIndex(par, inst, deltaLo)
 		cur.idx = idx
-		// Mirror the parallel worker's eviction: this expansion consumed one
-		// of the parent's pending repairs; a drained (or childless) index is
-		// dead weight and is dropped so the node graph doesn't pin every
-		// expanded state's trigger list for the whole run.
+		// This expansion consumed one of the parent's pending repairs; a
+		// drained (or childless) index is dead weight and is dropped so the
+		// node graph doesn't pin every expanded state's trigger list for the
+		// whole run.
 		if cur.parent != nil && cur.parent.kids > 0 {
 			if cur.parent.kids--; cur.parent.kids == 0 {
 				cur.parent.idx = nil

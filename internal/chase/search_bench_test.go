@@ -107,51 +107,3 @@ func ladderGrid(n int) *parser.Program {
 	b.WriteString("next: R(X,Y) -> P(Y).\n")
 	return parser.MustParse(b.String())
 }
-
-// BenchmarkParallelExistsSearch measures the sharded parallel search across
-// worker counts; workers-1 runs the sequential searcher — the baseline the
-// speedups in BENCH_parallel.json are computed against. Two workload
-// shapes:
-//
-//   - stage-grid-{8,10} (3^8 = 6561 and 3^10 = 59049 reachable states; the
-//     larger one is `benchgen -family stage-grid -n 10`): time-to-verdict
-//     on a space with a single fixpoint. StatesVisited is
-//     schedule-dependent here — sharded frontiers legitimately reach the
-//     fixpoint having swept less of the space than global smallest-first —
-//     so compare ns/op (the verdict latency), not states/sec.
-//   - sweep-ladder-16: a diverging branching space cut at exactly
-//     MaxStates = 6561 distinct states. The work is schedule-independent,
-//     making states/sec a pure state-processing throughput metric.
-func BenchmarkParallelExistsSearch(b *testing.B) {
-	cases := []struct {
-		name      string
-		prog      *parser.Program
-		maxStates int
-		maxAtoms  int
-		wantFound bool
-	}{
-		{"stage-grid-8", stageGrid(8), 8000, 24, true},             // 3^8 = 6561 states
-		{"stage-grid-10", workload.StageGrid(10), 70000, 30, true}, // 3^10 = 59049 states
-		{"sweep-ladder-16", ladderGrid(16), 6561, 1000, false},     // exactly 6561 states
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers-%d", tc.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				var states int
-				for i := 0; i < b.N; i++ {
-					res := SearchTerminatingDerivation(tc.prog.Database, tc.prog.TGDs, SearchOptions{
-						MaxStates: tc.maxStates,
-						MaxAtoms:  tc.maxAtoms,
-						Workers:   workers,
-					})
-					if res.Found != tc.wantFound {
-						b.Fatalf("Found = %v, want %v: %+v", res.Found, tc.wantFound, res)
-					}
-					states = res.StatesVisited
-				}
-				b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
-			})
-		}
-	}
-}

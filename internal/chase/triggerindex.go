@@ -32,11 +32,6 @@ package chase
 // re-enumeration order *exactly*. That identity is what keeps verdicts,
 // StatesVisited and witness replay bit-identical to the pre-index search —
 // the property triggerindex_test.go pins differentially and by property.
-//
-// The index is derived state: nothing about it crosses a worker boundary in
-// the parallel search (the symbolic exchange format of parallel.go is
-// unchanged), and a worker that receives a stolen state simply rebuilds the
-// index deterministically after the symbolic decode.
 
 import (
 	"sort"
@@ -147,8 +142,8 @@ func (e *expander) discoverActive(i int, ct *compiledTGD, inst *instance.Instanc
 
 // buildIndex enumerates the active triggers of inst from scratch — the full
 // re-enumeration the repair path exists to avoid. It remains the root
-// state's path, the deterministic rebuild after a parallel steal boundary,
-// and the reference the differential tests compare repairs against.
+// state's path and the reference the differential tests compare repairs
+// against.
 func (e *expander) buildIndex(inst *instance.Instance) *trigIndex {
 	idx := &trigIndex{perTGD: make([][]logic.TupleID, len(e.ct))}
 	for i := range e.ct {
@@ -276,8 +271,8 @@ func (e *expander) compareTrig(ct *compiledTGD, a, b logic.TupleID) int {
 
 // stateIndex computes the index of a popped state: inherited and repaired
 // from the parent's index when one is supplied (the steady-state path),
-// rebuilt from scratch otherwise (the root, a parallel steal boundary, or
-// the fullRescan baseline). The bool reports whether the repair path ran.
+// rebuilt from scratch otherwise (the root or the fullRescan baseline). The
+// bool reports whether the repair path ran.
 func (e *expander) stateIndex(par *trigIndex, inst *instance.Instance, deltaLo int32) (*trigIndex, bool) {
 	if par != nil {
 		return e.repairIndex(par, inst, deltaLo), true

@@ -28,7 +28,7 @@ func BenchmarkDecideCached(b *testing.B) {
 		reqs := workload.RepeatedDecideRequests(n, 8)
 		decide := func(b *testing.B, i int, cache *chase.Cache) {
 			b.Helper()
-			v, err := Decide(reqs[i%len(reqs)], DecideOptions{MaxSteps: 2000, Workers: 1, Cache: cache})
+			v, err := Decide(reqs[i%len(reqs)], DecideOptions{MaxSteps: 2000, Cache: cache})
 			if err != nil {
 				b.Fatal(err)
 			}

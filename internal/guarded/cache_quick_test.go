@@ -30,8 +30,8 @@ func sameVerdict(a, b *Verdict) bool {
 }
 
 // Property: for random guarded sets, Decide is bit-identical across
-// {no cache, cold cache, warm cache} × worker counts {1, 3}, and a warm
-// seed-searching decision actually hits the cache.
+// {no cache, cold cache, warm cache}, and a warm seed-searching decision
+// actually hits the cache.
 func TestQuickDecideWarmCacheEqualsCold(t *testing.T) {
 	checked := 0
 	f := func(seed int64) bool {
@@ -39,27 +39,24 @@ func TestQuickDecideWarmCacheEqualsCold(t *testing.T) {
 		if !set.IsGuarded() {
 			return true
 		}
-		base, err := Decide(set, DecideOptions{MaxSteps: 300, Workers: 1})
+		base, err := Decide(set, DecideOptions{MaxSteps: 300})
 		if err != nil {
 			return false
 		}
-		for _, workers := range []int{1, 3} {
-			cache := chase.NewCache()
-			for _, label := range []string{"cold", "warm"} {
-				v, err := Decide(set, DecideOptions{MaxSteps: 300, Workers: workers, Cache: cache})
-				if err != nil {
-					return false
-				}
-				if !sameVerdict(v, base) {
-					t.Logf("seed %d: %s cache, workers=%d: verdict drifted: %+v vs %+v",
-						seed, label, workers, v, base)
-					return false
-				}
-			}
-			if base.Method != "weak-acyclicity" && cache.Stats().Hits == 0 {
-				t.Logf("seed %d: workers=%d: warm seed-searching Decide missed the cache", seed, workers)
+		cache := chase.NewCache()
+		for _, label := range []string{"cold", "warm"} {
+			v, err := Decide(set, DecideOptions{MaxSteps: 300, Cache: cache})
+			if err != nil {
 				return false
 			}
+			if !sameVerdict(v, base) {
+				t.Logf("seed %d: %s cache: verdict drifted: %+v vs %+v", seed, label, v, base)
+				return false
+			}
+		}
+		if base.Method != "weak-acyclicity" && cache.Stats().Hits == 0 {
+			t.Logf("seed %d: warm seed-searching Decide missed the cache", seed)
+			return false
 		}
 		if base.Method != "weak-acyclicity" {
 			checked++

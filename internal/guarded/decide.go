@@ -3,7 +3,6 @@ package guarded
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"airct/internal/acyclicity"
 	"airct/internal/chase"
@@ -50,18 +49,11 @@ type DecideOptions struct {
 	MaxSeeds int
 	// ExtraSeeds adds caller-provided databases to the pool.
 	ExtraSeeds []*instance.Database
-	// Workers bounds the worker pool chasing seed databases (the per-seed
-	// chases are independent: each run owns its instance and interner).
-	// 0 uses GOMAXPROCS; 1 scans sequentially. The verdict — including
-	// Witness, Evidence and SeedsTried — is deterministic regardless of
-	// worker count: outcomes are combined in canonical seed order.
-	Workers int
 	// Cache, when set, memoises the per-seed chase batteries (and the
 	// generated seed pools) across Decide calls on (TGD-set fingerprint,
 	// seed fingerprint) keys — see internal/chase/cache.go. Verdicts are
 	// bit-identical with and without a cache, and across cold and warm
-	// caches. Safe to share one cache across concurrent Decide calls and
-	// across the seed worker pool.
+	// caches. Safe to share one cache across concurrent Decide calls.
 	Cache *chase.Cache
 }
 
@@ -79,18 +71,12 @@ func (o DecideOptions) maxSeeds() int {
 	return o.MaxSeeds
 }
 
-func (o DecideOptions) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
-
 // Decide decides CT^res_∀∀(G) for a single-head guarded set.
 //
 // The paper reduces the complement to MSOL satisfiability over infinite
-// trees (Theorem 5.1); per DESIGN.md §3 this implementation replaces the
-// MSOL step with a bounded certificate search over the same objects:
+// trees (Theorem 5.1). This implementation replaces the MSOL step with a
+// bounded certificate search over the same objects (docs/ARCHITECTURE.md,
+// "The guarded decider: a bounded search"):
 //
 //  1. weak acyclicity proves termination outright;
 //  2. otherwise, seed databases are generated from the TGD bodies —
@@ -103,16 +89,18 @@ func (o DecideOptions) workers() int {
 //     guard-ancestor chain — which certifies divergence by the
 //     finite-alphabet regularity of Λ_T;
 //  4. if every seed saturates, the set is declared terminating.
+//
+// Neither step 3 nor step 4 is a decision procedure: ROADMAP item 1 gives a
+// terminating set with a pump and a diverging set all three orders miss.
 func Decide(set *tgds.Set, opts DecideOptions) (*Verdict, error) {
 	return DecideContext(context.Background(), set, opts)
 }
 
 // DecideContext is Decide under a context: the per-seed chase batteries run
 // on chase.RunChaseContext (cancellation observed every few dozen trigger
-// pops) and the seed scan — sequential or pooled — stops claiming seeds once
-// the context fires. A cancelled call returns ctx's error; no partial
-// battery outcome is interpreted or cached. Uncancelled calls behave
-// identically to Decide.
+// pops) and the seed scan stops before its next seed once the context
+// fires. A cancelled call returns ctx's error; no partial battery outcome
+// is interpreted or cached. Uncancelled calls behave identically to Decide.
 func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Verdict, error) {
 	if !set.IsGuarded() {
 		return nil, fmt.Errorf("guarded: Decide requires a single-head guarded set")
@@ -122,7 +110,7 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 	}
 	budget := opts.maxSteps()
 	sw := newSeedSweep(set, opts)
-	pos, v, err := scanSeeds(ctx, set, sw, budget, opts.workers())
+	pos, v, err := scanSeeds(ctx, set, sw, budget)
 	if err != nil {
 		return nil, err
 	}

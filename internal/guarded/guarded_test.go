@@ -414,43 +414,3 @@ func TestDivergenceEvidenceOnTerminatingRunIsEmpty(t *testing.T) {
 		t.Errorf("no pump on a 1-step run: %q", ev)
 	}
 }
-
-// TestDecideDeterministicAcrossWorkerCounts pins the seed-pool
-// parallelisation: the verdict — method, evidence, witness rendering and
-// SeedsTried — must be bit-identical no matter how many workers chase the
-// (independent) seeds, because outcomes are combined in canonical seed
-// order.
-func TestDecideDeterministicAcrossWorkerCounts(t *testing.T) {
-	srcs := map[string]string{
-		"diverging":   `S(X) -> R(X,Y). R(X,Y) -> S(Y).`,
-		"terminating": `T(X,Y) -> T(X,W). T(X,Y) -> T(Y,X).`,
-	}
-	for name, src := range srcs {
-		t.Run(name, func(t *testing.T) {
-			set, err := parser.ParseTGDs(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, err := Decide(set, DecideOptions{MaxSteps: 400, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, 4, 8} {
-				v, err := Decide(set, DecideOptions{MaxSteps: 400, Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.Terminates != base.Terminates || v.Method != base.Method ||
-					v.Evidence != base.Evidence || v.SeedsTried != base.SeedsTried {
-					t.Fatalf("workers=%d: verdict drifted: %+v vs %+v", w, v, base)
-				}
-				switch {
-				case (v.Witness == nil) != (base.Witness == nil):
-					t.Fatalf("workers=%d: witness presence drifted", w)
-				case v.Witness != nil && v.Witness.String() != base.Witness.String():
-					t.Fatalf("workers=%d: witness drifted: %s vs %s", w, v.Witness, base.Witness)
-				}
-			}
-		})
-	}
-}

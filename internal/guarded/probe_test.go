@@ -188,7 +188,7 @@ func TestDecideContextCancelStopsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	v, err := DecideContext(ctx, set, DecideOptions{MaxSteps: 50_000_000, Workers: 2})
+	v, err := DecideContext(ctx, set, DecideOptions{MaxSteps: 50_000_000})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatalf("cancelled Decide returned a verdict: %+v", v)

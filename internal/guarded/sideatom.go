@@ -11,8 +11,9 @@
 // scope for any implementation, so Decide replaces that final step with a
 // bounded certificate search over the same objects — seed acyclic databases
 // derived from the TGD bodies (the treeification viewpoint) chased with
-// divergence-evidence detection on the guard forest. DESIGN.md §3 documents
-// the substitution.
+// divergence-evidence detection on the guard forest. docs/ARCHITECTURE.md
+// ("The guarded decider: a bounded search") documents the substitution and
+// what it does not prove.
 package guarded
 
 import (

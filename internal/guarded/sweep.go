@@ -2,9 +2,6 @@ package guarded
 
 import (
 	"context"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"airct/internal/chase"
 	"airct/internal/instance"
@@ -28,7 +25,7 @@ import (
 // outcome (the engine's trigger order is canonical in term content), so a
 // first-diverging-seed scan never reaches it.
 //
-// Not safe for concurrent use; the pooled scan claims seeds under a mutex.
+// Not safe for concurrent use.
 type seedSweep struct {
 	maxSeeds int
 	cache    *chase.Cache
@@ -116,13 +113,9 @@ func (sw *seedSweep) raw() (*instance.Database, bool) {
 
 // scanSeeds chases the sweep's seeds at the budget and returns the position
 // and verdict of the first that does not saturate quietly under every
-// order. A nil verdict means every seed saturated; the sweep is then
-// exhausted. One worker scans in order and stops at that seed; more share
-// the scan through scanSeedsPooled.
-func scanSeeds(ctx context.Context, set *tgds.Set, sw *seedSweep, budget, workers int) (int, *Verdict, error) {
-	if workers > 1 {
-		return scanSeedsPooled(ctx, set, sw, budget, workers)
-	}
+// order, scanning in order and stopping at that seed. A nil verdict means
+// every seed saturated; the sweep is then exhausted.
+func scanSeeds(ctx context.Context, set *tgds.Set, sw *seedSweep, budget int) (int, *Verdict, error) {
 	for {
 		if ctx.Err() != nil {
 			return 0, nil, ctx.Err()
@@ -139,66 +132,6 @@ func scanSeeds(ctx context.Context, set *tgds.Set, sw *seedSweep, budget, worker
 			return s.pos, v, nil
 		}
 	}
-}
-
-// scanSeedsPooled is scanSeeds on a pool of workers. The per-seed chases
-// are independent (each RunChase clones the seed into a fresh instance
-// with its own interner), so the pool may finish them in any order. Seeds
-// are claimed from the sweep in ascending position, and a worker stops
-// once every unclaimed seed lies beyond the lowest diverging position
-// found so far: those seeds cannot affect the result. Every seed before
-// that position was claimed and chased to completion, so the lowest
-// diverging position — and its verdict — is the one scanSeeds returns.
-func scanSeedsPooled(ctx context.Context, set *tgds.Set, sw *seedSweep, budget, workers int) (int, *Verdict, error) {
-	var (
-		mu        sync.Mutex // guards sw, bestPos and bestV
-		bestPos   = math.MaxInt
-		bestV     *Verdict
-		cancelled atomic.Bool
-		wg        sync.WaitGroup
-	)
-	claim := func() (sweptSeed, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if sw.pos > bestPos {
-			return sweptSeed{}, false
-		}
-		s, ok := sw.next()
-		return s, ok && s.pos < bestPos
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				s, ok := claim()
-				if !ok {
-					return
-				}
-				v, _ := chaseSeed(ctx, set, s.db, budget, sw.cache, sw.setFP, s.fp)
-				if v == cancelledVerdict {
-					cancelled.Store(true)
-					return
-				}
-				if v != nil {
-					mu.Lock()
-					if s.pos < bestPos {
-						bestPos, bestV = s.pos, v
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return 0, nil, ctx.Err()
-	}
-	return bestPos, bestV, nil
 }
 
 // cachedSeedPool rebuilds the cross-run cached seed pool for (set

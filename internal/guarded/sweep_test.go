@@ -71,8 +71,7 @@ func sweepSets() []*tgds.Set {
 }
 
 // TestSeedSweepMatchesEagerScan pins the lazy seed sweep to the eager
-// scan: every Verdict field agrees for workers 1, 2 and 4, without a
-// cache, on a cold cache, on the cache that cold run left behind, and on
+// scan: every Verdict field agrees without a cache, on a cold cache, on the cache that cold run left behind, and on
 // a cache warmed only by a probe. A second variant adds extra seeds — an
 // exact duplicate of the first pool seed and a fresh database — to
 // exercise the dedup and the extra-seed tail.
@@ -87,30 +86,27 @@ func TestSeedSweepMatchesEagerScan(t *testing.T) {
 		} {
 			want := referenceDecide(set, opts)
 			methods[want.Method]++
-			for _, workers := range []int{1, 2, 4} {
-				opts.Workers = workers
-				check := func(label string, cache *chase.Cache) {
-					t.Helper()
-					opts.Cache = cache
-					got, err := Decide(set, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameVerdictFields(got, want) {
-						t.Fatalf("set %d (%d extra), workers=%d, %s: sweep %+v, eager scan %+v\n%v",
-							i, len(opts.ExtraSeeds), workers, label, got, want, set)
-					}
-				}
-				check("no cache", nil)
-				cache := chase.NewCache()
-				check("cold cache", cache)
-				check("warm cache", cache)
-				probed := chase.NewCache()
-				if _, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: opts.MaxSteps, MaxSeeds: opts.MaxSeeds, ExtraSeeds: opts.ExtraSeeds, Cache: probed}, 16); err != nil {
+			check := func(label string, cache *chase.Cache) {
+				t.Helper()
+				opts.Cache = cache
+				got, err := Decide(set, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-				check("probe-warmed cache", probed)
+				if !sameVerdictFields(got, want) {
+					t.Fatalf("set %d (%d extra), %s: sweep %+v, eager scan %+v\n%v",
+						i, len(opts.ExtraSeeds), label, got, want, set)
+				}
 			}
+			check("no cache", nil)
+			cache := chase.NewCache()
+			check("cold cache", cache)
+			check("warm cache", cache)
+			probed := chase.NewCache()
+			if _, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: opts.MaxSteps, MaxSeeds: opts.MaxSeeds, ExtraSeeds: opts.ExtraSeeds, Cache: probed}, 16); err != nil {
+				t.Fatal(err)
+			}
+			check("probe-warmed cache", probed)
 		}
 	}
 	if methods["divergence-witness"] < 10 || methods["seed-exhaustion"] < 10 {
@@ -131,7 +127,7 @@ func TestSeedSweepStoresDrainedPoolOnly(t *testing.T) {
 	} {
 		set := mustSet(t, tc.src)
 		cache := chase.NewCache()
-		if _, err := Decide(set, DecideOptions{MaxSteps: 200, Workers: 1, Cache: cache}); err != nil {
+		if _, err := Decide(set, DecideOptions{MaxSteps: 200, Cache: cache}); err != nil {
 			t.Fatal(err)
 		}
 		_, stored := cache.LookupSeedPool(set.Fingerprint(), DecideOptions{}.maxSeeds())

@@ -130,12 +130,11 @@ func FromAtoms(atoms ...logic.Atom) *Instance {
 func (in *Instance) Interner() *logic.Interner { return in.tab }
 
 // Reset empties the instance while keeping its interner and the allocated
-// capacity of every index — the ∀∃ search's scratch-instance path: each
-// searcher (or parallel worker) materialises every popped state into one
-// reused arena instead of allocating maps and tables per state. Index-map
-// entries are truncated in place (only the entries touched since the last
-// Reset, so the cost is O(atoms), and their capacity — like the term
-// arena's — carries over). The interner is untouched: TermIDs minted
+// capacity of every index — the ∀∃ search's scratch-instance path: the
+// searcher materialises every popped state into one reused arena instead
+// of allocating maps and tables per state. Index-map entries are truncated
+// in place (only the entries touched since the last Reset, so the cost is
+// O(atoms), and their capacity — like the term arena's — carries over). The interner is untouched: TermIDs minted
 // through this instance stay valid. Atoms and slices previously returned by
 // the read API become invalid.
 func (in *Instance) Reset() {

@@ -6,10 +6,10 @@
 //     joint acyclicity, the never-firing jointree prune, MFA) in static cost
 //     order. Tier 1 runs a k-round bounded chase probe over the guarded seed
 //     pool — accepting when every seed saturates, rejecting when a seed's
-//     k-prefix carries a guard-chain pump certificate. Tier 2 races the
-//     expensive semantic deciders — sticky's Büchi emptiness test and the
-//     guarded seed search — on a bounded worker pool with context
-//     cancellation for the losers. The first decisive stage ends the run.
+//     k-prefix carries a guard-chain pump certificate. Tier 2 runs the
+//     expensive semantic deciders — sticky's Büchi emptiness test, then the
+//     guarded seed search — one after another in canonical order. The first
+//     decisive stage ends the run, and every later stage is skipped.
 //   - Report, the exhaustive schedule behind the flat report (core.Report).
 //     Every Tier 0 check runs in the same order with no early exit, the
 //     probe is skipped, and the Tier 2 deciders run one after another in
@@ -19,9 +19,8 @@
 //
 // The cascade's contract is conclusion identity: for every input set, the
 // Conclusion (and the error, if any) equals Report's with the same budgets,
-// bit for bit. The cascade earns its speed purely from stopping early and
-// cancelling losers, never from answering differently. Three invariants
-// enforce this:
+// bit for bit. The cascade earns its speed purely from stopping early, never
+// from answering differently. Three invariants enforce this:
 //
 //   - every cheap stage either abstains or fixes the conclusion Report
 //     reaches: the Tier 0 checks are the checks Report runs (sound for
@@ -39,14 +38,15 @@
 //     probe errs toward the sound refutation; the package's quick-test
 //     sweeps pin that this corner never separates the two on the random
 //     program generators, and the conformance corpus pins it per family;
-//   - Tier 2 results are combined in the canonical racer order
-//     [sticky, guarded] regardless of wall-clock finish order: a racer's
-//     verdict counts only once every earlier racer has completed without
-//     deciding, which is exactly Report's sequential order. The worker
-//     count therefore never changes the conclusion, only latency.
+//   - Tier 2 runs its deciders in the canonical order [sticky, guarded]:
+//     a decider runs only once every earlier one has completed without
+//     deciding, which is exactly Report's sequential order.
+//
+// Every stage runs on the caller's goroutine: an analysis never splits
+// across workers, and concurrency comes only from concurrent calls.
 //
 // The ∀∃ derivation search (chase.SearchTerminatingDerivation) can join
-// Tier 2 as a NON-authoritative racer when the caller supplies a concrete
+// Tier 2 as a NON-authoritative stage when the caller supplies a concrete
 // database: on the critical instance the search is trivially satisfied (the
 // all-crit instance is already a restricted-chase fixpoint), so it can never
 // witness the ∀∀ question either way. Its outcome is reported as a stage
@@ -57,7 +57,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 
 	"airct/internal/acyclicity"
@@ -74,10 +73,10 @@ import (
 // budget fields, so a cascade conclusion stays comparable to a flat report
 // computed with the same numbers.
 type Options struct {
-	// Guarded tunes the guarded racer and the Tier 1 probe. Its Cache field
+	// Guarded tunes the guarded stage and the Tier 1 probe. Its Cache field
 	// is overwritten with Options.Cache.
 	Guarded guarded.DecideOptions
-	// Sticky tunes the sticky racer. Its Cache field is overwritten with
+	// Sticky tunes the sticky stage. Its Cache field is overwritten with
 	// Options.Cache, so a warm cache also serves the Büchi lasso verdicts.
 	Sticky sticky.DecideOptions
 	// MFASteps bounds the MFA check's semi-oblivious critical-instance chase
@@ -86,22 +85,17 @@ type Options struct {
 	// ProbeSteps is the Tier 1 per-seed step budget k
 	// (0: guarded.DefaultProbeSteps). Report runs no probe.
 	ProbeSteps int
-	// Workers bounds the Tier 2 racer pool (0: one worker per racer). The
-	// conclusion is worker-count-invariant: results are always combined in
-	// canonical racer order. Workers: 1 degenerates to a sequential cascade
-	// with early exit.
-	Workers int
 	// Cache, when set, is shared by the guarded stages (per-seed and
 	// seed-pool entries) and the sticky stage (Büchi lasso verdicts). Under
 	// Analyze it also memoises the whole run — keyed by the set
 	// fingerprint, the database fingerprint (zero without a database) and a
-	// salt folding in every budget (never worker counts).
+	// salt folding in every budget.
 	Cache *chase.Cache
 	// Database, when set, adds the ∀∃ derivation search over this database
-	// as a non-authoritative Tier 2 racer of Analyze (reported, never
+	// as a non-authoritative Tier 2 stage of Analyze (reported, never
 	// concluding). Report ignores it.
 	Database *instance.Database
-	// Exists tunes the non-authoritative ∀∃ racer.
+	// Exists tunes the non-authoritative ∀∃ stage.
 	Exists chase.SearchOptions
 }
 
@@ -112,9 +106,7 @@ func resolved(v, def int) int {
 	return v
 }
 
-// salt folds every verdict-relevant budget into the cache key. Worker
-// counts are deliberately excluded: verdicts are worker-invariant, so one
-// entry serves every pool shape.
+// salt folds every verdict-relevant budget into the cache key.
 func (o Options) salt() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d",
@@ -128,9 +120,7 @@ func (o Options) salt() uint64 {
 
 // StageOutcome records one stage's attempt: what ran, whether it decided,
 // and what it cost. Stage records are diagnostics — only Conclusion and
-// DecidedBy carry the semantic result, and only they are pinned across
-// worker counts (a loser may show as "cancelled" under one pool shape and
-// "skipped" under another).
+// DecidedBy carry the semantic result.
 type StageOutcome struct {
 	// Stage names the check ("full", "weak-acyclicity", "joint-acyclicity",
 	// "jointree-prune", "mfa", "probe", "sticky", "guarded", "exists").
@@ -140,7 +130,7 @@ type StageOutcome struct {
 	// Decided is true when this stage fixed the conclusion.
 	Decided bool
 	// Conclusion is the stage's own verdict contribution (Unknown when the
-	// stage was non-decisive, cancelled or skipped).
+	// stage was non-decisive or skipped).
 	Conclusion core.Conclusion
 	// Detail explains the outcome in the flat report's reason vocabulary.
 	Detail string
@@ -171,7 +161,7 @@ type Result struct {
 	// budgets.
 	Conclusion core.Conclusion
 	// DecidedBy names the stage that fixed the conclusion ("" when
-	// Unknown). Deterministic across worker counts.
+	// Unknown).
 	DecidedBy string
 	// Stages lists every attempted stage in cascade order.
 	Stages []StageOutcome
@@ -257,7 +247,7 @@ func (r *runner) run(ctx context.Context) error {
 // runs: Cache serves only the guarded and sticky stages. A cancelled call
 // returns ctx's error.
 func Report(ctx context.Context, set *tgds.Set, opts Options) (*core.Report, error) {
-	opts.Database = nil // the ∀∃ racer is the cascade's diagnostic only
+	opts.Database = nil // the ∀∃ stage is the cascade's diagnostic only
 	r, err := newRunner(set, opts)
 	if err != nil {
 		return nil, err
@@ -280,8 +270,8 @@ func Report(ctx context.Context, set *tgds.Set, opts Options) (*core.Report, err
 		}
 		r.tier0Stage(name)
 	}
-	for _, rc := range r.buildRacers() {
-		s, err := rc.run(ctx)
+	for _, d := range r.tier2Deciders() {
+		s, err := d.run(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -300,9 +290,9 @@ func Report(ctx context.Context, set *tgds.Set, opts Options) (*core.Report, err
 func (r *runner) decided() bool { return r.res.DecidedBy != "" }
 
 // conclude fixes the conclusion on the first decisive stage. A stage that
-// finished decisively after the conclusion was already fixed (a racer
-// beaten to the line) is recorded with Decided cleared: its Conclusion
-// field still shows its own verdict, but only one stage ever "decided".
+// finished decisively after the conclusion was already fixed (Report runs
+// every decider) is recorded with Decided cleared: its Conclusion field
+// still shows its own verdict, but only one stage ever "decided".
 func (r *runner) conclude(s StageOutcome) {
 	if r.flat != nil {
 		r.fold(s)
@@ -492,142 +482,57 @@ func (r *runner) tier1(ctx context.Context) error {
 	return nil
 }
 
-// racer is one Tier 2 contender.
-type racer struct {
+// decider is one Tier 2 stage.
+type decider struct {
 	name string
-	// authoritative racers may fix the conclusion; the ∀∃ search may not.
+	// authoritative deciders may fix the conclusion; the ∀∃ search may not.
 	authoritative bool
 	run           func(ctx context.Context) (StageOutcome, error)
 }
 
-// tier2 races the semantic deciders on a bounded worker pool. Workers claim
-// racers in canonical order off an atomic counter; the combiner then walks
-// the same order, so racer i's verdict counts only after racers j < i all
-// completed without deciding — exactly Report's sequential semantics.
-// Once the conclusion is fixed the race context is cancelled: running
-// losers observe ctx.Done() inside their chase/Büchi loops and stop
-// promptly; unclaimed racers are skipped outright.
+// tier2 runs the semantic deciders one after another in canonical order,
+// so a decider's verdict counts only after every earlier one completed
+// without deciding — exactly Report's sequential semantics. Once the
+// conclusion is fixed, every later decider is recorded as skipped.
 func (r *runner) tier2(ctx context.Context) error {
-	racers := r.buildRacers()
-	if len(racers) == 0 {
-		return nil
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := r.opts.Workers
-	if workers <= 0 || workers > len(racers) {
-		workers = len(racers)
-	}
-	if workers == 1 {
-		// Degenerate pool: a sequential cascade in canonical order with
-		// early exit. Same combine rule, so the same conclusion — racers
-		// after the decider are skipped instead of started-and-cancelled.
-		for _, rc := range racers {
-			if r.decided() {
-				r.res.Stages = append(r.res.Stages, StageOutcome{
-					Stage:  rc.name,
-					Tier:   2,
-					Detail: "skipped: an earlier stage decided",
-				})
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			out, err := rc.run(rctx)
-			if err != nil {
-				return err
-			}
-			r.concludeRacer(rc, out)
-		}
-		return nil
-	}
-	type slot struct {
-		out     StageOutcome
-		err     error
-		skipped bool
-		done    chan struct{}
-	}
-	slots := make([]*slot, len(racers))
-	for i := range slots {
-		slots[i] = &slot{done: make(chan struct{})}
-	}
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(racers) {
-					return
-				}
-				sl := slots[i]
-				if rctx.Err() != nil && ctx.Err() == nil {
-					sl.skipped = true
-					close(sl.done)
-					continue
-				}
-				sl.out, sl.err = racers[i].run(rctx)
-				close(sl.done)
-			}
-		}()
-	}
-	for i, rc := range racers {
-		sl := slots[i]
-		<-sl.done
-		if err := ctx.Err(); err != nil {
-			return err // the caller's context fired, not our loser-cancel
-		}
-		switch {
-		case sl.skipped:
+	for _, d := range r.tier2Deciders() {
+		if r.decided() {
 			r.res.Stages = append(r.res.Stages, StageOutcome{
-				Stage:  rc.name,
+				Stage:  d.name,
 				Tier:   2,
 				Detail: "skipped: an earlier stage decided",
 			})
-		case sl.err != nil && rctx.Err() != nil:
-			// Cancelled loser: its error is our own cancellation.
-			r.res.Stages = append(r.res.Stages, StageOutcome{
-				Stage:  rc.name,
-				Tier:   2,
-				Detail: "cancelled: an earlier racer decided",
-			})
-		case sl.err != nil:
-			cancel()
-			return sl.err
-		default:
-			r.concludeRacer(rc, sl.out)
-			if r.decided() {
-				cancel()
-			}
+			continue
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		out, err := d.run(ctx)
+		if err != nil {
+			return err
+		}
+		if !d.authoritative {
+			out.Decided = false
+			out.Conclusion = core.Unknown
+		}
+		r.conclude(out)
 	}
 	return nil
 }
 
-// concludeRacer feeds one completed racer into the combine, stripping the
-// verdict of a non-authoritative contender first.
-func (r *runner) concludeRacer(rc racer, out StageOutcome) {
-	if !rc.authoritative {
-		out.Decided = false
-		out.Conclusion = core.Unknown
-	}
-	r.conclude(out)
-}
-
-// buildRacers assembles the canonical Tier 2 field: sticky before guarded,
-// then the optional non-authoritative ∀∃ search.
-func (r *runner) buildRacers() []racer {
-	var out []racer
+// tier2Deciders assembles the canonical Tier 2 field: sticky before
+// guarded, then the optional non-authoritative ∀∃ search.
+func (r *runner) tier2Deciders() []decider {
+	var out []decider
 	if r.set.IsSticky() {
-		out = append(out, racer{name: "sticky", authoritative: true, run: r.runSticky})
+		out = append(out, decider{name: "sticky", authoritative: true, run: r.runSticky})
 	}
 	if r.set.IsGuarded() {
-		out = append(out, racer{name: "guarded", authoritative: true, run: r.runGuarded})
+		out = append(out, decider{name: "guarded", authoritative: true, run: r.runGuarded})
 	}
 	if r.opts.Database != nil && !r.set.HasEGDs() {
 		// The ∀∃ search is TGD-only (it panics on EGD sets).
-		out = append(out, racer{name: "exists", authoritative: false, run: r.runExists})
+		out = append(out, decider{name: "exists", authoritative: false, run: r.runExists})
 	}
 	return out
 }
@@ -690,14 +595,16 @@ func (r *runner) runGuarded(ctx context.Context) (StageOutcome, error) {
 // runExists runs the ∀∃ derivation search over the caller's database. It is
 // informative only: CT^res_∀∃ on one database says nothing about CT^res_∀∀
 // (and on the critical instance the search is trivially satisfied), so the
-// outcome is recorded but never decisive.
+// outcome is recorded but never decisive. A cancelled search returns ctx's
+// error, like the other stages.
 func (r *runner) runExists(ctx context.Context) (StageOutcome, error) {
 	start := time.Now()
 	res := chase.SearchTerminatingDerivationContext(ctx, r.opts.Database, r.set, r.opts.Exists)
+	if res.Cancelled {
+		return StageOutcome{}, ctx.Err()
+	}
 	s := StageOutcome{Stage: "exists", Tier: 2, Steps: res.Stats.StatesExpanded, Duration: time.Since(start)}
 	switch {
-	case res.Cancelled:
-		s.Detail = "∀∃ search cancelled (informative only)"
 	case res.Found:
 		s.Detail = fmt.Sprintf("∀∃: terminating derivation of length %d on the supplied database (informative only)", len(res.Derivation))
 	case res.Exhausted:

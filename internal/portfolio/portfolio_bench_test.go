@@ -91,10 +91,9 @@ func BenchmarkPortfolioMixed(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("%s/cascade", fam.name), func(b *testing.B) {
 			// No cache: isolates the cascade's own win (cheap tiers first,
-			// k-round probe, two-worker Tier 2 race) from the cache's.
+			// k-round probe, early exit in Tier 2) from the cache's.
 			b.ReportAllocs()
 			opts := portOpts
-			opts.Workers = 2
 			for i := 0; i < b.N; i++ {
 				set := fam.reqs[i%len(fam.reqs)]
 				res, err := Analyze(context.Background(), set, opts)

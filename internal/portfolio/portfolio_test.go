@@ -76,11 +76,9 @@ func TestConclusionIdentityOnWorkloadCorpus(t *testing.T) {
 }
 
 // TestVerdictInvariantAcrossRacerPoolShapes is the satellite quick-check:
-// conclusion and deciding stage never depend on the Tier 2 worker count or
-// on cache state. It runs under the CI -race job, so it also exercises the
-// race's memory discipline.
+// conclusion and deciding stage never depend on cache state, cold or warm.
 func TestVerdictInvariantAcrossRacerPoolShapes(t *testing.T) {
-	// Families chosen to exercise every racer combination: sticky+guarded
+	// Families chosen to exercise every Tier 2 combination: sticky+guarded
 	// terminating and diverging, guarded-only diverging, sticky-only
 	// terminating, and a baseline-decided set.
 	cases := []workload.Labeled{
@@ -97,26 +95,23 @@ func TestVerdictInvariantAcrossRacerPoolShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				for _, withCache := range []bool{false, true} {
-					opts := portOpts()
-					opts.Workers = workers
-					if withCache {
-						opts.Cache = chase.NewCache()
+			for _, withCache := range []bool{false, true} {
+				opts := portOpts()
+				if withCache {
+					opts.Cache = chase.NewCache()
+				}
+				for pass := 0; pass < 2; pass++ {
+					got, err := Analyze(context.Background(), l.Set, opts)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for pass := 0; pass < 2; pass++ {
-						got, err := Analyze(context.Background(), l.Set, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Conclusion != base.Conclusion || got.DecidedBy != base.DecidedBy {
-							t.Errorf("workers=%d cache=%v pass=%d: %v/%q, want %v/%q",
-								workers, withCache, pass, got.Conclusion, got.DecidedBy,
-								base.Conclusion, base.DecidedBy)
-						}
-						if !withCache {
-							break
-						}
+					if got.Conclusion != base.Conclusion || got.DecidedBy != base.DecidedBy {
+						t.Errorf("cache=%v pass=%d: %v/%q, want %v/%q",
+							withCache, pass, got.Conclusion, got.DecidedBy,
+							base.Conclusion, base.DecidedBy)
+					}
+					if !withCache {
+						break
 					}
 				}
 			}
@@ -300,10 +295,10 @@ func TestReportExhaustiveSchedule(t *testing.T) {
 }
 
 // TestAnalyzeCancelledPropagates pins the cascade's own cancellation: a
-// context cancelled mid-race surfaces as ctx's error, promptly. The probe
+// context cancelled mid-run surfaces as ctx's error, promptly. The probe
 // runs at k=1 — too short a prefix for the ladder's pump certificate (the
 // probe routes onward for every k ≤ 5), where the default budget would
-// reject in well under the cancellation delay and leave no race to cancel
+// reject in well under the cancellation delay and leave nothing to cancel
 // — so the cascade reaches the Tier 2 chase the cancel is meant to
 // interrupt.
 func TestAnalyzeCancelledPropagates(t *testing.T) {
@@ -327,12 +322,10 @@ func TestAnalyzeCancelledPropagates(t *testing.T) {
 	}
 }
 
-// TestWorkersOneIsSequentialCascade pins the degenerate pool: with one
-// worker the race is a sequential cascade with early exit, and a decisive
-// first racer leaves the second skipped, not cancelled.
+// TestWorkersOneIsSequentialCascade pins Tier 2 as a sequential cascade
+// with early exit: a decisive first decider leaves the second skipped.
 func TestWorkersOneIsSequentialCascade(t *testing.T) {
 	opts := portOpts()
-	opts.Workers = 1
 	res, err := Analyze(context.Background(), workload.LinearCycle(3).Set, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -342,15 +335,15 @@ func TestWorkersOneIsSequentialCascade(t *testing.T) {
 	}
 	for _, s := range res.Stages {
 		if s.Stage == "guarded" && s.Detail != "skipped: an earlier stage decided" {
-			t.Errorf("W=1 loser not skipped: %+v", s)
+			t.Errorf("guarded stage after a decisive sticky stage not skipped: %+v", s)
 		}
 	}
 }
 
-// TestGuardedRacerStageRecords pins the guarded racer's stage record for
-// each verdict shape it can receive — weak acyclicity, seed exhaustion, a
+// TestGuardedRacerStageRecords pins the guarded stage's record for each
+// verdict shape it can receive — weak acyclicity, seed exhaustion, a
 // divergence witness and a budget exhausted without a pump — by running
-// the racer directly, whatever racer a schedule lets finish first.
+// the stage directly.
 func TestGuardedRacerStageRecords(t *testing.T) {
 	for _, tc := range []struct {
 		src        string
@@ -363,7 +356,7 @@ func TestGuardedRacerStageRecords(t *testing.T) {
 		{`S(X) -> R(X,Y). R(X,Y) -> S(Y).`, 500, core.Diverges, "guarded: diverging witness database"},
 		{`S(X) -> R(X,Y). R(X,Y) -> S(Y).`, 1, core.Unknown, "guarded: budget exhausted without certificate"},
 	} {
-		r := &runner{set: mustSet(t, tc.src), opts: Options{Guarded: guarded.DecideOptions{MaxSteps: tc.budget, Workers: 1}}}
+		r := &runner{set: mustSet(t, tc.src), opts: Options{Guarded: guarded.DecideOptions{MaxSteps: tc.budget}}}
 		s, err := r.runGuarded(context.Background())
 		if err != nil {
 			t.Fatal(err)

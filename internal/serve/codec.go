@@ -27,7 +27,7 @@ const maxRequestBytes = 1 << 20
 // program's TGD set. Zero-valued budgets take the server's defaults (the
 // same defaults as the termcheck CLI). Facts in the program are ignored by
 // the decision; under portfolio=true they feed the non-authoritative ∀∃
-// racer exactly as `termcheck -portfolio` does.
+// stage exactly as `termcheck -portfolio` does.
 type DecideRequest struct {
 	// Program is the .chase program text (facts + TGDs).
 	Program string `json:"program"`
@@ -40,9 +40,6 @@ type DecideRequest struct {
 	StickyStates int `json:"sticky-states,omitempty"`
 	// ProbeSteps is the portfolio Tier 1 probe budget k (0: default).
 	ProbeSteps int `json:"probe-steps,omitempty"`
-	// Workers sizes the portfolio Tier 2 racer pool and the guarded seed
-	// pool (0: server default). Verdicts are worker-invariant.
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the request's wall clock (0: server default; capped
 	// by the server's maximum).
 	TimeoutMS int64 `json:"timeout-ms,omitempty"`
@@ -89,10 +86,8 @@ type ExistsRequest struct {
 	MaxAtoms int `json:"max-atoms,omitempty"`
 	// Strategy is the frontier discipline: smallest (default), bfs, dfs
 	// or index.
-	Strategy string `json:"strategy,omitempty"`
-	// Workers shards the search (0: server default; verdict-invariant).
-	Workers   int   `json:"workers,omitempty"`
-	TimeoutMS int64 `json:"timeout-ms,omitempty"`
+	Strategy  string `json:"strategy,omitempty"`
+	TimeoutMS int64  `json:"timeout-ms,omitempty"`
 }
 
 // ExistsResponse carries the ∀∃ verdict: found (a witness derivation is

@@ -78,9 +78,10 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps requested timeouts (0: uncapped).
 	MaxTimeout time.Duration
-	// Workers is the default worker count for requests that omit workers:
-	// the ∀∃ search shards, the portfolio Tier 2 pool and the guarded
-	// seed pool (0: 1, sequential).
+	// Workers is ignored: every analysis runs on its request's goroutine.
+	//
+	// Deprecated: accepted so that existing callers still compile; it has
+	// no effect.
 	Workers int
 	// Snapshot, when set, is reported by /v1/stats. The server does not
 	// drive it — the owner (the daemon) ticks and closes it.
@@ -172,16 +173,6 @@ func (s *Server) timeoutFor(requestedMS int64) time.Duration {
 	return d
 }
 
-func (s *Server) workersFor(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	if s.cfg.Workers > 0 {
-		return s.cfg.Workers
-	}
-	return 1
-}
-
 func orDefault(v, def int) int {
 	if v <= 0 {
 		return def
@@ -229,7 +220,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	guardedBudget := orDefault(req.GuardedBudget, defaultGuardedBudget)
 	stickyStates := orDefault(req.StickyStates, defaultStickyStates)
 	probeSteps := orDefault(req.ProbeSteps, guarded.DefaultProbeSteps)
-	workers := s.workersFor(req.Workers)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
 		inst: logic.FingerprintAtoms(prog.Database.Atoms()),
@@ -238,10 +228,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	val, shared, err := s.doFlight(r.Context(), key, s.timeoutFor(req.TimeoutMS), func(ctx context.Context) (any, error) {
 		opts := portfolio.Options{
-			Guarded:    guarded.DecideOptions{MaxSteps: guardedBudget, Workers: workers},
+			Guarded:    guarded.DecideOptions{MaxSteps: guardedBudget},
 			Sticky:     sticky.DecideOptions{MaxStates: stickyStates},
 			ProbeSteps: probeSteps,
-			Workers:    workers,
 			Cache:      s.cache,
 		}
 		if !req.Portfolio {
@@ -303,7 +292,6 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 	}
 	maxStates := orDefault(req.MaxStates, defaultExistsStates)
 	maxAtoms := orDefault(req.MaxAtoms, defaultExistsAtoms)
-	workers := s.workersFor(req.Workers)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
 		inst: logic.FingerprintAtoms(prog.Database.Atoms()),
@@ -315,7 +303,6 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 			MaxStates: maxStates,
 			MaxAtoms:  maxAtoms,
 			Strategy:  strat,
-			Workers:   workers,
 			Cache:     s.cache,
 		})
 		s.tallyExists(res)

@@ -164,10 +164,9 @@ func referenceFor(t *testing.T, src string) reference {
 	}
 	var ref reference
 	popts := portfolio.Options{
-		Guarded:    guarded.DecideOptions{MaxSteps: confDecideSteps, Workers: 1},
+		Guarded:    guarded.DecideOptions{MaxSteps: confDecideSteps},
 		Sticky:     sticky.DecideOptions{MaxStates: defaultStickyStates},
 		ProbeSteps: guarded.DefaultProbeSteps,
-		Workers:    1,
 	}
 	rep, err := portfolio.Report(context.Background(), prog.TGDs, popts)
 	if err != nil {
@@ -191,7 +190,6 @@ func referenceFor(t *testing.T, src string) reference {
 		res := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
 			MaxStates: confExistsStates,
 			MaxAtoms:  confExistsAtoms,
-			Workers:   1,
 		})
 		der := make([]string, len(res.Derivation))
 		for i, tr := range res.Derivation {
@@ -339,6 +337,30 @@ func TestServeErrorSurface(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestServeRejectsWorkersField pins that no request can size a worker
+// pool: workers is not a request field, so a body that carries it gets
+// the 400 of any unknown key, naming the field, on both endpoints.
+func TestServeRejectsWorkersField(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	body := fmt.Sprintf(`{"program":%q,"workers":2}`, "P(c).\nr: P(X) -> Q(X).\n")
+	for _, path := range []string{"/v1/decide", "/v1/exists"} {
+		resp, err := http.Post(ts.url(path), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (body %s)", path, resp.StatusCode, data)
+			continue
+		}
+		var e errorResponse
+		if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, `unknown field "workers"`) {
+			t.Errorf("%s: error does not name the unknown field: %s", path, data)
 		}
 	}
 }

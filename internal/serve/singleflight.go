@@ -34,9 +34,8 @@ import (
 
 // flightKey identifies one unit of deduplicatable work. Salt folds the
 // question kind and every verdict-relevant budget (the same rule as the
-// cross-run cache keys); worker counts and timeouts are deliberately
-// excluded — verdicts are worker-invariant, and a follower with a shorter
-// timeout than the leader's simply stops waiting early.
+// cross-run cache keys); timeouts are deliberately excluded — a follower
+// with a shorter timeout than the leader's simply stops waiting early.
 type flightKey struct {
 	set  logic.Fingerprint
 	inst logic.Fingerprint

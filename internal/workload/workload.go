@@ -320,7 +320,7 @@ func KeyGraph(n int, seed int64) *parser.Program {
 // fixpoint — the full closure. A derivation search must sweep essentially
 // the whole space before the fixpoint is expanded, making the family a pure
 // states/sec measurement for the exists-search benchmarks
-// (BENCH_parallel.json). Terminating; weakly acyclic.
+// (BENCH_exists.json, BENCH_delta.json). Terminating; weakly acyclic.
 func StageGrid(n int) *parser.Program {
 	var b strings.Builder
 	for i := 0; i < n; i++ {

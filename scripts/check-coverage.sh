@@ -19,7 +19,10 @@
 # internal/buchi 99.5%, internal/ochase 95.9%, internal/sticky 89.0%. At
 # the ratchet that stored cache entries as their snapshot bytes (with the
 # golden-snapshot, body-rejection and restore-fuzz suites): internal/chase
-# 94.0%.
+# 94.0%. At the ratchet that deleted the intra-request worker pools (the
+# sharded ∀∃ search, the pooled guarded scan and the Tier 2 racer pool):
+# internal/chase 92.9%, internal/guarded 93.4%, internal/portfolio 87.4%,
+# internal/sticky 89.1%, internal/serve 95.7%.
 set -eu
 
 check() {
@@ -37,9 +40,9 @@ check() {
 }
 
 check ./internal/chase 92.0
-check ./internal/guarded 90.5
+check ./internal/guarded 91.4
 check ./internal/portfolio 87.0
-check ./internal/sticky 87.0
-check ./internal/serve 91.8
+check ./internal/sticky 87.1
+check ./internal/serve 93.7
 check ./internal/buchi 97.5
 check ./internal/ochase 93.9
