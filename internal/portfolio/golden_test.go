@@ -16,7 +16,7 @@ import (
 	"airct/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/report.golden from the current flat report")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current output")
 
 // goldenPrograms lists every program the flat-report golden pins, in file
 // order: the repository's .chase examples, the conformance corpus, the
@@ -80,8 +80,36 @@ func TestFlatReportGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "== %s ==\n%s", names[i], rep.Summary())
 	}
-	got := b.String()
-	const path = "testdata/report.golden"
+	checkGolden(t, "testdata/report.golden", b.String())
+}
+
+// TestCascadeLedgerGolden pins the cascade's stage ledger on every golden
+// program at the flat golden's budgets: the conclusion and deciding stage,
+// then one line per stage with every StageOutcome field but Duration.
+// Regenerate with `go test ./internal/portfolio -run
+// TestCascadeLedgerGolden -update` only when a change to a stage record is
+// intended.
+func TestCascadeLedgerGolden(t *testing.T) {
+	names, sets := goldenPrograms(t)
+	var b strings.Builder
+	for i, set := range sets {
+		res, err := Analyze(context.Background(), set, Options{Guarded: guarded.DecideOptions{MaxSteps: 500}})
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		fmt.Fprintf(&b, "== %s == verdict=%v decided-by=%q\n", names[i], res.Conclusion, res.DecidedBy)
+		for _, s := range res.Stages {
+			fmt.Fprintf(&b, "%s tier=%d decided=%t verdict=%v steps=%d seeds=%d saturated=%d depth=%d evidence=%q detail=%q\n",
+				s.Stage, s.Tier, s.Decided, s.Conclusion, s.Steps, s.Seeds, s.Saturated, s.Depth, s.Evidence, s.Detail)
+		}
+	}
+	checkGolden(t, "testdata/ledger.golden", b.String())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update, and reports the first drifted line.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -108,7 +136,7 @@ func TestFlatReportGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if g != w {
-			t.Fatalf("flat report drifted from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			t.Fatalf("output drifted from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
 		}
 	}
 }
