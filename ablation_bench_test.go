@@ -1,5 +1,5 @@
 // Ablation benchmarks for design choices docs/ARCHITECTURE.md describes:
-// null naming policy, trigger strategy, positional indexing in the
+// trigger strategy, positional indexing in the
 // homomorphism search, and seed generation for the guarded decision ("The
 // guarded decider: a bounded search"). Run with
 // `go test -bench=Ablation -benchmem .`
@@ -15,34 +15,6 @@ import (
 	"airct/internal/logic"
 	"airct/internal/workload"
 )
-
-// BenchmarkAblationNullNaming compares structural (interned, reproducible)
-// against counter (cheap, order-dependent) null naming on a
-// materialisation workload. Structural naming buys determinism and
-// cross-derivation atom identity for one map lookup per invention.
-func BenchmarkAblationNullNaming(b *testing.B) {
-	prog := workload.Exchange(300, 1).Program
-	for _, tc := range []struct {
-		name   string
-		naming chase.NullNaming
-	}{
-		{"structural", chase.StructuralNaming},
-		{"counter", chase.CounterNaming},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				run := chase.RunChase(prog.Database, prog.TGDs, chase.Options{
-					Variant: chase.Restricted, Naming: tc.naming, DropSteps: true,
-				})
-				if !run.Terminated() {
-					b.Fatal("must terminate")
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationStrategy compares the trigger strategies on the
 // ontology workload. All three terminate here; the interesting column is
@@ -140,8 +112,8 @@ func BenchmarkAblationExistsSearch(b *testing.B) {
 	b.Run("exists-search", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := chase.ExistsTerminatingDerivation(prog.Database, prog.TGDs, 5000, 50)
-			if !res.Found {
+			res, err := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{MaxStates: 5000, MaxAtoms: 50})
+			if err != nil || !res.Found {
 				b.Fatal("terminating order exists")
 			}
 		}

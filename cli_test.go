@@ -127,12 +127,12 @@ func TestTermcheckExistsSearch(t *testing.T) {
 	if !strings.Contains(out, "finite derivation exists") {
 		t.Errorf("missing witness banner:\n%s", out)
 	}
-	if !strings.Contains(out, "exists-search: strategy=smallest") {
+	if !strings.Contains(out, "exists-search: states=") {
 		t.Errorf("missing search stats line:\n%s", out)
 	}
 	// The diverging ladder under tight budgets: the search is cut off, not
 	// exhausted — honest exit 2.
-	out, code = run(t, bin, "-exists", "-exists-states", "200", "-exists-atoms", "12", "-exists-strategy", "bfs", "testdata/ladder.chase")
+	out, code = run(t, bin, "-exists", "-exists-states", "200", "-exists-atoms", "12", "testdata/ladder.chase")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (budget)\n%s", code, out)
 	}
@@ -184,7 +184,7 @@ func TestTermcheckProfiles(t *testing.T) {
 // command. TestCLIHelpMatchesDocs asserts each appears both in the
 // command's -h output and in the doc file, so the three stay in sync.
 var documentedFlags = map[string][]string{
-	"termcheck":   {"-guarded-budget", "-sticky-states", "-exists", "-exists-states", "-exists-atoms", "-exists-strategy", "-portfolio", "-probe-steps", "-cache", "-cache-file", "-cache-save-every", "-cpuprofile", "-memprofile"},
+	"termcheck":   {"-guarded-budget", "-sticky-states", "-exists", "-exists-states", "-exists-atoms", "-portfolio", "-cache", "-cache-file", "-cache-save-every", "-cpuprofile", "-memprofile"},
 	"termcheckd":  {"-addr", "-cache-file", "-cache-save-every", "-max-inflight", "-request-timeout", "-workers"},
 	"chase":       {"-variant", "-strategy", "-seed", "-max-steps", "-max-atoms", "-quiet", "-core"},
 	"benchgen":    {"-family", "-n", "-db", "-size", "-seed"},

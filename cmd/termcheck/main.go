@@ -12,16 +12,15 @@
 //
 // With -exists the question changes to the paper's open question (3),
 // CT^res_∀∃ on the *given* database: does some trigger order reach a
-// fixpoint? The fingerprint-memoised derivation search runs with the
-// -exists-states/-exists-atoms budgets and the -exists-strategy frontier
-// discipline. Exit status: 0 a finite derivation exists (and a witness is
+// fixpoint? The fingerprint-memoised derivation search runs smallest
+// instance first with the -exists-states/-exists-atoms budgets. Exit
+// status: 0 a finite derivation exists (and a witness is
 // printed), 1 the bounded space was exhausted (every derivation is
 // infinite), 2 a budget stopped the search, 3 error.
 //
 // -portfolio answers the ∀∀ question through the staged cascade
 // (portfolio.Analyze): Tier 0 cheap sufficient conditions in cost order,
-// Tier 1 a k-round chase probe over the guarded seed pool (-probe-steps),
-// Tier 2 the semantic deciders one after another, stopping at the first
+// Tier 1 the guarded seed scan at a 64-step budget (the probe), Tier 2 the semantic deciders one after another, stopping at the first
 // decisive one. The conclusion — and hence the exit code — is pinned
 // bit-identical to the flat report's; a `portfolio:` line reports the
 // verdict, the deciding stage and per-stage work. Facts in the input feed
@@ -75,9 +74,7 @@ func main() {
 	exists := flag.Bool("exists", false, "search for a finite derivation of the input database (CT^res_∀∃) instead of deciding all-instances termination")
 	existsStates := flag.Int("exists-states", 10000, "state budget for the -exists search")
 	existsAtoms := flag.Int("exists-atoms", 200, "per-instance atom bound for the -exists search")
-	existsStrategy := flag.String("exists-strategy", "smallest", "frontier discipline for the -exists search: smallest, bfs, dfs or index")
 	usePortfolio := flag.Bool("portfolio", false, "answer the all-instances question through the staged decider portfolio (cheap checks, k-round probe, semantic deciders)")
-	probeSteps := flag.Int("probe-steps", guarded.DefaultProbeSteps, "per-seed step budget k of the -portfolio Tier 1 probe")
 	useCache := flag.Bool("cache", false, "memoise chase work (guarded seeds, sticky Büchi verdicts, -exists searches, portfolio runs) in a cross-run cache and report a cache: stats line")
 	cacheFile := flag.String("cache-file", "", "persist the cross-run cache: load the snapshot at this path if it exists and save it back atomically on exit (implies -cache)")
 	cacheSaveEvery := flag.Duration("cache-save-every", 0, "also snapshot the -cache-file cache on this cadence during the run, so a crash loses at most one interval of warm work (0: save at exit only)")
@@ -108,7 +105,7 @@ func main() {
 				}
 			}()
 		}
-		return run(*guardedBudget, *stickyStates, *exists, *existsStates, *existsAtoms, *existsStrategy, *usePortfolio, *probeSteps, *useCache, *cacheFile, *cacheSaveEvery)
+		return run(*guardedBudget, *stickyStates, *exists, *existsStates, *existsAtoms, *usePortfolio, *useCache, *cacheFile, *cacheSaveEvery)
 	}())
 }
 
@@ -122,7 +119,7 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms int, existsStrategy string, usePortfolio bool, probeSteps int, useCache bool, cacheFile string, cacheSaveEvery time.Duration) int {
+func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms int, usePortfolio, useCache bool, cacheFile string, cacheSaveEvery time.Duration) int {
 	src, err := readInput(flag.Arg(0))
 	if err != nil {
 		return fail(err)
@@ -150,10 +147,10 @@ func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms
 	}
 	code := func() int {
 		if exists {
-			return runExists(prog, existsStates, existsAtoms, existsStrategy, cache)
+			return runExists(prog, existsStates, existsAtoms, cache)
 		}
 		if usePortfolio {
-			return runPortfolio(prog, guardedBudget, stickyStates, existsStates, existsAtoms, probeSteps, cache)
+			return runPortfolio(prog, guardedBudget, stickyStates, existsStates, existsAtoms, cache)
 		}
 		return runReport(prog, guardedBudget, stickyStates, cache)
 	}()
@@ -212,12 +209,11 @@ func runReport(prog *parser.Program, guardedBudget, stickyStates int, cache *cha
 // runPortfolio answers the ∀∀ question through the staged cascade and
 // reports per-stage work. The exit code funnel matches the flat report's:
 // the cascade's conclusion is pinned bit-identical to it.
-func runPortfolio(prog *parser.Program, guardedBudget, stickyStates, existsStates, existsAtoms, probeSteps int, cache *chase.Cache) int {
+func runPortfolio(prog *parser.Program, guardedBudget, stickyStates, existsStates, existsAtoms int, cache *chase.Cache) int {
 	opts := portfolio.Options{
-		Guarded:    guarded.DecideOptions{MaxSteps: guardedBudget},
-		Sticky:     sticky.DecideOptions{MaxStates: stickyStates},
-		ProbeSteps: probeSteps,
-		Cache:      cache,
+		Guarded: guarded.DecideOptions{MaxSteps: guardedBudget},
+		Sticky:  sticky.DecideOptions{MaxStates: stickyStates},
+		Cache:   cache,
 	}
 	if prog.Database.Len() > 0 {
 		fmt.Printf("note: %d facts feed the non-authoritative ∀∃ stage only (the question is all-instances)\n", prog.Database.Len())
@@ -272,22 +268,20 @@ func orDash(s string) string {
 
 // runExists runs the ∀∃ derivation search on the program's database and
 // returns the search's verdict as an exit code.
-func runExists(prog *parser.Program, maxStates, maxAtoms int, strategy string, cache *chase.Cache) int {
+func runExists(prog *parser.Program, maxStates, maxAtoms int, cache *chase.Cache) int {
 	if prog.Database.Len() == 0 {
 		return fail(fmt.Errorf("-exists needs facts in the input (the question is per-database)"))
 	}
-	strat, err := chase.ParseSearchStrategy(strategy)
+	res, err := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
+		MaxStates: maxStates,
+		MaxAtoms:  maxAtoms,
+		Cache:     cache,
+	})
 	if err != nil {
 		return fail(err)
 	}
-	res := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
-		MaxStates: maxStates,
-		MaxAtoms:  maxAtoms,
-		Strategy:  strat,
-		Cache:     cache,
-	})
-	fmt.Printf("exists-search: strategy=%s states=%d expanded=%d memo-hits=%d peak-frontier=%d\n",
-		strat, res.StatesVisited, res.Stats.StatesExpanded, res.Stats.MemoHits, res.Stats.PeakFrontier)
+	fmt.Printf("exists-search: states=%d expanded=%d memo-hits=%d peak-frontier=%d\n",
+		res.StatesVisited, res.Stats.StatesExpanded, res.Stats.MemoHits, res.Stats.PeakFrontier)
 	fmt.Printf("trigger-index: repairs=%d rebuilds=%d activity-rechecks=%d\n",
 		res.Stats.IndexRepairs, res.Stats.IndexRebuilds, res.Stats.ActivityRechecks)
 	printCacheStats(cache)

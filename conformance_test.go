@@ -40,9 +40,11 @@ import (
 
 	"airct/internal/chase"
 	"airct/internal/guarded"
+	"airct/internal/instance"
 	"airct/internal/parser"
 	"airct/internal/portfolio"
 	"airct/internal/serve"
+	"airct/internal/tgds"
 )
 
 const (
@@ -246,26 +248,36 @@ func runEngineColumn(t *testing.T, prog *parser.Program, want string) {
 	}
 }
 
+// mustSearch is chase.SearchTerminatingDerivation on a TGD-only input.
+func mustSearch(tb testing.TB, db *instance.Database, set *tgds.Set, opts chase.SearchOptions) *chase.ExistsResult {
+	tb.Helper()
+	res, err := chase.SearchTerminatingDerivation(db, set, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // runExistsColumn runs the ∀∃ search, expecting the golden verdict, then
 // adds the cache dimension: cold, in-process warm and
 // snapshot→restore→warm runs must render bit-identically — verdict, stats
 // and witness derivation.
 func runExistsColumn(t *testing.T, prog *parser.Program, want string) {
 	opts := chase.SearchOptions{MaxStates: confExistsStates, MaxAtoms: confExistsAtoms}
-	off := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+	off := mustSearch(t, prog.Database, prog.TGDs, opts)
 	if got := existsVerdict(off); got != want {
 		t.Errorf("exists: verdict = %s, want %s", got, want)
 	}
 	cache := chase.NewCache()
 	opts.Cache = cache
-	cold := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
-	warm := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+	cold := mustSearch(t, prog.Database, prog.TGDs, opts)
+	warm := mustSearch(t, prog.Database, prog.TGDs, opts)
 	if cache.Stats().Hits == 0 {
 		t.Error("exists/warm: warm search recorded no cache hit")
 	}
 	restored := snapshotRoundTrip(t, cache)
 	opts.Cache = restored
-	snap := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+	snap := mustSearch(t, prog.Database, prog.TGDs, opts)
 	if restored.Stats().Hits == 0 {
 		t.Error("exists/snap: snapshot-warmed search recorded no cache hit")
 	}

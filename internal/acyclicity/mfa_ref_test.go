@@ -22,7 +22,7 @@ func referenceCheckMFA(set *tgds.Set, maxSteps int) MFAResult {
 	}
 	db := critical.Instance(set)
 	inst := db.Instance()
-	nulls := chase.NewNullFactory(chase.StructuralNaming)
+	nulls := chase.NewNullFactory()
 	origin := make(map[logic.Term]string)
 	parents := make(map[logic.Term][]logic.Term)
 	appliedFrontier := make(map[string]struct{})

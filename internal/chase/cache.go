@@ -233,7 +233,7 @@ type ExistsStep struct {
 }
 
 // ExistsOutcome is a cached ∀∃ search outcome, keyed by (set fingerprint,
-// instance fingerprint, strategy, atom bound) with the state budget stored
+// instance fingerprint, atom bound) with the state budget stored
 // IN the entry, not the key — lookups apply the budget-monotonicity rule:
 //
 //   - a decisive outcome (Found or Exhausted) at budget B serves any query
@@ -598,11 +598,13 @@ func (c *Cache) StoreStickyOutcome(set logic.Fingerprint, maxStates int, o *Stic
 	stickyOutcomes.store(c, stickyOutcomeKey(set, maxStates), o)
 }
 
-func existsOutcomeKey(set, inst logic.Fingerprint, strat SearchStrategy, maxAtoms int) CacheKey {
+// existsOutcomeKey keeps bits 48–55 of the salt zero: they held the
+// frontier strategy, and smallest-first, the one left, was strategy 0.
+func existsOutcomeKey(set, inst logic.Fingerprint, maxAtoms int) CacheKey {
 	return CacheKey{
 		Set:  set,
 		Inst: inst,
-		Salt: kindExistsOutcome | uint64(strat)<<48 | uint64(uint32(maxAtoms)),
+		Salt: kindExistsOutcome | uint64(uint32(maxAtoms)),
 	}
 }
 
@@ -610,8 +612,8 @@ func existsOutcomeKey(set, inst logic.Fingerprint, strat SearchStrategy, maxAtom
 // query at the given state budget under the budget-monotonicity rule (see
 // ExistsOutcome and existsLadder). A ladder present but with no serving
 // rung counts as a miss.
-func (c *Cache) LookupExistsOutcome(set, inst logic.Fingerprint, strat SearchStrategy, maxAtoms, maxStates int) (*ExistsOutcome, bool) {
-	l, ok := existsLadders.get(c, existsOutcomeKey(set, inst, strat, maxAtoms))
+func (c *Cache) LookupExistsOutcome(set, inst logic.Fingerprint, maxAtoms, maxStates int) (*ExistsOutcome, bool) {
+	l, ok := existsLadders.get(c, existsOutcomeKey(set, inst, maxAtoms))
 	var o *ExistsOutcome
 	if ok {
 		o, ok = l.serve(maxStates)
@@ -625,10 +627,10 @@ func (c *Cache) LookupExistsOutcome(set, inst logic.Fingerprint, strat SearchStr
 // the deepest budget wins, and both rungs persist — a decisive outcome no
 // longer discards a deeper inconclusive one, so queries below the decisive
 // budget keep replaying instead of re-searching.
-func (c *Cache) StoreExistsOutcome(set, inst logic.Fingerprint, strat SearchStrategy, maxAtoms int, o *ExistsOutcome) {
+func (c *Cache) StoreExistsOutcome(set, inst logic.Fingerprint, maxAtoms int, o *ExistsOutcome) {
 	l := &existsLadder{}
 	l.merge(o)
-	existsLadders.store(c, existsOutcomeKey(set, inst, strat, maxAtoms), l)
+	existsLadders.store(c, existsOutcomeKey(set, inst, maxAtoms), l)
 }
 
 // ActivityTotals aggregates the engine's delta-activity diagnostics across

@@ -154,20 +154,20 @@ func TestCacheExistsLadderKeepsDeepInconclusive(t *testing.T) {
 	c := NewCache()
 	set, inst := fpOf("set"), fpOf("inst")
 	inc := &ExistsOutcome{Budget: 1000, StatesVisited: 1000}
-	c.StoreExistsOutcome(set, inst, SmallestFirst, 50, inc)
+	c.StoreExistsOutcome(set, inst, 50, inc)
 	dec := &ExistsOutcome{Exhausted: true, Budget: 2000, StatesVisited: 1500}
-	c.StoreExistsOutcome(set, inst, SmallestFirst, 50, dec)
+	c.StoreExistsOutcome(set, inst, 50, dec)
 
 	// At or above the decisive budget the decisive rung answers.
-	if o, ok := c.LookupExistsOutcome(set, inst, SmallestFirst, 50, 3000); !ok || !o.Exhausted {
+	if o, ok := c.LookupExistsOutcome(set, inst, 50, 3000); !ok || !o.Exhausted {
 		t.Errorf("lookup at 3000 = %+v, %v; want the decisive rung", o, ok)
 	}
 	// Below the inconclusive depth the inconclusive rung still replays.
-	if o, ok := c.LookupExistsOutcome(set, inst, SmallestFirst, 50, 500); !ok || o.decisive() || o.Budget != 1000 {
+	if o, ok := c.LookupExistsOutcome(set, inst, 50, 500); !ok || o.decisive() || o.Budget != 1000 {
 		t.Errorf("lookup at 500 = %+v, %v; want the deep inconclusive rung", o, ok)
 	}
 	// Between the rungs neither claim applies: an honest miss.
-	if o, ok := c.LookupExistsOutcome(set, inst, SmallestFirst, 50, 1500); ok {
+	if o, ok := c.LookupExistsOutcome(set, inst, 50, 1500); ok {
 		t.Errorf("lookup at 1500 = %+v; want a miss (neither rung serves)", o)
 	}
 }
@@ -178,18 +178,18 @@ func TestCacheExistsLadderKeepsDeepInconclusive(t *testing.T) {
 func TestCacheExistsLadderRungPreference(t *testing.T) {
 	c := NewCache()
 	set, inst := fpOf("set"), fpOf("inst")
-	c.StoreExistsOutcome(set, inst, BreadthFirst, 50, &ExistsOutcome{Found: true, Budget: 800})
-	c.StoreExistsOutcome(set, inst, BreadthFirst, 50, &ExistsOutcome{Found: true, Budget: 200})
-	c.StoreExistsOutcome(set, inst, BreadthFirst, 50, &ExistsOutcome{Found: true, Budget: 400})
-	if o, ok := c.LookupExistsOutcome(set, inst, BreadthFirst, 50, 250); !ok || o.Budget != 200 {
+	c.StoreExistsOutcome(set, inst, 50, &ExistsOutcome{Found: true, Budget: 800})
+	c.StoreExistsOutcome(set, inst, 50, &ExistsOutcome{Found: true, Budget: 200})
+	c.StoreExistsOutcome(set, inst, 50, &ExistsOutcome{Found: true, Budget: 400})
+	if o, ok := c.LookupExistsOutcome(set, inst, 50, 250); !ok || o.Budget != 200 {
 		t.Errorf("decisive rung = %+v, %v; want the lowest budget (200)", o, ok)
 	}
 	// The inconclusive rung keeps the deepest budget; a query below the
 	// decisive rung's budget (which cannot serve it) replays that rung.
-	c.StoreExistsOutcome(set, inst, BreadthFirst, 50, &ExistsOutcome{Budget: 300})
-	c.StoreExistsOutcome(set, inst, BreadthFirst, 50, &ExistsOutcome{Budget: 900})
-	c.StoreExistsOutcome(set, inst, BreadthFirst, 50, &ExistsOutcome{Budget: 600})
-	if o, ok := c.LookupExistsOutcome(set, inst, BreadthFirst, 50, 150); !ok || o.decisive() || o.Budget != 900 {
+	c.StoreExistsOutcome(set, inst, 50, &ExistsOutcome{Budget: 300})
+	c.StoreExistsOutcome(set, inst, 50, &ExistsOutcome{Budget: 900})
+	c.StoreExistsOutcome(set, inst, 50, &ExistsOutcome{Budget: 600})
+	if o, ok := c.LookupExistsOutcome(set, inst, 50, 150); !ok || o.decisive() || o.Budget != 900 {
 		t.Errorf("lookup at 150 = %+v, %v; want the deepest inconclusive rung (900)", o, ok)
 	}
 }

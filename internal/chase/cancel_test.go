@@ -62,11 +62,14 @@ func TestSearchContextCancelSequentialAndParallel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res := SearchTerminatingDerivationContext(ctx, prog.Database, prog.TGDs, SearchOptions{
+	res, err := SearchTerminatingDerivationContext(ctx, prog.Database, prog.TGDs, SearchOptions{
 		MaxStates: 50_000_000,
 		MaxAtoms:  1 << 20,
 	})
 	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Cancelled {
 		t.Fatalf("Cancelled = false after ctx fired (found=%v exhausted=%v)", res.Found, res.Exhausted)
 	}

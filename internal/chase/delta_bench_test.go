@@ -40,7 +40,7 @@ func BenchmarkDeltaExistsSearch(b *testing.B) {
 				b.ReportAllocs()
 				var states int
 				for i := 0; i < b.N; i++ {
-					res := SearchTerminatingDerivation(tc.prog.Database, tc.prog.TGDs, SearchOptions{
+					res := mustSearch(b, tc.prog.Database, tc.prog.TGDs, SearchOptions{
 						MaxStates:  tc.maxStates,
 						MaxAtoms:   tc.maxAtoms,
 						fullRescan: mode.rescan,

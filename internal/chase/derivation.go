@@ -27,7 +27,7 @@ func NewDerivation(db *instance.Database, set *tgds.Set) *Derivation {
 		set:   set,
 		db:    db,
 		inst:  db.Instance(),
-		nulls: NewNullFactory(StructuralNaming),
+		nulls: NewNullFactory(),
 	}
 }
 
@@ -80,7 +80,7 @@ func (d *Derivation) Apply(tr Trigger) error {
 // no active trigger produces it.
 func (d *Derivation) ApplyAtom(want logic.Atom) error {
 	for _, tr := range d.Active() {
-		probe := NewNullFactory(StructuralNaming)
+		probe := NewNullFactory()
 		// Peek at the would-be result without consuming fresh names from
 		// the real factory.
 		for _, a := range Result(tr, probe) {

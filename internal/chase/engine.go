@@ -105,7 +105,7 @@ func (r StopReason) String() string {
 }
 
 // Options configures a chase run. The zero value is a restricted FIFO chase
-// with structural null naming and no budgets — suitable only for inputs
+// with no budgets — suitable only for inputs
 // known to terminate; set MaxSteps or MaxAtoms otherwise.
 type Options struct {
 	Variant  Variant
@@ -116,8 +116,6 @@ type Options struct {
 	MaxAtoms int
 	// Seed drives the Random strategy.
 	Seed int64
-	// Naming selects the null-naming policy.
-	Naming NullNaming
 	// DropSteps disables derivation recording (benchmarks).
 	DropSteps bool
 	// Cache, when set, receives the run's activity counters
@@ -319,8 +317,8 @@ type engine struct {
 	dirty        bool
 	eqSinceFlush int
 
-	namer       *logic.FreshNamer       // null names, shared sequence across naming modes
-	structNulls map[uint64]logic.TermID // StructuralNaming: (trigger ID, exist index) -> null
+	namer       *logic.FreshNamer       // null names
+	structNulls map[uint64]logic.TermID // (trigger ID, exist index) -> null
 
 	trig      *logic.TupleTable // trigger identity: [tgd, body TermIDs...]; TupleID = trigger
 	front     *logic.TupleTable // frontier classes: [tgd, frontier TermIDs...]
@@ -827,12 +825,9 @@ func (e *engine) materializeEGDTrigger(j int, bt []uint32) logic.Substitution {
 }
 
 // nullFor returns the interned null for the trigger's k-th existential
-// variable: fresh under CounterNaming, interned per (trigger, variable)
-// under StructuralNaming — the paper's c^{σ,h}_x, keyed by IDs.
+// variable, one per (trigger, variable) — the paper's c^{σ,h}_x, keyed by
+// IDs.
 func (e *engine) nullFor(id int32, k int) logic.TermID {
-	if e.opts.Naming == CounterNaming {
-		return e.itab.InternTerm(e.namer.NextNull())
-	}
 	key := uint64(uint32(id))<<32 | uint64(uint32(k))
 	if nid, ok := e.structNulls[key]; ok {
 		return nid

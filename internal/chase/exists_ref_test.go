@@ -29,7 +29,7 @@ func referenceExistsTerminatingDerivation(db *instance.Database, set *tgds.Set, 
 		path  []Trigger
 		nulls *NullFactory
 	}
-	start := node{inst: db.Instance(), nulls: NewNullFactory(StructuralNaming)}
+	start := node{inst: db.Instance(), nulls: NewNullFactory()}
 	seen := map[string]bool{referenceInstKey(start.inst): true}
 	queue := []node{start}
 	res := &ExistsResult{Exhausted: true}
@@ -141,7 +141,7 @@ func TestSearchMatchesReferenceExists(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := parser.MustParse(tc.src)
 			want := referenceExistsTerminatingDerivation(prog.Database, prog.TGDs, tc.maxStates, tc.maxAtoms)
-			got := ExistsTerminatingDerivation(prog.Database, prog.TGDs, tc.maxStates, tc.maxAtoms)
+			got := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms})
 			if got.Found != want.Found {
 				t.Fatalf("Found = %v, reference %v", got.Found, want.Found)
 			}
@@ -190,36 +190,47 @@ func TestSearchMatchesReferenceExists(t *testing.T) {
 	}
 }
 
-// TestSearchStrategiesAgreeOnVerdicts: the frontier discipline may change
-// which witness is found and how much is explored, but never the verdict on
-// exhaustively searchable spaces.
+// TestSearchStrategiesAgreeOnVerdicts: the frontier order may change which
+// witness is found and how much is explored, but never the verdict on
+// exhaustively searchable spaces. The breadth- and depth-first orders are
+// test-only (searchOrders).
 func TestSearchStrategiesAgreeOnVerdicts(t *testing.T) {
 	for _, tc := range differentialExistsPrograms {
 		prog := parser.MustParse(tc.src)
-		base := SearchTerminatingDerivation(prog.Database, prog.TGDs, SearchOptions{
-			MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, Strategy: SmallestFirst,
-		})
+		base := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms})
 		if !base.Exhausted && !base.Found {
 			continue // budget-cut: verdicts may legitimately differ per order
 		}
-		for _, strat := range []SearchStrategy{BreadthFirst, DepthFirst} {
-			res := SearchTerminatingDerivation(prog.Database, prog.TGDs, SearchOptions{
-				MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, Strategy: strat,
+		for _, order := range searchOrders[1:] {
+			res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{
+				MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, less: order.less,
 			})
 			if res.Found != base.Found {
-				t.Errorf("%s/%v: Found = %v, smallest-first %v", tc.name, strat, res.Found, base.Found)
+				t.Errorf("%s/%s: Found = %v, smallest-first %v", tc.name, order.name, res.Found, base.Found)
 			}
 			if res.Found {
 				d := NewDerivation(prog.Database, prog.TGDs)
 				for i, tr := range res.Derivation {
 					if err := d.Apply(tr); err != nil {
-						t.Fatalf("%s/%v: witness step %d does not replay: %v", tc.name, strat, i, err)
+						t.Fatalf("%s/%s: witness step %d does not replay: %v", tc.name, order.name, i, err)
 					}
 				}
 				if !d.IsFixpoint() {
-					t.Errorf("%s/%v: witness does not end in a fixpoint", tc.name, strat)
+					t.Errorf("%s/%s: witness does not end in a fixpoint", tc.name, order.name)
 				}
 			}
 		}
 	}
+}
+
+// searchOrders are the frontier orders the index and verdict tests drive
+// the search through: the production smallest-first order (nil), then
+// breadth-first and depth-first, which reach other states.
+var searchOrders = []struct {
+	name string
+	less func(a, b *searchNode) bool
+}{
+	{"smallest", nil},
+	{"bfs", func(a, b *searchNode) bool { return a.seq < b.seq }},
+	{"dfs", func(a, b *searchNode) bool { return a.seq > b.seq }},
 }

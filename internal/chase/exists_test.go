@@ -1,10 +1,24 @@
 package chase
 
 import (
+	"context"
+	"strings"
 	"testing"
 
+	"airct/internal/instance"
 	"airct/internal/parser"
+	"airct/internal/tgds"
 )
+
+// mustSearch is SearchTerminatingDerivation on a TGD-only test input.
+func mustSearch(tb testing.TB, db *instance.Database, set *tgds.Set, opts SearchOptions) *ExistsResult {
+	tb.Helper()
+	res, err := SearchTerminatingDerivation(db, set, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 func TestExistsTerminatingOnTerminatingProgram(t *testing.T) {
 	prog := parser.MustParse(`
@@ -12,7 +26,7 @@ func TestExistsTerminatingOnTerminatingProgram(t *testing.T) {
 		s1: P(X,Y) -> R(X,Y).
 		s2: P(X,Y) -> S(X).
 	`)
-	res := ExistsTerminatingDerivation(prog.Database, prog.TGDs, 0, 0)
+	res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{})
 	if !res.Found {
 		t.Fatal("terminating program must have a finite derivation")
 	}
@@ -41,7 +55,7 @@ func TestExistsTerminatingOrderSensitive(t *testing.T) {
 		grow: R(X,Y) -> R(Y,Z).
 		swap: R(X,Y) -> R(Y,X).
 	`)
-	res := ExistsTerminatingDerivation(prog.Database, prog.TGDs, 5000, 50)
+	res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{MaxStates: 5000, MaxAtoms: 50})
 	if !res.Found {
 		t.Fatalf("a terminating order exists (swap first): %+v", res)
 	}
@@ -71,7 +85,7 @@ func TestExistsTerminatingExhaustsOnPureDivergence(t *testing.T) {
 		grow: S(X) -> R(X,Y).
 		next: R(X,Y) -> S(Y).
 	`)
-	res := ExistsTerminatingDerivation(prog.Database, prog.TGDs, 200, 12)
+	res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{MaxStates: 200, MaxAtoms: 12})
 	if res.Found {
 		t.Fatal("ladder has no finite derivation")
 	}
@@ -89,7 +103,7 @@ func TestExistsTerminatingExampleB1(t *testing.T) {
 		mh1: R(X,Y,Y) -> R(X,Z,Y), R(Z,Y,Y).
 		mh2: R(X,Y,Z) -> R(Z,Z,Z).
 	`)
-	res := ExistsTerminatingDerivation(prog.Database, prog.TGDs, 5000, 60)
+	res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{MaxStates: 5000, MaxAtoms: 60})
 	if !res.Found {
 		t.Fatalf("Example B.1 admits finite derivations: %+v", res)
 	}
@@ -103,11 +117,31 @@ func TestExistsTerminatingStateMemoisation(t *testing.T) {
 		s1: P(X) -> Q(X).
 		s2: P(X) -> R(X).
 	`)
-	res := ExistsTerminatingDerivation(prog.Database, prog.TGDs, 0, 0)
+	res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{})
 	if !res.Found {
 		t.Fatal("must terminate")
 	}
 	if res.StatesVisited > 4 {
 		t.Errorf("diamond has 4 states, visited %d", res.StatesVisited)
+	}
+}
+
+// TestSearchRefusesEGDs pins the ∀∃ search's refusal of EGD sets: an error
+// from both entry points, never a panic.
+func TestSearchRefusesEGDs(t *testing.T) {
+	prog := parser.MustParse(`
+		R(a,b).
+		s: R(X,Y) -> R(Y,Z).
+		k: R(X,Y), R(X,Z) -> Y = Z.
+	`)
+	res, err := SearchTerminatingDerivation(prog.Database, prog.TGDs, SearchOptions{})
+	if err == nil || !strings.Contains(err.Error(), "TGD-only") {
+		t.Errorf("EGD set: result %+v, err %v; want a TGD-only error", res, err)
+	}
+	if res != nil {
+		t.Errorf("EGD set returned a result: %+v", res)
+	}
+	if _, err := SearchTerminatingDerivationContext(context.Background(), prog.Database, prog.TGDs, SearchOptions{}); err == nil {
+		t.Error("the context entry point accepted an EGD set")
 	}
 }

@@ -24,10 +24,9 @@ package chase
 //     when the node is popped for expansion; generated-but-never-expanded
 //     states (the majority, under memoisation) never build an instance.
 //
-// The frontier is a binary heap: SmallestFirst orders by instance size
-// (FIFO among equals), replacing the previous implementation's full-queue
-// sort.SliceStable per pop; BreadthFirst and DepthFirst are the plain
-// queue/stack disciplines.
+// The frontier is a binary heap ordered smallest instance first (FIFO
+// among equal sizes): fixpoints are found sooner and the memoised frontier
+// stays tight.
 //
 // The single-state expansion step (intern the vocabulary, compute the
 // state's active-trigger index — inherited from the parent and repaired
@@ -45,56 +44,30 @@ import (
 	"airct/internal/tgds"
 )
 
-// SearchStrategy selects the frontier discipline of the ∀∃ search.
-type SearchStrategy uint8
-
-const (
-	// SmallestFirst expands the smallest instance first (FIFO among equal
-	// sizes): fixpoints are found sooner and the memoised frontier stays
-	// tight. The default.
-	SmallestFirst SearchStrategy = iota
-	// BreadthFirst expands states in generation order.
-	BreadthFirst
-	// DepthFirst expands the most recently generated state first; finds
-	// deep fixpoints fast but can chase a divergent branch to the budget.
-	DepthFirst
-	// IndexAware is SmallestFirst refined by the trigger index's free
-	// branching-factor signal: among equal sizes, states generated under a
-	// parent with fewer active triggers come first (they sit in a thinner
-	// part of the derivation tree, closer to a fixpoint). The signal costs
-	// nothing — trigIndex.total is already computed for every expansion.
-	IndexAware
-)
-
-func (s SearchStrategy) String() string {
-	switch s {
-	case SmallestFirst:
-		return "smallest"
-	case BreadthFirst:
-		return "bfs"
-	case DepthFirst:
-		return "dfs"
-	case IndexAware:
-		return "index"
-	default:
-		return fmt.Sprintf("SearchStrategy(%d)", uint8(s))
-	}
-}
-
-// ParseSearchStrategy parses the CLI spelling of a strategy.
-func ParseSearchStrategy(s string) (SearchStrategy, error) {
-	switch s {
-	case "smallest", "":
-		return SmallestFirst, nil
-	case "bfs":
-		return BreadthFirst, nil
-	case "dfs":
-		return DepthFirst, nil
-	case "index":
-		return IndexAware, nil
-	default:
-		return 0, fmt.Errorf("chase: unknown search strategy %q (want smallest, bfs, dfs or index)", s)
-	}
+// ExistsResult reports the outcome of the ∀∃-style search (the paper's
+// future-work question 3: is there a *finite* restricted chase derivation
+// of D w.r.t. T?).
+type ExistsResult struct {
+	// Found is true when some trigger order reaches a fixpoint.
+	Found bool
+	// Derivation is a witnessing trigger sequence when Found.
+	Derivation []Trigger
+	// StatesVisited counts distinct instances explored.
+	StatesVisited int
+	// Exhausted is true when the search space was fully explored (so
+	// Found = false is a proof that *every* derivation is infinite,
+	// CT^res_∀∃ failure); false when a budget stopped the search.
+	Exhausted bool
+	// Cancelled is true when the search's context was cancelled before
+	// the sweep finished (Exhausted is then false and the result carries
+	// no semantic claim — only statistics).
+	Cancelled bool
+	// Stats counts the search's work.
+	Stats SearchStats
+	// Replayed is true when the result came from the cross-run cache
+	// instead of a search: Stats then describe the recorded search, and
+	// this call expanded no states.
+	Replayed bool
 }
 
 // SearchOptions configures the ∀∃ search. The zero value uses the defaults.
@@ -103,11 +76,9 @@ type SearchOptions struct {
 	MaxStates int
 	// MaxAtoms bounds the per-instance atom count (0: 200).
 	MaxAtoms int
-	// Strategy selects the frontier discipline.
-	Strategy SearchStrategy
 	// Cache, when non-nil, memoises whole search outcomes across runs as
 	// ExistsOutcome entries keyed by (set fingerprint, instance fingerprint,
-	// strategy, MaxAtoms) under the budget-monotonicity rule — see
+	// MaxAtoms) under the budget-monotonicity rule — see
 	// ExistsOutcome. A hit replays the recorded run's verdict, witness and
 	// statistics without exploring a single state; cancelled runs are never
 	// stored.
@@ -120,6 +91,12 @@ type SearchOptions struct {
 	// differential tests can pin the two paths bit-identical; it is not a
 	// supported mode.
 	fullRescan bool
+
+	// less, when set, replaces the smallest-first frontier order, so the
+	// index and verdict tests can drive the search through other
+	// exploration orders (breadth-first, depth-first). Unexported;
+	// test-only.
+	less func(a, b *searchNode) bool
 
 	// onExpand, when set, observes every sequential expansion right after
 	// the state's index is computed, receiving the materialised instance and
@@ -159,7 +136,6 @@ type searchNode struct {
 	size   int           // instance atom count
 	fp     logic.Fingerprint
 	seq    int        // generation counter; heap tie-break
-	btrig  int32      // parent's active-trigger count at generation; 0 at the root
 	idx    *trigIndex // active-trigger index, set when the node is expanded
 	kids   int        // frontier children that may still repair from idx
 }
@@ -167,37 +143,22 @@ type searchNode struct {
 // searchFrontier is the heap of pending states.
 type searchFrontier struct {
 	nodes []*searchNode
-	strat SearchStrategy
+	less  func(a, b *searchNode) bool // SearchOptions.less
 }
 
 func (f *searchFrontier) Len() int { return len(f.nodes) }
 
-// Less defines the frontier disciplines: SmallestFirst orders by (size,
-// seq), BreadthFirst by seq ascending, DepthFirst by seq descending,
-// IndexAware by (size, btrig, seq) where btrig is the parent's
-// active-trigger count at generation — trigIndex.total, the free
-// branching-factor signal.
+// Less orders the frontier by (size, seq): smallest instance first, FIFO
+// among equal sizes.
 func (f *searchFrontier) Less(i, j int) bool {
 	a, b := f.nodes[i], f.nodes[j]
-	switch f.strat {
-	case BreadthFirst:
-		return a.seq < b.seq
-	case DepthFirst:
-		return a.seq > b.seq
-	case IndexAware:
-		if a.size != b.size {
-			return a.size < b.size
-		}
-		if a.btrig != b.btrig {
-			return a.btrig < b.btrig
-		}
-		return a.seq < b.seq
-	default: // SmallestFirst
-		if a.size != b.size {
-			return a.size < b.size
-		}
-		return a.seq < b.seq
+	if f.less != nil {
+		return f.less(a, b)
 	}
+	if a.size != b.size {
+		return a.size < b.size
+	}
+	return a.seq < b.seq
 }
 
 func (f *searchFrontier) Swap(i, j int) { f.nodes[i], f.nodes[j] = f.nodes[j], f.nodes[i] }
@@ -470,9 +431,17 @@ type searcher struct {
 
 // SearchTerminatingDerivation searches the space of restricted chase
 // derivations of D w.r.t. T for one that reaches a fixpoint — the ∀∃ side
-// of the paper's open question (3). See ExistsTerminatingDerivation for the
-// semantics; this entry point exposes the strategy and budgets.
-func SearchTerminatingDerivation(db *instance.Database, set *tgds.Set, opts SearchOptions) *ExistsResult {
+// of the paper's open question (3). The restricted chase is
+// order-sensitive: a program may admit both infinite and finite
+// derivations (the engine's FIFO order can diverge where a smarter order
+// terminates). The search explores instances smallest first, memoising
+// visited states by their order-independent fingerprint, and stops at
+// MaxStates distinct instances or MaxAtoms per instance.
+//
+// This is a semi-decision helper for the paper's open question (3) —
+// CT^res_∀∃ — not one of its theorems; it is exact on the explored space.
+// It is TGD-only and returns an error on a set with EGDs.
+func SearchTerminatingDerivation(db *instance.Database, set *tgds.Set, opts SearchOptions) (*ExistsResult, error) {
 	return SearchTerminatingDerivationContext(context.Background(), db, set, opts)
 }
 
@@ -480,9 +449,9 @@ func SearchTerminatingDerivation(db *instance.Database, set *tgds.Set, opts Sear
 // context: the searcher polls ctx.Done() at every pop. A cancelled search
 // returns Cancelled = true with Exhausted = false; uncancelled runs are
 // byte-identical to the plain entry point.
-func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Database, set *tgds.Set, opts SearchOptions) *ExistsResult {
+func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Database, set *tgds.Set, opts SearchOptions) (*ExistsResult, error) {
 	if set.HasEGDs() {
-		panic("chase: the ∀∃ derivation search is TGD-only: its state space memoises instances by fingerprint under trigger application, and equality steps rewrite states in place; gate EGD sets before calling")
+		return nil, fmt.Errorf("chase: the ∀∃ derivation search is TGD-only: its state space memoises instances by fingerprint under trigger application, and equality steps rewrite states in place")
 	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 10_000
@@ -494,9 +463,9 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 	if opts.Cache != nil {
 		setFP = set.Fingerprint()
 		instFP = logic.FingerprintAtoms(db.Atoms())
-		if o, ok := opts.Cache.LookupExistsOutcome(setFP, instFP, opts.Strategy, opts.MaxAtoms, opts.MaxStates); ok {
+		if o, ok := opts.Cache.LookupExistsOutcome(setFP, instFP, opts.MaxAtoms, opts.MaxStates); ok {
 			if res, ok := replayExistsOutcome(set, o); ok {
-				return res
+				return res, nil
 			}
 		}
 	}
@@ -505,7 +474,7 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 		opts:     opts,
 		done:     ctx.Done(),
 		memo:     make(map[logic.Fingerprint]struct{}),
-		front:    searchFrontier{strat: opts.Strategy},
+		front:    searchFrontier{less: opts.less},
 		res:      &ExistsResult{Exhausted: true},
 	}
 	root := &searchNode{trig: -1, delta: s.rootDelta, size: s.rootSize, fp: s.rootFp}
@@ -514,9 +483,9 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 	s.loop()
 	res := s.res
 	if opts.Cache != nil && !res.Cancelled {
-		opts.Cache.StoreExistsOutcome(setFP, instFP, opts.Strategy, opts.MaxAtoms, recordExistsOutcome(res, opts.MaxStates))
+		opts.Cache.StoreExistsOutcome(setFP, instFP, opts.MaxAtoms, recordExistsOutcome(res, opts.MaxStates))
 	}
-	return res
+	return res, nil
 }
 
 // recordExistsOutcome converts a finished, uncancelled search result into
@@ -665,7 +634,6 @@ func (s *searcher) generate(cur *searchNode, inst *instance.Instance, idx *trigI
 				size:   cur.size + added,
 				fp:     childFp,
 				seq:    s.seq,
-				btrig:  int32(idx.total),
 			}
 			s.seq++
 			cur.kids++
@@ -707,7 +675,7 @@ func (s *searcher) path(n *searchNode) []Trigger {
 		ids = append(ids, m.trig)
 	}
 	out := make([]Trigger, len(ids))
-	replay := NewNullFactory(StructuralNaming)
+	replay := NewNullFactory()
 	ren := make(map[logic.TermID]logic.Term)
 	for i := range ids {
 		id := ids[len(ids)-1-i]

@@ -69,7 +69,7 @@ func BenchmarkExistsSearch(b *testing.B) {
 			b.ReportAllocs()
 			var states int
 			for i := 0; i < b.N; i++ {
-				res := ExistsTerminatingDerivation(tc.prog.Database, tc.prog.TGDs, tc.maxStates, 0)
+				res := mustSearch(b, tc.prog.Database, tc.prog.TGDs, SearchOptions{MaxStates: tc.maxStates})
 				if !res.Found {
 					b.Fatalf("must find a fixpoint: %+v", res)
 				}

@@ -37,12 +37,19 @@ func TestQuickSnapshotRestoreEqualsWarm(t *testing.T) {
 	restoredHits := 0
 	f := func(seed int64) bool {
 		prog := workload.RandomExistentialProgram(seed % 4000)
-		opts := chase.SearchOptions{MaxStates: 400, MaxAtoms: 60, Strategy: chase.SmallestFirst}
+		opts := chase.SearchOptions{MaxStates: 400, MaxAtoms: 60}
+		search := func() *chase.ExistsResult {
+			res, err := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return res
+		}
 
 		cache := chase.NewCache()
 		opts.Cache = cache
-		cold := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
-		warm := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+		cold := search()
+		warm := search()
 
 		var buf bytes.Buffer
 		if err := cache.Snapshot(&buf); err != nil {
@@ -55,7 +62,7 @@ func TestQuickSnapshotRestoreEqualsWarm(t *testing.T) {
 			return false
 		}
 		opts.Cache = restored
-		snap := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+		snap := search()
 
 		want := existsSignature(cold)
 		if got := existsSignature(warm); got != want {

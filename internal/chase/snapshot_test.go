@@ -46,7 +46,7 @@ func populateAllKinds(c *Cache) (SeedOutcome, *SeedPool, *StageOutcomes, *Sticky
 			Vals: []logic.Term{logic.Const("a"), logic.NewNull("n3")},
 		}},
 		Stats: SearchStats{StatesExpanded: 36, MemoHits: 2, PeakFrontier: 5, IndexRepairs: 30, IndexRebuilds: 1, ActivityRechecks: 7}}
-	c.StoreExistsOutcome(set, inst, SmallestFirst, 200, eo)
+	c.StoreExistsOutcome(set, inst, 200, eo)
 	return so, sp, sg, st, eo
 }
 
@@ -79,7 +79,7 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	if got, ok := c2.LookupStickyOutcome(set, 200000); !ok || !reflect.DeepEqual(got, st) {
 		t.Errorf("StickyOutcome round-trip = %+v, %v; want %+v", got, ok, st)
 	}
-	if got, ok := c2.LookupExistsOutcome(set, inst, SmallestFirst, 200, 500); !ok || !reflect.DeepEqual(got, eo) {
+	if got, ok := c2.LookupExistsOutcome(set, inst, 200, 500); !ok || !reflect.DeepEqual(got, eo) {
 		t.Errorf("ExistsOutcome round-trip = %+v, %v; want %+v", got, ok, eo)
 	}
 
@@ -330,8 +330,8 @@ func TestSnapshotExistsLadderRoundTrip(t *testing.T) {
 		Stats: SearchStats{StatesExpanded: 36, PeakFrontier: 4}}
 	inc := &ExistsOutcome{Budget: 1000, StatesVisited: 1000,
 		Stats: SearchStats{StatesExpanded: 999, PeakFrontier: 12}}
-	c.StoreExistsOutcome(set, inst, SmallestFirst, 80, inc)
-	c.StoreExistsOutcome(set, inst, SmallestFirst, 80, dec)
+	c.StoreExistsOutcome(set, inst, 80, inc)
+	c.StoreExistsOutcome(set, inst, 80, dec)
 
 	var buf bytes.Buffer
 	if err := c.Snapshot(&buf); err != nil {
@@ -341,10 +341,10 @@ func TestSnapshotExistsLadderRoundTrip(t *testing.T) {
 	if err != nil || rep.Restored != 1 || rep.Skipped != 0 {
 		t.Fatalf("restore: report %+v, err %v (want 1 frame for the whole ladder)", rep, err)
 	}
-	if got, ok := c2.LookupExistsOutcome(set, inst, SmallestFirst, 80, 2500); !ok || !reflect.DeepEqual(got, dec) {
+	if got, ok := c2.LookupExistsOutcome(set, inst, 80, 2500); !ok || !reflect.DeepEqual(got, dec) {
 		t.Errorf("decisive rung round-trip = %+v, %v; want %+v", got, ok, dec)
 	}
-	if got, ok := c2.LookupExistsOutcome(set, inst, SmallestFirst, 80, 500); !ok || !reflect.DeepEqual(got, inc) {
+	if got, ok := c2.LookupExistsOutcome(set, inst, 80, 500); !ok || !reflect.DeepEqual(got, inc) {
 		t.Errorf("inconclusive rung round-trip = %+v, %v; want %+v", got, ok, inc)
 	}
 	a, b := c.Stats(), c2.Stats()
@@ -423,8 +423,8 @@ func TestRestoreSkipsUnreplayableBodies(t *testing.T) {
 	}
 	step := func(st ExistsStep) func(c *Cache) bool {
 		return func(c *Cache) bool {
-			c.StoreExistsOutcome(set, inst, SmallestFirst, 20, &ExistsOutcome{Found: true, Budget: 10, Derivation: []ExistsStep{st}})
-			_, ok := c.LookupExistsOutcome(set, inst, SmallestFirst, 20, 10)
+			c.StoreExistsOutcome(set, inst, 20, &ExistsOutcome{Found: true, Budget: 10, Derivation: []ExistsStep{st}})
+			_, ok := c.LookupExistsOutcome(set, inst, 20, 10)
 			return ok
 		}
 	}
@@ -478,11 +478,11 @@ func TestExistsReplayOfUnfitTGDIndexRecomputes(t *testing.T) {
 		s1: P(X) -> Q(X).
 	`)
 	opts := SearchOptions{MaxStates: 100, MaxAtoms: 20}
-	cold := SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+	cold := mustSearch(t, prog.Database, prog.TGDs, opts)
 	opts.Cache = NewCache()
 	opts.Cache.StoreExistsOutcome(prog.TGDs.Fingerprint(), logic.FingerprintAtoms(prog.Database.Atoms()),
-		opts.Strategy, opts.MaxAtoms, &ExistsOutcome{Found: true, Budget: 100, Derivation: []ExistsStep{{TGD: 5}}})
-	got := SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+		opts.MaxAtoms, &ExistsOutcome{Found: true, Budget: 100, Derivation: []ExistsStep{{TGD: 5}}})
+	got := mustSearch(t, prog.Database, prog.TGDs, opts)
 	if got.Replayed || got.Found != cold.Found || got.StatesVisited != cold.StatesVisited ||
 		got.Stats != cold.Stats || len(got.Derivation) != len(cold.Derivation) {
 		t.Errorf("unfit replay drifted: cold %+v, got %+v", cold, got)

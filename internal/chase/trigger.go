@@ -99,49 +99,31 @@ func (ti *TriggerInterner) Intern(tr Trigger) (logic.TupleID, bool) {
 // Len returns how many distinct triggers have been interned.
 func (ti *TriggerInterner) Len() int { return ti.tup.Len() }
 
-// NullNaming selects how result(σ,h) names the fresh nulls it invents for
-// existentially quantified variables.
-type NullNaming uint8
-
-const (
-	// StructuralNaming names each null after the trigger and variable that
-	// invent it, the paper's c^{σ,h}_x (Definition 3.1): the same trigger
-	// always yields the same null, no matter when or in which derivation it
-	// is applied. Names are interned to short identifiers.
-	StructuralNaming NullNaming = iota
-	// CounterNaming hands out nulls from a counter: cheaper, but the null
-	// produced by a trigger depends on application order.
-	CounterNaming
-)
-
-// NullFactory creates the nulls for trigger results under a naming policy.
-// It is owned by a single engine run and is not safe for concurrent use.
-// StructuralNaming identity is interned — (trigger ID, variable ID) keys via
-// a TriggerInterner — so NullFor renders no strings.
+// NullFactory creates the nulls for trigger results. It names each null
+// after the trigger and variable that invent it, the paper's c^{σ,h}_x
+// (Definition 3.1): the same trigger always yields the same null, no matter
+// when or in which derivation it is applied. Names are interned to short
+// identifiers — (trigger ID, variable ID) keys via a TriggerInterner — so
+// NullFor renders no strings. It is owned by a single engine run and is not
+// safe for concurrent use.
 type NullFactory struct {
-	naming NullNaming
-	namer  *logic.FreshNamer
-	trigs  *TriggerInterner
-	byKey  map[uint64]logic.Term // (trigger TupleID << 32 | var TermID) -> null
+	namer *logic.FreshNamer
+	trigs *TriggerInterner
+	byKey map[uint64]logic.Term // (trigger TupleID << 32 | var TermID) -> null
 }
 
-// NewNullFactory returns a factory with the given policy.
-func NewNullFactory(naming NullNaming) *NullFactory {
+// NewNullFactory returns an empty factory.
+func NewNullFactory() *NullFactory {
 	return &NullFactory{
-		naming: naming,
-		namer:  logic.NewFreshNamer("n"),
-		trigs:  NewTriggerInterner(),
-		byKey:  make(map[uint64]logic.Term),
+		namer: logic.NewFreshNamer("n"),
+		trigs: NewTriggerInterner(),
+		byKey: make(map[uint64]logic.Term),
 	}
 }
 
 // NullFor returns the null c^{σ,h}_x for the trigger and existential
-// variable. Under StructuralNaming repeated calls with the same arguments
-// return the same null.
+// variable. Repeated calls with the same arguments return the same null.
 func (f *NullFactory) NullFor(tr Trigger, x logic.Term) logic.Term {
-	if f.naming == CounterNaming {
-		return f.namer.NextNull()
-	}
 	tid, _ := f.trigs.Intern(tr)
 	xid := f.trigs.tab.InternTerm(x)
 	key := uint64(uint32(tid))<<32 | uint64(uint32(xid))
@@ -160,9 +142,9 @@ func (f *NullFactory) NullFor(tr Trigger, x logic.Term) logic.Term {
 func Result(tr Trigger, nulls *NullFactory) []logic.Atom {
 	v := logic.NewSubstitution()
 	frontier := tr.TGD.Frontier()
-	// Sorted iteration pins the null-invention order: under CounterNaming
-	// the k-th existential variable (in term order) of an application always
-	// receives the k-th fresh name, matching the engine's interned path.
+	// Sorted iteration pins the null-invention order: the existential
+	// variables of a new trigger receive fresh names in term order,
+	// matching the engine's interned path.
 	for _, x := range tr.TGD.HeadVars().Sorted() {
 		if frontier.Has(x) {
 			v.Bind(x, tr.H.ApplyTerm(x))

@@ -76,7 +76,7 @@ func TestResultInventsSharedNulls(t *testing.T) {
 	`)
 	inst := prog.Database.Instance()
 	tr := AllTriggers(prog.TGDs, inst)[0]
-	atoms := Result(tr, NewNullFactory(StructuralNaming))
+	atoms := Result(tr, NewNullFactory())
 	if len(atoms) != 1 {
 		t.Fatal("single-head result")
 	}
@@ -96,17 +96,11 @@ func TestStructuralNamingIsStable(t *testing.T) {
 	`)
 	inst := prog.Database.Instance()
 	tr := AllTriggers(prog.TGDs, inst)[0]
-	f := NewNullFactory(StructuralNaming)
+	f := NewNullFactory()
 	a1 := Result(tr, f)[0]
 	a2 := Result(tr, f)[0]
 	if !a1.Equal(a2) {
 		t.Error("same trigger must produce the same atom under structural naming")
-	}
-	g := NewNullFactory(CounterNaming)
-	b1 := Result(tr, g)[0]
-	b2 := Result(tr, g)[0]
-	if b1.Equal(b2) {
-		t.Error("counter naming mints fresh nulls per call")
 	}
 }
 
@@ -121,7 +115,7 @@ func TestMultiHeadResultSharesNullAssignment(t *testing.T) {
 	if len(trs) != 1 {
 		t.Fatalf("triggers = %d", len(trs))
 	}
-	atoms := Result(trs[0], NewNullFactory(StructuralNaming))
+	atoms := Result(trs[0], NewNullFactory())
 	if len(atoms) != 2 {
 		t.Fatal("two head atoms")
 	}

@@ -6,7 +6,7 @@ package chase
 //   - ground truth at every expansion: the onExpand hook pins the index's
 //     trigger list — order included — against the public
 //     ActiveTriggers(set, inst) enumeration on the very instance being
-//     expanded, across strategies and workloads;
+//     expanded, across frontier orders and workloads;
 //   - the fullRescan baseline: with the index disabled the search runs the
 //     pre-index full re-enumeration, and the two modes must agree
 //     bit-identically on verdicts, StatesVisited, expansion counts and the
@@ -52,18 +52,18 @@ func indexGroundTruthPrograms() []struct {
 }
 
 // TestTriggerIndexMatchesActiveTriggersGroundTruth pins the index against
-// ActiveTriggers(set, inst) at every expansion, across strategies and the
-// corpus: same triggers, same canonical order.
+// ActiveTriggers(set, inst) at every expansion, across frontier orders and
+// the corpus: same triggers, same canonical order.
 func TestTriggerIndexMatchesActiveTriggersGroundTruth(t *testing.T) {
 	for _, tc := range indexGroundTruthPrograms() {
-		for _, strat := range []SearchStrategy{SmallestFirst, BreadthFirst, DepthFirst} {
-			t.Run(tc.name+"/"+strat.String(), func(t *testing.T) {
+		for _, order := range searchOrders {
+			t.Run(tc.name+"/"+order.name, func(t *testing.T) {
 				prog := parser.MustParse(tc.src)
 				expansions := 0
 				opts := SearchOptions{
 					MaxStates: tc.maxStates,
 					MaxAtoms:  tc.maxAtoms,
-					Strategy:  strat,
+					less:      order.less,
 					onExpand: func(inst *instance.Instance, active []Trigger) {
 						expansions++
 						want := ActiveTriggers(prog.TGDs, inst)
@@ -79,7 +79,7 @@ func TestTriggerIndexMatchesActiveTriggersGroundTruth(t *testing.T) {
 						}
 					},
 				}
-				res := SearchTerminatingDerivation(prog.Database, prog.TGDs, opts)
+				res := mustSearch(t, prog.Database, prog.TGDs, opts)
 				if expansions != res.Stats.StatesExpanded {
 					t.Fatalf("hook saw %d expansions, stats counted %d", expansions, res.Stats.StatesExpanded)
 				}
@@ -104,12 +104,13 @@ func TestSearchDeltaIndexMatchesFullRescan(t *testing.T) {
 	for _, tc := range indexGroundTruthPrograms() {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := parser.MustParse(tc.src)
-			for _, strat := range []SearchStrategy{SmallestFirst, BreadthFirst, DepthFirst} {
-				base := SearchTerminatingDerivation(prog.Database, prog.TGDs, SearchOptions{
-					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, Strategy: strat, fullRescan: true,
+			for _, order := range searchOrders {
+				strat := order.name
+				base := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{
+					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, less: order.less, fullRescan: true,
 				})
-				delta := SearchTerminatingDerivation(prog.Database, prog.TGDs, SearchOptions{
-					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, Strategy: strat,
+				delta := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{
+					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, less: order.less,
 				})
 				if delta.Found != base.Found || delta.Exhausted != base.Exhausted {
 					t.Fatalf("%v: verdict drifted: (%v,%v) vs baseline (%v,%v)",

@@ -315,7 +315,7 @@ func earliestPersistentlyActive(db *instance.Database, set *tgds.Set, triggers [
 // step i's trigger non-active} over the prefix, by checking each step's
 // activity on I_i extended with the witness result.
 func deactivationSet(db *instance.Database, set *tgds.Set, triggers []chase.Trigger, witness chase.Trigger) ([]int, error) {
-	probe := chase.NewNullFactory(chase.StructuralNaming)
+	probe := chase.NewNullFactory()
 	extra := chase.Result(witness, probe)
 	d := chase.NewDerivation(db, set)
 	var A []int

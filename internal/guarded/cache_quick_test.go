@@ -20,7 +20,7 @@ import (
 // sameVerdict compares everything a caller can observe about a Verdict.
 func sameVerdict(a, b *Verdict) bool {
 	if a.Terminates != b.Terminates || a.Method != b.Method ||
-		a.Evidence != b.Evidence || a.SeedsTried != b.SeedsTried || a.Budget != b.Budget {
+		a.Evidence != b.Evidence || a.SeedsTried != b.SeedsTried || a.Budget != b.Budget || a.Depth != b.Depth {
 		return false
 	}
 	if (a.Witness == nil) != (b.Witness == nil) {

@@ -35,20 +35,25 @@ type Verdict struct {
 	// seed-outcome ledger, so a cache replay reports the cold run's depth;
 	// zero only when the verdict carries no pump ("budget-exhausted").
 	PumpDepth int
-	// SeedsTried counts candidate databases examined.
+	// SeedsTried counts candidate databases examined, up to and including
+	// the one that decided or stopped the scan.
 	SeedsTried int
 	// Budget is the per-seed step budget used.
 	Budget int
+	// Depth is the deepest battery the scan ran among the seeds that
+	// saturated, maxed with the pump depth on a "divergence-witness"
+	// verdict. A saturating run takes the same steps at every budget that
+	// lets it saturate, so Depth does not grow with the budget.
+	Depth int
 }
+
+// maxSeeds caps the candidate databases of one seed pool.
+const maxSeeds = 256
 
 // DecideOptions configures the decision procedure.
 type DecideOptions struct {
 	// MaxSteps is the per-seed restricted-chase budget (0: 2000).
 	MaxSteps int
-	// MaxSeeds caps the candidate databases (0: 256).
-	MaxSeeds int
-	// ExtraSeeds adds caller-provided databases to the pool.
-	ExtraSeeds []*instance.Database
 	// Cache, when set, memoises the per-seed chase batteries (and the
 	// generated seed pools) across Decide calls on (TGD-set fingerprint,
 	// seed fingerprint) keys — see internal/chase/cache.go. Verdicts are
@@ -62,13 +67,6 @@ func (o DecideOptions) maxSteps() int {
 		return 2000
 	}
 	return o.MaxSteps
-}
-
-func (o DecideOptions) maxSeeds() int {
-	if o.MaxSeeds <= 0 {
-		return 256
-	}
-	return o.MaxSeeds
 }
 
 // Decide decides CT^res_∀∀(G) for a single-head guarded set.
@@ -101,6 +99,11 @@ func Decide(set *tgds.Set, opts DecideOptions) (*Verdict, error) {
 // pops) and the seed scan stops before its next seed once the context
 // fires. A cancelled call returns ctx's error; no partial battery outcome
 // is interpreted or cached. Uncancelled calls behave identically to Decide.
+//
+// The portfolio's Tier 1 probe is this call at a small budget k: every
+// order of a battery is deterministic, and a fixpoint reached within k
+// steps is the fixpoint any larger budget reaches, so a seed-exhaustion
+// verdict at k is the verdict at every budget ≥ k.
 func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Verdict, error) {
 	if !set.IsGuarded() {
 		return nil, fmt.Errorf("guarded: Decide requires a single-head guarded set")
@@ -109,22 +112,16 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 		return &Verdict{Terminates: true, Method: "weak-acyclicity"}, nil
 	}
 	budget := opts.maxSteps()
-	sw := newSeedSweep(set, opts)
-	pos, v, err := scanSeeds(ctx, set, sw, budget)
+	sw := newSeedSweep(set, opts.Cache)
+	v, depth, err := scanSeeds(ctx, set, sw, budget)
 	if err != nil {
 		return nil, err
 	}
-	if v != nil {
-		v.SeedsTried = pos + 1
-		v.Budget = budget
-		return v, nil
+	if v == nil {
+		v = &Verdict{Terminates: true, Method: "seed-exhaustion"}
 	}
-	return &Verdict{
-		Terminates: true,
-		Method:     "seed-exhaustion",
-		SeedsTried: sw.pos,
-		Budget:     budget,
-	}, nil
+	v.SeedsTried, v.Budget, v.Depth = sw.n, budget, depth
+	return v, nil
 }
 
 // chaseSeed runs one seed's bounded restricted chases (fair FIFO plus
@@ -213,7 +210,7 @@ func chaseSeedBattery(ctx context.Context, set *tgds.Set, seed *instance.Databas
 // remote-side-parent service). The cheap canonical phase runs eagerly at
 // construction; each treeification expansion — the expensive part — is
 // built only when the consumer asks for the next seed, so a sweep that
-// stops early (the probe deciding on, or stopped by, an early seed) never
+// stops early (a scan deciding on, or stopped by, an early seed) never
 // pays for the bases it does not reach.
 type seedEnum struct {
 	set      *tgds.Set
@@ -338,13 +335,6 @@ func unifications(body []logic.Atom) [][]logic.Atom {
 		out = append(out, sub.ApplyAtoms(body))
 	}
 	return out
-}
-
-// DivergenceEvidence mines a budget-exhausted restricted chase run for a
-// guard-chain pump, discarding the pump depth DivergencePump also reports.
-func DivergenceEvidence(run *chase.Run) (string, bool) {
-	ev, _, ok := DivergencePump(run)
-	return ev, ok
 }
 
 // DivergencePump mines a restricted chase run for a guard-chain pump: two

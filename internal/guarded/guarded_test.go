@@ -410,7 +410,7 @@ func TestDivergenceEvidenceOnTerminatingRunIsEmpty(t *testing.T) {
 		s1: P(X,Y) -> R(X,Y).
 	`)
 	run := chase.RunChase(prog.Database, prog.TGDs, chase.Options{Variant: chase.Restricted})
-	if ev, ok := DivergenceEvidence(run); ok {
+	if ev, _, ok := DivergencePump(run); ok {
 		t.Errorf("no pump on a 1-step run: %q", ev)
 	}
 }

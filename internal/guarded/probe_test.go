@@ -1,8 +1,13 @@
 package guarded
 
+// The portfolio's Tier 1 probe is DecideContext at a small step budget k;
+// these tests pin what the probe relies on at k.
+
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,30 +30,34 @@ func swapIntroSet(t *testing.T) *tgds.Set {
 	return set
 }
 
+// decideAt is the portfolio's Tier 1 probe: DecideContext at step budget k.
+func decideAt(t *testing.T, set *tgds.Set, k int, cache *chase.Cache) *Verdict {
+	t.Helper()
+	v, err := DecideContext(context.Background(), set, DecideOptions{MaxSteps: k, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestProbeDecidesSwapIntroAndPinsDecide pins the accepting probe: every
+// seed saturates within k = 64, and larger budgets return the identical
+// seed-exhaustion verdict, Depth included.
 func TestProbeDecidesSwapIntroAndPinsDecide(t *testing.T) {
 	set := swapIntroSet(t)
-	opts := DecideOptions{MaxSteps: 2000}
-	out, err := ProbeSeeds(context.Background(), set, opts, 64)
-	if err != nil {
-		t.Fatal(err)
+	probe := decideAt(t, set, 64, nil)
+	if !probe.Terminates || probe.Method != "seed-exhaustion" || probe.SeedsTried == 0 {
+		t.Fatalf("probe did not accept: %+v", probe)
 	}
-	if !out.Decided {
-		t.Fatalf("probe undecided: %+v", out)
+	if probe.Depth <= 0 || probe.Depth > 64 {
+		t.Errorf("saturation depth %d outside the probe's budget", probe.Depth)
 	}
-	if out.WeaklyAcyclic {
-		t.Fatal("swap-intro must not be weakly acyclic")
-	}
-	if out.Saturated != out.Seeds || out.Seeds == 0 {
-		t.Errorf("probe outcome inconsistent: %+v", out)
-	}
-	// The probe's promise: the full procedure returns the identical
-	// terminating seed-exhaustion verdict.
-	v, err := Decide(set, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Terminates || v.Method != "seed-exhaustion" {
-		t.Errorf("Decide contradicts a decisive probe: %+v", v)
+	for _, budget := range []int{500, 2000} {
+		v := decideAt(t, set, budget, nil)
+		v.Budget = probe.Budget
+		if !sameVerdictFields(v, probe) {
+			t.Errorf("Decide at budget %d contradicts a decisive probe:\nprobe  %+v\ndecide %+v", budget, probe, v)
+		}
 	}
 }
 
@@ -59,113 +68,57 @@ func TestProbeDecidesSwapIntroAndPinsDecide(t *testing.T) {
 // agree; only the pump pair quoted in the evidence may differ with the
 // prefix length mined.
 func TestProbeRejectsDivergingSetAndPinsDecide(t *testing.T) {
-	set, err := parser.ParseTGDs(`
+	set := mustSet(t, `
 		S(X) -> R(X,Y).
 		R(X,Y) -> S(Y).
 	`)
-	if err != nil {
-		t.Fatal(err)
+	probe := decideAt(t, set, 16, nil)
+	if probe.Terminates || probe.Method != "divergence-witness" || probe.Evidence == "" {
+		t.Fatalf("probe did not reject a diverging set with a certificate: %+v", probe)
 	}
-	opts := DecideOptions{MaxSteps: 2000}
-	out, err := ProbeSeeds(context.Background(), set, opts, 16)
-	if err != nil {
-		t.Fatal(err)
+	if probe.Depth <= 0 || probe.Depth > 16 || probe.Depth < probe.PumpDepth {
+		t.Errorf("depth %d outside the probe's own prefix (k=16) or below the pump depth %d", probe.Depth, probe.PumpDepth)
 	}
-	if !out.Decided || !out.Rejected {
-		t.Fatalf("probe did not reject a diverging set: %+v", out)
-	}
-	if out.Method != "divergence-witness" || out.Evidence == "" {
-		t.Fatalf("rejecting probe without a certificate: %+v", out)
-	}
-	if out.Depth <= 0 || out.Depth > 16 {
-		t.Errorf("pump depth %d outside the probe's own prefix (k=16)", out.Depth)
-	}
-	v, err := Decide(set, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := decideAt(t, set, 2000, nil)
 	if v.Terminates {
 		t.Fatalf("Decide terminates on a set the probe rejected: %+v", v)
 	}
-	if v.Method != out.Method || v.SeedsTried != out.SeedsTried {
+	if v.Method != probe.Method || v.SeedsTried != probe.SeedsTried {
 		t.Errorf("rejecting probe drifted from Decide:\nprobe  method=%q seeds=%d\ndecide method=%q seeds=%d",
-			out.Method, out.SeedsTried, v.Method, v.SeedsTried)
+			probe.Method, probe.SeedsTried, v.Method, v.SeedsTried)
 	}
 	if v.Evidence == "" {
 		t.Errorf("Decide's divergence verdict carries no certificate: %+v", v)
 	}
 }
 
-// TestProbeWithoutCertificateRoutesOnward pins the probe's abstention: at
-// k=1 the diverging ladder's first non-saturating seed has too short a
-// prefix to carry a pump, so the probe claims nothing and leaves the input
-// undecided for the full procedure.
+// TestProbeWithoutCertificateRoutesOnward pins the probe's abstention: a
+// 70-rule guarded cycle repeats no rule within 64 steps, so the first seed
+// exhausts k = 64 without a pump. The verdict is "budget-exhausted", which
+// claims nothing, and no saturating seed contributes a depth.
 func TestProbeWithoutCertificateRoutesOnward(t *testing.T) {
-	set, err := parser.ParseTGDs(`
-		S(X) -> R(X,Y).
-		R(X,Y) -> S(Y).
-	`)
-	if err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&b, "R%d(X,Y) -> R%d(Y,Z).\n", i, (i+1)%70)
 	}
-	out, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: 2000}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Decided || out.Rejected {
-		t.Fatalf("probe decided without a certificate: %+v", out)
-	}
-	if out.Saturated >= out.Seeds && out.Seeds > 0 {
-		t.Errorf("undecided probe with a fully saturated pool: %+v", out)
+	b.WriteString("a: A(X,Y), B(Y) -> C(X).\n")
+	v := decideAt(t, mustSet(t, b.String()), 64, nil)
+	if v.Terminates || v.Method != "budget-exhausted" || v.SeedsTried != 1 || v.Depth != 0 || v.Budget != 64 {
+		t.Errorf("probe verdict %+v, want budget-exhausted on the first seed at k=64, depth 0", v)
 	}
 }
 
 func TestProbeShortCircuitsWeakAcyclicity(t *testing.T) {
-	set, err := parser.ParseTGDs(`A(X) -> R(X,Y).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ProbeSeeds(context.Background(), set, DecideOptions{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Decided || !out.WeaklyAcyclic {
-		t.Errorf("weakly acyclic set not short-circuited: %+v", out)
+	v := decideAt(t, mustSet(t, `A(X) -> R(X,Y).`), 8, nil)
+	if *v != (Verdict{Terminates: true, Method: "weak-acyclicity"}) {
+		t.Errorf("weakly acyclic set not short-circuited: %+v", v)
 	}
 }
 
 func TestProbeRejectsNonGuarded(t *testing.T) {
-	set, err := parser.ParseTGDs(`E(X,Y), E(Y,Z) -> E(X,Z).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ProbeSeeds(context.Background(), set, DecideOptions{}, 8); err == nil {
+	set := mustSet(t, `E(X,Y), E(Y,Z) -> E(X,Z).`)
+	if _, err := DecideContext(context.Background(), set, DecideOptions{MaxSteps: 8}); err == nil {
 		t.Fatal("non-guarded set accepted")
-	}
-}
-
-// TestProbeWarmsDecideCache pins the probe→Decide handoff: after a decisive
-// probe stored its saturated outcomes at the full budget, Decide on the
-// same cache chases nothing.
-func TestProbeWarmsDecideCache(t *testing.T) {
-	set := swapIntroSet(t)
-	cache := chase.NewCache()
-	opts := DecideOptions{MaxSteps: 2000, Cache: cache}
-	out, err := ProbeSeeds(context.Background(), set, opts, 64)
-	if err != nil || !out.Decided {
-		t.Fatalf("probe: %+v, %v", out, err)
-	}
-	before := cache.Stats()
-	v, err := Decide(set, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Terminates {
-		t.Fatalf("warm Decide verdict: %+v", v)
-	}
-	after := cache.Stats()
-	if after.Hits <= before.Hits {
-		t.Error("Decide after a decisive probe recorded no cache hits")
 	}
 }
 
@@ -205,7 +158,7 @@ func TestProbeCancelled(t *testing.T) {
 	set := swapIntroSet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ProbeSeeds(ctx, set, DecideOptions{}, 64); err != context.Canceled {
+	if _, err := DecideContext(ctx, set, DecideOptions{MaxSteps: 64}); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -213,33 +166,26 @@ func TestProbeCancelled(t *testing.T) {
 // TestProbeWarmReplayKeepsRejectDiagnostics pins ROADMAP 2d: a rejecting
 // probe's pump depth is persisted through the seed-outcome ledger, so a
 // warm replay — same cache, or a snapshot-restored one — reports the
-// byte-identical ProbeOutcome, Depth included. Pre-PR the warm path rebuilt
-// the verdict without PumpDepth, and the warm Depth degraded to the
-// truncated run's length instead of the certificate's shortest prefix.
+// byte-identical verdict, Depth included. Before PumpDepth was persisted
+// the warm path rebuilt the verdict without it, and the warm depth degraded
+// to the truncated run's length instead of the certificate's shortest
+// prefix.
 func TestProbeWarmReplayKeepsRejectDiagnostics(t *testing.T) {
-	set, err := parser.ParseTGDs(`
+	set := mustSet(t, `
 		S(X) -> R(X,Y).
 		R(X,Y) -> S(Y).
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cache := chase.NewCache()
-	opts := DecideOptions{MaxSteps: 2000, Cache: cache}
-	cold, err := ProbeSeeds(context.Background(), set, opts, 16)
-	if err != nil || !cold.Rejected {
-		t.Fatalf("cold probe did not reject: %+v, %v", cold, err)
+	cold := decideAt(t, set, 16, cache)
+	if cold.Method != "divergence-witness" {
+		t.Fatalf("cold probe did not reject: %+v", cold)
 	}
-	if cold.Depth >= cold.ProbeSteps {
+	if cold.Depth >= cold.Budget {
 		// The fixture must have a pump shorter than the truncated run, or
 		// the test cannot tell the certificate depth from the run length.
-		t.Fatalf("fixture is not discriminating: pump depth %d = probe budget %d", cold.Depth, cold.ProbeSteps)
+		t.Fatalf("fixture is not discriminating: pump depth %d = probe budget %d", cold.Depth, cold.Budget)
 	}
-	warm, err := ProbeSeeds(context.Background(), set, opts, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm != cold {
+	if warm := decideAt(t, set, 16, cache); !sameVerdictFields(warm, cold) {
 		t.Errorf("warm probe drifted from cold:\ncold %+v\nwarm %+v", cold, warm)
 	}
 	var buf bytes.Buffer
@@ -250,11 +196,7 @@ func TestProbeWarmReplayKeepsRejectDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCache: %v", err)
 	}
-	snap, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: 2000, Cache: restored}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap != cold {
+	if snap := decideAt(t, set, 16, restored); !sameVerdictFields(snap, cold) {
 		t.Errorf("snapshot-warmed probe drifted from cold:\ncold %+v\nsnap %+v", cold, snap)
 	}
 }

@@ -1,7 +1,6 @@
 package guarded
 
 import (
-	"context"
 	"testing"
 	"testing/quick"
 
@@ -70,7 +69,7 @@ func isAcyclicDB(atoms []logic.Atom) bool {
 	return jointreeIsAcyclic(atoms)
 }
 
-// Property: DivergenceEvidence never fires on terminating runs.
+// Property: DivergencePump never fires on terminating runs.
 func TestQuickNoFalsePumpsOnTerminatingRuns(t *testing.T) {
 	f := func(seed int64) bool {
 		set := workload.RandomTGDSet(seed%4000, workload.RandomOptions{Rules: 3})
@@ -82,7 +81,7 @@ func TestQuickNoFalsePumpsOnTerminatingRuns(t *testing.T) {
 			if !run.Terminated() {
 				continue
 			}
-			if ev, ok := DivergenceEvidence(run); ok {
+			if ev, _, ok := DivergencePump(run); ok {
 				// A pump on a *terminating* run is not a soundness bug per
 				// se (the signature repetition bound is heuristic), but on
 				// short runs it would poison verdicts; surface it.
@@ -121,15 +120,15 @@ func TestQuickTreeifyAlwaysAcyclic(t *testing.T) {
 }
 
 // Property: the Tier 1 rejecting probe never contradicts the full semantic
-// procedure. On random guarded sets, whenever a ProbeSeeds k-prefix carries
-// a divergence certificate, Decide with the same options reaches the same
-// diverging conclusion on the same seed through the same lemma — this is
-// the empirical tripwire for the one corner the certificate argument leaves
-// open (a budget-B run saturating past k would make bounded
-// seed-exhaustion miss the divergence the pump soundly witnesses). The
-// evidence strings are NOT compared: the pump pair quoted depends on the
-// prefix length mined. Runs under the CI -race job alongside the other
-// quick suites.
+// procedure. On random guarded sets, whenever DecideContext at a k = 16
+// prefix carries a divergence certificate, Decide at the full budget
+// reaches the same diverging conclusion on the same seed through the same
+// lemma — this is the empirical tripwire for the one corner the
+// certificate argument leaves open (a budget-B run saturating past k would
+// make bounded seed-exhaustion miss the divergence the pump soundly
+// witnesses). The evidence strings are NOT compared: the pump pair quoted
+// depends on the prefix length mined. Runs under the CI -race job alongside
+// the other quick suites.
 // Rejecting probes are rare on random sets (~1.5% of seeds), so this sweep
 // is deterministic rather than quick.Check-sampled: every seed in the range
 // is tried, which both pins the coverage floor and keeps failures
@@ -141,25 +140,24 @@ func TestQuickProbeRejectNeverContradictsDecide(t *testing.T) {
 		if !set.IsGuarded() {
 			continue
 		}
-		opts := DecideOptions{MaxSteps: 400}
-		out, err := ProbeSeeds(context.Background(), set, opts, 16)
-		if err != nil || !out.Rejected {
+		probe, err := Decide(set, DecideOptions{MaxSteps: 16})
+		if err != nil || probe.Method != "divergence-witness" {
 			continue
 		}
 		rejected++
-		if out.Method != "divergence-witness" || out.Evidence == "" || out.Depth <= 0 || out.Depth > 16 {
-			t.Fatalf("seed %d: reject without an in-prefix certificate: %+v", seed, out)
+		if probe.Evidence == "" || probe.Depth <= 0 || probe.Depth > 16 {
+			t.Fatalf("seed %d: reject without an in-prefix certificate: %+v", seed, probe)
 		}
-		v, err := Decide(set, opts)
+		v, err := Decide(set, DecideOptions{MaxSteps: 400})
 		if err != nil {
 			t.Fatalf("seed %d: Decide error: %v", seed, err)
 		}
 		if v.Terminates {
 			t.Fatalf("seed %d: probe rejected but Decide terminates: %+v\nset:\n%v", seed, v, set)
 		}
-		if v.Method != out.Method || v.SeedsTried != out.SeedsTried {
+		if v.Method != probe.Method || v.SeedsTried != probe.SeedsTried {
 			t.Errorf("seed %d: reject drifted from Decide:\nprobe  %q / seed %d\ndecide %q / seed %d",
-				seed, out.Method, out.SeedsTried, v.Method, v.SeedsTried)
+				seed, probe.Method, probe.SeedsTried, v.Method, v.SeedsTried)
 		}
 	}
 	if rejected < 10 {

@@ -6,37 +6,34 @@ import (
 
 	"airct/internal/acyclicity"
 	"airct/internal/chase"
-	"airct/internal/instance"
-	"airct/internal/logic"
 	"airct/internal/parser"
 	"airct/internal/tgds"
 	"airct/internal/workload"
 )
 
 // referenceDecide is DecideContext as an eager scan, the shape the seed
-// sweep replaced: generate the whole GenerateSeeds pool, append the extra
-// seeds, dedup by exact fingerprint, chase the distinct seeds in order and
-// report the first that does not saturate. No cache, one worker.
+// sweep replaced: generate the whole GenerateSeeds pool, chase the seeds in
+// order and report the first that does not saturate. No cache.
 func referenceDecide(set *tgds.Set, opts DecideOptions) *Verdict {
 	if acyclicity.IsWeaklyAcyclic(set) {
 		return &Verdict{Terminates: true, Method: "weak-acyclicity"}
 	}
 	budget := opts.maxSteps()
-	seeds := append(GenerateSeeds(set, opts.maxSeeds()), opts.ExtraSeeds...)
-	seen := make(map[logic.Fingerprint]struct{}, len(seeds))
+	seeds := GenerateSeeds(set, 256)
+	depth := 0
 	for i, s := range seeds {
-		fp := logic.FingerprintAtoms(s.Atoms())
-		if _, dup := seen[fp]; dup {
+		v, steps := chaseSeedBattery(context.Background(), set, s, budget, nil)
+		if v == nil {
+			depth = max(depth, steps)
 			continue
 		}
-		seen[fp] = struct{}{}
-		if v, _ := chaseSeedBattery(context.Background(), set, s, budget, nil); v != nil {
-			v.SeedsTried = i + 1
-			v.Budget = budget
-			return v
+		if v.Method == "divergence-witness" {
+			depth = max(depth, v.PumpDepth)
 		}
+		v.SeedsTried, v.Budget, v.Depth = i+1, budget, depth
+		return v
 	}
-	return &Verdict{Terminates: true, Method: "seed-exhaustion", SeedsTried: len(seeds), Budget: budget}
+	return &Verdict{Terminates: true, Method: "seed-exhaustion", SeedsTried: len(seeds), Budget: budget, Depth: depth}
 }
 
 // sameVerdictFields compares every Verdict field, the witness by rendering.
@@ -71,43 +68,35 @@ func sweepSets() []*tgds.Set {
 }
 
 // TestSeedSweepMatchesEagerScan pins the lazy seed sweep to the eager
-// scan: every Verdict field agrees without a cache, on a cold cache, on the cache that cold run left behind, and on
-// a cache warmed only by a probe. A second variant adds extra seeds — an
-// exact duplicate of the first pool seed and a fresh database — to
-// exercise the dedup and the extra-seed tail.
+// scan: every Verdict field agrees without a cache, on a cold cache, on the
+// cache that cold run left behind, and on a cache warmed only by a probe
+// (a scan at k = 16).
 func TestSeedSweepMatchesEagerScan(t *testing.T) {
 	methods := map[string]int{}
 	for i, set := range sweepSets() {
-		first := GenerateSeeds(set, 1)
-		extra := []*instance.Database{first[0], instance.MustDatabase(first[0].Atoms()[0])}
-		for _, opts := range []DecideOptions{
-			{MaxSteps: 200},
-			{MaxSteps: 200, MaxSeeds: 6, ExtraSeeds: extra},
-		} {
-			want := referenceDecide(set, opts)
-			methods[want.Method]++
-			check := func(label string, cache *chase.Cache) {
-				t.Helper()
-				opts.Cache = cache
-				got, err := Decide(set, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameVerdictFields(got, want) {
-					t.Fatalf("set %d (%d extra), %s: sweep %+v, eager scan %+v\n%v",
-						i, len(opts.ExtraSeeds), label, got, want, set)
-				}
-			}
-			check("no cache", nil)
-			cache := chase.NewCache()
-			check("cold cache", cache)
-			check("warm cache", cache)
-			probed := chase.NewCache()
-			if _, err := ProbeSeeds(context.Background(), set, DecideOptions{MaxSteps: opts.MaxSteps, MaxSeeds: opts.MaxSeeds, ExtraSeeds: opts.ExtraSeeds, Cache: probed}, 16); err != nil {
+		opts := DecideOptions{MaxSteps: 200}
+		want := referenceDecide(set, opts)
+		methods[want.Method]++
+		check := func(label string, cache *chase.Cache) {
+			t.Helper()
+			opts.Cache = cache
+			got, err := Decide(set, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			check("probe-warmed cache", probed)
+			if !sameVerdictFields(got, want) {
+				t.Fatalf("set %d, %s: sweep %+v, eager scan %+v\n%v", i, label, got, want, set)
+			}
 		}
+		check("no cache", nil)
+		cache := chase.NewCache()
+		check("cold cache", cache)
+		check("warm cache", cache)
+		probed := chase.NewCache()
+		if _, err := Decide(set, DecideOptions{MaxSteps: 16, Cache: probed}); err != nil {
+			t.Fatal(err)
+		}
+		check("probe-warmed cache", probed)
 	}
 	if methods["divergence-witness"] < 10 || methods["seed-exhaustion"] < 10 {
 		t.Fatalf("verdict methods %v: the sweep must cover diverging and saturating pools", methods)
@@ -115,8 +104,8 @@ func TestSeedSweepMatchesEagerScan(t *testing.T) {
 }
 
 // TestSeedSweepStoresDrainedPoolOnly pins when a sweep writes the seed
-// pool: a sweep that drains its cold enumeration stores it, one that stops
-// at an early seed does not.
+// pool, under the key of the 256-seed cap: a sweep that drains its cold
+// enumeration stores it, one that stops at an early seed does not.
 func TestSeedSweepStoresDrainedPoolOnly(t *testing.T) {
 	for _, tc := range []struct {
 		src    string
@@ -130,7 +119,7 @@ func TestSeedSweepStoresDrainedPoolOnly(t *testing.T) {
 		if _, err := Decide(set, DecideOptions{MaxSteps: 200, Cache: cache}); err != nil {
 			t.Fatal(err)
 		}
-		_, stored := cache.LookupSeedPool(set.Fingerprint(), DecideOptions{}.maxSeeds())
+		_, stored := cache.LookupSeedPool(set.Fingerprint(), 256)
 		if stored != tc.stores {
 			t.Errorf("%s: pool stored = %v, want %v", tc.src, stored, tc.stores)
 		}

@@ -31,7 +31,7 @@ func refBuild(db *instance.Database, set *tgds.Set, opts BuildOptions) *Graph {
 	b := &refState{
 		g:        newGraph(db, set),
 		byPred:   make(map[logic.Predicate][]*Node),
-		nulls:    chase.NewNullFactory(chase.StructuralNaming),
+		nulls:    chase.NewNullFactory(),
 		itab:     logic.NewInterner(),
 		seen:     logic.NewTupleTable(64),
 		bodyVars: make([][]logic.Term, len(set.TGDs)),

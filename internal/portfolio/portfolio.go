@@ -4,9 +4,9 @@
 //   - Analyze, the cheap-first cascade. Tier 0 runs the syntactic and
 //     sufficient-condition checks (existential-freeness, weak acyclicity,
 //     joint acyclicity, the never-firing jointree prune, MFA) in static cost
-//     order. Tier 1 runs a k-round bounded chase probe over the guarded seed
-//     pool — accepting when every seed saturates, rejecting when a seed's
-//     k-prefix carries a guard-chain pump certificate. Tier 2 runs the
+//     order. Tier 1 is the probe: guarded.DecideContext at a step budget of
+//     k = 64 — accepting when every seed saturates within k, rejecting when
+//     a seed's k-prefix carries a guard-chain pump certificate. Tier 2 runs the
 //     expensive semantic deciders — sticky's Büchi emptiness test, then the
 //     guarded seed search — one after another in canonical order. The first
 //     decisive stage ends the run, and every later stage is skipped.
@@ -25,11 +25,12 @@
 //   - every cheap stage either abstains or fixes the conclusion Report
 //     reaches: the Tier 0 checks are the checks Report runs (sound for
 //     acceptance only), an accepting Tier 1 probe is bit-compatible with the
-//     full guarded procedure by the deterministic-prefix argument in
-//     guarded.ProbeSeeds, and a rejecting probe decides through the same
+//     full guarded procedure by the deterministic-prefix argument on
+//     guarded.DecideContext, and a rejecting probe decides through the same
 //     guard-chain pump lemma the full procedure trusts on its own
-//     budget-truncated runs. Stopping after any decisive cheap stage
-//     therefore cannot change the conclusion, only which stage gets credit;
+//     budget-truncated runs (see tier1). Stopping after any decisive cheap
+//     stage therefore cannot change the conclusion, only which stage gets
+//     credit;
 //   - the probe rejects only on a certificate, never on bare budget
 //     exhaustion — the certificate string rides along as
 //     StageOutcome.Evidence. The certificate is budget-independent, so in
@@ -73,18 +74,13 @@ import (
 // budget fields, so a cascade conclusion stays comparable to a flat report
 // computed with the same numbers.
 type Options struct {
-	// Guarded tunes the guarded stage and the Tier 1 probe. Its Cache field
-	// is overwritten with Options.Cache.
+	// Guarded tunes the guarded stage. The Tier 1 probe runs it at
+	// min(probeSteps, MaxSteps). Its Cache field is overwritten with
+	// Options.Cache.
 	Guarded guarded.DecideOptions
 	// Sticky tunes the sticky stage. Its Cache field is overwritten with
 	// Options.Cache, so a warm cache also serves the Büchi lasso verdicts.
 	Sticky sticky.DecideOptions
-	// MFASteps bounds the MFA check's semi-oblivious critical-instance chase
-	// (0: 20_000).
-	MFASteps int
-	// ProbeSteps is the Tier 1 per-seed step budget k
-	// (0: guarded.DefaultProbeSteps). Report runs no probe.
-	ProbeSteps int
 	// Cache, when set, is shared by the guarded stages (per-seed and
 	// seed-pool entries) and the sticky stage (Büchi lasso verdicts). Under
 	// Analyze it also memoises the whole run — keyed by the set
@@ -99,6 +95,14 @@ type Options struct {
 	Exists chase.SearchOptions
 }
 
+const (
+	// probeSteps is the Tier 1 probe's per-seed step budget k.
+	probeSteps = 64
+	// mfaSteps bounds the MFA check's semi-oblivious critical-instance
+	// chase.
+	mfaSteps = 20_000
+)
+
 func resolved(v, def int) int {
 	if v <= 0 {
 		return def
@@ -106,15 +110,15 @@ func resolved(v, def int) int {
 	return v
 }
 
-// salt folds every verdict-relevant budget into the cache key.
+// salt folds every verdict-relevant budget into the cache key. The guarded
+// seed-pool cap (256), the MFA bound and the probe budget are constants;
+// they stay in the key so entries stored while they were settable still
+// hit.
 func (o Options) salt() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d",
-		resolved(o.Guarded.MaxSteps, 2000),
-		resolved(o.Guarded.MaxSeeds, 256),
-		resolved(o.Sticky.MaxStates, 200_000),
-		resolved(o.MFASteps, 20_000),
-		resolved(o.ProbeSteps, guarded.DefaultProbeSteps))
+		resolved(o.Guarded.MaxSteps, 2000), 256,
+		resolved(o.Sticky.MaxStates, 200_000), mfaSteps, probeSteps)
 	return h.Sum64()
 }
 
@@ -348,6 +352,10 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 	set := r.set
 	switch name {
 	case "full":
+		// Sufficient with EGDs too: a TGD step of an existential-free set
+		// invents no term and an EGD step merges two terms into one, so the
+		// term count never grows, every EGD step shrinks it, and a finite
+		// term set admits finitely many atoms.
 		if set.IsFull() {
 			s.Decided = true
 			s.Conclusion = core.Terminates
@@ -360,6 +368,10 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 			s.Detail = "set has existentials"
 		}
 	case "weak-acyclicity":
+		// Sufficient with arbitrary EGDs: weak acyclicity of the TGDs bounds
+		// every chase sequence polynomially whatever EGD steps interleave
+		// (Fagin, Kolaitis, Miller and Popa, "Data exchange: semantics and
+		// query answering", as discussed in arXiv:0901.3984, Section 2).
 		if acyclicity.IsWeaklyAcyclic(set) {
 			s.Decided = true
 			s.Conclusion = core.Terminates
@@ -423,7 +435,7 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 			s.Detail = "skipped: MFA is a TGD-only baseline (set has EGDs)"
 			return
 		}
-		mfa := acyclicity.CheckMFA(set, resolved(r.opts.MFASteps, 20_000))
+		mfa := acyclicity.CheckMFA(set, mfaSteps)
 		s.Steps = mfa.Steps
 		if mfa.Acyclic {
 			s.Decided = true
@@ -435,48 +447,60 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 	}
 }
 
-// tier1 runs the k-round probe for guarded, non-sticky sets. An accepting
-// probe is a proof that guarded.Decide at the full budget returns the
-// identical verdict (the deterministic-prefix argument in
-// guarded.ProbeSeeds); a rejecting probe carries the guard-chain pump
-// certificate — the same budget-independent witness the guarded procedure
-// itself trusts on budget-truncated runs — so concluding here preserves
-// conclusion identity with Report, where the guarded stage would have
-// decided.
+// tier1 runs the probe for guarded, non-sticky sets: guarded.DecideContext
+// at k = min(probeSteps, guarded budget). Each verdict maps onto the stage
+// in a way that preserves conclusion identity with Report, where the
+// guarded stage would have decided:
+//
+//   - seed exhaustion accepts. Every order of a battery is deterministic,
+//     and a fixpoint reached within k steps is the fixpoint any larger
+//     budget reaches, so the full-budget scan returns the identical verdict;
+//   - a divergence witness rejects. The guard-chain pump lives in the
+//     first PumpDepth steps of its run, so it does not depend on the
+//     budget: every earlier seed saturated within k, the full-budget scan
+//     stops at the same seed, and it mines a pump from the same chain;
+//   - a budget exhausted without a pump claims nothing, and the input
+//     routes onward to Tier 2.
 func (r *runner) tier1(ctx context.Context) error {
 	if !r.set.IsGuarded() || r.set.IsSticky() {
 		return nil
 	}
 	start := time.Now()
-	out, err := guarded.ProbeSeeds(ctx, r.set, r.opts.Guarded, r.opts.ProbeSteps)
+	opts := r.opts.Guarded
+	opts.MaxSteps = min(probeSteps, resolved(opts.MaxSteps, 2000))
+	v, err := guarded.DecideContext(ctx, r.set, opts)
 	if err != nil {
 		return err
 	}
+	// The scan stops at the first seed that does not saturate, so every
+	// seed before it saturated.
 	s := StageOutcome{
 		Stage:     "probe",
 		Tier:      1,
-		Steps:     out.ProbeSteps,
+		Steps:     v.Budget,
 		Duration:  time.Since(start),
-		Seeds:     out.Seeds,
-		Saturated: out.Saturated,
-		Depth:     out.Depth,
+		Seeds:     v.SeedsTried,
+		Saturated: v.SeedsTried,
+		Depth:     v.Depth,
 	}
-	switch {
-	case out.Decided && out.WeaklyAcyclic:
+	switch v.Method {
+	case "weak-acyclicity":
 		s.Decided = true
 		s.Conclusion = core.Terminates
 		s.Detail = "guarded: weak acyclicity"
-	case out.Decided && out.Rejected:
-		s.Decided = true
-		s.Conclusion = core.Diverges
-		s.Evidence = out.Evidence
-		s.Detail = fmt.Sprintf("probe: pump at depth %d within k=%d; seed %d diverges (%s)", out.Depth, out.ProbeSteps, out.SeedsTried, out.Evidence)
-	case out.Decided:
+	case "seed-exhaustion":
 		s.Decided = true
 		s.Conclusion = core.Terminates
-		s.Detail = fmt.Sprintf("probe: all %d seeds saturated within %d steps (full battery pinned terminating)", out.Seeds, out.ProbeSteps)
+		s.Detail = fmt.Sprintf("probe: all %d seeds saturated within %d steps (full battery pinned terminating)", v.SeedsTried, v.Budget)
+	case "divergence-witness":
+		s.Saturated--
+		s.Decided = true
+		s.Conclusion = core.Diverges
+		s.Evidence = v.Evidence
+		s.Detail = fmt.Sprintf("probe: pump at depth %d within k=%d; seed %d diverges (%s)", v.Depth, v.Budget, v.SeedsTried, v.Evidence)
 	default:
-		s.Detail = fmt.Sprintf("probe: %d/%d swept seeds saturated within %d steps; routing onward", out.Saturated, out.Seeds, out.ProbeSteps)
+		s.Saturated--
+		s.Detail = fmt.Sprintf("probe: %d/%d swept seeds saturated within %d steps; routing onward", s.Saturated, v.SeedsTried, v.Budget)
 	}
 	r.conclude(s)
 	return nil
@@ -531,7 +555,7 @@ func (r *runner) tier2Deciders() []decider {
 		out = append(out, decider{name: "guarded", authoritative: true, run: r.runGuarded})
 	}
 	if r.opts.Database != nil && !r.set.HasEGDs() {
-		// The ∀∃ search is TGD-only (it panics on EGD sets).
+		// The ∀∃ search is TGD-only (it refuses EGD sets with an error).
 		out = append(out, decider{name: "exists", authoritative: false, run: r.runExists})
 	}
 	return out
@@ -599,7 +623,10 @@ func (r *runner) runGuarded(ctx context.Context) (StageOutcome, error) {
 // error, like the other stages.
 func (r *runner) runExists(ctx context.Context) (StageOutcome, error) {
 	start := time.Now()
-	res := chase.SearchTerminatingDerivationContext(ctx, r.opts.Database, r.set, r.opts.Exists)
+	res, err := chase.SearchTerminatingDerivationContext(ctx, r.opts.Database, r.set, r.opts.Exists)
+	if err != nil {
+		return StageOutcome{}, err
+	}
 	if res.Cancelled {
 		return StageOutcome{}, ctx.Err()
 	}

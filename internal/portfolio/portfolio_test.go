@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -294,18 +295,28 @@ func TestReportExhaustiveSchedule(t *testing.T) {
 	}
 }
 
+// longCycle is a guarded, non-sticky set the probe routes onward at
+// k = 64: a 70-rule cycle R_i(X,Y) -> R_{i+1 mod 70}(Y,Z) invents a null
+// with every step and repeats no rule within 64 steps, so no pump surfaces
+// on the probe's prefix; rule a only makes the set non-sticky.
+func longCycle(t *testing.T) *tgds.Set {
+	t.Helper()
+	var b strings.Builder
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&b, "R%d(X,Y) -> R%d(Y,Z).\n", i, (i+1)%70)
+	}
+	b.WriteString("a: A(X,Y), B(Y) -> C(X).\n")
+	return mustSet(t, b.String())
+}
+
 // TestAnalyzeCancelledPropagates pins the cascade's own cancellation: a
 // context cancelled mid-run surfaces as ctx's error, promptly. The probe
-// runs at k=1 — too short a prefix for the ladder's pump certificate (the
-// probe routes onward for every k ≤ 5), where the default budget would
-// reject in well under the cancellation delay and leave nothing to cancel
-// — so the cascade reaches the Tier 2 chase the cancel is meant to
-// interrupt.
+// routes longCycle onward, so the cascade reaches the Tier 2 chase the
+// cancel is meant to interrupt.
 func TestAnalyzeCancelledPropagates(t *testing.T) {
-	set := workload.GuardedLadder(2).Set
+	set := longCycle(t)
 	opts := portOpts()
 	opts.Guarded.MaxSteps = 50_000_000
-	opts.ProbeSteps = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -319,6 +330,37 @@ func TestAnalyzeCancelledPropagates(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancelled Analyze took %v", elapsed)
+	}
+}
+
+// TestProbeRoutesOnwardStageRecord pins the probe's abstention: on
+// longCycle the first seed exhausts k = 64 steps without a pump, so the
+// probe claims nothing and Tier 2's guarded stage runs.
+func TestProbeRoutesOnwardStageRecord(t *testing.T) {
+	res, err := Analyze(context.Background(), longCycle(t), portOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := StageOutcome{
+		Stage: "probe", Tier: 1, Steps: 64, Seeds: 1,
+		Detail: "probe: 0/1 swept seeds saturated within 64 steps; routing onward",
+	}
+	var probe StageOutcome
+	ranGuarded := false
+	for _, s := range res.Stages {
+		switch s.Stage {
+		case "probe":
+			probe = s
+			probe.Duration = 0
+		case "guarded":
+			ranGuarded = s.Detail != "skipped: an earlier stage decided"
+		}
+	}
+	if probe != want {
+		t.Errorf("probe stage %+v, want %+v", probe, want)
+	}
+	if !ranGuarded {
+		t.Errorf("guarded stage did not run after a routed probe: %+v", res.Stages)
 	}
 }
 
@@ -364,6 +406,23 @@ func TestGuardedRacerStageRecords(t *testing.T) {
 		if s.Stage != "guarded" || s.Tier != 2 || s.Decided != (tc.conclusion != core.Unknown) ||
 			s.Conclusion != tc.conclusion || !strings.Contains(s.Detail, tc.detail) {
 			t.Errorf("%s at budget %d: stage %+v, want %v with detail %q", tc.src, tc.budget, s, tc.conclusion, tc.detail)
+		}
+	}
+}
+
+// TestSaltPinned pins the whole-run cache key's salt to the values it had
+// while the seed-pool cap, the MFA bound and the probe budget were options,
+// so stored stage ledgers keep hitting.
+func TestSaltPinned(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want uint64
+	}{
+		{Options{}, 0x644975a15b5b45a4},
+		{portOpts(), 0x47ddce8009d72b7},
+	} {
+		if got := tc.opts.salt(); got != tc.want {
+			t.Errorf("salt(guarded budget %d) = %#x, want %#x", tc.opts.Guarded.MaxSteps, got, tc.want)
 		}
 	}
 }

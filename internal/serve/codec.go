@@ -38,8 +38,6 @@ type DecideRequest struct {
 	GuardedBudget int `json:"guarded-budget,omitempty"`
 	// StickyStates bounds each sticky Büchi component (0: 200000).
 	StickyStates int `json:"sticky-states,omitempty"`
-	// ProbeSteps is the portfolio Tier 1 probe budget k (0: default).
-	ProbeSteps int `json:"probe-steps,omitempty"`
 	// TimeoutMS bounds the request's wall clock (0: server default; capped
 	// by the server's maximum).
 	TimeoutMS int64 `json:"timeout-ms,omitempty"`
@@ -83,11 +81,8 @@ type ExistsRequest struct {
 	// MaxStates bounds distinct instance states (0: 10000).
 	MaxStates int `json:"max-states,omitempty"`
 	// MaxAtoms bounds per-instance atoms (0: 200).
-	MaxAtoms int `json:"max-atoms,omitempty"`
-	// Strategy is the frontier discipline: smallest (default), bfs, dfs
-	// or index.
-	Strategy  string `json:"strategy,omitempty"`
-	TimeoutMS int64  `json:"timeout-ms,omitempty"`
+	MaxAtoms  int   `json:"max-atoms,omitempty"`
+	TimeoutMS int64 `json:"timeout-ms,omitempty"`
 }
 
 // ExistsResponse carries the ∀∃ verdict: found (a witness derivation is
@@ -204,16 +199,16 @@ func parseProgram(src string) (*parser.Program, error) {
 
 // decideSalt folds the decide question and its verdict-relevant budgets
 // into the flight key, mirroring the cross-run cache's salting rule.
-func decideSalt(portfolio bool, guardedBudget, stickyStates, probeSteps int) uint64 {
+func decideSalt(portfolio bool, guardedBudget, stickyStates int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "decide|%t|%d|%d|%d", portfolio, guardedBudget, stickyStates, probeSteps)
+	fmt.Fprintf(h, "decide|%t|%d|%d", portfolio, guardedBudget, stickyStates)
 	return h.Sum64()
 }
 
-// existsSalt folds the exists question's budgets and strategy.
-func existsSalt(strategy chase.SearchStrategy, maxStates, maxAtoms int) uint64 {
+// existsSalt folds the exists question's budgets.
+func existsSalt(maxStates, maxAtoms int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "exists|%d|%d|%d", strategy, maxStates, maxAtoms)
+	fmt.Fprintf(h, "exists|%d|%d", maxStates, maxAtoms)
 	return h.Sum64()
 }
 

@@ -219,19 +219,17 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	guardedBudget := orDefault(req.GuardedBudget, defaultGuardedBudget)
 	stickyStates := orDefault(req.StickyStates, defaultStickyStates)
-	probeSteps := orDefault(req.ProbeSteps, guarded.DefaultProbeSteps)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
 		inst: logic.FingerprintAtoms(prog.Database.Atoms()),
-		salt: decideSalt(req.Portfolio, guardedBudget, stickyStates, probeSteps),
+		salt: decideSalt(req.Portfolio, guardedBudget, stickyStates),
 	}
 	start := time.Now()
 	val, shared, err := s.doFlight(r.Context(), key, s.timeoutFor(req.TimeoutMS), func(ctx context.Context) (any, error) {
 		opts := portfolio.Options{
-			Guarded:    guarded.DecideOptions{MaxSteps: guardedBudget},
-			Sticky:     sticky.DecideOptions{MaxStates: stickyStates},
-			ProbeSteps: probeSteps,
-			Cache:      s.cache,
+			Guarded: guarded.DecideOptions{MaxSteps: guardedBudget},
+			Sticky:  sticky.DecideOptions{MaxStates: stickyStates},
+			Cache:   s.cache,
 		}
 		if !req.Portfolio {
 			rep, err := portfolio.Report(ctx, prog.TGDs, opts)
@@ -285,26 +283,23 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "exists is TGD-only: the derivation search does not model equality steps")
 		return
 	}
-	strat, err := chase.ParseSearchStrategy(req.Strategy)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	maxStates := orDefault(req.MaxStates, defaultExistsStates)
 	maxAtoms := orDefault(req.MaxAtoms, defaultExistsAtoms)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
 		inst: logic.FingerprintAtoms(prog.Database.Atoms()),
-		salt: existsSalt(strat, maxStates, maxAtoms),
+		salt: existsSalt(maxStates, maxAtoms),
 	}
 	start := time.Now()
 	val, shared, err := s.doFlight(r.Context(), key, s.timeoutFor(req.TimeoutMS), func(ctx context.Context) (any, error) {
-		res := chase.SearchTerminatingDerivationContext(ctx, prog.Database, prog.TGDs, chase.SearchOptions{
+		res, err := chase.SearchTerminatingDerivationContext(ctx, prog.Database, prog.TGDs, chase.SearchOptions{
 			MaxStates: maxStates,
 			MaxAtoms:  maxAtoms,
-			Strategy:  strat,
 			Cache:     s.cache,
 		})
+		if err != nil {
+			return nil, err
+		}
 		s.tallyExists(res)
 		return existsResponseOf(res), nil
 	})

@@ -164,9 +164,8 @@ func referenceFor(t *testing.T, src string) reference {
 	}
 	var ref reference
 	popts := portfolio.Options{
-		Guarded:    guarded.DecideOptions{MaxSteps: confDecideSteps},
-		Sticky:     sticky.DecideOptions{MaxStates: defaultStickyStates},
-		ProbeSteps: guarded.DefaultProbeSteps,
+		Guarded: guarded.DecideOptions{MaxSteps: confDecideSteps},
+		Sticky:  sticky.DecideOptions{MaxStates: defaultStickyStates},
 	}
 	rep, err := portfolio.Report(context.Background(), prog.TGDs, popts)
 	if err != nil {
@@ -187,10 +186,13 @@ func referenceFor(t *testing.T, src string) reference {
 	// The ∀∃ search is TGD-only; the daemon rejects /v1/exists for EGD
 	// programs (400), so no reference is rendered for them.
 	if prog.Database.Len() > 0 && !prog.TGDs.HasEGDs() {
-		res := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
+		res, err := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
 			MaxStates: confExistsStates,
 			MaxAtoms:  confExistsAtoms,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		der := make([]string, len(res.Derivation))
 		for i, tr := range res.Derivation {
 			der[i] = tr.String()
@@ -279,7 +281,6 @@ func TestServeConformanceE2E(t *testing.T) {
 // validation and timeout errors, each with a JSON error body.
 func TestServeErrorSurface(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	plain := "P(c).\nr: P(X) -> Q(X).\n"
 
 	post := func(path, body string) (int, string) {
 		t.Helper()
@@ -305,7 +306,6 @@ func TestServeErrorSurface(t *testing.T) {
 		{"decide parse error", "/v1/decide", `{"program":"r: P(X -> Q(X)."}`, http.StatusBadRequest},
 		{"decide no tgds", "/v1/decide", `{"program":"P(c)."}`, http.StatusBadRequest},
 		{"exists no facts", "/v1/exists", `{"program":"r: P(X) -> Q(X)."}`, http.StatusBadRequest},
-		{"exists bad strategy", "/v1/exists", fmt.Sprintf(`{"program":%q,"strategy":"widest"}`, plain), http.StatusBadRequest},
 		{"exists egd program", "/v1/exists", `{"program":"P(a,b). r: P(X,Y) -> P(Y,Z). k: P(X,Y), P(X,Z) -> Y = Z."}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -342,25 +342,29 @@ func TestServeErrorSurface(t *testing.T) {
 }
 
 // TestServeRejectsWorkersField pins that no request can size a worker
-// pool: workers is not a request field, so a body that carries it gets
-// the 400 of any unknown key, naming the field, on both endpoints.
+// pool, pick a ∀∃ frontier or set the probe budget: workers, strategy and
+// probe-steps are not request fields, so a body that carries one gets the
+// 400 of any unknown key, naming the field, on both endpoints.
 func TestServeRejectsWorkersField(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	body := fmt.Sprintf(`{"program":%q,"workers":2}`, "P(c).\nr: P(X) -> Q(X).\n")
-	for _, path := range []string{"/v1/decide", "/v1/exists"} {
-		resp, err := http.Post(ts.url(path), "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400 (body %s)", path, resp.StatusCode, data)
-			continue
-		}
-		var e errorResponse
-		if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, `unknown field "workers"`) {
-			t.Errorf("%s: error does not name the unknown field: %s", path, data)
+	for _, field := range []string{`"workers":2`, `"strategy":"bfs"`, `"probe-steps":16`} {
+		body := fmt.Sprintf(`{"program":%q,%s}`, "P(c).\nr: P(X) -> Q(X).\n", field)
+		name := field[:strings.Index(field, ":")]
+		for _, path := range []string{"/v1/decide", "/v1/exists"} {
+			resp, err := http.Post(ts.url(path), "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status = %d, want 400 (body %s)", path, name, resp.StatusCode, data)
+				continue
+			}
+			var e errorResponse
+			if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "unknown field "+name) {
+				t.Errorf("%s %s: error does not name the unknown field: %s", path, name, data)
+			}
 		}
 	}
 }
@@ -552,9 +556,11 @@ func programText(prog *parser.Program) string {
 func TestSnapshotterCadence(t *testing.T) {
 	cache := chase.NewCache()
 	prog := workload.StageGrid(4)
-	chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
+	if _, err := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
 		MaxStates: 1000, MaxAtoms: 50, Cache: cache,
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "snap.cache")
 	snap := NewSnapshotter(cache, path, 10*time.Millisecond, t.Logf)
 
@@ -612,9 +618,11 @@ func TestOpenCacheFile(t *testing.T) {
 
 	cache := chase.NewCache()
 	prog := workload.StageGrid(3)
-	chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
+	if _, err := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
 		MaxStates: 1000, MaxAtoms: 50, Cache: cache,
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	good := filepath.Join(dir, "good.cache")
 	if err := chase.SaveCacheFile(cache, good); err != nil {
 		t.Fatal(err)

@@ -114,13 +114,13 @@ func BenchmarkPersistExistsSearch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opts.Cache = chase.NewCache()
-				if res := chase.SearchTerminatingDerivation(tc.prog.Database, tc.prog.TGDs, opts); !res.Found {
+				if res := mustSearch(b, tc.prog.Database, tc.prog.TGDs, opts); !res.Found {
 					b.Fatalf("must find: %+v", res)
 				}
 			}
 		})
 		opts.Cache = chase.NewCache()
-		if res := chase.SearchTerminatingDerivation(tc.prog.Database, tc.prog.TGDs, opts); !res.Found {
+		if res := mustSearch(b, tc.prog.Database, tc.prog.TGDs, opts); !res.Found {
 			b.Fatal("seed search failed")
 		}
 		var buf bytes.Buffer
@@ -136,7 +136,7 @@ func BenchmarkPersistExistsSearch(b *testing.B) {
 					b.Fatalf("load: %v %+v", err, rep)
 				}
 				opts.Cache = cache
-				if res := chase.SearchTerminatingDerivation(tc.prog.Database, tc.prog.TGDs, opts); !res.Found {
+				if res := mustSearch(b, tc.prog.Database, tc.prog.TGDs, opts); !res.Found {
 					b.Fatalf("must replay: %+v", res)
 				}
 				if cache.Stats().Hits == 0 {
@@ -155,7 +155,7 @@ func BenchmarkPersistExistsSearch(b *testing.B) {
 func BenchmarkPersistSnapshotRoundTrip(b *testing.B) {
 	cache := chase.NewCache()
 	prog := workload.StageGrid(10)
-	if res := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, chase.SearchOptions{
+	if res := mustSearch(b, prog.Database, prog.TGDs, chase.SearchOptions{
 		MaxStates: 70000, MaxAtoms: 30, Cache: cache,
 	}); !res.Found {
 		b.Fatal("seed search failed")
@@ -174,58 +174,5 @@ func BenchmarkPersistSnapshotRoundTrip(b *testing.B) {
 			b.Fatalf("load: %v %+v", err, rep)
 		}
 		b.ReportMetric(float64(buf.Len()), "snapshot-bytes")
-	}
-}
-
-// multiHeadEscape is Example B.1's multi-head pair over k starting facts:
-// eager orders diverge, finite escapes exist, and the states closest to a
-// fixpoint are exactly the ones with few active triggers — the signal the
-// index-aware ordering reads for free from the delta-maintained index.
-func multiHeadEscape(k int) *parser.Program {
-	var src strings.Builder
-	for i := 0; i < k; i++ {
-		fmt.Fprintf(&src, "R(a%d,b%d,b%d).\n", i, i, i)
-	}
-	src.WriteString("mh1: R(X,Y,Y) -> R(X,Z,Y), R(Z,Y,Y).\nmh2: R(X,Y,Z) -> R(Z,Z,Z).\n")
-	return parser.MustParse(src.String())
-}
-
-// BenchmarkPersistIndexAwareFrontier compares the index-aware frontier
-// ordering (size, then active-trigger count from the delta-maintained
-// index) against plain smallest-first on the uncached search. The
-// multi-head-escape rows are where the signal pays: preferring
-// low-active-trigger states walks toward fixpoints and roughly halves the
-// states swept. stage-grid is the control where every same-size state
-// carries the same trigger count — the rows price the ordering's pure
-// overhead (compare states/sec).
-func BenchmarkPersistIndexAwareFrontier(b *testing.B) {
-	cases := []struct {
-		name      string
-		prog      *parser.Program
-		maxStates int
-		maxAtoms  int
-	}{
-		{"multi-head-escape-5", multiHeadEscape(5), 500000, 60},
-		{"multi-head-escape-6", multiHeadEscape(6), 500000, 60},
-		{"stage-grid-8", workload.StageGrid(8), 8000, 30},
-		{"stage-grid-10", workload.StageGrid(10), 70000, 30},
-	}
-	for _, tc := range cases {
-		for _, strat := range []chase.SearchStrategy{chase.SmallestFirst, chase.IndexAware} {
-			b.Run(tc.name+"/"+strat.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				var states int
-				for i := 0; i < b.N; i++ {
-					res := chase.SearchTerminatingDerivation(tc.prog.Database, tc.prog.TGDs, chase.SearchOptions{
-						MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, Strategy: strat,
-					})
-					if !res.Found {
-						b.Fatalf("must find a fixpoint: %+v", res)
-					}
-					states = res.StatesVisited
-				}
-				b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
-			})
-		}
 	}
 }
