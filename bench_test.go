@@ -1,5 +1,6 @@
 // Package airct's root benchmark harness: one benchmark per experiment of
-// EXPERIMENTS.md (E1–E10). Each benchmark measures the hot loop of its
+// the suite in docs/CLI.md, "experiments — the paper-reproduction suite"
+// (E1–E10). Each benchmark measures the hot loop of its
 // experiment so that `go test -bench=. -benchmem` regenerates the
 // performance-shaped rows; the verdict-shaped rows come from
 // `go run ./cmd/experiments`.

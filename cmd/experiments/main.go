@@ -1,7 +1,8 @@
-// Command experiments runs the E1–E11 experiment suite of EXPERIMENTS.md
-// and prints the result tables. Every experiment reproduces an observable
-// claim of the paper (worked example, theorem equivalence, or complexity
-// shape); the tables printed here are the ones recorded in EXPERIMENTS.md.
+// Command experiments runs the E1–E11 experiment suite and prints the
+// result tables. Every experiment reproduces an observable claim of the
+// paper (worked example, theorem equivalence, or complexity shape); the
+// suite is described in docs/CLI.md, "experiments — the paper-reproduction
+// suite".
 //
 //	experiments [-only E1,E7] [-quick]
 package main

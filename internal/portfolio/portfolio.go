@@ -4,12 +4,14 @@
 //   - Analyze, the cheap-first cascade. Tier 0 runs the syntactic and
 //     sufficient-condition checks (existential-freeness, weak acyclicity,
 //     joint acyclicity, the never-firing jointree prune, MFA) in static cost
-//     order. Tier 1 is the probe: guarded.DecideContext at a step budget of
-//     k = 64 — accepting when every seed saturates within k, rejecting when
-//     a seed's k-prefix carries a guard-chain pump certificate. Tier 2 runs the
-//     expensive semantic deciders — sticky's Büchi emptiness test, then the
-//     guarded seed search — one after another in canonical order. The first
-//     decisive stage ends the run, and every later stage is skipped.
+//     order. Tier 1 is the probe: the guarded seed scan,
+//     guarded.DecideContext, cut at k = 64 steps — accepting when every seed
+//     saturates within k, rejecting when a seed's k-prefix carries a
+//     guard-chain pump certificate, routing onward otherwise. Tier 2 runs
+//     the expensive semantic deciders — sticky's Büchi emptiness test, then
+//     the guarded seed search at the full budget — one after another in
+//     canonical order. The first decisive stage ends the run, and every
+//     later stage is skipped.
 //   - Report, the exhaustive schedule behind the flat report (core.Report).
 //     Every Tier 0 check runs in the same order with no early exit, the
 //     probe is skipped, and the Tier 2 deciders run one after another in
@@ -371,7 +373,7 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 		// Sufficient with arbitrary EGDs: weak acyclicity of the TGDs bounds
 		// every chase sequence polynomially whatever EGD steps interleave
 		// (Fagin, Kolaitis, Miller and Popa, "Data exchange: semantics and
-		// query answering", as discussed in arXiv:0901.3984, Section 2).
+		// query answering", as discussed in arXiv:0901.3984).
 		if acyclicity.IsWeaklyAcyclic(set) {
 			s.Decided = true
 			s.Conclusion = core.Terminates

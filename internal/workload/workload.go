@@ -1,8 +1,9 @@
 // Package workload generates the labeled TGD families and databases behind
-// the experiment suite (EXPERIMENTS.md): parametric guarded/sticky families
-// with known CT^res_∀∀ ground truth, database generators (star, chain,
-// random), a data-exchange scenario, and a small ontology workload. All
-// generators are deterministic given their parameters and seed.
+// the experiment suite (docs/CLI.md, "experiments — the paper-reproduction
+// suite"): parametric guarded/sticky families with known CT^res_∀∀ ground
+// truth, database generators (star, chain, random), a data-exchange
+// scenario, and a small ontology workload. All generators are
+// deterministic given their parameters and seed.
 package workload
 
 import (

@@ -22,7 +22,10 @@
 # 94.0%. At the ratchet that deleted the intra-request worker pools (the
 # sharded ∀∃ search, the pooled guarded scan and the Tier 2 racer pool):
 # internal/chase 92.9%, internal/guarded 93.4%, internal/portfolio 87.4%,
-# internal/sticky 89.1%, internal/serve 95.7%.
+# internal/sticky 89.1%, internal/serve 95.7%. At the ratchet that made the
+# Tier 1 probe guarded.DecideContext at k = 64 and deleted the settings no
+# caller set: internal/chase 94.0%, internal/guarded 93.3%,
+# internal/portfolio 87.3%, internal/serve 95.3%.
 set -eu
 
 check() {
@@ -39,7 +42,7 @@ check() {
 	echo "check-coverage: $pkg ${total}% (floor ${floor}%)"
 }
 
-check ./internal/chase 92.0
+check ./internal/chase 93.0
 check ./internal/guarded 91.4
 check ./internal/portfolio 87.0
 check ./internal/sticky 87.1
