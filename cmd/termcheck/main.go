@@ -20,8 +20,9 @@
 //
 // -portfolio answers the ∀∀ question through the staged cascade
 // (portfolio.Analyze): Tier 0 cheap sufficient conditions in cost order,
-// Tier 1 the guarded seed scan at a 64-step budget (the probe), Tier 2 the semantic deciders one after another, stopping at the first
-// decisive one. The conclusion — and hence the exit code — is pinned
+// Tier 1 the guarded seed scan at a 64-step budget (the probe), Tier 2 the
+// semantic deciders one after another, stopping at the first decisive
+// one. The conclusion — and hence the exit code — is pinned
 // bit-identical to the flat report's; a `portfolio:` line reports the
 // verdict, the deciding stage and per-stage work. Facts in the input feed
 // a non-authoritative ∀∃ stage whose outcome is reported but never

@@ -105,8 +105,8 @@ func (r StopReason) String() string {
 }
 
 // Options configures a chase run. The zero value is a restricted FIFO chase
-// with no budgets — suitable only for inputs
-// known to terminate; set MaxSteps or MaxAtoms otherwise.
+// with no budgets — suitable only for inputs known to terminate; set
+// MaxSteps or MaxAtoms otherwise.
 type Options struct {
 	Variant  Variant
 	Strategy Strategy

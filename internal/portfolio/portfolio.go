@@ -476,13 +476,17 @@ func (r *runner) tier1(ctx context.Context) error {
 	}
 	// The scan stops at the first seed that does not saturate, so every
 	// seed before it saturated.
+	saturated := v.SeedsTried
+	if !v.Terminates {
+		saturated--
+	}
 	s := StageOutcome{
 		Stage:     "probe",
 		Tier:      1,
 		Steps:     v.Budget,
 		Duration:  time.Since(start),
 		Seeds:     v.SeedsTried,
-		Saturated: v.SeedsTried,
+		Saturated: saturated,
 		Depth:     v.Depth,
 	}
 	switch v.Method {
@@ -495,14 +499,12 @@ func (r *runner) tier1(ctx context.Context) error {
 		s.Conclusion = core.Terminates
 		s.Detail = fmt.Sprintf("probe: all %d seeds saturated within %d steps (full battery pinned terminating)", v.SeedsTried, v.Budget)
 	case "divergence-witness":
-		s.Saturated--
 		s.Decided = true
 		s.Conclusion = core.Diverges
 		s.Evidence = v.Evidence
 		s.Detail = fmt.Sprintf("probe: pump at depth %d within k=%d; seed %d diverges (%s)", v.Depth, v.Budget, v.SeedsTried, v.Evidence)
 	default:
-		s.Saturated--
-		s.Detail = fmt.Sprintf("probe: %d/%d swept seeds saturated within %d steps; routing onward", s.Saturated, v.SeedsTried, v.Budget)
+		s.Detail = fmt.Sprintf("probe: %d/%d swept seeds saturated within %d steps; routing onward", saturated, v.SeedsTried, v.Budget)
 	}
 	r.conclude(s)
 	return nil
