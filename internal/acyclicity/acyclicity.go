@@ -114,6 +114,13 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 			exVars = append(exVars, exVar{tgd: i, v: v})
 		}
 	}
+	if len(exVars) == 0 {
+		return true // an empty dependency graph is acyclic
+	}
+	frontiers := make([][]logic.Term, len(set.TGDs))
+	for i, t := range set.TGDs {
+		frontiers[i] = t.Frontier().Sorted()
+	}
 	mov := make([]map[logic.Position]bool, len(exVars))
 	for k, ev := range exVars {
 		m := make(map[logic.Position]bool)
@@ -127,9 +134,8 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 		// Close under frontier propagation.
 		for changed := true; changed; {
 			changed = false
-			for _, t := range set.TGDs {
-				frontier := t.Frontier()
-				for x := range frontier {
+			for ti, t := range set.TGDs {
+				for _, x := range frontiers[ti] {
 					all := true
 					any := false
 					for _, a := range t.Body {
@@ -164,9 +170,8 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 	for from := range exVars {
 		for to, ev := range exVars {
 			t := set.TGDs[ev.tgd]
-			frontier := t.Frontier()
 			dep := false
-			for x := range frontier {
+			for _, x := range frontiers[ev.tgd] {
 				all := true
 				any := false
 				for _, a := range t.Body {

@@ -173,8 +173,8 @@ type StageRecord struct {
 	Verdict string
 	Detail  string
 	// Evidence carries a stage's divergence certificate (the Tier 1
-	// probe's confirmed guard-chain pump) so warm replays serve the
-	// certificate string, not just the verdict.
+	// probe's guard-chain pump) so warm replays serve the certificate
+	// string, not just the verdict.
 	Evidence   string
 	Steps      int
 	DurationNS int64

@@ -116,8 +116,15 @@ type Options struct {
 	MaxAtoms int
 	// Seed drives the Random strategy.
 	Seed int64
-	// DropSteps disables derivation recording (benchmarks).
+	// DropSteps disables derivation recording: Run.Steps and Run.EqSteps
+	// stay empty, and the run chases a lite copy of the database
+	// (instance.Database.LiteInstance) that keeps only the ID plane, so
+	// Run.Final materialises atom forms only when they are read. The
+	// guarded battery runs this way and reads its steps through OnStep.
 	DropSteps bool
+	// OnStep, when set, observes every applied TGD step on the ID plane
+	// (see StepObserver). Runs are byte-identical with and without it.
+	OnStep StepObserver
 	// Cache, when set, receives the run's activity counters
 	// (Cache.NoteRunActivity), aggregated for /v1/stats. Runs are
 	// byte-identical with and without a cache.
@@ -137,6 +144,17 @@ type Options struct {
 	// full check at every pop. Unexported; test-only.
 	onActivity func(tgd int, bt []uint32, delta, full bool)
 }
+
+// StepObserver receives one applied TGD step's interned identity, after
+// the step's head atoms are inserted: the TGD's index in Set.TGDs; the
+// trigger's body TermIDs, one per body variable in the order of
+// TGD.BodyVars().Sorted() (the engine's slice, valid only during the call);
+// the insertion index of the step's first head atom, whether new or already
+// present; and the instance length after the step. Between equality steps
+// the atoms a step added hold the insertion indices from the previous
+// step's length up to its own. TermIDs and insertion indices are those of
+// Run.Final's interner and instance.
+type StepObserver func(tgd int, body []uint32, head int32, length int)
 
 // Step records one trigger application I⟨σ,h⟩J.
 type Step struct {
@@ -369,6 +387,9 @@ func RunChaseContext(ctx context.Context, db *instance.Database, set *tgds.Set, 
 		panic(fmt.Sprintf("chase: EGDs require the restricted variant (got %v): the %v variant's fire-once bookkeeping does not survive equality rewriting", opts.Variant, opts.Variant))
 	}
 	inst := db.Instance()
+	if opts.DropSteps {
+		inst = db.LiteInstance()
+	}
 	e := &engine{
 		set:         set,
 		opts:        opts,
@@ -845,8 +866,9 @@ func (e *engine) apply(id int32, tgd int, bt []uint32) {
 	}
 	record := !e.opts.DropSteps
 	var result, added []logic.Atom
+	var head int32
 	e.addedIx = e.addedIx[:0]
-	for _, ca := range ct.head.Atoms {
+	for k, ca := range ct.head.Atoms {
 		e.argbuf = e.argbuf[:0]
 		for _, a := range ca.Args {
 			if int(a.Slot) < ct.nBody {
@@ -856,6 +878,9 @@ func (e *engine) apply(id int32, tgd int, bt []uint32) {
 			}
 		}
 		idx, isNew := e.inst.AddTuple(ca.Pred, e.argbuf)
+		if k == 0 {
+			head = idx
+		}
 		if record {
 			result = append(result, e.inst.AtomAt(int(idx)))
 		}
@@ -877,6 +902,9 @@ func (e *engine) apply(id int32, tgd int, bt []uint32) {
 			Result:  result,
 			Added:   added,
 		})
+	}
+	if e.opts.OnStep != nil {
+		e.opts.OnStep(tgd, bt, head, e.inst.Len())
 	}
 	// Semi-naive delta: new atoms seed new triggers, exactly like the
 	// public TriggersInvolving but fused with dedup-by-interning. The loop

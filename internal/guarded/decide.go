@@ -19,9 +19,11 @@ type Verdict struct {
 	// database terminates (w.r.t. the procedure's bound; see Method).
 	Terminates bool
 	// Method names the deciding argument: "weak-acyclicity" (sound proof),
-	// "divergence-witness" (sound refutation: a concrete database and a
-	// pumpable derivation), or "seed-exhaustion" (bounded claim: every
-	// seed database chased quietly to fixpoint).
+	// "divergence-witness" (a concrete database and a run carrying a
+	// guard-chain pump — an unchecked certificate: a pump can sit on a
+	// terminating set until ROADMAP item 1(b) replays it), or
+	// "seed-exhaustion" (bounded claim: every seed database chased quietly
+	// to fixpoint).
 	Method string
 	// Witness is the diverging seed database when Terminates is false.
 	Witness *instance.Database
@@ -82,10 +84,12 @@ func (o DecideOptions) maxSteps() int {
 //     Treeification expansions of Appendix C.2, which supply the remote
 //     side atoms that Example 5.6 shows are necessary;
 //  3. each seed is chased (restricted, fair FIFO order plus perturbed
-//     orders); a budget-exhausted run is mined for a guard-chain pump — a
+//     orders) on the ID plane, recording only a step log; a
+//     budget-exhausted run's log is mined for a guard-chain pump — a
 //     repeated (TGD, equality-type, guard-sharing) signature along a
-//     guard-ancestor chain — which certifies divergence by the
-//     finite-alphabet regularity of Λ_T;
+//     guard-ancestor chain — which is taken as divergence by the
+//     finite-alphabet regularity of Λ_T, though the pump stays an
+//     unchecked certificate until ROADMAP item 1(b) replays it;
 //  4. if every seed saturates, the set is declared terminating.
 //
 // Neither step 3 nor step 4 is a decision procedure: ROADMAP item 1 gives a
@@ -162,16 +166,18 @@ func chaseSeed(ctx context.Context, set *tgds.Set, seed *instance.Database, budg
 var cancelledVerdict = &Verdict{Method: "cancelled"}
 
 // chaseSeedBattery is the uncached battery: fair FIFO, then a perturbed
-// Random order, then LIFO. The returned depth is the deepest chase among
-// the orders (the diverging run's step count when an order diverged).
+// Random order, then LIFO, each on the ID plane with its steps in one
+// reused step log. The returned depth is the deepest chase among the
+// orders (the diverging run's step count when an order diverged).
 func chaseSeedBattery(ctx context.Context, set *tgds.Set, seed *instance.Database, budget int, cache *chase.Cache) (*Verdict, int) {
 	depth := 0
+	var log stepLog
 	for _, o := range []chase.Options{
-		{Variant: chase.Restricted, Strategy: chase.FIFO, MaxSteps: budget, Cache: cache},
-		{Variant: chase.Restricted, Strategy: chase.Random, Seed: 1, MaxSteps: budget, Cache: cache},
-		{Variant: chase.Restricted, Strategy: chase.LIFO, MaxSteps: budget, Cache: cache},
+		{Variant: chase.Restricted, Strategy: chase.FIFO, MaxSteps: budget, DropSteps: true, Cache: cache},
+		{Variant: chase.Restricted, Strategy: chase.Random, Seed: 1, MaxSteps: budget, DropSteps: true, Cache: cache},
+		{Variant: chase.Restricted, Strategy: chase.LIFO, MaxSteps: budget, DropSteps: true, Cache: cache},
 	} {
-		run := chase.RunChaseContext(ctx, seed, set, o)
+		run := chaseLogged(ctx, seed, set, o, &log)
 		if run.Reason == chase.Cancelled {
 			return cancelledVerdict, depth
 		}
@@ -181,7 +187,7 @@ func chaseSeedBattery(ctx context.Context, set *tgds.Set, seed *instance.Databas
 		if run.Terminated() {
 			continue
 		}
-		if ev, depth, ok := DivergencePump(run); ok {
+		if ev, depth, ok := log.pump(set, run.Final); ok {
 			return &Verdict{
 				Terminates: false,
 				Method:     "divergence-witness",
@@ -335,129 +341,4 @@ func unifications(body []logic.Atom) [][]logic.Atom {
 		out = append(out, sub.ApplyAtoms(body))
 	}
 	return out
-}
-
-// DivergencePump mines a restricted chase run for a guard-chain pump: two
-// steps on the same guard-ancestor chain whose produced atoms share the
-// (TGD, equality type, guard-sharing pattern) signature, with the later
-// atom introducing fresh nulls. Over the finite alphabet Λ_T such a
-// repetition witnesses an infinite regular chaseable abstract join tree,
-// i.e. genuine divergence. The returned depth is the 1-based index of the
-// later step of the repeated pair: the certificate lives entirely in the
-// run's depth-step prefix, so it is independent of the budget the run was
-// chased under — a pump found on a k-step probe prefix is the same witness
-// a full-budget chase of the same order would surface.
-func DivergencePump(run *chase.Run) (string, int, bool) {
-	type info struct {
-		parentFP logic.Fingerprint // guard image atom hash
-		sig      int32             // interned Λ_T letter
-		fresh    bool              // produced atom invents a null at this step
-	}
-	infos := make([]info, len(run.Steps))
-	producedBy := make(map[logic.Fingerprint]int) // atom hash -> producing step
-	letters := logic.NewTupleTable(64)
-	guards := make(map[int]logic.Atom) // per TGD index
-	var buf []uint32
-	for i, step := range run.Steps {
-		tr := step.Trigger
-		guard, ok := guards[tr.TGDIndex]
-		if !ok {
-			if guard, ok = tr.TGD.Guard(); !ok {
-				return "", 0, false
-			}
-			guards[tr.TGDIndex] = guard
-		}
-		guardImage := guard.Apply(tr.H)
-		produced := step.Result[0]
-		buf = appendLetter(buf[:0], tr.TGDIndex, produced, guardImage)
-		sig, _ := letters.Intern(buf)
-		infos[i] = info{
-			parentFP: logic.HashAtom(guardImage),
-			sig:      sig,
-			fresh:    introducesFreshNull(produced, guardImage),
-		}
-		for _, a := range step.Added {
-			h := logic.HashAtom(a)
-			if _, dup := producedBy[h]; !dup {
-				producedBy[h] = i
-			}
-		}
-	}
-	// Walk guard chains from each step upward, looking for a repeated
-	// signature whose steps invent fresh nulls — a repetition of a
-	// null-free signature cannot grow the term set and is no pump (a
-	// terminating cycle closed by a frontier-free existential TGD would
-	// otherwise be misread as divergence). seenIn[sig] == i+1 marks a
-	// letter met on the walk from step i, first at step seenAt[sig].
-	seenIn := make([]int, letters.Len())
-	seenAt := make([]int, letters.Len())
-	for i := len(run.Steps) - 1; i >= 0; i-- {
-		walk := i + 1
-		seenIn[infos[i].sig], seenAt[infos[i].sig] = walk, i
-		cur := i
-		for {
-			parentStep, ok := producedBy[infos[cur].parentFP]
-			if !ok || parentStep >= cur {
-				break
-			}
-			sig := infos[parentStep].sig
-			if seenIn[sig] == walk {
-				if first := seenAt[sig]; infos[parentStep].fresh && infos[first].fresh {
-					tr := run.Steps[parentStep].Trigger
-					return fmt.Sprintf("guard-chain pump: %s repeats signature between steps %d and %d (period %d)",
-						tr.TGD.Label, parentStep, first, first-parentStep), first + 1, true
-				}
-			} else {
-				seenIn[sig], seenAt[sig] = walk, parentStep
-			}
-			cur = parentStep
-		}
-	}
-	return "", 0, false
-}
-
-// introducesFreshNull reports whether the produced atom carries a null that
-// does not occur in its guard image. In a guarded TGD the guard contains
-// every body variable, so every propagated term of the result appears among
-// the guard image's arguments — a null absent from them was invented by
-// this very step.
-func introducesFreshNull(produced, guardImage logic.Atom) bool {
-	for _, t := range produced.Args {
-		if !t.IsNull() {
-			continue
-		}
-		inGuard := false
-		for _, u := range guardImage.Args {
-			if t == u {
-				inGuard = true
-				break
-			}
-		}
-		if !inGuard {
-			return true
-		}
-	}
-	return false
-}
-
-// appendLetter appends a produced atom's Λ_T letter to dst as an integer
-// tuple: the TGD index, the atom's equality type (each position's first
-// equal position) and the (produced, guard image) position pairs that
-// carry the same term. In a single-head guarded set the TGD fixes the
-// produced atom's predicate and the guard's, hence both arities, so two
-// steps get the same tuple iff they have the same letter.
-func appendLetter(dst []uint32, tgdIndex int, produced, guardImage logic.Atom) []uint32 {
-	dst = append(dst, uint32(tgdIndex))
-	et := etypes.Of(produced)
-	for i := range produced.Args {
-		dst = append(dst, uint32(et.ClassOf(i+1)-1))
-	}
-	for i, t := range produced.Args {
-		for j, u := range guardImage.Args {
-			if t == u {
-				dst = append(dst, uint32(i), uint32(j))
-			}
-		}
-	}
-	return dst
 }

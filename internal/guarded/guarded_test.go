@@ -1,6 +1,7 @@
 package guarded
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -409,8 +410,12 @@ func TestDivergenceEvidenceOnTerminatingRunIsEmpty(t *testing.T) {
 		P(a,b).
 		s1: P(X,Y) -> R(X,Y).
 	`)
-	run := chase.RunChase(prog.Database, prog.TGDs, chase.Options{Variant: chase.Restricted})
-	if ev, _, ok := DivergencePump(run); ok {
+	var log stepLog
+	run := chaseLogged(context.Background(), prog.Database, prog.TGDs, chase.Options{Variant: chase.Restricted}, &log)
+	if run.StepsTaken != 1 {
+		t.Fatalf("want a 1-step run, got %d steps", run.StepsTaken)
+	}
+	if ev, _, ok := log.pump(prog.TGDs, run.Final); ok {
 		t.Errorf("no pump on a 1-step run: %q", ev)
 	}
 }

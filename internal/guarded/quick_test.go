@@ -1,6 +1,7 @@
 package guarded
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -69,19 +70,20 @@ func isAcyclicDB(atoms []logic.Atom) bool {
 	return jointreeIsAcyclic(atoms)
 }
 
-// Property: DivergencePump never fires on terminating runs.
+// Property: the step-log miner never fires on terminating runs.
 func TestQuickNoFalsePumpsOnTerminatingRuns(t *testing.T) {
+	var log stepLog
 	f := func(seed int64) bool {
 		set := workload.RandomTGDSet(seed%4000, workload.RandomOptions{Rules: 3})
 		if !set.IsGuarded() {
 			return true
 		}
 		for _, db := range GenerateSeeds(set, 4) {
-			run := chase.RunChase(db, set, chase.Options{Variant: chase.Restricted, MaxSteps: 500})
+			run := chaseLogged(context.Background(), db, set, chase.Options{Variant: chase.Restricted, MaxSteps: 500}, &log)
 			if !run.Terminated() {
 				continue
 			}
-			if ev, _, ok := DivergencePump(run); ok {
+			if ev, _, ok := log.pump(set, run.Final); ok {
 				// A pump on a *terminating* run is not a soundness bug per
 				// se (the signature repetition bound is heuristic), but on
 				// short runs it would poison verdicts; surface it.

@@ -356,13 +356,19 @@ func (in *Instance) Has(a logic.Atom) bool {
 // HasTuple reports membership of an already-interned atom identity. Safe
 // for concurrent readers.
 func (in *Instance) HasTuple(pid logic.PredID, args []logic.TermID) bool {
+	_, ok := in.TupleIndex(pid, args)
+	return ok
+}
+
+// TupleIndex returns the insertion index of the atom with the given
+// interned identity, if present. Safe for concurrent readers.
+func (in *Instance) TupleIndex(pid logic.PredID, args []logic.TermID) (int32, bool) {
 	var arr [12]uint32
 	tup := append(arr[:0], uint32(pid))
 	for _, t := range args {
 		tup = append(tup, uint32(t))
 	}
-	_, ok := in.atoms.Lookup(tup)
-	return ok
+	return in.atoms.Lookup(tup)
 }
 
 // Len returns the number of (distinct) atoms.
@@ -614,6 +620,18 @@ func (db *Database) Add(a logic.Atom) error {
 // Instance returns a fresh Instance holding the database's facts; the chase
 // mutates the copy, never the database.
 func (db *Database) Instance() *Instance { return db.inst.Clone() }
+
+// LiteInstance is Instance on the ID plane: a fresh lite instance (see
+// NewScratch) on its own interner, holding the database's facts with the
+// insertion indices and TermIDs Instance gives them. The chase engine
+// copies the database this way when it records no steps.
+func (db *Database) LiteInstance() *Instance {
+	out := NewScratch(logic.NewInterner(), db.Len())
+	for i := 0; i < db.inst.Len(); i++ {
+		out.Add(db.inst.AtomAt(i))
+	}
+	return out
+}
 
 // Atoms returns the facts in insertion order.
 func (db *Database) Atoms() []logic.Atom { return db.inst.Atoms() }

@@ -38,9 +38,11 @@
 //     StageOutcome.Evidence. The certificate is budget-independent, so in
 //     the corner where the probe's budget-B counterpart run would saturate
 //     past k and bounded seed-exhaustion would miss the divergence, the
-//     probe errs toward the sound refutation; the package's quick-test
-//     sweeps pin that this corner never separates the two on the random
-//     program generators, and the conformance corpus pins it per family;
+//     probe errs toward the pump, which stays an unchecked certificate
+//     until ROADMAP item 1(b) replays it (item 1's Program A is a
+//     terminating set that carries one); the package's quick-test sweeps
+//     pin that this corner never separates the two on the random program
+//     generators, and the conformance corpus pins it per family;
 //   - Tier 2 runs its deciders in the canonical order [sticky, guarded]:
 //     a decider runs only once every earlier one has completed without
 //     deciding, which is exactly Report's sequential order.
@@ -155,7 +157,7 @@ type StageOutcome struct {
 	Seeds     int
 	Saturated int
 	Depth     int
-	// Evidence carries the confirmed guard-chain pump certificate on a
+	// Evidence carries the (unchecked) guard-chain pump certificate on a
 	// rejecting Tier 1 probe (also embedded in Detail); empty otherwise.
 	// Preserved across cache replays.
 	Evidence string

@@ -312,7 +312,8 @@ func longCycle(t *testing.T) *tgds.Set {
 // TestAnalyzeCancelledPropagates pins the cascade's own cancellation: a
 // context cancelled mid-run surfaces as ctx's error, promptly. The probe
 // routes longCycle onward, so the cascade reaches the Tier 2 chase the
-// cancel is meant to interrupt.
+// cancel is meant to interrupt; a context cancelled before the call
+// surfaces from the probe.
 func TestAnalyzeCancelledPropagates(t *testing.T) {
 	set := longCycle(t)
 	opts := portOpts()
@@ -330,6 +331,13 @@ func TestAnalyzeCancelledPropagates(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancelled Analyze took %v", elapsed)
+	}
+	// A context cancelled before the call stops the cascade at the probe,
+	// the first stage that takes the context.
+	stopped, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := Analyze(stopped, set, opts); err != context.Canceled {
+		t.Fatalf("cancelled before the call: err = %v, want context.Canceled", err)
 	}
 }
 
