@@ -228,30 +228,34 @@ func differentialPrograms() map[string]string {
 
 // TestDifferentialEngineMatchesReference pins the interned engine against
 // the string-keyed reference across every variant × strategy × program,
-// with and without step recording.
+// with and without step recording (DropSteps runs chase a lite instance).
 func TestDifferentialEngineMatchesReference(t *testing.T) {
 	for name, src := range differentialPrograms() {
 		prog := parser.MustParse(src)
 		for _, variant := range []Variant{Restricted, Oblivious, SemiOblivious} {
 			for _, strat := range []Strategy{FIFO, LIFO, Random} {
-				opts := Options{
-					Variant:  variant,
-					Strategy: strat,
-					Seed:     17,
-					MaxSteps: 300,
-					MaxAtoms: 400,
+				for _, drop := range []bool{false, true} {
+					opts := Options{
+						Variant:   variant,
+						Strategy:  strat,
+						Seed:      17,
+						MaxSteps:  300,
+						MaxAtoms:  400,
+						DropSteps: drop,
+					}
+					label := fmt.Sprintf("%s/%v/%v/drop=%v", name, variant, strat, drop)
+					got := RunChase(prog.Database, prog.TGDs, opts)
+					want := referenceRunChase(prog.Database, prog.TGDs, opts)
+					sameRun(t, label, got, want)
 				}
-				label := fmt.Sprintf("%s/%v/%v", name, variant, strat)
-				got := RunChase(prog.Database, prog.TGDs, opts)
-				want := referenceRunChase(prog.Database, prog.TGDs, opts)
-				sameRun(t, label, got, want)
 			}
 		}
 	}
 }
 
 // TestDifferentialQuickRandomPrograms fuzzes the equivalence on random
-// datalog programs (plus an existential rule), FIFO and Random strategies.
+// datalog programs (plus an existential rule), FIFO and Random strategies,
+// with and without step recording.
 func TestDifferentialQuickRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		prog := randomDatalog(seed)
@@ -262,17 +266,20 @@ func TestDifferentialQuickRandomPrograms(t *testing.T) {
 		}
 		for _, variant := range []Variant{Restricted, Oblivious, SemiOblivious} {
 			for _, strat := range []Strategy{FIFO, Random} {
-				opts := Options{
-					Variant:  variant,
-					Strategy: strat,
-					Seed:     seed,
-					MaxSteps: 400,
-					MaxAtoms: 500,
+				for _, drop := range []bool{false, true} {
+					opts := Options{
+						Variant:   variant,
+						Strategy:  strat,
+						Seed:      seed,
+						MaxSteps:  400,
+						MaxAtoms:  500,
+						DropSteps: drop,
+					}
+					label := fmt.Sprintf("seed%d/%v/%v/drop=%v", seed, variant, strat, drop)
+					got := RunChase(p2.Database, p2.TGDs, opts)
+					want := referenceRunChase(p2.Database, p2.TGDs, opts)
+					sameRun(t, label, got, want)
 				}
-				label := fmt.Sprintf("seed%d/%v/%v", seed, variant, strat)
-				got := RunChase(p2.Database, p2.TGDs, opts)
-				want := referenceRunChase(p2.Database, p2.TGDs, opts)
-				sameRun(t, label, got, want)
 			}
 		}
 	}

@@ -375,14 +375,17 @@ func egdDifferentialPrograms() map[string]string {
 }
 
 // TestEGDDifferentialFixedPrograms pins the interned union-find engine
-// against the naive oracle on handcrafted TGD+EGD programs.
+// against the naive oracle on handcrafted TGD+EGD programs, with and
+// without step recording.
 func TestEGDDifferentialFixedPrograms(t *testing.T) {
 	for name, src := range egdDifferentialPrograms() {
 		prog := parser.MustParse(src)
-		opts := Options{Variant: Restricted, MaxSteps: 200, MaxAtoms: 300}
-		got := RunChase(prog.Database, prog.TGDs, opts)
-		want := referenceEGDRunChase(prog.Database, prog.TGDs, opts)
-		sameEGDRun(t, name, got, want)
+		for _, drop := range []bool{false, true} {
+			opts := Options{Variant: Restricted, MaxSteps: 200, MaxAtoms: 300, DropSteps: drop}
+			got := RunChase(prog.Database, prog.TGDs, opts)
+			want := referenceEGDRunChase(prog.Database, prog.TGDs, opts)
+			sameEGDRun(t, fmt.Sprintf("%s/drop=%v", name, drop), got, want)
+		}
 	}
 }
 
@@ -390,7 +393,8 @@ func TestEGDDifferentialFixedPrograms(t *testing.T) {
 // datalog programs extended with two existential rules feeding distinct
 // predicates, an EGD joining their inventions (null-null merges), a key
 // EGD over a base binary predicate (possible constant-constant failures),
-// and a rule only enabled by a merge.
+// and a rule only enabled by a merge. Each program runs with and without
+// step recording.
 func TestEGDDifferentialRandomPrograms(t *testing.T) {
 	egdSuffix := `
 		P0(X) -> F(X,W).
@@ -406,9 +410,11 @@ func TestEGDDifferentialRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opts := Options{Variant: Restricted, MaxSteps: 400, MaxAtoms: 500}
-		got := RunChase(p2.Database, p2.TGDs, opts)
-		want := referenceEGDRunChase(p2.Database, p2.TGDs, opts)
-		sameEGDRun(t, fmt.Sprintf("seed%d", seed), got, want)
+		for _, drop := range []bool{false, true} {
+			opts := Options{Variant: Restricted, MaxSteps: 400, MaxAtoms: 500, DropSteps: drop}
+			got := RunChase(p2.Database, p2.TGDs, opts)
+			want := referenceEGDRunChase(p2.Database, p2.TGDs, opts)
+			sameEGDRun(t, fmt.Sprintf("seed%d/drop=%v", seed, drop), got, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"airct/internal/instance"
 	"airct/internal/logic"
@@ -117,10 +118,10 @@ type Options struct {
 	// Seed drives the Random strategy.
 	Seed int64
 	// DropSteps disables derivation recording: Run.Steps and Run.EqSteps
-	// stay empty, and the run chases a lite copy of the database
-	// (instance.Database.LiteInstance) that keeps only the ID plane, so
-	// Run.Final materialises atom forms only when they are read. The
-	// guarded battery runs this way and reads its steps through OnStep.
+	// stay empty, and RunChase chases the database in a lite instance
+	// (instance.NewScratch) that keeps only the ID plane, so Run.Final
+	// materialises atom forms only when they are read. The guarded battery
+	// runs this way, in a pooled Arena, and reads its steps through OnStep.
 	DropSteps bool
 	// OnStep, when set, observes every applied TGD step on the ID plane
 	// (see StepObserver). Runs are byte-identical with and without it.
@@ -311,22 +312,27 @@ func (r *Run) InstanceAt(i int) *instance.Instance {
 // null (smaller TermID); two distinct constants are an EGDFailure. The
 // instance is then rewritten in place through uf.Find (fingerprint repair
 // happens inside Instance.RewriteTerms) and the trigger state — tables,
-// queue, birth verdicts, structural-null memo — is rebuilt from the
-// rewritten instance: an equality step can deactivate triggers (a head
-// image appears by merging) and re-activate work in bulk (rewritten body
-// matches are new trigger identities), and the rebuild re-derives both
+// queue, birth verdicts — is rebuilt from the rewritten instance: an
+// equality step can deactivate triggers (a head image appears by merging)
+// and re-activate work in bulk (rewritten body matches are new trigger
+// identities), and the rebuild re-derives both
 // effects from scratch, which is sound because activity and satisfaction
 // are preserved under the rewriting homomorphism ρ (ρ∘h remains a body
 // match; a satisfied head stays satisfied as ρ of its witness). EGDs are
 // Restricted-only: the oblivious variants' fire-once bookkeeping is keyed
 // on trigger identities that a rewrite invalidates.
+//
+// An engine's memory outlives its runs (see Arena): Bind compiles a TGD set
+// once, and reset truncates the per-run state for the next run.
 type engine struct {
 	set  *tgds.Set
 	opts Options
+	full bool // the instance keeps atom forms (a recording one-shot run)
 	inst *instance.Instance
 	itab *logic.Interner
 	ct   []compiledTGD
 	ce   []compiledEGD
+	deps *deltaDeps
 	uf   *logic.UnionFind // equality classes; nil iff the set has no EGDs
 
 	// dirty is set while equality merges recorded in uf have not yet been
@@ -335,8 +341,16 @@ type engine struct {
 	dirty        bool
 	eqSinceFlush int
 
-	namer       *logic.FreshNamer       // null names
-	structNulls map[uint64]logic.TermID // (trigger ID, exist index) -> null
+	// A run names its k-th invented null n<k>; nulls counts them.
+	// nullTerms[k] is the term n<k>, built once per engine, and
+	// boundNulls[k] its TermID under the current binding, interned on
+	// first use.
+	nulls      int
+	nullTerms  []logic.Term
+	boundNulls []logic.TermID
+	// peak is the largest instance any run held: the instance and its
+	// tables keep that capacity.
+	peak int
 
 	trig      *logic.TupleTable // trigger identity: [tgd, body TermIDs...]; TupleID = trigger
 	front     *logic.TupleTable // frontier classes: [tgd, frontier TermIDs...]
@@ -350,7 +364,6 @@ type engine struct {
 	// without fullActivity); born and activeAtBirth are indexed by trigger
 	// TupleID: the instance length at discovery and the birth verdict.
 	deltaAct      bool
-	deps          *deltaDeps
 	born          []int32
 	activeAtBirth []bool
 
@@ -382,48 +395,130 @@ func RunChase(db *instance.Database, set *tgds.Set, opts Options) *Run {
 // ctx.Done() every engineCtxInterval pops and stops with Reason =
 // Cancelled when it fires. An un-cancellable context (Background) adds
 // one nil check per pop; uncancelled runs are byte-identical to RunChase.
+// It runs in a one-shot Arena, so Run.Final is the caller's to keep; a
+// recording run (DropSteps false) chases a full instance, whose atom
+// forms its Steps share.
 func RunChaseContext(ctx context.Context, db *instance.Database, set *tgds.Set, opts Options) *Run {
-	if set.HasEGDs() && opts.Variant != Restricted {
+	a := &Arena{e: engine{full: !opts.DropSteps}}
+	a.Bind(set)
+	return a.Run(ctx, db, opts)
+}
+
+// Arena is chase engine memory that outlives a run: the interner, the
+// instance, the trigger and frontier tables, the queue, watermark and
+// discovery buffers, and the bound TGD set's compiled rules and delta
+// dependencies. Bind compiles a set once; each Run truncates that memory
+// instead of allocating it again, and names its nulls with the n<k> terms
+// earlier runs of the binding interned. Runs are byte-identical to
+// RunChaseContext's: no output reads a TermID's numeric value (trigger
+// order compares term names, posting lists and tuple IDs follow insertion
+// order, Random pops depend only on the queue length, and nulls are
+// interned in naming order).
+//
+// The zero value is an unbound arena whose instance is lite (see
+// instance.NewScratch). An arena has one writer and must not be copied
+// after first use.
+//
+// Run.Final of an arena's run is the arena's own instance, and with it the
+// TermIDs an OnStep observer saw: they stay valid only until the arena's
+// next Run or Bind. A caller reads or copies them before either.
+type Arena struct {
+	e engine
+}
+
+// Run chases db with the bound set under opts, in the arena's memory.
+func (a *Arena) Run(ctx context.Context, db *instance.Database, opts Options) *Run {
+	e := &a.e
+	if e.set == nil {
+		panic("chase: Run on an unbound Arena")
+	}
+	if e.set.HasEGDs() && opts.Variant != Restricted {
 		panic(fmt.Sprintf("chase: EGDs require the restricted variant (got %v): the %v variant's fire-once bookkeeping does not survive equality rewriting", opts.Variant, opts.Variant))
 	}
-	inst := db.Instance()
-	if opts.DropSteps {
-		inst = db.LiteInstance()
-	}
-	e := &engine{
-		set:         set,
-		opts:        opts,
-		inst:        inst,
-		itab:        inst.Interner(),
-		namer:       logic.NewFreshNamer("n"),
-		structNulls: make(map[uint64]logic.TermID),
-		trig:        logic.NewTupleTable(64),
-		front:       logic.NewTupleTable(16),
-		run:         &Run{Options: opts, Set: set, Database: db},
-		done:        ctx.Done(),
-	}
-	e.ct = compileSet(set, e.itab)
-	if set.HasEGDs() {
-		e.ce = compileEGDs(set, e.itab)
-		e.uf = &logic.UnionFind{}
-	}
-	e.ds = discSorter{itab: e.itab, disc: &e.discBuf, idx: &e.sortBuf}
-	e.deltaAct = opts.Variant == Restricted && !opts.fullActivity
-	if e.deltaAct {
-		e.deps = newDeltaDeps(e.ct)
-	}
-	if opts.Strategy == Random {
-		e.rng = rand.New(rand.NewSource(opts.Seed))
-	}
+	e.reset(ctx, db, opts)
 	// Seed the queue with every trigger on the database, per TGD in
 	// canonical order (the order AllTriggers produces).
 	e.seedAllTriggers()
 	e.loop()
+	e.peak = max(e.peak, e.inst.Len())
 	e.run.Final = e.inst
 	if opts.Cache != nil {
 		opts.Cache.NoteRunActivity(e.run.Stats, e.run.Activity)
 	}
 	return e.run
+}
+
+// PeakAtoms returns the largest instance any run of the arena held, the
+// size its instance and tables keep capacity for.
+func (a *Arena) PeakAtoms() int { return a.e.peak }
+
+// Bind binds the arena to set for every later Run. The first Bind
+// allocates the arena's memory; a later one resets the interner and drops
+// the instance's index keys, both keeping their capacity. Either compiles
+// the set's rules once.
+func (a *Arena) Bind(set *tgds.Set) {
+	e := &a.e
+	if e.itab == nil {
+		e.itab = logic.NewInterner()
+		if e.full {
+			e.inst = instance.NewWithInterner(e.itab)
+		} else {
+			e.inst = instance.NewScratch(e.itab, 16)
+		}
+		e.trig = logic.NewTupleTable(64)
+		e.front = logic.NewTupleTable(16)
+		e.ds = discSorter{itab: e.itab, disc: &e.discBuf, idx: &e.sortBuf}
+	} else {
+		e.itab.Reset()
+		e.inst.Clear()
+	}
+	e.set = set
+	e.boundNulls = e.boundNulls[:0]
+	e.ct = compileSet(set, e.itab)
+	e.deps = newDeltaDeps(e.ct)
+	e.ce, e.uf = nil, nil
+	if set.HasEGDs() {
+		e.ce = compileEGDs(set, e.itab)
+		e.uf = &logic.UnionFind{}
+	}
+}
+
+// reset readies the engine for a run of db under opts: every per-run
+// structure is truncated, keeping its capacity, and db's facts are loaded
+// into the instance.
+func (e *engine) reset(ctx context.Context, db *instance.Database, opts Options) {
+	e.opts = opts
+	e.run = &Run{Options: opts, Set: e.set, Database: db}
+	e.done = ctx.Done()
+	e.ctxTick = 0
+	e.dirty, e.eqSinceFlush = false, 0
+	if e.uf != nil {
+		e.uf.Reset()
+	}
+	e.nulls = 0
+	e.clearTriggers()
+	e.inst.Reset()
+	e.inst.AddAll(db.Atoms())
+	e.deltaAct = opts.Variant == Restricted && !opts.fullActivity
+	if opts.Strategy == Random {
+		if e.rng == nil {
+			e.rng = rand.New(rand.NewSource(opts.Seed))
+		} else {
+			e.rng.Seed(opts.Seed)
+		}
+	}
+}
+
+// clearTriggers empties the trigger state — tables, queue, birth verdicts —
+// keeping its capacity: at the start of a run and at each equality flush.
+func (e *engine) clearTriggers() {
+	e.trig.Reset()
+	e.front.Reset()
+	e.applied = e.applied[:0]
+	e.queue = e.queue[:0]
+	e.qhead = 0
+	e.born = e.born[:0]
+	e.activeAtBirth = e.activeAtBirth[:0]
 }
 
 // seedAllTriggers enumerates every trigger of every rule — TGDs then EGDs,
@@ -735,7 +830,7 @@ func (e *engine) loop() {
 			e.run.Stats.TriggersSkipped++
 			continue
 		}
-		e.apply(id, rule, bt)
+		e.apply(rule, bt)
 	}
 	e.run.Reason = Fixpoint
 }
@@ -809,6 +904,7 @@ func (e *engine) applyEGD(j int, bt []uint32, x, y logic.TermID) bool {
 // one: every surviving body match is some ρ∘h, and every satisfied head
 // stays satisfied via ρ of its witness.
 func (e *engine) flushEqualities() {
+	e.peak = max(e.peak, e.inst.Len())
 	removed := e.inst.RewriteTerms(e.uf.Find)
 	if !e.opts.DropSteps {
 		// Every step of one batch reports the batch's rewrite total.
@@ -818,19 +914,7 @@ func (e *engine) flushEqualities() {
 	}
 	e.dirty = false
 	e.eqSinceFlush = 0
-	e.trig = logic.NewTupleTable(64)
-	e.front = logic.NewTupleTable(16)
-	e.applied = e.applied[:0]
-	e.queue = e.queue[:0]
-	e.qhead = 0
-	e.born = e.born[:0]
-	e.activeAtBirth = e.activeAtBirth[:0]
-	// Structural-null memo entries are keyed by trigger IDs of the discarded
-	// table; clear them. Fired triggers never re-fire (their heads stay
-	// satisfied under ρ), so no null name is ever re-requested.
-	if len(e.structNulls) > 0 {
-		e.structNulls = make(map[uint64]logic.TermID)
-	}
+	e.clearTriggers()
 	e.seedAllTriggers()
 }
 
@@ -845,24 +929,31 @@ func (e *engine) materializeEGDTrigger(j int, bt []uint32) logic.Substitution {
 	return h
 }
 
-// nullFor returns the interned null for the trigger's k-th existential
-// variable, one per (trigger, variable) — the paper's c^{σ,h}_x, keyed by
-// IDs.
-func (e *engine) nullFor(id int32, k int) logic.TermID {
-	key := uint64(uint32(id))<<32 | uint64(uint32(k))
-	if nid, ok := e.structNulls[key]; ok {
-		return nid
+// newNull returns the run's next invented null: the k-th is n<k>. Each
+// trigger fires at most once — it enters the queue once per trigger table,
+// and a fired trigger stays satisfied across an equality flush — so one
+// fresh null per (trigger, existential variable) is the paper's c^{σ,h}_x,
+// named in application order. Nulls are interned in naming order, so an
+// older null keeps the smaller TermID, as applyEGD's merges require.
+func (e *engine) newNull() logic.TermID {
+	k := e.nulls
+	e.nulls++
+	if k < len(e.boundNulls) {
+		return e.boundNulls[k]
 	}
-	nid := e.itab.InternTerm(e.namer.NextNull())
-	e.structNulls[key] = nid
-	return nid
+	if k == len(e.nullTerms) {
+		e.nullTerms = append(e.nullTerms, logic.NewNull("n"+strconv.Itoa(k)))
+	}
+	id := e.itab.InternTerm(e.nullTerms[k])
+	e.boundNulls = append(e.boundNulls, id)
+	return id
 }
 
-func (e *engine) apply(id int32, tgd int, bt []uint32) {
+func (e *engine) apply(tgd int, bt []uint32) {
 	ct := &e.ct[tgd]
 	e.nullIDs = e.nullIDs[:0]
-	for k := range ct.existVars {
-		e.nullIDs = append(e.nullIDs, e.nullFor(id, k))
+	for range ct.existVars {
+		e.nullIDs = append(e.nullIDs, e.newNull())
 	}
 	record := !e.opts.DropSteps
 	var result, added []logic.Atom

@@ -99,10 +99,13 @@ func Decide(set *tgds.Set, opts DecideOptions) (*Verdict, error) {
 }
 
 // DecideContext is Decide under a context: the per-seed chase batteries run
-// on chase.RunChaseContext (cancellation observed every few dozen trigger
-// pops) and the seed scan stops before its next seed once the context
-// fires. A cancelled call returns ctx's error; no partial battery outcome
-// is interpreted or cached. Uncancelled calls behave identically to Decide.
+// in a chase.Arena (cancellation observed every few dozen trigger pops) and
+// the seed scan stops before its next seed once the context fires. A
+// cancelled call returns ctx's error; no partial battery outcome is
+// interpreted or cached. Uncancelled calls behave identically to Decide.
+// The scan takes its chase arena from a package pool at its first uncached
+// seed and returns it when the scan ends, so concurrent calls never share
+// one.
 //
 // The portfolio's Tier 1 probe is this call at a small budget k: every
 // order of a battery is deterministic, and a fixpoint reached within k
@@ -117,7 +120,8 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 	}
 	budget := opts.maxSteps()
 	sw := newSeedSweep(set, opts.Cache)
-	v, depth, err := scanSeeds(ctx, set, sw, budget)
+	defer sw.release()
+	v, depth, err := scanSeeds(ctx, sw, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -132,11 +136,13 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 // perturbed orders) and returns a divergence verdict, or nil when every
 // order saturated quietly, plus the battery's saturation depth — the
 // deepest chase among the orders on a saturating seed, or the diverging
-// run's step count. SeedsTried and Budget are filled by the caller. With a
-// cache, the battery outcome is keyed by (set fingerprint, seed
-// fingerprint, budget): a hit rebuilds the verdict around the caller's own
-// seed database without chasing and replays the recorded depth.
-func chaseSeed(ctx context.Context, set *tgds.Set, seed *instance.Database, budget int, cache *chase.Cache, setFP, seedFP logic.Fingerprint) (*Verdict, int) {
+// run's step count. SeedsTried and Budget are filled by the caller. With
+// the sweep's cache, the battery outcome is keyed by (set fingerprint,
+// seed fingerprint, budget): a hit rebuilds the verdict around the
+// caller's own seed database without chasing and replays the recorded
+// depth.
+func chaseSeed(ctx context.Context, sw *seedSweep, seed *instance.Database, budget int, seedFP logic.Fingerprint) (*Verdict, int) {
+	cache, setFP := sw.cache, sw.setFP
 	if cache != nil {
 		if o, ok := cache.LookupSeedOutcome(setFP, seedFP, budget); ok {
 			if !o.Diverges {
@@ -145,7 +151,7 @@ func chaseSeed(ctx context.Context, set *tgds.Set, seed *instance.Database, budg
 			return &Verdict{Terminates: false, Method: o.Method, Witness: seed, Evidence: o.Evidence, PumpDepth: o.PumpDepth}, o.Steps
 		}
 	}
-	v, steps := chaseSeedBattery(ctx, set, seed, budget, cache)
+	v, steps := chaseSeedBattery(ctx, sw.battery(), sw.set, seed, budget, cache)
 	if v == cancelledVerdict {
 		// A cancelled battery proves nothing; never cache it.
 		return v, steps
@@ -166,18 +172,19 @@ func chaseSeed(ctx context.Context, set *tgds.Set, seed *instance.Database, budg
 var cancelledVerdict = &Verdict{Method: "cancelled"}
 
 // chaseSeedBattery is the uncached battery: fair FIFO, then a perturbed
-// Random order, then LIFO, each on the ID plane with its steps in one
-// reused step log. The returned depth is the deepest chase among the
+// Random order, then LIFO, each on the ID plane in b's arena, bound to the
+// set, with its steps in b's step log. Each run is mined before the next
+// order reuses both. The returned depth is the deepest chase among the
 // orders (the diverging run's step count when an order diverged).
-func chaseSeedBattery(ctx context.Context, set *tgds.Set, seed *instance.Database, budget int, cache *chase.Cache) (*Verdict, int) {
+func chaseSeedBattery(ctx context.Context, b *battery, set *tgds.Set, seed *instance.Database, budget int, cache *chase.Cache) (*Verdict, int) {
 	depth := 0
-	var log stepLog
+	log := &b.log
 	for _, o := range []chase.Options{
 		{Variant: chase.Restricted, Strategy: chase.FIFO, MaxSteps: budget, DropSteps: true, Cache: cache},
 		{Variant: chase.Restricted, Strategy: chase.Random, Seed: 1, MaxSteps: budget, DropSteps: true, Cache: cache},
 		{Variant: chase.Restricted, Strategy: chase.LIFO, MaxSteps: budget, DropSteps: true, Cache: cache},
 	} {
-		run := chaseLogged(ctx, seed, set, o, &log)
+		run := chaseLogged(ctx, &b.arena, seed, o, log)
 		if run.Reason == chase.Cancelled {
 			return cancelledVerdict, depth
 		}

@@ -411,7 +411,9 @@ func TestDivergenceEvidenceOnTerminatingRunIsEmpty(t *testing.T) {
 		s1: P(X,Y) -> R(X,Y).
 	`)
 	var log stepLog
-	run := chaseLogged(context.Background(), prog.Database, prog.TGDs, chase.Options{Variant: chase.Restricted}, &log)
+	var arena chase.Arena
+	arena.Bind(prog.TGDs)
+	run := chaseLogged(context.Background(), &arena, prog.Database, chase.Options{Variant: chase.Restricted}, &log)
 	if run.StepsTaken != 1 {
 		t.Fatalf("want a 1-step run, got %d steps", run.StepsTaken)
 	}

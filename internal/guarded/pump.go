@@ -40,13 +40,14 @@ func (l *stepLog) record(tgd int, body []uint32, head int32, length int) {
 	l.boff = append(l.boff, int32(len(l.body)))
 }
 
-// chaseLogged runs one battery order on the ID plane: no recorded steps, the
-// step log filled through the observer. The run's Final is the instance the
-// log's insertion indices and TermIDs refer to.
-func chaseLogged(ctx context.Context, seed *instance.Database, set *tgds.Set, o chase.Options, log *stepLog) *chase.Run {
+// chaseLogged runs one battery order in the arena, bound to the set: no
+// recorded steps, the step log filled through the observer. The run's Final
+// is the instance the log's insertion indices and TermIDs refer to; both
+// stay valid until the arena's next run.
+func chaseLogged(ctx context.Context, a *chase.Arena, seed *instance.Database, o chase.Options, log *stepLog) *chase.Run {
 	log.reset(seed.Len())
 	o.DropSteps, o.OnStep = true, log.record
-	return chase.RunChaseContext(ctx, seed, set, o)
+	return a.Run(ctx, seed, o)
 }
 
 // pump mines the logged run for a guard-chain pump: two steps on the same

@@ -232,7 +232,9 @@ func TestDivergencePumpMatchesReference(t *testing.T) {
 	}
 	runs, pumps, probePumps := 0, 0, 0
 	var log stepLog
+	var arena chase.Arena
 	for _, set := range sets {
+		arena.Bind(set)
 		for _, seed := range GenerateSeeds(set, 6) {
 			for _, o := range batteryOrders(400) {
 				run := chase.RunChase(seed, set, o)
@@ -270,7 +272,7 @@ func TestDivergencePumpMatchesReference(t *testing.T) {
 					wantEv, wantDepth, wantOK := DivergencePump(&prefix)
 					lo := o
 					lo.MaxSteps = budget
-					lite := chaseLogged(context.Background(), seed, set, lo, &log)
+					lite := chaseLogged(context.Background(), &arena, seed, lo, &log)
 					if lite.StepsTaken != len(prefix.Steps) || len(lite.Steps) != 0 {
 						t.Fatalf("%v %v at %d: ID-plane run took %d steps and recorded %d, want %d and none",
 							set, o.Strategy, budget, lite.StepsTaken, len(lite.Steps), len(prefix.Steps))

@@ -73,13 +73,15 @@ func isAcyclicDB(atoms []logic.Atom) bool {
 // Property: the step-log miner never fires on terminating runs.
 func TestQuickNoFalsePumpsOnTerminatingRuns(t *testing.T) {
 	var log stepLog
+	var arena chase.Arena
 	f := func(seed int64) bool {
 		set := workload.RandomTGDSet(seed%4000, workload.RandomOptions{Rules: 3})
 		if !set.IsGuarded() {
 			return true
 		}
+		arena.Bind(set)
 		for _, db := range GenerateSeeds(set, 4) {
-			run := chaseLogged(context.Background(), db, set, chase.Options{Variant: chase.Restricted, MaxSteps: 500}, &log)
+			run := chaseLogged(context.Background(), &arena, db, chase.Options{Variant: chase.Restricted, MaxSteps: 500}, &log)
 			if !run.Terminated() {
 				continue
 			}

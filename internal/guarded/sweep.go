@@ -2,6 +2,7 @@ package guarded
 
 import (
 	"context"
+	"sync"
 
 	"airct/internal/chase"
 	"airct/internal/instance"
@@ -16,18 +17,73 @@ import (
 // sweep stopped early generates and stores nothing past its stop. The pool
 // holds no two isomorphic seeds, so no seed repeats an earlier one.
 //
+// The sweep also owns the scan's battery memory: taken from batteries at
+// the first seed the cache does not answer, its arena bound to the set, and
+// given back by release when the scan ends.
+//
 // Not safe for concurrent use.
 type seedSweep struct {
+	set   *tgds.Set
 	cache *chase.Cache
 	setFP logic.Fingerprint // the set's fingerprint when cache != nil
 
 	pooled []*instance.Database // the cached pool; nil on a cold sweep
 	enum   *seedEnum            // the cold enumeration until it drains
 	n      int                  // seeds yielded so far
+
+	b *battery // nil until battery is first called
+}
+
+// battery is the memory a seed battery reuses, across the seeds of a scan
+// and, through the pool, across scans: the chase arena every order of
+// every seed runs in, and the step log those runs fill.
+type battery struct {
+	arena chase.Arena
+	log   stepLog
+}
+
+// batteries pools the battery memory of finished scans. sync.Pool hands
+// each battery to one caller at a time, so every arena keeps one writer.
+var batteries = sync.Pool{New: func() any { return new(battery) }}
+
+// maxPooledAtoms bounds the instance an arena may have held and still go
+// back to the pool. An arena keeps the capacity of its largest run, so
+// without the bound a client's large guarded-budget would pin that memory
+// in the pool. A single-head guarded TGD adds at most one atom per step,
+// so the default budget of 2000 steps stays far below the bound.
+const maxPooledAtoms = 8192
+
+// releaseBattery returns b to the pool unless its arena outgrew
+// maxPooledAtoms, and reports whether it did.
+func releaseBattery(b *battery) bool {
+	if b.arena.PeakAtoms() > maxPooledAtoms {
+		return false
+	}
+	batteries.Put(b)
+	return true
+}
+
+// battery returns the scan's battery memory, taking it from the pool and
+// binding its arena to the set on first use.
+func (sw *seedSweep) battery() *battery {
+	if sw.b == nil {
+		sw.b = batteries.Get().(*battery)
+		sw.b.arena.Bind(sw.set)
+	}
+	return sw.b
+}
+
+// release gives the scan's battery memory back to the pool, if it took
+// any.
+func (sw *seedSweep) release() {
+	if sw.b != nil {
+		releaseBattery(sw.b)
+		sw.b = nil
+	}
 }
 
 func newSeedSweep(set *tgds.Set, cache *chase.Cache) *seedSweep {
-	sw := &seedSweep{cache: cache}
+	sw := &seedSweep{set: set, cache: cache}
 	if cache != nil {
 		sw.setFP = set.Fingerprint()
 		sw.pooled, _ = cachedSeedPool(sw.setFP, cache)
@@ -66,7 +122,7 @@ func (sw *seedSweep) next() (*instance.Database, bool) {
 // exhausted) and the deepest battery among the saturating seeds, maxed with
 // the pump depth on a "divergence-witness" verdict: the shortest prefix
 // that carries the certificate, not the truncated run's length.
-func scanSeeds(ctx context.Context, set *tgds.Set, sw *seedSweep, budget int) (*Verdict, int, error) {
+func scanSeeds(ctx context.Context, sw *seedSweep, budget int) (*Verdict, int, error) {
 	depth := 0
 	for {
 		if ctx.Err() != nil {
@@ -80,7 +136,7 @@ func scanSeeds(ctx context.Context, set *tgds.Set, sw *seedSweep, budget int) (*
 		if sw.cache != nil {
 			fp = logic.FingerprintAtoms(db.Atoms())
 		}
-		v, steps := chaseSeed(ctx, set, db, budget, sw.cache, sw.setFP, fp)
+		v, steps := chaseSeed(ctx, sw, db, budget, fp)
 		if v == cancelledVerdict {
 			return nil, 0, ctx.Err()
 		}

@@ -21,8 +21,10 @@ func referenceDecide(set *tgds.Set, opts DecideOptions) *Verdict {
 	budget := opts.maxSteps()
 	seeds := GenerateSeeds(set, 256)
 	depth := 0
+	var b battery
+	b.arena.Bind(set)
 	for i, s := range seeds {
-		v, steps := chaseSeedBattery(context.Background(), set, s, budget, nil)
+		v, steps := chaseSeedBattery(context.Background(), &b, set, s, budget, nil)
 		if v == nil {
 			depth = max(depth, steps)
 			continue

@@ -156,6 +156,22 @@ func (in *Instance) Reset() {
 	in.fp = logic.Fingerprint{}
 }
 
+// Clear is Reset that also drops every index key, keeping the maps'
+// capacity. It goes with resetting the instance's interner: the keys hold
+// IDs the reset invalidated, and kept, they would pile up across every
+// vocabulary the instance served. Clearing a whole map costs its capacity,
+// which beats deleting keys one by one unless the map holds a small share
+// of what it once held.
+func (in *Instance) Clear() {
+	clear(in.byPred)
+	clear(in.predIdx)
+	clear(in.ptIdx)
+	in.touchedBy = in.touchedBy[:0]
+	in.touchedPred = in.touchedPred[:0]
+	in.touchedPT = in.touchedPT[:0]
+	in.Reset()
+}
+
 // Add inserts the atom and reports whether it was new. It panics if the
 // atom contains a variable: instances hold ground atoms only, and inserting
 // a non-ground atom is a programming error.
@@ -620,18 +636,6 @@ func (db *Database) Add(a logic.Atom) error {
 // Instance returns a fresh Instance holding the database's facts; the chase
 // mutates the copy, never the database.
 func (db *Database) Instance() *Instance { return db.inst.Clone() }
-
-// LiteInstance is Instance on the ID plane: a fresh lite instance (see
-// NewScratch) on its own interner, holding the database's facts with the
-// insertion indices and TermIDs Instance gives them. The chase engine
-// copies the database this way when it records no steps.
-func (db *Database) LiteInstance() *Instance {
-	out := NewScratch(logic.NewInterner(), db.Len())
-	for i := 0; i < db.inst.Len(); i++ {
-		out.Add(db.inst.AtomAt(i))
-	}
-	return out
-}
 
 // Atoms returns the facts in insertion order.
 func (db *Database) Atoms() []logic.Atom { return db.inst.Atoms() }

@@ -51,6 +51,18 @@ func NewInterner() *Interner {
 	}
 }
 
+// Reset empties the interner and keeps the capacity of its tables: every
+// ID it handed out becomes invalid, so whatever holds such IDs is reset
+// with it. A chase arena resets its interner when it binds a new TGD set.
+func (in *Interner) Reset() {
+	in.terms = in.terms[:0]
+	clear(in.termID)
+	in.preds = in.preds[:0]
+	clear(in.predID)
+	in.termHash = in.termHash[:0]
+	in.predHash = in.predHash[:0]
+}
+
 // InternTerm returns the ID for t, minting one if t is new.
 func (in *Interner) InternTerm(t Term) TermID {
 	if id, ok := in.termID[t]; ok {

@@ -26,6 +26,13 @@ func (u *UnionFind) grow(id TermID) {
 	}
 }
 
+// Reset empties the structure and keeps its capacity: every ID is its
+// own representative again.
+func (u *UnionFind) Reset() {
+	u.parent = u.parent[:0]
+	u.merges = 0
+}
+
 // Find returns the representative of id's equality class, compressing the
 // path as it walks. An ID never touched by Link is its own representative.
 func (u *UnionFind) Find(id TermID) TermID {
