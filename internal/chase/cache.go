@@ -157,7 +157,8 @@ type SeedOutcome struct {
 }
 
 // SeedPool is a cached candidate-seed pool: each seed database's atoms in
-// generation order, by value. Every atom is a fact.
+// generation order, by value. Every atom is a fact, and no seed repeats
+// an atom.
 type SeedPool struct {
 	Seeds [][]logic.Atom
 }

@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"airct/internal/logic"
@@ -264,8 +265,10 @@ var seedOutcomes = &kind[SeedOutcome]{
 	},
 }
 
-// seedPools refuses an atom that is not a fact of its predicate's arity:
-// the pool's consumer adds every atom to a Database.
+// seedPools refuses an atom that is not a fact of its predicate's arity,
+// and a seed that repeats an atom: the pool's consumer builds a Database
+// from each seed and keys its cached outcome by logic.FingerprintAtoms,
+// which needs a duplicate-free slice. No generated pool has either.
 var seedPools = &kind[*SeedPool]{
 	encode: func(b []byte, p *SeedPool) []byte {
 		b = binary.AppendUvarint(b, uint64(len(p.Seeds)))
@@ -295,10 +298,36 @@ var seedPools = &kind[*SeedPool]{
 				}
 				atoms = append(atoms, a)
 			}
+			if hasRepeat(atoms) {
+				d.fail()
+			}
 			p.Seeds = append(p.Seeds, atoms)
 		}
 		return p
 	},
+}
+
+// hasRepeat reports whether an atom occurs twice in the seed: pairwise
+// over a short seed, as every generated one is, else by content hash, so
+// that a corrupt frame cannot make the check quadratic.
+func hasRepeat(atoms []logic.Atom) bool {
+	if len(atoms) <= 16 {
+		for j, a := range atoms {
+			if slices.ContainsFunc(atoms[:j], a.Equal) {
+				return true
+			}
+		}
+		return false
+	}
+	seen := make(map[logic.Fingerprint]bool, len(atoms))
+	for _, a := range atoms {
+		h := logic.HashAtom(a)
+		if seen[h] {
+			return true
+		}
+		seen[h] = true
+	}
+	return false
 }
 
 var stageOutcomes = &kind[*StageOutcomes]{

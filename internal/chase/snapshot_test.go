@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"reflect"
@@ -411,16 +412,25 @@ func TestSnapshotGoldenV3(t *testing.T) {
 // its replay would panic on is skipped, never restored, and the same value
 // stored in-process is never served. Each case would otherwise reach a
 // panic: Database.Add in the guarded seed pool, the substitution pairing
-// in the ∀∃ replay, or the lasso of a diverging sticky verdict.
+// in the ∀∃ replay, or the lasso of a diverging sticky verdict. A seed
+// that repeats an atom would instead get a wrong cache key: its consumer
+// fingerprints it as a set, which needs a duplicate-free slice.
 func TestRestoreSkipsUnreplayableBodies(t *testing.T) {
 	set, inst := fpOf("set"), fpOf("inst")
-	pool := func(a logic.Atom) func(c *Cache) bool {
+	pool := func(atoms ...logic.Atom) func(c *Cache) bool {
 		return func(c *Cache) bool {
-			c.StoreSeedPool(set, 8, &SeedPool{Seeds: [][]logic.Atom{{a}}})
+			c.StoreSeedPool(set, 8, &SeedPool{Seeds: [][]logic.Atom{{logic.MustAtom("P", logic.Const("a"))}, atoms}})
 			_, ok := c.LookupSeedPool(set, 8)
 			return ok
 		}
 	}
+	// A long seed takes the hashed repeat check: 20 distinct facts, then
+	// the seventh again.
+	var long []logic.Atom
+	for i := range 20 {
+		long = append(long, logic.MustAtom("S", logic.Const(fmt.Sprintf("c%d", i))))
+	}
+	long = append(long, long[6])
 	step := func(st ExistsStep) func(c *Cache) bool {
 		return func(c *Cache) bool {
 			c.StoreExistsOutcome(set, inst, 20, &ExistsOutcome{Found: true, Budget: 10, Derivation: []ExistsStep{st}})
@@ -441,6 +451,11 @@ func TestRestoreSkipsUnreplayableBodies(t *testing.T) {
 		"pool atom arity mismatch": pool(logic.Atom{
 			Pred: logic.Predicate{Name: "R", Arity: 2}, Args: []logic.Term{logic.Const("a")},
 		}),
+		"pool seed repeating an atom": pool(
+			logic.MustAtom("R", logic.Const("a"), logic.Const("b")), logic.MustAtom("S", logic.Const("a")),
+			logic.MustAtom("R", logic.Const("a"), logic.Const("b")),
+		),
+		"long pool seed repeating an atom": pool(long...),
 		"exists step with unequal vars and vals": step(ExistsStep{
 			Vars: []logic.Term{logic.Var("X"), logic.Var("Y")}, Vals: []logic.Term{logic.Const("a")},
 		}),

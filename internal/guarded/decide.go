@@ -3,6 +3,7 @@ package guarded
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"airct/internal/acyclicity"
 	"airct/internal/chase"
@@ -138,20 +139,20 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 // deepest chase among the orders on a saturating seed, or the diverging
 // run's step count. SeedsTried and Budget are filled by the caller. With
 // the sweep's cache, the battery outcome is keyed by (set fingerprint,
-// seed fingerprint, budget): a hit rebuilds the verdict around the
-// caller's own seed database without chasing and replays the recorded
-// depth.
-func chaseSeed(ctx context.Context, sw *seedSweep, seed *instance.Database, budget int, seedFP logic.Fingerprint) (*Verdict, int) {
+// seed fingerprint, budget): a hit rebuilds the verdict without chasing and
+// replays the recorded depth. The seed becomes a Database only when the
+// battery runs or a verdict names it as the witness.
+func chaseSeed(ctx context.Context, sw *seedSweep, seed []logic.Atom, budget int, seedFP logic.Fingerprint) (*Verdict, int) {
 	cache, setFP := sw.cache, sw.setFP
 	if cache != nil {
 		if o, ok := cache.LookupSeedOutcome(setFP, seedFP, budget); ok {
 			if !o.Diverges {
 				return nil, o.Steps
 			}
-			return &Verdict{Terminates: false, Method: o.Method, Witness: seed, Evidence: o.Evidence, PumpDepth: o.PumpDepth}, o.Steps
+			return &Verdict{Terminates: false, Method: o.Method, Witness: seedDatabase(seed), Evidence: o.Evidence, PumpDepth: o.PumpDepth}, o.Steps
 		}
 	}
-	v, steps := chaseSeedBattery(ctx, sw.battery(), sw.set, seed, budget, cache)
+	v, steps := chaseSeedBattery(ctx, sw.battery(), sw.set, seedDatabase(seed), budget, cache)
 	if v == cancelledVerdict {
 		// A cancelled battery proves nothing; never cache it.
 		return v, steps
@@ -225,11 +226,15 @@ func chaseSeedBattery(ctx context.Context, b *battery, set *tgds.Set, seed *inst
 // built only when the consumer asks for the next seed, so a sweep that
 // stops early (a scan deciding on, or stopped by, an early seed) never
 // pays for the bases it does not reach.
+//
+// A pool entry is a duplicate-free fact slice, in the order a Database
+// built from it would list its atoms; only a base being expanded becomes
+// a Database, because ochase.Build takes one.
 type seedEnum struct {
 	set      *tgds.Set
 	maxSeeds int
 	seen     map[logic.Fingerprint]bool
-	pool     []*instance.Database
+	pool     [][]logic.Atom
 	nbase    int // phase-one prefix length: the treeification bases
 	base     int // next base to expand
 	next     int // next pool index to yield
@@ -241,16 +246,8 @@ func newSeedEnum(set *tgds.Set, maxSeeds int) *seedEnum {
 	for _, t := range set.TGDs {
 		for _, unified := range unifications(t.Body) {
 			frozen, _ := logic.CanonicalFreeze(unified, namer)
-			db := instance.NewDatabase()
-			okAll := true
-			for _, a := range frozen {
-				if err := db.Add(a); err != nil {
-					okAll = false
-					break
-				}
-			}
-			if okAll {
-				e.add(db)
+			if facts, ok := distinctFacts(frozen); ok {
+				e.add(facts)
 			}
 		}
 	}
@@ -258,7 +255,7 @@ func newSeedEnum(set *tgds.Set, maxSeeds int) *seedEnum {
 	return e
 }
 
-func (e *seedEnum) add(db *instance.Database) {
+func (e *seedEnum) add(seed []logic.Atom) {
 	if len(e.pool) >= e.maxSeeds {
 		return
 	}
@@ -266,32 +263,33 @@ func (e *seedEnum) add(db *instance.Database) {
 	// order-independent set fingerprint — no key strings rendered or
 	// sorted. canonicalizeAtoms renames injectively, so the canonical
 	// slice is duplicate-free as FingerprintAtoms requires.
-	key := logic.FingerprintAtoms(canonicalizeAtoms(db.Atoms()))
+	key := logic.FingerprintAtoms(canonicalizeAtoms(seed))
 	if e.seen[key] {
 		return
 	}
 	e.seen[key] = true
-	e.pool = append(e.pool, db)
+	e.pool = append(e.pool, seed)
 }
 
 // Next yields the pool's next seed, expanding treeifications on demand.
-func (e *seedEnum) Next() (*instance.Database, bool) {
+// The slice belongs to the pool: read-only.
+func (e *seedEnum) Next() ([]logic.Atom, bool) {
 	for e.next >= len(e.pool) {
 		if e.base >= e.nbase || len(e.pool) >= e.maxSeeds {
 			return nil, false
 		}
 		seed := e.pool[e.base]
 		e.base++
-		g := ochase.Build(seed, e.set, ochase.BuildOptions{MaxNodes: 600, MaxDepth: 6})
+		g := ochase.Build(seedDatabase(seed), e.set, ochase.BuildOptions{MaxNodes: 600, MaxDepth: 6})
 		tr, err := Treeify(g, TreeifyOptions{IncludeDirect: true})
 		if err != nil {
 			continue
 		}
-		e.add(tr.Database())
+		e.add(tr.Facts())
 	}
-	db := e.pool[e.next]
+	seed := e.pool[e.next]
 	e.next++
-	return db, true
+	return seed, true
 }
 
 // GenerateSeeds produces candidate databases for the search — see seedEnum
@@ -300,19 +298,51 @@ func GenerateSeeds(set *tgds.Set, maxSeeds int) []*instance.Database {
 	e := newSeedEnum(set, maxSeeds)
 	for {
 		if _, ok := e.Next(); !ok {
-			return e.pool
+			break
 		}
 	}
+	out := make([]*instance.Database, len(e.pool))
+	for i, seed := range e.pool {
+		out[i] = seedDatabase(seed)
+	}
+	return out
 }
 
-// canonicalizeAtoms renames constants by first occurrence so seed dedup is
-// isomorphism-insensitive.
+// distinctFacts returns the atoms without repeats, in first-occurrence
+// order — what a Database built from them lists — or false when one is not
+// a fact.
+func distinctFacts(atoms []logic.Atom) ([]logic.Atom, bool) {
+	out := make([]logic.Atom, 0, len(atoms))
+	for _, a := range atoms {
+		if !a.IsFact() {
+			return nil, false
+		}
+		if !slices.ContainsFunc(out, a.Equal) {
+			out = append(out, a)
+		}
+	}
+	return out, true
+}
+
+// seedDatabase builds the Database of a duplicate-free fact slice; its
+// Atoms list the slice in order.
+func seedDatabase(seed []logic.Atom) *instance.Database {
+	db, err := instance.DatabaseFromAtoms(seed...)
+	if err != nil {
+		panic(err) // every pool entry holds facts only
+	}
+	return db
+}
+
+// canonicalizeAtoms renames constants by first occurrence, in sorted atom
+// order, so seed dedup is isomorphism-insensitive. The input is not
+// modified.
 func canonicalizeAtoms(atoms []logic.Atom) []logic.Atom {
-	logic.SortAtoms(atoms)
+	out := slices.Clone(atoms)
+	logic.SortAtoms(out)
 	ren := make(map[logic.Term]logic.Term)
 	next := 0
-	out := make([]logic.Atom, len(atoms))
-	for i, a := range atoms {
+	for i, a := range out {
 		args := make([]logic.Term, len(a.Args))
 		for j, t := range a.Args {
 			r, ok := ren[t]

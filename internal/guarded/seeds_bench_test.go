@@ -8,7 +8,11 @@ import (
 
 // BenchmarkGenerateSeeds measures the whole default seed pool (256 seeds):
 // the canonical bases and, for each base, a (600, 6) real-oblivious-chase
-// fragment and its treeification — the fragment builds dominate.
+// fragment and its treeification, then one Database per pool seed. With
+// the fragments on the ID plane, their builds still dominate: about three
+// quarters of a CPU profile, of which compiling the set once per base is
+// a sixth of the profile; the Databases take about an eighth and Treeify
+// about a twentieth.
 func BenchmarkGenerateSeeds(b *testing.B) {
 	for _, n := range []int{2, 3, 4} {
 		for _, fam := range []workload.Labeled{workload.SwapIntro(n), workload.GuardedLadder(n)} {

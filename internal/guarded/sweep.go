@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"airct/internal/chase"
-	"airct/internal/instance"
 	"airct/internal/logic"
 	"airct/internal/tgds"
 )
@@ -15,7 +14,9 @@ import (
 // there, else enumerated lazily by a seedEnum. A cold sweep that drains its
 // enumeration stores the pool, so later sweeps of the set replay it; a
 // sweep stopped early generates and stores nothing past its stop. The pool
-// holds no two isomorphic seeds, so no seed repeats an earlier one.
+// holds no two isomorphic seeds, so no seed repeats an earlier one. Seeds
+// are duplicate-free fact slices from either source, the stored pool's as
+// decoded.
 //
 // The sweep also owns the scan's battery memory: taken from batteries at
 // the first seed the cache does not answer, its arena bound to the set, and
@@ -27,9 +28,9 @@ type seedSweep struct {
 	cache *chase.Cache
 	setFP logic.Fingerprint // the set's fingerprint when cache != nil
 
-	pooled []*instance.Database // the cached pool; nil on a cold sweep
-	enum   *seedEnum            // the cold enumeration until it drains
-	n      int                  // seeds yielded so far
+	pooled [][]logic.Atom // the cached pool's seeds
+	enum   *seedEnum      // the cold enumeration until it drains; nil on a cached pool
+	n      int            // seeds yielded so far
 
 	b *battery // nil until battery is first called
 }
@@ -86,25 +87,26 @@ func newSeedSweep(set *tgds.Set, cache *chase.Cache) *seedSweep {
 	sw := &seedSweep{set: set, cache: cache}
 	if cache != nil {
 		sw.setFP = set.Fingerprint()
-		sw.pooled, _ = cachedSeedPool(sw.setFP, cache)
+		if pool, ok := cache.LookupSeedPool(sw.setFP, maxSeeds); ok {
+			sw.pooled = pool.Seeds
+			return sw
+		}
 	}
-	if sw.pooled == nil {
-		sw.enum = newSeedEnum(set, maxSeeds)
-	}
+	sw.enum = newSeedEnum(set, maxSeeds)
 	return sw
 }
 
 // next returns the pool's next seed, or false once the pool is exhausted.
 // A drained cold enumeration IS GenerateSeeds' pool: next stores it in the
 // cache at that moment.
-func (sw *seedSweep) next() (*instance.Database, bool) {
+func (sw *seedSweep) next() ([]logic.Atom, bool) {
 	if sw.enum != nil {
-		if db, ok := sw.enum.Next(); ok {
+		if seed, ok := sw.enum.Next(); ok {
 			sw.n++
-			return db, true
+			return seed, true
 		}
 		if sw.cache != nil {
-			storeSeedPool(sw.setFP, sw.cache, sw.enum.pool)
+			sw.cache.StoreSeedPool(sw.setFP, maxSeeds, &chase.SeedPool{Seeds: sw.enum.pool})
 		}
 		sw.enum = nil
 		return nil, false
@@ -128,15 +130,15 @@ func scanSeeds(ctx context.Context, sw *seedSweep, budget int) (*Verdict, int, e
 		if ctx.Err() != nil {
 			return nil, 0, ctx.Err()
 		}
-		db, ok := sw.next()
+		seed, ok := sw.next()
 		if !ok {
 			return nil, depth, nil
 		}
 		var fp logic.Fingerprint
 		if sw.cache != nil {
-			fp = logic.FingerprintAtoms(db.Atoms())
+			fp = logic.FingerprintAtoms(seed)
 		}
-		v, steps := chaseSeed(ctx, sw, db, budget, fp)
+		v, steps := chaseSeed(ctx, sw, seed, budget, fp)
 		if v == cancelledVerdict {
 			return nil, 0, ctx.Err()
 		}
@@ -152,35 +154,4 @@ func scanSeeds(ctx context.Context, sw *seedSweep, budget int) (*Verdict, int, e
 		}
 		return v, depth, nil
 	}
-}
-
-// cachedSeedPool rebuilds the cross-run cached seed pool of the set: fresh
-// Database values from the stored atoms in the stored order, reproducing
-// the generated pool exactly.
-func cachedSeedPool(setFP logic.Fingerprint, cache *chase.Cache) ([]*instance.Database, bool) {
-	pool, ok := cache.LookupSeedPool(setFP, maxSeeds)
-	if !ok {
-		return nil, false
-	}
-	out := make([]*instance.Database, len(pool.Seeds))
-	for i, atoms := range pool.Seeds {
-		db := instance.NewDatabase()
-		for _, a := range atoms {
-			if err := db.Add(a); err != nil {
-				// The pool codec refuses any atom that is not a fact.
-				panic(err)
-			}
-		}
-		out[i] = db
-	}
-	return out, true
-}
-
-// storeSeedPool records a fully generated pool in the cross-run cache.
-func storeSeedPool(setFP logic.Fingerprint, cache *chase.Cache, seeds []*instance.Database) {
-	pool := &chase.SeedPool{Seeds: make([][]logic.Atom, len(seeds))}
-	for i, db := range seeds {
-		pool.Seeds[i] = db.Atoms()
-	}
-	cache.StoreSeedPool(setFP, maxSeeds, pool)
 }

@@ -2,6 +2,7 @@ package guarded
 
 import (
 	"fmt"
+	"slices"
 
 	"airct/internal/instance"
 	"airct/internal/jointree"
@@ -63,14 +64,17 @@ type Treeification struct {
 // Database returns D_ac as a set database (collapsing multiset duplicates),
 // which is what the chase consumes; the multiset structure only matters for
 // the proof bookkeeping.
-func (t *Treeification) Database() *instance.Database {
-	db := instance.NewDatabase()
-	for _, a := range t.Dac {
-		if err := db.Add(a); err != nil {
-			panic(err) // construction only emits constant atoms
-		}
+func (t *Treeification) Database() *instance.Database { return seedDatabase(t.Facts()) }
+
+// Facts returns D_ac as a duplicate-free fact slice: Dac without its
+// multiset duplicates, in first-occurrence order — the atoms of Database,
+// in its order.
+func (t *Treeification) Facts() []logic.Atom {
+	facts, ok := distinctFacts(t.Dac)
+	if !ok {
+		panic("guarded: treeification emitted a non-fact") // relabel only emits constants
 	}
-	return db
+	return facts
 }
 
 // Treeify runs the Treeification construction on a real-oblivious-chase
@@ -79,48 +83,42 @@ func (t *Treeification) Database() *instance.Database {
 // finite fragment), computes the longs-for graph from the remote-side-
 // parent situations present in the fragment, and materialises the path
 // tree (T_ac, λ) with the renaming-with-sharing label rule of the paper.
+// It reads only the fragment's ID plane: node kinds, parents, guard slots
+// and database atoms.
 func Treeify(g *ochase.Graph, opts TreeifyOptions) (*Treeification, error) {
 	if !g.Set.IsGuarded() {
 		return nil, fmt.Errorf("guarded: treeification needs a guarded single-head set")
 	}
+	return treeify(g, opts)
+}
+
+// treeify is Treeify without the guardedness check; a node of an
+// unguarded TGD has no guard root and is left out of every subtree.
+func treeify(g *ochase.Graph, opts TreeifyOptions) (*Treeification, error) {
 	if g.Database.Len() == 0 {
 		return nil, fmt.Errorf("guarded: empty database")
 	}
-	// Database atoms are the first nodes.
+	// Guard roots in one forward pass (parents precede children), and the
+	// guard-subtree size of each root. Database atoms are the first nodes.
+	n := g.Len()
+	root := make([]ochase.NodeID, n) // -1: no guard root
+	subtreeSize := make([]int, n)
 	var dbNodes []ochase.NodeID
-	for _, n := range g.Nodes() {
-		if n.IsDatabase() {
-			dbNodes = append(dbNodes, n.ID)
+	for v := range ochase.NodeID(n) {
+		gp, guarded := g.GuardParent(v)
+		switch {
+		case g.IsDatabaseNode(v):
+			root[v] = v
+			dbNodes = append(dbNodes, v)
+		case guarded && root[gp] >= 0:
+			root[v] = root[gp]
+		default:
+			root[v] = -1
+			continue
 		}
-	}
-	// Guard roots.
-	root := make(map[ochase.NodeID]ochase.NodeID)
-	var rootOf func(id ochase.NodeID) (ochase.NodeID, bool)
-	rootOf = func(id ochase.NodeID) (ochase.NodeID, bool) {
-		if r, ok := root[id]; ok {
-			return r, true
-		}
-		if g.Node(id).IsDatabase() {
-			root[id] = id
-			return id, true
-		}
-		gp, ok := g.GuardParent(id)
-		if !ok {
-			return 0, false
-		}
-		r, ok := rootOf(gp)
-		if ok {
-			root[id] = r
-		}
-		return r, ok
+		subtreeSize[root[v]]++
 	}
 	// α∞: database node with the largest guard subtree.
-	subtreeSize := make(map[ochase.NodeID]int)
-	for _, n := range g.Nodes() {
-		if r, ok := rootOf(n.ID); ok {
-			subtreeSize[r]++
-		}
-	}
 	alphaInf := dbNodes[0]
 	for _, id := range dbNodes {
 		if subtreeSize[id] > subtreeSize[alphaInf] {
@@ -130,42 +128,43 @@ func Treeify(g *ochase.Graph, opts TreeifyOptions) (*Treeification, error) {
 	// Remote-side-parent situations and the longs-for graph.
 	longsFor := make(map[ochase.NodeID]map[ochase.NodeID]bool)
 	var situations []RemoteSituation
-	pairSeen := make(map[string]bool)
+	type pair struct{ beta, betaPrime ochase.NodeID }
+	pairSeen := make(map[pair]bool)
 	addEdge := func(a, b ochase.NodeID) {
 		if longsFor[a] == nil {
 			longsFor[a] = make(map[ochase.NodeID]bool)
 		}
 		longsFor[a][b] = true
 	}
-	for _, n := range g.Nodes() {
-		if n.IsDatabase() {
+	for v := range ochase.NodeID(n) {
+		rAlpha := root[v]
+		if g.IsDatabaseNode(v) || rAlpha < 0 {
 			continue
 		}
-		rAlpha, ok := rootOf(n.ID)
-		if !ok {
-			continue
-		}
-		for _, sp := range g.SideParents(n.ID) {
-			spNode := g.Node(sp)
-			if spNode.IsDatabase() {
+		guard := g.GuardSlot(v)
+		for i, sp := range g.Parents(v) {
+			if i == guard {
+				continue
+			}
+			if g.IsDatabaseNode(sp) {
 				if opts.IncludeDirect && sp != rAlpha {
 					addEdge(rAlpha, sp)
 					situations = append(situations, RemoteSituation{
-						Alpha: rAlpha, AlphaPrime: n.ID, Beta: sp, BetaPrime: sp,
+						Alpha: rAlpha, AlphaPrime: v, Beta: sp, BetaPrime: sp,
 					})
-					pairSeen[fmt.Sprintf("%d|%d", sp, sp)] = true
+					pairSeen[pair{sp, sp}] = true
 				}
 				continue
 			}
-			rBeta, ok := rootOf(sp)
-			if !ok || rBeta == rAlpha {
+			rBeta := root[sp]
+			if rBeta < 0 || rBeta == rAlpha {
 				continue
 			}
 			addEdge(rAlpha, rBeta)
 			situations = append(situations, RemoteSituation{
-				Alpha: rAlpha, AlphaPrime: n.ID, Beta: rBeta, BetaPrime: sp,
+				Alpha: rAlpha, AlphaPrime: v, Beta: rBeta, BetaPrime: sp,
 			})
-			pairSeen[fmt.Sprintf("%d|%d", rBeta, sp)] = true
+			pairSeen[pair{rBeta, sp}] = true
 		}
 	}
 	ellInf := len(pairSeen)
@@ -176,15 +175,18 @@ func Treeify(g *ochase.Graph, opts TreeifyOptions) (*Treeification, error) {
 		ellInf = opts.maxDepth()
 	}
 	// Materialise the path tree.
+	rootAtom := g.DatabaseAtom(alphaInf)
 	tr := &Treeification{
-		AlphaInf: g.Node(alphaInf).Atom,
+		AlphaInf: rootAtom,
 		EllInf:   ellInf,
-		LongsFor: make(map[string][]string),
+		LongsFor: make(map[string][]string, len(longsFor)),
 	}
 	for a, targets := range longsFor {
-		for b := range targets {
-			tr.LongsFor[g.Node(a).Atom.Key()] = append(tr.LongsFor[g.Node(a).Atom.Key()], g.Node(b).Atom.Key())
+		keys := make([]string, 0, len(targets))
+		for _, b := range sortedKeys(targets) {
+			keys = append(keys, g.DatabaseAtom(b).Key())
 		}
+		tr.LongsFor[g.DatabaseAtom(a).Key()] = keys
 	}
 	tr.Situations = situations
 	tree := &jointree.JoinTree{Root: 0}
@@ -194,7 +196,6 @@ func Treeify(g *ochase.Graph, opts TreeifyOptions) (*Treeification, error) {
 		dbNode ochase.NodeID
 		depth  int
 	}
-	rootAtom := g.Node(alphaInf).Atom
 	tree.Nodes = append(tree.Nodes, jointree.Node{ID: 0, Atom: rootAtom, Parent: -1})
 	tr.Dac = append(tr.Dac, rootAtom)
 	tr.Hac = append(tr.Hac, rootAtom)
@@ -207,9 +208,9 @@ func Treeify(g *ochase.Graph, opts TreeifyOptions) (*Treeification, error) {
 			continue
 		}
 		parentLabel := tree.Nodes[cur.nodeID].Atom
-		parentOrig := g.Node(cur.dbNode).Atom
+		parentOrig := g.DatabaseAtom(cur.dbNode)
 		for _, beta := range sortedKeys(longsFor[cur.dbNode]) {
-			betaAtom := g.Node(beta).Atom
+			betaAtom := g.DatabaseAtom(beta)
 			childID := len(tree.Nodes)
 			label := relabel(betaAtom, parentOrig, parentLabel, childID)
 			tree.Nodes = append(tree.Nodes, jointree.Node{ID: childID, Atom: label, Parent: cur.nodeID})
@@ -257,18 +258,13 @@ func relabel(beta, alphaOrig, alphaLabel logic.Atom, nodeID int) logic.Atom {
 	return logic.NewAtom(beta.Pred, args...)
 }
 
+// sortedKeys returns the members of a node set in ID order.
 func sortedKeys(m map[ochase.NodeID]bool) []ochase.NodeID {
-	var out []ochase.NodeID
+	out := make([]ochase.NodeID, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -22,11 +22,12 @@ func (g *Graph) CheckChaseable(A []NodeID) error {
 		inA[id] = struct{}{}
 	}
 	// Condition 2: parent closure.
+	nodes := g.view()
 	for _, id := range A {
-		for _, p := range g.nodes[id].Parents {
+		for _, p := range g.Parents(id) {
 			if _, ok := inA[p]; !ok {
 				return fmt.Errorf("ochase: not parent-closed: parent %d (%v) of %d (%v) is outside A",
-					p, g.nodes[p].Atom, id, g.nodes[id].Atom)
+					p, nodes[p].Atom, id, nodes[id].Atom)
 			}
 		}
 	}
@@ -53,7 +54,7 @@ func (g *Graph) CheckChaseable(A []NodeID) error {
 	}
 	for _, id := range A {
 		if color[id] == 0 && !dfs(id) {
-			return fmt.Errorf("ochase: ≺b has a cycle through node %d (%v)", cycleAt, g.nodes[cycleAt].Atom)
+			return fmt.Errorf("ochase: ≺b has a cycle through node %d (%v)", cycleAt, nodes[cycleAt].Atom)
 		}
 	}
 	return nil
@@ -104,7 +105,7 @@ func (g *Graph) ExtractDerivation(A []NodeID) (*chase.Derivation, error) {
 		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
 		id := ready[0]
 		ready = ready[1:]
-		n := g.nodes[id]
+		n := g.Node(id)
 		if !n.IsDatabase() {
 			if err := d.Apply(*n.Trigger); err != nil {
 				return nil, fmt.Errorf("ochase: node %d (%v): %w", id, n.Atom, err)
@@ -127,7 +128,7 @@ func (g *Graph) ExtractDerivation(A []NodeID) (*chase.Derivation, error) {
 func (g *Graph) countDatabaseNodes(A []NodeID) int {
 	n := 0
 	for _, id := range A {
-		if g.nodes[id].IsDatabase() {
+		if g.IsDatabaseNode(id) {
 			n++
 		}
 	}
@@ -143,7 +144,7 @@ func (g *Graph) countDatabaseNodes(A []NodeID) int {
 func ChaseableFromRun(g *Graph, run *chase.Run) ([]NodeID, error) {
 	chosen := make(map[string]NodeID) // atom key -> designated occurrence
 	var A []NodeID
-	for _, n := range g.nodes {
+	for _, n := range g.Nodes() {
 		if n.IsDatabase() {
 			chosen[n.Atom.Key()] = n.ID
 			A = append(A, n.ID)
@@ -178,7 +179,7 @@ func ChaseableFromRun(g *Graph, run *chase.Run) ([]NodeID, error) {
 }
 
 func (g *Graph) findNode(triggerKey string, parents []NodeID) *Node {
-	for _, n := range g.nodes {
+	for _, n := range g.Nodes() {
 		if n.IsDatabase() || n.Trigger.Key() != triggerKey {
 			continue
 		}
@@ -202,10 +203,10 @@ func (g *Graph) findNode(triggerKey string, parents []NodeID) *Node {
 // GuardPathDepths returns, for every node, its depth along the guard-parent
 // forest (0 for roots); a helper for the guarded experiments.
 func (g *Graph) GuardPathDepths() map[NodeID]int {
-	out := make(map[NodeID]int, len(g.nodes))
-	for _, n := range g.nodes {
+	out := make(map[NodeID]int, g.Len())
+	for v := range NodeID(g.Len()) {
 		d := 0
-		id := n.ID
+		id := v
 		for {
 			gp, ok := g.GuardParent(id)
 			if !ok {
@@ -214,7 +215,7 @@ func (g *Graph) GuardPathDepths() map[NodeID]int {
 			d++
 			id = gp
 		}
-		out[n.ID] = d
+		out[v] = d
 	}
 	return out
 }
@@ -229,7 +230,7 @@ func (g *Graph) Subtree(id NodeID) []NodeID {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, v)
-		for _, c := range g.children[v] {
+		for _, c := range g.Children(v) {
 			gp, ok := g.GuardParent(c)
 			if !ok || gp != v {
 				continue
@@ -248,7 +249,7 @@ func (g *Graph) Subtree(id NodeID) []NodeID {
 // DomTerms returns the active domain of the fragment's atoms.
 func (g *Graph) DomTerms() logic.TermSet {
 	s := make(logic.TermSet)
-	for _, n := range g.nodes {
+	for _, n := range g.Nodes() {
 		for _, t := range n.Atom.Args {
 			s[t] = struct{}{}
 		}

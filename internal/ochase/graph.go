@@ -10,12 +10,17 @@
 //
 // The paper's ochase(D,T) is generally infinite; Build materialises the
 // fragment up to configurable node and depth bounds, which is exactly what
-// the finite-fragment experiments need.
+// the finite-fragment experiments need. Build records only interned node
+// data — the ID plane: each node's producing TGD, trigger identity,
+// parents, predicate, argument TermIDs and depth. The *Node view (atoms,
+// chase.Trigger values, children) is built from it once, on the first
+// call that needs it.
 package ochase
 
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"airct/internal/chase"
 	"airct/internal/instance"
@@ -29,7 +34,7 @@ type NodeID int
 // Node is a vertex of the real oblivious chase: an atom labeled with the
 // trigger that produced it (nil for database atoms, the paper's ⊥) and the
 // ordered parent tuple — Parents[i] is the node matched to the i-th body
-// atom of the trigger's TGD.
+// atom of the trigger's TGD. Nodes belong to their graph's view: read-only.
 type Node struct {
 	ID      NodeID
 	Atom    logic.Atom
@@ -57,28 +62,47 @@ func (o BuildOptions) maxNodes() int {
 }
 
 // Graph is a finite fragment of the real oblivious chase of D w.r.t. T.
+// Only Build writes a Graph; once it returns, any number of goroutines may
+// read it, the view included (it is built under a sync.Once).
 type Graph struct {
 	Set      *tgds.Set
 	Database *instance.Database
-	nodes    []*Node
-	children [][]NodeID // per node ID, in creation order
 	// Complete reports whether the graph is the whole of ochase(D,T):
 	// construction reached a fixpoint within the bounds.
 	Complete bool
 
-	// Interned node data: every node's argument TermIDs and depth, and the
-	// nodes of each predicate in creation order.
-	itab   *logic.Interner
-	args   []logic.TermID // per node, flat: node i's are args[argOff[i]:argOff[i+1]]
-	argOff []int32
-	depth  []int32
-	byPred [][]NodeID // per PredID
+	// The ID plane, per node in creation order: the producing TGD index
+	// (-1 for a database node), its trigger's ID in trig, the parents
+	// (node i's are parents[parOff[i]:parOff[i+1]], in body order), the
+	// predicate, the argument TermIDs (args[argOff[i]:argOff[i+1]]) and
+	// the depth; and the nodes of each predicate in creation order. The
+	// first len(facts) nodes are the database atoms, in Database order.
+	itab    *logic.Interner
+	trig    *logic.TupleTable // trigger identities: (TGD index, body-slot TermIDs)
+	tgd     []int32
+	trigID  []int32
+	parents []NodeID
+	parOff  []int32
+	pred    []logic.PredID
+	args    []logic.TermID
+	argOff  []int32
+	depth   []int32
+	byPred  [][]NodeID // per PredID
+	facts   []logic.Atom
 
 	guard []int // per TGD index: the guard's body index, -1 if unguarded
+
+	// The node view, built from the ID plane by view.
+	viewOnce sync.Once
+	nodes    []*Node
+	children [][]NodeID // per node ID, in creation order
 }
 
 func newGraph(db *instance.Database, set *tgds.Set) *Graph {
-	g := &Graph{Set: set, Database: db, itab: logic.NewInterner(), argOff: []int32{0}, guard: make([]int, len(set.TGDs))}
+	g := &Graph{
+		Set: set, Database: db, itab: logic.NewInterner(), trig: logic.NewTupleTable(64),
+		parOff: []int32{0}, argOff: []int32{0}, facts: db.Atoms(), guard: make([]int, len(set.TGDs)),
+	}
 	for i, t := range set.TGDs {
 		g.guard[i] = t.GuardIndex()
 	}
@@ -95,26 +119,28 @@ func newGraph(db *instance.Database, set *tgds.Set) *Graph {
 // a slot array, not a logic.Substitution. Matches are still enumerated
 // body atom by body atom in creation order (a posting is the creation-order
 // subsequence of its predicate's nodes that agree on one argument), and
-// the (σ, h, parent tuple) identity, node creation, trigger bindings and
-// structural null naming are unchanged, so nodes, NodeIDs and null names
-// come out in the same sequence as a substitution-based matcher's.
+// the (σ, h, parent tuple) identity and structural null naming are
+// unchanged, so nodes, NodeIDs and null names come out in the same sequence
+// as a substitution-based matcher's. A spawn appends to the ID plane only;
+// no Node, chase.Trigger or logic.Substitution exists until the view is
+// first read.
 func Build(db *instance.Database, set *tgds.Set, opts BuildOptions) *Graph {
 	g := newGraph(db, set)
 	b := newBuildState(g, opts)
-	for _, fact := range db.Atoms() {
+	for _, fact := range g.facts {
 		b.addFact(fact)
 	}
 	frontierStart := 0
 	for {
-		if len(g.nodes) >= b.maxNodes {
+		if g.Len() >= b.maxNodes {
 			g.Complete = false
 			return g
 		}
-		next := len(g.nodes)
+		next := g.Len()
 		added := b.expand(frontierStart)
 		frontierStart = next
 		if !added {
-			g.Complete = len(g.nodes) < b.maxNodes
+			g.Complete = g.Len() < b.maxNodes
 			return g
 		}
 	}
@@ -123,14 +149,15 @@ func Build(db *instance.Database, set *tgds.Set, opts BuildOptions) *Graph {
 // nodeArgs returns node id's argument TermIDs.
 func (g *Graph) nodeArgs(id NodeID) []logic.TermID { return g.args[g.argOff[id]:g.argOff[id+1]] }
 
-// addNode appends a node with its interned data and postings.
-func (g *Graph) addNode(atom logic.Atom, tr *chase.Trigger, parents []NodeID, pid logic.PredID, args []logic.TermID, depth int32) NodeID {
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, &Node{ID: id, Atom: atom, Trigger: tr, Parents: parents, Depth: int(depth)})
-	g.children = append(g.children, nil)
-	for _, p := range parents {
-		g.children[p] = append(g.children[p], id)
-	}
+// addNode appends a node to the ID plane: tgd is -1 for a database node,
+// whose trigger ID is ignored.
+func (g *Graph) addNode(tgd, trig int32, parents []NodeID, pid logic.PredID, args []logic.TermID, depth int32) NodeID {
+	id := NodeID(len(g.tgd))
+	g.tgd = append(g.tgd, tgd)
+	g.trigID = append(g.trigID, trig)
+	g.parents = append(g.parents, parents...)
+	g.parOff = append(g.parOff, int32(len(g.parents)))
+	g.pred = append(g.pred, pid)
 	g.args = append(g.args, args...)
 	g.argOff = append(g.argOff, int32(len(g.args)))
 	g.depth = append(g.depth, depth)
@@ -146,7 +173,6 @@ func (g *Graph) addNode(atom logic.Atom, tr *chase.Trigger, parents []NodeID, pi
 // or checks it; head arguments >= 0 are body slots (frontier variables),
 // and -(k+1) is the k-th existential variable in sorted order.
 type slotAtom struct {
-	pred logic.Predicate
 	pid  logic.PredID
 	args []int32
 	bind []bool
@@ -154,7 +180,6 @@ type slotAtom struct {
 
 // compiledTGD is one TGD laid out for matching and result construction.
 type compiledTGD struct {
-	tgd      tgds.TGD
 	vars     []logic.Term // sorted body variables: slot i holds vars[i]
 	body     []slotAtom
 	head     []slotAtom
@@ -163,14 +188,14 @@ type compiledTGD struct {
 }
 
 func compileTGD(t tgds.TGD, itab *logic.Interner) compiledTGD {
-	ct := compiledTGD{tgd: t, vars: t.BodyVars().Sorted()}
+	ct := compiledTGD{vars: t.BodyVars().Sorted()}
 	slot := make(map[logic.Term]int32, len(ct.vars))
 	for i, v := range ct.vars {
 		slot[v] = int32(i)
 	}
 	bound := make([]bool, len(ct.vars))
 	for _, a := range t.Body {
-		sa := slotAtom{pred: a.Pred, pid: itab.InternPred(a.Pred), args: make([]int32, len(a.Args)), bind: make([]bool, len(a.Args))}
+		sa := slotAtom{pid: itab.InternPred(a.Pred), args: make([]int32, len(a.Args)), bind: make([]bool, len(a.Args))}
 		var pre []int
 		seenHere := make([]bool, len(ct.vars))
 		for k, v := range a.Args {
@@ -201,7 +226,7 @@ func compileTGD(t tgds.TGD, itab *logic.Interner) compiledTGD {
 	}
 	ct.nExist = len(exist)
 	for _, a := range t.Head {
-		sa := slotAtom{pred: a.Pred, pid: itab.InternPred(a.Pred), args: make([]int32, len(a.Args))}
+		sa := slotAtom{pid: itab.InternPred(a.Pred), args: make([]int32, len(a.Args))}
 		for k, v := range a.Args {
 			if s, ok := slot[v]; ok {
 				sa.args[k] = s
@@ -230,12 +255,11 @@ type buildState struct {
 	byArg    map[argKey][]NodeID
 	indexed  [][]bool // per PredID and position: some body atom selects candidates by it
 
-	// trig interns trigger identities (σ, body bindings) — the key of the
+	// g.trig interns trigger identities (σ, body bindings) — the key of the
 	// structural nulls c^{σ,h}_x; trigNulls[t] is the first of trigger t's
 	// nulls in nullIDs, minted in sorted-existential order when the
 	// trigger first spawns. seen interns (trigger, parent tuple): one
 	// probe answers "spawned before?".
-	trig      *logic.TupleTable
 	trigNulls []int32
 	nullIDs   []logic.TermID
 	namer     *logic.FreshNamer
@@ -259,7 +283,6 @@ func newBuildState(g *Graph, opts BuildOptions) *buildState {
 		maxNodes: opts.maxNodes(),
 		maxDepth: int32(opts.MaxDepth),
 		byArg:    make(map[argKey][]NodeID),
-		trig:     logic.NewTupleTable(64),
 		namer:    logic.NewFreshNamer("n"),
 		seen:     logic.NewTupleTable(64),
 	}
@@ -282,8 +305,8 @@ func newBuildState(g *Graph, opts BuildOptions) *buildState {
 	return b
 }
 
-func (b *buildState) add(atom logic.Atom, tr *chase.Trigger, parents []NodeID, pid logic.PredID, args []logic.TermID, depth int32) {
-	id := b.g.addNode(atom, tr, parents, pid, args, depth)
+func (b *buildState) add(tgd, trig int32, parents []NodeID, pid logic.PredID, args []logic.TermID, depth int32) {
+	id := b.g.addNode(tgd, trig, parents, pid, args, depth)
 	if int(pid) >= len(b.indexed) {
 		return
 	}
@@ -300,7 +323,7 @@ func (b *buildState) addFact(fact logic.Atom) {
 	for _, t := range fact.Args {
 		b.argBuf = append(b.argBuf, b.g.itab.InternTerm(t))
 	}
-	b.add(fact, nil, nil, b.g.itab.InternPred(fact.Pred), b.argBuf, 0)
+	b.add(-1, -1, nil, b.g.itab.InternPred(fact.Pred), b.argBuf, 0)
 }
 
 // expand performs one closure round: every (σ, h, parent-tuple) with at
@@ -308,14 +331,14 @@ func (b *buildState) addFact(fact logic.Atom) {
 // spawns a node. It reports whether any node was added.
 func (b *buildState) expand(frontierStart int) bool {
 	b.added = false
-	b.limit = NodeID(len(b.g.nodes)) // only match against pre-round nodes
+	b.limit = NodeID(b.g.Len()) // only match against pre-round nodes
 	b.frontierStart = NodeID(frontierStart)
 	for idx := range b.tgds {
 		ct := &b.tgds[idx]
 		b.binding = slices.Grow(b.binding[:0], len(ct.vars))[:len(ct.vars)]
 		b.parents = slices.Grow(b.parents[:0], len(ct.body))[:len(ct.body)]
 		b.match(idx, ct, 0, frontierStart == 0)
-		if len(b.g.nodes) >= b.maxNodes {
+		if b.g.Len() >= b.maxNodes {
 			break
 		}
 	}
@@ -380,11 +403,12 @@ func (b *buildState) match(idx int, ct *compiledTGD, i int, inFrontier bool) boo
 // stated for single-head TGDs; multi-head sets get one node per head atom
 // sharing the parent tuple). It returns false once the node bound is hit.
 func (b *buildState) spawn(idx int, ct *compiledTGD) bool {
+	g := b.g
 	b.buf = append(b.buf[:0], uint32(idx))
 	for _, tid := range b.binding {
 		b.buf = append(b.buf, uint32(tid))
 	}
-	trigID, newTrig := b.trig.Intern(b.buf)
+	trigID, newTrig := g.trig.Intern(b.buf)
 	b.buf = append(b.buf[:0], uint32(trigID))
 	for _, p := range b.parents {
 		b.buf = append(b.buf, uint32(p))
@@ -392,7 +416,6 @@ func (b *buildState) spawn(idx int, ct *compiledTGD) bool {
 	if _, isNew := b.seen.Intern(b.buf); !isNew {
 		return true
 	}
-	g := b.g
 	if newTrig {
 		b.trigNulls = append(b.trigNulls, int32(len(b.nullIDs)))
 		for k := 0; k < ct.nExist; k++ {
@@ -406,49 +429,118 @@ func (b *buildState) spawn(idx int, ct *compiledTGD) bool {
 			depth = d
 		}
 	}
-	h := make(logic.Substitution, len(ct.vars))
-	for s, v := range ct.vars {
-		h[v] = g.itab.Term(b.binding[s])
-	}
-	tr := chase.Trigger{TGDIndex: idx, TGD: ct.tgd, H: h}
 	for _, ha := range ct.head {
 		b.argBuf = b.argBuf[:0]
-		terms := make([]logic.Term, len(ha.args))
-		for k, s := range ha.args {
-			var tid logic.TermID
+		for _, s := range ha.args {
 			if s >= 0 {
-				tid = b.binding[s]
+				b.argBuf = append(b.argBuf, b.binding[s])
 			} else {
-				tid = nulls[-s-1]
+				b.argBuf = append(b.argBuf, nulls[-s-1])
 			}
-			b.argBuf = append(b.argBuf, tid)
-			terms[k] = g.itab.Term(tid)
 		}
-		trc := tr
-		b.add(logic.Atom{Pred: ha.pred, Args: terms}, &trc, append([]NodeID(nil), b.parents...), ha.pid, b.argBuf, depth)
+		b.add(int32(idx), trigID, b.parents, ha.pid, b.argBuf, depth)
 	}
 	b.added = true
-	return len(g.nodes) < b.maxNodes
+	return g.Len() < b.maxNodes
 }
 
 // Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.nodes) }
+func (g *Graph) Len() int { return len(g.tgd) }
+
+// IsDatabaseNode reports whether node id is a database atom.
+func (g *Graph) IsDatabaseNode(id NodeID) bool { return g.tgd[id] < 0 }
+
+// Parents returns node id's parent tuple in body order (empty for a
+// database node). The slice belongs to the graph: read-only.
+func (g *Graph) Parents(id NodeID) []NodeID { return g.parents[g.parOff[id]:g.parOff[id+1]] }
+
+// GuardSlot returns the body index of the guard of the TGD that produced
+// node id, or -1 for a database node and for a node of an unguarded TGD.
+func (g *Graph) GuardSlot(id NodeID) int {
+	if g.IsDatabaseNode(id) {
+		return -1
+	}
+	return g.guard[g.tgd[id]]
+}
+
+// DatabaseAtom returns the atom of database node id: the Database's fact
+// at the same index.
+func (g *Graph) DatabaseAtom(id NodeID) logic.Atom { return g.facts[id] }
+
+// view returns the *Node view, building it from the ID plane on first
+// use: a database node carries its Database fact; any other node an atom
+// decoded from its TermIDs and the chase.Trigger of its trigger identity,
+// one per identity.
+func (g *Graph) view() []*Node {
+	g.viewOnce.Do(func() {
+		n := g.Len()
+		nodes := make([]Node, n)
+		parents := slices.Clone(g.parents)
+		terms := make([]logic.Term, len(g.args))
+		for i, tid := range g.args {
+			terms[i] = g.itab.Term(tid)
+		}
+		triggers := make([]*chase.Trigger, g.trig.Len())
+		g.nodes = make([]*Node, n)
+		g.children = make([][]NodeID, n)
+		for i := range nodes {
+			id, nd := NodeID(i), &nodes[i]
+			g.nodes[i] = nd
+			nd.ID, nd.Depth = id, int(g.depth[i])
+			if g.IsDatabaseNode(id) {
+				nd.Atom = g.facts[i]
+				continue
+			}
+			lo, hi := g.argOff[i], g.argOff[i+1]
+			nd.Atom = logic.Atom{Pred: g.itab.Pred(g.pred[i]), Args: terms[lo:hi:hi]}
+			plo, phi := g.parOff[i], g.parOff[i+1]
+			nd.Parents = parents[plo:phi:phi]
+			if triggers[g.trigID[i]] == nil {
+				triggers[g.trigID[i]] = g.trigger(g.trigID[i])
+			}
+			nd.Trigger = triggers[g.trigID[i]]
+			for _, p := range nd.Parents {
+				g.children[p] = append(g.children[p], id)
+			}
+		}
+	})
+	return g.nodes
+}
+
+// trigger decodes a trigger identity: its TGD and the bindings of the
+// TGD's body variables, in sorted-variable order.
+func (g *Graph) trigger(id int32) *chase.Trigger {
+	tup := g.trig.Tuple(id)
+	idx := int(tup[0])
+	t := g.Set.TGDs[idx]
+	vars := t.BodyVars().Sorted()
+	h := make(logic.Substitution, len(vars))
+	for s, v := range vars {
+		h[v] = g.itab.Term(logic.TermID(tup[1+s]))
+	}
+	return &chase.Trigger{TGDIndex: idx, TGD: t, H: h}
+}
 
 // Node returns the node with the given ID.
-func (g *Graph) Node(id NodeID) *Node { return g.nodes[id] }
+func (g *Graph) Node(id NodeID) *Node { return g.view()[id] }
 
-// Nodes returns all nodes in creation order.
-func (g *Graph) Nodes() []*Node { return g.nodes }
+// Nodes returns all nodes in creation order. The slice belongs to the
+// graph: read-only.
+func (g *Graph) Nodes() []*Node { return g.view() }
 
-// Children returns the node IDs whose parent tuples include id.
-func (g *Graph) Children(id NodeID) []NodeID { return g.children[id] }
+// Children returns the node IDs whose parent tuples include id, once per
+// occurrence, in creation order.
+func (g *Graph) Children(id NodeID) []NodeID {
+	g.view()
+	return g.children[id]
+}
 
 // AtomSet returns the *set* of atoms labelling the graph — by the remark in
 // Section 3.1 this coincides with the (ordinary) oblivious chase of D
 // w.r.t. T when the graph is complete.
 func (g *Graph) AtomSet() *instance.Instance {
 	out := instance.New()
-	for _, n := range g.nodes {
+	for _, n := range g.view() {
 		out.Add(n.Atom)
 	}
 	return out
@@ -456,7 +548,7 @@ func (g *Graph) AtomSet() *instance.Instance {
 
 // MultisetSize returns the number of nodes (atom copies); AtomSet().Len()
 // counts distinct atoms.
-func (g *Graph) MultisetSize() int { return len(g.nodes) }
+func (g *Graph) MultisetSize() int { return g.Len() }
 
 // NodesByAtom returns the nodes labelled with the given atom, in creation
 // order — the copies of the atom in the multiset.
@@ -466,8 +558,9 @@ func (g *Graph) NodesByAtom(a logic.Atom) []*Node {
 	if !ok || int(pid) >= len(g.byPred) {
 		return nil
 	}
+	nodes := g.view()
 	for _, id := range g.byPred[pid] {
-		if n := g.nodes[id]; n.Atom.Equal(a) {
+		if n := nodes[id]; n.Atom.Equal(a) {
 			out = append(out, n)
 		}
 	}
@@ -478,26 +571,21 @@ func (g *Graph) NodesByAtom(a logic.Atom) []*Node {
 // the guard atom of the producing TGD (Appendix C.2). It returns false for
 // database nodes and for nodes produced by unguarded TGDs.
 func (g *Graph) GuardParent(id NodeID) (NodeID, bool) {
-	n := g.nodes[id]
-	if n.IsDatabase() {
-		return 0, false
-	}
-	gi := g.guard[n.Trigger.TGDIndex]
+	gi := g.GuardSlot(id)
 	if gi < 0 {
 		return 0, false
 	}
-	return n.Parents[gi], true
+	return g.Parents(id)[gi], true
 }
 
 // SideParents returns the parents other than the guard, in body order.
 func (g *Graph) SideParents(id NodeID) []NodeID {
-	n := g.nodes[id]
-	if n.IsDatabase() {
+	if g.IsDatabaseNode(id) {
 		return nil
 	}
-	gi := g.guard[n.Trigger.TGDIndex]
+	gi := g.GuardSlot(id)
 	var out []NodeID
-	for i, p := range n.Parents {
+	for i, p := range g.Parents(id) {
 		if i != gi {
 			out = append(out, p)
 		}
@@ -509,34 +597,21 @@ func (g *Graph) SideParents(id NodeID) []NodeID {
 // h′(λ(u)) = λ(v) fixing every frontier term of u's trigger (Section 3.1).
 // It is false whenever u is a database node (no trigger to deactivate).
 func (g *Graph) Stops(v, u NodeID) bool {
-	nu := g.nodes[u]
-	if nu.IsDatabase() {
+	if g.IsDatabaseNode(u) {
 		return false
 	}
-	return chase.Stops(g.nodes[v].Atom, nu.Atom, chase.FrontierTerms(*nu.Trigger))
+	nodes := g.view()
+	return chase.Stops(nodes[v].Atom, nodes[u].Atom, chase.FrontierTerms(*nodes[u].Trigger))
 }
 
 // Before reports the one-step before relation v ≺b u:
 // v is a database node and u is not, or v ≺p u, or u ≺s v.
 func (g *Graph) Before(v, u NodeID) bool {
-	nv, nu := g.nodes[v], g.nodes[u]
-	if nv.IsDatabase() && !nu.IsDatabase() {
+	if g.IsDatabaseNode(v) && !g.IsDatabaseNode(u) {
 		return true
 	}
-	for _, p := range nu.Parents {
-		if p == v {
-			return true
-		}
-	}
-	return g.Stops(u, v)
+	return g.IsParent(v, u) || g.Stops(u, v)
 }
 
 // IsParent reports v ≺p u.
-func (g *Graph) IsParent(v, u NodeID) bool {
-	for _, p := range g.nodes[u].Parents {
-		if p == v {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) IsParent(v, u NodeID) bool { return slices.Contains(g.Parents(u), v) }

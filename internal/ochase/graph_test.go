@@ -1,6 +1,9 @@
 package ochase
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"airct/internal/chase"
@@ -256,4 +259,84 @@ func TestMultiHeadNodes(t *testing.T) {
 		t.Error("shared existential null across head atoms")
 	}
 	_ = chase.Trigger{}
+}
+
+// graphReads is one reader's view of a graph: every node, every node's
+// children, the copies of the first database atoms, and CheckChaseable on
+// node prefixes (parent-closed, since parents precede children).
+type graphReads struct {
+	nodes    []Node
+	children [][]NodeID
+	byAtom   [][]NodeID
+	checks   []string
+}
+
+// readGraph reads g starting at the reader's own entry point, so that
+// concurrent readers race to build the view through different calls.
+func readGraph(g *Graph, start int) graphReads {
+	var r graphReads
+	reads := []func(){
+		func() {
+			for _, n := range g.Nodes() {
+				r.nodes = append(r.nodes, *n)
+			}
+		},
+		func() {
+			for id := range NodeID(g.Len()) {
+				r.children = append(r.children, g.Children(id))
+			}
+		},
+		func() {
+			for _, a := range g.Database.Atoms() {
+				var ids []NodeID
+				for _, n := range g.NodesByAtom(a) {
+					ids = append(ids, n.ID)
+				}
+				r.byAtom = append(r.byAtom, ids)
+			}
+		},
+		func() {
+			for _, k := range []int{1, 5, 20, g.Len()} {
+				var A []NodeID
+				for id := range NodeID(k) {
+					A = append(A, id)
+				}
+				r.checks = append(r.checks, fmt.Sprint(g.CheckChaseable(A)))
+			}
+		},
+	}
+	for i := range reads {
+		reads[(start+i)%len(reads)]()
+	}
+	return r
+}
+
+// TestGraphConcurrentReads reads one freshly built graph from several
+// goroutines at once, so the view is built while they race for it, and
+// requires every reader's results to equal a sequential read of an
+// identical graph. CI runs it under -race.
+func TestGraphConcurrentReads(t *testing.T) {
+	prog := parser.MustParse(example32)
+	opts := BuildOptions{MaxNodes: 60}
+	want := readGraph(Build(prog.Database, prog.TGDs, opts), 0)
+	if len(want.nodes) != 60 || want.checks[len(want.checks)-1] == "<nil>" {
+		t.Fatalf("the graph must fill its bound and hold a ≺b cycle: %d nodes, checks %v", len(want.nodes), want.checks)
+	}
+	g := Build(prog.Database, prog.TGDs, opts)
+	const readers = 8
+	got := make([]graphReads, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = readGraph(g, i)
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("reader %d: %+v\nsequential: %+v", i, r, want)
+		}
+	}
 }

@@ -10,9 +10,11 @@ import (
 // This file keeps the substitution-based Build — candidates matched atom by
 // atom against logic.Atom values with a logic.Substitution, results from
 // chase.Result under a structural NullFactory — as the reference the
-// compiled Build is checked against (identity_test.go). Its nodes are
-// stored in a Graph so that everything downstream of Build (Treeify, the
-// seed pool) can run on either.
+// compiled Build is checked against (identity_test.go). It fills a
+// Graph's ID plane through the same addNode as Build, so that everything
+// downstream of Build (Treeify, the seed pool) can run on either, and
+// installs its own Node values as the graph's view, so a comparison of
+// views compares Build's decoded nodes with the reference's.
 
 // RefBuild is the reference Build, exported to the external identity test.
 var RefBuild = refBuild
@@ -21,7 +23,6 @@ type refState struct {
 	g        *Graph
 	byPred   map[logic.Predicate][]*Node
 	nulls    *chase.NullFactory
-	itab     *logic.Interner
 	seen     *logic.TupleTable
 	seenBuf  []uint32
 	bodyVars [][]logic.Term
@@ -32,7 +33,6 @@ func refBuild(db *instance.Database, set *tgds.Set, opts BuildOptions) *Graph {
 		g:        newGraph(db, set),
 		byPred:   make(map[logic.Predicate][]*Node),
 		nulls:    chase.NewNullFactory(),
-		itab:     logic.NewInterner(),
 		seen:     logic.NewTupleTable(64),
 		bodyVars: make([][]logic.Term, len(set.TGDs)),
 	}
@@ -40,20 +40,21 @@ func refBuild(db *instance.Database, set *tgds.Set, opts BuildOptions) *Graph {
 	for i, t := range set.TGDs {
 		b.bodyVars[i] = t.BodyVars().Sorted()
 	}
-	for _, fact := range db.Atoms() {
+	for _, fact := range g.facts {
 		b.addNode(fact, nil, nil)
 	}
+	g.viewOnce.Do(func() {}) // the reference's nodes are the view
 	frontierStart := 0
 	for {
-		if len(g.nodes) >= opts.maxNodes() {
+		if g.Len() >= opts.maxNodes() {
 			g.Complete = false
 			return g
 		}
-		next := len(g.nodes)
+		next := g.Len()
 		added := b.expand(frontierStart, opts)
 		frontierStart = next
 		if !added {
-			g.Complete = len(g.nodes) < opts.maxNodes()
+			g.Complete = g.Len() < opts.maxNodes()
 			return g
 		}
 	}
@@ -71,8 +72,23 @@ func (b *refState) addNode(atom logic.Atom, tr *chase.Trigger, parents []NodeID)
 	for i, t := range atom.Args {
 		args[i] = g.itab.InternTerm(t)
 	}
-	id := g.addNode(atom, tr, parents, g.itab.InternPred(atom.Pred), args, int32(depth))
-	b.byPred[atom.Pred] = append(b.byPred[atom.Pred], g.nodes[id])
+	tgd, trig := int32(-1), int32(-1)
+	if tr != nil {
+		tup := []uint32{uint32(tr.TGDIndex)}
+		for _, v := range b.bodyVars[tr.TGDIndex] {
+			tup = append(tup, uint32(g.itab.InternTerm(tr.H.ApplyTerm(v))))
+		}
+		tgd = int32(tr.TGDIndex)
+		trig, _ = g.trig.Intern(tup)
+	}
+	id := g.addNode(tgd, trig, parents, g.itab.InternPred(atom.Pred), args, int32(depth))
+	n := &Node{ID: id, Atom: atom, Trigger: tr, Parents: parents, Depth: depth}
+	g.nodes = append(g.nodes, n)
+	g.children = append(g.children, nil)
+	for _, p := range parents {
+		g.children[p] = append(g.children[p], id)
+	}
+	b.byPred[atom.Pred] = append(b.byPred[atom.Pred], n)
 }
 
 func (b *refState) expand(frontierStart int, opts BuildOptions) bool {
@@ -107,7 +123,7 @@ func (b *refState) expand(frontierStart int, opts BuildOptions) bool {
 			b.seenBuf = b.seenBuf[:0]
 			b.seenBuf = append(b.seenBuf, uint32(idx))
 			for _, v := range b.bodyVars[idx] {
-				b.seenBuf = append(b.seenBuf, uint32(b.itab.InternTerm(h.ApplyTerm(v))))
+				b.seenBuf = append(b.seenBuf, uint32(g.itab.InternTerm(h.ApplyTerm(v))))
 			}
 			for _, p := range parents {
 				b.seenBuf = append(b.seenBuf, uint32(p))

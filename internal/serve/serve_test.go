@@ -551,8 +551,10 @@ func programText(prog *parser.Program) string {
 }
 
 // TestSnapshotterCadence pins the background saver: with a short cadence
-// the snapshot file appears while the owner is still running, restores
-// cleanly, and Close writes the final state exactly once.
+// the snapshot file appears while the owner is still running and restores
+// cleanly, and Close writes the final state exactly once. The Close half
+// runs on a snapshotter whose ticker cannot fire during the test, so no
+// background save can land between the count and Close.
 func TestSnapshotterCadence(t *testing.T) {
 	cache := chase.NewCache()
 	prog := workload.StageGrid(4)
@@ -585,23 +587,35 @@ func TestSnapshotterCadence(t *testing.T) {
 	if restored.Stats().Entries == 0 {
 		t.Error("background snapshot restored no entries")
 	}
-
-	savesBeforeClose := snap.Stats().Saves
 	if err := snap.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	st := snap.Stats()
+	if st := snap.Stats(); st.Errors != 0 || st.LastUnixMS == 0 || st.Path != path || st.EveryMS != 10 {
+		t.Errorf("snapshot stats = %+v", st)
+	}
+
+	finalPath := filepath.Join(t.TempDir(), "final.cache")
+	idle := NewSnapshotter(cache, finalPath, time.Hour, t.Logf)
+	savesBeforeClose := idle.Stats().Saves
+	if err := idle.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	st := idle.Stats()
 	if st.Saves != savesBeforeClose+1 {
 		t.Errorf("close saves = %d, want %d", st.Saves, savesBeforeClose+1)
 	}
-	if err := snap.Close(); err != nil {
+	if err := idle.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if snap.Stats().Saves != st.Saves {
+	if idle.Stats().Saves != st.Saves {
 		t.Error("second Close saved again; want exactly once")
 	}
-	if st.Errors != 0 || st.LastUnixMS == 0 || st.Path != path || st.EveryMS != 10 {
+	if st.Errors != 0 || st.LastUnixMS == 0 || st.Path != finalPath {
 		t.Errorf("snapshot stats = %+v", st)
+	}
+	if restored, rep, err := chase.LoadCacheFile(finalPath); err != nil || rep.Skipped > 0 || rep.Truncated ||
+		restored.Stats().Entries != cache.Stats().Entries {
+		t.Errorf("final snapshot did not restore the cache: %v %+v", err, rep)
 	}
 }
 
