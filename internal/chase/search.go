@@ -20,9 +20,12 @@ package chase
 //     reached along different paths collide exactly when the states merge;
 //   - child states are deltas: generating a successor costs O(|result|)
 //     membership probes and one fingerprint merge — no Clone, no rendering.
-//     A node's instance is materialised (database + ancestor deltas) only
-//     when the node is popped for expansion; generated-but-never-expanded
-//     states (the majority, under memoisation) never build an instance.
+//     A node's instance is materialised only when the node is popped for
+//     expansion, by moving one scratch instance along the search tree: it
+//     is truncated back to the deepest common ancestor of the popped node
+//     and the node it last held, and only the deltas below that ancestor
+//     are replayed. Generated-but-never-expanded states (the majority,
+//     under memoisation) never build an instance.
 //
 // The frontier is a binary heap ordered smallest instance first (FIFO
 // among equal sizes): fixpoints are found sooner and the memoised frontier
@@ -99,11 +102,12 @@ type SearchOptions struct {
 	less func(a, b *searchNode) bool
 
 	// onExpand, when set, observes every sequential expansion right after
-	// the state's index is computed, receiving the materialised instance and
-	// the index's triggers in enumeration order — the differential tests'
-	// hook for pinning the index against ActiveTriggers ground truth.
-	// Unexported; test-only.
-	onExpand func(inst *instance.Instance, active []Trigger)
+	// the state's index is computed, receiving the expanded node, the
+	// materialised instance and the index's triggers in enumeration order —
+	// the differential tests' hook for pinning the index against
+	// ActiveTriggers ground truth and the scratch instance against a
+	// rebuild from the database. Unexported; test-only.
+	onExpand func(n *searchNode, inst *instance.Instance, active []Trigger)
 }
 
 // SearchStats counts the search's work. The JSON tags are the stable wire
@@ -224,7 +228,7 @@ type expander struct {
 	ds discSorter
 
 	// scratch is the reusable materialisation arena: every popped state is
-	// rebuilt into this one instance (Reset between states), so
+	// materialised into this one instance (see searcher.materialise), so
 	// materialisation allocates no maps or tables in steady state. Callers
 	// must not retain the instance across expansions.
 	scratch *instance.Instance
@@ -269,19 +273,6 @@ func newExpander(db *instance.Database, set *tgds.Set) *expander {
 // addRootTo inserts the database atoms into the instance.
 func (e *expander) addRootTo(inst *instance.Instance) {
 	e.addDeltaTo(inst, e.rootDelta)
-}
-
-// scratchInstance returns the expander's reusable materialisation arena,
-// emptied: a lite (ID-plane-only) instance — the slot search, activity
-// checks and delta repairs read only identity tuples, posting lists and the
-// fingerprint. The previous expansion's instance contents become invalid.
-func (e *expander) scratchInstance(sizeHint int) *instance.Instance {
-	if e.scratch == nil {
-		e.scratch = instance.NewScratch(e.itab, sizeHint)
-	} else {
-		e.scratch.Reset()
-	}
-	return e.scratch
 }
 
 // addDeltaTo inserts a flattened [pid, args...]* delta of local IDs.
@@ -425,6 +416,7 @@ type searcher struct {
 	seq   int
 
 	chain []*searchNode
+	held  *searchNode // the state the scratch instance holds; nil: empty
 
 	res *ExistsResult
 }
@@ -582,7 +574,7 @@ func (s *searcher) loop() {
 			s.res.Stats.IndexRebuilds++
 		}
 		if s.opts.onExpand != nil {
-			s.opts.onExpand(inst, s.triggersOf(idx))
+			s.opts.onExpand(cur, inst, s.triggersOf(idx))
 		}
 		s.res.Stats.StatesExpanded++
 		if idx.total == 0 {
@@ -642,20 +634,49 @@ func (s *searcher) generate(cur *searchNode, inst *instance.Instance, idx *trigI
 	}
 }
 
-// materialise builds the node's instance — database plus ancestor deltas,
-// root first — into the expander's reused scratch arena on the shared
-// interner. Called once per expanded node; the returned instance is valid
-// until the next materialise.
+// materialise moves the expander's scratch instance to the node's state
+// and returns it: the database plus the node's ancestor deltas, root first,
+// on the shared interner. The scratch is truncated back to the deepest
+// common ancestor of n and the node it held, and only the deltas below that
+// ancestor are replayed, so it ends up holding the same atoms in the same
+// insertion order as a rebuild from the database would.
+//
+// The walk to the common ancestor compares sizes, which grow strictly along
+// every path: a successor that adds no atom has its parent's fingerprint,
+// which the memo already holds, so generate never creates it. Hence a node
+// larger than the other is never an ancestor of it, and two distinct nodes
+// of equal size are not ancestors of each other.
+//
+// Called once per expanded node; the returned instance is valid until the
+// next materialise.
 func (s *searcher) materialise(n *searchNode) *instance.Instance {
+	if s.scratch == nil {
+		s.scratch = instance.NewScratch(s.itab, n.size)
+	}
 	s.chain = s.chain[:0]
-	for m := n; m != nil; m = m.parent {
-		s.chain = append(s.chain, m)
+	a, b := n, s.held
+	for a != b {
+		switch {
+		case b == nil || (a != nil && a.size > b.size):
+			s.chain = append(s.chain, a)
+			a = a.parent
+		case a == nil || b.size > a.size:
+			b = b.parent
+		default:
+			s.chain = append(s.chain, a)
+			a, b = a.parent, b.parent
+		}
 	}
-	inst := s.scratchInstance(n.size)
+	keep := 0
+	if a != nil {
+		keep = a.size
+	}
+	s.scratch.Truncate(keep)
 	for i := len(s.chain) - 1; i >= 0; i-- {
-		s.addDeltaTo(inst, s.chain[i].delta)
+		s.addDeltaTo(s.scratch, s.chain[i].delta)
 	}
-	return inst
+	s.held = n
+	return s.scratch
 }
 
 // path rebuilds the witnessing trigger sequence by walking parent pointers,

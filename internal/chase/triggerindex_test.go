@@ -64,7 +64,7 @@ func TestTriggerIndexMatchesActiveTriggersGroundTruth(t *testing.T) {
 					MaxStates: tc.maxStates,
 					MaxAtoms:  tc.maxAtoms,
 					less:      order.less,
-					onExpand: func(inst *instance.Instance, active []Trigger) {
+					onExpand: func(_ *searchNode, inst *instance.Instance, active []Trigger) {
 						expansions++
 						want := ActiveTriggers(prog.TGDs, inst)
 						if len(active) != len(want) {

@@ -41,16 +41,9 @@ type Instance struct {
 
 	// termArena backs the []Term argument slices of atoms materialised by
 	// AddTuple, chunk-allocated so steady-state materialisation performs no
-	// per-atom allocation (full chunks stay referenced by their atoms; Reset
-	// reuses the current chunk).
+	// per-atom allocation (full chunks stay referenced by their atoms;
+	// Truncate(0) reuses the current chunk).
 	termArena []logic.Term
-
-	// touched* record which index-map entries gained their first element
-	// since the last Reset, so Reset can truncate exactly those in O(atoms)
-	// — not O(every key ever) — while keeping the slices' capacity.
-	touchedBy   []logic.Predicate
-	touchedPred []logic.PredID
-	touchedPT   []uint64
 
 	// lite instances (NewScratch) maintain only the ID-plane state the slot
 	// search reads — identity table, posting lists, fingerprint — skipping
@@ -83,9 +76,8 @@ func NewWithInterner(tab *logic.Interner) *Instance {
 }
 
 // NewWithInternerHint is NewWithInterner with a capacity hint: the identity
-// table and indexes are presized for about atomsHint atoms. The ∀∃ search
-// materialises one instance per expanded state with a known final size, so
-// presizing removes the rehash-while-growing cost from the hottest loop.
+// table and indexes are presized for about atomsHint atoms, which removes
+// the rehash-while-growing cost when the final size is known.
 func NewWithInternerHint(tab *logic.Interner, atomsHint int) *Instance {
 	if atomsHint < 16 {
 		atomsHint = 16
@@ -104,7 +96,7 @@ func NewWithInternerHint(tab *logic.Interner, atomsHint int) *Instance {
 // ∀∃ search's reusable materialisation arena. A lite instance maintains
 // only what the ID-plane consumers (logic.IDSource/DeltaSource probes,
 // HasTuple, Fingerprint) read — no per-atom logic.Atom materialisation and
-// no byPred interface index — which is what makes Reset + refill the
+// no byPred interface index — which is what makes truncate + replay the
 // allocation-free steady state of the search. The atom-form read API
 // (Atoms, AtomAt, AtomsByPredicate, ...) still works, materialising from
 // the identity tuples on demand.
@@ -130,46 +122,76 @@ func FromAtoms(atoms ...logic.Atom) *Instance {
 func (in *Instance) Interner() *logic.Interner { return in.tab }
 
 // Reset empties the instance while keeping its interner and the allocated
-// capacity of every index — the ∀∃ search's scratch-instance path: the
-// searcher materialises every popped state into one reused arena instead
-// of allocating maps and tables per state. Index-map entries are truncated
-// in place (only the entries touched since the last Reset, so the cost is
-// O(atoms), and their capacity — like the term arena's — carries over). The interner is untouched: TermIDs minted
-// through this instance stay valid. Atoms and slices previously returned by
-// the read API become invalid.
-func (in *Instance) Reset() {
-	in.atoms.Reset()
-	in.order = in.order[:0]
-	in.termArena = in.termArena[:0]
-	for _, p := range in.touchedBy {
-		in.byPred[p] = in.byPred[p][:0]
+// capacity of every index: it is Truncate(0). The engine arena resets its
+// instance this way before every run.
+func (in *Instance) Reset() { in.Truncate(0) }
+
+// Truncate drops every atom with insertion index >= n, keeping the
+// interner and the allocated capacity of every index, and leaves exactly
+// the instance its first n atoms make: the same identity table, the same
+// posting lists and the same fingerprint. The ∀∃ search moves one scratch
+// instance along its search tree this way, rewinding to a common ancestor
+// and replaying only the deltas below it.
+//
+// Dropped atoms are visited newest first. Posting lists ascend, so a
+// dropped atom's postings are the tail of each list it is on; the first
+// visit to a list cuts every posting >= n at once. The fingerprint loses
+// each dropped atom's hash (Merge is 128-bit addition, so Unmerge undoes it
+// exactly). Atoms, slices and insertion indices previously returned for
+// dropped atoms become invalid; the term arena is reused only from an empty
+// instance.
+func (in *Instance) Truncate(n int) {
+	if n >= in.Len() {
+		return
 	}
-	for _, p := range in.touchedPred {
-		in.predIdx[p] = in.predIdx[p][:0]
+	lo := int32(n)
+	for i := int32(in.Len() - 1); i >= lo; i-- {
+		tup := in.atoms.Tuple(i)
+		pid := logic.PredID(tup[0])
+		if n > 0 {
+			in.fp = in.fp.Unmerge(in.tab.HashAtomIDs(pid, tup[1:]))
+		}
+		if lst := in.predIdx[pid]; len(lst) > 0 && lst[len(lst)-1] >= lo {
+			keep := logic.LowerBound(lst, lo)
+			in.predIdx[pid] = lst[:keep]
+			if !in.lite {
+				p := in.tab.Pred(pid)
+				by := in.byPred[p]
+				in.byPred[p] = by[:len(by)-(len(lst)-keep)]
+			}
+		}
+		for pos, t := range tup[1:] {
+			k := ptPack(pid, pos+1, logic.TermID(t))
+			if lst := in.ptIdx[k]; len(lst) > 0 && lst[len(lst)-1] >= lo {
+				in.ptIdx[k] = lst[:logic.LowerBound(lst, lo)]
+			}
+		}
 	}
-	for _, k := range in.touchedPT {
-		in.ptIdx[k] = in.ptIdx[k][:0]
+	if n == 0 {
+		in.fp = logic.Fingerprint{}
+		in.termArena = in.termArena[:0]
 	}
-	in.touchedBy = in.touchedBy[:0]
-	in.touchedPred = in.touchedPred[:0]
-	in.touchedPT = in.touchedPT[:0]
-	in.fp = logic.Fingerprint{}
+	if !in.lite {
+		in.order = in.order[:n]
+	}
+	in.atoms.Truncate(n)
 }
 
-// Clear is Reset that also drops every index key, keeping the maps'
+// Clear empties the instance and drops every index key, keeping the maps'
 // capacity. It goes with resetting the instance's interner: the keys hold
 // IDs the reset invalidated, and kept, they would pile up across every
 // vocabulary the instance served. Clearing a whole map costs its capacity,
 // which beats deleting keys one by one unless the map holds a small share
-// of what it once held.
+// of what it once held. With the maps cleared there are no posting lists
+// left to cut, so only the identity table and the slices are truncated.
 func (in *Instance) Clear() {
 	clear(in.byPred)
 	clear(in.predIdx)
 	clear(in.ptIdx)
-	in.touchedBy = in.touchedBy[:0]
-	in.touchedPred = in.touchedPred[:0]
-	in.touchedPT = in.touchedPT[:0]
-	in.Reset()
+	in.atoms.Truncate(0)
+	in.order = in.order[:0]
+	in.termArena = in.termArena[:0]
+	in.fp = logic.Fingerprint{}
 }
 
 // Add inserts the atom and reports whether it was new. It panics if the
@@ -235,8 +257,6 @@ func (in *Instance) allocTerms(n int) []logic.Term {
 }
 
 // insert stores the atom under the prepared identity tuple (pid, args...).
-// First touches of an index entry since the last Reset are recorded so Reset
-// can truncate them in place.
 func (in *Instance) insert(pid logic.PredID, tuple []uint32, a logic.Atom) (int32, bool) {
 	idx, isNew := in.atoms.Intern(tuple)
 	if !isNew {
@@ -245,24 +265,12 @@ func (in *Instance) insert(pid logic.PredID, tuple []uint32, a logic.Atom) (int3
 	in.fp = in.fp.Merge(in.tab.HashAtomIDs(pid, tuple[1:]))
 	if !in.lite {
 		in.order = append(in.order, a)
-		lst := in.byPred[a.Pred]
-		if len(lst) == 0 {
-			in.touchedBy = append(in.touchedBy, a.Pred)
-		}
-		in.byPred[a.Pred] = append(lst, a)
+		in.byPred[a.Pred] = append(in.byPred[a.Pred], a)
 	}
-	lst := in.predIdx[pid]
-	if len(lst) == 0 {
-		in.touchedPred = append(in.touchedPred, pid)
-	}
-	in.predIdx[pid] = append(lst, idx)
+	in.predIdx[pid] = append(in.predIdx[pid], idx)
 	for i, t := range tuple[1:] {
 		k := ptPack(pid, i+1, logic.TermID(t))
-		lst := in.ptIdx[k]
-		if len(lst) == 0 {
-			in.touchedPT = append(in.touchedPT, k)
-		}
-		in.ptIdx[k] = append(lst, idx)
+		in.ptIdx[k] = append(in.ptIdx[k], idx)
 	}
 	return idx, true
 }
@@ -276,14 +284,13 @@ func (in *Instance) insert(pid logic.PredID, tuple []uint32, a logic.Atom) (int3
 // merged-away TermIDs remain valid interner entries, they simply no longer
 // occur in the instance.
 //
-// This is where *fingerprint repair* happens: the incremental 128-bit
-// Fingerprint cannot be patched atom-by-atom under rewriting (a rewrite
-// both removes duplicate atoms and changes survivors' hashes, and the
-// commutative Merge has no sound "unmix" for an atom that may have been
-// inserted along several paths), so the fingerprint is rebuilt from the
-// merged atom multiset by re-running every insert. Cross-run cache keys,
-// the fingerprint memo and ∀∃ dedup therefore see exactly the fingerprint
-// a fresh instance holding the rewritten atom set would carry.
+// This is where *fingerprint repair* happens: a rewrite both merges
+// duplicate atoms and changes survivors' hashes, so rather than patching
+// the incremental 128-bit Fingerprint atom by atom, it is rebuilt from the
+// merged atom set by re-running every insert, together with the indexes.
+// Cross-run cache keys, the fingerprint memo and ∀∃ dedup therefore see
+// exactly the fingerprint a fresh instance holding the rewritten atom set
+// would carry.
 //
 // All previously returned atoms, slices and insertion indices are
 // invalidated, exactly like Reset.

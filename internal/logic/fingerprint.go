@@ -51,6 +51,14 @@ func (f Fingerprint) Merge(g Fingerprint) Fingerprint {
 	return Fingerprint{Hi: hi, Lo: lo}
 }
 
+// Unmerge is the inverse of Merge (128-bit subtraction): f.Merge(g).Unmerge(g)
+// == f, so removing an atom merged once removes its hash exactly.
+func (f Fingerprint) Unmerge(g Fingerprint) Fingerprint {
+	lo, borrow := bits.Sub64(f.Lo, g.Lo, 0)
+	hi, _ := bits.Sub64(f.Hi, g.Hi, borrow)
+	return Fingerprint{Hi: hi, Lo: lo}
+}
+
 // Mix combines two fingerprints order-sensitively: f.Mix(g) != g.Mix(f) in
 // general. It is the tuple-hashing step behind atom hashes and structural
 // null identities.

@@ -41,14 +41,38 @@ func (t *TupleTable) Len() int { return len(t.off) - 1 }
 
 // Reset empties the table while retaining its allocated capacity, so a
 // caller can reuse one table as a scratch identity arena instead of
-// allocating per use (the ∀∃ search rebuilds one instance per popped state
-// this way). Previously returned Tuple slices become invalid.
-func (t *TupleTable) Reset() {
-	t.arena = t.arena[:0]
-	t.off = t.off[:1]
-	for i := range t.tab {
-		t.tab[i] = -1
+// allocating per use. Previously returned Tuple slices become invalid.
+func (t *TupleTable) Reset() { t.Truncate(0) }
+
+// Truncate drops every tuple with ID >= n, keeping the capacity: the table
+// then holds exactly what interning its first n tuples into an empty table
+// of the same size would, so Lookup misses the dropped tuples and
+// re-interning them mints the same IDs. Slots are emptied newest first,
+// which is exact without tombstones: under linear probing with no other
+// deletions, a tuple's probe ran only over slots taken by older tuples, so
+// no older tuple's probe ever ran past a younger tuple's slot (grow
+// re-inserts in ID order, so this survives a rehash). Truncate(0) sweeps
+// every slot instead. Previously returned Tuple slices of dropped tuples
+// become invalid.
+func (t *TupleTable) Truncate(n int) {
+	if n >= t.Len() {
+		return
 	}
+	if n == 0 {
+		for i := range t.tab {
+			t.tab[i] = -1
+		}
+	} else {
+		for id := TupleID(t.Len() - 1); int(id) >= n; id-- {
+			i := uint32(hashTuple(t.Tuple(id))) & t.mask
+			for t.tab[i] != id {
+				i = (i + 1) & t.mask
+			}
+			t.tab[i] = -1
+		}
+	}
+	t.arena = t.arena[:t.off[n]]
+	t.off = t.off[:n+1]
 }
 
 // Tuple returns the interned tuple with the given ID. The slice aliases the
