@@ -1,8 +1,8 @@
 // The shared conformance corpus: golden .chase programs under
 // testdata/conformance/ carry their expected verdicts in an `# expect:`
 // header line, and every entry runs table-driven across the full decision
-// matrix — the chase engine, the sequential ∀∃ exists-search, the parallel
-// search at W ∈ {2, 4}, and (where the set is single-head guarded) the
+// matrix — the chase engine, the ∀∃ exists-search, the flat report and the
+// portfolio cascade, the served daemon, and (where the set is guarded) the
 // guarded ∀∀ decision — each × {cache off, cache cold, cache warm,
 // snapshot→restore→warm}. Beyond matching the golden verdicts, the cache
 // dimension is pinned bit-identical: same reason, steps, stats and
@@ -18,10 +18,16 @@
 //	# expect: decide=terminates|diverges [decide-method=...]
 //	#         engine=fixpoint|step-budget|egd-failure
 //	#         exists=found|exhausted|budget
+//	#         truth=terminates|diverges
 //
 // Keys are optional; a missing key skips that column (e.g. non-guarded
 // sets omit decide=, and EGD programs omit exists= — the ∀∃ search is
-// TGD-only). Budgets are fixed by the harness below so verdicts
+// TGD-only). decide= pins the guarded decision's exact answer. truth= is
+// the all-instances answer the program's header argues for: every ∀∀
+// column — the flat report, the cascade off/cold/warm/snap, the served flat
+// and portfolio decides, and guarded Decide where the set is guarded — may
+// answer the truth or unknown (for Decide, budget-exhausted), never the
+// opposite. Budgets are fixed by the harness below so verdicts
 // are deterministic: engine MaxSteps 500, exists MaxStates 5000 /
 // MaxAtoms 80, Decide MaxSteps 500.
 package airct_test
@@ -68,6 +74,9 @@ func parseExpect(t *testing.T, src string) map[string]string {
 			if !ok {
 				t.Fatalf("malformed expect directive %q", kv)
 			}
+			if k == "truth" && v != "terminates" && v != "diverges" {
+				t.Fatalf("truth=%s: the truth is terminates or diverges", v)
+			}
 			out[k] = v
 		}
 		return out
@@ -92,6 +101,24 @@ func decideVerdict(v *guarded.Verdict) string {
 		return "terminates"
 	}
 	return "diverges"
+}
+
+// checkTruth holds one ∀∀ column's answer to the program's truth= mark
+// ("" when there is none): unknown is always allowed, the opposite never.
+func checkTruth(t *testing.T, column, got, truth string) {
+	t.Helper()
+	if truth != "" && got != "unknown" && got != truth {
+		t.Errorf("%s: answered %s, but the program %s", column, got, truth)
+	}
+}
+
+// decideTruthVerdict is Decide's answer as a truth= check reads it: a
+// budget-exhausted verdict claims nothing.
+func decideTruthVerdict(v *guarded.Verdict) string {
+	if v.Method == "budget-exhausted" {
+		return "unknown"
+	}
+	return decideVerdict(v)
 }
 
 // snapshotRoundTrip models a process restart: snapshot the cache and
@@ -160,10 +187,10 @@ func TestConformanceCorpus(t *testing.T) {
 			if want, ok := expect["exists"]; ok {
 				runExistsColumn(t, prog, want)
 			}
-			if want, ok := expect["decide"]; ok {
-				runDecideColumn(t, prog, want, expect["decide-method"])
+			if want, ok := expect["decide"]; ok || (expect["truth"] != "" && prog.TGDs.IsGuarded()) {
+				runDecideColumn(t, prog, want, expect["decide-method"], expect["truth"])
 			}
-			runPortfolioColumn(t, prog)
+			runPortfolioColumn(t, prog, expect["truth"])
 			runServedColumn(t, daemon.URL, string(raw), prog, expect)
 		})
 	}
@@ -173,7 +200,8 @@ func TestConformanceCorpus(t *testing.T) {
 // the harness budgets and holds the served verdicts to the same golden
 // directives as the in-process columns: the ∀∀ decision must agree with
 // the in-process flat report (and with decide= where the set is guarded),
-// and exists= must come back verbatim over the wire.
+// the flat report and both served decides with truth=, and exists= must
+// come back verbatim over the wire.
 func runServedColumn(t *testing.T, baseURL, src string, prog *parser.Program, expect map[string]string) {
 	post := func(path string, req, out any) {
 		t.Helper()
@@ -200,8 +228,10 @@ func runServedColumn(t *testing.T, baseURL, src string, prog *parser.Program, ex
 	if err != nil {
 		t.Fatalf("served: portfolio.Report: %v", err)
 	}
+	checkTruth(t, "flat", rep.Conclusion.String(), expect["truth"])
 	var dec serve.DecideResponse
 	post("/v1/decide", serve.DecideRequest{Program: src, GuardedBudget: confDecideSteps}, &dec)
+	checkTruth(t, "served/decide", dec.Verdict, expect["truth"])
 	if dec.Verdict != rep.Conclusion.String() {
 		t.Errorf("served/decide: verdict = %s, want %s (flat report)", dec.Verdict, rep.Conclusion)
 	}
@@ -210,6 +240,7 @@ func runServedColumn(t *testing.T, baseURL, src string, prog *parser.Program, ex
 	}
 	var pf serve.DecideResponse
 	post("/v1/decide", serve.DecideRequest{Program: src, Portfolio: true, GuardedBudget: confDecideSteps}, &pf)
+	checkTruth(t, "served/portfolio", pf.Verdict, expect["truth"])
 	if pf.Verdict != rep.Conclusion.String() {
 		t.Errorf("served/portfolio: verdict = %s, want %s (flat report)", pf.Verdict, rep.Conclusion)
 	}
@@ -291,10 +322,10 @@ func runExistsColumn(t *testing.T, prog *parser.Program, want string) {
 
 // runPortfolioColumn pins the cascade's conclusion bit-identical to the
 // flat report's on every corpus file, cache off / cold / warm, at the same
-// budgets. The column runs unconditionally — the identity contract covers
-// every class, including sets neither guarded nor sticky (both sides must
-// then agree on Unknown).
-func runPortfolioColumn(t *testing.T, prog *parser.Program) {
+// budgets, and holds every cell to truth=. The column runs unconditionally
+// — the identity contract covers every class, including sets neither
+// guarded nor sticky (both sides must then agree on Unknown).
+func runPortfolioColumn(t *testing.T, prog *parser.Program, truth string) {
 	if prog.TGDs.Len() == 0 && !prog.TGDs.HasEGDs() {
 		return
 	}
@@ -310,6 +341,7 @@ func runPortfolioColumn(t *testing.T, prog *parser.Program) {
 	if off.Conclusion != rep.Conclusion {
 		t.Errorf("portfolio/off: conclusion = %v, want %v (flat report)", off.Conclusion, rep.Conclusion)
 	}
+	checkTruth(t, "portfolio/off", off.Conclusion.String(), truth)
 	opts.Cache = chase.NewCache()
 	cold, err := portfolio.Analyze(context.Background(), prog.TGDs, opts)
 	if err != nil {
@@ -337,6 +369,7 @@ func runPortfolioColumn(t *testing.T, prog *parser.Program) {
 		if got.Conclusion != rep.Conclusion {
 			t.Errorf("portfolio/%s: conclusion = %v, want %v (flat report)", label, got.Conclusion, rep.Conclusion)
 		}
+		checkTruth(t, "portfolio/"+label, got.Conclusion.String(), truth)
 		if got.DecidedBy != off.DecidedBy {
 			t.Errorf("portfolio/%s: decided-by = %q, want %q (cache off)", label, got.DecidedBy, off.DecidedBy)
 		}
@@ -345,8 +378,9 @@ func runPortfolioColumn(t *testing.T, prog *parser.Program) {
 
 // runDecideColumn runs the guarded ∀∀ decision cache off / cold / warm /
 // snapshot-restored, expecting the golden verdict (and method, when
-// pinned) plus bit-identical verdicts across every cell.
-func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod string) {
+// pinned; want is "" without decide=) plus bit-identical verdicts across
+// every cell, each held to truth=.
+func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod, truth string) {
 	if !prog.TGDs.IsGuarded() {
 		t.Fatalf("decide= directive on a non-guarded set")
 	}
@@ -354,9 +388,10 @@ func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod string
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decideVerdict(base); got != want {
+	if got := decideVerdict(base); want != "" && got != want {
 		t.Errorf("decide: verdict = %s, want %s", got, want)
 	}
+	checkTruth(t, "decide/off", decideTruthVerdict(base), truth)
 	if wantMethod != "" && base.Method != wantMethod {
 		t.Errorf("decide: method = %s, want %s", base.Method, wantMethod)
 	}
@@ -378,6 +413,7 @@ func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod string
 			v.Evidence != base.Evidence || v.SeedsTried != base.SeedsTried || v.Budget != base.Budget {
 			t.Errorf("decide/%s: verdict drifted: %+v vs %+v", label, v, base)
 		}
+		checkTruth(t, "decide/"+label, decideTruthVerdict(v), truth)
 		switch {
 		case (v.Witness == nil) != (base.Witness == nil):
 			t.Errorf("decide/%s: witness presence drifted", label)
