@@ -1,3 +1,18 @@
+// Package guarded implements the Section 5 machinery for single-head
+// guarded TGDs that the bounded search runs on: the remote-side-parent
+// ("longs for") analysis and the Treeification Theorem's acyclic-database
+// construction (Appendix C.2), the guard-chain pump miner, and a bounded
+// search for CT^res_∀∀(G).
+//
+// The paper decides CT^res_∀∀(G) by compiling the chaseable-abstract-join-
+// tree property (Definitions 5.8 and 5.10) into an MSOL sentence over
+// infinite trees (Lemma 5.12). A faithful MSOL-over-infinite-trees solver
+// is non-elementary and out of scope for any implementation, so Decide
+// replaces that step with a bounded certificate search — seed acyclic
+// databases derived from the TGD bodies (the treeification viewpoint)
+// chased with divergence-evidence detection on the guard forest.
+// docs/ARCHITECTURE.md ("The guarded decider: a bounded search") documents
+// the substitution and what it does not prove.
 package guarded
 
 import (

@@ -20,53 +20,6 @@ const example56 = `
 	s3: P(X,Y) -> P(Y,Z).
 `
 
-func TestSideatomTypes(t *testing.T) {
-	// α = P(a,b,c) is a π-sideatom of γ = R(a,d,c,b) with
-	// π = ⟨P,4,{1→1,2→4,3→3}⟩ (the paper's running example).
-	alpha := logic.MustAtom("P", logic.Const("a"), logic.Const("b"), logic.Const("cc"))
-	gamma := logic.MustAtom("R", logic.Const("a"), logic.Const("d"), logic.Const("cc"), logic.Const("b"))
-	pi, err := NewSideatomType(logic.Pred("P", 3), 4, []int{1, 4, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pi.IsSideatom(alpha, gamma) {
-		t.Error("paper example must hold")
-	}
-	other := logic.MustAtom("P", logic.Const("a"), logic.Const("b"), logic.Const("zz"))
-	if pi.IsSideatom(other, gamma) {
-		t.Error("mismatched term must fail")
-	}
-	got, ok := TypeOf(alpha, gamma)
-	if !ok || got.Key() != pi.Key() {
-		t.Errorf("TypeOf = %v, want %v", got, pi)
-	}
-	if _, ok := TypeOf(logic.MustAtom("P", logic.Const("q")), gamma); ok {
-		t.Error("term absent from guard must fail")
-	}
-}
-
-func TestNewSideatomTypeValidation(t *testing.T) {
-	if _, err := NewSideatomType(logic.Pred("P", 2), 3, []int{1}); err == nil {
-		t.Error("length mismatch must fail")
-	}
-	if _, err := NewSideatomType(logic.Pred("P", 1), 3, []int{4}); err == nil {
-		t.Error("out-of-range ξ must fail")
-	}
-}
-
-func TestBodyTypes(t *testing.T) {
-	prog := parser.MustParse(`R(X,Y), T(Y) -> P(X,Y).`)
-	tgd := prog.TGDs.TGDs[0]
-	guard, _ := tgd.Guard()
-	types, ok := BodyTypes(guard, tgd.SideAtoms())
-	if !ok || len(types) != 1 {
-		t.Fatalf("BodyTypes = %v, %v", types, ok)
-	}
-	if types[0].Pred.Name != "T" || types[0].Xi[0] != 2 {
-		t.Errorf("T is at guard position 2: %v", types[0])
-	}
-}
-
 func TestExample56Treeification(t *testing.T) {
 	prog := parser.MustParse(example56)
 	g := ochase.Build(prog.Database, prog.TGDs, ochase.BuildOptions{MaxNodes: 400, MaxDepth: 8})
@@ -151,139 +104,6 @@ func TestTreeifyRejectsUnguarded(t *testing.T) {
 	g := ochase.Build(prog.Database, prog.TGDs, ochase.BuildOptions{MaxNodes: 50})
 	if _, err := Treeify(g, TreeifyOptions{}); err == nil {
 		t.Error("unguarded sets must be rejected")
-	}
-}
-
-func TestEqRelBasics(t *testing.T) {
-	e := NewEqRel(3)
-	if e.Same('f', 1, 'm', 1) {
-		t.Error("identity relation has no cross pairs")
-	}
-	e.Union('f', 1, 'm', 2)
-	e.Union('m', 2, 'm', 3)
-	if !e.Same('f', 1, 'm', 3) {
-		t.Error("transitivity")
-	}
-	cl := e.Clone()
-	cl.Union('f', 2, 'f', 3)
-	if e.Same('f', 2, 'f', 3) {
-		t.Error("Clone must be independent")
-	}
-	if e.Key() == cl.Key() {
-		t.Error("keys must differ after divergence")
-	}
-	if e.Ar() != 3 {
-		t.Error("Ar")
-	}
-}
-
-func TestEqFromAtoms(t *testing.T) {
-	father := logic.MustAtom("R", logic.Const("a"), logic.Const("b"))
-	me := logic.MustAtom("P", logic.Const("b"), logic.NewNull("n"))
-	e := EqFromAtoms(father, me, 3)
-	if !e.Same('f', 2, 'm', 1) {
-		t.Error("b is shared")
-	}
-	if e.Same('f', 1, 'm', 1) || e.Same('m', 1, 'm', 2) {
-		t.Error("no other equalities")
-	}
-	// Positions beyond the atoms' arities stay singletons.
-	if e.Same('f', 3, 'm', 3) {
-		t.Error("padding positions are singletons")
-	}
-}
-
-// asNullAtoms rewrites every term to a null of the same name, so that
-// logic.Isomorphic compares structure up to renaming of all terms
-// (constants included).
-func asNullAtoms(atoms []logic.Atom) []logic.Atom {
-	out := make([]logic.Atom, len(atoms))
-	for i, a := range atoms {
-		args := make([]logic.Term, len(a.Args))
-		for j, t := range a.Args {
-			args[j] = logic.NewNull(string(rune('0'+int(t.Kind))) + t.Name)
-		}
-		out[i] = logic.NewAtom(a.Pred, args...)
-	}
-	return out
-}
-
-func TestFromRunBuildsValidAJT(t *testing.T) {
-	progs := []string{
-		`P(a,b).
-		 s1: P(X,Y) -> R(X,Y).
-		 s3: R(X,Y) -> S(X).`,
-		`R(a,b). T(b).
-		 s2: R(X,Y), T(Y) -> P(X,Y).`,
-	}
-	for _, src := range progs {
-		prog := parser.MustParse(src)
-		run := chase.RunChase(prog.Database, prog.TGDs, chase.Options{Variant: chase.Restricted})
-		if !run.Terminated() {
-			t.Fatalf("must terminate: %q", src)
-		}
-		ajt, err := FromRun(run)
-		if err != nil {
-			t.Fatalf("FromRun(%q): %v", src, err)
-		}
-		if err := ajt.Validate(); err != nil {
-			t.Errorf("Definition 5.8 violated for %q: %v", src, err)
-		}
-		// ∆(T) decodes to an instance structurally isomorphic to the run's
-		// result (Lemma 5.9's isomorphism renames constants: ∆ invents its
-		// own names).
-		_, decoded := ajt.Decode()
-		if decoded.Len() != run.Final.Len() {
-			t.Errorf("decode size %d vs chase %d (%q)", decoded.Len(), run.Final.Len(), src)
-		}
-		if _, ok := logic.Isomorphic(asNullAtoms(decoded.Atoms()), asNullAtoms(run.Final.Atoms())); !ok {
-			t.Errorf("∆(T) must be isomorphic to the chase result for %q:\n%v\nvs\n%v",
-				src, decoded, run.Final)
-		}
-		// The F-part decodes to a database isomorphic to D (Lemma 5.9).
-		if _, ok := logic.Isomorphic(asNullAtoms(ajt.DecodeF()), asNullAtoms(prog.Database.Atoms())); !ok {
-			t.Errorf("∆(T|F) must be isomorphic to D for %q", src)
-		}
-	}
-}
-
-func TestAJTChaseableOnDerivationTrees(t *testing.T) {
-	prog := parser.MustParse(`
-		R(a,b). T(b).
-		s2: R(X,Y), T(Y) -> P(X,Y).
-		s4: P(X,Y) -> Q(X).
-	`)
-	run := chase.RunChase(prog.Database, prog.TGDs, chase.Options{Variant: chase.Restricted})
-	ajt, err := FromRun(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ajt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ajt.CheckChaseable(); err != nil {
-		t.Errorf("derivation-induced tree must be chaseable: %v", err)
-	}
-}
-
-func TestAJTValidateCatchesViolations(t *testing.T) {
-	prog := parser.MustParse(`
-		S(a).
-		grow: S(X) -> R(X,Y).
-	`)
-	run := chase.RunChase(prog.Database, prog.TGDs, chase.Options{Variant: chase.Restricted})
-	ajt, err := FromRun(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Break condition 3: claim the step node came from a different pred.
-	bad := *ajt
-	bad.Nodes = append([]AJTNode(nil), ajt.Nodes...)
-	node := bad.Nodes[1]
-	node.Label.Pred = logic.Pred("WRONG", 2)
-	bad.Nodes[1] = node
-	if err := bad.Validate(); err == nil {
-		t.Error("predicate mismatch must fail validation")
 	}
 }
 

@@ -159,22 +159,6 @@ func (t TGD) GuardIndex() int {
 	return -1
 }
 
-// SideAtoms returns the body atoms other than the guard, in body order. It
-// returns nil when the TGD is not guarded.
-func (t TGD) SideAtoms() []logic.Atom {
-	gi := t.GuardIndex()
-	if gi < 0 {
-		return nil
-	}
-	out := make([]logic.Atom, 0, len(t.Body)-1)
-	for i, a := range t.Body {
-		if i != gi {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Rename returns a copy of the TGD with every variable renamed via the
 // namer, keeping shared variables shared. Used to standardise sets apart.
 func (t TGD) Rename(namer *logic.FreshNamer) TGD {

@@ -112,20 +112,6 @@ func TestGuard(t *testing.T) {
 	}
 }
 
-func TestSideAtoms(t *testing.T) {
-	tgd := MustNew("", []logic.Atom{atom("S", "Y"), atom("G", "X", "Y"), atom("P", "X")},
-		[]logic.Atom{atom("H", "X")})
-	side := tgd.SideAtoms()
-	if len(side) != 2 || side[0].Pred.Name != "S" || side[1].Pred.Name != "P" {
-		t.Errorf("SideAtoms = %v", side)
-	}
-	unguarded := MustNew("", []logic.Atom{atom("R", "X", "Y"), atom("P", "Y", "Z")},
-		[]logic.Atom{atom("T", "X", "Z")})
-	if unguarded.SideAtoms() != nil {
-		t.Error("SideAtoms of unguarded TGD should be nil")
-	}
-}
-
 func TestHeadAtomPanicsOnMultiHead(t *testing.T) {
 	multi := MustNew("", []logic.Atom{atom("R", "X", "Y", "Z")},
 		[]logic.Atom{atom("R", "X", "W", "Y"), atom("R", "W", "Y", "Y")})
