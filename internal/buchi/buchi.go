@@ -384,16 +384,3 @@ func (a *Automaton) AcceptsLasso(prefix, cycle []string) (bool, error) {
 		}
 	}
 }
-
-// Union decides joint emptiness of a family of deterministic automata (the
-// paper's A_T = ⋃ A_{e,Π}): the union language is non-empty iff some
-// member is. It returns the first member's witness.
-func Union(members []*Automaton, maxStates int) (int, *Lasso, bool) {
-	for i, m := range members {
-		e := Explore(m, maxStates)
-		if lasso, ok := e.NonEmpty(); ok {
-			return i, lasso, true
-		}
-	}
-	return -1, nil, false
-}

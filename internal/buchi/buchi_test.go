@@ -172,19 +172,6 @@ func TestObservation1GapBound(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	idx, lasso, ok := Union([]*Automaton{emptyAutomaton(), modAutomaton()}, 0)
-	if !ok || idx != 1 || lasso == nil {
-		t.Errorf("Union = %d, %v, %v", idx, lasso, ok)
-	}
-	if _, _, ok := Union([]*Automaton{emptyAutomaton()}, 0); ok {
-		t.Error("union of empty languages is empty")
-	}
-	if _, _, ok := Union(nil, 0); ok {
-		t.Error("empty union is empty")
-	}
-}
-
 func TestExploreSparseIDs(t *testing.T) {
 	// IDs need not start at 0 or be contiguous: 7 -a-> 3 -a-> 7, accepting 3.
 	a := &Automaton{

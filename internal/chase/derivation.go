@@ -34,15 +34,6 @@ func NewDerivation(db *instance.Database, set *tgds.Set) *Derivation {
 // Instance returns the current instance I_n (live view; do not mutate).
 func (d *Derivation) Instance() *instance.Instance { return d.inst }
 
-// Database returns I_0.
-func (d *Derivation) Database() *instance.Database { return d.db }
-
-// Set returns the TGD set being chased.
-func (d *Derivation) Set() *tgds.Set { return d.set }
-
-// Steps returns the applied steps so far.
-func (d *Derivation) Steps() []Step { return d.steps }
-
 // Len returns the number of steps applied.
 func (d *Derivation) Len() int { return len(d.steps) }
 
@@ -74,45 +65,6 @@ func (d *Derivation) Apply(tr Trigger) error {
 	d.steps = append(d.steps, Step{Trigger: tr, Result: result, Added: added})
 	return nil
 }
-
-// ApplyAtom applies the unique active trigger producing an atom equal to
-// want (useful for scripted derivations in tests); it reports an error when
-// no active trigger produces it.
-func (d *Derivation) ApplyAtom(want logic.Atom) error {
-	for _, tr := range d.Active() {
-		probe := NewNullFactory()
-		// Peek at the would-be result without consuming fresh names from
-		// the real factory.
-		for _, a := range Result(tr, probe) {
-			if a.Pred == want.Pred && sameUpToNulls(a, want) {
-				return d.Apply(tr)
-			}
-		}
-	}
-	return fmt.Errorf("chase: no active trigger produces %v", want)
-}
-
-// sameUpToNulls compares atoms treating any two nulls as equal; scripted
-// tests cannot predict fresh null names.
-func sameUpToNulls(a, b logic.Atom) bool {
-	if a.Pred != b.Pred {
-		return false
-	}
-	for i := range a.Args {
-		x, y := a.Args[i], b.Args[i]
-		if x.IsNull() && y.IsNull() {
-			continue
-		}
-		if x != y {
-			return false
-		}
-	}
-	return true
-}
-
-// RemainsActive reports whether the trigger is still active on the current
-// instance; used by fairness accounting to detect starved triggers.
-func (d *Derivation) RemainsActive(tr Trigger) bool { return IsActive(tr, d.inst) }
 
 // IsFairAtHorizon reports a *necessary* condition for fairness observable on
 // a finite prefix: no trigger that became active at some step is still

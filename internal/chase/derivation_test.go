@@ -39,24 +39,6 @@ func TestDerivationManualSteps(t *testing.T) {
 	}
 }
 
-func TestDerivationApplyAtom(t *testing.T) {
-	prog := parser.MustParse(`
-		S(a).
-		s1: S(X) -> R(X,Y).
-	`)
-	d := NewDerivation(prog.Database, prog.TGDs)
-	want := logic.MustAtom("R", logic.Const("a"), logic.NewNull("any"))
-	if err := d.ApplyAtom(want); err != nil {
-		t.Fatal(err)
-	}
-	if !d.IsFixpoint() {
-		t.Error("fixpoint expected")
-	}
-	if err := d.ApplyAtom(want); err == nil {
-		t.Error("no active trigger remains")
-	}
-}
-
 func TestDerivationRejectsForeignTrigger(t *testing.T) {
 	prog := parser.MustParse(`
 		S(a).

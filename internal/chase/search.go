@@ -270,11 +270,6 @@ func newExpander(db *instance.Database, set *tgds.Set) *expander {
 	return e
 }
 
-// addRootTo inserts the database atoms into the instance.
-func (e *expander) addRootTo(inst *instance.Instance) {
-	e.addDeltaTo(inst, e.rootDelta)
-}
-
 // addDeltaTo inserts a flattened [pid, args...]* delta of local IDs.
 func (e *expander) addDeltaTo(inst *instance.Instance, d []uint32) {
 	for j := 0; j < len(d); {

@@ -170,7 +170,7 @@ func randomExistentialProgram(seed int64) *parser.Program {
 func walkAndCheckRepairs(t testing.TB, prog *parser.Program, rng *rand.Rand, maxSteps int) bool {
 	e := newExpander(prog.Database, prog.TGDs)
 	inst := instance.NewWithInterner(e.itab)
-	e.addRootTo(inst)
+	e.addDeltaTo(inst, e.rootDelta)
 	idx := e.buildIndex(inst)
 	for step := 0; step < maxSteps; step++ {
 		var all []logic.TupleID

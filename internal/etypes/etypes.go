@@ -1,8 +1,6 @@
-// Package etypes implements equality types and T-equality types over a
-// schema (Appendix A of the paper). The equality type of an atom
-// R(t1,…,tn) records which argument positions carry equal terms; a
-// T-equality type additionally labels some equivalence classes with
-// distinguished terms from a finite set T. Equality types are the finite
+// Package etypes implements equality types over a schema (Appendix A of
+// the paper). The equality type of an atom R(t1,…,tn) records which
+// argument positions carry equal terms. Equality types are the finite
 // abstraction driving Lemma 4.4 (finiteness of the deactivation set A) and
 // the states of the sticky Büchi automata (Appendix D.2).
 package etypes
@@ -63,9 +61,6 @@ func FromPartition(p logic.Predicate, rep []int) (EType, error) {
 	return EType{Pred: p, rep: out}, nil
 }
 
-// SameClass reports whether 1-based positions i and j carry equal terms.
-func (e EType) SameClass(i, j int) bool { return e.rep[i-1] == e.rep[j-1] }
-
 // ClassOf returns the 1-based representative position of 1-based position i.
 func (e EType) ClassOf(i int) int { return e.rep[i-1] + 1 }
 
@@ -94,9 +89,6 @@ func (e EType) Key() string {
 	return b.String()
 }
 
-// Equal reports equality of types.
-func (e EType) Equal(other EType) bool { return e.Key() == other.Key() }
-
 // String renders the type with its canonical atom, e.g. "R(*1,*1,*3)".
 func (e EType) String() string {
 	parts := make([]string, len(e.rep))
@@ -104,22 +96,6 @@ func (e EType) String() string {
 		parts[i] = fmt.Sprintf("*%d", r+1)
 	}
 	return e.Pred.Name + "(" + strings.Join(parts, ",") + ")"
-}
-
-// CanonicalAtom returns the canonical atom of the type: one distinct fresh
-// null per equivalence class, placed at the class's positions.
-func (e EType) CanonicalAtom(namer *logic.FreshNamer) logic.Atom {
-	byClass := make(map[int]logic.Term)
-	args := make([]logic.Term, len(e.rep))
-	for i, r := range e.rep {
-		t, ok := byClass[r]
-		if !ok {
-			t = namer.NextNull()
-			byClass[r] = t
-		}
-		args[i] = t
-	}
-	return logic.NewAtom(e.Pred, args...)
 }
 
 // CanonicalAtomFunc returns the canonical atom with the term of each class
@@ -137,11 +113,6 @@ func (e EType) CanonicalAtomFunc(term func(class int) logic.Term) logic.Atom {
 		args[i] = t
 	}
 	return logic.NewAtom(e.Pred, args...)
-}
-
-// Matches reports whether the atom has exactly this equality type.
-func (e EType) Matches(a logic.Atom) bool {
-	return a.Pred == e.Pred && Of(a).Equal(e)
 }
 
 // AllForPredicate enumerates every equality type over the predicate (every
@@ -184,120 +155,4 @@ func AllForSchema(s *logic.Schema) []EType {
 		out = append(out, AllForPredicate(p)...)
 	}
 	return out
-}
-
-// Count returns |etypes(S)| without materialising the types.
-func Count(s *logic.Schema) int {
-	n := 0
-	for _, p := range s.Predicates() {
-		n += bell(p.Arity)
-	}
-	return n
-}
-
-// bell returns the Bell number B(n): the number of partitions of an n-set.
-func bell(n int) int {
-	if n == 0 {
-		return 1
-	}
-	// Bell triangle.
-	prev := []int{1}
-	for i := 1; i <= n; i++ {
-		row := make([]int, i+1)
-		row[0] = prev[len(prev)-1]
-		for j := 1; j <= i; j++ {
-			row[j] = row[j-1] + prev[j-1]
-		}
-		prev = row
-	}
-	return prev[0]
-}
-
-// TEType is a T-equality type (R, E, λ): an equality type whose classes may
-// additionally be labeled with distinct tracked terms (Appendix A). Labels
-// are stored per class representative (0-based); unlabeled classes map to
-// the zero Term.
-type TEType struct {
-	etype  EType
-	labels map[int]logic.Term
-}
-
-// OfT returns the T-equality type of the atom w.r.t. the tracked term set:
-// classes whose term belongs to tracked are labeled with that term.
-func OfT(a logic.Atom, tracked logic.TermSet) TEType {
-	e := Of(a)
-	labels := make(map[int]logic.Term)
-	for i, r := range e.rep {
-		if i == r && tracked.Has(a.Args[i]) {
-			labels[r] = a.Args[i]
-		}
-	}
-	return TEType{etype: e, labels: labels}
-}
-
-// EType returns the underlying equality type.
-func (te TEType) EType() EType { return te.etype }
-
-// Label returns the label of the class of 1-based position i, if any.
-func (te TEType) Label(i int) (logic.Term, bool) {
-	t, ok := te.labels[te.etype.rep[i-1]]
-	return t, ok
-}
-
-// Key returns a canonical encoding usable as a map key.
-func (te TEType) Key() string {
-	var b strings.Builder
-	b.WriteString(te.etype.Key())
-	b.WriteByte('|')
-	for i, r := range te.etype.rep {
-		if i != r {
-			continue
-		}
-		if t, ok := te.labels[r]; ok {
-			fmt.Fprintf(&b, "%d=%s;", r, t.String())
-		}
-	}
-	return b.String()
-}
-
-// Equal reports equality of T-equality types.
-func (te TEType) Equal(other TEType) bool { return te.Key() == other.Key() }
-
-// CanonicalAtom returns can(e): labeled classes carry their label, unlabeled
-// classes carry distinct fresh nulls.
-func (te TEType) CanonicalAtom(namer *logic.FreshNamer) logic.Atom {
-	byClass := make(map[int]logic.Term)
-	args := make([]logic.Term, len(te.etype.rep))
-	for i, r := range te.etype.rep {
-		t, ok := byClass[r]
-		if !ok {
-			if lbl, labeled := te.labels[r]; labeled {
-				t = lbl
-			} else {
-				t = namer.NextNull()
-			}
-			byClass[r] = t
-		}
-		args[i] = t
-	}
-	return logic.NewAtom(te.etype.Pred, args...)
-}
-
-// String renders the type.
-func (te TEType) String() string {
-	var b strings.Builder
-	b.WriteString(te.etype.Pred.Name)
-	b.WriteByte('(')
-	for i, r := range te.etype.rep {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if t, ok := te.labels[r]; ok {
-			b.WriteString(t.String())
-		} else {
-			fmt.Fprintf(&b, "*%d", r+1)
-		}
-	}
-	b.WriteByte(')')
-	return b.String()
 }

@@ -1,6 +1,7 @@
 package etypes
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -10,12 +11,6 @@ import (
 func TestOf(t *testing.T) {
 	a := logic.MustAtom("R", logic.Const("a"), logic.Const("b"), logic.Const("a"))
 	e := Of(a)
-	if !e.SameClass(1, 3) {
-		t.Error("positions 1 and 3 carry equal terms")
-	}
-	if e.SameClass(1, 2) || e.SameClass(2, 3) {
-		t.Error("position 2 is alone")
-	}
 	if e.ClassOf(3) != 1 {
 		t.Errorf("ClassOf(3) = %d", e.ClassOf(3))
 	}
@@ -33,10 +28,10 @@ func TestOfIgnoresTermIdentity(t *testing.T) {
 	a := logic.MustAtom("R", logic.Const("a"), logic.Const("a"))
 	b := logic.MustAtom("R", logic.NewNull("n"), logic.NewNull("n"))
 	c := logic.MustAtom("R", logic.Const("a"), logic.Const("b"))
-	if !Of(a).Equal(Of(b)) {
+	if Of(a).Key() != Of(b).Key() {
 		t.Error("same pattern must give same type")
 	}
-	if Of(a).Equal(Of(c)) {
+	if Of(a).Key() == Of(c).Key() {
 		t.Error("different patterns must differ")
 	}
 }
@@ -47,7 +42,7 @@ func TestFromPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.SameClass(1, 2) || e.SameClass(1, 3) {
+	if e.ClassOf(2) != 1 || e.ClassOf(3) != 3 {
 		t.Error("partition decoded wrong")
 	}
 	if _, err := FromPartition(p, []int{0, 0}); err == nil {
@@ -66,8 +61,8 @@ func TestCanonicalAtomRealisesType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atom := e.CanonicalAtom(logic.NewFreshNamer("c"))
-	if !e.Matches(atom) {
+	atom := e.CanonicalAtomFunc(classConst)
+	if Of(atom).Key() != e.Key() {
 		t.Errorf("canonical atom %v does not match its type %v", atom, e)
 	}
 	if atom.Args[0] != atom.Args[1] || atom.Args[2] != atom.Args[3] || atom.Args[0] == atom.Args[2] {
@@ -102,63 +97,9 @@ func TestAllForSchemaAndCount(t *testing.T) {
 	if len(all) != 2+5 {
 		t.Errorf("AllForSchema = %d types, want 7", len(all))
 	}
-	if Count(s) != len(all) {
-		t.Errorf("Count = %d, want %d", Count(s), len(all))
-	}
 }
 
-func TestTETypeLabels(t *testing.T) {
-	a := logic.MustAtom("R", logic.Const("a"), logic.NewNull("n"), logic.Const("a"))
-	tracked := logic.NewTermSet(logic.Const("a"))
-	te := OfT(a, tracked)
-	if lbl, ok := te.Label(1); !ok || lbl != logic.Const("a") {
-		t.Errorf("Label(1) = %v,%v", lbl, ok)
-	}
-	if lbl, ok := te.Label(3); !ok || lbl != logic.Const("a") {
-		t.Errorf("Label(3) = %v,%v (shared class)", lbl, ok)
-	}
-	if _, ok := te.Label(2); ok {
-		t.Error("untracked class must be unlabeled")
-	}
-}
-
-func TestTETypeDistinguishesTrackedTerms(t *testing.T) {
-	tracked := logic.NewTermSet(logic.Const("a"), logic.Const("b"))
-	a := logic.MustAtom("R", logic.Const("a"), logic.Const("x"))
-	b := logic.MustAtom("R", logic.Const("b"), logic.Const("y"))
-	c := logic.MustAtom("R", logic.Const("a"), logic.Const("z"))
-	ta, tb, tc := OfT(a, tracked), OfT(b, tracked), OfT(c, tracked)
-	if ta.Equal(tb) {
-		t.Error("different tracked labels must differ")
-	}
-	if !ta.Equal(tc) {
-		t.Error("same label, same pattern must coincide")
-	}
-	if ta.EType().Key() != tb.EType().Key() {
-		t.Error("underlying equality types coincide")
-	}
-}
-
-func TestTETypeCanonicalAtom(t *testing.T) {
-	tracked := logic.NewTermSet(logic.Const("a"))
-	a := logic.MustAtom("R", logic.Const("a"), logic.NewNull("n"), logic.NewNull("n"))
-	te := OfT(a, tracked)
-	can := te.CanonicalAtom(logic.NewFreshNamer("f"))
-	if can.Args[0] != logic.Const("a") {
-		t.Errorf("labeled class must keep its label: %v", can)
-	}
-	if can.Args[1] != can.Args[2] {
-		t.Error("class structure must be preserved")
-	}
-	if can.Args[1] == can.Args[0] {
-		t.Error("distinct classes must stay distinct")
-	}
-	if te.String() == "" {
-		t.Error("String must render")
-	}
-}
-
-// Property: Of(CanonicalAtom(e)) == e for arbitrary generated partitions.
+// Property: Of(CanonicalAtomFunc(e)) == e for arbitrary generated partitions.
 func TestCanonicalRoundTrip(t *testing.T) {
 	f := func(raw []uint8) bool {
 		arity := len(raw)
@@ -178,7 +119,7 @@ func TestCanonicalRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Of(e.CanonicalAtom(logic.NewFreshNamer("q"))).Equal(e)
+		return Of(e.CanonicalAtomFunc(classConst)).Key() == e.Key()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -205,3 +146,6 @@ func TestClassCountMatchesDistinctTerms(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// classConst names each class's term after its representative position.
+func classConst(class int) logic.Term { return logic.Const(strconv.Itoa(class)) }

@@ -658,37 +658,8 @@ func (db *Database) Has(a logic.Atom) bool { return db.inst.Has(a) }
 // cross-run caches key per-database artefacts on.
 func (db *Database) Fingerprint() logic.Fingerprint { return db.inst.Fingerprint() }
 
-// Dom returns the database's active domain (constants only).
-func (db *Database) Dom() logic.TermSet { return db.inst.Dom() }
-
-// Schema returns the database's predicates.
-func (db *Database) Schema() *logic.Schema { return db.inst.Schema() }
-
 // String renders the facts.
 func (db *Database) String() string { return db.inst.String() }
-
-// Union returns a new instance containing the atoms of all the given
-// instances.
-func Union(instances ...*Instance) *Instance {
-	out := New()
-	for _, in := range instances {
-		for i := 0; i < in.Len(); i++ {
-			out.Add(in.AtomAt(i))
-		}
-	}
-	return out
-}
-
-// Diff returns the atoms of a that are not in b, in a's insertion order.
-func Diff(a, b *Instance) []logic.Atom {
-	var out []logic.Atom
-	for i := 0; i < a.Len(); i++ {
-		if atom := a.AtomAt(i); !b.Has(atom) {
-			out = append(out, atom)
-		}
-	}
-	return out
-}
 
 // SortedKeys returns the canonical atom keys in sorted order; handy for
 // deterministic comparisons in tests. This is a debug/test renderer: it

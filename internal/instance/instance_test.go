@@ -102,14 +102,6 @@ func TestInstanceEqualAndDiff(t *testing.T) {
 	if a.Equal(c) {
 		t.Error("different sizes must differ")
 	}
-	d := Diff(a, c)
-	if len(d) != 1 || d[0].Pred.Name != "S" {
-		t.Errorf("Diff = %v", d)
-	}
-	u := Union(a, c)
-	if u.Len() != 2 {
-		t.Errorf("Union size = %d", u.Len())
-	}
 }
 
 func TestDatabase(t *testing.T) {

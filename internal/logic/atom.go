@@ -294,15 +294,6 @@ func VarsOf(atoms []Atom) TermSet {
 	return s
 }
 
-// SchemaOf returns the schema of the given atoms.
-func SchemaOf(atoms []Atom) *Schema {
-	s := NewSchema()
-	for _, a := range atoms {
-		s.Add(a.Pred)
-	}
-	return s
-}
-
 // SortAtoms sorts atoms by key, giving a deterministic order.
 func SortAtoms(atoms []Atom) {
 	sort.Slice(atoms, func(i, j int) bool { return atoms[i].Key() < atoms[j].Key() })

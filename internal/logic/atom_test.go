@@ -141,10 +141,6 @@ func TestAtomsHelpers(t *testing.T) {
 	if len(vars) != 2 || !vars.Has(Var("X")) || !vars.Has(Var("Y")) {
 		t.Errorf("VarsOf = %v", vars)
 	}
-	schema := SchemaOf(atoms)
-	if schema.Len() != 2 || schema.MaxArity() != 3 {
-		t.Errorf("SchemaOf wrong: %v", schema.Predicates())
-	}
 	shuffled := []Atom{atoms[1], atoms[0]}
 	SortAtoms(shuffled)
 	if !strings.HasPrefix(shuffled[0].String(), "R(") {

@@ -22,13 +22,13 @@ type IndexedSource interface {
 // SliceSource adapts a plain slice of atoms to AtomSource.
 type SliceSource struct {
 	byPred map[Predicate][]Atom
-	all    []Atom
 }
 
-// NewSliceSource indexes the given atoms by predicate. The slice is not
-// copied; callers must not mutate it while the source is in use.
+// NewSliceSource indexes the given atoms by predicate. The atoms' argument
+// slices are not copied; callers must not mutate them while the source is
+// in use.
 func NewSliceSource(atoms []Atom) *SliceSource {
-	s := &SliceSource{byPred: make(map[Predicate][]Atom), all: atoms}
+	s := &SliceSource{byPred: make(map[Predicate][]Atom)}
 	for _, a := range atoms {
 		s.byPred[a.Pred] = append(s.byPred[a.Pred], a)
 	}
@@ -37,9 +37,6 @@ func NewSliceSource(atoms []Atom) *SliceSource {
 
 // AtomsByPredicate implements AtomSource.
 func (s *SliceSource) AtomsByPredicate(p Predicate) []Atom { return s.byPred[p] }
-
-// Atoms returns the underlying atoms.
-func (s *SliceSource) Atoms() []Atom { return s.all }
 
 // matchAtom attempts to extend s so that pattern maps onto target. On
 // success it returns the extended substitution (possibly s itself when no
@@ -208,93 +205,6 @@ func AllHomomorphisms(pattern []Atom, base Substitution, src AtomSource) []Subst
 		return true
 	})
 	return out
-}
-
-// HomomorphicallyMaps reports whether h maps the atom a onto the atom b,
-// i.e. whether a.Apply(h) equals b after also treating unbound mappable
-// terms as mismatches. It does not extend h.
-func HomomorphicallyMaps(h Substitution, a, b Atom) bool {
-	if a.Pred != b.Pred {
-		return false
-	}
-	for i, t := range a.Args {
-		img := t
-		if t.Mappable() {
-			u, ok := h[t]
-			if !ok {
-				return false
-			}
-			img = u
-		}
-		if img != b.Args[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Isomorphic reports whether the two atom sets are isomorphic: there is a
-// 1-1 homomorphism from a onto b whose inverse is also a homomorphism
-// (Appendix A of the paper). It additionally returns a witnessing
-// isomorphism when one exists.
-func Isomorphic(a, b []Atom) (Substitution, bool) {
-	if len(dedupAtoms(a)) != len(dedupAtoms(b)) {
-		return nil, false
-	}
-	bs := NewSliceSource(b)
-	var iso Substitution
-	ForEachHomomorphism(a, nil, bs, func(h Substitution) bool {
-		if !h.Injective() {
-			return true
-		}
-		inv, ok := h.Inverse()
-		if !ok || inv.Validate() != nil {
-			return true
-		}
-		// The image of a under h must cover b.
-		img := make(map[string]struct{}, len(a))
-		for _, atom := range a {
-			img[atom.Apply(h).Key()] = struct{}{}
-		}
-		for _, atom := range b {
-			if _, ok := img[atom.Key()]; !ok {
-				return true
-			}
-		}
-		iso = h.Clone()
-		return false
-	})
-	return iso, iso != nil
-}
-
-func dedupAtoms(atoms []Atom) []Atom {
-	seen := make(map[string]struct{}, len(atoms))
-	out := atoms[:0:0]
-	for _, a := range atoms {
-		k := a.Key()
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, a)
-	}
-	return out
-}
-
-// DedupAtoms returns the atoms with syntactic duplicates removed, preserving
-// first-occurrence order.
-func DedupAtoms(atoms []Atom) []Atom { return dedupAtoms(atoms) }
-
-// RenameApart returns the atoms with every variable renamed by applying the
-// given namer, together with the renaming used. Constants and nulls are
-// untouched. Used to standardise TGDs apart.
-func RenameApart(atoms []Atom, namer *FreshNamer) ([]Atom, Substitution) {
-	ren := NewSubstitution()
-	vars := VarsOf(atoms).Sorted()
-	for _, v := range vars {
-		ren.Bind(v, namer.NextVar())
-	}
-	return ren.ApplyAtoms(atoms), ren
 }
 
 // CanonicalFreeze returns a copy of the atoms where every variable is

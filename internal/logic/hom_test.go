@@ -112,92 +112,8 @@ func TestForEachHomomorphismEarlyStop(t *testing.T) {
 	}
 }
 
-func TestHomomorphicallyMaps(t *testing.T) {
-	h := NewSubstitution().Bind(Var("X"), Const("a"))
-	a := MustAtom("R", Var("X"), Const("b"))
-	if !HomomorphicallyMaps(h, a, MustAtom("R", Const("a"), Const("b"))) {
-		t.Error("expected map")
-	}
-	if HomomorphicallyMaps(h, a, MustAtom("R", Const("a"), Const("c"))) {
-		t.Error("constant mismatch must fail")
-	}
-	if HomomorphicallyMaps(h, MustAtom("R", Var("Z"), Const("b")), MustAtom("R", Const("a"), Const("b"))) {
-		t.Error("unbound variable must fail (no extension)")
-	}
-}
-
-func TestIsomorphic(t *testing.T) {
-	a := []Atom{MustAtom("R", NewNull("n1"), NewNull("n2"))}
-	b := []Atom{MustAtom("R", NewNull("m1"), NewNull("m2"))}
-	if _, ok := Isomorphic(a, b); !ok {
-		t.Error("renamed nulls should be isomorphic")
-	}
-	c := []Atom{MustAtom("R", NewNull("n1"), NewNull("n1"))}
-	if _, ok := Isomorphic(a, c); ok {
-		t.Error("collapsing nulls is not an isomorphism")
-	}
-	if _, ok := Isomorphic(c, a); ok {
-		t.Error("isomorphism must fail in both directions")
-	}
-	d := []Atom{MustAtom("R", Const("a"), NewNull("n"))}
-	e := []Atom{MustAtom("R", Const("a"), NewNull("k"))}
-	if _, ok := Isomorphic(d, e); !ok {
-		t.Error("constant-preserving renaming is an isomorphism")
-	}
-	f := []Atom{MustAtom("R", Const("b"), NewNull("k"))}
-	if _, ok := Isomorphic(d, f); ok {
-		t.Error("different constants are not isomorphic")
-	}
-}
-
-func TestIsomorphicMultiAtom(t *testing.T) {
-	a := []Atom{
-		MustAtom("R", Const("a"), NewNull("x")),
-		MustAtom("S", NewNull("x"), NewNull("y")),
-	}
-	b := []Atom{
-		MustAtom("S", NewNull("p"), NewNull("q")),
-		MustAtom("R", Const("a"), NewNull("p")),
-	}
-	iso, ok := Isomorphic(a, b)
-	if !ok {
-		t.Fatal("expected isomorphism")
-	}
-	if iso.ApplyTerm(NewNull("x")) != NewNull("p") {
-		t.Errorf("iso = %v", iso)
-	}
-}
-
-func TestDedupAtoms(t *testing.T) {
-	atoms := []Atom{
-		MustAtom("R", Const("a")),
-		MustAtom("R", Const("a")),
-		MustAtom("R", Const("b")),
-	}
-	out := DedupAtoms(atoms)
-	if len(out) != 2 {
-		t.Fatalf("DedupAtoms = %v", out)
-	}
-}
-
 func TestRenameApartAndFreeze(t *testing.T) {
 	atoms := []Atom{MustAtom("R", Var("X"), Var("Y")), MustAtom("S", Var("Y"), Const("a"))}
-	namer := NewFreshNamer("v")
-	renamed, ren := RenameApart(atoms, namer)
-	if len(ren) != 2 {
-		t.Fatalf("renaming = %v", ren)
-	}
-	if VarsOf(renamed).Has(Var("X")) {
-		t.Error("X should be renamed")
-	}
-	if renamed[1].Args[1] != Const("a") {
-		t.Error("constants must survive renaming")
-	}
-	// Shared variable must stay shared.
-	if renamed[0].Args[1] != renamed[1].Args[0] {
-		t.Error("shared variable broken by renaming")
-	}
-
 	frozen, frz := CanonicalFreeze(atoms, NewFreshNamer("f"))
 	if len(frz) != 2 {
 		t.Fatalf("freeze = %v", frz)
@@ -206,6 +122,12 @@ func TestRenameApartAndFreeze(t *testing.T) {
 		if !a.IsFact() {
 			t.Errorf("frozen atom %v is not a fact", a)
 		}
+	}
+	if frozen[1].Args[1] != Const("a") {
+		t.Error("constants must survive freezing")
+	}
+	if frozen[0].Args[1] != frozen[1].Args[0] {
+		t.Error("shared variable broken by freezing")
 	}
 }
 

@@ -99,9 +99,6 @@ func (in *Interner) InternTermWithHash(t Term, h Fingerprint) TermID {
 // TermHash returns the cached fingerprint of the term with the given ID.
 func (in *Interner) TermHash(id TermID) Fingerprint { return in.termHash[id] }
 
-// PredHash returns the cached fingerprint of the predicate with the given ID.
-func (in *Interner) PredHash(id PredID) Fingerprint { return in.predHash[id] }
-
 // HashAtomIDs returns the hash of the ground atom (pid, args...) from the
 // cached per-term fingerprints; args holds TermID values in the arena's raw
 // uint32 form. It agrees with HashAtom on the materialised atom unless a

@@ -70,69 +70,6 @@ func (s Substitution) Clone() Substitution {
 	return out
 }
 
-// Extends reports whether s agrees with base on base's entire domain,
-// i.e. whether s ⊇ base.
-func (s Substitution) Extends(base Substitution) bool {
-	for t, u := range base {
-		if v, ok := s[t]; !ok || v != u {
-			return false
-		}
-	}
-	return true
-}
-
-// Compose returns the substitution t ↦ g(s(t)) for t in dom(s), extended
-// with g's bindings on terms outside dom(s). This matches relational
-// composition when substitutions are read as functions applied left first.
-func (s Substitution) Compose(g Substitution) Substitution {
-	out := make(Substitution, len(s)+len(g))
-	for t, u := range s {
-		out[t] = g.ApplyTerm(u)
-	}
-	for t, u := range g {
-		if _, ok := out[t]; !ok {
-			out[t] = u
-		}
-	}
-	return out
-}
-
-// Validate checks the homomorphism side conditions: constants must map to
-// themselves (if bound at all). It returns a descriptive error on violation.
-func (s Substitution) Validate() error {
-	for t, u := range s {
-		if t.IsConst() && t != u {
-			return fmt.Errorf("logic: substitution moves constant %v to %v", t, u)
-		}
-	}
-	return nil
-}
-
-// Injective reports whether s is injective on its domain.
-func (s Substitution) Injective() bool {
-	seen := make(map[Term]Term, len(s))
-	for t, u := range s {
-		if prev, ok := seen[u]; ok && prev != t {
-			return false
-		}
-		seen[u] = t
-	}
-	return true
-}
-
-// Inverse returns the inverse of an injective substitution. The second
-// result is false if s is not injective.
-func (s Substitution) Inverse() (Substitution, bool) {
-	out := make(Substitution, len(s))
-	for t, u := range s {
-		if _, ok := out[u]; ok {
-			return nil, false
-		}
-		out[u] = t
-	}
-	return out, true
-}
-
 // Equal reports whether two substitutions have identical graphs.
 func (s Substitution) Equal(other Substitution) bool {
 	if len(s) != len(other) {

@@ -36,58 +36,10 @@ func TestSubstitutionRestrictCloneExtends(t *testing.T) {
 	if len(r) != 1 || r.ApplyTerm(Var("X")) != Const("a") {
 		t.Fatalf("Restrict = %v", r)
 	}
-	if !s.Extends(r) {
-		t.Error("s must extend its restriction")
-	}
-	if r.Extends(s) {
-		t.Error("restriction must not extend the whole")
-	}
 	c := s.Clone()
 	c.Bind(Var("Z"), Const("c"))
 	if _, ok := s.Lookup(Var("Z")); ok {
 		t.Error("Clone must be independent")
-	}
-}
-
-func TestSubstitutionCompose(t *testing.T) {
-	s := NewSubstitution().Bind(Var("X"), Var("Y"))
-	g := NewSubstitution().Bind(Var("Y"), Const("a"))
-	comp := s.Compose(g)
-	if comp.ApplyTerm(Var("X")) != Const("a") {
-		t.Errorf("Compose: X -> %v, want a", comp.ApplyTerm(Var("X")))
-	}
-	if comp.ApplyTerm(Var("Y")) != Const("a") {
-		t.Errorf("Compose must keep g's bindings: Y -> %v", comp.ApplyTerm(Var("Y")))
-	}
-}
-
-func TestSubstitutionValidate(t *testing.T) {
-	ok := NewSubstitution().Bind(Var("X"), Const("a"))
-	ok.Bind(Const("c"), Const("c"))
-	if err := ok.Validate(); err != nil {
-		t.Errorf("Validate = %v, want nil", err)
-	}
-	bad := Substitution{Const("c"): Const("d")}
-	if err := bad.Validate(); err == nil {
-		t.Error("moving a constant must be invalid")
-	}
-}
-
-func TestSubstitutionInjectiveInverse(t *testing.T) {
-	inj := NewSubstitution().Bind(Var("X"), Const("a")).Bind(Var("Y"), Const("b"))
-	if !inj.Injective() {
-		t.Error("expected injective")
-	}
-	inv, ok := inj.Inverse()
-	if !ok || inv.ApplyTerm(Const("a")) != Var("X") {
-		t.Errorf("Inverse = %v, %v", inv, ok)
-	}
-	notInj := NewSubstitution().Bind(Var("X"), Const("a")).Bind(Var("Y"), Const("a"))
-	if notInj.Injective() {
-		t.Error("expected non-injective")
-	}
-	if _, ok := notInj.Inverse(); ok {
-		t.Error("Inverse of non-injective must fail")
 	}
 }
 

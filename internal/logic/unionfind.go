@@ -14,8 +14,6 @@ package logic
 // amortised time.
 type UnionFind struct {
 	parent []TermID
-	// merges counts Link calls — the number of equality classes collapsed.
-	merges int
 }
 
 // grow extends the parent table so id is a valid index, mapping every new
@@ -30,7 +28,6 @@ func (u *UnionFind) grow(id TermID) {
 // own representative again.
 func (u *UnionFind) Reset() {
 	u.parent = u.parent[:0]
-	u.merges = 0
 }
 
 // Find returns the representative of id's equality class, compressing the
@@ -60,12 +57,7 @@ func (u *UnionFind) Link(child, parent TermID) {
 	u.grow(c)
 	u.grow(p)
 	u.parent[c] = p
-	u.merges++
 }
 
 // Same reports whether the two IDs are in one equality class.
 func (u *UnionFind) Same(a, b TermID) bool { return u.Find(a) == u.Find(b) }
-
-// Merges returns the number of Link calls that actually collapsed two
-// classes since the structure was created.
-func (u *UnionFind) Merges() int { return u.merges }

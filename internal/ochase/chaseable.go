@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"airct/internal/chase"
-	"airct/internal/logic"
 )
 
 // CheckChaseable verifies the conditions of Definition 5.2 on a finite set
@@ -198,61 +197,4 @@ func (g *Graph) findNode(triggerKey string, parents []NodeID) *Node {
 		}
 	}
 	return nil
-}
-
-// GuardPathDepths returns, for every node, its depth along the guard-parent
-// forest (0 for roots); a helper for the guarded experiments.
-func (g *Graph) GuardPathDepths() map[NodeID]int {
-	out := make(map[NodeID]int, g.Len())
-	for v := range NodeID(g.Len()) {
-		d := 0
-		id := v
-		for {
-			gp, ok := g.GuardParent(id)
-			if !ok {
-				break
-			}
-			d++
-			id = gp
-		}
-		out[v] = d
-	}
-	return out
-}
-
-// Subtree returns id together with every ≺gp-descendant of id (the set I_β
-// of Section 5.2 computed on the fragment).
-func (g *Graph) Subtree(id NodeID) []NodeID {
-	var out []NodeID
-	stack := []NodeID{id}
-	seen := map[NodeID]struct{}{id: {}}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, v)
-		for _, c := range g.Children(v) {
-			gp, ok := g.GuardParent(c)
-			if !ok || gp != v {
-				continue
-			}
-			if _, dup := seen[c]; dup {
-				continue
-			}
-			seen[c] = struct{}{}
-			stack = append(stack, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// DomTerms returns the active domain of the fragment's atoms.
-func (g *Graph) DomTerms() logic.TermSet {
-	s := make(logic.TermSet)
-	for _, n := range g.Nodes() {
-		for _, t := range n.Atom.Args {
-			s[t] = struct{}{}
-		}
-	}
-	return s
 }

@@ -209,26 +209,6 @@ func TestBeforeRelation(t *testing.T) {
 	}
 }
 
-func TestGuardPathDepthsAndSubtree(t *testing.T) {
-	prog := parser.MustParse(`
-		S(a).
-		s1: S(X) -> R(X,Y).
-		s2: R(X,Y) -> Q(Y).
-	`)
-	g := Build(prog.Database, prog.TGDs, BuildOptions{MaxNodes: 100})
-	depths := g.GuardPathDepths()
-	if depths[0] != 0 {
-		t.Error("database node depth 0")
-	}
-	sub := g.Subtree(0)
-	if len(sub) != g.Len() {
-		t.Errorf("everything descends from S(a): %v of %d nodes", sub, g.Len())
-	}
-	if len(g.DomTerms()) < 2 {
-		t.Error("dom must include a and invented nulls")
-	}
-}
-
 func TestMultisetVersusSetGrowth(t *testing.T) {
 	// E1-style check: the multiset (real oblivious) is strictly larger than
 	// the atom set on Example 3.4's program.

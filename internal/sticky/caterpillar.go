@@ -116,8 +116,3 @@ func (c *Caterpillar) ValidateCaterpillar(set *tgds.Set) error {
 	}
 	return nil
 }
-
-// IsFinitary reports whether the legs are finite — trivially true for the
-// finite prefixes this type holds; it exists to mirror Definition 6.4 and
-// to document the invariant at call sites.
-func (c *Caterpillar) IsFinitary() bool { return true }

@@ -200,9 +200,6 @@ func TestCaterpillarValidatorsRejectBrokenPrefixes(t *testing.T) {
 	if err := short.ValidateProto(s); err == nil {
 		t.Error("missing trigger must fail")
 	}
-	if !cat.IsFinitary() {
-		t.Error("finite prefixes are finitary")
-	}
 }
 
 func TestStateGrowthAcrossFamilies(t *testing.T) {

@@ -1,7 +1,5 @@
 package tgds
 
-import "airct/internal/logic"
-
 // This file collects the auxiliary syntactic classes beyond the paper's G
 // and S: full (existential-free) TGDs, whose restricted chase trivially
 // terminates on every database, and frontier-guardedness, the relaxation of
@@ -28,25 +26,6 @@ func (t TGD) IsFrontierGuarded() bool {
 		}
 	}
 	return false
-}
-
-// FrontierGuard returns the left-most body atom containing every frontier
-// variable, when one exists.
-func (t TGD) FrontierGuard() (logic.Atom, bool) {
-	frontier := t.Frontier()
-	for _, a := range t.Body {
-		covers := true
-		for v := range frontier {
-			if !a.HasTerm(v) {
-				covers = false
-				break
-			}
-		}
-		if covers {
-			return a, true
-		}
-	}
-	return logic.Atom{}, false
 }
 
 // IsFull reports whether every TGD in the set is full. Full sets are in

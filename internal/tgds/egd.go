@@ -31,15 +31,6 @@ func NewEGD(label string, body []logic.Atom, x, y logic.Term) (EGD, error) {
 	return e, nil
 }
 
-// MustNewEGD is NewEGD that panics on error; for literals in tests.
-func MustNewEGD(label string, body []logic.Atom, x, y logic.Term) EGD {
-	e, err := NewEGD(label, body, x, y)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Validate checks the structural invariants: non-empty body of
 // variable-only atoms, and both equated terms are variables occurring in
 // the body (a safe EGD — every trigger grounds both sides).
@@ -92,15 +83,6 @@ func (e EGD) Rename(namer *logic.FreshNamer) EGD {
 		X:     ren.ApplyTerm(e.X),
 		Y:     ren.ApplyTerm(e.Y),
 	}
-}
-
-// Clone returns a deep copy.
-func (e EGD) Clone() EGD {
-	body := make([]logic.Atom, len(e.Body))
-	for i, a := range e.Body {
-		body[i] = a.Clone()
-	}
-	return EGD{Label: e.Label, Body: body, X: e.X, Y: e.Y}
 }
 
 // String renders the EGD in the library's concrete syntax:
