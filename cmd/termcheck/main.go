@@ -70,11 +70,11 @@ import (
 )
 
 func main() {
-	guardedBudget := flag.Int("guarded-budget", 2000, "per-seed chase step budget for the guarded search")
-	stickyStates := flag.Int("sticky-states", 200000, "state bound per sticky Büchi component")
+	guardedBudget := flag.Int("guarded-budget", guarded.DefaultMaxSteps, "per-seed chase step budget for the guarded search")
+	stickyStates := flag.Int("sticky-states", sticky.DefaultMaxStates, "state bound per sticky Büchi component")
 	exists := flag.Bool("exists", false, "search for a finite derivation of the input database (CT^res_∀∃) instead of deciding all-instances termination")
-	existsStates := flag.Int("exists-states", 10000, "state budget for the -exists search")
-	existsAtoms := flag.Int("exists-atoms", 200, "per-instance atom bound for the -exists search")
+	existsStates := flag.Int("exists-states", chase.DefaultSearchStates, "state budget for the -exists search")
+	existsAtoms := flag.Int("exists-atoms", chase.DefaultSearchAtoms, "per-instance atom bound for the -exists search")
 	usePortfolio := flag.Bool("portfolio", false, "answer the all-instances question through the staged decider portfolio (cheap checks, k-round probe, semantic deciders)")
 	useCache := flag.Bool("cache", false, "memoise chase work (guarded seeds, sticky Büchi verdicts, -exists searches, portfolio runs) in a cross-run cache and report a cache: stats line")
 	cacheFile := flag.String("cache-file", "", "persist the cross-run cache: load the snapshot at this path if it exists and save it back atomically on exit (implies -cache)")

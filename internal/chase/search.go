@@ -73,11 +73,18 @@ type ExistsResult struct {
 	Replayed bool
 }
 
+// The ∀∃ search's budgets when SearchOptions leaves them zero.
+const (
+	DefaultSearchStates = 10_000
+	DefaultSearchAtoms  = 200
+)
+
 // SearchOptions configures the ∀∃ search. The zero value uses the defaults.
 type SearchOptions struct {
-	// MaxStates bounds the number of distinct instance states (0: 10_000).
+	// MaxStates bounds the number of distinct instance states (0:
+	// DefaultSearchStates).
 	MaxStates int
-	// MaxAtoms bounds the per-instance atom count (0: 200).
+	// MaxAtoms bounds the per-instance atom count (0: DefaultSearchAtoms).
 	MaxAtoms int
 	// Cache, when non-nil, memoises whole search outcomes across runs as
 	// ExistsOutcome entries keyed by (set fingerprint, instance fingerprint,
@@ -441,10 +448,10 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 		return nil, fmt.Errorf("chase: the ∀∃ derivation search is TGD-only: its state space memoises instances by fingerprint under trigger application, and equality steps rewrite states in place")
 	}
 	if opts.MaxStates <= 0 {
-		opts.MaxStates = 10_000
+		opts.MaxStates = DefaultSearchStates
 	}
 	if opts.MaxAtoms <= 0 {
-		opts.MaxAtoms = 200
+		opts.MaxAtoms = DefaultSearchAtoms
 	}
 	var setFP, instFP logic.Fingerprint
 	if opts.Cache != nil {

@@ -65,12 +65,17 @@ type Verdict struct {
 	Depth int
 }
 
-// maxSeeds caps the candidate databases of one seed pool.
-const maxSeeds = 256
+const (
+	// DefaultMaxSteps is the per-seed restricted-chase budget that a zero
+	// DecideOptions.MaxSteps selects.
+	DefaultMaxSteps = 2000
+	// MaxSeeds caps the candidate databases of one seed pool.
+	MaxSeeds = 256
+)
 
 // DecideOptions configures the decision procedure.
 type DecideOptions struct {
-	// MaxSteps is the per-seed restricted-chase budget (0: 2000).
+	// MaxSteps is the per-seed restricted-chase budget (0: DefaultMaxSteps).
 	MaxSteps int
 	// Cache, when set, memoises the per-seed chase batteries (and the
 	// generated seed pools) across Decide calls on (TGD-set fingerprint,
@@ -82,7 +87,7 @@ type DecideOptions struct {
 
 func (o DecideOptions) maxSteps() int {
 	if o.MaxSteps <= 0 {
-		return 2000
+		return DefaultMaxSteps
 	}
 	return o.MaxSteps
 }

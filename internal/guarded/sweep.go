@@ -51,7 +51,7 @@ var batteries = sync.Pool{New: func() any { return new(battery) }}
 // back to the pool. An arena keeps the capacity of its largest run, so
 // without the bound a client's large guarded-budget would pin that memory
 // in the pool. A single-head guarded TGD adds at most one atom per step,
-// so the default budget of 2000 steps stays far below the bound.
+// so DefaultMaxSteps stays far below the bound.
 const maxPooledAtoms = 8192
 
 // releaseBattery returns b to the pool unless its arena outgrew
@@ -87,12 +87,12 @@ func newSeedSweep(set *tgds.Set, cache *chase.Cache) *seedSweep {
 	sw := &seedSweep{set: set, cache: cache}
 	if cache != nil {
 		sw.setFP = set.Fingerprint()
-		if pool, ok := cache.LookupSeedPool(sw.setFP, maxSeeds); ok {
+		if pool, ok := cache.LookupSeedPool(sw.setFP, MaxSeeds); ok {
 			sw.pooled = pool.Seeds
 			return sw
 		}
 	}
-	sw.enum = newSeedEnum(set, maxSeeds)
+	sw.enum = newSeedEnum(set, MaxSeeds)
 	return sw
 }
 
@@ -106,7 +106,7 @@ func (sw *seedSweep) next() ([]logic.Atom, bool) {
 			return seed, true
 		}
 		if sw.cache != nil {
-			sw.cache.StoreSeedPool(sw.setFP, maxSeeds, &chase.SeedPool{Seeds: sw.enum.pool})
+			sw.cache.StoreSeedPool(sw.setFP, MaxSeeds, &chase.SeedPool{Seeds: sw.enum.pool})
 		}
 		sw.enum = nil
 		return nil, false

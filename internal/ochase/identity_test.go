@@ -130,7 +130,6 @@ func refSeedPool(t *testing.T, name string, set *tgds.Set, maxSeeds int) []*inst
 // n = 2..6, at the pool's (600, 6) bounds), and that GenerateSeeds pools
 // equal the reference pools seed for seed.
 func TestCompiledBuildMatchesReference(t *testing.T) {
-	const maxSeeds = 256
 	sets := workload.Corpus()
 	for n := 2; n <= 6; n++ {
 		sets = append(sets,
@@ -138,8 +137,8 @@ func TestCompiledBuildMatchesReference(t *testing.T) {
 			workload.SwapIntro(n), workload.StickyJoin(n), workload.StickyRelay(n), workload.GuardedLadder(n))
 	}
 	for _, l := range sets {
-		want := refSeedPool(t, l.Name, l.Set, maxSeeds)
-		got := guarded.GenerateSeeds(l.Set, maxSeeds)
+		want := refSeedPool(t, l.Name, l.Set, guarded.MaxSeeds)
+		got := guarded.GenerateSeeds(l.Set, guarded.MaxSeeds)
 		if len(got) != len(want) {
 			t.Fatalf("%s: GenerateSeeds pool has %d seeds, reference %d", l.Name, len(got), len(want))
 		}

@@ -115,14 +115,13 @@ func resolved(v, def int) int {
 }
 
 // salt folds every verdict-relevant budget into the cache key. The guarded
-// seed-pool cap (256), the MFA bound and the probe budget are constants;
-// they stay in the key so entries stored while they were settable still
-// hit.
+// seed-pool cap, the MFA bound and the probe budget are constants; they
+// stay in the key so entries stored while they were settable still hit.
 func (o Options) salt() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d",
-		resolved(o.Guarded.MaxSteps, 2000), 256,
-		resolved(o.Sticky.MaxStates, 200_000), mfaSteps, probeSteps)
+		resolved(o.Guarded.MaxSteps, guarded.DefaultMaxSteps), guarded.MaxSeeds,
+		resolved(o.Sticky.MaxStates, sticky.DefaultMaxStates), mfaSteps, probeSteps)
 	return h.Sum64()
 }
 
@@ -471,7 +470,7 @@ func (r *runner) tier1(ctx context.Context) error {
 	}
 	start := time.Now()
 	opts := r.opts.Guarded
-	opts.MaxSteps = min(probeSteps, resolved(opts.MaxSteps, 2000))
+	opts.MaxSteps = min(probeSteps, resolved(opts.MaxSteps, guarded.DefaultMaxSteps))
 	v, err := guarded.DecideContext(ctx, r.set, opts)
 	if err != nil {
 		return err

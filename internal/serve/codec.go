@@ -34,9 +34,11 @@ type DecideRequest struct {
 	// Portfolio routes the decision through the staged decider portfolio
 	// (stages reported per response) instead of the flat analysis.
 	Portfolio bool `json:"portfolio,omitempty"`
-	// GuardedBudget is the per-seed chase step budget (0: 2000).
+	// GuardedBudget is the per-seed chase step budget (0:
+	// guarded.DefaultMaxSteps).
 	GuardedBudget int `json:"guarded-budget,omitempty"`
-	// StickyStates bounds each sticky Büchi component (0: 200000).
+	// StickyStates bounds each sticky Büchi component (0:
+	// sticky.DefaultMaxStates).
 	StickyStates int `json:"sticky-states,omitempty"`
 	// TimeoutMS bounds the request's wall clock (0: server default; capped
 	// by the server's maximum).
@@ -78,9 +80,10 @@ type DecideResponse struct {
 // finite restricted chase derivation under the program's TGDs?
 type ExistsRequest struct {
 	Program string `json:"program"`
-	// MaxStates bounds distinct instance states (0: 10000).
+	// MaxStates bounds distinct instance states (0:
+	// chase.DefaultSearchStates).
 	MaxStates int `json:"max-states,omitempty"`
-	// MaxAtoms bounds per-instance atoms (0: 200).
+	// MaxAtoms bounds per-instance atoms (0: chase.DefaultSearchAtoms).
 	MaxAtoms  int   `json:"max-atoms,omitempty"`
 	TimeoutMS int64 `json:"timeout-ms,omitempty"`
 }

@@ -54,15 +54,6 @@ import (
 // errShed marks a request rejected by the admission gate.
 var errShed = errors.New("serve: admission pool full")
 
-// Defaults mirror the termcheck CLI so a served verdict is comparable to a
-// CLI verdict out of the box.
-const (
-	defaultGuardedBudget = 2000
-	defaultStickyStates  = 200_000
-	defaultExistsStates  = 10_000
-	defaultExistsAtoms   = 200
-)
-
 // Config configures a Server. The zero value works: fresh default cache,
 // 2×GOMAXPROCS admission slots, CLI-default budgets, no timeouts, no
 // snapshotter.
@@ -217,8 +208,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	guardedBudget := orDefault(req.GuardedBudget, defaultGuardedBudget)
-	stickyStates := orDefault(req.StickyStates, defaultStickyStates)
+	guardedBudget := orDefault(req.GuardedBudget, guarded.DefaultMaxSteps)
+	stickyStates := orDefault(req.StickyStates, sticky.DefaultMaxStates)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
 		inst: logic.FingerprintAtoms(prog.Database.Atoms()),
@@ -240,7 +231,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		}
 		if prog.Database.Len() > 0 {
 			opts.Database = prog.Database
-			opts.Exists = chase.SearchOptions{MaxStates: defaultExistsStates, MaxAtoms: defaultExistsAtoms}
+			opts.Exists = chase.SearchOptions{MaxStates: chase.DefaultSearchStates, MaxAtoms: chase.DefaultSearchAtoms}
 		}
 		res, err := portfolio.Analyze(ctx, prog.TGDs, opts)
 		if err != nil {
@@ -283,8 +274,8 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "exists is TGD-only: the derivation search does not model equality steps")
 		return
 	}
-	maxStates := orDefault(req.MaxStates, defaultExistsStates)
-	maxAtoms := orDefault(req.MaxAtoms, defaultExistsAtoms)
+	maxStates := orDefault(req.MaxStates, chase.DefaultSearchStates)
+	maxAtoms := orDefault(req.MaxAtoms, chase.DefaultSearchAtoms)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
 		inst: logic.FingerprintAtoms(prog.Database.Atoms()),

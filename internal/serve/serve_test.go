@@ -165,7 +165,7 @@ func referenceFor(t *testing.T, src string) reference {
 	var ref reference
 	popts := portfolio.Options{
 		Guarded: guarded.DecideOptions{MaxSteps: confDecideSteps},
-		Sticky:  sticky.DecideOptions{MaxStates: defaultStickyStates},
+		Sticky:  sticky.DecideOptions{MaxStates: sticky.DefaultMaxStates},
 	}
 	rep, err := portfolio.Report(context.Background(), prog.TGDs, popts)
 	if err != nil {
@@ -175,7 +175,7 @@ func referenceFor(t *testing.T, src string) reference {
 
 	if prog.Database.Len() > 0 {
 		popts.Database = prog.Database
-		popts.Exists = chase.SearchOptions{MaxStates: defaultExistsStates, MaxAtoms: defaultExistsAtoms}
+		popts.Exists = chase.SearchOptions{MaxStates: chase.DefaultSearchStates, MaxAtoms: chase.DefaultSearchAtoms}
 	}
 	pres, err := portfolio.Analyze(context.Background(), prog.TGDs, popts)
 	if err != nil {

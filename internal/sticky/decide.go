@@ -30,9 +30,14 @@ type Verdict struct {
 	Complete bool
 }
 
+// DefaultMaxStates is the per-component state bound that a zero
+// DecideOptions.MaxStates selects.
+const DefaultMaxStates = 200_000
+
 // DecideOptions configures the decision.
 type DecideOptions struct {
-	// MaxStates bounds each component's explored state space (0: 200_000).
+	// MaxStates bounds each component's explored state space (0:
+	// DefaultMaxStates).
 	MaxStates int
 	// Cache, when non-nil, memoises whole decisions across runs as
 	// chase.StickyOutcome entries keyed by (set fingerprint, MaxStates). A
@@ -46,7 +51,7 @@ type DecideOptions struct {
 
 func (o DecideOptions) maxStates() int {
 	if o.MaxStates <= 0 {
-		return 200_000
+		return DefaultMaxStates
 	}
 	return o.MaxStates
 }
