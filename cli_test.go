@@ -221,6 +221,12 @@ func TestCLIHelpMatchesDocs(t *testing.T) {
 			}
 		}
 	}
+	// The daemon bounds every request's wall clock unless told otherwise,
+	// so no request holds an admission slot for ever.
+	out, _ := run(t, binary(t, "termcheckd"), "-h")
+	if !regexp.MustCompile(`(?m)^  -request-timeout duration\n.*\(default 1m0s\)$`).MatchString(out) {
+		t.Errorf("termcheckd -request-timeout must default to 1m0s:\n%s", out)
+	}
 }
 
 // TestTermcheckCacheStats pins the -cache surface: a cache: stats line

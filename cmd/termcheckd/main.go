@@ -18,9 +18,10 @@
 // warm wins compound across requests AND across daemon restarts.
 // Identical concurrent requests are deduplicated onto one underlying
 // analysis (singleflight); -max-inflight bounds concurrently executing
-// analyses, further ones are shed with 429; -request-timeout caps each
-// request's wall clock, and a request whose every client disconnected is
-// cancelled promptly. Each analysis runs on its request's goroutine;
+// analyses, further ones are shed with 429; -request-timeout (60 s unless
+// set) caps each request's wall clock, and a request whose every client
+// disconnected is cancelled promptly. Request budgets above the serve
+// package's caps are refused with 400. Each analysis runs on its request's goroutine;
 // -workers is accepted and ignored.
 //
 // SIGINT/SIGTERM drain in-flight requests, cancel detached work, write the
@@ -48,7 +49,7 @@ func main() {
 	cacheFile := flag.String("cache-file", "", "persistent cache snapshot: loaded at startup, saved on the -cache-save-every cadence and at shutdown")
 	saveEvery := flag.Duration("cache-save-every", 30*time.Second, "background cache snapshot cadence under -cache-file (0 disables the ticker; shutdown still saves)")
 	maxInflight := flag.Int("max-inflight", 0, "maximum concurrently executing analyses before requests are shed with 429 (0: 2×GOMAXPROCS)")
-	requestTimeout := flag.Duration("request-timeout", 0, "wall-clock cap per request; also the default for requests without timeout-ms (0: unbounded)")
+	requestTimeout := flag.Duration("request-timeout", time.Minute, "wall-clock cap per request; also the default for requests without timeout-ms (0: unbounded)")
 	flag.Int("workers", 1, "ignored: every analysis runs on its request's goroutine (accepted so existing command lines keep working)")
 	flag.Parse()
 	os.Exit(run(*addr, *cacheFile, *saveEvery, *maxInflight, *requestTimeout))

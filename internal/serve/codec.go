@@ -35,10 +35,10 @@ type DecideRequest struct {
 	// (stages reported per response) instead of the flat analysis.
 	Portfolio bool `json:"portfolio,omitempty"`
 	// GuardedBudget is the per-seed chase step budget (0:
-	// guarded.DefaultMaxSteps).
+	// guarded.DefaultMaxSteps; at most maxGuardedBudget).
 	GuardedBudget int `json:"guarded-budget,omitempty"`
 	// StickyStates bounds each sticky Büchi component (0:
-	// sticky.DefaultMaxStates).
+	// sticky.DefaultMaxStates; at most maxStickyStates).
 	StickyStates int `json:"sticky-states,omitempty"`
 	// TimeoutMS bounds the request's wall clock (0: server default; capped
 	// by the server's maximum).
@@ -81,9 +81,10 @@ type DecideResponse struct {
 type ExistsRequest struct {
 	Program string `json:"program"`
 	// MaxStates bounds distinct instance states (0:
-	// chase.DefaultSearchStates).
+	// chase.DefaultSearchStates; at most maxExistsStates).
 	MaxStates int `json:"max-states,omitempty"`
-	// MaxAtoms bounds per-instance atoms (0: chase.DefaultSearchAtoms).
+	// MaxAtoms bounds per-instance atoms (0: chase.DefaultSearchAtoms; at
+	// most maxExistsAtoms).
 	MaxAtoms  int   `json:"max-atoms,omitempty"`
 	TimeoutMS int64 `json:"timeout-ms,omitempty"`
 }
@@ -156,6 +157,42 @@ type StatsResponse struct {
 // errorResponse is every non-200 JSON body.
 type errorResponse struct {
 	Error string `json:"error"`
+}
+
+// Request budget caps: the largest value each budget field may carry. A
+// request above a cap gets a 400 before any flight starts, so no client
+// can ask for a search that holds an admission slot far longer than the
+// defaults do. The guarded-budget and max-states caps are the largest
+// budgets the timeout tests send.
+const (
+	maxGuardedBudget = 100_000
+	maxStickyStates  = 2_000_000
+	maxExistsStates  = 1_000_000
+	maxExistsAtoms   = 10_000
+)
+
+// overCap refuses a budget field above its cap, naming both.
+func overCap(field string, v, limit int) error {
+	if v > limit {
+		return fmt.Errorf("%s %d is above the server's cap of %d", field, v, limit)
+	}
+	return nil
+}
+
+// checkCaps refuses the first budget above its cap.
+func (r *DecideRequest) checkCaps() error {
+	if err := overCap("guarded-budget", r.GuardedBudget, maxGuardedBudget); err != nil {
+		return err
+	}
+	return overCap("sticky-states", r.StickyStates, maxStickyStates)
+}
+
+// checkCaps refuses the first budget above its cap.
+func (r *ExistsRequest) checkCaps() error {
+	if err := overCap("max-states", r.MaxStates, maxExistsStates); err != nil {
+		return err
+	}
+	return overCap("max-atoms", r.MaxAtoms, maxExistsAtoms)
 }
 
 // decodeJSON reads a bounded JSON body, rejecting unknown fields so a

@@ -56,7 +56,8 @@ var errShed = errors.New("serve: admission pool full")
 
 // Config configures a Server. The zero value works: fresh default cache,
 // 2×GOMAXPROCS admission slots, CLI-default budgets, no timeouts, no
-// snapshotter.
+// snapshotter. Request budgets above the caps in codec.go are refused
+// whatever the config.
 type Config struct {
 	// Cache is the shared cross-run cache (nil: a fresh default cache).
 	Cache *chase.Cache
@@ -203,6 +204,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if err := req.checkCaps(); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	prog, err := parseProgram(req.Program)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -258,6 +263,10 @@ func (s *Server) handleExists(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ExistsRequest
 	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := req.checkCaps(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

@@ -369,6 +369,36 @@ func TestServeRejectsWorkersField(t *testing.T) {
 	}
 }
 
+// TestServeRefusesBudgetsOverCap pins the request caps: a budget one above
+// its cap gets a 400 naming the field and the cap, and no flight starts.
+// The timeout tests below send budgets at the caps.
+func TestServeRefusesBudgetsOverCap(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	src := "P(c).\nr: P(X) -> Q(X).\n"
+	for _, tc := range []struct {
+		path, field string
+		limit       int
+	}{
+		{"/v1/decide", "guarded-budget", maxGuardedBudget},
+		{"/v1/decide", "sticky-states", maxStickyStates},
+		{"/v1/exists", "max-states", maxExistsStates},
+		{"/v1/exists", "max-atoms", maxExistsAtoms},
+	} {
+		status, body := rawPost(t, ts.url(tc.path), fmt.Sprintf(`{"program":%q,%q:%d}`, src, tc.field, tc.limit+1))
+		if status != http.StatusBadRequest {
+			t.Errorf("%s %s=%d: status = %d, want 400 (body %s)", tc.path, tc.field, tc.limit+1, status, body)
+			continue
+		}
+		var e errorResponse
+		if err := json.Unmarshal([]byte(body), &e); err != nil || !strings.Contains(e.Error, tc.field) || !strings.Contains(e.Error, fmt.Sprint(tc.limit)) {
+			t.Errorf("%s %s: error does not name the field and its cap: %s", tc.path, tc.field, body)
+		}
+	}
+	if got := ts.srv.Stats().Flights.Started; got != 0 {
+		t.Errorf("flights started = %d, want 0", got)
+	}
+}
+
 // TestServeDecideTimeout pins the request-budget mapping: a decide that
 // cannot finish inside timeout-ms comes back 504, and the underlying
 // flight is counted cancelled.
