@@ -52,7 +52,7 @@ func main() {
 		{"E3", "Fairness Theorem: repair vs multi-head collapse (Thm 4.1, Ex. B.1)", e3},
 		{"E4", "chaseable sets ⇔ derivations (Theorem 5.3 round trip)", e4},
 		{"E5", "treeification (Example 5.6, Theorem 5.5)", e5},
-		{"E6", "guarded decision CT_res_∀∀(G) (Theorem 5.1)", e6},
+		{"E6", "guarded bounded search for CT_res_∀∀(G)", e6},
 		{"E7", "sticky decision via Büchi emptiness (Theorem 6.1)", e7},
 		{"E8", "bounded-gap witnesses (Observation 1)", e8},
 		{"E9", "baseline coverage on the labeled corpus", e9},

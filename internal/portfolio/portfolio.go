@@ -610,7 +610,7 @@ func (r *runner) runGuarded(ctx context.Context) (StageOutcome, error) {
 	case v.Terminates:
 		s.Decided = true
 		s.Conclusion = core.Terminates
-		s.Detail = fmt.Sprintf("guarded: %d seeds exhausted at budget %d (Theorem 5.1, bounded search)", v.SeedsTried, v.Budget)
+		s.Detail = fmt.Sprintf("guarded: %d seeds exhausted at budget %d (bounded search, not a decision procedure)", v.SeedsTried, v.Budget)
 	case v.Method == "divergence-witness":
 		s.Decided = true
 		s.Conclusion = core.Diverges
