@@ -25,7 +25,11 @@
 # internal/sticky 89.1%, internal/serve 95.7%. At the ratchet that made the
 # Tier 1 probe guarded.DecideContext at k = 64 and deleted the settings no
 # caller set: internal/chase 94.0%, internal/guarded 93.3%,
-# internal/portfolio 87.3%, internal/serve 95.3%.
+# internal/portfolio 87.3%, internal/serve 95.3%. At the ratchet that
+# deleted the abstract-join-tree objects and the other internal code no
+# program linked: internal/chase 94.8%, internal/guarded 96.1%,
+# internal/ochase 96.9% (chase stays at its floor, which is within two
+# points).
 set -eu
 
 check() {
@@ -43,9 +47,9 @@ check() {
 }
 
 check ./internal/chase 93.0
-check ./internal/guarded 91.4
+check ./internal/guarded 94.1
 check ./internal/portfolio 87.0
 check ./internal/sticky 87.1
 check ./internal/serve 93.7
 check ./internal/buchi 97.5
-check ./internal/ochase 93.9
+check ./internal/ochase 94.9

@@ -22,7 +22,7 @@ for pkg in $(go list ./internal/...); do
 		;;
 	esac
 done
-grandfathered="compile.go derivation.go engine.go exists.go"
+grandfathered="compile.go derivation.go engine.go"
 for f in internal/chase/*.go; do
 	base=$(basename "$f")
 	case "$base" in
