@@ -2,9 +2,9 @@
 // TGDs for all-instances restricted chase termination (the paper's
 // CT^res_∀∀ membership problem): the Conclusion and the flat Report with its
 // terminal rendering. The analysis itself — class detection, the
-// sufficient-condition baselines, and the two decision procedures of the
-// paper (the abstract-join-tree search for guarded sets, Section 5, and the
-// caterpillar Büchi automaton for sticky sets, Section 6) — is
+// sufficient-condition baselines, the bounded search that stands in for
+// the paper's guarded decision procedure (Section 5), and the caterpillar
+// Büchi automaton for sticky sets (Section 6) — is
 // orchestrated by internal/portfolio, whose Report fills this package's
 // Report.
 package core

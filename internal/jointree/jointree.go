@@ -3,8 +3,8 @@
 // a tree such that, for every term, the nodes mentioning that term form a
 // connected subtree. Acyclicity is decided by the classical GYO ear-removal
 // algorithm on the instance's hypergraph, which also yields a witnessing
-// join tree. The guarded machinery (Treeification, abstract join trees)
-// builds on this package.
+// join tree. The guarded machinery (Treeification) builds on this
+// package.
 package jointree
 
 import (
