@@ -21,8 +21,8 @@
 // analyses, further ones are shed with 429; -request-timeout (60 s unless
 // set) caps each request's wall clock, and a request whose every client
 // disconnected is cancelled promptly. Request budgets above the serve
-// package's caps are refused with 400. Each analysis runs on its request's goroutine;
-// -workers is accepted and ignored.
+// package's caps are refused with 400. Each analysis runs on its
+// request's goroutine; -workers is accepted and ignored.
 //
 // SIGINT/SIGTERM drain in-flight requests, cancel detached work, write the
 // final cache snapshot and exit 0; startup or shutdown failures exit 3
