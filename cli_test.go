@@ -332,9 +332,12 @@ func TestTermcheckPortfolio(t *testing.T) {
 	if !strings.Contains(out, "decided-by=sticky") {
 		t.Errorf("ladder: wrong deciding stage:\n%s", out)
 	}
-	// ladder.chase carries a fact, so the non-authoritative ∀∃ racer joins.
-	if !strings.Contains(out, "portfolio-stage: name=exists") {
-		t.Errorf("ladder: database supplied but no exists stage:\n%s", out)
+	// ladder.chase carries a fact, which the ∀∀ question does not read.
+	if !strings.Contains(out, "note: 1 facts ignored (the question is all-instances)") {
+		t.Errorf("ladder: ignored fact not reported:\n%s", out)
+	}
+	if strings.Contains(out, "portfolio-stage: name=exists") {
+		t.Errorf("ladder: ∀∀ run served an exists stage:\n%s", out)
 	}
 
 	out, code = run(t, bin, "-portfolio", "testdata/exampleB1.chase")

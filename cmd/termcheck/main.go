@@ -24,9 +24,9 @@
 // semantic deciders one after another, stopping at the first decisive
 // one. The conclusion — and hence the exit code — is pinned
 // bit-identical to the flat report's; a `portfolio:` line reports the
-// verdict, the deciding stage and per-stage work. Facts in the input feed
-// a non-authoritative ∀∃ stage whose outcome is reported but never
-// concludes. Every analysis runs on one goroutine.
+// verdict, the deciding stage and per-stage work. Facts in the input are
+// ignored and reported, as in the flat report. Every analysis runs on one
+// goroutine.
 //
 // -cache routes the run through a cross-run chase cache
 // (internal/chase/cache.go): seed pools, seed chase outcomes, sticky
@@ -151,7 +151,7 @@ func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms
 			return runExists(prog, existsStates, existsAtoms, cache)
 		}
 		if usePortfolio {
-			return runPortfolio(prog, guardedBudget, stickyStates, existsStates, existsAtoms, cache)
+			return runPortfolio(prog, guardedBudget, stickyStates, cache)
 		}
 		return runReport(prog, guardedBudget, stickyStates, cache)
 	}()
@@ -188,11 +188,16 @@ func printCacheStats(cache *chase.Cache) {
 	fmt.Println(cache.Stats().String())
 }
 
-// runReport answers the ∀∀ question with the flat report.
-func runReport(prog *parser.Program, guardedBudget, stickyStates int, cache *chase.Cache) int {
+// noteIgnoredFacts reports the facts that a ∀∀ answer does not read.
+func noteIgnoredFacts(prog *parser.Program) {
 	if prog.Database.Len() > 0 {
 		fmt.Printf("note: %d facts ignored (the question is all-instances)\n", prog.Database.Len())
 	}
+}
+
+// runReport answers the ∀∀ question with the flat report.
+func runReport(prog *parser.Program, guardedBudget, stickyStates int, cache *chase.Cache) int {
+	noteIgnoredFacts(prog)
 	rep, err := portfolio.Report(context.Background(), prog.TGDs, portfolio.Options{
 		Guarded: guarded.DecideOptions{MaxSteps: guardedBudget},
 		Sticky:  sticky.DecideOptions{MaxStates: stickyStates},
@@ -210,19 +215,14 @@ func runReport(prog *parser.Program, guardedBudget, stickyStates int, cache *cha
 // runPortfolio answers the ∀∀ question through the staged cascade and
 // reports per-stage work. The exit code funnel matches the flat report's:
 // the cascade's conclusion is pinned bit-identical to it.
-func runPortfolio(prog *parser.Program, guardedBudget, stickyStates, existsStates, existsAtoms int, cache *chase.Cache) int {
-	opts := portfolio.Options{
+func runPortfolio(prog *parser.Program, guardedBudget, stickyStates int, cache *chase.Cache) int {
+	noteIgnoredFacts(prog)
+	start := time.Now()
+	res, err := portfolio.Analyze(context.Background(), prog.TGDs, portfolio.Options{
 		Guarded: guarded.DecideOptions{MaxSteps: guardedBudget},
 		Sticky:  sticky.DecideOptions{MaxStates: stickyStates},
 		Cache:   cache,
-	}
-	if prog.Database.Len() > 0 {
-		fmt.Printf("note: %d facts feed the non-authoritative ∀∃ stage only (the question is all-instances)\n", prog.Database.Len())
-		opts.Database = prog.Database
-		opts.Exists = chase.SearchOptions{MaxStates: existsStates, MaxAtoms: existsAtoms}
-	}
-	start := time.Now()
-	res, err := portfolio.Analyze(context.Background(), prog.TGDs, opts)
+	})
 	if err != nil {
 		return fail(err)
 	}

@@ -190,10 +190,8 @@ type StageRecord struct {
 
 // StageOutcomes is a cached portfolio run: the per-stage records plus the
 // combined verdict and the deciding stage. Entries are keyed by the set
-// fingerprint, the instance fingerprint of the request's database (zero
-// for pure rule sets — keeping the ledger's diagnostics honest about which
-// database they describe) and an options salt (the caller folds its
-// budgets into it).
+// fingerprint and an options salt (the caller folds its budgets into it);
+// the instance fingerprint is always zero, since a ∀∀ run reads no facts.
 type StageOutcomes struct {
 	Records   []StageRecord
 	Verdict   string
@@ -566,22 +564,21 @@ func (c *Cache) StoreSeedPool(set logic.Fingerprint, maxSeeds int, p *SeedPool) 
 	seedPools.store(c, seedPoolKey(set, maxSeeds), p)
 }
 
-func stageOutcomesKey(set, inst logic.Fingerprint, salt uint64) CacheKey {
+func stageOutcomesKey(set logic.Fingerprint, salt uint64) CacheKey {
 	// Mask the caller's salt into the low 56 bits so the kind tag stays
 	// collision-free against the other entry kinds.
-	return CacheKey{Set: set, Inst: inst, Salt: kindStageOutcomes | (salt &^ (uint64(0xFF) << 56))}
+	return CacheKey{Set: set, Salt: kindStageOutcomes | (salt &^ (uint64(0xFF) << 56))}
 }
 
 // LookupStageOutcomes returns the cached portfolio stage outcomes of the
-// (set, database) pair under the options salt (inst is the zero
-// fingerprint for pure rule sets).
-func (c *Cache) LookupStageOutcomes(set, inst logic.Fingerprint, salt uint64) (*StageOutcomes, bool) {
-	return stageOutcomes.lookup(c, stageOutcomesKey(set, inst, salt))
+// set under the options salt.
+func (c *Cache) LookupStageOutcomes(set logic.Fingerprint, salt uint64) (*StageOutcomes, bool) {
+	return stageOutcomes.lookup(c, stageOutcomesKey(set, salt))
 }
 
 // StoreStageOutcomes records a portfolio run's stage outcomes.
-func (c *Cache) StoreStageOutcomes(set, inst logic.Fingerprint, salt uint64, o *StageOutcomes) {
-	stageOutcomes.store(c, stageOutcomesKey(set, inst, salt), o)
+func (c *Cache) StoreStageOutcomes(set logic.Fingerprint, salt uint64, o *StageOutcomes) {
+	stageOutcomes.store(c, stageOutcomesKey(set, salt), o)
 }
 
 func stickyOutcomeKey(set logic.Fingerprint, maxStates int) CacheKey {

@@ -84,7 +84,6 @@ func TestSearchContextCancelSequentialAndParallel(t *testing.T) {
 func TestStageOutcomesCacheRoundTrip(t *testing.T) {
 	c := NewCache()
 	fp := logic.Fingerprint{Hi: 7, Lo: 9}
-	inst := logic.Fingerprint{Hi: 11, Lo: 13}
 	in := &StageOutcomes{
 		Verdict:   "terminates",
 		DecidedBy: "probe",
@@ -93,11 +92,11 @@ func TestStageOutcomesCacheRoundTrip(t *testing.T) {
 			{Stage: "probe", Tier: 1, Decided: true, Verdict: "terminates", Steps: 64, DurationNS: 12345, Evidence: "σ1 pump"},
 		},
 	}
-	if _, ok := c.LookupStageOutcomes(fp, inst, 42); ok {
+	if _, ok := c.LookupStageOutcomes(fp, 42); ok {
 		t.Fatal("lookup hit on an empty cache")
 	}
-	c.StoreStageOutcomes(fp, inst, 42, in)
-	got, ok := c.LookupStageOutcomes(fp, inst, 42)
+	c.StoreStageOutcomes(fp, 42, in)
+	got, ok := c.LookupStageOutcomes(fp, 42)
 	if !ok {
 		t.Fatal("stored entry not found")
 	}
@@ -110,12 +109,7 @@ func TestStageOutcomesCacheRoundTrip(t *testing.T) {
 		}
 	}
 	// A different salt is a different entry: budgets must not collide.
-	if _, ok := c.LookupStageOutcomes(fp, inst, 43); ok {
+	if _, ok := c.LookupStageOutcomes(fp, 43); ok {
 		t.Error("lookup under a different salt hit the same entry")
-	}
-	// A different instance fingerprint is a different entry: a run recorded
-	// against one database must not replay for another (or for none).
-	if _, ok := c.LookupStageOutcomes(fp, logic.Fingerprint{}, 42); ok {
-		t.Error("lookup under a different instance fingerprint hit the same entry")
 	}
 }

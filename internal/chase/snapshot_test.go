@@ -35,7 +35,7 @@ func populateAllKinds(c *Cache) (SeedOutcome, *SeedPool, *StageOutcomes, *Sticky
 		{Stage: "full-set", Tier: 0, Decided: false, Verdict: "unknown", Detail: "not full", Steps: 1, DurationNS: 12345},
 		{Stage: "probe", Tier: 1, Decided: true, Verdict: "terminating", Detail: "saturated", Steps: 9, DurationNS: 6789, Seeds: 4, Saturated: 4, Depth: 3, Evidence: "σ2 guard-chain pump"},
 	}}
-	c.StoreStageOutcomes(set, inst, 0xBEEF, sg)
+	c.StoreStageOutcomes(set, 0xBEEF, sg)
 	st := &StickyOutcome{Terminates: false, Method: "büchi lasso", Complete: true,
 		StatesExplored: 42, SeedIndex: 0,
 		LassoPrefix: []string{"q0", "q1"}, LassoCycle: []string{"q1", "q2"}, LassoGap: 1}
@@ -74,7 +74,7 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	if got, ok := c2.LookupSeedPool(set, 8); !ok || !reflect.DeepEqual(got, sp) {
 		t.Errorf("SeedPool round-trip = %+v, %v; want %+v", got, ok, sp)
 	}
-	if got, ok := c2.LookupStageOutcomes(set, inst, 0xBEEF); !ok || !reflect.DeepEqual(got, sg) {
+	if got, ok := c2.LookupStageOutcomes(set, 0xBEEF); !ok || !reflect.DeepEqual(got, sg) {
 		t.Errorf("StageOutcomes round-trip = %+v, %v; want %+v", got, ok, sg)
 	}
 	if got, ok := c2.LookupStickyOutcome(set, 200000); !ok || !reflect.DeepEqual(got, st) {

@@ -50,12 +50,9 @@
 // Every stage runs on the caller's goroutine: an analysis never splits
 // across workers, and concurrency comes only from concurrent calls.
 //
-// The ∀∃ derivation search (chase.SearchTerminatingDerivation) can join
-// Tier 2 as a NON-authoritative stage when the caller supplies a concrete
-// database: on the critical instance the search is trivially satisfied (the
-// all-crit instance is already a restricted-chase fixpoint), so it can never
-// witness the ∀∀ question either way. Its outcome is reported as a stage
-// record for diagnostics and never contributes to the conclusion.
+// Both schedules read only the rules: CT^res_∀∀ quantifies over every
+// database, so facts never enter a run or its cache key. The per-database
+// question, CT^res_∀∃, is chase.SearchTerminatingDerivation's.
 package portfolio
 
 import (
@@ -68,8 +65,6 @@ import (
 	"airct/internal/chase"
 	"airct/internal/core"
 	"airct/internal/guarded"
-	"airct/internal/instance"
-	"airct/internal/logic"
 	"airct/internal/sticky"
 	"airct/internal/tgds"
 )
@@ -87,16 +82,9 @@ type Options struct {
 	Sticky sticky.DecideOptions
 	// Cache, when set, is shared by the guarded stages (per-seed and
 	// seed-pool entries) and the sticky stage (Büchi lasso verdicts). Under
-	// Analyze it also memoises the whole run — keyed by the set
-	// fingerprint, the database fingerprint (zero without a database) and a
-	// salt folding in every budget.
+	// Analyze it also memoises the whole run, keyed by the set fingerprint
+	// and a salt folding in every budget.
 	Cache *chase.Cache
-	// Database, when set, adds the ∀∃ derivation search over this database
-	// as a non-authoritative Tier 2 stage of Analyze (reported, never
-	// concluding). Report ignores it.
-	Database *instance.Database
-	// Exists tunes the non-authoritative ∀∃ stage.
-	Exists chase.SearchOptions
 }
 
 const (
@@ -130,7 +118,7 @@ func (o Options) salt() uint64 {
 // DecidedBy carry the semantic result.
 type StageOutcome struct {
 	// Stage names the check ("full", "weak-acyclicity", "joint-acyclicity",
-	// "jointree-prune", "mfa", "probe", "sticky", "guarded", "exists").
+	// "jointree-prune", "mfa", "probe", "sticky", "guarded").
 	Stage string
 	// Tier is the cascade tier that ran the stage (0, 1 or 2).
 	Tier int
@@ -208,13 +196,9 @@ func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	var instFP logic.Fingerprint
-	if opts.Database != nil {
-		instFP = opts.Database.Fingerprint()
-	}
 	var setFP, salt = set.Fingerprint(), opts.salt()
 	if opts.Cache != nil {
-		if so, ok := opts.Cache.LookupStageOutcomes(setFP, instFP, salt); ok {
+		if so, ok := opts.Cache.LookupStageOutcomes(setFP, salt); ok {
 			return replay(so), nil
 		}
 	}
@@ -222,7 +206,7 @@ func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) 
 		return nil, err
 	}
 	if opts.Cache != nil {
-		opts.Cache.StoreStageOutcomes(setFP, instFP, salt, record(r.res))
+		opts.Cache.StoreStageOutcomes(setFP, salt, record(r.res))
 	}
 	return r.res, nil
 }
@@ -254,7 +238,6 @@ func (r *runner) run(ctx context.Context) error {
 // runs: Cache serves only the guarded and sticky stages. A cancelled call
 // returns ctx's error.
 func Report(ctx context.Context, set *tgds.Set, opts Options) (*core.Report, error) {
-	opts.Database = nil // the ∀∃ stage is the cascade's diagnostic only
 	r, err := newRunner(set, opts)
 	if err != nil {
 		return nil, err
@@ -514,9 +497,7 @@ func (r *runner) tier1(ctx context.Context) error {
 // decider is one Tier 2 stage.
 type decider struct {
 	name string
-	// authoritative deciders may fix the conclusion; the ∀∃ search may not.
-	authoritative bool
-	run           func(ctx context.Context) (StageOutcome, error)
+	run  func(ctx context.Context) (StageOutcome, error)
 }
 
 // tier2 runs the semantic deciders one after another in canonical order,
@@ -540,28 +521,20 @@ func (r *runner) tier2(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if !d.authoritative {
-			out.Decided = false
-			out.Conclusion = core.Unknown
-		}
 		r.conclude(out)
 	}
 	return nil
 }
 
 // tier2Deciders assembles the canonical Tier 2 field: sticky before
-// guarded, then the optional non-authoritative ∀∃ search.
+// guarded.
 func (r *runner) tier2Deciders() []decider {
 	var out []decider
 	if r.set.IsSticky() {
-		out = append(out, decider{name: "sticky", authoritative: true, run: r.runSticky})
+		out = append(out, decider{name: "sticky", run: r.runSticky})
 	}
 	if r.set.IsGuarded() {
-		out = append(out, decider{name: "guarded", authoritative: true, run: r.runGuarded})
-	}
-	if r.opts.Database != nil && !r.set.HasEGDs() {
-		// The ∀∃ search is TGD-only (it refuses EGD sets with an error).
-		out = append(out, decider{name: "exists", authoritative: false, run: r.runExists})
+		out = append(out, decider{name: "guarded", run: r.runGuarded})
 	}
 	return out
 }
@@ -617,32 +590,6 @@ func (r *runner) runGuarded(ctx context.Context) (StageOutcome, error) {
 		s.Detail = fmt.Sprintf("guarded: diverging witness database (%s)", v.Evidence)
 	default:
 		s.Detail = fmt.Sprintf("guarded: budget exhausted without certificate (%s)", v.Evidence)
-	}
-	return s, nil
-}
-
-// runExists runs the ∀∃ derivation search over the caller's database. It is
-// informative only: CT^res_∀∃ on one database says nothing about CT^res_∀∀
-// (and on the critical instance the search is trivially satisfied), so the
-// outcome is recorded but never decisive. A cancelled search returns ctx's
-// error, like the other stages.
-func (r *runner) runExists(ctx context.Context) (StageOutcome, error) {
-	start := time.Now()
-	res, err := chase.SearchTerminatingDerivationContext(ctx, r.opts.Database, r.set, r.opts.Exists)
-	if err != nil {
-		return StageOutcome{}, err
-	}
-	if res.Cancelled {
-		return StageOutcome{}, ctx.Err()
-	}
-	s := StageOutcome{Stage: "exists", Tier: 2, Steps: res.Stats.StatesExpanded, Duration: time.Since(start)}
-	switch {
-	case res.Found:
-		s.Detail = fmt.Sprintf("∀∃: terminating derivation of length %d on the supplied database (informative only)", len(res.Derivation))
-	case res.Exhausted:
-		s.Detail = "∀∃: no terminating derivation within bounds on the supplied database (informative only)"
-	default:
-		s.Detail = "∀∃ search exhausted its budget (informative only)"
 	}
 	return s, nil
 }

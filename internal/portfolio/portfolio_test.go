@@ -205,45 +205,6 @@ func TestProbeTierAttribution(t *testing.T) {
 	}
 }
 
-// TestExistsRacerIsNonAuthoritative pins the ∀∃ stage contract: with a
-// database supplied it reports, but the conclusion and deciding stage are
-// unchanged — even on a set where the search finds a terminating
-// derivation while the ∀∀ answer is Diverges.
-func TestExistsRacerIsNonAuthoritative(t *testing.T) {
-	prog := parser.MustParse(`
-		S(a).
-		S(X) -> R(X,Y).
-		R(X,Y) -> S(Y).
-	`)
-	without, err := Analyze(context.Background(), prog.TGDs, portOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := portOpts()
-	opts.Database = prog.Database
-	opts.Exists = chase.SearchOptions{MaxStates: 2000, MaxAtoms: 50}
-	with, err := Analyze(context.Background(), prog.TGDs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Conclusion != without.Conclusion || with.DecidedBy != without.DecidedBy {
-		t.Errorf("∀∃ racer changed the answer: %v/%q vs %v/%q",
-			with.Conclusion, with.DecidedBy, without.Conclusion, without.DecidedBy)
-	}
-	found := false
-	for _, s := range with.Stages {
-		if s.Stage == "exists" {
-			found = true
-			if s.Decided || s.Conclusion != core.Unknown {
-				t.Errorf("exists stage marked decisive: %+v", s)
-			}
-		}
-	}
-	if !found {
-		t.Error("no exists stage recorded despite a supplied database")
-	}
-}
-
 func TestEmptySetRejected(t *testing.T) {
 	if _, err := Analyze(context.Background(), &tgds.Set{}, Options{}); err == nil {
 		t.Fatal("empty set accepted")

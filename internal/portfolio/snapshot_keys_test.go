@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"slices"
 	"testing"
 
 	"airct/internal/chase"
@@ -16,9 +17,11 @@ import (
 // internal/chase/testdata/cache-v3.snap, written by `termcheck -cache-file`
 // at its default budgets over five conformance programs in flat,
 // -portfolio and -exists mode, when the seed-pool cap, the MFA bound, the
-// probe budget and the ∀∃ frontier were still settable. The whole-run
-// stage ledgers, the ∀∃ outcomes and the seed pools it holds must all
-// still be found.
+// probe budget and the ∀∃ frontier were still settable. The ∀∃ outcomes
+// and the seed pools it holds must still be found. Its whole-run stage
+// ledgers were stored under the programs' fact fingerprints, which a ∀∀
+// run no longer reads: a rule-only Analyze must miss them, store a ledger
+// of its own without an exists record, and replay that on the next call.
 func TestGoldenSnapshotKeysStillHit(t *testing.T) {
 	raw, err := os.ReadFile("../chase/testdata/cache-v3.snap")
 	if err != nil {
@@ -44,15 +47,19 @@ func TestGoldenSnapshotKeysStillHit(t *testing.T) {
 			t.Fatal(err)
 		}
 		exists := chase.SearchOptions{MaxStates: 10_000, MaxAtoms: 200, Cache: cache}
-		res, err := Analyze(context.Background(), prog.TGDs, Options{
-			Guarded:  guarded.DecideOptions{MaxSteps: 2000},
-			Sticky:   sticky.DecideOptions{MaxStates: 200_000},
-			Cache:    cache,
-			Database: prog.Database,
-			Exists:   chase.SearchOptions{MaxStates: 10_000, MaxAtoms: 200},
-		})
+		opts := Options{
+			Guarded: guarded.DecideOptions{MaxSteps: 2000},
+			Sticky:  sticky.DecideOptions{MaxStates: 200_000},
+			Cache:   cache,
+		}
+		if res, err := Analyze(context.Background(), prog.TGDs, opts); err != nil || res.CacheHit {
+			t.Errorf("%s: rule-only run replayed a fact-keyed stage ledger (err %v)", tc.name, err)
+		}
+		res, err := Analyze(context.Background(), prog.TGDs, opts)
 		if err != nil || !res.CacheHit {
-			t.Errorf("%s: stage ledger missed (err %v)", tc.name, err)
+			t.Errorf("%s: rule-only stage ledger missed (err %v)", tc.name, err)
+		} else if slices.ContainsFunc(res.Stages, func(s StageOutcome) bool { return s.Stage == "exists" }) {
+			t.Errorf("%s: replayed ledger carries an exists record", tc.name)
 		}
 		if ex, err := chase.SearchTerminatingDerivation(prog.Database, prog.TGDs, exists); err != nil || !ex.Replayed {
 			t.Errorf("%s: ∀∃ outcome missed (err %v)", tc.name, err)

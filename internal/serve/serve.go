@@ -217,7 +217,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	stickyStates := orDefault(req.StickyStates, sticky.DefaultMaxStates)
 	key := flightKey{
 		set:  prog.TGDs.Fingerprint(),
-		inst: logic.FingerprintAtoms(prog.Database.Atoms()),
 		salt: decideSalt(req.Portfolio, guardedBudget, stickyStates),
 	}
 	start := time.Now()
@@ -233,10 +232,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			return decideResponseOf(rep), nil
-		}
-		if prog.Database.Len() > 0 {
-			opts.Database = prog.Database
-			opts.Exists = chase.SearchOptions{MaxStates: chase.DefaultSearchStates, MaxAtoms: chase.DefaultSearchAtoms}
 		}
 		res, err := portfolio.Analyze(ctx, prog.TGDs, opts)
 		if err != nil {

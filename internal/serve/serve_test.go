@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -173,10 +174,6 @@ func referenceFor(t *testing.T, src string) reference {
 	}
 	ref.decide = renderDecide(rep.Conclusion.String(), rep.Reasons)
 
-	if prog.Database.Len() > 0 {
-		popts.Database = prog.Database
-		popts.Exists = chase.SearchOptions{MaxStates: chase.DefaultSearchStates, MaxAtoms: chase.DefaultSearchAtoms}
-	}
 	pres, err := portfolio.Analyze(context.Background(), prog.TGDs, popts)
 	if err != nil {
 		t.Fatalf("portfolio.Analyze: %v", err)
@@ -412,6 +409,40 @@ func TestServeDecideTimeout(t *testing.T) {
 	}
 	if got := ts.srv.Stats().Flights.Cancelled; got != 1 {
 		t.Errorf("flights cancelled = %d, want 1", got)
+	}
+}
+
+// TestServeDecideIgnoresFacts pins that /v1/decide reads only the rules:
+// one rule set sent with facts, with other facts and with none gets the
+// same verdict and stage ledger and no exists stage, and the second and
+// third requests replay the ledger the first one stored.
+func TestServeDecideIgnoresFacts(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	rules := "S(X) -> R(X,Y).\nR(X,Y) -> S(Y).\n"
+	var first DecideResponse
+	for i, facts := range []string{"S(a).\n", "S(b).\nR(c,d).\n", ""} {
+		var dec DecideResponse
+		postJSON(t, ts.url("/v1/decide"), DecideRequest{Program: facts + rules, Portfolio: true}, http.StatusOK, &dec)
+		for j := range dec.Stages {
+			if dec.Stages[j].Name == "exists" {
+				t.Errorf("request %d: exists stage served: %+v", i+1, dec.Stages[j])
+			}
+			dec.Stages[j].ElapsedMS = 0 // replayed stages report no time
+		}
+		if i == 0 {
+			if dec.CacheHit || len(dec.Stages) == 0 {
+				t.Fatalf("first request: cache-hit %v with %d stages, want a live run", dec.CacheHit, len(dec.Stages))
+			}
+			first = dec
+			continue
+		}
+		if !dec.CacheHit {
+			t.Errorf("request %d: cache-hit false, want the first request's ledger replayed", i+1)
+		}
+		if dec.Verdict != first.Verdict || dec.DecidedBy != first.DecidedBy || !reflect.DeepEqual(dec.Stages, first.Stages) {
+			t.Errorf("request %d: %s by %q with stages %+v, want %s by %q with %+v",
+				i+1, dec.Verdict, dec.DecidedBy, dec.Stages, first.Verdict, first.DecidedBy, first.Stages)
+		}
 	}
 }
 
