@@ -37,6 +37,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -153,11 +154,16 @@ func (s *Server) Cache() *chase.Cache { return s.cache }
 func (s *Server) Close() { s.stopAll() }
 
 // timeoutFor resolves a request's wall-clock budget against the server's
-// default and cap.
+// default and cap. timeout-ms is compared in milliseconds before it
+// becomes a Duration, so a value past the largest Duration saturates
+// instead of wrapping to a short or negative one.
 func (s *Server) timeoutFor(requestedMS int64) time.Duration {
-	d := time.Duration(requestedMS) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
+	d := s.cfg.DefaultTimeout
+	if requestedMS > 0 {
+		d = time.Duration(math.MaxInt64)
+		if requestedMS <= math.MaxInt64/int64(time.Millisecond) {
+			d = time.Duration(requestedMS) * time.Millisecond
+		}
 	}
 	if s.cfg.MaxTimeout > 0 && (d <= 0 || d > s.cfg.MaxTimeout) {
 		d = s.cfg.MaxTimeout

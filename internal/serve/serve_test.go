@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -409,6 +410,34 @@ func TestServeDecideTimeout(t *testing.T) {
 	}
 	if got := ts.srv.Stats().Flights.Cancelled; got != 1 {
 		t.Errorf("flights cancelled = %d, want 1", got)
+	}
+}
+
+// TestServeTimeoutForCaps pins how timeout-ms resolves against the
+// server's default and cap, including values too large for a Duration.
+func TestServeTimeoutForCaps(t *testing.T) {
+	capped := New(Config{DefaultTimeout: time.Second, MaxTimeout: time.Minute})
+	defer capped.Close()
+	uncapped := New(Config{})
+	defer uncapped.Close()
+	for _, tc := range []struct {
+		name string
+		srv  *Server
+		ms   int64
+		want time.Duration
+	}{
+		{"capped default", capped, 0, time.Second},
+		{"capped in range", capped, 250, 250 * time.Millisecond},
+		{"capped over cap", capped, 120_000, time.Minute},
+		// As a Duration in nanoseconds this wraps to 448µs.
+		{"capped wrapping", capped, 18446744073710, time.Minute},
+		{"capped max", capped, math.MaxInt64, time.Minute},
+		{"uncapped default", uncapped, 0, 0},
+		{"uncapped max", uncapped, math.MaxInt64, math.MaxInt64},
+	} {
+		if got := tc.srv.timeoutFor(tc.ms); got != tc.want {
+			t.Errorf("%s: timeoutFor(%d) = %v, want %v", tc.name, tc.ms, got, tc.want)
+		}
 	}
 }
 
