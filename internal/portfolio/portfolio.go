@@ -474,10 +474,6 @@ func (r *runner) tier1(ctx context.Context) error {
 		Depth:     v.Depth,
 	}
 	switch v.Method {
-	case "weak-acyclicity":
-		s.Decided = true
-		s.Conclusion = core.Terminates
-		s.Detail = "guarded: weak acyclicity"
 	case "seed-exhaustion":
 		s.Decided = true
 		s.Conclusion = core.Terminates
