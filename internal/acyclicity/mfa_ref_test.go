@@ -14,7 +14,7 @@ import (
 // referenceCheckMFA is the naive round loop CheckMFA replaced, kept as the
 // oracle for its semi-naive rounds: every round re-enumerates every
 // trigger of the critical instance in canonical order (chase.AllTriggers),
-// dedups frontier classes by their rendered FrontierKey and keys null
+// dedups frontier classes by their rendered frontier bindings and keys null
 // origins by the creating TGD's rendered index.
 func referenceCheckMFA(set *tgds.Set, maxSteps int) MFAResult {
 	if maxSteps <= 0 {
@@ -33,7 +33,7 @@ func referenceCheckMFA(set *tgds.Set, maxSteps int) MFAResult {
 		}
 		progressed := false
 		for _, tr := range chase.AllTriggers(set, inst) {
-			fk := tr.FrontierKey()
+			fk := fmt.Sprintf("%d|%s", tr.TGDIndex, tr.H.Restrict(tr.TGD.Frontier()).Key())
 			if _, done := appliedFrontier[fk]; done {
 				continue
 			}

@@ -85,7 +85,7 @@ func TestArenaReuseMatchesFreshRuns(t *testing.T) {
 		if !slices.Equal(gotLog.resolved(got), wantLog.resolved(want)) {
 			t.Errorf("%s: OnStep logs differ", label)
 		}
-		if !slices.Equal(got.Final.SortedKeys(), want.Final.SortedKeys()) {
+		if !slices.Equal(sortedKeys(got.Final), sortedKeys(want.Final)) {
 			t.Errorf("%s: final keys differ", label)
 		}
 		if got.Final.Fingerprint() != want.Final.Fingerprint() {

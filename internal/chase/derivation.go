@@ -41,10 +41,6 @@ func (d *Derivation) Len() int { return len(d.steps) }
 // deterministic order.
 func (d *Derivation) Active() []Trigger { return ActiveTriggers(d.set, d.inst) }
 
-// IsFixpoint reports whether no active trigger remains: the derivation is a
-// finite restricted chase derivation.
-func (d *Derivation) IsFixpoint() bool { return len(d.Active()) == 0 }
-
 // Apply performs I⟨σ,h⟩J for the given trigger, which must be active on the
 // current instance; applying a non-active trigger is an error (the
 // restricted chase only applies active triggers).

@@ -14,7 +14,7 @@ func TestDerivationManualSteps(t *testing.T) {
 		s2: P(X,Y) -> S(X).
 	`)
 	d := NewDerivation(prog.Database, prog.TGDs)
-	if d.IsFixpoint() {
+	if len(d.Active()) == 0 {
 		t.Fatal("both TGDs are violated initially")
 	}
 	active := d.Active()
@@ -27,7 +27,7 @@ func TestDerivationManualSteps(t *testing.T) {
 	if err := d.Apply(active[1]); err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsFixpoint() {
+	if len(d.Active()) > 0 {
 		t.Error("fixpoint expected after both applications")
 	}
 	if d.Len() != 2 {
@@ -115,7 +115,7 @@ func TestIsFairAtHorizonOnFixpoint(t *testing.T) {
 		s1: P(X,Y) -> R(X,Y).
 	`)
 	d := NewDerivation(prog.Database, prog.TGDs)
-	for !d.IsFixpoint() {
+	for len(d.Active()) > 0 {
 		if err := d.Apply(d.Active()[0]); err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 
 // referenceRunChase is the pre-interning engine, kept verbatim as the
 // behavioral oracle: string-keyed trigger dedup (Trigger.Key /
-// FrontierKey), the generic map-based homomorphism search via the public
+// frontierKey), the generic map-based homomorphism search via the public
 // AllTriggers / TriggersInvolving / IsActive, a NullFactory interning null
 // names by trigger-key strings, and the O(n) slice-shift queue. The
 // interned engine must reproduce its runs byte for byte: same Final
@@ -77,13 +77,20 @@ func (e *refEngine) pop() Trigger {
 	return tr
 }
 
+// frontierKey identifies the trigger up to its frontier bindings: the
+// semi-oblivious (skolem) chase applies one trigger per frontier class.
+// The engine interns frontier classes instead.
+func frontierKey(tr Trigger) string {
+	return fmt.Sprintf("%d|%s", tr.TGDIndex, tr.H.Restrict(tr.TGD.Frontier()).Key())
+}
+
 func (e *refEngine) applicable(tr Trigger) bool {
 	switch e.opts.Variant {
 	case Restricted:
 		e.run.Stats.ActivityChecks++
 		return IsActive(tr, e.inst)
 	case SemiOblivious:
-		_, done := e.appliedFrontier[tr.FrontierKey()]
+		_, done := e.appliedFrontier[frontierKey(tr)]
 		return !done
 	default:
 		return true
@@ -119,7 +126,7 @@ func (e *refEngine) apply(tr Trigger) {
 		}
 	}
 	if e.opts.Variant == SemiOblivious {
-		e.appliedFrontier[tr.FrontierKey()] = struct{}{}
+		e.appliedFrontier[frontierKey(tr)] = struct{}{}
 	}
 	e.run.StepsTaken++
 	if !e.opts.DropSteps {

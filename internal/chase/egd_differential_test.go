@@ -131,7 +131,7 @@ func pinnedHoms(body []logic.Atom, atom logic.Atom, src logic.AtomSource) []logi
 		base := logic.NewSubstitution()
 		ok := true
 		for k, v := range bodyAtom.Args {
-			if bound, has := base.Lookup(v); has {
+			if bound, has := base[v]; has {
 				if bound != atom.Args[k] {
 					ok = false
 					break

@@ -288,9 +288,9 @@ func (r *Run) InstanceAt(i int) *instance.Instance {
 // interned identity: triggers are TermID tuples deduped in a TupleTable
 // (one probe answers "seen before?"), activity checks and trigger discovery
 // run the slot-compiled homomorphism search, and the FIFO queue is a
-// head-indexed ring of 4-byte trigger IDs. No string keys are built in
-// steady state; Trigger.Key()/FrontierKey() remain as debug/test renderers
-// and are used only when recording Steps is requested.
+// head-indexed ring of 4-byte trigger IDs. No string keys are built:
+// Trigger.Key() is a debug/test renderer, and the semi-oblivious variant
+// dedups frontier classes by interned (TGD index, frontier TermID) tuples.
 //
 // Restricted activity is delta-maintained, mirroring the search's trigger
 // index (triggerindex.go): every discovered trigger pays one full activity
@@ -1056,20 +1056,4 @@ func (e *engine) materializeTrigger(tgd int, bt []uint32) Trigger {
 		h[v] = e.itab.Term(logic.TermID(bt[i]))
 	}
 	return Trigger{TGDIndex: tgd, TGD: e.set.TGDs[tgd], H: h}
-}
-
-// Terminates runs the restricted chase with the given budgets and reports
-// whether it reached a fixpoint; a convenience wrapper used by examples and
-// sufficient-condition baselines.
-func Terminates(db *instance.Database, set *tgds.Set, maxSteps int) (bool, *Run) {
-	run := RunChase(db, set, Options{Variant: Restricted, MaxSteps: maxSteps, DropSteps: true})
-	return run.Terminated(), run
-}
-
-// UniversalModel runs the restricted chase to fixpoint (no budgets) and
-// returns the resulting instance, which is a universal model of the
-// database and the TGDs. Callers must know the input terminates.
-func UniversalModel(db *instance.Database, set *tgds.Set) *instance.Instance {
-	run := RunChase(db, set, Options{Variant: Restricted, DropSteps: true})
-	return run.Final
 }

@@ -252,15 +252,3 @@ func TestUniversalModelHomomorphism(t *testing.T) {
 		t.Error("chase result must map homomorphically into every model")
 	}
 }
-
-func TestUniversalModelHelper(t *testing.T) {
-	prog := parser.MustParse(example32)
-	m := UniversalModel(prog.Database, prog.TGDs)
-	if m.Len() != 3 {
-		t.Errorf("UniversalModel = %v", m)
-	}
-	ok, run := Terminates(prog.Database, prog.TGDs, 100)
-	if !ok || run.Final.Len() != 3 {
-		t.Errorf("Terminates = %v, %v", ok, run.Final)
-	}
-}

@@ -8,8 +8,6 @@ package chase
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"airct/internal/instance"
 	"airct/internal/logic"
@@ -32,13 +30,6 @@ type Trigger struct {
 // TermID tuple) keys and never builds these strings.
 func (tr Trigger) Key() string {
 	return fmt.Sprintf("%d|%s", tr.TGDIndex, tr.H.Restrict(tr.TGD.BodyVars()).Key())
-}
-
-// FrontierKey identifies the trigger up to its frontier bindings: the
-// semi-oblivious (skolem) chase applies one trigger per frontier class.
-// Like Key, a debug/test renderer; the engine interns frontier classes.
-func (tr Trigger) FrontierKey() string {
-	return fmt.Sprintf("%d|%s", tr.TGDIndex, tr.H.Restrict(tr.TGD.Frontier()).Key())
 }
 
 // String renders the trigger as (σ, h).
@@ -95,9 +86,6 @@ func (ti *TriggerInterner) Intern(tr Trigger) (logic.TupleID, bool) {
 	}
 	return ti.tup.Intern(ti.buf)
 }
-
-// Len returns how many distinct triggers have been interned.
-func (ti *TriggerInterner) Len() int { return ti.tup.Len() }
 
 // NullFactory creates the nulls for trigger results. It names each null
 // after the trigger and variable that invent it, the paper's c^{σ,h}_x
@@ -257,7 +245,7 @@ func TriggersInvolving(set *tgds.Set, src logic.AtomSource, atom logic.Atom) []T
 			base := logic.NewSubstitution()
 			okBind := true
 			for k, v := range bodyAtom.Args {
-				if bound, ok := base.Lookup(v); ok {
+				if bound, ok := base[v]; ok {
 					if bound != atom.Args[k] {
 						okBind = false
 						break
@@ -294,15 +282,4 @@ func Violations(set *tgds.Set, inst *instance.Instance) map[string]int {
 		out[tr.TGD.Label]++
 	}
 	return out
-}
-
-// FormatTriggers renders triggers one per line, sorted by key; for tests
-// and debug output.
-func FormatTriggers(trs []Trigger) string {
-	lines := make([]string, len(trs))
-	for i, tr := range trs {
-		lines[i] = tr.String()
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestAllTriggersAndActiveTriggers(t *testing.T) {
 	active := ActiveTriggers(prog.TGDs, inst)
 	// S(a) already present, so only the R(b,c) trigger is active.
 	if len(active) != 1 {
-		t.Fatalf("ActiveTriggers = %d, want 1: %s", len(active), FormatTriggers(active))
+		t.Fatalf("ActiveTriggers = %d, want 1: %s", len(active), formatTriggers(active))
 	}
 	if got := active[0].H.ApplyTerm(active[0].TGD.Body[0].Args[0]); got != logic.Const("b") {
 		t.Errorf("active trigger binds X to %v, want b", got)
@@ -39,7 +40,7 @@ func TestTriggerKeys(t *testing.T) {
 		t.Fatal("one trigger expected")
 	}
 	tr := trs[0]
-	if tr.Key() == tr.FrontierKey() {
+	if tr.Key() == frontierKey(tr) {
 		t.Error("frontier key must drop the non-frontier binding of Y")
 	}
 	if !strings.HasPrefix(tr.Key(), "0|") {
@@ -64,9 +65,20 @@ func TestFrontierKeyIdentifiesFrontierClass(t *testing.T) {
 		t.Error("full keys must differ")
 	}
 	// Only X is frontier; both triggers bind X to a.
-	if trs[0].FrontierKey() != trs[1].FrontierKey() {
+	if frontierKey(trs[0]) != frontierKey(trs[1]) {
 		t.Error("frontier keys must coincide")
 	}
+}
+
+// formatTriggers renders triggers one per line, sorted, for failure
+// messages.
+func formatTriggers(trs []Trigger) string {
+	lines := make([]string, len(trs))
+	for i, tr := range trs {
+		lines[i] = tr.String()
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }
 
 func TestResultInventsSharedNulls(t *testing.T) {

@@ -15,10 +15,11 @@ func TestInstanceShape(t *testing.T) {
 	if db.Len() != 2 {
 		t.Fatalf("critical db = %v", db)
 	}
-	if !db.Has(logic.MustAtom("S", TheConstant)) {
+	facts := db.Instance()
+	if !facts.Has(logic.MustAtom("S", TheConstant)) {
 		t.Error("S(c) missing")
 	}
-	if !db.Has(logic.MustAtom("R", TheConstant, TheConstant)) {
+	if !facts.Has(logic.MustAtom("R", TheConstant, TheConstant)) {
 		t.Error("R(c,c) missing")
 	}
 }

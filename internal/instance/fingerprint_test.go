@@ -3,6 +3,8 @@ package instance
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"airct/internal/logic"
@@ -85,12 +87,12 @@ func TestFingerprintCollisionFreeOnRandomInstances(t *testing.T) {
 	}
 	byFP := make(map[logic.Fingerprint]entry)
 	canonical := func(in *Instance) string {
-		keys := in.SortedKeys()
-		s := ""
-		for _, k := range keys {
-			s += k + "|"
+		keys := make([]string, in.Len())
+		for i := range keys {
+			keys[i] = in.AtomAt(i).Key()
 		}
-		return s
+		sort.Strings(keys)
+		return strings.Join(keys, "|")
 	}
 	distinct := 0
 	for i := 0; i < 2000; i++ {

@@ -17,7 +17,6 @@ package instance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"airct/internal/logic"
@@ -522,25 +521,6 @@ func (in *Instance) Dom() logic.TermSet {
 	return s
 }
 
-// Schema returns the set of predicates occurring in the instance.
-func (in *Instance) Schema() *logic.Schema {
-	s := logic.NewSchema()
-	if in.lite {
-		for pid, ids := range in.predIdx {
-			if len(ids) > 0 {
-				s.Add(in.tab.Pred(pid))
-			}
-		}
-		return s
-	}
-	for p := range in.byPred {
-		if len(in.byPred[p]) > 0 {
-			s.Add(p)
-		}
-	}
-	return s
-}
-
 // Clone returns a deep-enough copy: atoms are immutable by convention, so
 // only the index structures are rebuilt. Atom insertion indices (and hence
 // tuple IDs) match the original; TermIDs need not — the clone interns
@@ -650,25 +630,5 @@ func (db *Database) Atoms() []logic.Atom { return db.inst.Atoms() }
 // Len returns the number of facts.
 func (db *Database) Len() int { return db.inst.Len() }
 
-// Has reports membership.
-func (db *Database) Has(a logic.Atom) bool { return db.inst.Has(a) }
-
-// Fingerprint returns the order-independent content fingerprint of the
-// database's fact set — the instance half of the (set, instance) identity
-// cross-run caches key per-database artefacts on.
-func (db *Database) Fingerprint() logic.Fingerprint { return db.inst.Fingerprint() }
-
 // String renders the facts.
 func (db *Database) String() string { return db.inst.String() }
-
-// SortedKeys returns the canonical atom keys in sorted order; handy for
-// deterministic comparisons in tests. This is a debug/test renderer: it
-// builds one string per atom.
-func (in *Instance) SortedKeys() []string {
-	keys := make([]string, 0, in.Len())
-	for i := 0; i < in.Len(); i++ {
-		keys = append(keys, in.AtomAt(i).Key())
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -75,10 +75,6 @@ func TestInstanceDomSchemaClone(t *testing.T) {
 	if in.NullCount() != 1 {
 		t.Errorf("NullCount = %d", in.NullCount())
 	}
-	sch := in.Schema()
-	if sch.Len() != 2 || sch.MaxArity() != 2 {
-		t.Errorf("Schema = %v", sch.Predicates())
-	}
 	cl := in.Clone()
 	cl.Add(atom("T", logic.Const("z")))
 	if in.Has(atom("T", logic.Const("z"))) {
@@ -112,7 +108,7 @@ func TestDatabase(t *testing.T) {
 	if err := db.Add(atom("R", logic.NewNull("n"))); err == nil {
 		t.Fatal("nulls must be rejected from databases")
 	}
-	if db.Len() != 1 || !db.Has(atom("R", logic.Const("a"))) {
+	if db.Len() != 1 || !db.Instance().Has(atom("R", logic.Const("a"))) {
 		t.Fatal("database content wrong")
 	}
 	inst := db.Instance()
@@ -135,15 +131,6 @@ func TestMustDatabasePanics(t *testing.T) {
 		}
 	}()
 	MustDatabase(atom("R", logic.NewNull("n")))
-}
-
-func TestSortedKeysDeterministic(t *testing.T) {
-	a := FromAtoms(atom("B", logic.Const("b")), atom("A", logic.Const("a")))
-	b := FromAtoms(atom("A", logic.Const("a")), atom("B", logic.Const("b")))
-	ka, kb := a.SortedKeys(), b.SortedKeys()
-	if len(ka) != 2 || len(kb) != 2 || ka[0] != kb[0] || ka[1] != kb[1] {
-		t.Errorf("SortedKeys mismatch: %v vs %v", ka, kb)
-	}
 }
 
 // Property: Add is idempotent and Len equals the number of distinct keys.

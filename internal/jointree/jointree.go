@@ -28,18 +28,6 @@ type JoinTree struct {
 	Root  int
 }
 
-// Len returns the number of nodes.
-func (t *JoinTree) Len() int { return len(t.Nodes) }
-
-// Atoms returns the atoms labelling the tree, in node order.
-func (t *JoinTree) Atoms() []logic.Atom {
-	out := make([]logic.Atom, len(t.Nodes))
-	for i, n := range t.Nodes {
-		out[i] = n.Atom
-	}
-	return out
-}
-
 // Validate checks the join-tree conditions of Definition 5.4: tree shape
 // (single root, parent/child consistency) and term connectedness — for each
 // term, the set of nodes whose atom mentions it induces a connected subtree.

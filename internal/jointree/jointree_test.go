@@ -21,8 +21,8 @@ func TestAcyclicChain(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if tree.Len() != 3 {
-		t.Errorf("Len = %d", tree.Len())
+	if len(tree.Nodes) != 3 {
+		t.Errorf("Len = %d", len(tree.Nodes))
 	}
 }
 
@@ -61,14 +61,14 @@ func TestTriangleWithGuardIsAcyclic(t *testing.T) {
 
 func TestSingleAtomAndEmpty(t *testing.T) {
 	tree, ok := Build([]logic.Atom{logic.MustAtom("R", c("a"))})
-	if !ok || tree.Len() != 1 || tree.Root != 0 {
+	if !ok || len(tree.Nodes) != 1 || tree.Root != 0 {
 		t.Error("single atom is trivially acyclic")
 	}
 	if err := tree.Validate(); err != nil {
 		t.Error(err)
 	}
 	empty, ok := Build(nil)
-	if !ok || empty.Len() != 0 {
+	if !ok || len(empty.Nodes) != 0 {
 		t.Error("empty instance is acyclic")
 	}
 	if err := empty.Validate(); err != nil {
@@ -85,8 +85,8 @@ func TestDuplicateAtomsAreDistinctNodes(t *testing.T) {
 	if !ok {
 		t.Fatal("duplicates are acyclic")
 	}
-	if tree.Len() != 2 {
-		t.Errorf("multiset semantics: 2 nodes, got %d", tree.Len())
+	if len(tree.Nodes) != 2 {
+		t.Errorf("multiset semantics: 2 nodes, got %d", len(tree.Nodes))
 	}
 	if err := tree.Validate(); err != nil {
 		t.Error(err)
@@ -104,20 +104,6 @@ func TestDisconnectedComponentsAcyclic(t *testing.T) {
 	}
 	if err := tree.Validate(); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAtomsAccessor(t *testing.T) {
-	atoms := []logic.Atom{
-		logic.MustAtom("R", c("a"), c("b")),
-		logic.MustAtom("S", c("b")),
-	}
-	tree, ok := Build(atoms)
-	if !ok {
-		t.Fatal("acyclic")
-	}
-	if got := tree.Atoms(); len(got) != 2 {
-		t.Errorf("Atoms = %v", got)
 	}
 }
 

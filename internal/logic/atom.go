@@ -46,26 +46,8 @@ func NewSchema(ps ...Predicate) *Schema {
 // Add inserts p into the schema.
 func (s *Schema) Add(p Predicate) { s.preds[p] = struct{}{} }
 
-// Has reports whether the schema contains p.
-func (s *Schema) Has(p Predicate) bool {
-	_, ok := s.preds[p]
-	return ok
-}
-
 // Len returns the number of predicates.
 func (s *Schema) Len() int { return len(s.preds) }
-
-// MaxArity returns ar(S), the maximum arity over the schema's predicates,
-// or 0 for an empty schema.
-func (s *Schema) MaxArity() int {
-	max := 0
-	for p := range s.preds {
-		if p.Arity > max {
-			max = p.Arity
-		}
-	}
-	return max
-}
 
 // Predicates returns the predicates sorted by name then arity.
 func (s *Schema) Predicates() []Predicate {
@@ -79,17 +61,6 @@ func (s *Schema) Predicates() []Predicate {
 		}
 		return out[i].Arity < out[j].Arity
 	})
-	return out
-}
-
-// Positions returns every position (R, i) of the schema, sorted.
-func (s *Schema) Positions() []Position {
-	var out []Position
-	for _, p := range s.Predicates() {
-		for i := 1; i <= p.Arity; i++ {
-			out = append(out, Position{Pred: p, Index: i})
-		}
-	}
 	return out
 }
 
@@ -147,17 +118,6 @@ func (a Atom) Terms() TermSet {
 	s := make(TermSet, len(a.Args))
 	for _, t := range a.Args {
 		s[t] = struct{}{}
-	}
-	return s
-}
-
-// Vars returns the set of variables occurring in the atom.
-func (a Atom) Vars() TermSet {
-	s := make(TermSet)
-	for _, t := range a.Args {
-		if t.IsVar() {
-			s[t] = struct{}{}
-		}
 	}
 	return s
 }
@@ -250,13 +210,6 @@ func (a Atom) Apply(s Substitution) Atom {
 			args[i] = t
 		}
 	}
-	return Atom{Pred: a.Pred, Args: args}
-}
-
-// Clone returns a deep copy of the atom.
-func (a Atom) Clone() Atom {
-	args := make([]Term, len(a.Args))
-	copy(args, a.Args)
 	return Atom{Pred: a.Pred, Args: args}
 }
 

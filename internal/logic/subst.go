@@ -27,12 +27,6 @@ func (s Substitution) Bind(t, u Term) Substitution {
 	return s
 }
 
-// Lookup returns the image of t, and whether t is bound.
-func (s Substitution) Lookup(t Term) (Term, bool) {
-	u, ok := s[t]
-	return u, ok
-}
-
 // ApplyTerm returns s(t) when t is bound, and t itself otherwise.
 func (s Substitution) ApplyTerm(t Term) Term {
 	if u, ok := s[t]; ok {
@@ -68,19 +62,6 @@ func (s Substitution) Clone() Substitution {
 		out[t] = u
 	}
 	return out
-}
-
-// Equal reports whether two substitutions have identical graphs.
-func (s Substitution) Equal(other Substitution) bool {
-	if len(s) != len(other) {
-		return false
-	}
-	for t, u := range s {
-		if v, ok := other[t]; !ok || v != u {
-			return false
-		}
-	}
-	return true
 }
 
 // Compare orders substitutions canonically: the binding lists, sorted by

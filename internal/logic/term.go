@@ -129,13 +129,6 @@ func (s TermSet) Has(t Term) bool {
 	return ok
 }
 
-// AddAll inserts every term of other into s.
-func (s TermSet) AddAll(other TermSet) {
-	for t := range other {
-		s[t] = struct{}{}
-	}
-}
-
 // Sorted returns the elements in Term.Compare order.
 func (s TermSet) Sorted() []Term {
 	out := make([]Term, 0, len(s))
@@ -170,6 +163,3 @@ func (f *FreshNamer) NextNull() Term { return NewNull(f.Next()) }
 
 // NextVar returns a fresh variable.
 func (f *FreshNamer) NextVar() Term { return Var(f.Next()) }
-
-// Count returns how many names have been handed out.
-func (f *FreshNamer) Count() int { return f.next }

@@ -91,11 +91,6 @@ func TestTermSet(t *testing.T) {
 	if s.Add(Const("b")) {
 		t.Error("Add of existing element should report false")
 	}
-	other := NewTermSet(NewNull("n"))
-	s.AddAll(other)
-	if !s.Has(NewNull("n")) {
-		t.Error("AddAll missed element")
-	}
 	sorted := s.Sorted()
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1].Compare(sorted[i]) >= 0 {
@@ -114,9 +109,6 @@ func TestFreshNamer(t *testing.T) {
 	}
 	if got := f.NextVar(); got != Var("n3") {
 		t.Errorf("NextVar = %v", got)
-	}
-	if f.Count() != 4 {
-		t.Errorf("Count = %d, want 4", f.Count())
 	}
 }
 

@@ -163,7 +163,7 @@ func (b *refState) matchBody(t tgds.TGD, limit int, yield func(logic.Substitutio
 			ok := true
 			for k, v := range pat.Args {
 				got := cand.Atom.Args[k]
-				if bound, has := h.Lookup(v); has {
+				if bound, has := h[v]; has {
 					if bound != got {
 						ok = false
 						break

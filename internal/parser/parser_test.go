@@ -19,7 +19,7 @@ func TestParseFactsAndRules(t *testing.T) {
 	if prog.Database.Len() != 1 {
 		t.Errorf("facts = %d", prog.Database.Len())
 	}
-	if !prog.Database.Has(logic.MustAtom("R", logic.Const("a"), logic.Const("b"))) {
+	if !prog.Database.Instance().Has(logic.MustAtom("R", logic.Const("a"), logic.Const("b"))) {
 		t.Error("R(a,b) missing")
 	}
 	if prog.TGDs.Len() != 1 {
@@ -49,7 +49,7 @@ func TestParseLabeledRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := prog.TGDs.ByLabel("grow"); !ok {
+	if prog.TGDs.TGDs[0].Label != "grow" {
 		t.Error("label lost")
 	}
 }
@@ -171,8 +171,9 @@ func TestPrintParseRoundTrip(t *testing.T) {
 		}
 		// Facts must be identical; rules identical up to variable renaming,
 		// which Print/Parse preserves verbatim (names survive).
+		facts := p2.Database.Instance()
 		for _, f := range p1.Database.Atoms() {
-			if !p2.Database.Has(f) {
+			if !facts.Has(f) {
 				t.Errorf("fact %v lost in round trip", f)
 			}
 		}

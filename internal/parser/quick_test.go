@@ -96,8 +96,9 @@ func TestQuickPrintParseRoundTrip(t *testing.T) {
 		if p1.Database.Len() != p2.Database.Len() || p1.TGDs.Len() != p2.TGDs.Len() {
 			return false
 		}
+		facts := p2.Database.Instance()
 		for _, fct := range p1.Database.Atoms() {
-			if !p2.Database.Has(fct) {
+			if !facts.Has(fct) {
 				return false
 			}
 		}

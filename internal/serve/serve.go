@@ -145,9 +145,6 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler serving the API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache returns the shared cross-run cache.
-func (s *Server) Cache() *chase.Cache { return s.cache }
-
 // Close cancels every in-flight analysis (shutdown). In-flight HTTP
 // connections are the http.Server's business; Close only stops the
 // detached flight work.

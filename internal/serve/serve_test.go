@@ -258,19 +258,19 @@ func TestServeConformanceE2E(t *testing.T) {
 	first := newTestServer(t, Config{})
 	driveCorpus(t, first, corpus, refs, "cold")
 	driveCorpus(t, first, corpus, refs, "warm")
-	if st := first.srv.Cache().Stats(); st.Hits == 0 {
+	if st := first.srv.cache.Stats(); st.Hits == 0 {
 		t.Error("warm pass recorded no cache hits on the shared cache")
 	}
 
 	// Restart: snapshot the daemon's cache to disk and boot a second daemon
 	// from the file, exactly as termcheckd does across a restart.
 	path := filepath.Join(t.TempDir(), "serve.cache")
-	if err := chase.SaveCacheFile(first.srv.Cache(), path); err != nil {
+	if err := chase.SaveCacheFile(first.srv.cache, path); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	restarted := newTestServer(t, Config{Cache: OpenCacheFile(path, t.Logf)})
 	driveCorpus(t, restarted, corpus, refs, "restart")
-	if st := restarted.srv.Cache().Stats(); st.Hits == 0 {
+	if st := restarted.srv.cache.Stats(); st.Hits == 0 {
 		t.Error("restarted daemon served the corpus without touching the restored cache")
 	}
 }
@@ -541,9 +541,9 @@ func TestServeWarmIsSharedCache(t *testing.T) {
 	req := ExistsRequest{Program: src, MaxStates: confExistsStates, MaxAtoms: confExistsAtoms}
 	var cold, warm ExistsResponse
 	postJSON(t, ts.url("/v1/exists"), req, http.StatusOK, &cold)
-	hitsBefore := ts.srv.Cache().Stats().Hits
+	hitsBefore := ts.srv.cache.Stats().Hits
 	postJSON(t, ts.url("/v1/exists"), req, http.StatusOK, &warm)
-	if ts.srv.Cache().Stats().Hits == hitsBefore {
+	if ts.srv.cache.Stats().Hits == hitsBefore {
 		t.Error("warm request recorded no cache hit")
 	}
 	cr := renderExists(cold.Verdict, cold.States, cold.Stats, cold.Derivation)

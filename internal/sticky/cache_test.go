@@ -77,11 +77,11 @@ func TestDecideWarmCacheReplaysVerdict(t *testing.T) {
 				if err != nil {
 					t.Fatalf("replayed witness does not materialise: %v", err)
 				}
-				ldb, err := live.Database()
+				ldb, err := witnessDatabase(live)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rdb, err := replayed.Database()
+				rdb, err := witnessDatabase(replayed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,9 +2,9 @@ package sticky
 
 import (
 	"fmt"
+	"maps"
 
 	"airct/internal/chase"
-	"airct/internal/instance"
 	"airct/internal/logic"
 	"airct/internal/tgds"
 )
@@ -18,18 +18,6 @@ type Caterpillar struct {
 	Body     []logic.Atom
 	Triggers []chase.Trigger
 	Gammas   []int
-}
-
-// Database returns L ∪ {α_0} as a database; every term in it must be a
-// constant (legs and the first body atom form the initial instance).
-func (c *Caterpillar) Database() (*instance.Database, error) {
-	db := instance.NewDatabase()
-	for _, a := range append(append([]logic.Atom{}, c.Legs...), c.Body[0]) {
-		if err := db.Add(a); err != nil {
-			return nil, fmt.Errorf("sticky: caterpillar base is not a database: %w", err)
-		}
-	}
-	return db, nil
 }
 
 // ValidateProto checks the proto-caterpillar conditions of Definition 6.2
@@ -47,7 +35,7 @@ func (c *Caterpillar) ValidateProto(set *tgds.Set) error {
 			len(c.Body), len(c.Body)-1, len(c.Triggers), len(c.Gammas))
 	}
 	seenTerms := logic.TermsOf(c.Legs)
-	seenTerms.AddAll(c.Body[0].Terms())
+	maps.Copy(seenTerms, c.Body[0].Terms())
 	for i, tr := range c.Triggers {
 		prev, next := c.Body[i], c.Body[i+1]
 		t := tr.TGD
@@ -88,7 +76,7 @@ func (c *Caterpillar) ValidateProto(set *tgds.Set) error {
 			}
 			fresh[v] = got
 		}
-		seenTerms.AddAll(next.Terms())
+		maps.Copy(seenTerms, next.Terms())
 	}
 	return nil
 }

@@ -170,32 +170,42 @@ func replayVerdict(set *tgds.Set, o *chase.StickyOutcome) (*Verdict, bool) {
 // caterpillar prefix: it unrolls prefix + pumps·cycle symbols, binding γ
 // variables to the running path atom, leg variables to constants reused
 // per cycle position (the Lemma 6.13 unification), and existential
-// variables to fresh nulls. The returned caterpillar's Database() is a
-// finite database whose restricted chase replays the path. Materialisation
+// variables to fresh nulls. The returned caterpillar's legs and first body
+// atom, L ∪ {α_0}, form a finite database whose restricted chase replays
+// the path. Materialisation
 // fails when a leg atom would need an invented (null) term — a pattern the
 // unifying-function proof handles but this direct construction does not.
 func MaterializeWitness(set *tgds.Set, seed Seed, lasso *buchi.Lasso, pumps int) (*Caterpillar, error) {
 	if pumps < 1 {
 		pumps = 1
 	}
+	// The lasso spells symbol keys of the alphabet the automaton was built
+	// over.
+	alphabet := make(map[string]Symbol)
+	for _, s := range Alphabet(set) {
+		alphabet[s.Key()] = s
+	}
 	var symbols []Symbol
 	var slots []string // leg-constant reuse key per step
-	for i, k := range lasso.Prefix {
-		s, err := ParseSymbolKey(k)
-		if err != nil {
-			return nil, err
+	add := func(k, slot string) error {
+		s, ok := alphabet[k]
+		if !ok {
+			return fmt.Errorf("sticky: lasso symbol %q is not in the alphabet", k)
 		}
 		symbols = append(symbols, s)
-		slots = append(slots, fmt.Sprintf("p%d", i))
+		slots = append(slots, slot)
+		return nil
+	}
+	for i, k := range lasso.Prefix {
+		if err := add(k, fmt.Sprintf("p%d", i)); err != nil {
+			return nil, err
+		}
 	}
 	for p := 0; p < pumps; p++ {
 		for i, k := range lasso.Cycle {
-			s, err := ParseSymbolKey(k)
-			if err != nil {
+			if err := add(k, fmt.Sprintf("c%d", i)); err != nil {
 				return nil, err
 			}
-			symbols = append(symbols, s)
-			slots = append(slots, fmt.Sprintf("c%d", i))
 		}
 	}
 	namer := logic.NewFreshNamer("w")
@@ -213,7 +223,7 @@ func MaterializeWitness(set *tgds.Set, seed Seed, lasso *buchi.Lasso, pumps int)
 		okBind := true
 		for p := 1; p <= gamma.Pred.Arity; p++ {
 			v := gamma.Arg(p)
-			if prev, ok := h.Lookup(v); ok {
+			if prev, ok := h[v]; ok {
 				if prev != alpha.Arg(p) {
 					okBind = false
 					break
@@ -232,7 +242,7 @@ func MaterializeWitness(set *tgds.Set, seed Seed, lasso *buchi.Lasso, pumps int)
 			}
 			for p := 1; p <= b.Pred.Arity; p++ {
 				v := b.Arg(p)
-				if _, ok := h.Lookup(v); ok {
+				if _, ok := h[v]; ok {
 					continue
 				}
 				key := fmt.Sprintf("%s|%d|%s", slots[i], sym.TGDIndex, v.Name)

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"airct/internal/chase"
+	"airct/internal/instance"
+	"airct/internal/logic"
 	"airct/internal/parser"
 	"airct/internal/tgds"
 )
@@ -26,27 +28,12 @@ func TestAlphabetShape(t *testing.T) {
 	if len(syms) != 3 {
 		t.Fatalf("alphabet = %d symbols: %v", len(syms), syms)
 	}
-	for _, sym := range syms {
-		key := sym.Key()
-		back, err := ParseSymbolKey(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Key() != key {
-			t.Errorf("round trip %q -> %q", key, back.Key())
-		}
-		if SymbolString(s, sym) == "" {
-			t.Error("SymbolString must render")
-		}
-	}
 }
 
-func TestParseSymbolKeyErrors(t *testing.T) {
-	for _, bad := range []string{"", "1", "x/y/z", "1/2/x"} {
-		if _, err := ParseSymbolKey(bad); err == nil {
-			t.Errorf("ParseSymbolKey(%q) must fail", bad)
-		}
-	}
+// witnessDatabase returns a caterpillar's legs and first body atom,
+// L ∪ {α_0}, as a database; every term in it must be a constant.
+func witnessDatabase(c *Caterpillar) (*instance.Database, error) {
+	return instance.DatabaseFromAtoms(append(append([]logic.Atom{}, c.Legs...), c.Body[0])...)
 }
 
 func TestSeedsEnumeration(t *testing.T) {
@@ -162,7 +149,7 @@ func TestWitnessMaterializesToDivergingDatabase(t *testing.T) {
 			if err := cat.ValidateCaterpillar(s); err != nil {
 				t.Fatalf("caterpillar invalid: %v", err)
 			}
-			db, err := cat.Database()
+			db, err := witnessDatabase(cat)
 			if err != nil {
 				t.Fatal(err)
 			}

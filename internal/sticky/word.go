@@ -40,32 +40,6 @@ func (s Symbol) Key() string {
 	return b.String()
 }
 
-// ParseSymbolKey decodes a Key back into a Symbol; used to interpret
-// automaton witnesses.
-func ParseSymbolKey(key string) (Symbol, error) {
-	var s Symbol
-	parts := strings.SplitN(key, "/", 3)
-	if len(parts) != 3 {
-		return s, fmt.Errorf("sticky: bad symbol key %q", key)
-	}
-	if _, err := fmt.Sscanf(parts[0], "%d", &s.TGDIndex); err != nil {
-		return s, fmt.Errorf("sticky: bad symbol key %q: %v", key, err)
-	}
-	if _, err := fmt.Sscanf(parts[1], "%d", &s.Gamma); err != nil {
-		return s, fmt.Errorf("sticky: bad symbol key %q: %v", key, err)
-	}
-	if parts[2] != "" {
-		for _, ps := range strings.Split(parts[2], ",") {
-			var p int
-			if _, err := fmt.Sscanf(ps, "%d", &p); err != nil {
-				return s, fmt.Errorf("sticky: bad symbol key %q: %v", key, err)
-			}
-			s.P = append(s.P, p)
-		}
-	}
-	return s, nil
-}
-
 // Alphabet enumerates Λ_T for the set: every (σ, γ, P) with P either empty
 // or pos(head(σ), x) for an existentially quantified x of σ.
 func Alphabet(set *tgds.Set) []Symbol {
@@ -83,13 +57,4 @@ func Alphabet(set *tgds.Set) []Symbol {
 		}
 	}
 	return out
-}
-
-// SymbolString renders a symbol readably against its set.
-func SymbolString(set *tgds.Set, s Symbol) string {
-	t := set.TGDs[s.TGDIndex]
-	if len(s.P) == 0 {
-		return fmt.Sprintf("(%s, %v)", t.Label, t.Body[s.Gamma])
-	}
-	return fmt.Sprintf("(%s, %v, pass-on@%v)", t.Label, t.Body[s.Gamma], s.P)
 }

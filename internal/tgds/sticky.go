@@ -172,15 +172,3 @@ func (m *Marking) ImmortalHeadPosition(t TGD, i int) bool {
 	}
 	return !m.marked.Has(v)
 }
-
-// ImmortalHeadPositions returns the immortal head positions of σ, 1-based.
-func (m *Marking) ImmortalHeadPositions(t TGD) []int {
-	var out []int
-	head := t.HeadAtom()
-	for i := 1; i <= head.Pred.Arity; i++ {
-		if m.ImmortalHeadPosition(t, i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}

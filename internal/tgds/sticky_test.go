@@ -175,9 +175,6 @@ func TestImmortalHeadPositions(t *testing.T) {
 	if !m2.ImmortalHeadPosition(s2.TGDs[0], 1) {
 		t.Error("unmarked frontier position must be immortal")
 	}
-	if got := m2.ImmortalHeadPositions(s2.TGDs[0]); len(got) != 1 || got[0] != 1 {
-		t.Errorf("ImmortalHeadPositions = %v", got)
-	}
 }
 
 func TestStickinessOfGuardedExample(t *testing.T) {

@@ -174,19 +174,6 @@ func (t TGD) Rename(namer *logic.FreshNamer) TGD {
 	}
 }
 
-// Clone returns a deep copy.
-func (t TGD) Clone() TGD {
-	body := make([]logic.Atom, len(t.Body))
-	for i, a := range t.Body {
-		body[i] = a.Clone()
-	}
-	head := make([]logic.Atom, len(t.Head))
-	for i, a := range t.Head {
-		head[i] = a.Clone()
-	}
-	return TGD{Label: t.Label, Body: body, Head: head}
-}
-
 // String renders the TGD in the library's concrete syntax:
 // "R(X,Y), P(Y,Z) -> T(X,Y,W)". Existential quantification is implicit in
 // head variables that do not occur in the body.
@@ -336,9 +323,6 @@ func (s *Set) Schema() *logic.Schema {
 	return sch
 }
 
-// MaxArity returns ar(T).
-func (s *Set) MaxArity() int { return s.Schema().MaxArity() }
-
 // IsSingleHead reports whether every member is single-head.
 func (s *Set) IsSingleHead() bool {
 	for _, t := range s.TGDs {
@@ -392,16 +376,6 @@ func (s *Set) SatisfiedBy(src logic.AtomSource) bool {
 		}
 	}
 	return true
-}
-
-// ByLabel returns the TGD with the given label, if any.
-func (s *Set) ByLabel(label string) (TGD, bool) {
-	for _, t := range s.TGDs {
-		if t.Label == label {
-			return t, true
-		}
-	}
-	return TGD{}, false
 }
 
 // String renders the set one dependency per line, TGDs first.
