@@ -29,7 +29,9 @@
 # deleted the abstract-join-tree objects and the other internal code no
 # program linked: internal/chase 94.8%, internal/guarded 96.1%,
 # internal/ochase 96.9% (chase stays at its floor, which is within two
-# points).
+# points). At the ratchet that deleted the portfolio's ∀∃ stage and the
+# accessors no program linked: internal/chase 95.2%, internal/portfolio
+# 94.1%, internal/serve 95.8% (the other floors are within two points).
 set -eu
 
 check() {
@@ -46,10 +48,10 @@ check() {
 	echo "check-coverage: $pkg ${total}% (floor ${floor}%)"
 }
 
-check ./internal/chase 93.0
+check ./internal/chase 93.2
 check ./internal/guarded 94.1
-check ./internal/portfolio 87.0
+check ./internal/portfolio 92.1
 check ./internal/sticky 87.1
-check ./internal/serve 93.7
+check ./internal/serve 93.8
 check ./internal/buchi 97.5
 check ./internal/ochase 94.9
