@@ -25,9 +25,9 @@ const maxRequestBytes = 1 << 20
 
 // DecideRequest asks the ∀∀ question (CT^res_∀∀ membership) of the
 // program's TGD set. Zero-valued budgets take the server's defaults (the
-// same defaults as the termcheck CLI). Facts in the program are ignored by
-// the decision; under portfolio=true they feed the non-authoritative ∀∃
-// stage exactly as `termcheck -portfolio` does.
+// same defaults as the termcheck CLI). Facts in the program are not read:
+// requests that differ only in facts get the same answer, as in
+// `termcheck`.
 type DecideRequest struct {
 	// Program is the .chase program text (facts + TGDs).
 	Program string `json:"program"`

@@ -5,9 +5,10 @@
 //
 // Endpoints (all JSON):
 //
-//	POST /v1/decide  — CT^res_∀∀: the flat report (portfolio.Report), or
-//	                   the staged cascade (portfolio.Analyze) with
-//	                   portfolio=true
+//	POST /v1/decide  — CT^res_∀∀ of the program's rules: the flat report
+//	                   (portfolio.Report), or the staged cascade
+//	                   (portfolio.Analyze) with portfolio=true; facts are
+//	                   not read
 //	POST /v1/exists  — CT^res_∀∃ on the program's database via
 //	                   chase.SearchTerminatingDerivationContext
 //	GET  /v1/stats   — cache / trigger-index / portfolio / serving counters
@@ -20,9 +21,9 @@
 //     background cadence and at graceful shutdown (Snapshotter), so the
 //     141×/388× warm wins measured per-process become the steady state.
 //   - Singleflight dedup (singleflight.go). Identical concurrent requests
-//     — equal TGD-set fingerprint, instance fingerprint, question and
-//     budgets — share one underlying analysis; a thundering herd runs one
-//     decide. Followers are free: only flight leaders occupy the pool.
+//     — equal TGD-set fingerprint, question and budgets, and for exists
+//     equal facts — share one underlying analysis; a thundering herd runs
+//     one decide. Followers are free: only flight leaders occupy the pool.
 //   - Budgeted admission. A bounded slot pool gates flight leaders; when
 //     every slot is busy a new leader is shed with 429 immediately instead
 //     of queuing unboundedly. Per-request deadlines map onto

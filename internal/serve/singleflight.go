@@ -1,8 +1,10 @@
 package serve
 
 // The singleflight table: concurrent identical requests — same TGD-set
-// fingerprint, same instance fingerprint, same question and budgets — share
-// ONE underlying analysis instead of racing N copies of it. The table is
+// fingerprint, same question and budgets, and for exists the same instance
+// fingerprint — share ONE underlying analysis instead of racing N copies
+// of it. A decide reads only the rules, so its key leaves the instance
+// fingerprint zero and decides that differ only in facts share a flight. The table is
 // the serving-side complement of the cross-run cache: the cache dedups
 // across time (a finished answer is replayed), the flight table dedups
 // across concurrency (an unfinished answer is joined). A thundering herd of
