@@ -12,12 +12,11 @@ import (
 // TestQuickCascadeMatchesReport is the cascade's property test: over a
 // deterministic sweep of random existential programs, the cascade, with
 // one shared cache, reaches exactly the exhaustive Report's conclusion on
-// every program. In
-// particular a Tier 1 divergence certificate can never contradict the
-// Tier 2 semantic deciders: whenever the rejecting probe decides, Report
-// (which reaches the same question through the guarded decider) must say
-// Diverges too. Runs under the CI -race job, so the shared cache's locking
-// is exercised alongside.
+// every program. In particular a Tier 1 divergence certificate can never
+// contradict the Tier 2 semantic deciders: whenever the rejecting probe
+// decides, Report (which reaches the same question through the guarded
+// decider) must say Diverges too. Runs under the CI -race job, so the
+// shared cache's locking is exercised alongside.
 func TestQuickCascadeMatchesReport(t *testing.T) {
 	cache := chase.NewCache()
 	probeRejects := 0
