@@ -172,9 +172,10 @@ func replayVerdict(set *tgds.Set, o *chase.StickyOutcome) (*Verdict, bool) {
 // per cycle position (the Lemma 6.13 unification), and existential
 // variables to fresh nulls. The returned caterpillar's legs and first body
 // atom, L ∪ {α_0}, form a finite database whose restricted chase replays
-// the path. Materialisation
-// fails when a leg atom would need an invented (null) term — a pattern the
-// unifying-function proof handles but this direct construction does not.
+// the path. Materialisation fails when a lasso key is not in the set's
+// alphabet, or when a leg atom would need an invented (null) term — a
+// pattern the unifying-function proof handles but this direct construction
+// does not.
 func MaterializeWitness(set *tgds.Set, seed Seed, lasso *buchi.Lasso, pumps int) (*Caterpillar, error) {
 	if pumps < 1 {
 		pumps = 1

@@ -3,6 +3,7 @@ package sticky
 import (
 	"testing"
 
+	"airct/internal/buchi"
 	"airct/internal/chase"
 	"airct/internal/instance"
 	"airct/internal/logic"
@@ -27,6 +28,15 @@ func TestAlphabetShape(t *testing.T) {
 	// σ2: one body atom, no existential: (σ2,γ1,∅).
 	if len(syms) != 3 {
 		t.Fatalf("alphabet = %d symbols: %v", len(syms), syms)
+	}
+	// A lasso spells alphabet keys; one that does not fails to materialise.
+	v, err := Decide(s, DecideOptions{})
+	if err != nil || v.Terminates {
+		t.Fatalf("need a witness: %v %v", v, err)
+	}
+	bad := &buchi.Lasso{Prefix: []string{"9/0/"}, Cycle: v.Lasso.Cycle}
+	if _, err := MaterializeWitness(s, *v.Seed, bad, 1); err == nil {
+		t.Error("a lasso key outside the alphabet materialised")
 	}
 }
 
