@@ -31,7 +31,8 @@
 # internal/ochase 96.9% (chase stays at its floor, which is within two
 # points). At the ratchet that deleted the portfolio's ∀∃ stage and the
 # accessors no program linked: internal/chase 95.2%, internal/portfolio
-# 94.1%, internal/serve 95.8% (the other floors are within two points).
+# 94.1%, internal/sticky 89.2%, internal/serve 95.8% (the other floors are
+# within two points).
 set -eu
 
 check() {
@@ -51,7 +52,7 @@ check() {
 check ./internal/chase 93.2
 check ./internal/guarded 94.1
 check ./internal/portfolio 92.1
-check ./internal/sticky 87.1
+check ./internal/sticky 87.2
 check ./internal/serve 93.8
 check ./internal/buchi 97.5
 check ./internal/ochase 94.9
