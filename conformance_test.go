@@ -2,16 +2,15 @@
 // testdata/conformance/ carry their expected verdicts in an `# expect:`
 // header line, and every entry runs table-driven across the full decision
 // matrix — the chase engine, the ∀∃ exists-search, the flat report and the
-// portfolio cascade, the served daemon, and (where the set is guarded) the
-// guarded ∀∀ decision — each × {cache off, cache cold, cache warm,
-// snapshot→restore→warm}. Beyond matching the golden verdicts, the cache
-// dimension is pinned bit-identical: same reason, steps, stats and
-// final-instance atom sequence for the engine, same verdict, method,
-// evidence, SeedsTried and witness rendering for Decide, and same verdict,
-// stats and derivation rendering for the sequential exists-search — cold,
-// warm, and warmed from a snapshot of the cold cache (the persistent
-// tier's restore path must be indistinguishable from the in-process warm
-// cache).
+// portfolio cascade × {cache off, cache cold, cache warm,
+// snapshot→restore→warm}, the served daemon, and (where the set is
+// guarded) the guarded ∀∀ decision without a cache. Beyond matching the
+// golden verdicts, the cache dimension is pinned bit-identical: same
+// reason, steps, stats and final-instance atom sequence for the engine,
+// the same rendered flat report, and same verdict, stats and derivation
+// rendering for the sequential exists-search — cold, warm, and warmed
+// from a snapshot of the cold cache (the persistent tier's restore path
+// must be indistinguishable from the in-process warm cache).
 //
 // Directive grammar (one line, space-separated key=value):
 //
@@ -190,6 +189,7 @@ func TestConformanceCorpus(t *testing.T) {
 			if want, ok := expect["decide"]; ok || (expect["truth"] != "" && prog.TGDs.IsGuarded()) {
 				runDecideColumn(t, prog, want, expect["decide-method"], expect["truth"])
 			}
+			runFlatColumn(t, prog, expect["truth"])
 			runPortfolioColumn(t, prog, expect["truth"])
 			runServedColumn(t, daemon.URL, string(raw), prog, expect)
 		})
@@ -376,10 +376,10 @@ func runPortfolioColumn(t *testing.T, prog *parser.Program, truth string) {
 	}
 }
 
-// runDecideColumn runs the guarded ∀∀ decision cache off / cold / warm /
-// snapshot-restored, expecting the golden verdict (and method, when
-// pinned; want is "" without decide=) plus bit-identical verdicts across
-// every cell, each held to truth=.
+// runDecideColumn runs the guarded ∀∀ decision without a cache, expecting
+// the golden verdict (and method, when pinned; want is "" without
+// decide=), held to truth=. Its cache cells are the flat report's: the
+// guarded decision memoises nothing itself.
 func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod, truth string) {
 	if !prog.TGDs.IsGuarded() {
 		t.Fatalf("decide= directive on a non-guarded set")
@@ -395,37 +395,42 @@ func runDecideColumn(t *testing.T, prog *parser.Program, want, wantMethod, truth
 	if wantMethod != "" && base.Method != wantMethod {
 		t.Errorf("decide: method = %s, want %s", base.Method, wantMethod)
 	}
-	cache := chase.NewCache()
+}
+
+// runFlatColumn runs the flat report cache off / cold / warm /
+// snapshot-restored at the harness budgets, expecting the rendered report
+// byte-identical across every cell, each held to truth=: the cold cell
+// costs one cache miss, and each warm cell exactly one hit and no miss.
+func runFlatColumn(t *testing.T, prog *parser.Program, truth string) {
+	if prog.TGDs.Len() == 0 && !prog.TGDs.HasEGDs() {
+		return
+	}
+	opts := portfolio.Options{Guarded: guarded.DecideOptions{MaxSteps: confDecideSteps}}
+	base, err := portfolio.Report(context.Background(), prog.TGDs, opts)
+	if err != nil {
+		t.Fatalf("flat/off: %v", err)
+	}
+	checkTruth(t, "flat/off", base.Conclusion.String(), truth)
+	opts.Cache = chase.NewCache()
 	for _, label := range []string{"cold", "warm", "snap"} {
 		if label == "snap" {
 			// The snapshot cell restarts the process: the warm cache's
 			// snapshot rebuilt from bytes must serve identically.
-			cache = snapshotRoundTrip(t, cache)
+			opts.Cache = snapshotRoundTrip(t, opts.Cache)
 		}
-		v, err := guarded.Decide(prog.TGDs, guarded.DecideOptions{
-			MaxSteps: confDecideSteps,
-			Cache:    cache,
-		})
+		before := opts.Cache.Stats()
+		rep, err := portfolio.Report(context.Background(), prog.TGDs, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("flat/%s: %v", label, err)
 		}
-		if v.Terminates != base.Terminates || v.Method != base.Method ||
-			v.Evidence != base.Evidence || v.SeedsTried != base.SeedsTried || v.Budget != base.Budget {
-			t.Errorf("decide/%s: verdict drifted: %+v vs %+v", label, v, base)
+		if got, want := rep.Summary(), base.Summary(); got != want {
+			t.Errorf("flat/%s: report drifted:\n%s\nvs\n%s", label, got, want)
 		}
-		checkTruth(t, "decide/"+label, decideTruthVerdict(v), truth)
-		switch {
-		case (v.Witness == nil) != (base.Witness == nil):
-			t.Errorf("decide/%s: witness presence drifted", label)
-		case v.Witness != nil && v.Witness.String() != base.Witness.String():
-			t.Errorf("decide/%s: witness drifted:\n%s\nvs\n%s", label, v.Witness, base.Witness)
+		checkTruth(t, "flat/"+label, rep.Conclusion.String(), truth)
+		after := opts.Cache.Stats()
+		hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+		if want := label != "cold"; (hits == 1 && misses == 0) != want || (hits == 0 && misses == 1) == want {
+			t.Errorf("flat/%s: %d cache hits, %d misses", label, hits, misses)
 		}
-	}
-	// Weak acyclicity decides before any seed is generated or chased, so
-	// only seed-searching decisions can (and must) hit the cache. After the
-	// loop `cache` is the snapshot-restored one, so this also pins that the
-	// restored entries actually served the snap cell.
-	if st := cache.Stats(); st.Hits == 0 && base.Method != "weak-acyclicity" {
-		t.Errorf("decide: snapshot-warmed pass recorded no cache hits")
 	}
 }

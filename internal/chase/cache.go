@@ -1,22 +1,15 @@
 package chase
 
-// The cross-run chase-state cache: verdict-bearing chase work memoised on
-// (TGD-set fingerprint, instance fingerprint) keys so that re-chasing the
-// same seed database under the same rules — which the guarded ∀∀ decision
-// does across Decide calls (treeification re-derives seeds; a served
-// workload repeats programs) — costs one map probe and one decode instead
-// of a chase. Five entry kinds share the store:
+// The cross-run chase-state cache: whole analysis answers memoised on
+// (TGD-set fingerprint, instance fingerprint) keys, so that a served
+// workload that repeats a program costs one map probe and one decode
+// instead of a run. Two entry kinds share the store:
 //
-//   - seed outcomes (guarded.chaseSeed): the per-seed divergence verdict
-//     of the bounded chase battery, keyed additionally by the step budget.
-//     A hit skips the whole battery; the witness database is the caller's
-//     seed, so nothing interner-bound is stored.
-//   - seed pools (guarded.Decide): the generated candidate databases of a
-//     set, keyed by the pool cap. A hit skips seed generation — including
-//     the oblivious-chase treeification expansions, the expensive part.
-//   - stage outcomes (portfolio.Analyze), sticky outcomes
-//     (sticky.DecideContext) and ∀∃ ladders (SearchTerminatingDerivation):
-//     whole recorded runs, replayed without running the decider.
+//   - stage ledgers (portfolio.Analyze and portfolio.Report): the recorded
+//     stages of one ∀∀ run, replayed without running any decider. A ∀∀
+//     run reads no facts, so the instance fingerprint is zero.
+//   - ∀∃ ladders (SearchTerminatingDerivation): whole recorded searches of
+//     one database, replayed without searching.
 //
 // An entry is stored as its kind's snapshot body (snapshot.go): the bytes a
 // snapshot frame carries after the key. Store encodes, Lookup decodes a
@@ -26,10 +19,10 @@ package chase
 // Key derivation: the set fingerprint is tgds.Set.Fingerprint (order-
 // sensitive over rule labels and atoms — the identity under which runs and
 // evidence strings are reproducible); the instance fingerprint is the
-// order-independent logic.FingerprintAtoms / Instance.Fingerprint of the
-// database. The kind tag and any scalar parameters (budget, pool cap) are
-// folded into a salt so the kinds never collide. Fingerprint equality is
-// trusted as content equality, like every other fingerprint consumer.
+// order-independent logic.FingerprintAtoms of the database. The kind tag
+// and any scalar parameters (budgets, the atom bound) are folded into a
+// salt so the kinds never collide. Fingerprint equality is trusted as
+// content equality, like every other fingerprint consumer.
 //
 // Concurrency contract (docs/ARCHITECTURE.md): the cache is shared by
 // concurrent analyses and must not serialise them — the store is striped
@@ -69,16 +62,15 @@ const (
 )
 
 // Entry-kind salt tags (the salt's top byte); ORed with per-kind scalar
-// parameters (budgets, caps) so distinct kinds and parameters occupy
-// distinct key space. Tags 2 and 7 are retired: 2 held the engine's root
+// parameters so distinct kinds and parameters occupy distinct key space.
+// Tags 1, 2, 3, 5 and 7 are retired: 1 held the guarded battery's per-seed
+// outcomes, 3 its seed pools and 5 the sticky Büchi verdicts, all three
+// replaced by the flat report's stage ledger; 2 held the engine's root
 // trigger index, deleted because it cost more than it saved, and 7 the
 // deleted portfolio cost model. v3 snapshots that still carry such frames
 // skip them as unknown kinds. Never reuse them.
 const (
-	kindSeedOutcome   uint64 = 1 << 56
-	kindSeedPool      uint64 = 3 << 56
 	kindStageOutcomes uint64 = 4 << 56
-	kindStickyOutcome uint64 = 5 << 56
 	kindExistsOutcome uint64 = 6 << 56
 )
 
@@ -135,34 +127,6 @@ func ParseCacheStatsLine(line string) (CacheStats, error) {
 	return s, nil
 }
 
-// SeedOutcome is a cached per-seed decision outcome: what the guarded
-// procedure's bounded chase battery concluded about one seed database. The
-// witness database is not stored — it is the seed the caller already holds.
-type SeedOutcome struct {
-	// Diverges is false when every order of the battery saturated quietly.
-	Diverges bool
-	// Method and Evidence mirror guarded.Verdict on diverging seeds.
-	Method   string
-	Evidence string
-	// Steps is the battery's saturation depth: the deepest chase among the
-	// trigger orders on a saturating seed, or the diverging run's step
-	// count — so a warm hit can still serve probe diagnostics.
-	Steps int
-	// PumpDepth is, on a diverging outcome with a guard-chain pump, the
-	// length of the shortest run prefix that already carries the
-	// certificate (guarded.Verdict.PumpDepth). Persisting it keeps a warm
-	// replay's `depth=` diagnostics identical to the cold run's — without
-	// it a warm Tier 1 reject could only report the truncated run length.
-	PumpDepth int
-}
-
-// SeedPool is a cached candidate-seed pool: each seed database's atoms in
-// generation order, by value. Every atom is a fact, and no seed repeats
-// an atom.
-type SeedPool struct {
-	Seeds [][]logic.Atom
-}
-
 // StageRecord is one stage's outcome inside a cached StageOutcomes entry:
 // what a portfolio stage attempted and decided for a set. Verdict strings
 // ("terminates"/"diverges"/"unknown") keep the entry free of higher-layer
@@ -174,8 +138,8 @@ type StageRecord struct {
 	Verdict string
 	Detail  string
 	// Evidence carries a stage's divergence certificate (the Tier 1
-	// probe's guard-chain pump) so warm replays serve the certificate
-	// string, not just the verdict.
+	// probe's guard-chain pump) or, under the flat report, its witness
+	// line, so warm replays serve the string, not just the verdict.
 	Evidence   string
 	Steps      int
 	DurationNS int64
@@ -190,36 +154,13 @@ type StageRecord struct {
 
 // StageOutcomes is a cached portfolio run: the per-stage records plus the
 // combined verdict and the deciding stage. Entries are keyed by the set
-// fingerprint and an options salt (the caller folds its budgets into it);
-// the instance fingerprint is always zero, since a ∀∀ run reads no facts.
+// fingerprint and an options salt (the caller folds its budgets and its
+// schedule into it); the instance fingerprint is always zero, since a ∀∀
+// run reads no facts.
 type StageOutcomes struct {
 	Records   []StageRecord
 	Verdict   string
 	DecidedBy string
-}
-
-// StickyOutcome is a cached sticky Büchi decision, keyed by (set
-// fingerprint, per-component state bound): the whole Verdict of
-// sticky.DecideContext in portable form. The witness component is stored as
-// an index into the deterministic sticky.Seeds enumeration and the lasso as
-// its symbol keys by value, so the entry is interner-free and a warm hit
-// replays the identical Verdict — including witness material — without
-// building or exploring a single automaton.
-type StickyOutcome struct {
-	Terminates bool
-	Method     string
-	Complete   bool
-	// StatesExplored totals explored product states across components when
-	// the decision ran live; replays report the recorded number.
-	StatesExplored int
-	// SeedIndex is the witnessing component's index into sticky.Seeds(set)
-	// (a deterministic enumeration); -1 when there is no witness. A
-	// diverging outcome always has a witness.
-	SeedIndex int32
-	// LassoPrefix/LassoCycle/LassoGap mirror buchi.Lasso by value.
-	LassoPrefix []string
-	LassoCycle  []string
-	LassoGap    int
 }
 
 // ExistsStep is one trigger of a cached ∀∃ derivation in portable form: the
@@ -534,36 +475,6 @@ func (c *Cache) evictOldestHalfLocked(s *cacheStripe) {
 	c.evictedEntries.Add(int64(drop))
 }
 
-func outcomeKey(set, inst logic.Fingerprint, budget int) CacheKey {
-	return CacheKey{Set: set, Inst: inst, Salt: kindSeedOutcome | uint64(uint32(budget))}
-}
-
-// LookupSeedOutcome returns the cached battery outcome of the seed under
-// the step budget.
-func (c *Cache) LookupSeedOutcome(set, inst logic.Fingerprint, budget int) (SeedOutcome, bool) {
-	return seedOutcomes.lookup(c, outcomeKey(set, inst, budget))
-}
-
-// StoreSeedOutcome records the battery outcome of the seed.
-func (c *Cache) StoreSeedOutcome(set, inst logic.Fingerprint, budget int, o SeedOutcome) {
-	seedOutcomes.store(c, outcomeKey(set, inst, budget), o)
-}
-
-func seedPoolKey(set logic.Fingerprint, maxSeeds int) CacheKey {
-	return CacheKey{Set: set, Salt: kindSeedPool | uint64(uint32(maxSeeds))}
-}
-
-// LookupSeedPool returns the cached candidate-seed pool of the set under
-// the pool cap.
-func (c *Cache) LookupSeedPool(set logic.Fingerprint, maxSeeds int) (*SeedPool, bool) {
-	return seedPools.lookup(c, seedPoolKey(set, maxSeeds))
-}
-
-// StoreSeedPool records the candidate-seed pool.
-func (c *Cache) StoreSeedPool(set logic.Fingerprint, maxSeeds int, p *SeedPool) {
-	seedPools.store(c, seedPoolKey(set, maxSeeds), p)
-}
-
 func stageOutcomesKey(set logic.Fingerprint, salt uint64) CacheKey {
 	// Mask the caller's salt into the low 56 bits so the kind tag stays
 	// collision-free against the other entry kinds.
@@ -579,21 +490,6 @@ func (c *Cache) LookupStageOutcomes(set logic.Fingerprint, salt uint64) (*StageO
 // StoreStageOutcomes records a portfolio run's stage outcomes.
 func (c *Cache) StoreStageOutcomes(set logic.Fingerprint, salt uint64, o *StageOutcomes) {
 	stageOutcomes.store(c, stageOutcomesKey(set, salt), o)
-}
-
-func stickyOutcomeKey(set logic.Fingerprint, maxStates int) CacheKey {
-	return CacheKey{Set: set, Salt: kindStickyOutcome | uint64(uint32(maxStates))}
-}
-
-// LookupStickyOutcome returns the cached sticky Büchi decision of the set
-// under the per-component state bound.
-func (c *Cache) LookupStickyOutcome(set logic.Fingerprint, maxStates int) (*StickyOutcome, bool) {
-	return stickyOutcomes.lookup(c, stickyOutcomeKey(set, maxStates))
-}
-
-// StoreStickyOutcome records a sticky Büchi decision.
-func (c *Cache) StoreStickyOutcome(set logic.Fingerprint, maxStates int, o *StickyOutcome) {
-	stickyOutcomes.store(c, stickyOutcomeKey(set, maxStates), o)
 }
 
 // existsOutcomeKey keeps bits 48–55 of the salt zero: they held the

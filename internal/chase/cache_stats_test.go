@@ -83,13 +83,12 @@ func jsonInt(v int64) string {
 func TestCacheStatsStringMatchesLiveCounters(t *testing.T) {
 	c := NewCache()
 	set := logic.Fingerprint{Hi: 1, Lo: 1}
-	inst := logic.Fingerprint{Hi: 2, Lo: 2}
-	if _, ok := c.LookupSeedOutcome(set, inst, 10); ok {
+	if _, ok := c.LookupStageOutcomes(set, 10); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
-	c.StoreSeedOutcome(set, inst, 10, SeedOutcome{Diverges: true, Method: "m", Evidence: "e"})
-	if _, ok := c.LookupSeedOutcome(set, inst, 10); !ok {
-		t.Fatal("stored outcome not served")
+	c.StoreStageOutcomes(set, 10, &StageOutcomes{Verdict: "diverges", DecidedBy: "guarded"})
+	if _, ok := c.LookupStageOutcomes(set, 10); !ok {
+		t.Fatal("stored ledger not served")
 	}
 	line := c.Stats().String()
 	if !strings.HasPrefix(line, "cache: hits=1 misses=1 entries=1 ") {

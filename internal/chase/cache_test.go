@@ -3,7 +3,7 @@ package chase
 // Unit tests for the cross-run cache's own mechanics — stats accounting,
 // per-kind key separation, and segment eviction keeping the newest entry —
 // complementing the behavioural pins (engine_delta_test.go round-trips,
-// the conformance corpus, guarded's warm≡cold properties).
+// the conformance corpus, the portfolio's warm≡cold properties).
 
 import (
 	"fmt"
@@ -18,21 +18,22 @@ func fpOf(s string) logic.Fingerprint {
 
 func TestCacheStatsAndKindSeparation(t *testing.T) {
 	c := NewCache()
-	set, inst := fpOf("set"), fpOf("inst")
-	if _, ok := c.LookupSeedOutcome(set, inst, 100); ok {
+	set := fpOf("set")
+	if _, ok := c.LookupStageOutcomes(set, 100); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.StoreSeedOutcome(set, inst, 100, SeedOutcome{Diverges: true, Method: "m", Evidence: "e"})
-	// Same fingerprints, different kind and different budget: all misses.
-	if _, ok := c.LookupSeedPool(set, 100); ok {
-		t.Error("seed-pool lookup hit a seed-outcome entry")
+	c.StoreStageOutcomes(set, 100, &StageOutcomes{Verdict: "diverges", DecidedBy: "probe"})
+	// Same fingerprints and salt bits, different kind, and a different
+	// salt: all misses.
+	if _, ok := c.LookupExistsOutcome(set, logic.Fingerprint{}, 100, 100); ok {
+		t.Error("∀∃ lookup hit a stage-ledger entry")
 	}
-	if _, ok := c.LookupSeedOutcome(set, inst, 200); ok {
-		t.Error("budget is not part of the outcome key")
+	if _, ok := c.LookupStageOutcomes(set, 200); ok {
+		t.Error("the salt is not part of the ledger key")
 	}
-	o, ok := c.LookupSeedOutcome(set, inst, 100)
-	if !ok || !o.Diverges || o.Method != "m" || o.Evidence != "e" {
-		t.Errorf("outcome round-trip = %+v, %v", o, ok)
+	o, ok := c.LookupStageOutcomes(set, 100)
+	if !ok || o.Verdict != "diverges" || o.DecidedBy != "probe" {
+		t.Errorf("ledger round-trip = %+v, %v", o, ok)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 3 || st.Entries != 1 || st.Bytes <= 0 {
@@ -48,17 +49,17 @@ func TestCacheEvictionKeepsNewestEntry(t *testing.T) {
 	limit := int64(cacheStripes * 512)
 	c := NewCacheWithLimit(limit)
 	set := fpOf("set")
-	// Zero-valued instance fingerprints with salt-only variation land every
-	// entry in ONE stripe (the outcome salt folds a constant kind with the
-	// budget's low bits, and budget is kept a multiple of cacheStripes so
-	// the stripe index never moves).
-	evidence := make([]byte, 64)
+	// Salt-only variation lands every entry in ONE stripe: the ledger key's
+	// instance half is zero, its salt folds a constant kind with the
+	// caller's salt, and that salt is kept a multiple of cacheStripes so
+	// the stripe index never moves.
+	verdict := string(make([]byte, 64))
 	stored := 0
 	for i := 0; i < 256; i++ {
-		budget := (i + 1) * cacheStripes
-		c.StoreSeedOutcome(set, logic.Fingerprint{}, budget, SeedOutcome{Evidence: string(evidence)})
+		salt := uint64(i+1) * cacheStripes
+		c.StoreStageOutcomes(set, salt, &StageOutcomes{Verdict: verdict})
 		stored++
-		if _, ok := c.LookupSeedOutcome(set, logic.Fingerprint{}, budget); !ok {
+		if _, ok := c.LookupStageOutcomes(set, salt); !ok {
 			t.Fatalf("store %d: newest entry did not survive its own eviction", i)
 		}
 	}
@@ -86,10 +87,10 @@ func TestCacheConcurrentStripes(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				set := fpOf(fmt.Sprintf("set-%d", i%7))
-				inst := fpOf(fmt.Sprintf("inst-%d-%d", w, i))
-				c.StoreSeedOutcome(set, inst, 100, SeedOutcome{Method: "m"})
-				if o, ok := c.LookupSeedOutcome(set, inst, 100); ok && o.Method != "m" {
+				set := fpOf(fmt.Sprintf("set-%d-%d", w, i))
+				salt := uint64(i % 7)
+				c.StoreStageOutcomes(set, salt, &StageOutcomes{Verdict: "m"})
+				if o, ok := c.LookupStageOutcomes(set, salt); ok && o.Verdict != "m" {
 					t.Error("corrupted entry")
 					return
 				}
@@ -108,31 +109,33 @@ func TestCacheConcurrentStripes(t *testing.T) {
 // hot entries included, and fails this test.
 func TestCacheEvictionDropsOldestHalf(t *testing.T) {
 	// Share per stripe: 1024 bytes. Each entry below costs exactly its
-	// 64-byte body (the 59-byte evidence, its length byte and one byte
-	// each for the flag, the empty method, the steps and the pump depth)
+	// 64-byte body (the 59-byte verdict and its length byte, the two-digit
+	// deciding stage and its length byte, and the empty record count)
 	// + 48 (overhead) = 112 bytes, so nine entries (1008B) fit and the
 	// tenth store triggers an eviction.
 	c := NewCacheWithLimit(int64(cacheStripes * 1024))
-	// Zero instance fingerprint and a zero budget keep the salt's low bits
-	// constant; Set.Lo multiples of cacheStripes pin every key to stripe 0.
+	// A zero salt keeps the key's salt at the bare kind tag; Set.Lo
+	// multiples of cacheStripes pin every key to stripe 0.
 	key := func(i int) logic.Fingerprint {
 		return logic.Fingerprint{Hi: uint64(i), Lo: uint64(i * cacheStripes)}
 	}
-	evidence := string(make([]byte, 59))
+	entry := func(i int) *StageOutcomes {
+		return &StageOutcomes{Verdict: string(make([]byte, 59)), DecidedBy: fmt.Sprintf("%02d", i)}
+	}
 	for i := 1; i <= 9; i++ {
-		c.StoreSeedOutcome(key(i), logic.Fingerprint{}, 0, SeedOutcome{Evidence: evidence, Steps: i})
+		c.StoreStageOutcomes(key(i), 0, entry(i))
 	}
 	// Entry 9 is the hot one: inserted last before the overflow below.
-	c.StoreSeedOutcome(key(10), logic.Fingerprint{}, 0, SeedOutcome{Evidence: evidence, Steps: 10})
+	c.StoreStageOutcomes(key(10), 0, entry(10))
 
 	// The overflow evicts ⌈9/2⌉ = 5 oldest entries (1..5); 6..10 survive.
 	for i := 1; i <= 5; i++ {
-		if _, ok := c.LookupSeedOutcome(key(i), logic.Fingerprint{}, 0); ok {
+		if _, ok := c.LookupStageOutcomes(key(i), 0); ok {
 			t.Errorf("entry %d is in the oldest half and should have been evicted", i)
 		}
 	}
 	for i := 6; i <= 10; i++ {
-		if o, ok := c.LookupSeedOutcome(key(i), logic.Fingerprint{}, 0); !ok || o.Steps != i {
+		if o, ok := c.LookupStageOutcomes(key(i), 0); !ok || o.DecidedBy != entry(i).DecidedBy {
 			t.Errorf("entry %d was inserted just before the overflow and must survive (ok=%v o=%+v)", i, ok, o)
 		}
 	}

@@ -3,7 +3,7 @@ package chase
 // The persistent cache tier: a versioned, checksummed binary snapshot of
 // the cross-run cache. A cache entry already is its snapshot body (the
 // kind codecs at the end of this file), interner-free by construction —
-// terms, atoms and lasso symbols by value — so Snapshot writes the stored
+// strings and terms by value — so Snapshot writes the stored
 // bytes unchanged, and warm wins compound across process restarts
 // (`termcheck -cache-file`) and between machines (ship the snapshot,
 // warm-start a fleet).
@@ -34,7 +34,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
 	"airct/internal/logic"
@@ -46,8 +45,9 @@ import (
 // foreign layout.
 const (
 	snapshotMagic = "airctcsn"
-	// Version 3 added SeedOutcome.PumpDepth and the ∀∃ frame that carries
-	// the key's whole two-rung ladder (a rung count, then each outcome).
+	// Version 3 added the ∀∃ frame that carries the key's whole two-rung
+	// ladder (a rung count, then each outcome), and the pump depth of the
+	// since retired seed-outcome kind.
 	snapshotVersion = 3
 
 	// maxEntryLen bounds a single entry frame; a larger declared length is
@@ -239,95 +239,8 @@ func LoadCacheFile(path string) (*Cache, LoadReport, error) {
 // frame to its kind's store path by the tag in the key's top byte. Retired
 // tags (cache.go) have no entry, so their frames are skipped.
 var kinds = map[uint64]func(c *Cache, k CacheKey, body []byte) bool{
-	kindSeedOutcome:   seedOutcomes.restore,
-	kindSeedPool:      seedPools.restore,
 	kindStageOutcomes: stageOutcomes.restore,
-	kindStickyOutcome: stickyOutcomes.restore,
 	kindExistsOutcome: existsLadders.restore,
-}
-
-var seedOutcomes = &kind[SeedOutcome]{
-	encode: func(b []byte, o SeedOutcome) []byte {
-		b = appendBool(b, o.Diverges)
-		b = appendString(b, o.Method)
-		b = appendString(b, o.Evidence)
-		b = appendInt(b, int64(o.Steps))
-		return appendInt(b, int64(o.PumpDepth))
-	},
-	decode: func(d *decoder) SeedOutcome {
-		return SeedOutcome{
-			Diverges:  d.bool(),
-			Method:    d.string(),
-			Evidence:  d.string(),
-			Steps:     int(d.int()),
-			PumpDepth: int(d.int()),
-		}
-	},
-}
-
-// seedPools refuses an atom that is not a fact of its predicate's arity,
-// and a seed that repeats an atom: the pool's consumer builds a Database
-// from each seed and keys its cached outcome by logic.FingerprintAtoms,
-// which needs a duplicate-free slice. No generated pool has either.
-var seedPools = &kind[*SeedPool]{
-	encode: func(b []byte, p *SeedPool) []byte {
-		b = binary.AppendUvarint(b, uint64(len(p.Seeds)))
-		for _, atoms := range p.Seeds {
-			b = binary.AppendUvarint(b, uint64(len(atoms)))
-			for _, a := range atoms {
-				b = appendString(b, a.Pred.Name)
-				b = appendInt(b, int64(a.Pred.Arity))
-				b = appendTerms(b, a.Args)
-			}
-		}
-		return b
-	},
-	decode: func(d *decoder) *SeedPool {
-		n := d.count()
-		p := &SeedPool{Seeds: sized[[]logic.Atom](n)}
-		for i := 0; i < n && d.err == nil; i++ {
-			m := d.count()
-			atoms := sized[logic.Atom](m)
-			for j := 0; j < m && d.err == nil; j++ {
-				a := logic.Atom{
-					Pred: logic.Predicate{Name: d.string(), Arity: int(d.int())},
-					Args: d.terms(),
-				}
-				if a.Pred.Arity != len(a.Args) || !a.IsFact() {
-					d.fail()
-				}
-				atoms = append(atoms, a)
-			}
-			if hasRepeat(atoms) {
-				d.fail()
-			}
-			p.Seeds = append(p.Seeds, atoms)
-		}
-		return p
-	},
-}
-
-// hasRepeat reports whether an atom occurs twice in the seed: pairwise
-// over a short seed, as every generated one is, else by content hash, so
-// that a corrupt frame cannot make the check quadratic.
-func hasRepeat(atoms []logic.Atom) bool {
-	if len(atoms) <= 16 {
-		for j, a := range atoms {
-			if slices.ContainsFunc(atoms[:j], a.Equal) {
-				return true
-			}
-		}
-		return false
-	}
-	seen := make(map[logic.Fingerprint]bool, len(atoms))
-	for _, a := range atoms {
-		h := logic.HashAtom(a)
-		if seen[h] {
-			return true
-		}
-		seen[h] = true
-	}
-	return false
 }
 
 var stageOutcomes = &kind[*StageOutcomes]{
@@ -371,37 +284,6 @@ var stageOutcomes = &kind[*StageOutcomes]{
 				Saturated:  int(d.int()),
 				Depth:      int(d.int()),
 			})
-		}
-		return o
-	},
-}
-
-// stickyOutcomes refuses a witness index below -1 and a diverging outcome
-// without a witness: a replayed diverging Verdict carries its lasso.
-var stickyOutcomes = &kind[*StickyOutcome]{
-	encode: func(b []byte, o *StickyOutcome) []byte {
-		b = appendBool(b, o.Terminates)
-		b = appendString(b, o.Method)
-		b = appendBool(b, o.Complete)
-		b = appendInt(b, int64(o.StatesExplored))
-		b = appendInt(b, int64(o.SeedIndex))
-		b = appendStrings(b, o.LassoPrefix)
-		b = appendStrings(b, o.LassoCycle)
-		return appendInt(b, int64(o.LassoGap))
-	},
-	decode: func(d *decoder) *StickyOutcome {
-		o := &StickyOutcome{
-			Terminates:     d.bool(),
-			Method:         d.string(),
-			Complete:       d.bool(),
-			StatesExplored: int(d.int()),
-			SeedIndex:      int32(d.int()),
-			LassoPrefix:    d.strings(),
-			LassoCycle:     d.strings(),
-			LassoGap:       int(d.int()),
-		}
-		if o.SeedIndex < -1 || (!o.Terminates && o.SeedIndex < 0) {
-			d.fail()
 		}
 		return o
 	},
@@ -503,8 +385,7 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendInt zigzag-folds so negatives (StickyOutcome.SeedIndex = -1) stay
-// one byte.
+// appendInt zigzag-folds so small negatives stay one byte.
 func appendInt(b []byte, v int64) []byte {
 	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
 }
@@ -512,14 +393,6 @@ func appendInt(b []byte, v int64) []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
 }
 
 func appendTerms(b []byte, ts []logic.Term) []byte {
@@ -598,18 +471,6 @@ func (d *decoder) string() string {
 	s := string(d.b[d.off : d.off+n])
 	d.off += n
 	return s
-}
-
-func (d *decoder) strings() []string {
-	n := d.count()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	ss := make([]string, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		ss = append(ss, d.string())
-	}
-	return ss
 }
 
 func (d *decoder) terms() []logic.Term {

@@ -3,19 +3,22 @@ package chase_test
 // Property tests for the persistent cache tier's visible contract: a
 // snapshot→restore→warm run is indistinguishable from an in-process warm
 // run — and from the cold run itself — over random workload programs. The
-// external test package lets the guarded decider participate (chase cannot
+// external test package lets the portfolio participate (chase cannot
 // import it), so the property covers both the ∀∃ search outcomes and the
-// guarded seed kinds flowing through one snapshot.
+// ∀∀ stage ledgers flowing through one snapshot.
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"airct/internal/acyclicity"
 	"airct/internal/chase"
 	"airct/internal/guarded"
+	"airct/internal/portfolio"
 	"airct/internal/workload"
 )
 
@@ -86,9 +89,10 @@ func TestQuickSnapshotRestoreEqualsWarm(t *testing.T) {
 	}
 }
 
-// Property: a guarded Decide warmed from a snapshot of another process's
-// cache (modelled as snapshot→restore in-process) returns the identical
-// verdict and skips the chase batteries via seed-kind hits.
+// Property: the flat report of a guarded set, warmed from a snapshot of
+// another process's cache (modelled as snapshot→restore in-process),
+// renders identically to the cold report and replays the whole run from
+// one stage-ledger hit, so no decider runs.
 func TestQuickSnapshotRestoreWarmsGuardedDecide(t *testing.T) {
 	checked := 0
 	f := func(seed int64) bool {
@@ -96,9 +100,19 @@ func TestQuickSnapshotRestoreWarmsGuardedDecide(t *testing.T) {
 		if !set.IsGuarded() {
 			return true
 		}
+		report := func(cache *chase.Cache) (string, bool) {
+			rep, err := portfolio.Report(context.Background(), set, portfolio.Options{
+				Guarded: guarded.DecideOptions{MaxSteps: 300},
+				Cache:   cache,
+			})
+			if err != nil {
+				return "", false
+			}
+			return rep.Summary(), true
+		}
 		cache := chase.NewCache()
-		base, err := guarded.Decide(set, guarded.DecideOptions{MaxSteps: 300, Cache: cache})
-		if err != nil {
+		base, ok := report(cache)
+		if !ok {
 			return false
 		}
 
@@ -110,25 +124,19 @@ func TestQuickSnapshotRestoreWarmsGuardedDecide(t *testing.T) {
 		if err != nil || rep.Skipped > 0 || rep.Truncated {
 			return false
 		}
-		v, err := guarded.Decide(set, guarded.DecideOptions{MaxSteps: 300, Cache: restored})
-		if err != nil {
+		got, ok := report(restored)
+		if !ok {
 			return false
 		}
-		if v.Terminates != base.Terminates || v.Method != base.Method ||
-			v.Evidence != base.Evidence || v.SeedsTried != base.SeedsTried || v.Budget != base.Budget {
-			t.Logf("seed %d: snapshot-warmed verdict drifted: %+v vs %+v", seed, v, base)
+		if got != base {
+			t.Logf("seed %d: snapshot-warmed report drifted:\n%s\nvs\n%s", seed, got, base)
 			return false
 		}
-		if (v.Witness == nil) != (base.Witness == nil) ||
-			(v.Witness != nil && v.Witness.String() != base.Witness.String()) {
-			t.Logf("seed %d: snapshot-warmed witness drifted", seed)
+		if st := restored.Stats(); st.Hits != 1 || st.Misses != 0 {
+			t.Logf("seed %d: snapshot-warmed report: %+v, want one hit and no miss", seed, st)
 			return false
 		}
-		if base.Method != "weak-acyclicity" {
-			if restored.Stats().Hits == 0 {
-				t.Logf("seed %d: snapshot-warmed Decide missed the cache", seed)
-				return false
-			}
+		if !acyclicity.IsWeaklyAcyclic(set) {
 			checked++
 		}
 		return true
@@ -137,6 +145,6 @@ func TestQuickSnapshotRestoreWarmsGuardedDecide(t *testing.T) {
 		t.Error(err)
 	}
 	if checked < 5 {
-		t.Fatalf("only %d seed-searching decisions exercised the snapshot; generator too narrow", checked)
+		t.Fatalf("only %d seed-searching reports exercised the snapshot; generator too narrow", checked)
 	}
 }

@@ -19,27 +19,15 @@ import (
 	"airct/internal/parser"
 )
 
-// populateAllKinds stores one entry of each of the five kinds and returns
+// populateAllKinds stores one entry of each of the two kinds and returns
 // the stored values for later comparison.
-func populateAllKinds(c *Cache) (SeedOutcome, *SeedPool, *StageOutcomes, *StickyOutcome, *ExistsOutcome) {
+func populateAllKinds(c *Cache) (*StageOutcomes, *ExistsOutcome) {
 	set, inst := fpOf("set"), fpOf("inst")
-	so := SeedOutcome{Diverges: true, Method: "pump", Evidence: "step 3: R(a,n1)", Steps: 17, PumpDepth: 5}
-	c.StoreSeedOutcome(set, inst, 100, so)
-	sp := &SeedPool{Seeds: [][]logic.Atom{
-		{logic.MustAtom("R", logic.Const("a"), logic.Const("b"))},
-		{logic.MustAtom("S", logic.Const("c"))},
-		nil,
-	}}
-	c.StoreSeedPool(set, 8, sp)
 	sg := &StageOutcomes{Verdict: "terminating", DecidedBy: "probe", Records: []StageRecord{
 		{Stage: "full-set", Tier: 0, Decided: false, Verdict: "unknown", Detail: "not full", Steps: 1, DurationNS: 12345},
 		{Stage: "probe", Tier: 1, Decided: true, Verdict: "terminating", Detail: "saturated", Steps: 9, DurationNS: 6789, Seeds: 4, Saturated: 4, Depth: 3, Evidence: "σ2 guard-chain pump"},
 	}}
 	c.StoreStageOutcomes(set, 0xBEEF, sg)
-	st := &StickyOutcome{Terminates: false, Method: "büchi lasso", Complete: true,
-		StatesExplored: 42, SeedIndex: 0,
-		LassoPrefix: []string{"q0", "q1"}, LassoCycle: []string{"q1", "q2"}, LassoGap: 1}
-	c.StoreStickyOutcome(set, 200000, st)
 	eo := &ExistsOutcome{Found: true, Budget: 500, StatesVisited: 37,
 		Derivation: []ExistsStep{{
 			TGD:  1,
@@ -48,12 +36,12 @@ func populateAllKinds(c *Cache) (SeedOutcome, *SeedPool, *StageOutcomes, *Sticky
 		}},
 		Stats: SearchStats{StatesExpanded: 36, MemoHits: 2, PeakFrontier: 5, IndexRepairs: 30, IndexRebuilds: 1, ActivityRechecks: 7}}
 	c.StoreExistsOutcome(set, inst, 200, eo)
-	return so, sp, sg, st, eo
+	return sg, eo
 }
 
 func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	c := NewCache()
-	so, sp, sg, st, eo := populateAllKinds(c)
+	sg, eo := populateAllKinds(c)
 	set, inst := fpOf("set"), fpOf("inst")
 
 	var buf bytes.Buffer
@@ -64,21 +52,12 @@ func TestSnapshotRoundTripAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCache: %v", err)
 	}
-	if rep.Restored != 5 || rep.Skipped != 0 || rep.Truncated {
-		t.Fatalf("LoadReport = %+v, want 5 restored, clean", rep)
+	if rep.Restored != 2 || rep.Skipped != 0 || rep.Truncated {
+		t.Fatalf("LoadReport = %+v, want 2 restored, clean", rep)
 	}
 
-	if got, ok := c2.LookupSeedOutcome(set, inst, 100); !ok || !reflect.DeepEqual(got, so) {
-		t.Errorf("SeedOutcome round-trip = %+v, %v; want %+v", got, ok, so)
-	}
-	if got, ok := c2.LookupSeedPool(set, 8); !ok || !reflect.DeepEqual(got, sp) {
-		t.Errorf("SeedPool round-trip = %+v, %v; want %+v", got, ok, sp)
-	}
 	if got, ok := c2.LookupStageOutcomes(set, 0xBEEF); !ok || !reflect.DeepEqual(got, sg) {
 		t.Errorf("StageOutcomes round-trip = %+v, %v; want %+v", got, ok, sg)
-	}
-	if got, ok := c2.LookupStickyOutcome(set, 200000); !ok || !reflect.DeepEqual(got, st) {
-		t.Errorf("StickyOutcome round-trip = %+v, %v; want %+v", got, ok, st)
 	}
 	if got, ok := c2.LookupExistsOutcome(set, inst, 200, 500); !ok || !reflect.DeepEqual(got, eo) {
 		t.Errorf("ExistsOutcome round-trip = %+v, %v; want %+v", got, ok, eo)
@@ -102,10 +81,10 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 		if reverse {
 			keys = []int{300, 100, 200}
 		}
-		for _, budget := range keys {
-			c.StoreSeedOutcome(fpOf("set"), fpOf("inst"), budget, SeedOutcome{Method: "m", Steps: budget})
+		for _, salt := range keys {
+			c.StoreStageOutcomes(fpOf("set"), uint64(salt), &StageOutcomes{Verdict: "terminates", DecidedBy: fmt.Sprint(salt)})
 		}
-		c.StoreStickyOutcome(fpOf("other"), 99, &StickyOutcome{Terminates: true, Method: "sticky"})
+		c.StoreExistsOutcome(fpOf("other"), fpOf("inst"), 99, &ExistsOutcome{Exhausted: true, Budget: 7})
 		var buf bytes.Buffer
 		if err := c.Snapshot(&buf); err != nil {
 			t.Fatalf("Snapshot: %v", err)
@@ -169,9 +148,10 @@ func TestSnapshotRefusesForeignHeaders(t *testing.T) {
 }
 
 // TestSnapshotSkipsRetiredKind: a v3 snapshot written by an older build
-// can carry frames of the retired kinds — 7 (the portfolio cost model) and
-// 2 (the engine's root trigger index). Such a frame loads as an unknown
-// kind — skipped, never fatal — and every other frame restores.
+// can carry frames of the retired kinds — 1 (guarded seed outcomes), 2 (the
+// engine's root trigger index), 3 (guarded seed pools), 5 (sticky Büchi
+// verdicts) and 7 (the portfolio cost model). Such a frame loads as an
+// unknown kind — skipped, never fatal — and every other frame restores.
 func TestSnapshotSkipsRetiredKind(t *testing.T) {
 	c := NewCache()
 	populateAllKinds(c)
@@ -185,36 +165,67 @@ func TestSnapshotSkipsRetiredKind(t *testing.T) {
 		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 		return append(hdr[:], payload...)
 	}
+	key := func(tag uint64) []byte {
+		k := make([]byte, 40)
+		binary.LittleEndian.PutUint64(k[32:40], tag<<56)
+		return k
+	}
+	// The old kind-1 body: the divergence flag, method, evidence, steps
+	// and pump depth of one seed's battery.
+	outcome := appendBool(key(1), true)
+	outcome = appendString(outcome, "divergence-witness")
+	outcome = appendString(outcome, "guard-chain pump")
+	outcome = appendInt(outcome, 17)
+	outcome = appendInt(outcome, 5)
+	// The old kind-2 body: a trigger count, then per trigger the TGD
+	// index, the birth-activity flag and the body bindings.
+	index := binary.AppendUvarint(key(2), 1)
+	index = appendInt(index, 0)
+	index = appendBool(index, true)
+	index = appendTerms(index, []logic.Term{logic.Const("a")})
+	// The old kind-3 body: a seed count, then per seed an atom count and
+	// each atom's predicate name, arity and arguments.
+	pool := binary.AppendUvarint(key(3), 1)
+	pool = binary.AppendUvarint(pool, 1)
+	pool = appendString(pool, "S")
+	pool = appendInt(pool, 1)
+	pool = appendTerms(pool, []logic.Term{logic.Const("c")})
+	// The old kind-5 body: the verdict flags and method, the states
+	// explored, the witness seed index and the lasso's prefix and cycle
+	// keys, then its gap.
+	verdict := appendBool(key(5), false)
+	verdict = appendString(verdict, "buchi-witness")
+	verdict = appendBool(verdict, true)
+	verdict = appendInt(verdict, 42)
+	verdict = appendInt(verdict, 0)
+	for _, keys := range [][]string{{"0/0/2"}, {"1/0/"}} {
+		verdict = binary.AppendUvarint(verdict, uint64(len(keys)))
+		for _, k := range keys {
+			verdict = appendString(verdict, k)
+		}
+	}
+	verdict = appendInt(verdict, 1)
 	// The old kind-7 body: class label, then a stage count and per stage a
 	// name and four integers (EWMA cost, attempts, decisions, EWMA depth).
-	cost := make([]byte, 40)
-	binary.LittleEndian.PutUint64(cost[32:40], 7<<56)
-	cost = appendString(cost, "g1s0f0:b2")
+	cost := appendString(key(7), "g1s0f0:b2")
 	cost = binary.AppendUvarint(cost, 1)
 	cost = appendString(cost, "probe")
 	for _, v := range []int64{350_000, 9, 8, 21} {
 		cost = appendInt(cost, v)
 	}
-	// The old kind-2 body: a trigger count, then per trigger the TGD
-	// index, the birth-activity flag and the body bindings.
-	index := make([]byte, 40)
-	binary.LittleEndian.PutUint64(index[32:40], 2<<56)
-	index = binary.AppendUvarint(index, 1)
-	index = appendInt(index, 0)
-	index = appendBool(index, true)
-	index = appendTerms(index, []logic.Term{logic.Const("a")})
 
 	stream := bytes.Clone(buf.Bytes()[:16])
-	stream = append(stream, frame(cost)...)
-	stream = append(stream, frame(index)...)
+	for _, payload := range [][]byte{outcome, index, pool, verdict, cost} {
+		stream = append(stream, frame(payload)...)
+	}
 	stream = append(stream, buf.Bytes()[16:]...)
 
 	c2, rep, err := LoadCache(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatalf("LoadCache: %v", err)
 	}
-	if rep.Restored != 5 || rep.Skipped != 2 || rep.Truncated {
-		t.Errorf("LoadReport = %+v, want 5 restored and the kind-7 and kind-2 frames skipped", rep)
+	if rep.Restored != 2 || rep.Skipped != 5 || rep.Truncated {
+		t.Errorf("LoadReport = %+v, want 2 restored and the five retired-kind frames skipped", rep)
 	}
 	if a, b := c.Stats(), c2.Stats(); a.Entries != b.Entries || a.Bytes != b.Bytes {
 		t.Errorf("accounting drifted: source %d entries/%dB, restored %d entries/%dB",
@@ -362,14 +373,20 @@ func TestSnapshotExistsLadderRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredTags are the kind tags cache-v3.snap holds frames of that this
+// build no longer reads: 2, the engine's root trigger index, and 1, 3 and
+// 5, the guarded seed outcomes, the guarded seed pools and the sticky
+// Büchi verdicts.
+var retiredTags = map[uint64]bool{1: true, 2: true, 3: true, 5: true}
+
 // TestSnapshotGoldenV3 loads testdata/cache-v3.snap, written by the build
 // that still had the seed-index kind: `termcheck -cache-file` in flat,
 // -portfolio and -exists mode over testdata/conformance/{swap-intro,
 // guard-chain-pump,sticky-relay-2,stage-grid-3,intro}.chase. It holds
-// frames of all six kinds that build stored, tag 2 among them. The tag-2
-// frames are skipped and counted, every other frame restores, and the
-// re-snapshot is the golden with exactly those frames removed, byte for
-// byte.
+// frames of all six kinds that build stored. The frames of the four
+// retired kinds are skipped and counted, the stage ledgers and ∀∃ ladders
+// restore, and the re-snapshot is the golden with exactly the retired
+// frames removed, byte for byte.
 func TestSnapshotGoldenV3(t *testing.T) {
 	golden, err := os.ReadFile("testdata/cache-v3.snap")
 	if err != nil {
@@ -377,60 +394,45 @@ func TestSnapshotGoldenV3(t *testing.T) {
 	}
 	want := bytes.Clone(golden[:16])
 	tags := map[uint64]int{}
-	frames := 0
+	frames, retired := 0, 0
 	for off := 16; off < len(golden); frames++ {
 		n := int(binary.LittleEndian.Uint32(golden[off:]))
 		frame := golden[off : off+8+n]
 		off += 8 + n
 		tag := binary.LittleEndian.Uint64(frame[8+32:]) >> 56
 		tags[tag]++
-		if tag != 2 {
+		if retiredTags[tag] {
+			retired++
+		} else {
 			want = append(want, frame...)
 		}
 	}
-	if len(tags) != 6 || tags[2] == 0 {
-		t.Fatalf("golden frames per tag = %v, want all six kinds including tag 2", tags)
+	if len(tags) != 6 || frames != 36 || retired != 26 {
+		t.Fatalf("golden frames per tag = %v (%d frames, %d retired), want all six kinds, 36 frames, 26 retired", tags, frames, retired)
 	}
 
 	c, rep, err := LoadCache(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatalf("LoadCache: %v", err)
 	}
-	if rep.Skipped != tags[2] || rep.Restored != frames-tags[2] || rep.Truncated {
-		t.Errorf("LoadReport = %+v, want %d restored and the %d tag-2 frames skipped", rep, frames-tags[2], tags[2])
+	if rep.Skipped != retired || rep.Restored != frames-retired || rep.Truncated {
+		t.Errorf("LoadReport = %+v, want %d restored and the %d retired-kind frames skipped", rep, frames-retired, retired)
 	}
 	var buf bytes.Buffer
 	if err := c.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("re-snapshot (%d bytes) differs from the golden without its tag-2 frames (%d bytes)", buf.Len(), len(want))
+		t.Errorf("re-snapshot (%d bytes) differs from the golden without its retired-kind frames (%d bytes)", buf.Len(), len(want))
 	}
 }
 
 // TestRestoreSkipsUnreplayableBodies: a frame with a valid CRC whose body
 // its replay would panic on is skipped, never restored, and the same value
 // stored in-process is never served. Each case would otherwise reach a
-// panic: Database.Add in the guarded seed pool, the substitution pairing
-// in the ∀∃ replay, or the lasso of a diverging sticky verdict. A seed
-// that repeats an atom would instead get a wrong cache key: its consumer
-// fingerprints it as a set, which needs a duplicate-free slice.
+// panic in the substitution pairing of the ∀∃ replay.
 func TestRestoreSkipsUnreplayableBodies(t *testing.T) {
 	set, inst := fpOf("set"), fpOf("inst")
-	pool := func(atoms ...logic.Atom) func(c *Cache) bool {
-		return func(c *Cache) bool {
-			c.StoreSeedPool(set, 8, &SeedPool{Seeds: [][]logic.Atom{{logic.MustAtom("P", logic.Const("a"))}, atoms}})
-			_, ok := c.LookupSeedPool(set, 8)
-			return ok
-		}
-	}
-	// A long seed takes the hashed repeat check: 20 distinct facts, then
-	// the seventh again.
-	var long []logic.Atom
-	for i := range 20 {
-		long = append(long, logic.MustAtom("S", logic.Const(fmt.Sprintf("c%d", i))))
-	}
-	long = append(long, long[6])
 	step := func(st ExistsStep) func(c *Cache) bool {
 		return func(c *Cache) bool {
 			c.StoreExistsOutcome(set, inst, 20, &ExistsOutcome{Found: true, Budget: 10, Derivation: []ExistsStep{st}})
@@ -438,32 +440,11 @@ func TestRestoreSkipsUnreplayableBodies(t *testing.T) {
 			return ok
 		}
 	}
-	sticky := func(o *StickyOutcome) func(c *Cache) bool {
-		return func(c *Cache) bool {
-			c.StoreStickyOutcome(set, 100, o)
-			_, ok := c.LookupStickyOutcome(set, 100)
-			return ok
-		}
-	}
 	cases := map[string]func(c *Cache) bool{
-		"pool atom with a null":     pool(logic.MustAtom("S", logic.NewNull("n2"))),
-		"pool atom with a variable": pool(logic.MustAtom("S", logic.Var("X"))),
-		"pool atom arity mismatch": pool(logic.Atom{
-			Pred: logic.Predicate{Name: "R", Arity: 2}, Args: []logic.Term{logic.Const("a")},
-		}),
-		"pool seed repeating an atom": pool(
-			logic.MustAtom("R", logic.Const("a"), logic.Const("b")), logic.MustAtom("S", logic.Const("a")),
-			logic.MustAtom("R", logic.Const("a"), logic.Const("b")),
-		),
-		"long pool seed repeating an atom": pool(long...),
 		"exists step with unequal vars and vals": step(ExistsStep{
 			Vars: []logic.Term{logic.Var("X"), logic.Var("Y")}, Vals: []logic.Term{logic.Const("a")},
 		}),
 		"exists step with a negative TGD index": step(ExistsStep{TGD: -1}),
-		"sticky witness index below -1":         sticky(&StickyOutcome{Terminates: true, SeedIndex: -2}),
-		"diverging sticky outcome without a witness": sticky(&StickyOutcome{
-			Method: "buchi-witness", Complete: true, SeedIndex: -1,
-		}),
 	}
 	for name, storeAndLookup := range cases {
 		t.Run(name, func(t *testing.T) {

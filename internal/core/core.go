@@ -12,9 +12,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"airct/internal/guarded"
-	"airct/internal/sticky"
 )
 
 // Conclusion is the aggregate termination verdict.
@@ -64,19 +61,15 @@ type Report struct {
 	// are drawn — the decision procedures and the remaining baselines are
 	// TGD-only.
 	EGDs int
-	// NeverFiring lists the labels of TGDs pruned as never-firing (head
-	// folds into body over the frontier; see acyclicity.PruneNeverFiring).
-	NeverFiring []string
-
-	// GuardedVerdict is set when the guarded procedure ran.
-	GuardedVerdict *guarded.Verdict
-	// StickyVerdict is set when the sticky (Büchi) procedure ran.
-	StickyVerdict *sticky.Verdict
 
 	// Conclusion aggregates the verdicts; Reasons explains each input to
 	// the aggregation, in order of application.
 	Conclusion Conclusion
 	Reasons    []string
+	// Witnesses holds one line per divergence witness a decision procedure
+	// produced, in stage order: the sticky procedure's caterpillar lasso,
+	// the guarded search's witness database.
+	Witnesses []string
 }
 
 // Summary renders the report for terminals.
@@ -106,12 +99,8 @@ func (r *Report) Summary() string {
 	for _, why := range r.Reasons {
 		fmt.Fprintf(&b, "  - %s\n", why)
 	}
-	if r.StickyVerdict != nil && !r.StickyVerdict.Terminates {
-		fmt.Fprintf(&b, "witness (sticky): seed %v, lasso prefix %v cycle %v\n",
-			r.StickyVerdict.Seed.EType, r.StickyVerdict.Lasso.Prefix, r.StickyVerdict.Lasso.Cycle)
-	}
-	if r.GuardedVerdict != nil && !r.GuardedVerdict.Terminates && r.GuardedVerdict.Witness != nil {
-		fmt.Fprintf(&b, "witness (guarded): database %v\n", r.GuardedVerdict.Witness)
+	for _, w := range r.Witnesses {
+		fmt.Fprintf(&b, "%s\n", w)
 	}
 	return b.String()
 }

@@ -1,37 +1,42 @@
-package guarded
+package guarded_test
 
-// Property tests for the cross-run chase cache's visible contract: Decide
-// with a warm cache is indistinguishable from Decide with a cold cache and
-// from Decide with no cache at all — verdict, method, evidence, seed count,
-// budget and witness rendering, across worker counts. The random sets come
-// from the shared workload generators; the CI -race job runs this file
-// with the bounded worker pool sharing one cache, which is exactly the
-// concurrency surface the striped store must survive.
+// Property tests for the cross-run cache's visible contract on guarded
+// sets, whose flat report carries the seed battery's evidence and witness
+// strings: portfolio.Report with a warm cache renders the report it renders
+// with a cold cache and with no cache at all — verdict, every reason line
+// and the witnesses — and a warm report costs one stage-ledger hit. The
+// random sets come from the shared workload generators; the CI -race job
+// runs this file with one cache shared across the sets.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"airct/internal/acyclicity"
 	"airct/internal/chase"
+	"airct/internal/guarded"
+	"airct/internal/portfolio"
+	"airct/internal/tgds"
 	"airct/internal/workload"
 )
 
-// sameVerdict compares everything a caller can observe about a Verdict.
-func sameVerdict(a, b *Verdict) bool {
-	if a.Terminates != b.Terminates || a.Method != b.Method ||
-		a.Evidence != b.Evidence || a.SeedsTried != b.SeedsTried || a.Budget != b.Budget || a.Depth != b.Depth {
-		return false
+// summary is the flat report's rendering at guarded budget 300.
+func summary(set *tgds.Set, cache *chase.Cache) (string, error) {
+	rep, err := portfolio.Report(context.Background(), set, portfolio.Options{
+		Guarded: guarded.DecideOptions{MaxSteps: 300},
+		Cache:   cache,
+	})
+	if err != nil {
+		return "", err
 	}
-	if (a.Witness == nil) != (b.Witness == nil) {
-		return false
-	}
-	return a.Witness == nil || a.Witness.String() == b.Witness.String()
+	return rep.Summary(), nil
 }
 
-// Property: for random guarded sets, Decide is bit-identical across
-// {no cache, cold cache, warm cache}, and a warm seed-searching decision
-// actually hits the cache.
+// Property: for random guarded sets, the flat report is byte-identical
+// across {no cache, cold cache, warm cache}, and the warm report adds
+// exactly one cache hit and no miss.
 func TestQuickDecideWarmCacheEqualsCold(t *testing.T) {
 	checked := 0
 	f := func(seed int64) bool {
@@ -39,26 +44,29 @@ func TestQuickDecideWarmCacheEqualsCold(t *testing.T) {
 		if !set.IsGuarded() {
 			return true
 		}
-		base, err := Decide(set, DecideOptions{MaxSteps: 300})
+		base, err := summary(set, nil)
 		if err != nil {
 			return false
 		}
 		cache := chase.NewCache()
 		for _, label := range []string{"cold", "warm"} {
-			v, err := Decide(set, DecideOptions{MaxSteps: 300, Cache: cache})
+			before := cache.Stats()
+			got, err := summary(set, cache)
 			if err != nil {
 				return false
 			}
-			if !sameVerdict(v, base) {
-				t.Logf("seed %d: %s cache: verdict drifted: %+v vs %+v", seed, label, v, base)
+			if got != base {
+				t.Logf("seed %d: %s cache: report drifted:\n%s\nvs\n%s", seed, label, got, base)
+				return false
+			}
+			after := cache.Stats()
+			if label == "warm" && (after.Hits != before.Hits+1 || after.Misses != before.Misses) {
+				t.Logf("seed %d: warm report: hits %d -> %d, misses %d -> %d; want one hit and no miss",
+					seed, before.Hits, after.Hits, before.Misses, after.Misses)
 				return false
 			}
 		}
-		if base.Method != "weak-acyclicity" && cache.Stats().Hits == 0 {
-			t.Logf("seed %d: warm seed-searching Decide missed the cache", seed)
-			return false
-		}
-		if base.Method != "weak-acyclicity" {
+		if !acyclicity.IsWeaklyAcyclic(set) {
 			checked++
 		}
 		return true
@@ -69,13 +77,13 @@ func TestQuickDecideWarmCacheEqualsCold(t *testing.T) {
 		t.Error(err)
 	}
 	if checked < 5 {
-		t.Fatalf("only %d seed-searching decisions exercised the cache; generator too narrow", checked)
+		t.Fatalf("only %d seed-searching reports exercised the cache; generator too narrow", checked)
 	}
 }
 
 // Property: sharing ONE cache across different random sets never leaks a
-// verdict between sets — each set's cached decision matches its own
-// uncached decision (the set-fingerprint half of the key is doing its job).
+// report between sets — each set's cached report matches its own uncached
+// report (the set-fingerprint half of the key is doing its job).
 func TestQuickDecideSharedCacheKeysBySet(t *testing.T) {
 	cache := chase.NewCache()
 	f := func(seed int64) bool {
@@ -83,15 +91,12 @@ func TestQuickDecideSharedCacheKeysBySet(t *testing.T) {
 		if !set.IsGuarded() {
 			return true
 		}
-		base, err := Decide(set, DecideOptions{MaxSteps: 300})
+		base, err := summary(set, nil)
 		if err != nil {
 			return false
 		}
-		v, err := Decide(set, DecideOptions{MaxSteps: 300, Cache: cache})
-		if err != nil {
-			return false
-		}
-		return sameVerdict(v, base)
+		got, err := summary(set, cache)
+		return err == nil && got == base
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

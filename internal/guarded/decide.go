@@ -49,9 +49,8 @@ type Verdict struct {
 	// shortest run prefix that already carries the certificate — the later
 	// step of the repeated signature pair, 1-based. The certificate is
 	// budget-independent: any chase of this seed under the same order that
-	// runs at least PumpDepth steps surfaces it. Persisted through the
-	// seed-outcome ledger, so a cache replay reports the cold run's depth;
-	// zero only when the verdict carries no pump ("budget-exhausted").
+	// runs at least PumpDepth steps surfaces it. Zero only when the
+	// verdict carries no pump ("budget-exhausted").
 	PumpDepth int
 	// SeedsTried counts candidate databases examined, up to and including
 	// the one that decided or stopped the scan.
@@ -77,11 +76,10 @@ const (
 type DecideOptions struct {
 	// MaxSteps is the per-seed restricted-chase budget (0: DefaultMaxSteps).
 	MaxSteps int
-	// Cache, when set, memoises the per-seed chase batteries (and the
-	// generated seed pools) across Decide calls on (TGD-set fingerprint,
-	// seed fingerprint) keys — see internal/chase/cache.go. Verdicts are
-	// bit-identical with and without a cache, and across cold and warm
-	// caches. Safe to share one cache across concurrent Decide calls.
+	// Cache, when set, receives the engine activity counters of every
+	// battery run (chase.Options.Cache); nothing is looked up or stored,
+	// so verdicts do not depend on it. Safe to share one cache across
+	// concurrent Decide calls.
 	Cache *chase.Cache
 }
 
@@ -123,10 +121,9 @@ func Decide(set *tgds.Set, opts DecideOptions) (*Verdict, error) {
 // in a chase.Arena (cancellation observed every few dozen trigger pops) and
 // the seed scan stops before its next seed once the context fires. A
 // cancelled call returns ctx's error; no partial battery outcome is
-// interpreted or cached. Uncancelled calls behave identically to Decide.
-// The scan takes its chase arena from a package pool at its first uncached
-// seed and returns it when the scan ends, so concurrent calls never share
-// one.
+// interpreted. Uncancelled calls behave identically to Decide. The scan
+// takes its chase arena from a package pool at its first seed and returns
+// it when the scan ends, so concurrent calls never share one.
 //
 // The portfolio's Tier 1 probe is this call at a small budget k: every
 // order of a battery is deterministic, and a fixpoint reached within k
@@ -140,7 +137,7 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 		return &Verdict{Terminates: true, Method: "weak-acyclicity"}, nil
 	}
 	budget := opts.maxSteps()
-	sw := newSeedSweep(set, opts.Cache)
+	sw := &seedSweep{enum: newSeedEnum(set, MaxSeeds), cache: opts.Cache}
 	defer sw.release()
 	v, depth, err := scanSeeds(ctx, sw, budget)
 	if err != nil {
@@ -149,54 +146,23 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 	if v == nil {
 		v = &Verdict{Terminates: true, Method: "seed-exhaustion"}
 	}
-	v.SeedsTried, v.Budget, v.Depth = sw.n, budget, depth
+	v.SeedsTried, v.Budget, v.Depth = sw.enum.next, budget, depth
 	return v, nil
-}
-
-// chaseSeed runs one seed's bounded restricted chases (fair FIFO plus
-// perturbed orders) and returns a divergence verdict, or nil when every
-// order saturated quietly, plus the battery's saturation depth — the
-// deepest chase among the orders on a saturating seed, or the diverging
-// run's step count. SeedsTried and Budget are filled by the caller. With
-// the sweep's cache, the battery outcome is keyed by (set fingerprint,
-// seed fingerprint, budget): a hit rebuilds the verdict without chasing and
-// replays the recorded depth. The seed becomes a Database only when the
-// battery runs or a verdict names it as the witness.
-func chaseSeed(ctx context.Context, sw *seedSweep, seed []logic.Atom, budget int, seedFP logic.Fingerprint) (*Verdict, int) {
-	cache, setFP := sw.cache, sw.setFP
-	if cache != nil {
-		if o, ok := cache.LookupSeedOutcome(setFP, seedFP, budget); ok {
-			if !o.Diverges {
-				return nil, o.Steps
-			}
-			return &Verdict{Terminates: false, Method: o.Method, Witness: seedDatabase(seed), Evidence: o.Evidence, PumpDepth: o.PumpDepth}, o.Steps
-		}
-	}
-	v, steps := chaseSeedBattery(ctx, sw.battery(), sw.set, seedDatabase(seed), budget, cache)
-	if v == cancelledVerdict {
-		// A cancelled battery proves nothing; never cache it.
-		return v, steps
-	}
-	if cache != nil {
-		o := chase.SeedOutcome{Steps: steps}
-		if v != nil {
-			o = chase.SeedOutcome{Diverges: true, Method: v.Method, Evidence: v.Evidence, Steps: steps, PumpDepth: v.PumpDepth}
-		}
-		cache.StoreSeedOutcome(setFP, seedFP, budget, o)
-	}
-	return v, steps
 }
 
 // cancelledVerdict is the in-package sentinel a battery returns when its
 // context fired mid-chase: callers translate it to ctx.Err() and must never
-// cache or interpret it.
+// interpret it.
 var cancelledVerdict = &Verdict{Method: "cancelled"}
 
-// chaseSeedBattery is the uncached battery: fair FIFO, then a perturbed
-// Random order, then LIFO, each on the ID plane in b's arena, bound to the
-// set, with its steps in b's step log. Each run is mined before the next
-// order reuses both. The returned depth is the deepest chase among the
-// orders (the diverging run's step count when an order diverged).
+// chaseSeedBattery runs one seed's bounded restricted chases: fair FIFO,
+// then a perturbed Random order, then LIFO, each on the ID plane in b's
+// arena, bound to the set, with its steps in b's step log. Each run is
+// mined before the next order reuses both. It returns a divergence verdict
+// (SeedsTried and Budget left to the caller), or nil when every order
+// saturated quietly, and the deepest chase among the orders (the diverging
+// run's step count when an order diverged). cache only receives the runs'
+// engine activity counters.
 func chaseSeedBattery(ctx context.Context, b *battery, set *tgds.Set, seed *instance.Database, budget int, cache *chase.Cache) (*Verdict, int) {
 	depth := 0
 	log := &b.log

@@ -4,14 +4,12 @@ package guarded
 // these tests pin what the probe relies on at k.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"airct/internal/chase"
 	"airct/internal/parser"
 	"airct/internal/tgds"
 )
@@ -31,9 +29,9 @@ func swapIntroSet(t *testing.T) *tgds.Set {
 }
 
 // decideAt is the portfolio's Tier 1 probe: DecideContext at step budget k.
-func decideAt(t *testing.T, set *tgds.Set, k int, cache *chase.Cache) *Verdict {
+func decideAt(t *testing.T, set *tgds.Set, k int) *Verdict {
 	t.Helper()
-	v, err := DecideContext(context.Background(), set, DecideOptions{MaxSteps: k, Cache: cache})
+	v, err := DecideContext(context.Background(), set, DecideOptions{MaxSteps: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,7 @@ func decideAt(t *testing.T, set *tgds.Set, k int, cache *chase.Cache) *Verdict {
 // seed-exhaustion verdict, Depth included.
 func TestProbeDecidesSwapIntroAndPinsDecide(t *testing.T) {
 	set := swapIntroSet(t)
-	probe := decideAt(t, set, 64, nil)
+	probe := decideAt(t, set, 64)
 	if !probe.Terminates || probe.Method != "seed-exhaustion" || probe.SeedsTried == 0 {
 		t.Fatalf("probe did not accept: %+v", probe)
 	}
@@ -53,7 +51,7 @@ func TestProbeDecidesSwapIntroAndPinsDecide(t *testing.T) {
 		t.Errorf("saturation depth %d outside the probe's budget", probe.Depth)
 	}
 	for _, budget := range []int{500, 2000} {
-		v := decideAt(t, set, budget, nil)
+		v := decideAt(t, set, budget)
 		v.Budget = probe.Budget
 		if !sameVerdictFields(v, probe) {
 			t.Errorf("Decide at budget %d contradicts a decisive probe:\nprobe  %+v\ndecide %+v", budget, probe, v)
@@ -72,14 +70,14 @@ func TestProbeRejectsDivergingSetAndPinsDecide(t *testing.T) {
 		S(X) -> R(X,Y).
 		R(X,Y) -> S(Y).
 	`)
-	probe := decideAt(t, set, 16, nil)
+	probe := decideAt(t, set, 16)
 	if probe.Terminates || probe.Method != "divergence-witness" || probe.Evidence == "" {
 		t.Fatalf("probe did not reject a diverging set with a certificate: %+v", probe)
 	}
 	if probe.Depth <= 0 || probe.Depth > 16 || probe.Depth < probe.PumpDepth {
 		t.Errorf("depth %d outside the probe's own prefix (k=16) or below the pump depth %d", probe.Depth, probe.PumpDepth)
 	}
-	v := decideAt(t, set, 2000, nil)
+	v := decideAt(t, set, 2000)
 	if v.Terminates {
 		t.Fatalf("Decide terminates on a set the probe rejected: %+v", v)
 	}
@@ -102,14 +100,14 @@ func TestProbeWithoutCertificateRoutesOnward(t *testing.T) {
 		fmt.Fprintf(&b, "R%d(X,Y) -> R%d(Y,Z).\n", i, (i+1)%70)
 	}
 	b.WriteString("a: A(X,Y), B(Y) -> C(X).\n")
-	v := decideAt(t, mustSet(t, b.String()), 64, nil)
+	v := decideAt(t, mustSet(t, b.String()), 64)
 	if v.Terminates || v.Method != "budget-exhausted" || v.SeedsTried != 1 || v.Depth != 0 || v.Budget != 64 {
 		t.Errorf("probe verdict %+v, want budget-exhausted on the first seed at k=64, depth 0", v)
 	}
 }
 
 func TestProbeShortCircuitsWeakAcyclicity(t *testing.T) {
-	v := decideAt(t, mustSet(t, `A(X) -> R(X,Y).`), 8, nil)
+	v := decideAt(t, mustSet(t, `A(X) -> R(X,Y).`), 8)
 	if *v != (Verdict{Terminates: true, Method: "weak-acyclicity"}) {
 		t.Errorf("weakly acyclic set not short-circuited: %+v", v)
 	}
@@ -160,43 +158,5 @@ func TestProbeCancelled(t *testing.T) {
 	cancel()
 	if _, err := DecideContext(ctx, set, DecideOptions{MaxSteps: 64}); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestProbeWarmReplayKeepsRejectDiagnostics pins ROADMAP 2d: a rejecting
-// probe's pump depth is persisted through the seed-outcome ledger, so a
-// warm replay — same cache, or a snapshot-restored one — reports the
-// byte-identical verdict, Depth included. Before PumpDepth was persisted
-// the warm path rebuilt the verdict without it, and the warm depth degraded
-// to the truncated run's length instead of the certificate's shortest
-// prefix.
-func TestProbeWarmReplayKeepsRejectDiagnostics(t *testing.T) {
-	set := mustSet(t, `
-		S(X) -> R(X,Y).
-		R(X,Y) -> S(Y).
-	`)
-	cache := chase.NewCache()
-	cold := decideAt(t, set, 16, cache)
-	if cold.Method != "divergence-witness" {
-		t.Fatalf("cold probe did not reject: %+v", cold)
-	}
-	if cold.Depth >= cold.Budget {
-		// The fixture must have a pump shorter than the truncated run, or
-		// the test cannot tell the certificate depth from the run length.
-		t.Fatalf("fixture is not discriminating: pump depth %d = probe budget %d", cold.Depth, cold.Budget)
-	}
-	if warm := decideAt(t, set, 16, cache); !sameVerdictFields(warm, cold) {
-		t.Errorf("warm probe drifted from cold:\ncold %+v\nwarm %+v", cold, warm)
-	}
-	var buf bytes.Buffer
-	if err := cache.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	restored, _, err := chase.LoadCache(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadCache: %v", err)
-	}
-	if snap := decideAt(t, set, 16, restored); !sameVerdictFields(snap, cold) {
-		t.Errorf("snapshot-warmed probe drifted from cold:\ncold %+v\nsnap %+v", cold, snap)
 	}
 }

@@ -5,34 +5,22 @@ import (
 	"sync"
 
 	"airct/internal/chase"
-	"airct/internal/logic"
-	"airct/internal/tgds"
 )
 
-// seedSweep is DecideContext's seed scan. It yields the GenerateSeeds pool
-// in order: replayed from the cross-run cache when the pool is stored
-// there, else enumerated lazily by a seedEnum. A cold sweep that drains its
-// enumeration stores the pool, so later sweeps of the set replay it; a
-// sweep stopped early generates and stores nothing past its stop. The pool
-// holds no two isomorphic seeds, so no seed repeats an earlier one. Seeds
-// are duplicate-free fact slices from either source, the stored pool's as
-// decoded.
+// seedSweep is DecideContext's seed scan: the GenerateSeeds pool,
+// enumerated lazily by a seedEnum, so a sweep stopped early generates
+// nothing past its stop, and the battery memory its seeds are chased in.
+// The pool holds no two isomorphic seeds, so no seed repeats an earlier
+// one, and each seed is a duplicate-free fact slice.
 //
-// The sweep also owns the scan's battery memory: taken from batteries at
-// the first seed the cache does not answer, its arena bound to the set, and
-// given back by release when the scan ends.
+// The battery memory is taken from batteries at the first seed, its arena
+// bound to the set, and given back by release when the scan ends.
 //
 // Not safe for concurrent use.
 type seedSweep struct {
-	set   *tgds.Set
-	cache *chase.Cache
-	setFP logic.Fingerprint // the set's fingerprint when cache != nil
-
-	pooled [][]logic.Atom // the cached pool's seeds
-	enum   *seedEnum      // the cold enumeration until it drains; nil on a cached pool
-	n      int            // seeds yielded so far
-
-	b *battery // nil until battery is first called
+	enum  *seedEnum
+	cache *chase.Cache // receives the battery runs' engine activity; may be nil
+	b     *battery     // nil until battery is first called
 }
 
 // battery is the memory a seed battery reuses, across the seeds of a scan
@@ -69,7 +57,7 @@ func releaseBattery(b *battery) bool {
 func (sw *seedSweep) battery() *battery {
 	if sw.b == nil {
 		sw.b = batteries.Get().(*battery)
-		sw.b.arena.Bind(sw.set)
+		sw.b.arena.Bind(sw.enum.set)
 	}
 	return sw.b
 }
@@ -81,41 +69,6 @@ func (sw *seedSweep) release() {
 		releaseBattery(sw.b)
 		sw.b = nil
 	}
-}
-
-func newSeedSweep(set *tgds.Set, cache *chase.Cache) *seedSweep {
-	sw := &seedSweep{set: set, cache: cache}
-	if cache != nil {
-		sw.setFP = set.Fingerprint()
-		if pool, ok := cache.LookupSeedPool(sw.setFP, MaxSeeds); ok {
-			sw.pooled = pool.Seeds
-			return sw
-		}
-	}
-	sw.enum = newSeedEnum(set, MaxSeeds)
-	return sw
-}
-
-// next returns the pool's next seed, or false once the pool is exhausted.
-// A drained cold enumeration IS GenerateSeeds' pool: next stores it in the
-// cache at that moment.
-func (sw *seedSweep) next() ([]logic.Atom, bool) {
-	if sw.enum != nil {
-		if seed, ok := sw.enum.Next(); ok {
-			sw.n++
-			return seed, true
-		}
-		if sw.cache != nil {
-			sw.cache.StoreSeedPool(sw.setFP, MaxSeeds, &chase.SeedPool{Seeds: sw.enum.pool})
-		}
-		sw.enum = nil
-		return nil, false
-	}
-	if sw.n < len(sw.pooled) {
-		sw.n++
-		return sw.pooled[sw.n-1], true
-	}
-	return nil, false
 }
 
 // scanSeeds chases the sweep's seeds at the budget, in order, and stops at
@@ -130,15 +83,11 @@ func scanSeeds(ctx context.Context, sw *seedSweep, budget int) (*Verdict, int, e
 		if ctx.Err() != nil {
 			return nil, 0, ctx.Err()
 		}
-		seed, ok := sw.next()
+		seed, ok := sw.enum.Next()
 		if !ok {
 			return nil, depth, nil
 		}
-		var fp logic.Fingerprint
-		if sw.cache != nil {
-			fp = logic.FingerprintAtoms(seed)
-		}
-		v, steps := chaseSeed(ctx, sw, seed, budget, fp)
+		v, steps := chaseSeedBattery(ctx, sw.battery(), sw.enum.set, seedDatabase(seed), budget, sw.cache)
 		if v == cancelledVerdict {
 			return nil, 0, ctx.Err()
 		}

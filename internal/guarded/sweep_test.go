@@ -40,7 +40,14 @@ func referenceDecide(set *tgds.Set, opts DecideOptions) *Verdict {
 
 // sameVerdictFields compares every Verdict field, the witness by rendering.
 func sameVerdictFields(a, b *Verdict) bool {
-	return sameVerdict(a, b) && a.PumpDepth == b.PumpDepth
+	if a.Terminates != b.Terminates || a.Method != b.Method || a.Evidence != b.Evidence ||
+		a.PumpDepth != b.PumpDepth || a.SeedsTried != b.SeedsTried || a.Budget != b.Budget || a.Depth != b.Depth {
+		return false
+	}
+	if (a.Witness == nil) != (b.Witness == nil) {
+		return false
+	}
+	return a.Witness == nil || a.Witness.String() == b.Witness.String()
 }
 
 // sweepSets are the guarded inputs of the sweep identity test: the
@@ -70,9 +77,8 @@ func sweepSets() []*tgds.Set {
 }
 
 // TestSeedSweepMatchesEagerScan pins the lazy seed sweep to the eager
-// scan: every Verdict field agrees without a cache, on a cold cache, on the
-// cache that cold run left behind, and on a cache warmed only by a probe
-// (a scan at k = 16).
+// scan: every Verdict field agrees, with and without a cache to receive
+// the engine's activity counters.
 func TestSeedSweepMatchesEagerScan(t *testing.T) {
 	methods := map[string]int{}
 	for i, set := range sweepSets() {
@@ -91,40 +97,10 @@ func TestSeedSweepMatchesEagerScan(t *testing.T) {
 			}
 		}
 		check("no cache", nil)
-		cache := chase.NewCache()
-		check("cold cache", cache)
-		check("warm cache", cache)
-		probed := chase.NewCache()
-		if _, err := Decide(set, DecideOptions{MaxSteps: 16, Cache: probed}); err != nil {
-			t.Fatal(err)
-		}
-		check("probe-warmed cache", probed)
+		check("cache", chase.NewCache())
 	}
 	if methods["divergence-witness"] < 10 || methods["seed-exhaustion"] < 10 {
 		t.Fatalf("verdict methods %v: the sweep must cover diverging and saturating pools", methods)
-	}
-}
-
-// TestSeedSweepStoresDrainedPoolOnly pins when a sweep writes the seed
-// pool, under the key of the 256-seed cap: a sweep that drains its cold
-// enumeration stores it, one that stops at an early seed does not.
-func TestSeedSweepStoresDrainedPoolOnly(t *testing.T) {
-	for _, tc := range []struct {
-		src    string
-		stores bool
-	}{
-		{`T(X,Y) -> T(X,W). T(X,Y) -> T(Y,X).`, true}, // every seed saturates
-		{`S(X) -> R(X,Y). R(X,Y) -> S(Y).`, false},    // the first seed diverges
-	} {
-		set := mustSet(t, tc.src)
-		cache := chase.NewCache()
-		if _, err := Decide(set, DecideOptions{MaxSteps: 200, Cache: cache}); err != nil {
-			t.Fatal(err)
-		}
-		_, stored := cache.LookupSeedPool(set.Fingerprint(), 256)
-		if stored != tc.stores {
-			t.Errorf("%s: pool stored = %v, want %v", tc.src, stored, tc.stores)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"airct/internal/chase"
 	"airct/internal/core"
 	"airct/internal/guarded"
 	"airct/internal/parser"
@@ -59,10 +61,11 @@ func goldenPrograms(t *testing.T) (names []string, sets []*tgds.Set) {
 	return names, sets
 }
 
-// flatReport is the flat analysis at the conformance budgets (guarded
-// budget 500, sticky and MFA bounds at their defaults).
-func flatReport(set *tgds.Set) (*core.Report, error) {
-	return Report(context.Background(), set, Options{Guarded: guarded.DecideOptions{MaxSteps: 500}})
+// goldenReport is the flat analysis at the conformance budgets (guarded
+// budget 500, sticky and MFA bounds at their defaults), through the cache
+// when one is given.
+func goldenReport(set *tgds.Set, cache *chase.Cache) (*core.Report, error) {
+	return Report(context.Background(), set, Options{Guarded: guarded.DecideOptions{MaxSteps: 500}, Cache: cache})
 }
 
 // TestFlatReportGolden pins the flat report's rendering — class flags,
@@ -74,13 +77,61 @@ func TestFlatReportGolden(t *testing.T) {
 	names, sets := goldenPrograms(t)
 	var b strings.Builder
 	for i, set := range sets {
-		rep, err := flatReport(set)
+		rep, err := goldenReport(set, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", names[i], err)
 		}
 		fmt.Fprintf(&b, "== %s ==\n%s", names[i], rep.Summary())
 	}
 	checkGolden(t, "testdata/report.golden", b.String())
+}
+
+// TestFlatReportReplaysFromLedger pins the flat report's memo: on every
+// golden program, Report with a cache renders byte for byte the report
+// the uncached run renders, cold, warm and warm again from a snapshot of
+// the cache, and each warm call costs exactly one cache hit and no miss.
+func TestFlatReportReplaysFromLedger(t *testing.T) {
+	names, sets := goldenPrograms(t)
+	want := make([]string, len(sets))
+	cache := chase.NewCache()
+	for i, set := range sets {
+		rep, err := goldenReport(set, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		want[i] = rep.Summary()
+		if cold, err := goldenReport(set, cache); err != nil || cold.Summary() != want[i] {
+			t.Fatalf("%s: cold report drifted (err %v):\n%v", names[i], err, cold)
+		}
+	}
+	warmPass := func(label string, cache *chase.Cache) {
+		t.Helper()
+		for i, set := range sets {
+			before := cache.Stats()
+			rep, err := goldenReport(set, cache)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", names[i], label, err)
+			}
+			if got := rep.Summary(); got != want[i] {
+				t.Errorf("%s, %s: replayed report drifted:\n%s\nwant:\n%s", names[i], label, got, want[i])
+			}
+			after := cache.Stats()
+			if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+				t.Errorf("%s, %s: hits %d -> %d, misses %d -> %d; want one hit and no miss",
+					names[i], label, before.Hits, after.Hits, before.Misses, after.Misses)
+			}
+		}
+	}
+	warmPass("warm", cache)
+	var buf bytes.Buffer
+	if err := cache.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, rep, err := chase.LoadCache(&buf)
+	if err != nil || rep.Skipped != 0 || rep.Truncated {
+		t.Fatalf("LoadCache: %v, report %+v", err, rep)
+	}
+	warmPass("restored", restored)
 }
 
 // TestCascadeLedgerGolden pins the cascade's stage ledger on every golden

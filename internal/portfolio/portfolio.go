@@ -52,7 +52,10 @@
 //
 // Both schedules read only the rules: CT^res_∀∀ quantifies over every
 // database, so facts never enter a run or its cache key. The per-database
-// question, CT^res_∀∃, is chase.SearchTerminatingDerivation's.
+// question, CT^res_∀∃, is chase.SearchTerminatingDerivation's. With a
+// cache, each schedule memoises its whole run as one stage ledger, keyed
+// by the set and a salt over the budgets and the schedule: a warm call
+// replays the recorded stages without running any of them.
 package portfolio
 
 import (
@@ -77,13 +80,11 @@ type Options struct {
 	// min(probeSteps, MaxSteps). Its Cache field is overwritten with
 	// Options.Cache.
 	Guarded guarded.DecideOptions
-	// Sticky tunes the sticky stage. Its Cache field is overwritten with
-	// Options.Cache, so a warm cache also serves the Büchi lasso verdicts.
+	// Sticky tunes the sticky stage.
 	Sticky sticky.DecideOptions
-	// Cache, when set, is shared by the guarded stages (per-seed and
-	// seed-pool entries) and the sticky stage (Büchi lasso verdicts). Under
-	// Analyze it also memoises the whole run, keyed by the set fingerprint
-	// and a salt folding in every budget.
+	// Cache, when set, memoises the whole run as one stage ledger, keyed by
+	// the set fingerprint and a salt folding in every budget and the
+	// schedule. The guarded stages report their engine activity to it.
 	Cache *chase.Cache
 }
 
@@ -102,14 +103,20 @@ func resolved(v, def int) int {
 	return v
 }
 
-// salt folds every verdict-relevant budget into the cache key. The guarded
-// seed-pool cap, the MFA bound and the probe budget are constants; they
-// stay in the key so entries stored while they were settable still hit.
-func (o Options) salt() uint64 {
+// salt folds every verdict-relevant budget into the cache key, and for
+// Report's exhaustive schedule a marker after them, so the two schedules'
+// ledgers never serve each other; Analyze's bytes carry no marker. The
+// guarded seed-pool cap, the MFA bound and the probe budget are constants;
+// they stay in the key so entries stored while they were settable still
+// hit.
+func (o Options) salt(exhaustive bool) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d",
 		resolved(o.Guarded.MaxSteps, guarded.DefaultMaxSteps), guarded.MaxSeeds,
 		resolved(o.Sticky.MaxStates, sticky.DefaultMaxStates), mfaSteps, probeSteps)
+	if exhaustive {
+		h.Write([]byte("|report"))
+	}
 	return h.Sum64()
 }
 
@@ -145,7 +152,8 @@ type StageOutcome struct {
 	Saturated int
 	Depth     int
 	// Evidence carries the (unchecked) guard-chain pump certificate on a
-	// rejecting Tier 1 probe (also embedded in Detail); empty otherwise.
+	// rejecting Tier 1 probe (also embedded in Detail) and, under Report
+	// only, the sticky or guarded stage's witness line; empty otherwise.
 	// Preserved across cache replays.
 	Evidence string
 }
@@ -174,35 +182,31 @@ type runner struct {
 	set  *tgds.Set
 	opts Options
 	res  *Result
-	// flat is Report's flat report, filled as each stage concludes; nil
-	// under Analyze.
-	flat *core.Report
+	// exhaustive is set under Report: its sticky and guarded stages carry
+	// their witness lines as Evidence.
+	exhaustive bool
 }
 
-func newRunner(set *tgds.Set, opts Options) (*runner, error) {
+// runSchedule runs the cascade, or Report's exhaustive schedule. With a
+// cache it first looks the set's ledger up under the schedule's salt and
+// replays it on a hit; a run that finishes records its ledger there.
+func runSchedule(ctx context.Context, set *tgds.Set, opts Options, exhaustive bool) (*Result, error) {
 	if set.Len() == 0 && !set.HasEGDs() {
 		return nil, fmt.Errorf("portfolio: empty TGD set")
 	}
-	opts.Guarded.Cache = opts.Cache
-	opts.Sticky.Cache = opts.Cache
-	return &runner{set: set, opts: opts, res: &Result{}}, nil
-}
-
-// Analyze runs the cascade. The conclusion (and error behaviour) is pinned
-// to Report's with the same budgets; see the package comment for the
-// argument. A cancelled call returns ctx's error.
-func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) {
-	r, err := newRunner(set, opts)
-	if err != nil {
-		return nil, err
-	}
-	var setFP, salt = set.Fingerprint(), opts.salt()
+	setFP, salt := set.Fingerprint(), opts.salt(exhaustive)
 	if opts.Cache != nil {
 		if so, ok := opts.Cache.LookupStageOutcomes(setFP, salt); ok {
 			return replay(so), nil
 		}
 	}
-	if err := r.run(ctx); err != nil {
+	opts.Guarded.Cache = opts.Cache
+	r := &runner{set: set, opts: opts, res: &Result{}, exhaustive: exhaustive}
+	schedule := r.cascade
+	if exhaustive {
+		schedule = r.everyStage
+	}
+	if err := schedule(ctx); err != nil {
 		return nil, err
 	}
 	if opts.Cache != nil {
@@ -211,7 +215,14 @@ func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) 
 	return r.res, nil
 }
 
-func (r *runner) run(ctx context.Context) error {
+// Analyze runs the cascade. The conclusion (and error behaviour) is pinned
+// to Report's with the same budgets; see the package comment for the
+// argument. A cancelled call returns ctx's error.
+func Analyze(ctx context.Context, set *tgds.Set, opts Options) (*Result, error) {
+	return runSchedule(ctx, set, opts, false)
+}
+
+func (r *runner) cascade(ctx context.Context) error {
 	for _, name := range tier0Stages {
 		if r.decided() {
 			return nil
@@ -234,15 +245,42 @@ func (r *runner) run(ctx context.Context) error {
 // class flags, the conclusion and one reason per finding, in stage order.
 // Every Tier 0 check runs, the probe does not, and the sticky and guarded
 // deciders run one after another whatever earlier stages concluded, so a
-// disagreement surfaces as a CONTRADICTION line. Nothing is memoised across
-// runs: Cache serves only the guarded and sticky stages. A cancelled call
-// returns ctx's error.
+// disagreement surfaces as a CONTRADICTION line. With a cache, a warm call
+// replays the recorded stages and folds them into the same report. A
+// cancelled call returns ctx's error.
 func Report(ctx context.Context, set *tgds.Set, opts Options) (*core.Report, error) {
-	r, err := newRunner(set, opts)
+	res, err := runSchedule(ctx, set, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	r.flat = &core.Report{
+	return flatReport(set, res.Stages), nil
+}
+
+// everyStage is Report's schedule: the Tier 0 checks in static order with
+// no early exit, stopping before the TGD-only ones on an EGD set, then
+// every Tier 2 decider.
+func (r *runner) everyStage(ctx context.Context) error {
+	for _, name := range tier0Stages {
+		if r.set.HasEGDs() && name == "joint-acyclicity" {
+			break
+		}
+		r.tier0Stage(name)
+	}
+	for _, d := range r.tier2Deciders() {
+		s, err := d.run(ctx)
+		if err != nil {
+			return err
+		}
+		r.conclude(s)
+	}
+	return nil
+}
+
+// flatReport folds the stages of one run of Report's schedule, live or
+// replayed, into the flat report. The class flags and the EGD lines come
+// from the set, everything else from the stages.
+func flatReport(set *tgds.Set, stages []StageOutcome) *core.Report {
+	rep := &core.Report{
 		SingleHead:      set.IsSingleHead(),
 		Guarded:         set.IsGuarded(),
 		Linear:          set.IsLinear(),
@@ -251,30 +289,21 @@ func Report(ctx context.Context, set *tgds.Set, opts Options) (*core.Report, err
 		FrontierGuarded: set.IsFrontierGuarded(),
 		EGDs:            set.NumEGDs(),
 	}
-	for _, name := range tier0Stages {
-		if set.HasEGDs() && name == "joint-acyclicity" {
+	for _, s := range stages {
+		fold(rep, s)
+		if s.Stage == "weak-acyclicity" && set.HasEGDs() {
 			// Joint acyclicity, the prune and MFA close the order; on an
 			// EGD set one reason line stands for all three.
-			r.flat.Reasons = append(r.flat.Reasons, "EGDs present: joint acyclicity, the never-firing prune and MFA are TGD-only baselines and were skipped")
-			break
+			rep.Reasons = append(rep.Reasons, "EGDs present: joint acyclicity, the never-firing prune and MFA are TGD-only baselines and were skipped")
 		}
-		r.tier0Stage(name)
 	}
-	for _, d := range r.tier2Deciders() {
-		s, err := d.run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		r.conclude(s)
-	}
-	rep := r.flat
 	if set.HasEGDs() && rep.Conclusion == core.Unknown {
 		rep.Reasons = append(rep.Reasons, "the guarded and sticky decision procedures are TGD-only and do not run on sets with EGDs")
 	}
 	if rep.Conclusion == core.Unknown && len(rep.Reasons) == 0 {
 		rep.Reasons = append(rep.Reasons, "outside the guarded and sticky classes; no sufficient condition fired (CT^res_∀∀ is undecidable in general, Theorem 3.6)")
 	}
-	return rep, nil
+	return rep
 }
 
 func (r *runner) decided() bool { return r.res.DecidedBy != "" }
@@ -284,9 +313,6 @@ func (r *runner) decided() bool { return r.res.DecidedBy != "" }
 // every decider) is recorded with Decided cleared: its Conclusion field
 // still shows its own verdict, but only one stage ever "decided".
 func (r *runner) conclude(s StageOutcome) {
-	if r.flat != nil {
-		r.fold(s)
-	}
 	if !r.decided() && s.Decided {
 		r.res.Conclusion = s.Conclusion
 		r.res.DecidedBy = s.Stage
@@ -296,30 +322,35 @@ func (r *runner) conclude(s StageOutcome) {
 	r.res.Stages = append(r.res.Stages, s)
 }
 
-// fold adds one stage outcome to the flat report. A decisive stage sets
-// the conclusion and gives its reason, or a CONTRADICTION line when it
-// disagrees with an earlier verdict. A non-decisive Tier 2 decider still
-// gives its reason (an incomplete exploration, an exhausted budget); a
-// non-decisive Tier 0 check gives none.
-func (r *runner) fold(s StageOutcome) {
-	rep := r.flat
+// fold adds one recorded stage to the flat report. A stage is decisive
+// when its own Conclusion is known, whatever conclude did to Decided: a
+// decisive stage sets the conclusion and gives its reason, or a
+// CONTRADICTION line when it disagrees with an earlier verdict. A
+// non-decisive Tier 2 decider still gives its reason (an incomplete
+// exploration, an exhausted budget); a non-decisive Tier 0 check gives
+// none. A stage's Evidence is its witness line.
+func fold(rep *core.Report, s StageOutcome) {
+	decisive := s.Conclusion != core.Unknown
 	switch s.Stage {
 	case "weak-acyclicity":
-		rep.WeaklyAcyclic = s.Decided
+		rep.WeaklyAcyclic = decisive
 	case "joint-acyclicity":
-		rep.JointlyAcyclic = s.Decided
+		rep.JointlyAcyclic = decisive
 	case "mfa":
-		rep.MFA = s.Decided
+		rep.MFA = decisive
 	}
 	switch {
-	case !s.Decided && s.Tier == 2:
+	case !decisive && s.Tier == 2:
 		rep.Reasons = append(rep.Reasons, s.Detail)
-	case !s.Decided:
+	case !decisive:
 	case rep.Conclusion != core.Unknown && rep.Conclusion != s.Conclusion:
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf("CONTRADICTION: %s says %v but prior verdict was %v", s.Detail, s.Conclusion, rep.Conclusion))
 	default:
 		rep.Conclusion = s.Conclusion
 		rep.Reasons = append(rep.Reasons, s.Detail)
+	}
+	if s.Evidence != "" {
+		rep.Witnesses = append(rep.Witnesses, s.Evidence)
 	}
 }
 
@@ -387,11 +418,6 @@ func (r *runner) tier0Check(name string, s *StageOutcome) {
 			return
 		}
 		pruned, removed := acyclicity.PruneNeverFiring(set)
-		if r.flat != nil {
-			for _, i := range removed {
-				r.flat.NeverFiring = append(r.flat.NeverFiring, set.TGDs[i].Label)
-			}
-		}
 		if len(removed) == 0 {
 			s.Detail = "no never-firing TGDs"
 			return
@@ -541,10 +567,10 @@ func (r *runner) runSticky(ctx context.Context) (StageOutcome, error) {
 	if err != nil {
 		return StageOutcome{}, err
 	}
-	if r.flat != nil {
-		r.flat.StickyVerdict = v
-	}
 	s := StageOutcome{Stage: "sticky", Tier: 2, Steps: v.StatesExplored, Duration: time.Since(start)}
+	if r.exhaustive && !v.Terminates {
+		s.Evidence = fmt.Sprintf("witness (sticky): seed %v, lasso prefix %v cycle %v", v.Seed.EType, v.Lasso.Prefix, v.Lasso.Cycle)
+	}
 	switch {
 	case v.Terminates && v.Complete:
 		s.Decided = true
@@ -567,10 +593,10 @@ func (r *runner) runGuarded(ctx context.Context) (StageOutcome, error) {
 	if err != nil {
 		return StageOutcome{}, err
 	}
-	if r.flat != nil {
-		r.flat.GuardedVerdict = v
-	}
 	s := StageOutcome{Stage: "guarded", Tier: 2, Steps: v.SeedsTried, Duration: time.Since(start)}
+	if r.exhaustive && !v.Terminates && v.Witness != nil {
+		s.Evidence = fmt.Sprintf("witness (guarded): database %v", v.Witness)
+	}
 	switch {
 	case v.Terminates && v.Method == "weak-acyclicity":
 		s.Decided = true

@@ -241,12 +241,15 @@ func TestReportExhaustiveSchedule(t *testing.T) {
 
 	// Every decider runs whatever the others concluded, so a disagreement
 	// is reported next to the verdict it contradicts, never masking it.
-	r := &runner{res: &Result{}, flat: &core.Report{}}
+	// conclude clears the later stage's Decided; the fold reads its own
+	// Conclusion, so a replayed ledger folds the same way.
+	r := &runner{res: &Result{}}
 	r.conclude(StageOutcome{Stage: "sticky", Tier: 2, Decided: true, Conclusion: core.Terminates, Detail: "sticky says so"})
 	r.conclude(StageOutcome{Stage: "guarded", Tier: 2, Decided: true, Conclusion: core.Diverges, Detail: "guarded says so"})
+	flat := flatReport(mustSet(t, `A(X) -> R(X,Y).`), r.res.Stages)
 	want = []string{"sticky says so", "CONTRADICTION: guarded says so says diverges but prior verdict was terminates"}
-	if r.flat.Conclusion != core.Terminates || strings.Join(r.flat.Reasons, "\n") != strings.Join(want, "\n") {
-		t.Errorf("contradiction: %v %q, want terminates %q", r.flat.Conclusion, r.flat.Reasons, want)
+	if flat.Conclusion != core.Terminates || strings.Join(flat.Reasons, "\n") != strings.Join(want, "\n") {
+		t.Errorf("contradiction: %v %q, want terminates %q", flat.Conclusion, flat.Reasons, want)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -379,19 +382,23 @@ func TestGuardedRacerStageRecords(t *testing.T) {
 	}
 }
 
-// TestSaltPinned pins the whole-run cache key's salt to the values it had
-// while the seed-pool cap, the MFA bound and the probe budget were options,
-// so stored stage ledgers keep hitting.
+// TestSaltPinned pins the whole-run cache key's salt. Analyze's keeps the
+// values it had while the seed-pool cap, the MFA bound and the probe
+// budget were options, so stored stage ledgers keep hitting; Report's
+// folds its schedule on top, so the two ledgers never serve each other.
 func TestSaltPinned(t *testing.T) {
 	for _, tc := range []struct {
-		opts Options
-		want uint64
+		opts       Options
+		exhaustive bool
+		want       uint64
 	}{
-		{Options{}, 0x644975a15b5b45a4},
-		{portOpts(), 0x47ddce8009d72b7},
+		{Options{}, false, 0x644975a15b5b45a4},
+		{portOpts(), false, 0x47ddce8009d72b7},
+		{Options{}, true, 0x74e41f3741ec3bf2},
+		{portOpts(), true, 0x99dd2192cd6647ff},
 	} {
-		if got := tc.opts.salt(); got != tc.want {
-			t.Errorf("salt(guarded budget %d) = %#x, want %#x", tc.opts.Guarded.MaxSteps, got, tc.want)
+		if got := tc.opts.salt(tc.exhaustive); got != tc.want {
+			t.Errorf("salt(guarded budget %d, exhaustive %t) = %#x, want %#x", tc.opts.Guarded.MaxSteps, tc.exhaustive, got, tc.want)
 		}
 	}
 }

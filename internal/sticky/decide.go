@@ -34,19 +34,12 @@ type Verdict struct {
 // DecideOptions.MaxStates selects.
 const DefaultMaxStates = 200_000
 
-// DecideOptions configures the decision.
+// DecideOptions configures the decision. A decision is not memoised here:
+// the portfolio's stage ledger memoises the whole answer it is part of.
 type DecideOptions struct {
 	// MaxStates bounds each component's explored state space (0:
 	// DefaultMaxStates).
 	MaxStates int
-	// Cache, when non-nil, memoises whole decisions across runs as
-	// chase.StickyOutcome entries keyed by (set fingerprint, MaxStates). A
-	// warm hit replays the identical Verdict — including the witness seed
-	// and lasso — without building or exploring a single automaton; the
-	// lasso is stored symbolically (interner-free) and the witness seed as
-	// its index into the deterministic Seeds enumeration. Cancelled calls
-	// are never stored.
-	Cache *chase.Cache
 }
 
 func (o DecideOptions) maxStates() int {
@@ -84,19 +77,9 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 	} else if !ok {
 		return nil, fmt.Errorf("sticky: input is not sticky: %v", marking.Violation())
 	}
-	var setFP logic.Fingerprint
-	if opts.Cache != nil {
-		setFP = set.Fingerprint()
-		if o, ok := opts.Cache.LookupStickyOutcome(setFP, opts.maxStates()); ok {
-			if v, ok := replayVerdict(set, o); ok {
-				return v, nil
-			}
-		}
-	}
 	m := newMachine(set, marking)
 	verdict := &Verdict{Terminates: true, Method: "buchi-empty", Complete: true}
-	seedIndex := int32(-1)
-	for i, seed := range Seeds(set) {
+	for _, seed := range Seeds(set) {
 		explored := buchi.ExploreContext(ctx, m.automaton(seed), opts.maxStates())
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -115,55 +98,10 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 				StatesExplored: verdict.StatesExplored,
 				Complete:       true,
 			}
-			seedIndex = int32(i)
 			break
 		}
 	}
-	if opts.Cache != nil {
-		opts.Cache.StoreStickyOutcome(setFP, opts.maxStates(), recordVerdict(verdict, seedIndex))
-	}
 	return verdict, nil
-}
-
-// recordVerdict converts a finished decision into the portable cache entry:
-// the witness seed as its Seeds index, the lasso by its symbol keys.
-func recordVerdict(v *Verdict, seedIndex int32) *chase.StickyOutcome {
-	o := &chase.StickyOutcome{
-		Terminates:     v.Terminates,
-		Method:         v.Method,
-		Complete:       v.Complete,
-		StatesExplored: v.StatesExplored,
-		SeedIndex:      seedIndex,
-	}
-	if v.Lasso != nil {
-		o.LassoPrefix = v.Lasso.Prefix
-		o.LassoCycle = v.Lasso.Cycle
-		o.LassoGap = v.Lasso.Gap
-	}
-	return o
-}
-
-// replayVerdict rebuilds the recorded Verdict, the witness seed coming
-// back out of the deterministic Seeds enumeration. It reports false when
-// the witness index does not fit the set's Seeds — an entry the set could
-// not have produced — and the caller decides afresh.
-func replayVerdict(set *tgds.Set, o *chase.StickyOutcome) (*Verdict, bool) {
-	v := &Verdict{
-		Terminates:     o.Terminates,
-		Method:         o.Method,
-		Complete:       o.Complete,
-		StatesExplored: o.StatesExplored,
-	}
-	if o.SeedIndex >= 0 {
-		seeds := Seeds(set)
-		if int(o.SeedIndex) >= len(seeds) {
-			return nil, false
-		}
-		seedCopy := seeds[o.SeedIndex]
-		v.Seed = &seedCopy
-		v.Lasso = &buchi.Lasso{Prefix: o.LassoPrefix, Cycle: o.LassoCycle, Gap: o.LassoGap}
-	}
-	return v, true
 }
 
 // MaterializeWitness turns an accepting lasso into a concrete finitary

@@ -1,30 +1,31 @@
 // Benchmarks for the persistent cache tier (BENCH_persist.json): a warm
-// RESTART — rebuild the cache from snapshot bytes, then decide/search —
-// against the cold run it replaces, for the sticky Büchi and ∀∃ families;
-// the snapshot save+load overhead itself; and the index-aware frontier
-// ordering against smallest-first. The root package hosts these because
-// the sticky decider cannot be imported from internal/chase.
+// RESTART — rebuild the cache from snapshot bytes, then report/search —
+// against the cold run it replaces, for the flat ∀∀ report and the ∀∃
+// families, and the snapshot save+load overhead itself. The root package
+// hosts these because the portfolio cannot be imported from
+// internal/chase.
 // Run with `go test -bench BenchmarkPersist -benchtime 20x .`
 package airct_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"airct/internal/chase"
 	"airct/internal/parser"
-	"airct/internal/sticky"
+	"airct/internal/portfolio"
 	"airct/internal/tgds"
 	"airct/internal/workload"
 )
 
 // stickyJoinDiverging is workload.StickyJoin(n) plus a diverging
-// linear-cycle tail on fresh predicates: the cold decision still sweeps
-// the join components' automata before the tail's lasso decides, and the
-// warm restart replays a buchi-witness verdict (seed + lasso) rather than
-// the empty case.
+// linear-cycle tail on fresh predicates: the cold report still sweeps the
+// join components' automata before the tail's lasso decides, and the warm
+// restart replays a report that carries witness lines rather than the
+// empty case.
 func stickyJoinDiverging(b *testing.B, n int) *tgds.Set {
 	b.Helper()
 	var src strings.Builder
@@ -40,26 +41,20 @@ func stickyJoinDiverging(b *testing.B, n int) *tgds.Set {
 	return set
 }
 
-// stickySnapshot runs one cold Decide into a fresh cache and returns the
-// cache's snapshot bytes — the artefact a restarted process would load.
-func stickySnapshot(b *testing.B, set *tgds.Set) []byte {
+// report runs the flat report at the default budgets through the cache.
+func report(b *testing.B, set *tgds.Set, cache *chase.Cache) {
 	b.Helper()
-	cache := chase.NewCache()
-	if _, err := sticky.Decide(set, sticky.DecideOptions{Cache: cache}); err != nil {
+	if _, err := portfolio.Report(context.Background(), set, portfolio.Options{Cache: cache}); err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cache.Snapshot(&buf); err != nil {
-		b.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
-// BenchmarkPersistStickyDecide: cold = a fresh-cache Decide (build + explore
-// every component automaton); warm-restart = LoadCache(snapshot) + Decide,
-// which replays the recorded verdict without touching an automaton. The
-// warm-over-cold ratio is the tier's value on a process restart.
-func BenchmarkPersistStickyDecide(b *testing.B) {
+// BenchmarkPersistFlatReport: cold = a fresh-cache flat report (every
+// Tier 0 check, then the sticky and guarded deciders); warm-restart =
+// LoadCache(snapshot) + the same report, which replays the recorded stage
+// ledger with one cache hit and runs no stage. The warm-over-cold ratio is
+// the tier's value on a process restart.
+func BenchmarkPersistFlatReport(b *testing.B) {
 	families := []struct {
 		Name string
 		Set  *tgds.Set
@@ -67,17 +62,22 @@ func BenchmarkPersistStickyDecide(b *testing.B) {
 		{"sticky-join-4", workload.StickyJoin(4).Set},
 		{"sticky-join-8", workload.StickyJoin(8).Set},
 		{"sticky-join-8-diverging", stickyJoinDiverging(b, 8)},
+		{"swap-intro-3", workload.SwapIntro(3).Set},
 	}
 	for _, fam := range families {
 		b.Run(fam.Name+"/cold", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sticky.Decide(fam.Set, sticky.DecideOptions{Cache: chase.NewCache()}); err != nil {
-					b.Fatal(err)
-				}
+				report(b, fam.Set, chase.NewCache())
 			}
 		})
-		snap := stickySnapshot(b, fam.Set)
+		cache := chase.NewCache()
+		report(b, fam.Set, cache)
+		var buf bytes.Buffer
+		if err := cache.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+		snap := buf.Bytes()
 		b.Run(fam.Name+"/warm-restart", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -85,11 +85,9 @@ func BenchmarkPersistStickyDecide(b *testing.B) {
 				if err != nil || rep.Skipped > 0 {
 					b.Fatalf("load: %v %+v", err, rep)
 				}
-				if _, err := sticky.Decide(fam.Set, sticky.DecideOptions{Cache: cache}); err != nil {
-					b.Fatal(err)
-				}
-				if cache.Stats().Hits == 0 {
-					b.Fatal("restart did not hit the snapshot")
+				report(b, fam.Set, cache)
+				if st := cache.Stats(); st.Hits != 1 || st.Misses != 0 {
+					b.Fatalf("restart did not replay the snapshot's ledger: %+v", st)
 				}
 			}
 		})
@@ -149,8 +147,8 @@ func BenchmarkPersistExistsSearch(b *testing.B) {
 
 // BenchmarkPersistSnapshotRoundTrip isolates the tier's own overhead — one
 // Snapshot + one Restore of a cache populated by a cold stage-grid search
-// and a cold sticky decision — the cost a -cache-file run pays on top of
-// its decides. Compare against the cold cells above: the bar is <5% of one
+// and a cold flat report — the cost a -cache-file run pays on top of its
+// decides. Compare against the cold cells above: the bar is <5% of one
 // cold decide.
 func BenchmarkPersistSnapshotRoundTrip(b *testing.B) {
 	cache := chase.NewCache()
@@ -160,9 +158,7 @@ func BenchmarkPersistSnapshotRoundTrip(b *testing.B) {
 	}); !res.Found {
 		b.Fatal("seed search failed")
 	}
-	if _, err := sticky.Decide(workload.StickyJoin(8).Set, sticky.DecideOptions{Cache: cache}); err != nil {
-		b.Fatal(err)
-	}
+	report(b, workload.StickyJoin(8).Set, cache)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

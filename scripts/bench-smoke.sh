@@ -22,9 +22,9 @@ smoke() {
 }
 
 smoke ./internal/chase 'BenchmarkRunChaseInterned|BenchmarkExistsSearch|BenchmarkDeltaExistsSearch|BenchmarkEGDChaseInterned'
-smoke ./internal/guarded 'BenchmarkDecideCached|BenchmarkGenerateSeeds|BenchmarkDecideCold'
+smoke ./internal/guarded 'BenchmarkGenerateSeeds|BenchmarkDecideCold'
 smoke ./internal/sticky 'BenchmarkStickyDecide'
 smoke ./internal/portfolio 'BenchmarkPortfolioMixed'
-smoke . 'BenchmarkPersistStickyDecide'
+smoke . 'BenchmarkPersistFlatReport'
 smoke ./internal/serve 'BenchmarkServeMixed'
 go run ./cmd/benchgen -family key-graph -n 24 -seed 1 | go run ./cmd/chase -quiet -
