@@ -88,7 +88,7 @@ func TestArenaReuseMatchesFreshRuns(t *testing.T) {
 		if !slices.Equal(sortedKeys(got.Final), sortedKeys(want.Final)) {
 			t.Errorf("%s: final keys differ", label)
 		}
-		if got.Final.Fingerprint() != want.Final.Fingerprint() {
+		if logic.FingerprintAtoms(got.Final.Atoms()) != logic.FingerprintAtoms(want.Final.Atoms()) {
 			t.Errorf("%s: final fingerprint differs", label)
 		}
 	}

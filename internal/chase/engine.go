@@ -310,8 +310,8 @@ func (r *Run) InstanceAt(i int) *instance.Instance {
 // unifies the two bound terms in a union-find over TermIDs (uf): the
 // representative is the constant if one side is a constant, else the older
 // null (smaller TermID); two distinct constants are an EGDFailure. The
-// instance is then rewritten in place through uf.Find (fingerprint repair
-// happens inside Instance.RewriteTerms) and the trigger state — tables,
+// instance is then rewritten in place through uf.Find
+// (Instance.RewriteTerms rebuilds its indexes) and the trigger state — tables,
 // queue, birth verdicts — is rebuilt from the rewritten instance: an
 // equality step can deactivate triggers (a head image appears by merging)
 // and re-activate work in bulk (rewritten body matches are new trigger
@@ -893,8 +893,8 @@ func (e *engine) applyEGD(j int, bt []uint32, x, y logic.TermID) bool {
 }
 
 // flushEqualities applies the pending equality merges: the instance is
-// rewritten through the union-find (Instance.RewriteTerms — fingerprint
-// repair happens there) and the whole trigger state is rebuilt from the
+// rewritten through the union-find (Instance.RewriteTerms, which rebuilds
+// the instance's indexes) and the whole trigger state is rebuilt from the
 // rewritten instance. The rebuild is the bulk trigIndex repair: triggers
 // deactivated by the rewrite (their head image appeared by merging) are
 // re-discovered and then skipped by their fresh birth checks, and triggers

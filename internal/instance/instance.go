@@ -34,8 +34,6 @@ type Instance struct {
 	predIdx map[logic.PredID][]int32         // insertion indices per predicate
 	ptIdx   map[uint64][]int32               // packed (pred, pos, term) -> insertion indices
 
-	fp logic.Fingerprint // order-independent set fingerprint, maintained on insert
-
 	tupbuf []uint32 // scratch for tuple probes; single-writer
 
 	// termArena backs the []Term argument slices of atoms materialised by
@@ -45,7 +43,7 @@ type Instance struct {
 	termArena []logic.Term
 
 	// lite instances (NewScratch) maintain only the ID-plane state the slot
-	// search reads — identity table, posting lists, fingerprint — skipping
+	// search reads — identity table and posting lists — skipping
 	// materialised atoms and the interface-keyed byPred index. The atom-form
 	// read API stays correct by materialising on demand from the identity
 	// tuples; it allocates per call, which the hot paths never do.
@@ -94,7 +92,7 @@ func NewWithInternerHint(tab *logic.Interner, atomsHint int) *Instance {
 // NewScratch returns an empty *lite* instance on the shared interner: the
 // ∀∃ search's reusable materialisation arena. A lite instance maintains
 // only what the ID-plane consumers (logic.IDSource/DeltaSource probes,
-// HasTuple, Fingerprint) read — no per-atom logic.Atom materialisation and
+// HasTuple) read — no per-atom logic.Atom materialisation and
 // no byPred interface index — which is what makes truncate + replay the
 // allocation-free steady state of the search. The atom-form read API
 // (Atoms, AtomAt, AtomsByPredicate, ...) still works, materialising from
@@ -127,16 +125,15 @@ func (in *Instance) Reset() { in.Truncate(0) }
 
 // Truncate drops every atom with insertion index >= n, keeping the
 // interner and the allocated capacity of every index, and leaves exactly
-// the instance its first n atoms make: the same identity table, the same
-// posting lists and the same fingerprint. The ∀∃ search moves one scratch
+// the instance its first n atoms make: the same identity table and the
+// same posting lists. The ∀∃ search moves one scratch
 // instance along its search tree this way, rewinding to a common ancestor
 // and replaying only the deltas below it.
 //
 // Dropped atoms are visited newest first. Posting lists ascend, so a
 // dropped atom's postings are the tail of each list it is on; the first
-// visit to a list cuts every posting >= n at once. The fingerprint loses
-// each dropped atom's hash (Merge is 128-bit addition, so Unmerge undoes it
-// exactly). Atoms, slices and insertion indices previously returned for
+// visit to a list cuts every posting >= n at once. Atoms, slices and
+// insertion indices previously returned for
 // dropped atoms become invalid; the term arena is reused only from an empty
 // instance.
 func (in *Instance) Truncate(n int) {
@@ -147,9 +144,6 @@ func (in *Instance) Truncate(n int) {
 	for i := int32(in.Len() - 1); i >= lo; i-- {
 		tup := in.atoms.Tuple(i)
 		pid := logic.PredID(tup[0])
-		if n > 0 {
-			in.fp = in.fp.Unmerge(in.tab.HashAtomIDs(pid, tup[1:]))
-		}
 		if lst := in.predIdx[pid]; len(lst) > 0 && lst[len(lst)-1] >= lo {
 			keep := logic.LowerBound(lst, lo)
 			in.predIdx[pid] = lst[:keep]
@@ -167,7 +161,6 @@ func (in *Instance) Truncate(n int) {
 		}
 	}
 	if n == 0 {
-		in.fp = logic.Fingerprint{}
 		in.termArena = in.termArena[:0]
 	}
 	if !in.lite {
@@ -190,7 +183,6 @@ func (in *Instance) Clear() {
 	in.atoms.Truncate(0)
 	in.order = in.order[:0]
 	in.termArena = in.termArena[:0]
-	in.fp = logic.Fingerprint{}
 }
 
 // Add inserts the atom and reports whether it was new. It panics if the
@@ -261,7 +253,6 @@ func (in *Instance) insert(pid logic.PredID, tuple []uint32, a logic.Atom) (int3
 	if !isNew {
 		return idx, false
 	}
-	in.fp = in.fp.Merge(in.tab.HashAtomIDs(pid, tuple[1:]))
 	if !in.lite {
 		in.order = append(in.order, a)
 		in.byPred[a.Pred] = append(in.byPred[a.Pred], a)
@@ -283,13 +274,11 @@ func (in *Instance) insert(pid logic.PredID, tuple []uint32, a logic.Atom) (int3
 // merged-away TermIDs remain valid interner entries, they simply no longer
 // occur in the instance.
 //
-// This is where *fingerprint repair* happens: a rewrite both merges
-// duplicate atoms and changes survivors' hashes, so rather than patching
-// the incremental 128-bit Fingerprint atom by atom, it is rebuilt from the
-// merged atom set by re-running every insert, together with the indexes.
-// Cross-run cache keys, the fingerprint memo and ∀∃ dedup therefore see
-// exactly the fingerprint a fresh instance holding the rewritten atom set
-// would carry.
+// A rewrite both merges duplicate atoms and moves survivors to new
+// identity tuples, so rather than patching the indexes atom by atom, they
+// are rebuilt from the merged atom set by re-running every insert: the
+// result is exactly the instance a fresh insert of the rewritten atom set
+// would build.
 //
 // All previously returned atoms, slices and insertion indices are
 // invalidated, exactly like Reset.
@@ -407,17 +396,6 @@ func (in *Instance) atomFromTuple(i int32) logic.Atom {
 	return logic.Atom{Pred: in.tab.Pred(logic.PredID(tup[0])), Args: terms}
 }
 
-// Fingerprint returns the 128-bit order-independent fingerprint of the atom
-// set in O(1): it is maintained incrementally on every insert (Add, AddTuple,
-// AddAll). Two instances holding the same atoms have equal fingerprints
-// regardless of insertion order or interner — including across Clone —
-// provided their interners hash terms alike; term-hash overrides installed
-// via logic.Interner.InternTermWithHash (null canonicalisation) do not carry
-// over to Clone's fresh interner (see Clone). Callers treating fingerprint
-// equality as set equality accept the 128-bit collision probability (see
-// logic.Fingerprint).
-func (in *Instance) Fingerprint() logic.Fingerprint { return in.fp }
-
 // Atoms returns the atoms in insertion order. The returned slice is a copy.
 func (in *Instance) Atoms() []logic.Atom {
 	if in.lite {
@@ -530,7 +508,7 @@ func (in *Instance) Dom() logic.TermSet {
 //
 // The clone owns a fresh interner with content hashes only: term-hash
 // overrides installed on the original's interner (null canonicalisation) do
-// not carry over, so Fingerprint() of the clone can differ when overrides
+// not carry over, so the clone's atoms can hash differently when overrides
 // were in play. The ∀∃ search, which installs overrides, never clones.
 func (in *Instance) Clone() *Instance {
 	out := New()

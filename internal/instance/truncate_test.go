@@ -10,7 +10,7 @@ import (
 
 // sameInstance reports how got differs from want, two instances on one
 // interner, or "" when they agree on everything the read API and the
-// ID-plane consumers see: Len, Fingerprint, the identity tuples in
+// ID-plane consumers see: Len, the identity tuples in
 // insertion order, every predicate and (predicate, position, term) posting
 // list, and for full instances the atoms and the per-predicate atom lists.
 // Keys are taken from both instances' maps, so a posting left behind under
@@ -18,9 +18,6 @@ import (
 func sameInstance(got, want *Instance) string {
 	if got.Len() != want.Len() {
 		return "Len differs"
-	}
-	if got.Fingerprint() != want.Fingerprint() {
-		return "Fingerprint differs"
 	}
 	for i := 0; i < want.Len(); i++ {
 		if !slices.Equal(got.atoms.Tuple(int32(i)), want.atoms.Tuple(int32(i))) {
@@ -105,7 +102,7 @@ func TestInstanceClearThenRefill(t *testing.T) {
 	in := NewWithInterner(tab)
 	in.AddAll(randomAtoms(rng, 40))
 	in.Clear()
-	if in.Len() != 0 || len(in.predIdx)+len(in.ptIdx)+len(in.byPred) != 0 || !in.Fingerprint().IsZero() {
+	if in.Len() != 0 || len(in.predIdx)+len(in.ptIdx)+len(in.byPred) != 0 {
 		t.Fatalf("Clear left %d atoms, %d+%d+%d keys", in.Len(), len(in.predIdx), len(in.ptIdx), len(in.byPred))
 	}
 	atoms := randomAtoms(rng, 25)

@@ -51,14 +51,6 @@ func (f Fingerprint) Merge(g Fingerprint) Fingerprint {
 	return Fingerprint{Hi: hi, Lo: lo}
 }
 
-// Unmerge is the inverse of Merge (128-bit subtraction): f.Merge(g).Unmerge(g)
-// == f, so removing an atom merged once removes its hash exactly.
-func (f Fingerprint) Unmerge(g Fingerprint) Fingerprint {
-	lo, borrow := bits.Sub64(f.Lo, g.Lo, 0)
-	hi, _ := bits.Sub64(f.Hi, g.Hi, borrow)
-	return Fingerprint{Hi: hi, Lo: lo}
-}
-
 // Mix combines two fingerprints order-sensitively: f.Mix(g) != g.Mix(f) in
 // general. It is the tuple-hashing step behind atom hashes and structural
 // null identities.
@@ -130,8 +122,8 @@ func HashAtom(a Atom) Fingerprint {
 
 // FingerprintAtoms returns the order-independent fingerprint of a *set* of
 // atoms given as a duplicate-free slice, using content hashes throughout.
-// It equals Instance.Fingerprint() for an instance holding the same atoms
-// (when no null-hash overrides are installed). Callers must deduplicate:
+// It equals the Merge of Interner.HashAtomIDs over the same atoms' tuples
+// when no null-hash overrides are installed. Callers must deduplicate:
 // Merge is not idempotent.
 func FingerprintAtoms(atoms []Atom) Fingerprint {
 	var f Fingerprint
