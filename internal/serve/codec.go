@@ -68,7 +68,8 @@ type DecideResponse struct {
 	DecidedBy string   `json:"decided-by,omitempty"`
 	Reasons   []string `json:"reasons,omitempty"`
 	Stages    []Stage  `json:"stages,omitempty"`
-	// CacheHit is true when the portfolio replayed a whole cached run.
+	// CacheHit is true when the cascade (portfolio=true) replayed a whole
+	// cached run. A flat decide reports false, replayed or not.
 	CacheHit bool `json:"cache-hit"`
 	// Shared is true when this request joined another in-flight identical
 	// request instead of running its own analysis (singleflight).

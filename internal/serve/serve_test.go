@@ -225,6 +225,11 @@ func driveCorpus(t *testing.T, ts *testServer, corpus map[string]string, refs ma
 		if got := renderDecide(dec.Verdict, dec.Reasons); got != ref.decide {
 			t.Errorf("%s/%s: served decide drifted:\n  got  %s\n  want %s", regime, name, got, ref.decide)
 		}
+		// A flat decide replays its stage ledger when warm, but its wire
+		// shape carries neither stages nor a cache hit.
+		if dec.CacheHit || len(dec.Stages) != 0 {
+			t.Errorf("%s/%s: served flat decide reports cache-hit %v with %d stages", regime, name, dec.CacheHit, len(dec.Stages))
+		}
 		var pf DecideResponse
 		postJSON(t, ts.url("/v1/decide"), DecideRequest{Program: src, Portfolio: true, GuardedBudget: confDecideSteps}, http.StatusOK, &pf)
 		if got := renderPortfolio(pf.Verdict, pf.DecidedBy); got != ref.portfolio {
@@ -706,6 +711,25 @@ func TestSnapshotterCadence(t *testing.T) {
 	if restored, rep, err := chase.LoadCacheFile(finalPath); err != nil || rep.Skipped > 0 || rep.Truncated ||
 		restored.Stats().Entries != cache.Stats().Entries {
 		t.Errorf("final snapshot did not restore the cache: %v %+v", err, rep)
+	}
+}
+
+// TestOpenCacheFileNamesRetiredKinds pins the shared loader's report of a
+// partial load: cache-v3.snap holds 26 frames of kinds this build no longer
+// reads, none of them corrupt, and the line says so instead of calling
+// every skipped frame corrupt.
+func TestOpenCacheFileNamesRetiredKinds(t *testing.T) {
+	path := "../chase/testdata/cache-v3.snap"
+	var logged []string
+	c := OpenCacheFile(path, func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	want := "cache file " + path + ": restored 10 entries, skipped 26 (corrupt or of a retired kind), truncated=false"
+	if len(logged) != 1 || logged[0] != want {
+		t.Errorf("log = %q, want %q", logged, want)
+	}
+	if got := c.Stats().Entries; got != 10 {
+		t.Errorf("restored %d entries, want 10", got)
 	}
 }
 

@@ -115,7 +115,9 @@ func (s *Snapshotter) Stats() SnapshotStats {
 
 // OpenCacheFile loads the snapshot at path into a fresh cache: a missing
 // file starts cold silently, a corrupt or version-mismatched one is
-// reported through logf and ignored (the next save overwrites it) — the
+// reported through logf and ignored (the next save overwrites it), and a
+// partial load is reported with its count of skipped frames, corrupt or
+// of a retired kind, which the next save drops — the
 // shared loader of termcheck and termcheckd, where persistence must never
 // turn a servable request into an error.
 func OpenCacheFile(path string, logf func(format string, args ...any)) *chase.Cache {
@@ -126,7 +128,7 @@ func OpenCacheFile(path string, logf func(format string, args ...any)) *chase.Ca
 	switch {
 	case err == nil:
 		if (rep.Skipped > 0 || rep.Truncated) && logf != nil {
-			logf("cache file %s: restored %d entries, skipped %d corrupt, truncated=%t",
+			logf("cache file %s: restored %d entries, skipped %d (corrupt or of a retired kind), truncated=%t",
 				path, rep.Restored, rep.Skipped, rep.Truncated)
 		}
 		return loaded
