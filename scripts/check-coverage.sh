@@ -32,7 +32,10 @@
 # points). At the ratchet that deleted the portfolio's ∀∃ stage and the
 # accessors no program linked: internal/chase 95.2%, internal/portfolio
 # 94.1%, internal/sticky 89.2%, internal/serve 95.8% (the other floors are
-# within two points).
+# within two points). At the ratchet that memoised the flat report in the
+# stage ledger and deleted the seed-outcome, seed-pool and sticky-outcome
+# kinds: internal/chase 95.4%, internal/portfolio 94.2%, internal/serve
+# 96.2% (the other floors are within two points).
 set -eu
 
 check() {
@@ -49,10 +52,10 @@ check() {
 	echo "check-coverage: $pkg ${total}% (floor ${floor}%)"
 }
 
-check ./internal/chase 93.2
+check ./internal/chase 93.4
 check ./internal/guarded 94.1
-check ./internal/portfolio 92.1
+check ./internal/portfolio 92.2
 check ./internal/sticky 87.2
-check ./internal/serve 93.8
+check ./internal/serve 94.2
 check ./internal/buchi 97.5
 check ./internal/ochase 94.9
