@@ -35,9 +35,6 @@ type Fingerprint struct {
 	Hi, Lo uint64
 }
 
-// IsZero reports whether f is the empty-set fingerprint.
-func (f Fingerprint) IsZero() bool { return f.Hi == 0 && f.Lo == 0 }
-
 // String renders the fingerprint as 32 hex digits; debug output only.
 func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.Lo) }
 
