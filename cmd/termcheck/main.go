@@ -29,13 +29,12 @@
 // goroutine.
 //
 // -cache routes the run through a cross-run chase cache
-// (internal/chase/cache.go): seed pools, seed chase outcomes, sticky
-// Büchi lasso verdicts, whole portfolio runs and whole -exists search
-// outcomes are memoised on (TGD-set fingerprint, instance fingerprint)
-// keys, and a `cache:` stats line reports hits/misses/entries/bytes and
-// evictions. Within one invocation nothing repeats, so the cache only
-// takes writes; hits come from -cache-file. Verdicts are bit-identical
-// with and without the cache.
+// (internal/chase/cache.go): whole flat reports, whole portfolio runs and
+// whole -exists search outcomes are memoised on (TGD-set fingerprint,
+// instance fingerprint) keys, and a `cache:` stats line reports
+// hits/misses/entries/bytes and evictions. Within one invocation nothing
+// repeats, so the cache only takes writes; hits come from -cache-file.
+// Verdicts are bit-identical with and without the cache.
 //
 // -cache-file PATH makes that cache persistent (and implies -cache): an
 // existing snapshot at PATH is loaded before the run — a corrupt or
@@ -76,7 +75,7 @@ func main() {
 	existsStates := flag.Int("exists-states", chase.DefaultSearchStates, "state budget for the -exists search")
 	existsAtoms := flag.Int("exists-atoms", chase.DefaultSearchAtoms, "per-instance atom bound for the -exists search")
 	usePortfolio := flag.Bool("portfolio", false, "answer the all-instances question through the staged decider portfolio (cheap checks, k-round probe, semantic deciders)")
-	useCache := flag.Bool("cache", false, "memoise chase work (guarded seeds, sticky Büchi verdicts, -exists searches, portfolio runs) in a cross-run cache and report a cache: stats line")
+	useCache := flag.Bool("cache", false, "memoise whole answers (the flat report, portfolio runs, -exists searches) in a cross-run cache and report a cache: stats line")
 	cacheFile := flag.String("cache-file", "", "persist the cross-run cache: load the snapshot at this path if it exists and save it back atomically on exit (implies -cache)")
 	cacheSaveEvery := flag.Duration("cache-save-every", 0, "also snapshot the -cache-file cache on this cadence during the run, so a crash loses at most one interval of warm work (0: save at exit only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to the file")
