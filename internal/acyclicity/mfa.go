@@ -97,7 +97,7 @@ func newMFAChase(set *tgds.Set) *mfaChase {
 		words: (len(set.TGDs) + 63) / 64,
 	}
 	m.scr = make([]uint64, m.words)
-	m.inst = instance.NewScratch(m.tab, 64)
+	m.inst = instance.NewWithInternerHint(m.tab, 64)
 	crit := m.tab.InternTerm(critical.TheConstant)
 	for _, p := range set.Schema().Predicates() {
 		args := make([]logic.TermID, p.Arity)

@@ -118,10 +118,8 @@ type Options struct {
 	// Seed drives the Random strategy.
 	Seed int64
 	// DropSteps disables derivation recording: Run.Steps and Run.EqSteps
-	// stay empty, and RunChase chases the database in a lite instance
-	// (instance.NewScratch) that keeps only the ID plane, so Run.Final
-	// materialises atom forms only when they are read. The guarded battery
-	// runs this way, in a pooled Arena, and reads its steps through OnStep.
+	// stay empty. The guarded battery runs this way, in a pooled Arena, and
+	// reads its steps through OnStep.
 	DropSteps bool
 	// OnStep, when set, observes every applied TGD step on the ID plane
 	// (see StepObserver). Runs are byte-identical with and without it.
@@ -327,7 +325,6 @@ func (r *Run) InstanceAt(i int) *instance.Instance {
 type engine struct {
 	set  *tgds.Set
 	opts Options
-	full bool // the instance keeps atom forms (a recording one-shot run)
 	inst *instance.Instance
 	itab *logic.Interner
 	ct   []compiledTGD
@@ -395,11 +392,9 @@ func RunChase(db *instance.Database, set *tgds.Set, opts Options) *Run {
 // ctx.Done() every engineCtxInterval pops and stops with Reason =
 // Cancelled when it fires. An un-cancellable context (Background) adds
 // one nil check per pop; uncancelled runs are byte-identical to RunChase.
-// It runs in a one-shot Arena, so Run.Final is the caller's to keep; a
-// recording run (DropSteps false) chases a full instance, whose atom
-// forms its Steps share.
+// It runs in a one-shot Arena, so Run.Final is the caller's to keep.
 func RunChaseContext(ctx context.Context, db *instance.Database, set *tgds.Set, opts Options) *Run {
-	a := &Arena{e: engine{full: !opts.DropSteps}}
+	a := &Arena{}
 	a.Bind(set)
 	return a.Run(ctx, db, opts)
 }
@@ -415,9 +410,8 @@ func RunChaseContext(ctx context.Context, db *instance.Database, set *tgds.Set, 
 // order, Random pops depend only on the queue length, and nulls are
 // interned in naming order).
 //
-// The zero value is an unbound arena whose instance is lite (see
-// instance.NewScratch). An arena has one writer and must not be copied
-// after first use.
+// The zero value is an unbound arena. An arena has one writer and must not
+// be copied after first use.
 //
 // Run.Final of an arena's run is the arena's own instance, and with it the
 // TermIDs an OnStep observer saw: they stay valid only until the arena's
@@ -460,11 +454,7 @@ func (a *Arena) Bind(set *tgds.Set) {
 	e := &a.e
 	if e.itab == nil {
 		e.itab = logic.NewInterner()
-		if e.full {
-			e.inst = instance.NewWithInterner(e.itab)
-		} else {
-			e.inst = instance.NewScratch(e.itab, 16)
-		}
+		e.inst = instance.NewWithInterner(e.itab)
 		e.trig = logic.NewTupleTable(64)
 		e.front = logic.NewTupleTable(16)
 		e.ds = discSorter{itab: e.itab, disc: &e.discBuf, idx: &e.sortBuf}
@@ -972,13 +962,14 @@ func (e *engine) apply(tgd int, bt []uint32) {
 		if k == 0 {
 			head = idx
 		}
-		if record {
-			result = append(result, e.inst.AtomAt(int(idx)))
-		}
 		if isNew {
 			e.addedIx = append(e.addedIx, idx)
-			if record {
-				added = append(added, e.inst.AtomAt(int(idx)))
+		}
+		if record {
+			a := e.inst.AtomAt(int(idx))
+			result = append(result, a)
+			if isNew {
+				added = append(added, a)
 			}
 		}
 	}

@@ -15,9 +15,10 @@ package chase
 //     in a TupleTable — nodes store a 4-byte trigger ID and a parent
 //     pointer, never a copied []Trigger path;
 //   - nulls are invented per (trigger ID, existential index) — the paper's
-//     c^{σ,h}_x — and interned with a *structural* hash (the trigger's
-//     content, not the null's counter name), so fingerprints of states
-//     reached along different paths collide exactly when the states merge;
+//     c^{σ,h}_x — and interned by name. A trigger ID is its TGD and body
+//     TermIDs, so each c^{σ,h}_x gets exactly one name whichever path
+//     meets it first, and fingerprints of states reached along different
+//     paths collide exactly when the states merge;
 //   - child states are deltas: generating a successor costs O(|result|)
 //     membership probes and one fingerprint merge — no Clone, no rendering.
 //     A node's instance is materialised only when the node is popped for
@@ -34,8 +35,8 @@ package chase
 // The single-state expansion step (intern the vocabulary, compute the
 // state's active-trigger index — inherited from the parent and repaired
 // with the delta, see triggerindex.go — compute a successor's fingerprint
-// and delta, invent nulls by structural identity) lives in the expander
-// type, which the searcher below embeds.
+// and delta, invent one null per trigger and existential variable) lives
+// in the expander type, which the searcher below embeds.
 
 import (
 	"container/heap"
@@ -184,40 +185,22 @@ func (f *searchFrontier) Pop() any {
 	return x
 }
 
-// nullIdentitySeed starts the structural hash of an invented null; distinct
-// from every term content hash by construction (those pass through fnv64).
-var nullIdentitySeed = logic.Fingerprint{Hi: 0x9d39247e33776d41, Lo: 0x2af7398005aaa5c7}
-
-// nullIdentity is the canonical fingerprint of the null c^{σ,h}_x: the TGD
-// index σ, the body-binding term hashes of h in slot order, and the
-// existential index of x, mixed order-sensitively from nullIdentitySeed.
-// Binding hashes are content hashes for constants and canonical fingerprints
-// for nulls, so the identity depends only on the trigger's content, never on
-// the order in which the search met it.
-func nullIdentity(tgd uint32, bindingHashes []logic.Fingerprint, k int) logic.Fingerprint {
-	h := nullIdentitySeed.MixUint64(uint64(tgd))
-	for _, b := range bindingHashes {
-		h = h.Mix(b)
-	}
-	return h.MixUint64(uint64(k))
-}
-
 // expander is the reusable single-state expansion step of the ∀∃ search: a
 // private interner holding the startup vocabulary (compiled patterns first,
 // then database atoms), the delta-maintained active-trigger index over a
 // reused scratch instance (triggerindex.go), successor fingerprint/delta
-// computation, and null invention by structural identity. The searcher
-// embeds one. Single writer, no internal locking — the interner is never
-// shared (see the concurrency contract in docs/ARCHITECTURE.md).
+// computation, and null invention per trigger. The searcher embeds one.
+// Single writer, no internal locking — the interner is never shared (see
+// the concurrency contract in docs/ARCHITECTURE.md).
 type expander struct {
 	set *tgds.Set
 
 	itab *logic.Interner // private identity of every state this expander touches
 	ct   []compiledTGD
 
-	trig        *logic.TupleTable       // trigger identity: [tgd, body TermIDs...]
-	structNulls map[uint64]logic.TermID // (trigger ID, exist index) -> null
-	namer       *logic.FreshNamer
+	trig  *logic.TupleTable       // trigger identity: [tgd, body TermIDs...]
+	nulls map[uint64]logic.TermID // (trigger ID, exist index) -> null
+	namer *logic.FreshNamer
 
 	rootDelta []uint32 // the database atoms, flattened [pid, args...]*
 	rootFp    logic.Fingerprint
@@ -246,7 +229,6 @@ type expander struct {
 	argbuf   []logic.TermID
 	argraw   []uint32
 	deltaBuf []uint32
-	hashBuf  []logic.Fingerprint
 }
 
 // newExpander builds an expander for the database and set, interning the
@@ -254,11 +236,11 @@ type expander struct {
 // database atoms.
 func newExpander(db *instance.Database, set *tgds.Set) *expander {
 	e := &expander{
-		set:         set,
-		itab:        logic.NewInterner(),
-		trig:        logic.NewTupleTable(64),
-		structNulls: make(map[uint64]logic.TermID),
-		namer:       logic.NewFreshNamer("n"),
+		set:   set,
+		itab:  logic.NewInterner(),
+		trig:  logic.NewTupleTable(64),
+		nulls: make(map[uint64]logic.TermID),
+		namer: logic.NewFreshNamer("n"),
 	}
 	e.ct = compileSet(set, e.itab)
 	e.deps = newDeltaDeps(e.ct)
@@ -310,8 +292,8 @@ func (e *expander) isActive(tgd int, bt []uint32, inst *instance.Instance) bool 
 // active trigger trigID of TGD tgd with body bindings bt: the result atoms
 // not already present merge into the returned fingerprint, the flattened new
 // atoms are left in e.deltaBuf ([pid, args...]*), and added counts them.
-// Nulls are invented (or reused) by structural identity, so the returned
-// fingerprint is the same whichever path reached the state.
+// Nulls are invented (or reused) per trigger, so the returned fingerprint
+// is the same whichever path reached the state.
 func (e *expander) childState(inst *instance.Instance, fp logic.Fingerprint, trigID logic.TupleID, tgd int, bt []uint32) (logic.Fingerprint, int) {
 	ct := &e.ct[tgd]
 	e.deltaBuf = e.deltaBuf[:0]
@@ -368,23 +350,18 @@ func (e *expander) deltaHas(pid logic.PredID, raw []uint32) bool {
 }
 
 // nullFor returns the interned null for the trigger's k-th existential
-// variable, inventing it on first use under its canonical identity
-// (nullIdentity over the trigger's content — the paper's c^{σ,h}_x) rather
-// than its arbitrary counter name. Well-founded: every binding term was
-// interned (and hashed) before the null it helps invent. The (trigger, k)
-// cache gives each null one ID, so repeats are a single map probe.
+// variable — the paper's c^{σ,h}_x — inventing it under the next counter
+// name on first use. The (trigger, k) cache gives each null one name and
+// one ID for the whole search, and a trigger's ID is a function of its
+// content, so a state's fingerprint does not depend on the path that
+// reached it.
 func (e *expander) nullFor(trigID logic.TupleID, k int) logic.TermID {
 	key := uint64(uint32(trigID))<<32 | uint64(uint32(k))
-	if id, ok := e.structNulls[key]; ok {
+	if id, ok := e.nulls[key]; ok {
 		return id
 	}
-	tup := e.trig.Tuple(trigID)
-	e.hashBuf = e.hashBuf[:0]
-	for _, b := range tup[1:] {
-		e.hashBuf = append(e.hashBuf, e.itab.TermHash(logic.TermID(b)))
-	}
-	id := e.itab.InternTermWithHash(e.namer.NextNull(), nullIdentity(tup[0], e.hashBuf, k))
-	e.structNulls[key] = id
+	id := e.itab.InternTerm(e.namer.NextNull())
+	e.nulls[key] = id
 	return id
 }
 
@@ -653,7 +630,7 @@ func (s *searcher) generate(cur *searchNode, inst *instance.Instance, idx *trigI
 // next materialise.
 func (s *searcher) materialise(n *searchNode) *instance.Instance {
 	if s.scratch == nil {
-		s.scratch = instance.NewScratch(s.itab, n.size)
+		s.scratch = instance.NewWithInternerHint(s.itab, n.size)
 	}
 	s.chain = s.chain[:0]
 	a, b := n, s.held

@@ -10,7 +10,7 @@ import (
 	"airct/internal/parser"
 )
 
-// rebuildFromRoot materialises the node's state the slow way: a fresh lite
+// rebuildFromRoot materialises the node's state the slow way: a fresh
 // instance on the search's interner, filled with the database and every
 // ancestor delta, root first.
 func rebuildFromRoot(n *searchNode, tab *logic.Interner) *instance.Instance {
@@ -18,7 +18,7 @@ func rebuildFromRoot(n *searchNode, tab *logic.Interner) *instance.Instance {
 	for m := n; m != nil; m = m.parent {
 		chain = append(chain, m)
 	}
-	inst := instance.NewScratch(tab, n.size)
+	inst := instance.NewWithInternerHint(tab, n.size)
 	var args []logic.TermID
 	for i := len(chain) - 1; i >= 0; i-- {
 		d := chain[i].delta

@@ -7,8 +7,10 @@
 //
 // Identity is interned: each instance owns a logic.Interner mapping terms
 // and predicates to dense IDs, and membership is a (PredID, TermID...)
-// tuple-table probe — no string keys are built on the Add/Has/Diff/Equal
-// paths. Atom.Key() remains available as the debug/test rendering.
+// tuple-table probe — no string keys are built on the Add/Has/Equal paths.
+// An instance keeps only this ID plane; the atom-form read API (Atoms,
+// AtomAt, AtomsByPredicate) materialises atoms from the identity tuples on
+// each call. Atom.Key() remains available as the debug/test rendering.
 //
 // Concurrency contract: an Instance has a single writer. Readers may run
 // concurrently with each other, but not with Add. Engines own their
@@ -28,26 +30,11 @@ import (
 type Instance struct {
 	tab   *logic.Interner   // term/pred IDs; owned or shared (NewWithInterner)
 	atoms *logic.TupleTable // (PredID, TermID...) identity; TupleID = insertion index
-	order []logic.Atom      // insertion order, no duplicates
 
-	byPred  map[logic.Predicate][]logic.Atom // interface index for the generic search
-	predIdx map[logic.PredID][]int32         // insertion indices per predicate
-	ptIdx   map[uint64][]int32               // packed (pred, pos, term) -> insertion indices
+	predIdx map[logic.PredID][]int32 // insertion indices per predicate
+	ptIdx   map[uint64][]int32       // packed (pred, pos, term) -> insertion indices
 
 	tupbuf []uint32 // scratch for tuple probes; single-writer
-
-	// termArena backs the []Term argument slices of atoms materialised by
-	// AddTuple, chunk-allocated so steady-state materialisation performs no
-	// per-atom allocation (full chunks stay referenced by their atoms;
-	// Truncate(0) reuses the current chunk).
-	termArena []logic.Term
-
-	// lite instances (NewScratch) maintain only the ID-plane state the slot
-	// search reads — identity table and posting lists — skipping
-	// materialised atoms and the interface-keyed byPred index. The atom-form
-	// read API stays correct by materialising on demand from the identity
-	// tuples; it allocates per call, which the hot paths never do.
-	lite bool
 }
 
 // ptPack packs a (PredID, 1-based position, TermID) triple into one map
@@ -82,25 +69,9 @@ func NewWithInternerHint(tab *logic.Interner, atomsHint int) *Instance {
 	return &Instance{
 		tab:     tab,
 		atoms:   logic.NewTupleTable(atomsHint),
-		order:   make([]logic.Atom, 0, atomsHint),
-		byPred:  make(map[logic.Predicate][]logic.Atom),
 		predIdx: make(map[logic.PredID][]int32),
 		ptIdx:   make(map[uint64][]int32, 2*atomsHint),
 	}
-}
-
-// NewScratch returns an empty *lite* instance on the shared interner: the
-// ∀∃ search's reusable materialisation arena. A lite instance maintains
-// only what the ID-plane consumers (logic.IDSource/DeltaSource probes,
-// HasTuple) read — no per-atom logic.Atom materialisation and
-// no byPred interface index — which is what makes truncate + replay the
-// allocation-free steady state of the search. The atom-form read API
-// (Atoms, AtomAt, AtomsByPredicate, ...) still works, materialising from
-// the identity tuples on demand.
-func NewScratch(tab *logic.Interner, atomsHint int) *Instance {
-	in := NewWithInternerHint(tab, atomsHint)
-	in.lite = true
-	return in
 }
 
 // FromAtoms returns an instance containing the given atoms (duplicates are
@@ -132,10 +103,8 @@ func (in *Instance) Reset() { in.Truncate(0) }
 //
 // Dropped atoms are visited newest first. Posting lists ascend, so a
 // dropped atom's postings are the tail of each list it is on; the first
-// visit to a list cuts every posting >= n at once. Atoms, slices and
-// insertion indices previously returned for
-// dropped atoms become invalid; the term arena is reused only from an empty
-// instance.
+// visit to a list cuts every posting >= n at once. Slices and insertion
+// indices previously returned for dropped atoms become invalid.
 func (in *Instance) Truncate(n int) {
 	if n >= in.Len() {
 		return
@@ -145,13 +114,7 @@ func (in *Instance) Truncate(n int) {
 		tup := in.atoms.Tuple(i)
 		pid := logic.PredID(tup[0])
 		if lst := in.predIdx[pid]; len(lst) > 0 && lst[len(lst)-1] >= lo {
-			keep := logic.LowerBound(lst, lo)
-			in.predIdx[pid] = lst[:keep]
-			if !in.lite {
-				p := in.tab.Pred(pid)
-				by := in.byPred[p]
-				in.byPred[p] = by[:len(by)-(len(lst)-keep)]
-			}
+			in.predIdx[pid] = lst[:logic.LowerBound(lst, lo)]
 		}
 		for pos, t := range tup[1:] {
 			k := ptPack(pid, pos+1, logic.TermID(t))
@@ -159,12 +122,6 @@ func (in *Instance) Truncate(n int) {
 				in.ptIdx[k] = lst[:logic.LowerBound(lst, lo)]
 			}
 		}
-	}
-	if n == 0 {
-		in.termArena = in.termArena[:0]
-	}
-	if !in.lite {
-		in.order = in.order[:n]
 	}
 	in.atoms.Truncate(n)
 }
@@ -175,14 +132,11 @@ func (in *Instance) Truncate(n int) {
 // vocabulary the instance served. Clearing a whole map costs its capacity,
 // which beats deleting keys one by one unless the map holds a small share
 // of what it once held. With the maps cleared there are no posting lists
-// left to cut, so only the identity table and the slices are truncated.
+// left to cut, so only the identity table is truncated.
 func (in *Instance) Clear() {
-	clear(in.byPred)
 	clear(in.predIdx)
 	clear(in.ptIdx)
 	in.atoms.Truncate(0)
-	in.order = in.order[:0]
-	in.termArena = in.termArena[:0]
 }
 
 // Add inserts the atom and reports whether it was new. It panics if the
@@ -198,64 +152,27 @@ func (in *Instance) Add(a logic.Atom) bool {
 	for _, t := range a.Args {
 		in.tupbuf = append(in.tupbuf, uint32(in.tab.InternTerm(t)))
 	}
-	_, isNew := in.insert(pid, in.tupbuf, a)
+	_, isNew := in.insert(pid, in.tupbuf)
 	return isNew
 }
 
-// AddTuple inserts the atom with the given interned identity, materializing
-// its logic.Atom form from the IDs. It returns the atom's insertion index
-// and whether it was new. This is the engine's allocation-free membership
-// path (the Atom is materialized only for new atoms).
+// AddTuple inserts the atom with the given interned identity. It returns
+// the atom's insertion index and whether it was new. This is the engine's
+// allocation-free membership path.
 func (in *Instance) AddTuple(pid logic.PredID, args []logic.TermID) (int32, bool) {
 	in.tupbuf = in.tupbuf[:0]
 	in.tupbuf = append(in.tupbuf, uint32(pid))
 	for _, t := range args {
 		in.tupbuf = append(in.tupbuf, uint32(t))
 	}
-	if idx, ok := in.atoms.Lookup(in.tupbuf); ok {
-		return idx, false
-	}
-	var a logic.Atom
-	if !in.lite {
-		terms := in.allocTerms(len(args))
-		for i, t := range args {
-			terms[i] = in.tab.Term(t)
-		}
-		a = logic.Atom{Pred: in.tab.Pred(pid), Args: terms}
-	}
-	idx, _ := in.insert(pid, in.tupbuf, a)
-	return idx, true
+	return in.insert(pid, in.tupbuf)
 }
 
-// allocTerms hands out an n-term slice from the arena, growing it by chunks:
-// the dominant steady-state allocation of the interned engine (one []Term
-// per materialised atom) becomes amortised-free.
-func (in *Instance) allocTerms(n int) []logic.Term {
-	if len(in.termArena)+n > cap(in.termArena) {
-		c := 2 * cap(in.termArena)
-		if c < 256 {
-			c = 256
-		}
-		if c < n {
-			c = n
-		}
-		// The full chunk stays alive through the atoms that alias it.
-		in.termArena = make([]logic.Term, 0, c)
-	}
-	start := len(in.termArena)
-	in.termArena = in.termArena[:start+n]
-	return in.termArena[start : start+n : start+n]
-}
-
-// insert stores the atom under the prepared identity tuple (pid, args...).
-func (in *Instance) insert(pid logic.PredID, tuple []uint32, a logic.Atom) (int32, bool) {
+// insert stores the prepared identity tuple (pid, args...).
+func (in *Instance) insert(pid logic.PredID, tuple []uint32) (int32, bool) {
 	idx, isNew := in.atoms.Intern(tuple)
 	if !isNew {
 		return idx, false
-	}
-	if !in.lite {
-		in.order = append(in.order, a)
-		in.byPred[a.Pred] = append(in.byPred[a.Pred], a)
 	}
 	in.predIdx[pid] = append(in.predIdx[pid], idx)
 	for i, t := range tuple[1:] {
@@ -280,8 +197,8 @@ func (in *Instance) insert(pid logic.PredID, tuple []uint32, a logic.Atom) (int3
 // result is exactly the instance a fresh insert of the rewritten atom set
 // would build.
 //
-// All previously returned atoms, slices and insertion indices are
-// invalidated, exactly like Reset.
+// All previously returned slices and insertion indices are invalidated,
+// exactly like Reset.
 func (in *Instance) RewriteTerms(ρ func(logic.TermID) logic.TermID) int {
 	n := in.Len()
 	if n == 0 {
@@ -300,23 +217,10 @@ func (in *Instance) RewriteTerms(ρ func(logic.TermID) logic.TermID) int {
 	}
 	offs[n] = int32(len(flat))
 	in.Reset()
-	// Atoms handed out before the rewrite (e.g. a recorded derivation) alias
-	// the current term-arena chunk, which Reset would otherwise reuse and
-	// clobber; start a fresh chunk instead and leave theirs untouched.
-	in.termArena = nil
 	for i := 0; i < n; i++ {
 		tup := flat[offs[i]:offs[i+1]]
-		pid := logic.PredID(tup[0])
-		var a logic.Atom
-		if !in.lite {
-			terms := in.allocTerms(len(tup) - 1)
-			for k, t := range tup[1:] {
-				terms[k] = in.tab.Term(logic.TermID(t))
-			}
-			a = logic.Atom{Pred: in.tab.Pred(pid), Args: terms}
-		}
 		in.tupbuf = append(in.tupbuf[:0], tup...)
-		in.insert(pid, in.tupbuf, a)
+		in.insert(logic.PredID(tup[0]), in.tupbuf)
 	}
 	return n - in.Len()
 }
@@ -385,10 +289,19 @@ func (in *Instance) TupleIndex(pid logic.PredID, args []logic.TermID) (int32, bo
 // Len returns the number of (distinct) atoms.
 func (in *Instance) Len() int { return in.atoms.Len() }
 
-// atomFromTuple materialises the atom at insertion index i from its
-// identity tuple — the lite instances' on-demand atom form. Allocates.
-func (in *Instance) atomFromTuple(i int32) logic.Atom {
-	tup := in.atoms.Tuple(i)
+// Atoms returns the atoms in insertion order, materialised afresh.
+func (in *Instance) Atoms() []logic.Atom {
+	out := make([]logic.Atom, in.Len())
+	for i := range out {
+		out[i] = in.AtomAt(i)
+	}
+	return out
+}
+
+// AtomAt returns the i-th inserted atom (0-based), materialised afresh
+// from its identity tuple.
+func (in *Instance) AtomAt(i int) logic.Atom {
+	tup := in.atoms.Tuple(int32(i))
 	terms := make([]logic.Term, len(tup)-1)
 	for k, t := range tup[1:] {
 		terms[k] = in.tab.Term(logic.TermID(t))
@@ -396,46 +309,22 @@ func (in *Instance) atomFromTuple(i int32) logic.Atom {
 	return logic.Atom{Pred: in.tab.Pred(logic.PredID(tup[0])), Args: terms}
 }
 
-// Atoms returns the atoms in insertion order. The returned slice is a copy.
-func (in *Instance) Atoms() []logic.Atom {
-	if in.lite {
-		out := make([]logic.Atom, in.Len())
-		for i := range out {
-			out[i] = in.atomFromTuple(int32(i))
-		}
-		return out
-	}
-	out := make([]logic.Atom, len(in.order))
-	copy(out, in.order)
-	return out
-}
-
-// AtomAt returns the i-th inserted atom (0-based).
-func (in *Instance) AtomAt(i int) logic.Atom {
-	if in.lite {
-		return in.atomFromTuple(int32(i))
-	}
-	return in.order[i]
-}
-
-// AtomsByPredicate implements logic.AtomSource.
+// AtomsByPredicate implements logic.AtomSource: the atoms with predicate
+// p in insertion order, materialised afresh.
 func (in *Instance) AtomsByPredicate(p logic.Predicate) []logic.Atom {
-	if in.lite {
-		pid, ok := in.tab.LookupPred(p)
-		if !ok {
-			return nil
-		}
-		ids := in.predIdx[pid]
-		if len(ids) == 0 {
-			return nil
-		}
-		out := make([]logic.Atom, len(ids))
-		for i, idx := range ids {
-			out[i] = in.atomFromTuple(idx)
-		}
-		return out
+	pid, ok := in.tab.LookupPred(p)
+	if !ok {
+		return nil
 	}
-	return in.byPred[p]
+	ids := in.predIdx[pid]
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]logic.Atom, len(ids))
+	for i, idx := range ids {
+		out[i] = in.AtomAt(int(idx))
+	}
+	return out
 }
 
 // AtomIndexesByPredicateTerm implements logic.IndexedSource: insertion
@@ -499,17 +388,11 @@ func (in *Instance) Dom() logic.TermSet {
 	return s
 }
 
-// Clone returns a deep-enough copy: atoms are immutable by convention, so
-// only the index structures are rebuilt. Atom insertion indices (and hence
-// tuple IDs) match the original; TermIDs need not — the clone interns
+// Clone returns a copy on a fresh interner. Atom insertion indices (and
+// hence tuple IDs) match the original; TermIDs need not — the clone interns
 // terms in atom-argument appearance order, while the original's writer may
 // have interned them in another order (the engine interns nulls before the
 // atoms that carry them). Never compare TermIDs across instances.
-//
-// The clone owns a fresh interner with content hashes only: term-hash
-// overrides installed on the original's interner (null canonicalisation) do
-// not carry over, so the clone's atoms can hash differently when overrides
-// were in play. The ∀∃ search, which installs overrides, never clones.
 func (in *Instance) Clone() *Instance {
 	out := New()
 	for i := 0; i < in.Len(); i++ {
@@ -559,9 +442,11 @@ func (in *Instance) String() string {
 }
 
 // Database is a finite set of facts: atoms whose arguments are constants
-// only (no nulls, no variables).
+// only (no nulls, no variables). It keeps the facts' atom forms beside its
+// instance, because every chase run and every search key reads them.
 type Database struct {
-	inst *Instance
+	inst  *Instance
+	facts []logic.Atom // insertion order, no duplicates
 }
 
 // NewDatabase returns an empty database.
@@ -594,16 +479,22 @@ func (db *Database) Add(a logic.Atom) error {
 	if !a.IsFact() {
 		return fmt.Errorf("instance: %v is not a fact (databases hold constants only)", a)
 	}
-	db.inst.Add(a)
+	if db.inst.Add(a) {
+		db.facts = append(db.facts, a)
+	}
 	return nil
 }
 
 // Instance returns a fresh Instance holding the database's facts; the chase
 // mutates the copy, never the database.
-func (db *Database) Instance() *Instance { return db.inst.Clone() }
+func (db *Database) Instance() *Instance { return FromAtoms(db.facts...) }
 
-// Atoms returns the facts in insertion order.
-func (db *Database) Atoms() []logic.Atom { return db.inst.Atoms() }
+// Atoms returns the facts in insertion order. The returned slice is a copy.
+func (db *Database) Atoms() []logic.Atom {
+	out := make([]logic.Atom, len(db.facts))
+	copy(out, db.facts)
+	return out
+}
 
 // Len returns the number of facts.
 func (db *Database) Len() int { return db.inst.Len() }

@@ -44,10 +44,10 @@ func TestInstanceIndexes(t *testing.T) {
 		atom("S", logic.Const("b")),
 	)
 	if got := in.AtomsByPredicate(logic.Pred("R", 2)); len(got) != 2 {
-		t.Errorf("byPred R/2 = %d atoms", len(got))
+		t.Errorf("AtomsByPredicate R/2 = %d atoms", len(got))
 	}
 	if got := in.AtomsByPredicate(logic.Pred("T", 1)); got != nil {
-		t.Errorf("byPred missing pred = %v", got)
+		t.Errorf("AtomsByPredicate missing pred = %v", got)
 	}
 	if got := in.AtomIndexesByPredicateTerm(logic.Pred("R", 2), 1, logic.Const("a")); len(got) != 2 {
 		t.Errorf("byPT (R,1,a) = %d atoms", len(got))

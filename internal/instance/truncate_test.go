@@ -10,9 +10,8 @@ import (
 
 // sameInstance reports how got differs from want, two instances on one
 // interner, or "" when they agree on everything the read API and the
-// ID-plane consumers see: Len, the identity tuples in
-// insertion order, every predicate and (predicate, position, term) posting
-// list, and for full instances the atoms and the per-predicate atom lists.
+// ID-plane consumers see: Len, the identity tuples in insertion order, every
+// predicate and (predicate, position, term) posting list, and the atoms.
 // Keys are taken from both instances' maps, so a posting left behind under
 // a key the other instance lacks is caught too.
 func sameInstance(got, want *Instance) string {
@@ -39,56 +38,42 @@ func sameInstance(got, want *Instance) string {
 			}
 		}
 	}
-	if want.lite {
-		return ""
-	}
 	if !slices.EqualFunc(got.Atoms(), want.Atoms(), logic.Atom.Equal) {
 		return "Atoms differ"
-	}
-	for _, m := range []map[logic.Predicate][]logic.Atom{got.byPred, want.byPred} {
-		for p := range m {
-			if !slices.EqualFunc(got.AtomsByPredicate(p), want.AtomsByPredicate(p), logic.Atom.Equal) {
-				return "AtomsByPredicate differs"
-			}
-		}
 	}
 	return ""
 }
 
-// TestInstanceTruncateMatchesFreshInstance walks lite and full instances
-// through random adds (duplicates included) and truncations to random
-// sizes, the search's rewind-and-replay pattern; after every step the
-// instance must equal a fresh one holding the same atoms in the same order.
+// TestInstanceTruncateMatchesFreshInstance walks an instance through random
+// adds (duplicates included) and truncations to random sizes, the search's
+// rewind-and-replay pattern; after every step the instance must equal a
+// fresh one holding the same atoms in the same order, and its atoms must
+// be the model's.
 func TestInstanceTruncateMatchesFreshInstance(t *testing.T) {
-	for _, lite := range []bool{true, false} {
-		for seed := int64(0); seed < 40; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			tab := logic.NewInterner()
-			fresh := func() *Instance {
-				if lite {
-					return NewScratch(tab, 16)
-				}
-				return NewWithInterner(tab)
-			}
-			in := fresh()
-			var model []logic.Atom
-			for step := 0; step < 30; step++ {
-				if rng.Intn(3) == 0 {
-					n := rng.Intn(len(model) + 1)
-					in.Truncate(n)
-					model = model[:n]
-				} else {
-					for _, a := range randomAtoms(rng, 1+rng.Intn(12)) {
-						if in.Add(a) {
-							model = append(model, a)
-						}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := logic.NewInterner()
+		in := NewWithInterner(tab)
+		var model []logic.Atom
+		for step := 0; step < 30; step++ {
+			if rng.Intn(3) == 0 {
+				n := rng.Intn(len(model) + 1)
+				in.Truncate(n)
+				model = model[:n]
+			} else {
+				for _, a := range randomAtoms(rng, 1+rng.Intn(12)) {
+					if in.Add(a) {
+						model = append(model, a)
 					}
 				}
-				want := fresh()
-				want.AddAll(model)
-				if diff := sameInstance(in, want); diff != "" {
-					t.Fatalf("lite=%v seed %d step %d: %s from a fresh instance of the same %d atoms", lite, seed, step, diff, len(model))
-				}
+			}
+			want := NewWithInterner(tab)
+			want.AddAll(model)
+			if diff := sameInstance(in, want); diff != "" {
+				t.Fatalf("seed %d step %d: %s from a fresh instance of the same %d atoms", seed, step, diff, len(model))
+			}
+			if !slices.EqualFunc(in.Atoms(), model, logic.Atom.Equal) {
+				t.Fatalf("seed %d step %d: Atoms() = %v, want %v", seed, step, in.Atoms(), model)
 			}
 		}
 	}
@@ -102,8 +87,8 @@ func TestInstanceClearThenRefill(t *testing.T) {
 	in := NewWithInterner(tab)
 	in.AddAll(randomAtoms(rng, 40))
 	in.Clear()
-	if in.Len() != 0 || len(in.predIdx)+len(in.ptIdx)+len(in.byPred) != 0 {
-		t.Fatalf("Clear left %d atoms, %d+%d+%d keys", in.Len(), len(in.predIdx), len(in.ptIdx), len(in.byPred))
+	if in.Len() != 0 || len(in.predIdx)+len(in.ptIdx) != 0 {
+		t.Fatalf("Clear left %d atoms, %d+%d keys", in.Len(), len(in.predIdx), len(in.ptIdx))
 	}
 	atoms := randomAtoms(rng, 25)
 	in.AddAll(atoms)

@@ -5,18 +5,14 @@ package logic
 // whole instances. A fingerprint identifies a *set* of ground atoms: the
 // per-atom hashes are combined with 128-bit addition, which is commutative
 // and associative, so the fingerprint of an instance does not depend on the
-// order its atoms were inserted. Instances maintain their fingerprint
-// incrementally on Add (internal/instance), and the ∀∃ derivation search
-// memoises visited chase states by it instead of rendering sorted key
-// strings (internal/chase/search.go).
+// order its atoms were inserted. The ∀∃ derivation search merges each
+// successor's new atoms into its parent's fingerprint and memoises visited
+// chase states by it instead of rendering sorted key strings
+// (internal/chase/search.go).
 //
-// Hash identity is content-based by default: a term hashes by (kind, name),
-// so equal instances built through different interners agree. For labeled
-// nulls a canonicalisation hook exists — Interner.InternTermWithHash — that
-// hashes a null by its structural invention identity (the trigger and
-// existential variable that invented it, the paper's c^{σ,h}_x) rather than
-// by its arbitrary counter name, so states reached along different
-// derivation paths collide as intended even when null *names* differ.
+// Hash identity is content-based: a term hashes by (kind, name), so equal
+// instances built through different interners agree. The search names each
+// invented null once per trigger, so equal states carry equal null names.
 //
 // Collisions: fingerprints are 128 bits built from independently seeded,
 // splitmix-finalised halves; callers treat fingerprint equality as state
@@ -49,8 +45,7 @@ func (f Fingerprint) Merge(g Fingerprint) Fingerprint {
 }
 
 // Mix combines two fingerprints order-sensitively: f.Mix(g) != g.Mix(f) in
-// general. It is the tuple-hashing step behind atom hashes and structural
-// null identities.
+// general. It is the tuple-hashing step behind atom and rule hashes.
 func (f Fingerprint) Mix(g Fingerprint) Fingerprint {
 	return Fingerprint{
 		Hi: mix64(f.Hi ^ (g.Hi + 0x9e3779b97f4a7c15)),
@@ -89,8 +84,7 @@ func fnv64(seed uint64, kind byte, s string) uint64 {
 }
 
 // HashTerm returns the content hash of a term: a function of its kind and
-// name only. Interners cache this per TermID; override it for nulls with
-// Interner.InternTermWithHash when canonicalising by invention identity.
+// name only. Interners cache this per TermID.
 func HashTerm(t Term) Fingerprint {
 	return Fingerprint{
 		Hi: mix64(fnv64(1469598103934665603, byte(t.Kind), t.Name)),
@@ -108,7 +102,7 @@ func HashPred(p Predicate) Fingerprint {
 
 // HashAtom returns the content hash of an atom: the predicate hash mixed
 // with each argument's term hash in order. For ground atoms it agrees with
-// Interner.HashAtomIDs when no term-hash override is installed.
+// Interner.HashAtomIDs.
 func HashAtom(a Atom) Fingerprint {
 	h := HashPred(a.Pred)
 	for _, t := range a.Args {
@@ -119,9 +113,8 @@ func HashAtom(a Atom) Fingerprint {
 
 // FingerprintAtoms returns the order-independent fingerprint of a *set* of
 // atoms given as a duplicate-free slice, using content hashes throughout.
-// It equals the Merge of Interner.HashAtomIDs over the same atoms' tuples
-// when no null-hash overrides are installed. Callers must deduplicate:
-// Merge is not idempotent.
+// It equals the Merge of Interner.HashAtomIDs over the same atoms' tuples.
+// Callers must deduplicate: Merge is not idempotent.
 func FingerprintAtoms(atoms []Atom) Fingerprint {
 	var f Fingerprint
 	for _, a := range atoms {
@@ -130,8 +123,8 @@ func FingerprintAtoms(atoms []Atom) Fingerprint {
 	return f
 }
 
-// ruleSeed starts every rule fingerprint; distinct from the atom-hash and
-// null-identity domains by construction.
+// ruleSeed starts every rule fingerprint; distinct from the atom-hash
+// domain by construction.
 var ruleSeed = Fingerprint{Hi: 0x8f14e45fceea1671, Lo: 0x9b05688c2b3e6c1f}
 
 // FingerprintRule returns an order-sensitive fingerprint of one rule

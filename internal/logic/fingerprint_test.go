@@ -64,28 +64,6 @@ func TestFingerprintMixIsOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestInternTermWithHash(t *testing.T) {
-	in := NewInterner()
-	n := NewNull("n0")
-	h := Fingerprint{Hi: 1, Lo: 2}
-	id := in.InternTermWithHash(n, h)
-	if in.TermHash(id) != h {
-		t.Fatalf("override not installed")
-	}
-	// Idempotent with the same hash.
-	if id2 := in.InternTermWithHash(n, h); id2 != id {
-		t.Fatalf("re-interning changed the ID")
-	}
-	// Conflicting override after interning must panic: fingerprints built
-	// from the old hash could never be reconciled.
-	defer func() {
-		if recover() == nil {
-			t.Error("conflicting InternTermWithHash must panic")
-		}
-	}()
-	in.InternTermWithHash(n, Fingerprint{Hi: 3, Lo: 4})
-}
-
 func TestFingerprintAtomsOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	atoms := []Atom{

@@ -21,22 +21,22 @@ type IndexedSource interface {
 
 // SliceSource adapts a plain slice of atoms to AtomSource.
 type SliceSource struct {
-	byPred map[Predicate][]Atom
+	atomsOf map[Predicate][]Atom
 }
 
 // NewSliceSource indexes the given atoms by predicate. The atoms' argument
 // slices are not copied; callers must not mutate them while the source is
 // in use.
 func NewSliceSource(atoms []Atom) *SliceSource {
-	s := &SliceSource{byPred: make(map[Predicate][]Atom)}
+	s := &SliceSource{atomsOf: make(map[Predicate][]Atom)}
 	for _, a := range atoms {
-		s.byPred[a.Pred] = append(s.byPred[a.Pred], a)
+		s.atomsOf[a.Pred] = append(s.atomsOf[a.Pred], a)
 	}
 	return s
 }
 
 // AtomsByPredicate implements AtomSource.
-func (s *SliceSource) AtomsByPredicate(p Predicate) []Atom { return s.byPred[p] }
+func (s *SliceSource) AtomsByPredicate(p Predicate) []Atom { return s.atomsOf[p] }
 
 // matchAtom attempts to extend s so that pattern maps onto target. On
 // success it returns the extended substitution (possibly s itself when no

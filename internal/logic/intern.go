@@ -37,8 +37,7 @@ type Interner struct {
 
 	// Per-ID fingerprint caches: the content hash (HashTerm/HashPred) is
 	// computed once at interning time, so instance fingerprints never hash
-	// a name twice. termHash[i] may be an override installed through
-	// InternTermWithHash (null canonicalisation).
+	// a name twice.
 	termHash []Fingerprint
 	predHash []Fingerprint
 }
@@ -75,34 +74,9 @@ func (in *Interner) InternTerm(t Term) TermID {
 	return id
 }
 
-// InternTermWithHash interns t with an explicit fingerprint instead of the
-// content hash — the null-canonicalisation hook: the ∀∃ search hashes each
-// invented null by its structural invention identity (trigger + existential
-// variable), so states whose nulls differ only in counter names fingerprint
-// equal. The override must be installed at first interning: it panics if t
-// is already interned under a different hash (atoms fingerprinted with the
-// old hash could never be reconciled).
-func (in *Interner) InternTermWithHash(t Term, h Fingerprint) TermID {
-	if id, ok := in.termID[t]; ok {
-		if in.termHash[id] != h {
-			panic("logic: InternTermWithHash after the term was interned with a different hash")
-		}
-		return id
-	}
-	id := TermID(len(in.terms))
-	in.terms = append(in.terms, t)
-	in.termHash = append(in.termHash, h)
-	in.termID[t] = id
-	return id
-}
-
-// TermHash returns the cached fingerprint of the term with the given ID.
-func (in *Interner) TermHash(id TermID) Fingerprint { return in.termHash[id] }
-
 // HashAtomIDs returns the hash of the ground atom (pid, args...) from the
 // cached per-term fingerprints; args holds TermID values in the arena's raw
-// uint32 form. It agrees with HashAtom on the materialised atom unless a
-// term-hash override is installed.
+// uint32 form. It agrees with HashAtom on the materialised atom.
 func (in *Interner) HashAtomIDs(pid PredID, args []uint32) Fingerprint {
 	h := in.predHash[pid]
 	for _, a := range args {

@@ -87,7 +87,7 @@ type Graph struct {
 	args    []logic.TermID
 	argOff  []int32
 	depth   []int32
-	byPred  [][]NodeID // per PredID
+	ofPred  [][]NodeID // per PredID
 	facts   []logic.Atom
 
 	guard []int // per TGD index: the guard's body index, -1 if unguarded
@@ -161,10 +161,10 @@ func (g *Graph) addNode(tgd, trig int32, parents []NodeID, pid logic.PredID, arg
 	g.args = append(g.args, args...)
 	g.argOff = append(g.argOff, int32(len(g.args)))
 	g.depth = append(g.depth, depth)
-	for int(pid) >= len(g.byPred) {
-		g.byPred = append(g.byPred, nil)
+	for int(pid) >= len(g.ofPred) {
+		g.ofPred = append(g.ofPred, nil)
 	}
-	g.byPred[pid] = append(g.byPred[pid], id)
+	g.ofPred[pid] = append(g.ofPred[pid], id)
 	return id
 }
 
@@ -356,8 +356,8 @@ func (b *buildState) match(idx int, ct *compiledTGD, i int, inFrontier bool) boo
 	g := b.g
 	pat := &ct.body[i]
 	var cands []NodeID
-	if int(pat.pid) < len(g.byPred) {
-		cands = g.byPred[pat.pid]
+	if int(pat.pid) < len(g.ofPred) {
+		cands = g.ofPred[pat.pid]
 	}
 	for _, k := range ct.preBound[i] {
 		post := b.byArg[argKey{pat.pid, int32(k), b.binding[pat.args[k]]}]
@@ -555,11 +555,11 @@ func (g *Graph) MultisetSize() int { return g.Len() }
 func (g *Graph) NodesByAtom(a logic.Atom) []*Node {
 	var out []*Node
 	pid, ok := g.itab.LookupPred(a.Pred)
-	if !ok || int(pid) >= len(g.byPred) {
+	if !ok || int(pid) >= len(g.ofPred) {
 		return nil
 	}
 	nodes := g.view()
-	for _, id := range g.byPred[pid] {
+	for _, id := range g.ofPred[pid] {
 		if n := nodes[id]; n.Atom.Equal(a) {
 			out = append(out, n)
 		}
