@@ -120,31 +120,43 @@ func (e EType) CanonicalAtomFunc(term func(class int) logic.Term) logic.Atom {
 // order.
 func AllForPredicate(p logic.Predicate) []EType {
 	var out []EType
+	ForEach(p, func(e EType) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}
+
+// ForEach calls yield with each equality type over the predicate, in
+// AllForPredicate's order, until yield returns false, and reports whether
+// it reached the end. It holds one partition at a time, so a caller can
+// stop before Bell(ar(R)) of them exist.
+func ForEach(p logic.Predicate, yield func(EType) bool) bool {
+	if p.Arity == 0 {
+		return yield(EType{Pred: p})
+	}
 	rep := make([]int, p.Arity)
-	var rec func(i int)
-	rec = func(i int) {
+	var rec func(i int) bool
+	rec = func(i int) bool {
 		if i == p.Arity {
 			cp := make([]int, len(rep))
 			copy(cp, rep)
-			out = append(out, EType{Pred: p, rep: cp})
-			return
+			return yield(EType{Pred: p, rep: cp})
 		}
 		// Position i joins an existing class (a representative j < i) or
 		// starts its own.
 		for j := 0; j < i; j++ {
 			if rep[j] == j {
 				rep[i] = j
-				rec(i + 1)
+				if !rec(i + 1) {
+					return false
+				}
 			}
 		}
 		rep[i] = i
-		rec(i + 1)
+		return rec(i + 1)
 	}
-	if p.Arity == 0 {
-		return []EType{{Pred: p}}
-	}
-	rec(0)
-	return out
+	return rec(0)
 }
 
 // AllForSchema enumerates etypes(S): every equality type over every

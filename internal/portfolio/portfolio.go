@@ -581,6 +581,8 @@ func (r *runner) runSticky(ctx context.Context) (StageOutcome, error) {
 		s.Conclusion = core.Diverges
 		s.Detail = fmt.Sprintf("sticky Büchi witness: caterpillar lasso of length %d+%d (Theorem 6.1)",
 			len(v.Lasso.Prefix), len(v.Lasso.Cycle))
+	case v.Method == "seed-cap":
+		s.Detail = fmt.Sprintf("sticky Büchi automaton not explored: more than %d components (e₀, Π₀)", sticky.MaxSeeds)
 	default:
 		s.Detail = "sticky Büchi exploration incomplete (state bound); no witness found"
 	}

@@ -494,6 +494,37 @@ func TestServeExistsTimeout(t *testing.T) {
 	}
 }
 
+// TestServeAnswersPastStickySeedCap: one 12-ary shift has 23,430,840
+// sticky seeds (e₀, Π₀). Both decide modes answer 200 with the sticky
+// stage unexplored, and the daemon still answers /healthz afterwards.
+func TestServeAnswersPastStickySeedCap(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	src := "R(X1,X2,X3,X4,X5,X6,X7,X8,X9,X10,X11,X12) -> R(X2,X3,X4,X5,X6,X7,X8,X9,X10,X11,X12,Y).\n"
+	capped := fmt.Sprintf("not explored: more than %d components", sticky.MaxSeeds)
+	for _, portfolio := range []bool{false, true} {
+		var dec DecideResponse
+		postJSON(t, ts.url("/v1/decide"), DecideRequest{Program: src, Portfolio: portfolio}, http.StatusOK, &dec)
+		lines := dec.Reasons
+		for _, st := range dec.Stages {
+			if st.Name == "sticky" && !st.Decided {
+				lines = append(lines, st.Detail)
+			}
+		}
+		found := false
+		for _, l := range lines {
+			found = found || strings.Contains(l, capped)
+		}
+		if !found {
+			t.Errorf("portfolio=%v: no unexplored sticky line in %+v", portfolio, dec)
+		}
+	}
+	var health map[string]string
+	getJSON(t, ts.url("/healthz"), http.StatusOK, &health)
+	if health["status"] != "ok" {
+		t.Errorf("healthz = %v", health)
+	}
+}
+
 // TestServeStats exercises /v1/stats and /healthz: request tallies, flight
 // counters, the shared cache's counters and the portfolio decided-by tally
 // all surface as JSON.

@@ -467,22 +467,30 @@ type Seed struct {
 	Pi0   []int
 }
 
-// Seeds enumerates the (e₀, Π₀) pairs of the union A_T: every equality
-// type over sch(T) paired with each of its position classes.
-func Seeds(set *tgds.Set) []Seed {
-	var out []Seed
-	for _, e := range etypes.AllForSchema(set.Schema()) {
-		for _, c := range e.Classes() {
-			positions := []int{}
-			for p := 1; p <= e.Pred.Arity; p++ {
-				if e.ClassOf(p) == c {
-					positions = append(positions, p)
+// forEachSeed calls yield with each (e₀, Π₀) pair of the union A_T —
+// every equality type over sch(T) paired with each of its position classes
+// — until yield returns false. Seeds are built as they are yielded: one
+// n-ary predicate alone has B(n+1) − B(n) of them.
+func forEachSeed(set *tgds.Set, yield func(Seed) bool) {
+	for _, pred := range set.Schema().Predicates() {
+		more := etypes.ForEach(pred, func(e etypes.EType) bool {
+			for _, c := range e.Classes() {
+				positions := []int{}
+				for p := 1; p <= e.Pred.Arity; p++ {
+					if e.ClassOf(p) == c {
+						positions = append(positions, p)
+					}
+				}
+				if !yield(Seed{EType: e, Pi0: positions}) {
+					return false
 				}
 			}
-			out = append(out, Seed{EType: e, Pi0: positions})
+			return true
+		})
+		if !more {
+			return
 		}
 	}
-	return out
 }
 
 // BuildAutomaton constructs the deterministic Büchi automaton A_{e₀,Π₀}

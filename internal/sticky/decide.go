@@ -15,8 +15,9 @@ type Verdict struct {
 	// Terminates is true when every restricted chase derivation of every
 	// database is finite: L(A_T) = ∅.
 	Terminates bool
-	// Method is "buchi-empty" (all component automata empty) or
-	// "buchi-witness" (an accepting lasso was found).
+	// Method is "buchi-empty" (all component automata empty),
+	// "buchi-witness" (an accepting lasso was found) or "seed-cap" (the set
+	// has more than MaxSeeds components, and none was explored).
 	Method string
 	// Seed is the component A_{e₀,Π₀} producing the witness.
 	Seed *Seed
@@ -26,13 +27,20 @@ type Verdict struct {
 	// StatesExplored totals explored product states across components.
 	StatesExplored int
 	// Complete is false when some component exploration hit the state
-	// bound, in which case a terminating verdict is only bound-relative.
+	// bound, or the seed cap stopped the decision, in which case a
+	// terminating verdict is only bound-relative.
 	Complete bool
 }
 
 // DefaultMaxStates is the per-component state bound that a zero
 // DecideOptions.MaxStates selects.
 const DefaultMaxStates = 200_000
+
+// MaxSeeds caps the components A_{e₀,Π₀} one decision explores. One n-ary
+// predicate alone has B(n+1) − B(n) of them (Bell numbers): 94,828 at
+// n = 9 and 23,430,840 at n = 12. A set with more abstains as incomplete
+// before any component is explored.
+const MaxSeeds = 100_000
 
 // DecideOptions configures the decision. A decision is not memoised here:
 // the portfolio's stage ledger memoises the whole answer it is part of.
@@ -77,29 +85,41 @@ func DecideContext(ctx context.Context, set *tgds.Set, opts DecideOptions) (*Ver
 	} else if !ok {
 		return nil, fmt.Errorf("sticky: input is not sticky: %v", marking.Violation())
 	}
+	seeds := 0
+	forEachSeed(set, func(Seed) bool {
+		seeds++
+		return seeds <= MaxSeeds
+	})
+	if seeds > MaxSeeds {
+		return &Verdict{Terminates: true, Method: "seed-cap"}, nil
+	}
 	m := newMachine(set, marking)
 	verdict := &Verdict{Terminates: true, Method: "buchi-empty", Complete: true}
-	for _, seed := range Seeds(set) {
+	var cancelled error
+	forEachSeed(set, func(seed Seed) bool {
 		explored := buchi.ExploreContext(ctx, m.automaton(seed), opts.maxStates())
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if cancelled = ctx.Err(); cancelled != nil {
+			return false
 		}
 		verdict.StatesExplored += explored.Len()
 		if !explored.Complete {
 			verdict.Complete = false
 		}
 		if lasso, ok := explored.NonEmpty(); ok {
-			seedCopy := seed
 			verdict = &Verdict{
 				Terminates:     false,
 				Method:         "buchi-witness",
-				Seed:           &seedCopy,
+				Seed:           &seed,
 				Lasso:          lasso,
 				StatesExplored: verdict.StatesExplored,
 				Complete:       true,
 			}
-			break
+			return false
 		}
+		return true
+	})
+	if cancelled != nil {
+		return nil, cancelled
 	}
 	return verdict, nil
 }

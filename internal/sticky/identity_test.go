@@ -61,7 +61,7 @@ func TestIntegerKernelMatchesStringKernel(t *testing.T) {
 		}
 		m := newMachine(set, marking)
 		for _, bound := range identityBounds {
-			for si, seed := range Seeds(set) {
+			for si, seed := range refSeeds(set) {
 				ref, err := refBuildAutomaton(set, seed)
 				if err != nil {
 					t.Fatalf("%s: %v", names[i], err)

@@ -452,6 +452,24 @@ func refBuildAutomaton(set *tgds.Set, seed Seed) (*refAutomaton, error) {
 	}, nil
 }
 
+// refSeeds enumerates the (e₀, Π₀) pairs eagerly, from
+// etypes.AllForSchema: the order forEachSeed must yield them in.
+func refSeeds(set *tgds.Set) []Seed {
+	var out []Seed
+	for _, e := range etypes.AllForSchema(set.Schema()) {
+		for _, c := range e.Classes() {
+			positions := []int{}
+			for p := 1; p <= e.Pred.Arity; p++ {
+				if e.ClassOf(p) == c {
+					positions = append(positions, p)
+				}
+			}
+			out = append(out, Seed{EType: e, Pi0: positions})
+		}
+	}
+	return out
+}
+
 // refDecide is the string-kernel decision loop: the same component order,
 // the same verdict assembly as DecideContext without a cache.
 func refDecide(set *tgds.Set, maxStates int) (*Verdict, error) {
@@ -459,7 +477,7 @@ func refDecide(set *tgds.Set, maxStates int) (*Verdict, error) {
 		return nil, err // the same gates as the live decider
 	}
 	verdict := &Verdict{Terminates: true, Method: "buchi-empty", Complete: true}
-	for _, seed := range Seeds(set) {
+	for _, seed := range refSeeds(set) {
 		a, err := refBuildAutomaton(set, seed)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package sticky
 
 import (
+	"reflect"
 	"testing"
 
 	"airct/internal/buchi"
@@ -48,11 +49,40 @@ func witnessDatabase(c *Caterpillar) (*instance.Database, error) {
 
 func TestSeedsEnumeration(t *testing.T) {
 	s := set(t, `S(X) -> R(X,Y). R(X,Y) -> S(Y).`)
-	seeds := Seeds(s)
+	var seeds []Seed
+	forEachSeed(s, func(seed Seed) bool {
+		seeds = append(seeds, seed)
+		return true
+	})
 	// S/1: 1 etype × 1 class. R/2: etype {12}, 1 class; etype {1}{2}, 2
 	// classes. Total 1 + 1 + 2 = 4.
 	if len(seeds) != 4 {
 		t.Fatalf("seeds = %d, want 4", len(seeds))
+	}
+	if want := refSeeds(s); !reflect.DeepEqual(seeds, want) {
+		t.Errorf("lazy seeds %v, eager %v", seeds, want)
+	}
+	// One 9-ary predicate: B(10) − B(9) seeds, just under MaxSeeds.
+	n := 0
+	forEachSeed(set(t, `R(X1,X2,X3,X4,X5,X6,X7,X8,X9) -> R(X2,X3,X4,X5,X6,X7,X8,X9,Y).`), func(Seed) bool {
+		n++
+		return true
+	})
+	if n != 94_828 || n > MaxSeeds {
+		t.Errorf("9-ary seeds = %d, want 94828 (cap %d)", n, MaxSeeds)
+	}
+}
+
+// TestDecideAbstainsPastSeedCap: one 12-ary predicate has 23,430,840
+// seeds. The decision counts past MaxSeeds, stops, and abstains as
+// incomplete without building the machine.
+func TestDecideAbstainsPastSeedCap(t *testing.T) {
+	v, err := Decide(set(t, `R(X1,X2,X3,X4,X5,X6,X7,X8,X9,X10,X11,X12) -> R(X2,X3,X4,X5,X6,X7,X8,X9,X10,X11,X12,Y).`), DecideOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Method != "seed-cap" || v.Complete || !v.Terminates || v.StatesExplored != 0 {
+		t.Errorf("verdict %+v, want an unexplored seed-cap abstention", v)
 	}
 }
 
