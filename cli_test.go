@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"airct/internal/chase"
+	"airct/internal/instance"
 )
 
 var (
@@ -383,13 +384,19 @@ func TestTermcheckPortfolio(t *testing.T) {
 
 func TestTermcheckRejectsBadInput(t *testing.T) {
 	bin := binary(t, "termcheck")
-	bad := filepath.Join(t.TempDir(), "bad.chase")
-	if err := os.WriteFile(bad, []byte("R(a, Y) -> S(Y)."), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, code := run(t, bin, bad)
-	if code != 3 {
-		t.Errorf("exit = %d, want 3\n%s", code, out)
+	for i, src := range []string{
+		"R(a, Y) -> S(Y).",
+		// One argument past instance.MaxArity.
+		"W(" + strings.Repeat("X,", instance.MaxArity) + "X) -> W(" + strings.Repeat("X,", instance.MaxArity) + "X).",
+	} {
+		bad := filepath.Join(t.TempDir(), fmt.Sprintf("bad%d.chase", i))
+		if err := os.WriteFile(bad, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, code := run(t, bin, bad)
+		if code != 3 {
+			t.Errorf("input %d: exit = %d, want 3\n%s", i, code, out)
+		}
 	}
 }
 

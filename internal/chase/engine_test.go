@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"airct/internal/instance"
@@ -250,5 +252,31 @@ func TestUniversalModelHomomorphism(t *testing.T) {
 	}
 	if logic.FindHomomorphism(run.Final.Atoms(), nil, model) == nil {
 		t.Error("chase result must map homomorphically into every model")
+	}
+}
+
+// TestWidestArityKeepsPostingsApart chases a program whose first
+// predicate has instance.MaxArity arguments: its last position's postings
+// must not land in another predicate's posting list, so t3 stays active
+// on {S(a)} and fires, both in the engine and in the ∀∃ search.
+func TestWidestArityKeepsPostingsApart(t *testing.T) {
+	xs := make([]string, instance.MaxArity)
+	as := make([]string, instance.MaxArity)
+	for i := range xs {
+		xs[i], as[i] = fmt.Sprintf("X%d", i+1), "a"
+	}
+	wide := strings.Join(xs, ",")
+	prog := parser.MustParse(fmt.Sprintf(`P(%s). S(a).
+		t1: P(%s) -> P(%s).
+		t2: Q(X,Y) -> Q(X,Y).
+		t3: S(X) -> Q(X,Y).
+		t4: Q(X,Y) -> S(Y).`, strings.Join(as, ","), wide, wide))
+	run := RunChase(prog.Database, prog.TGDs, Options{MaxSteps: 20, DropSteps: true})
+	if run.Reason != StepBudget {
+		t.Errorf("engine stopped with %v after %d steps; t3 fires forever", run.Reason, run.StepsTaken)
+	}
+	res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{MaxStates: 50})
+	if res.Found {
+		t.Errorf("search found a %d-step finite derivation; every derivation is infinite", len(res.Derivation))
 	}
 }

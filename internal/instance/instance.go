@@ -37,8 +37,14 @@ type Instance struct {
 	tupbuf []uint32 // scratch for tuple probes; single-writer
 }
 
+// MaxArity is the largest predicate arity an instance can hold: ptPack
+// keeps a 1-based argument position in 10 bits. A wider atom's posting key
+// would spill into the predicate bits and land in another predicate's
+// posting list, so insertion refuses one and the parser rejects it first.
+const MaxArity = 1023
+
 // ptPack packs a (PredID, 1-based position, TermID) triple into one map
-// key: 22 bits of predicate, 10 of position, 32 of term.
+// key: 22 bits of predicate, 10 of position (at most MaxArity), 32 of term.
 func ptPack(p logic.PredID, pos int, t logic.TermID) uint64 {
 	return uint64(p)<<42 | uint64(pos)<<32 | uint64(t)
 }
@@ -168,8 +174,12 @@ func (in *Instance) AddTuple(pid logic.PredID, args []logic.TermID) (int32, bool
 	return in.insert(pid, in.tupbuf)
 }
 
-// insert stores the prepared identity tuple (pid, args...).
+// insert stores the prepared identity tuple (pid, args...). It panics on an
+// atom wider than MaxArity, whose postings ptPack cannot key.
 func (in *Instance) insert(pid logic.PredID, tuple []uint32) (int32, bool) {
+	if len(tuple)-1 > MaxArity {
+		panic(fmt.Sprintf("instance: %s has arity %d, above MaxArity %d", in.tab.Pred(pid).Name, len(tuple)-1, MaxArity))
+	}
 	idx, isNew := in.atoms.Intern(tuple)
 	if !isNew {
 		return idx, false

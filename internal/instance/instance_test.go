@@ -37,6 +37,24 @@ func TestInstanceRejectsVariables(t *testing.T) {
 	New().Add(atom("R", logic.Var("X")))
 }
 
+// TestInstanceRejectsArityAboveMax: an atom one argument wider than
+// MaxArity cannot be keyed by ptPack, so inserting it panics instead of
+// filing its last posting under another predicate.
+func TestInstanceRejectsArityAboveMax(t *testing.T) {
+	args := make([]logic.Term, MaxArity+1)
+	for i := range args {
+		args[i] = logic.Const("a")
+	}
+	in := New()
+	in.Add(atom("W", args[:MaxArity]...))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on an atom above MaxArity")
+		}
+	}()
+	in.Add(atom("W2", args...))
+}
+
 func TestInstanceIndexes(t *testing.T) {
 	in := FromAtoms(
 		atom("R", logic.Const("a"), logic.Const("b")),

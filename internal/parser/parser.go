@@ -288,6 +288,10 @@ func Parse(src string) (*Program, error) {
 	arities := make(map[string]int)
 
 	checkArity := func(ra rawAtom) error {
+		if len(ra.args) > instance.MaxArity {
+			return &ParseError{Line: ra.line,
+				Msg: fmt.Sprintf("predicate %s has %d arguments; at most %d are supported", ra.pred, len(ra.args), instance.MaxArity)}
+		}
 		if prev, ok := arities[ra.pred]; ok && prev != len(ra.args) {
 			return &ParseError{Line: ra.line,
 				Msg: fmt.Sprintf("predicate %s used with arity %d and %d", ra.pred, prev, len(ra.args))}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"airct/internal/instance"
 	"airct/internal/logic"
 )
 
@@ -100,6 +101,8 @@ func TestParseErrors(t *testing.T) {
 		{"labeled fact", `l: R(a).`, "labeled"},
 		{"empty head rule", `R(X) -> `, "expected"},
 		{"unclosed paren", `R(a,b`, "expected"},
+		{"arity above MaxArity", "W(" + strings.Repeat("a,", instance.MaxArity) + "a).", "predicate W has 1024 arguments"},
+		{"rule arity above MaxArity", "W(" + strings.Repeat("X,", instance.MaxArity) + "X) -> S(X).", "predicate W has 1024 arguments"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

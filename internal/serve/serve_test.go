@@ -28,6 +28,7 @@ import (
 
 	"airct/internal/chase"
 	"airct/internal/guarded"
+	"airct/internal/instance"
 	"airct/internal/parser"
 	"airct/internal/portfolio"
 	"airct/internal/sticky"
@@ -296,6 +297,7 @@ func TestServeErrorSurface(t *testing.T) {
 		return resp.StatusCode, string(data)
 	}
 
+	wide := "W(" + strings.Repeat("X,", instance.MaxArity) + "X)"
 	cases := []struct {
 		name string
 		path string
@@ -310,6 +312,8 @@ func TestServeErrorSurface(t *testing.T) {
 		{"decide no tgds", "/v1/decide", `{"program":"P(c)."}`, http.StatusBadRequest},
 		{"exists no facts", "/v1/exists", `{"program":"r: P(X) -> Q(X)."}`, http.StatusBadRequest},
 		{"exists egd program", "/v1/exists", `{"program":"P(a,b). r: P(X,Y) -> P(Y,Z). k: P(X,Y), P(X,Z) -> Y = Z."}`, http.StatusBadRequest},
+		{"decide atom above MaxArity", "/v1/decide", `{"program":"` + wide + ` -> ` + wide + `."}`, http.StatusBadRequest},
+		{"exists atom above MaxArity", "/v1/exists", `{"program":"S(a). ` + wide + ` -> S(X)."}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, body := post(tc.path, tc.body)
