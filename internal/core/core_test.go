@@ -64,12 +64,8 @@ func TestAnalyzeRejectsEmptySet(t *testing.T) {
 }
 
 func TestAnalyzeUnknownOutsideClasses(t *testing.T) {
-	// Unguarded, non-sticky, not WA: honest Unknown.
-	set, err := parser.ParseTGDs(`
-		R(X,Y), S(Y,X) -> T(X,Y).
-		T(X,Y) -> R(Y,Z).
-		R(X,Y), T(X,Y) -> S(X,Y).
-	`)
+	// Single-head, unguarded, not sticky, not WA/JA/MFA: honest Unknown.
+	set, err := parser.ParseTGDs(`R(X,Y), R(Y,Z) -> R(Z,W).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +73,16 @@ func TestAnalyzeUnknownOutsideClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Guarded || rep.Sticky {
-		t.Skip("corpus assumption failed")
+	if !rep.SingleHead || rep.Guarded || rep.Sticky {
+		t.Fatalf("program left its classes:\n%s", rep.Summary())
 	}
-	if rep.WeaklyAcyclic || rep.JointlyAcyclic {
-		t.Skip("baseline fired; pick a harder program")
+	if rep.WeaklyAcyclic || rep.JointlyAcyclic || rep.MFA {
+		t.Fatalf("a sufficient condition holds; pick a harder program:\n%s", rep.Summary())
 	}
 	if rep.Conclusion != core.Unknown {
 		t.Errorf("expected Unknown:\n%s", rep.Summary())
 	}
-	if len(rep.Reasons) == 0 || !strings.Contains(rep.Reasons[len(rep.Reasons)-1], "undecidable") {
+	if len(rep.Reasons) == 0 || !strings.Contains(rep.Reasons[len(rep.Reasons)-1], "undecidable in general, Theorem 3.6") {
 		t.Errorf("Unknown must cite undecidability: %v", rep.Reasons)
 	}
 }
