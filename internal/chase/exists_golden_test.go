@@ -96,7 +96,7 @@ func TestExistsGolden(t *testing.T) {
 	for _, tc := range existsGoldenCases(t) {
 		for _, order := range searchOrders {
 			res := mustSearch(t, tc.prog.Database, tc.prog.TGDs, SearchOptions{
-				MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, less: order.less,
+				MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, order: order.order,
 			})
 			fmt.Fprintf(&b, "== %s/%s == found=%t exhausted=%t states=%d\n", tc.name, order.name, res.Found, res.Exhausted, res.StatesVisited)
 			st := res.Stats

@@ -213,7 +213,7 @@ func TestSearchStrategiesAgreeOnVerdicts(t *testing.T) {
 		}
 		for _, order := range searchOrders[1:] {
 			res := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{
-				MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, less: order.less,
+				MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, order: order.order,
 			})
 			if res.Found != base.Found {
 				t.Errorf("%s/%s: Found = %v, smallest-first %v", tc.name, order.name, res.Found, base.Found)
@@ -234,13 +234,13 @@ func TestSearchStrategiesAgreeOnVerdicts(t *testing.T) {
 }
 
 // searchOrders are the frontier orders the index and verdict tests drive
-// the search through: the production smallest-first order (nil), then
+// the search through: the production smallest-first order, then
 // breadth-first and depth-first, which reach other states.
 var searchOrders = []struct {
-	name string
-	less func(a, b *searchNode) bool
+	name  string
+	order searchOrder
 }{
-	{"smallest", nil},
-	{"bfs", func(a, b *searchNode) bool { return a.seq < b.seq }},
-	{"dfs", func(a, b *searchNode) bool { return a.seq > b.seq }},
+	{"smallest", smallestFirst},
+	{"bfs", breadthFirst},
+	{"dfs", depthFirst},
 }

@@ -12,8 +12,8 @@ package chase
 //   - TGDs are slot-compiled once (compileSet) and trigger enumeration and
 //     activity checks run the SlotSearch fast path, like the engine;
 //   - trigger identity on paths is the interned tuple [tgd, body TermIDs...]
-//     in a TupleTable — nodes store a 4-byte trigger ID and a parent
-//     pointer, never a copied []Trigger path;
+//     in a TupleTable — nodes store a 4-byte trigger ID and a parent ID,
+//     never a copied []Trigger path;
 //   - nulls are invented per (trigger ID, existential index) — the paper's
 //     c^{σ,h}_x — and interned by name. A trigger ID is its TGD and body
 //     TermIDs, so each c^{σ,h}_x gets exactly one name whichever path
@@ -28,9 +28,13 @@ package chase
 //     are replayed. Generated-but-never-expanded states (the majority,
 //     under memoisation) never build an instance.
 //
-// The frontier is a binary heap ordered smallest instance first (FIFO
-// among equal sizes): fixpoints are found sooner and the memoised frontier
-// stays tight.
+// The outer loop allocates no object per successor. Nodes live in a
+// chunked arena (nodeArena) addressed by int32 IDs in generation order,
+// with every delta in one flat []uint32; the visited set is an
+// open-addressing table of node IDs probed by the fingerprints' own low
+// bits (searcher.find); the frontier is a bucket queue (frontier) that
+// pops the smallest instance first, FIFO among equal sizes: fixpoints are
+// found sooner and the memoised frontier stays tight.
 //
 // The single-state expansion step (intern the vocabulary, compute the
 // state's active-trigger index — inherited from the parent and repaired
@@ -39,9 +43,9 @@ package chase
 // in the expander type, which the searcher below embeds.
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math"
 
 	"airct/internal/instance"
 	"airct/internal/logic"
@@ -83,7 +87,8 @@ const (
 // SearchOptions configures the ∀∃ search. The zero value uses the defaults.
 type SearchOptions struct {
 	// MaxStates bounds the number of distinct instance states (0:
-	// DefaultSearchStates).
+	// DefaultSearchStates). A budget above math.MaxInt32 is read as
+	// math.MaxInt32: states are addressed by int32 IDs.
 	MaxStates int
 	// MaxAtoms bounds the per-instance atom count (0: DefaultSearchAtoms).
 	MaxAtoms int
@@ -103,20 +108,31 @@ type SearchOptions struct {
 	// supported mode.
 	fullRescan bool
 
-	// less, when set, replaces the smallest-first frontier order, so the
-	// index and verdict tests can drive the search through other
-	// exploration orders (breadth-first, depth-first). Unexported;
+	// order replaces the smallest-first frontier order (its zero value), so
+	// the index and verdict tests can drive the search breadth- or
+	// depth-first, through states smallest-first does not reach. The
+	// bucket queue serves both from one bucket's front or back. Unexported;
 	// test-only.
-	less func(a, b *searchNode) bool
+	order searchOrder
 
-	// onExpand, when set, observes every sequential expansion right after
-	// the state's index is computed, receiving the expanded node, the
-	// materialised instance and the index's triggers in enumeration order —
-	// the differential tests' hook for pinning the index against
-	// ActiveTriggers ground truth and the scratch instance against a
-	// rebuild from the database. Unexported; test-only.
-	onExpand func(n *searchNode, inst *instance.Instance, active []Trigger)
+	// onExpand, when set, observes every expansion right after the state's
+	// index is computed, receiving the searcher, the expanded node's ID,
+	// the materialised instance and the index's triggers in enumeration
+	// order — the differential tests' hook for pinning the index against
+	// ActiveTriggers ground truth, the scratch instance against a rebuild
+	// from the database and the arena's index ownership. Unexported;
+	// test-only.
+	onExpand func(s *searcher, id int32, inst *instance.Instance, active []Trigger)
 }
+
+// searchOrder is the frontier's exploration order.
+type searchOrder uint8
+
+const (
+	smallestFirst searchOrder = iota // fewest atoms first, generation order among equals
+	breadthFirst                     // generation order
+	depthFirst                       // most recently generated first
+)
 
 // SearchStats counts the search's work. The JSON tags are the stable wire
 // shape served by termcheckd's /v1/exists and /v1/stats responses; the
@@ -139,50 +155,102 @@ type SearchStats struct {
 	ActivityRechecks int `json:"activity-rechecks"`
 }
 
-// searchNode is one chase state: the delta against its parent plus the
-// incremental fingerprint. The trigger path is recovered by walking parents.
+// searchNode is one chase state in the searcher's node arena: the delta
+// against its parent plus the incremental fingerprint. A node's ID is its
+// generation order (the root is 0); the trigger path is recovered by
+// walking parent IDs.
 type searchNode struct {
-	parent *searchNode
-	trig   logic.TupleID // trigger applied to parent; -1 at the root
-	delta  []uint32      // flattened new atoms: [pid, args...]* (arity from pid)
-	size   int           // instance atom count
 	fp     logic.Fingerprint
-	seq    int        // generation counter; heap tie-break
-	idx    *trigIndex // active-trigger index, set when the node is expanded
-	kids   int        // frontier children that may still repair from idx
+	idx    *trigIndex    // active-trigger index, set when the node is expanded
+	delta  int           // offset of the node's delta in searcher.deltas
+	parent int32         // -1 at the root
+	trig   logic.TupleID // trigger applied to parent; -1 at the root
+	size   int32         // instance atom count
+	kids   int32         // frontier children that may still repair from idx
 }
 
-// searchFrontier is the heap of pending states.
-type searchFrontier struct {
-	nodes []*searchNode
-	less  func(a, b *searchNode) bool // SearchOptions.less
+// An arena chunk holds 1<<nodeChunkBits nodes. Chunks never move, so a
+// *searchNode stays valid while later nodes are added.
+const nodeChunkBits = 8
+
+// nodeArena holds every node of one search, addressed by ID.
+type nodeArena struct {
+	chunks [][]searchNode
+	n      int32
 }
 
-func (f *searchFrontier) Len() int { return len(f.nodes) }
+func (a *nodeArena) at(id int32) *searchNode {
+	return &a.chunks[id>>nodeChunkBits][id&(1<<nodeChunkBits-1)]
+}
 
-// Less orders the frontier by (size, seq): smallest instance first, FIFO
-// among equal sizes.
-func (f *searchFrontier) Less(i, j int) bool {
-	a, b := f.nodes[i], f.nodes[j]
-	if f.less != nil {
-		return f.less(a, b)
+// add stores n under the next ID and returns it.
+func (a *nodeArena) add(n searchNode) int32 {
+	id := a.n
+	if int(id>>nodeChunkBits) == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]searchNode, 1<<nodeChunkBits))
 	}
-	if a.size != b.size {
-		return a.size < b.size
-	}
-	return a.seq < b.seq
+	*a.at(id) = n
+	a.n++
+	return id
 }
 
-func (f *searchFrontier) Swap(i, j int) { f.nodes[i], f.nodes[j] = f.nodes[j], f.nodes[i] }
+// frontier is the search's pending states, a bucket queue of node IDs.
+// Under smallestFirst, bucket k holds, in generation order, the states with
+// k more atoms than the root, and pop takes the front of the lowest
+// non-empty bucket: exactly the (size, generation) order. That bucket never
+// moves down, because push is never given a state smaller than the last
+// one popped: a successor is strictly larger than its parent (see
+// materialise). The test-only orders keep every state in bucket 0, popped
+// from its front (breadthFirst) or back (depthFirst).
+type frontier struct {
+	order   searchOrder
+	base    int32 // the root's size
+	buckets []bucket
+	low     int // no bucket below low is non-empty
+	n       int
+}
 
-func (f *searchFrontier) Push(x any) { f.nodes = append(f.nodes, x.(*searchNode)) }
+// bucket is one FIFO (or, depth-first, LIFO) run of node IDs: ids[head:]
+// are pending.
+type bucket struct {
+	ids  []int32
+	head int
+}
 
-func (f *searchFrontier) Pop() any {
-	n := len(f.nodes) - 1
-	x := f.nodes[n]
-	f.nodes[n] = nil
-	f.nodes = f.nodes[:n]
-	return x
+func (f *frontier) len() int { return f.n }
+
+func (f *frontier) push(id, size int32) {
+	b := 0
+	if f.order == smallestFirst {
+		b = int(size - f.base)
+	}
+	for b >= len(f.buckets) {
+		f.buckets = append(f.buckets, bucket{})
+	}
+	f.buckets[b].ids = append(f.buckets[b].ids, id)
+	f.n++
+}
+
+// pop removes and returns the next state; the frontier must not be empty.
+func (f *frontier) pop() int32 {
+	bk := &f.buckets[f.low]
+	for bk.head == len(bk.ids) {
+		f.low++
+		bk = &f.buckets[f.low]
+	}
+	var id int32
+	if f.order == depthFirst {
+		id = bk.ids[len(bk.ids)-1]
+		bk.ids = bk.ids[:len(bk.ids)-1]
+	} else {
+		id = bk.ids[bk.head]
+		bk.head++
+	}
+	if bk.head == len(bk.ids) {
+		bk.ids, bk.head = bk.ids[:0], 0
+	}
+	f.n--
+	return id
 }
 
 // expander is the reusable single-state expansion step of the ∀∃ search: a
@@ -390,12 +458,13 @@ type searcher struct {
 	opts SearchOptions
 	done <-chan struct{} // run context's cancellation channel; nil = background
 
-	memo  map[logic.Fingerprint]struct{}
-	front searchFrontier
-	seq   int
+	nodes  nodeArena
+	deltas []uint32 // every node's delta, flattened, in ID order: the database first
+	memo   []int32  // the visited set: see find
+	front  frontier
 
-	chain []*searchNode
-	held  *searchNode // the state the scratch instance holds; nil: empty
+	chain []int32
+	held  int32 // the node the scratch instance holds; -1: empty
 
 	res *ExistsResult
 }
@@ -427,6 +496,7 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultSearchStates
 	}
+	opts.MaxStates = min(opts.MaxStates, math.MaxInt32)
 	if opts.MaxAtoms <= 0 {
 		opts.MaxAtoms = DefaultSearchAtoms
 	}
@@ -440,17 +510,21 @@ func SearchTerminatingDerivationContext(ctx context.Context, db *instance.Databa
 			}
 		}
 	}
+	e := newExpander(db, set)
 	s := &searcher{
-		expander: newExpander(db, set),
+		expander: e,
 		opts:     opts,
 		done:     ctx.Done(),
-		memo:     make(map[logic.Fingerprint]struct{}),
-		front:    searchFrontier{less: opts.less},
+		deltas:   e.rootDelta,
+		memo:     make([]int32, 64),
+		front:    frontier{order: opts.order, base: int32(e.rootSize)},
+		held:     -1,
 		res:      &ExistsResult{Exhausted: true},
 	}
-	root := &searchNode{trig: -1, delta: s.rootDelta, size: s.rootSize, fp: s.rootFp}
-	s.memo[root.fp] = struct{}{}
-	heap.Push(&s.front, root)
+	root := s.nodes.add(searchNode{fp: e.rootFp, parent: -1, trig: -1, size: int32(e.rootSize)})
+	slot, _ := s.find(e.rootFp)
+	s.remember(slot, root)
+	s.front.push(root, int32(e.rootSize))
 	s.loop()
 	res := s.res
 	if opts.Cache != nil && !res.Cancelled {
@@ -509,7 +583,7 @@ func replayExistsOutcome(set *tgds.Set, o *ExistsOutcome) (*ExistsResult, bool) 
 }
 
 func (s *searcher) loop() {
-	for s.front.Len() > 0 {
+	for s.front.len() > 0 {
 		if s.done != nil {
 			select {
 			case <-s.done:
@@ -520,31 +594,34 @@ func (s *searcher) loop() {
 			default:
 			}
 		}
-		if s.front.Len() > s.res.Stats.PeakFrontier {
-			s.res.Stats.PeakFrontier = s.front.Len()
+		if s.front.len() > s.res.Stats.PeakFrontier {
+			s.res.Stats.PeakFrontier = s.front.len()
 		}
-		cur := heap.Pop(&s.front).(*searchNode)
-		inst := s.materialise(cur)
+		id := s.front.pop()
+		cur := s.nodes.at(id)
+		inst := s.materialise(id)
 		// Inherit-and-repair the parent's active-trigger index; the parent
 		// always has one (a child is generated only while its parent is being
 		// expanded), so the rebuild path is the root's and fullRescan's.
 		var par *trigIndex
-		if !s.opts.fullRescan && cur.parent != nil {
-			par = cur.parent.idx
-		}
+		var parent *searchNode
 		deltaLo := int32(0)
-		if cur.parent != nil {
-			deltaLo = int32(cur.parent.size)
+		if cur.parent >= 0 {
+			parent = s.nodes.at(cur.parent)
+			deltaLo = parent.size
+			if !s.opts.fullRescan {
+				par = parent.idx
+			}
 		}
 		idx, repaired := s.stateIndex(par, inst, deltaLo)
 		cur.idx = idx
 		// This expansion consumed one of the parent's pending repairs; a
 		// drained (or childless) index is dead weight and is dropped so the
-		// node graph doesn't pin every expanded state's trigger list for the
+		// arena doesn't pin every expanded state's trigger list for the
 		// whole run.
-		if cur.parent != nil && cur.parent.kids > 0 {
-			if cur.parent.kids--; cur.parent.kids == 0 {
-				cur.parent.idx = nil
+		if parent != nil && parent.kids > 0 {
+			if parent.kids--; parent.kids == 0 {
+				parent.idx = nil
 			}
 		}
 		if repaired {
@@ -553,17 +630,17 @@ func (s *searcher) loop() {
 			s.res.Stats.IndexRebuilds++
 		}
 		if s.opts.onExpand != nil {
-			s.opts.onExpand(cur, inst, s.triggersOf(idx))
+			s.opts.onExpand(s, id, inst, s.triggersOf(idx))
 		}
 		s.res.Stats.StatesExpanded++
 		if idx.total == 0 {
 			s.res.Found = true
-			s.res.Derivation = s.path(cur)
+			s.res.Derivation = s.path(id)
 			s.finish()
 			return
 		}
-		if cur.size < s.opts.MaxAtoms {
-			s.generate(cur, inst, idx)
+		if int(cur.size) < s.opts.MaxAtoms {
+			s.generate(id, inst, idx)
 		} else {
 			s.res.Exhausted = false
 		}
@@ -575,50 +652,97 @@ func (s *searcher) loop() {
 }
 
 func (s *searcher) finish() {
-	s.res.StatesVisited = len(s.memo)
+	s.res.StatesVisited = int(s.nodes.n)
 	s.res.Stats.ActivityRechecks = s.nRechecks
 }
 
-// generate creates the successor of cur under every active trigger of its
-// index, in canonical order (TGD ascending, bindings canonical within): a
-// delta node with an incrementally merged fingerprint. Memoised and
-// over-budget successors are dropped without allocating.
-func (s *searcher) generate(cur *searchNode, inst *instance.Instance, idx *trigIndex) {
+// generate creates the successor of node id under every active trigger of
+// its index, in canonical order (TGD ascending, bindings canonical
+// within): an arena node with its delta appended to the flat store and an
+// incrementally merged fingerprint. Memoised and over-budget successors
+// are dropped without storing anything.
+func (s *searcher) generate(id int32, inst *instance.Instance, idx *trigIndex) {
+	cur := s.nodes.at(id)
 	for tgd := range idx.perTGD {
 		for _, trigID := range idx.perTGD[tgd] {
 			trigTup := s.trig.Tuple(trigID)
 
 			childFp, added := s.childState(inst, cur.fp, trigID, tgd, trigTup[1:])
-			if _, dup := s.memo[childFp]; dup {
+			slot, dup := s.find(childFp)
+			if dup {
 				s.res.Stats.MemoHits++
 				continue
 			}
-			if len(s.memo) >= s.opts.MaxStates {
+			if int(s.nodes.n) >= s.opts.MaxStates {
 				s.res.Exhausted = false
 				return
 			}
-			s.memo[childFp] = struct{}{}
-			child := &searchNode{
-				parent: cur,
-				trig:   trigID,
-				delta:  append([]uint32(nil), s.deltaBuf...),
-				size:   cur.size + added,
-				fp:     childFp,
-				seq:    s.seq,
+			off := len(s.deltas)
+			if need := off + len(s.deltaBuf); need > cap(s.deltas) {
+				s.deltas = append(make([]uint32, 0, 2*need), s.deltas...)
 			}
-			s.seq++
+			s.deltas = append(s.deltas, s.deltaBuf...)
+			size := cur.size + int32(added)
+			child := s.nodes.add(searchNode{fp: childFp, delta: off, parent: id, trig: trigID, size: size})
+			s.remember(slot, child)
 			cur.kids++
-			heap.Push(&s.front, child)
+			s.front.push(child, size)
 		}
 	}
 }
 
-// materialise moves the expander's scratch instance to the node's state
-// and returns it: the database plus the node's ancestor deltas, root first,
-// on the shared interner. The scratch is truncated back to the deepest
-// common ancestor of n and the node it held, and only the deltas below that
-// ancestor are replayed, so it ends up holding the same atoms in the same
-// insertion order as a rebuild from the database would.
+// find looks fp up in the visited set, an open-addressing table of node
+// IDs keyed by the nodes' fingerprints (a slot holds 1 + ID; 0 is empty).
+// It probes linearly from the fingerprint's own low bits: a fingerprint is
+// a sum of mixed atom hashes, so they are uniform and need no rehash. It
+// returns the slot of the node that has fp, or of the empty slot where
+// remember would put one, and whether a node has fp.
+func (s *searcher) find(fp logic.Fingerprint) (int, bool) {
+	mask := len(s.memo) - 1
+	for i := int(fp.Lo) & mask; ; i = (i + 1) & mask {
+		switch v := s.memo[i]; {
+		case v == 0:
+			return i, false
+		case s.nodes.at(v-1).fp == fp:
+			return i, true
+		}
+	}
+}
+
+// remember enters node id into the slot find returned for its fingerprint,
+// doubling the table once it is more than half full.
+func (s *searcher) remember(slot int, id int32) {
+	s.memo[slot] = id + 1
+	if 2*int(s.nodes.n) <= len(s.memo) {
+		return
+	}
+	old := s.memo
+	s.memo = make([]int32, 2*len(old))
+	for _, v := range old {
+		if v != 0 {
+			slot, _ := s.find(s.nodes.at(v - 1).fp)
+			s.memo[slot] = v
+		}
+	}
+}
+
+// delta returns node id's flattened new atoms: the flat store from its
+// offset to the next node's. A successor's delta is stored only with its
+// node, so the last node's delta ends the store.
+func (s *searcher) delta(id int32) []uint32 {
+	end := len(s.deltas)
+	if id+1 < s.nodes.n {
+		end = s.nodes.at(id + 1).delta
+	}
+	return s.deltas[s.nodes.at(id).delta:end]
+}
+
+// materialise moves the expander's scratch instance to node id's state and
+// returns it: the database plus the node's ancestor deltas, root first, on
+// the shared interner. The scratch is truncated back to the deepest common
+// ancestor of the node and the node it held, and only the deltas below
+// that ancestor are replayed, so it ends up holding the same atoms in the
+// same insertion order as a rebuild from the database would.
 //
 // The walk to the common ancestor compares sizes, which grow strictly along
 // every path: a successor that adds no atom has its parent's fingerprint,
@@ -628,37 +752,37 @@ func (s *searcher) generate(cur *searchNode, inst *instance.Instance, idx *trigI
 //
 // Called once per expanded node; the returned instance is valid until the
 // next materialise.
-func (s *searcher) materialise(n *searchNode) *instance.Instance {
+func (s *searcher) materialise(id int32) *instance.Instance {
 	if s.scratch == nil {
-		s.scratch = instance.NewWithInternerHint(s.itab, n.size)
+		s.scratch = instance.NewWithInternerHint(s.itab, int(s.nodes.at(id).size))
 	}
 	s.chain = s.chain[:0]
-	a, b := n, s.held
+	a, b := id, s.held
 	for a != b {
 		switch {
-		case b == nil || (a != nil && a.size > b.size):
+		case b < 0 || (a >= 0 && s.nodes.at(a).size > s.nodes.at(b).size):
 			s.chain = append(s.chain, a)
-			a = a.parent
-		case a == nil || b.size > a.size:
-			b = b.parent
+			a = s.nodes.at(a).parent
+		case a < 0 || s.nodes.at(b).size > s.nodes.at(a).size:
+			b = s.nodes.at(b).parent
 		default:
 			s.chain = append(s.chain, a)
-			a, b = a.parent, b.parent
+			a, b = s.nodes.at(a).parent, s.nodes.at(b).parent
 		}
 	}
 	keep := 0
-	if a != nil {
-		keep = a.size
+	if a >= 0 {
+		keep = int(s.nodes.at(a).size)
 	}
 	s.scratch.Truncate(keep)
 	for i := len(s.chain) - 1; i >= 0; i-- {
-		s.addDeltaTo(s.scratch, s.chain[i].delta)
+		s.addDeltaTo(s.scratch, s.delta(s.chain[i]))
 	}
-	s.held = n
+	s.held = id
 	return s.scratch
 }
 
-// path rebuilds the witnessing trigger sequence by walking parent pointers,
+// path rebuilds the witnessing trigger sequence by walking parent IDs,
 // materialising the public Trigger form from each interned tuple.
 //
 // The search mints null names in exploration order, but a caller replaying
@@ -669,9 +793,9 @@ func (s *searcher) materialise(n *searchNode) *instance.Instance {
 // will use. Every null bound by a path trigger was invented by an earlier
 // path step (a node's instance is the database plus its own path's
 // results), so the rename map is total on the bindings.
-func (s *searcher) path(n *searchNode) []Trigger {
+func (s *searcher) path(id int32) []Trigger {
 	var ids []logic.TupleID
-	for m := n; m.parent != nil; m = m.parent {
+	for m := s.nodes.at(id); m.parent >= 0; m = s.nodes.at(m.parent) {
 		ids = append(ids, m.trig)
 	}
 	out := make([]Trigger, len(ids))

@@ -50,20 +50,27 @@ func nullGrid(n int) *parser.Program {
 	return parser.MustParse(b.String())
 }
 
+// BenchmarkExistsSearch times the search against the reference. The
+// stage grids n = 5..8 run at the default budgets, like the exists-search
+// requests the bench/ harness sends /v1/exists (3^n states each).
 func BenchmarkExistsSearch(b *testing.B) {
-	cases := []struct {
+	type benchCase struct {
 		name      string
 		prog      *parser.Program
-		maxStates int
-	}{
-		{"stage-grid-8", stageGrid(8), 8000}, // 3^8 = 6561 states
-		{"null-grid-7", nullGrid(7), 3000},   // 3^7 = 2187 states
-		{"order-sensitive", parser.MustParse(`
+		maxStates int // 0: DefaultSearchStates
+	}
+	var cases []benchCase
+	for n := 5; n <= 8; n++ {
+		cases = append(cases, benchCase{fmt.Sprintf("stage-grid-%d", n), workload.StageGrid(n), 0})
+	}
+	cases = append(cases,
+		benchCase{"null-grid-7", nullGrid(7), 3000}, // 3^7 = 2187 states
+		benchCase{"order-sensitive", parser.MustParse(`
 			R(a,b).
 			grow: R(X,Y) -> R(Y,Z).
 			swap: R(X,Y) -> R(Y,X).
 		`), 5000},
-	}
+	)
 	for _, tc := range cases {
 		b.Run(tc.name+"/interned-fp", func(b *testing.B) {
 			b.ReportAllocs()

@@ -10,18 +10,18 @@ import (
 	"airct/internal/parser"
 )
 
-// rebuildFromRoot materialises the node's state the slow way: a fresh
+// rebuildFromRoot materialises node id's state the slow way: a fresh
 // instance on the search's interner, filled with the database and every
 // ancestor delta, root first.
-func rebuildFromRoot(n *searchNode, tab *logic.Interner) *instance.Instance {
-	var chain []*searchNode
-	for m := n; m != nil; m = m.parent {
+func rebuildFromRoot(s *searcher, id int32, tab *logic.Interner) *instance.Instance {
+	var chain []int32
+	for m := id; m >= 0; m = s.nodes.at(m).parent {
 		chain = append(chain, m)
 	}
-	inst := instance.NewWithInternerHint(tab, n.size)
+	inst := instance.NewWithInternerHint(tab, int(s.nodes.at(id).size))
 	var args []logic.TermID
 	for i := len(chain) - 1; i >= 0; i-- {
-		d := chain[i].delta
+		d := s.delta(chain[i])
 		for j := 0; j < len(d); {
 			pid := logic.PredID(d[j])
 			ar := tab.Pred(pid).Arity
@@ -70,11 +70,12 @@ func TestScratchMatchesRebuildAtEveryExpansion(t *testing.T) {
 				opts := SearchOptions{
 					MaxStates: tc.maxStates,
 					MaxAtoms:  tc.maxAtoms,
-					less:      order.less,
-					onExpand: func(n *searchNode, inst *instance.Instance, _ []Trigger) {
+					order:     order.order,
+					onExpand: func(s *searcher, id int32, inst *instance.Instance, _ []Trigger) {
 						expansions++
 						tab := inst.Interner()
-						want := rebuildFromRoot(n, tab)
+						want := rebuildFromRoot(s, id, tab)
+						n := s.nodes.at(id)
 						if got := tupleFingerprint(inst); inst.Len() != want.Len() || got != tupleFingerprint(want) || got != n.fp {
 							t.Fatalf("expansion %d: scratch has %d atoms, fingerprint %v; rebuild %d, %v; node %v",
 								expansions, inst.Len(), got, want.Len(), tupleFingerprint(want), n.fp)

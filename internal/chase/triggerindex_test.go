@@ -63,8 +63,8 @@ func TestTriggerIndexMatchesActiveTriggersGroundTruth(t *testing.T) {
 				opts := SearchOptions{
 					MaxStates: tc.maxStates,
 					MaxAtoms:  tc.maxAtoms,
-					less:      order.less,
-					onExpand: func(_ *searchNode, inst *instance.Instance, active []Trigger) {
+					order:     order.order,
+					onExpand: func(_ *searcher, _ int32, inst *instance.Instance, active []Trigger) {
 						expansions++
 						want := ActiveTriggers(prog.TGDs, inst)
 						if len(active) != len(want) {
@@ -107,10 +107,10 @@ func TestSearchDeltaIndexMatchesFullRescan(t *testing.T) {
 			for _, order := range searchOrders {
 				strat := order.name
 				base := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{
-					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, less: order.less, fullRescan: true,
+					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, order: order.order, fullRescan: true,
 				})
 				delta := mustSearch(t, prog.Database, prog.TGDs, SearchOptions{
-					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, less: order.less,
+					MaxStates: tc.maxStates, MaxAtoms: tc.maxAtoms, order: order.order,
 				})
 				if delta.Found != base.Found || delta.Exhausted != base.Exhausted {
 					t.Fatalf("%v: verdict drifted: (%v,%v) vs baseline (%v,%v)",
