@@ -103,93 +103,118 @@ func IsWeaklyAcyclic(set *tgds.Set) bool {
 // Mov(z), and z → z′ when the rule introducing z′ has a frontier variable
 // whose body positions all lie in Mov(z). Joint acyclicity subsumes weak
 // acyclicity.
+//
+// Each Mov(z) is one worklist pass. Every body position is indexed to the
+// (TGD, frontier variable) pairs that occur there, once per occurrence,
+// and each pair counts its body occurrences whose position is not yet in
+// Mov(z). A position entering Mov(z) decrements the counts of its pairs,
+// and a pair whose count reaches 0 adds its head positions. So each
+// position, pair and body occurrence is visited once per existential
+// variable.
 func IsJointlyAcyclic(set *tgds.Set) bool {
-	type exVar struct {
-		tgd int
-		v   logic.Term
+	// pair is one (TGD, frontier variable): its count of body occurrences
+	// and its head positions. exVar is one existential variable: its TGD
+	// and head positions, the seed of Mov(z).
+	type pair struct {
+		tgd  int
+		need int32
+		head []int32
 	}
+	type exVar struct {
+		tgd  int
+		head []int32
+	}
+	var pairs []pair
 	var exVars []exVar
-	for i, t := range set.TGDs {
-		for _, v := range t.ExistentialVars().Sorted() {
-			exVars = append(exVars, exVar{tgd: i, v: v})
+	posID := make(map[logic.Position]int32)
+	var atPos [][]int32 // body position -> a pair per occurrence there
+	id := func(pred logic.Predicate, i int) int32 {
+		p := logic.Position{Pred: pred, Index: i + 1}
+		n, ok := posID[p]
+		if !ok {
+			n = int32(len(posID))
+			posID[p] = n
+			atPos = append(atPos, nil)
+		}
+		return n
+	}
+	// Per TGD, pairOf maps each frontier variable to its pair and exOf
+	// each existential variable to its exVar, in head order.
+	pairOf := make(map[logic.Term]int32)
+	exOf := make(map[logic.Term]int32)
+	for ti, t := range set.TGDs {
+		body := t.BodyVars()
+		clear(pairOf)
+		clear(exOf)
+		for _, h := range t.Head {
+			for i, v := range h.Args {
+				switch p := id(h.Pred, i); {
+				case !v.IsVar():
+				case body.Has(v):
+					q, ok := pairOf[v]
+					if !ok {
+						q = int32(len(pairs))
+						pairOf[v] = q
+						pairs = append(pairs, pair{tgd: ti})
+					}
+					pairs[q].head = append(pairs[q].head, p)
+				default:
+					q, ok := exOf[v]
+					if !ok {
+						q = int32(len(exVars))
+						exOf[v] = q
+						exVars = append(exVars, exVar{tgd: ti})
+					}
+					exVars[q].head = append(exVars[q].head, p)
+				}
+			}
+		}
+		for _, a := range t.Body {
+			for i, v := range a.Args {
+				if q, ok := pairOf[v]; ok {
+					p := id(a.Pred, i)
+					atPos[p] = append(atPos[p], q)
+					pairs[q].need++
+				}
+			}
 		}
 	}
 	if len(exVars) == 0 {
 		return true // an empty dependency graph is acyclic
 	}
-	frontiers := make([][]logic.Term, len(set.TGDs))
-	for i, t := range set.TGDs {
-		frontiers[i] = t.Frontier().Sorted()
-	}
-	mov := make([]map[logic.Position]bool, len(exVars))
-	for k, ev := range exVars {
-		m := make(map[logic.Position]bool)
-		for _, h := range set.TGDs[ev.tgd].Head {
-			for i, v := range h.Args {
-				if v == ev.v {
-					m[logic.Position{Pred: h.Pred, Index: i + 1}] = true
-				}
-			}
-		}
-		// Close under frontier propagation.
-		for changed := true; changed; {
-			changed = false
-			for ti, t := range set.TGDs {
-				for _, x := range frontiers[ti] {
-					all := true
-					any := false
-					for _, a := range t.Body {
-						for i, v := range a.Args {
-							if v == x {
-								any = true
-								if !m[logic.Position{Pred: a.Pred, Index: i + 1}] {
-									all = false
-								}
-							}
-						}
-					}
-					if !any || !all {
-						continue
-					}
-					for _, h := range t.Head {
-						for i, v := range h.Args {
-							p := logic.Position{Pred: h.Pred, Index: i + 1}
-							if v == x && !m[p] {
-								m[p] = true
-								changed = true
-							}
-						}
-					}
-				}
-			}
-		}
-		mov[k] = m
-	}
 	// Dependency graph over existential variables.
 	adj := make([][]int, len(exVars))
-	for from := range exVars {
-		for to, ev := range exVars {
-			t := set.TGDs[ev.tgd]
-			dep := false
-			for _, x := range frontiers[ev.tgd] {
-				all := true
-				any := false
-				for _, a := range t.Body {
-					for i, v := range a.Args {
-						if v == x {
-							any = true
-							if !mov[from][logic.Position{Pred: a.Pred, Index: i + 1}] {
-								all = false
-							}
-						}
-					}
-				}
-				if any && all {
-					dep = true
-					break
+	inMov := make([]bool, len(posID))
+	left := make([]int32, len(pairs))
+	fires := make([]bool, len(set.TGDs)) // some frontier variable of the TGD lies wholly in Mov(z)
+	var work []int32
+	add := func(ps []int32) {
+		for _, p := range ps {
+			if !inMov[p] {
+				inMov[p] = true
+				work = append(work, p)
+			}
+		}
+	}
+	for from, ez := range exVars {
+		clear(inMov)
+		clear(fires)
+		for q := range pairs {
+			left[q] = pairs[q].need
+		}
+		add(ez.head)
+		for len(work) > 0 {
+			p := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, q := range atPos[p] {
+				if left[q]--; left[q] == 0 {
+					fires[pairs[q].tgd] = true
+					add(pairs[q].head)
 				}
 			}
-			if dep {
+		}
+		for to, ev := range exVars {
+			if fires[ev.tgd] {
 				adj[from] = append(adj[from], to)
 			}
 		}
