@@ -41,6 +41,7 @@ package chase
 // reads would put a write on every lookup).
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -330,15 +331,31 @@ func (k *kind[T]) store(c *Cache, key CacheKey, v T) {
 	c.putLocked(s, key, old, k.encode(nil, v))
 }
 
-// restore decodes one snapshot frame body and stores it through the
-// normal store path, reporting false (skip the frame) when the body does
-// not decode.
+// restore stores one snapshot frame body, reporting false (skip the frame)
+// when the body does not decode. A merging kind folds the decoded value in
+// through store. Any other kind's body already is its stored form, so once
+// the decoder accepts it, it is kept as it is, first writer wins: copied,
+// since Restore reuses its frame buffer, and never re-encoded.
 func (k *kind[T]) restore(c *Cache, key CacheKey, body []byte) bool {
-	v, ok := k.decodeBody(body)
-	if ok {
-		k.store(c, key, v)
+	if k.merge != nil {
+		v, ok := k.decodeBody(body)
+		if ok {
+			k.store(c, key, v)
+		}
+		return ok
 	}
-	return ok
+	d := &decoder{b: body, validate: true}
+	k.decode(d)
+	if d.err != nil || d.off != len(body) {
+		return false
+	}
+	s := c.stripe(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.m[key]; !dup {
+		c.putLocked(s, key, nil, bytes.Clone(body))
+	}
+	return true
 }
 
 // cacheEntry is one stored entry: its kind's snapshot body and the

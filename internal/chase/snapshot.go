@@ -125,10 +125,10 @@ func (c *Cache) Snapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Restore reads a snapshot stream into the cache, sending each frame
-// through its kind's store path (eviction accounting intact). A bad magic
-// or version returns ErrSnapshotFormat before anything is restored;
-// per-entry corruption is skipped, not fatal — see LoadReport.
+// Restore reads a snapshot stream into the cache, handing each frame to
+// its kind's restore (eviction accounting intact). A bad magic or version
+// returns ErrSnapshotFormat before anything is restored; per-entry
+// corruption is skipped, not fatal — see LoadReport.
 func (c *Cache) Restore(r io.Reader) (LoadReport, error) {
 	var rep LoadReport
 	br := bufio.NewReader(r)
@@ -236,7 +236,7 @@ func LoadCacheFile(path string) (*Cache, LoadReport, error) {
 // --- entry kinds ---
 
 // kinds registers each live entry kind under its salt tag: Restore routes a
-// frame to its kind's store path by the tag in the key's top byte. Retired
+// frame to its kind's restore by the tag in the key's top byte. Retired
 // tags (cache.go) have no entry, so their frames are skipped.
 var kinds = map[uint64]func(c *Cache, k CacheKey, body []byte) bool{
 	kindStageOutcomes: stageOutcomes.restore,
@@ -411,6 +411,9 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	// validate skips copying strings out (they read as ""): the body is
+	// being checked, not read.
+	validate bool
 }
 
 var errCorrupt = errors.New("corrupt entry")
@@ -468,7 +471,10 @@ func (d *decoder) string() string {
 	if d.err != nil {
 		return ""
 	}
-	s := string(d.b[d.off : d.off+n])
+	var s string
+	if !d.validate {
+		s = string(d.b[d.off : d.off+n])
+	}
 	d.off += n
 	return s
 }
