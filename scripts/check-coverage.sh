@@ -38,6 +38,9 @@
 # 96.2% (the other floors are within two points). At the ratchet that made
 # every instance an ID-plane instance and deleted the interner's term-hash
 # override: internal/instance 77.8%, internal/logic 86.9% (both new here).
+# At the ratchet that moved the ∀∃ search onto a node arena and a bucket
+# queue and made joint acyclicity one worklist pass: internal/acyclicity
+# 98.8% (new here), internal/chase 95.5% (its floor is within two points).
 set -eu
 
 check() {
@@ -63,3 +66,4 @@ check ./internal/buchi 97.5
 check ./internal/ochase 94.9
 check ./internal/instance 75.8
 check ./internal/logic 84.9
+check ./internal/acyclicity 96.8
