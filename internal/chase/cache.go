@@ -391,11 +391,8 @@ type Cache struct {
 	evictedEntries atomic.Int64
 
 	// Aggregated engine activity across cache-sharing runs (NoteRunActivity).
-	actRuns      atomic.Int64
-	actChecks    atomic.Int64
-	actBirth     atomic.Int64
-	actWatermark atomic.Int64
-	actDelta     atomic.Int64
+	actRuns   atomic.Int64
+	actChecks atomic.Int64
 }
 
 // NewCache returns an empty cache bounded by DefaultCacheBytes.
@@ -544,19 +541,19 @@ func (c *Cache) StoreExistsOutcome(set, inst logic.Fingerprint, maxAtoms int, o 
 	existsLadders.store(c, existsOutcomeKey(set, inst, maxAtoms), l)
 }
 
-// ActivityTotals aggregates the engine's delta-activity diagnostics across
-// every cache-sharing chase run — the process-wide view of the per-run
-// `trigger-index:`/Activity numbers, exported by the daemon's /v1/stats.
+// ActivityTotals aggregates the engine's activity checks across every
+// cache-sharing chase run — the process-wide view of the per-run
+// Stats.ActivityChecks, exported by the daemon's /v1/stats.
 type ActivityTotals struct {
 	// Runs counts the chase runs that reported into the totals.
 	Runs int64 `json:"runs"`
-	// ActivityChecks totals Stats.ActivityChecks (IsActive evaluations).
+	// ActivityChecks totals Stats.ActivityChecks (activity checks at pop).
 	ActivityChecks int64 `json:"activity-checks"`
-	// BirthChecks/WatermarkSkips/DeltaRechecks total the delta-maintained
-	// activity machinery's work (DeltaActivityStats).
-	BirthChecks    int64 `json:"birth-checks"`
-	WatermarkSkips int64 `json:"watermark-skips"`
-	DeltaRechecks  int64 `json:"delta-rechecks"`
+	// DeltaRechecks is always 0. It counted pops resolved by a
+	// delta-pinned head search, which the engine no longer runs: every pop
+	// is one full activity check. The field stays so /v1/stats readers keep
+	// their shape.
+	DeltaRechecks int64 `json:"delta-rechecks"`
 	// SeedIndexHits is always 0. It counted runs whose initial pending
 	// queue loaded from a cached root trigger index, a cache kind since
 	// deleted; the field stays so /v1/stats readers keep their shape.
@@ -566,12 +563,9 @@ type ActivityTotals struct {
 // NoteRunActivity folds one finished chase run's bookkeeping counters into
 // the cache's activity totals. The engine calls it for every run that
 // shares this cache (Options.Cache).
-func (c *Cache) NoteRunActivity(stats Stats, act DeltaActivityStats) {
+func (c *Cache) NoteRunActivity(stats Stats) {
 	c.actRuns.Add(1)
 	c.actChecks.Add(int64(stats.ActivityChecks))
-	c.actBirth.Add(int64(act.BirthChecks))
-	c.actWatermark.Add(int64(act.WatermarkSkips))
-	c.actDelta.Add(int64(act.DeltaRechecks))
 }
 
 // ActivityTotals snapshots the aggregated engine activity counters. Taken
@@ -580,9 +574,6 @@ func (c *Cache) ActivityTotals() ActivityTotals {
 	return ActivityTotals{
 		Runs:           c.actRuns.Load(),
 		ActivityChecks: c.actChecks.Load(),
-		BirthChecks:    c.actBirth.Load(),
-		WatermarkSkips: c.actWatermark.Load(),
-		DeltaRechecks:  c.actDelta.Load(),
 	}
 }
 

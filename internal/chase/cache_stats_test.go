@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"airct/internal/logic"
+	"airct/internal/parser"
 )
 
 // TestCacheStatsRoundTrip pins the one-struct-two-renderings contract of
@@ -93,5 +94,41 @@ func TestCacheStatsStringMatchesLiveCounters(t *testing.T) {
 	line := c.Stats().String()
 	if !strings.HasPrefix(line, "cache: hits=1 misses=1 entries=1 ") {
 		t.Errorf("live stats line off: %s", line)
+	}
+}
+
+// TestCacheActivityTotalsAggregateRuns pins the /v1/stats engine-activity
+// surface: every run sharing the cache reports into ActivityTotals, and the
+// totals mirror the per-run Stats counters it folded in. DeltaRechecks and
+// SeedIndexHits keep their JSON keys and read 0.
+func TestCacheActivityTotalsAggregateRuns(t *testing.T) {
+	cache := NewCache()
+	if got := cache.ActivityTotals(); got != (ActivityTotals{}) {
+		t.Fatalf("fresh cache has activity: %+v", got)
+	}
+	prog := parser.MustParse(`
+		E(X,Y) -> E(Y,Z).
+		E(a,b).
+	`)
+	var wantChecks int64
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		run := RunChase(prog.Database, prog.TGDs, Options{
+			Variant: Restricted, MaxSteps: 20, Cache: cache,
+		})
+		wantChecks += int64(run.Stats.ActivityChecks)
+	}
+	got := cache.ActivityTotals()
+	if got.Runs != runs {
+		t.Errorf("runs = %d, want %d", got.Runs, runs)
+	}
+	if got.ActivityChecks != wantChecks {
+		t.Errorf("totals %+v drifted from the per-run sum (checks %d)", got, wantChecks)
+	}
+	if got.DeltaRechecks != 0 {
+		t.Errorf("delta rechecks = %d, want 0 (the engine runs no delta re-check)", got.DeltaRechecks)
+	}
+	if got.SeedIndexHits != 0 {
+		t.Errorf("seed-index hits = %d, want 0 (the seed-index kind is deleted)", got.SeedIndexHits)
 	}
 }

@@ -128,20 +128,6 @@ type Options struct {
 	// (Cache.NoteRunActivity), aggregated for /v1/stats. Runs are
 	// byte-identical with and without a cache.
 	Cache *Cache
-
-	// fullActivity disables the delta-maintained activity machinery and
-	// resolves every Restricted pop with a full head search against the
-	// whole instance — the pre-delta behaviour. Deliberately unexported: it
-	// exists so in-package benchmarks can isolate the delta machinery's
-	// contribution and so the differential tests can pin the two paths
-	// byte-identical; it is not a supported mode.
-	fullActivity bool
-
-	// onActivity, when set, observes every Restricted pop's activity
-	// resolution alongside a freshly computed full-search ground truth —
-	// the differential tests' hook for pinning the delta path against the
-	// full check at every pop. Unexported; test-only.
-	onActivity func(tgd int, bt []uint32, delta, full bool)
 }
 
 // StepObserver receives one applied TGD step's interned identity, after
@@ -208,25 +194,6 @@ type Stats struct {
 	TriggersSkipped int
 }
 
-// DeltaActivityStats counts the delta-maintained activity machinery's work
-// (Restricted runs only — see the delta-activity notes on engine). It lives
-// outside Stats so the byte-identity oracle (differential_test.go) keeps
-// comparing the fields both engines share.
-type DeltaActivityStats struct {
-	// BirthChecks counts full activity checks performed at trigger
-	// discovery — each trigger pays exactly one, over the then-current
-	// instance (smaller than the pop-time instance the pre-delta engine
-	// searched).
-	BirthChecks int
-	// WatermarkSkips counts pops resolved by the head-predicate dependency
-	// sets alone: no atom of a head predicate arrived since discovery, so
-	// the birth verdict stands without any search.
-	WatermarkSkips int
-	// DeltaRechecks counts pops that ran the delta-pinned head search over
-	// the atoms inserted since the trigger's discovery.
-	DeltaRechecks int
-}
-
 // Run is the outcome of a chase: the final instance, the derivation, and
 // why the run stopped.
 type Run struct {
@@ -247,8 +214,6 @@ type Run struct {
 	Conflict *EGDConflict
 	// Stats records the engine's bookkeeping work.
 	Stats Stats
-	// Activity records the delta-maintained activity machinery's work.
-	Activity DeltaActivityStats
 }
 
 // Terminated reports whether the run reached a fixpoint.
@@ -290,27 +255,19 @@ func (r *Run) InstanceAt(i int) *instance.Instance {
 // Trigger.Key() is a debug/test renderer, and the semi-oblivious variant
 // dedups frontier classes by interned (TGD index, frontier TermID) tuples.
 //
-// Restricted activity is delta-maintained, mirroring the search's trigger
-// index (triggerindex.go): every discovered trigger pays one full activity
-// check at birth, over the then-current instance, and records the instance
-// length as its watermark. Because activity is antitone (instances only
-// grow), the pop-time answer is then exact as birth-activity AND no head
-// homomorphism touching the atoms inserted since birth — resolved by the
-// head-predicate dependency sets (newDeltaDeps) when no relevant atom
-// arrived, and by a delta-pinned ForEachDelta head search otherwise, never
-// by a full re-search of the whole instance. Options.fullActivity restores
-// the pre-delta per-pop full check; the two paths are pinned byte-identical
-// by the differential tests.
+// A Restricted pop decides activity with the one check the ∀∃ search's
+// trigger index also uses (matcher.isActive) against the instance as it
+// stands at the pop.
 // Equality steps (EGD support) ride on the same machinery: EGD triggers
 // intern into the trigger table under rule index len(TGDs)+egdIndex and are
-// discovered by the same SlotSearch/ForEachPinnedAtom enumeration, so delta
-// maintenance keeps working between equality steps. Applying an EGD trigger
+// discovered by the same SlotSearch/ForEachPinnedAtom enumeration.
+// Applying an EGD trigger
 // unifies the two bound terms in a union-find over TermIDs (uf): the
 // representative is the constant if one side is a constant, else the older
 // null (smaller TermID); two distinct constants are an EGDFailure. The
 // instance is then rewritten in place through uf.Find
-// (Instance.RewriteTerms rebuilds its indexes) and the trigger state — tables,
-// queue, birth verdicts — is rebuilt from the rewritten instance: an
+// (Instance.RewriteTerms rebuilds its indexes) and the trigger state — tables
+// and queue — is rebuilt from the rewritten instance: an
 // equality step can deactivate triggers (a head image appears by merging)
 // and re-activate work in bulk (rewritten body matches are new trigger
 // identities), and the rebuild re-derives both
@@ -329,7 +286,6 @@ type engine struct {
 	itab *logic.Interner
 	ct   []compiledTGD
 	ce   []compiledEGD
-	deps *deltaDeps
 	uf   *logic.UnionFind // equality classes; nil iff the set has no EGDs
 
 	// dirty is set while equality merges recorded in uf have not yet been
@@ -357,13 +313,6 @@ type engine struct {
 	queue []int32 // trigger TupleIDs
 	qhead int     // FIFO ring head
 
-	// deltaAct enables the delta-maintained activity machinery (Restricted
-	// without fullActivity); born and activeAtBirth are indexed by trigger
-	// TupleID: the instance length at discovery and the birth verdict.
-	deltaAct      bool
-	born          []int32
-	activeAtBirth []bool
-
 	// done is the run context's cancellation channel (nil for background
 	// runs); ctxTick paces the loop's polls so uncancellable runs pay one
 	// nil check per pop and cancellable runs one select per 64 pops.
@@ -373,14 +322,57 @@ type engine struct {
 	rng *rand.Rand
 	run *Run
 
-	ss      logic.SlotSearch
+	matcher
 	ds      discSorter
 	tupbuf  []uint32       // scratch identity tuple
 	discBuf []uint32       // flat discovered trigger tuples
 	sortBuf []int32        // offsets into discBuf, sorted canonically
 	nullIDs []logic.TermID // scratch nulls of the current application
-	argbuf  []logic.TermID // scratch head-atom arguments
 	addedIx []int32        // scratch indices of atoms added by the current application
+}
+
+// matcher is the slot search and head-argument scratch that the engine and
+// the ∀∃ search's expander each embed, and the restricted activity check
+// that runs on them.
+type matcher struct {
+	ss     logic.SlotSearch
+	argbuf []logic.TermID // scratch head-atom arguments
+}
+
+// isActive reports whether the trigger of ct with body tuple bt is active
+// on inst: no homomorphism of the head extending the frontier bindings
+// exists (Definition 3.1). An existential-free head is fully bound by the
+// frontier, so its one candidate homomorphism is a membership probe per
+// head atom; otherwise the slot search runs with the frontier slots bound.
+// The engine's pops and the search's trigger index both decide activity
+// here.
+func (m *matcher) isActive(ct *compiledTGD, bt []uint32, inst *instance.Instance) bool {
+	if len(ct.existVars) == 0 {
+		for _, ca := range ct.head.Atoms {
+			m.argbuf = m.argbuf[:0]
+			for _, a := range ca.Args {
+				if a.Slot < 0 { // rigid pattern term (constant-free TGDs never hit this)
+					m.argbuf = append(m.argbuf, a.ID)
+				} else {
+					m.argbuf = append(m.argbuf, logic.TermID(bt[a.Slot]))
+				}
+			}
+			if !inst.HasTuple(ca.Pred, m.argbuf) {
+				return true
+			}
+		}
+		return false
+	}
+	m.ss.Reset(ct.head)
+	for _, s := range ct.frontierSlots {
+		m.ss.Bind[s] = logic.TermID(bt[s])
+	}
+	found := false
+	m.ss.ForEach(ct.head, inst, func([]logic.TermID) bool {
+		found = true
+		return false
+	})
+	return !found
 }
 
 // Run chases the database with the TGD set under the options.
@@ -400,9 +392,8 @@ func RunChaseContext(ctx context.Context, db *instance.Database, set *tgds.Set, 
 }
 
 // Arena is chase engine memory that outlives a run: the interner, the
-// instance, the trigger and frontier tables, the queue, watermark and
-// discovery buffers, and the bound TGD set's compiled rules and delta
-// dependencies. Bind compiles a set once; each Run truncates that memory
+// instance, the trigger and frontier tables, the queue and discovery
+// buffers, and the bound TGD set's compiled rules. Bind compiles a set once; each Run truncates that memory
 // instead of allocating it again, and names its nulls with the n<k> terms
 // earlier runs of the binding interned. Runs are byte-identical to
 // RunChaseContext's: no output reads a TermID's numeric value (trigger
@@ -437,7 +428,7 @@ func (a *Arena) Run(ctx context.Context, db *instance.Database, opts Options) *R
 	e.peak = max(e.peak, e.inst.Len())
 	e.run.Final = e.inst
 	if opts.Cache != nil {
-		opts.Cache.NoteRunActivity(e.run.Stats, e.run.Activity)
+		opts.Cache.NoteRunActivity(e.run.Stats)
 	}
 	return e.run
 }
@@ -465,7 +456,6 @@ func (a *Arena) Bind(set *tgds.Set) {
 	e.set = set
 	e.boundNulls = e.boundNulls[:0]
 	e.ct = compileSet(set, e.itab)
-	e.deps = newDeltaDeps(e.ct)
 	e.ce, e.uf = nil, nil
 	if set.HasEGDs() {
 		e.ce = compileEGDs(set, e.itab)
@@ -489,7 +479,6 @@ func (e *engine) reset(ctx context.Context, db *instance.Database, opts Options)
 	e.clearTriggers()
 	e.inst.Reset()
 	e.inst.AddAll(db.Atoms())
-	e.deltaAct = opts.Variant == Restricted && !opts.fullActivity
 	if opts.Strategy == Random {
 		if e.rng == nil {
 			e.rng = rand.New(rand.NewSource(opts.Seed))
@@ -499,16 +488,14 @@ func (e *engine) reset(ctx context.Context, db *instance.Database, opts Options)
 	}
 }
 
-// clearTriggers empties the trigger state — tables, queue, birth verdicts —
-// keeping its capacity: at the start of a run and at each equality flush.
+// clearTriggers empties the trigger state — tables and queue — keeping its
+// capacity: at the start of a run and at each equality flush.
 func (e *engine) clearTriggers() {
 	e.trig.Reset()
 	e.front.Reset()
 	e.applied = e.applied[:0]
 	e.queue = e.queue[:0]
 	e.qhead = 0
-	e.born = e.born[:0]
-	e.activeAtBirth = e.activeAtBirth[:0]
 }
 
 // seedAllTriggers enumerates every trigger of every rule — TGDs then EGDs,
@@ -551,9 +538,7 @@ func (e *engine) collectTriggers(rule, nBody int, pat *logic.CPattern) {
 
 // enqueueDiscovered sorts the collected trigger tuples canonically and
 // enqueues the ones never seen before. The trigger table's isNew answer is
-// the dedup — no separate seen set. Under delta activity each new trigger
-// pays its one full activity check here, at birth, and records the instance
-// length as the watermark its pop-time delta re-check starts from.
+// the dedup — no separate seen set.
 func (e *engine) enqueueDiscovered(nBody int) {
 	if len(e.sortBuf) > 1 {
 		e.ds.stride = int32(nBody) + 1
@@ -564,25 +549,8 @@ func (e *engine) enqueueDiscovered(nBody int) {
 		if id, isNew := e.trig.Intern(tup); isNew {
 			e.run.Stats.TriggersEnqueued++
 			e.queue = append(e.queue, id)
-			if e.deltaAct {
-				e.born = append(e.born, int32(e.inst.Len()))
-				e.run.Activity.BirthChecks++
-				e.activeAtBirth = append(e.activeAtBirth, e.ruleActive(int(tup[0]), tup[1:]))
-			}
 		}
 	}
-}
-
-// ruleActive dispatches a birth/pop activity resolution by rule kind: a TGD
-// trigger runs the head search, an EGD trigger compares the two bound
-// terms' equality classes (equality, like activity, is antitone: once the
-// classes coincide they never split, so an inactive verdict is final).
-func (e *engine) ruleActive(rule int, bt []uint32) bool {
-	if rule >= len(e.ct) {
-		ce := &e.ce[rule-len(e.ct)]
-		return !e.uf.Same(logic.TermID(bt[ce.xSlot]), logic.TermID(bt[ce.ySlot]))
-	}
-	return e.isActive(rule, bt)
 }
 
 func (e *engine) pending() int { return len(e.queue) - e.qhead }
@@ -615,48 +583,6 @@ func (e *engine) pop() int32 {
 	}
 }
 
-// isActive reports whether the trigger (tgd, body tuple) is active: no
-// homomorphism of the head extending the frontier bindings exists in the
-// instance (Definition 3.1). Existential-free heads are fully bound by the
-// frontier, so the (unique) candidate homomorphism is a membership probe
-// per head atom; otherwise the slot search runs.
-func (e *engine) isActive(tgd int, bt []uint32) bool {
-	ct := &e.ct[tgd]
-	if len(ct.existVars) == 0 {
-		return !e.headPresent(ct, bt)
-	}
-	e.ss.Reset(ct.head)
-	for _, s := range ct.frontierSlots {
-		e.ss.Bind[s] = logic.TermID(bt[s])
-	}
-	found := false
-	e.ss.ForEach(ct.head, e.inst, func([]logic.TermID) bool {
-		found = true
-		return false
-	})
-	return !found
-}
-
-// headPresent probes whether every head atom of an existential-free TGD,
-// instantiated with the body bindings, is already in the instance — the
-// O(#head) activity answer that needs no search at all.
-func (e *engine) headPresent(ct *compiledTGD, bt []uint32) bool {
-	for _, ca := range ct.head.Atoms {
-		e.argbuf = e.argbuf[:0]
-		for _, a := range ca.Args {
-			if a.Slot < 0 { // rigid pattern term (constant-free TGDs never hit this)
-				e.argbuf = append(e.argbuf, a.ID)
-			} else {
-				e.argbuf = append(e.argbuf, logic.TermID(bt[a.Slot]))
-			}
-		}
-		if !e.inst.HasTuple(ca.Pred, e.argbuf) {
-			return false
-		}
-	}
-	return true
-}
-
 // frontierID interns the trigger's frontier class and returns its dense ID,
 // growing the applied flags alongside.
 func (e *engine) frontierID(tgd int, bt []uint32) logic.TupleID {
@@ -674,79 +600,19 @@ func (e *engine) frontierID(tgd int, bt []uint32) logic.TupleID {
 }
 
 // applicable decides whether a popped trigger should fire under the variant.
-func (e *engine) applicable(id int32, tgd int, bt []uint32) bool {
+func (e *engine) applicable(tgd int, bt []uint32) bool {
 	switch e.opts.Variant {
 	case Restricted:
 		// Activity is antitone: once non-active, forever non-active
-		// (instances only grow), so dropping is safe. ActivityChecks counts
-		// one resolution per pop regardless of how it is resolved, matching
-		// the reference engine.
+		// (instances only grow), so dropping is safe.
 		e.run.Stats.ActivityChecks++
-		if !e.deltaAct {
-			return e.isActive(tgd, bt)
-		}
-		act := e.deltaActive(id, tgd, bt)
-		if e.opts.onActivity != nil {
-			e.opts.onActivity(tgd, bt, act, e.isActive(tgd, bt))
-		}
-		return act
+		return e.isActive(&e.ct[tgd], bt, e.inst)
 	case SemiOblivious:
 		e.lastFront = e.frontierID(tgd, bt)
 		return !e.applied[e.lastFront]
 	default:
 		return true
 	}
-}
-
-// deltaActive resolves a popped trigger's activity from its birth verdict
-// plus the delta since discovery: inactive-at-birth stays inactive forever;
-// active-at-birth stays active unless a head homomorphism extending the
-// frontier uses an atom inserted at or after the watermark. The
-// head-predicate dependency sets answer "could the delta have deactivated
-// this TGD at all?" from posting-list suffixes alone; only when they say
-// yes does the delta-pinned head search run — never a full re-search.
-func (e *engine) deltaActive(id int32, tgd int, bt []uint32) bool {
-	if !e.activeAtBirth[id] {
-		return false
-	}
-	ct := &e.ct[tgd]
-	if len(ct.existVars) == 0 {
-		// Existential-free head: the O(#head) probe beats any delta scan
-		// (the delta between birth and pop can be the whole instance on
-		// dense datalog closures).
-		e.run.Activity.DeltaRechecks++
-		return !e.headPresent(ct, bt)
-	}
-	lo := e.born[id]
-	if int(lo) >= e.inst.Len() {
-		return true
-	}
-	if !e.headDeltaPossible(tgd, lo) {
-		e.run.Activity.WatermarkSkips++
-		return true
-	}
-	e.run.Activity.DeltaRechecks++
-	e.ss.Reset(ct.head)
-	for _, s := range ct.frontierSlots {
-		e.ss.Bind[s] = logic.TermID(bt[s])
-	}
-	found := false
-	e.ss.ForEachDelta(ct.head, e.inst, lo, func([]logic.TermID) bool {
-		found = true
-		return false
-	})
-	return !found
-}
-
-// headDeltaPossible consults the TGD's head-predicate dependency set: did
-// any atom of a head predicate arrive at or after the watermark?
-func (e *engine) headDeltaPossible(tgd int, lo int32) bool {
-	for _, p := range e.deps.headPreds[tgd] {
-		if len(e.inst.IdxByPredSince(p, lo)) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // engineCtxInterval is the cancellation check interval of the engine loop:
@@ -816,7 +682,7 @@ func (e *engine) loop() {
 			e.flushEqualities()
 			continue
 		}
-		if !e.applicable(id, rule, bt) {
+		if !e.applicable(rule, bt) {
 			e.run.Stats.TriggersSkipped++
 			continue
 		}
@@ -885,9 +751,9 @@ func (e *engine) applyEGD(j int, bt []uint32, x, y logic.TermID) bool {
 // flushEqualities applies the pending equality merges: the instance is
 // rewritten through the union-find (Instance.RewriteTerms, which rebuilds
 // the instance's indexes) and the whole trigger state is rebuilt from the
-// rewritten instance. The rebuild is the bulk trigIndex repair: triggers
+// rewritten instance. The rebuild is the bulk trigger-state repair: triggers
 // deactivated by the rewrite (their head image appeared by merging) are
-// re-discovered and then skipped by their fresh birth checks, and triggers
+// re-discovered and then skipped by their activity checks at pop, and triggers
 // re-activated or newly formed by the rewrite enter the queue under their
 // rewritten identities. Rebuilding rather than patching is sound because
 // the rewriting map ρ is a homomorphism of the old instance onto the new

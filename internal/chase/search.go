@@ -150,8 +150,9 @@ type SearchStats struct {
 	// is disabled).
 	IndexRepairs  int `json:"index-repairs"`
 	IndexRebuilds int `json:"index-rebuilds"`
-	// ActivityRechecks counts delta-pinned activity re-checks of inherited
-	// candidates — the repair path's work currency.
+	// ActivityRechecks counts the activity checks of inherited triggers
+	// that the repair path ran: an inherited trigger is checked again
+	// when a predicate of its TGD's head occurs in the delta.
 	ActivityRechecks int `json:"activity-rechecks"`
 }
 
@@ -275,14 +276,14 @@ type expander struct {
 	rootSize  int
 
 	// deps/predMark/predEpoch/nRechecks serve the delta-maintained trigger
-	// index (triggerindex.go); nRechecks counts delta-pinned activity
-	// re-checks and is drained into SearchStats by the owner.
+	// index (triggerindex.go); nRechecks counts the activity re-checks of
+	// inherited triggers and is drained into SearchStats by the owner.
 	deps      *deltaDeps
 	predMark  []uint32
 	predEpoch uint32
 	nRechecks int
 
-	ss logic.SlotSearch
+	matcher
 	ds discSorter
 
 	// scratch is the reusable materialisation arena: every popped state is
@@ -294,7 +295,6 @@ type expander struct {
 	// scratch; see the engine's twins
 	discBuf  []uint32
 	sortBuf  []int32
-	argbuf   []logic.TermID
 	argraw   []uint32
 	deltaBuf []uint32
 }
@@ -339,21 +339,6 @@ func (e *expander) addDeltaTo(inst *instance.Instance, d []uint32) {
 		inst.AddTuple(pid, e.argbuf)
 		j += 1 + ar
 	}
-}
-
-// isActive mirrors engine.isActive against the given instance.
-func (e *expander) isActive(tgd int, bt []uint32, inst *instance.Instance) bool {
-	ct := &e.ct[tgd]
-	e.ss.Reset(ct.head)
-	for _, sl := range ct.frontierSlots {
-		e.ss.Bind[sl] = logic.TermID(bt[sl])
-	}
-	found := false
-	e.ss.ForEach(ct.head, inst, func([]logic.TermID) bool {
-		found = true
-		return false
-	})
-	return !found
 }
 
 // childState computes the successor of the state (inst, fp) under the

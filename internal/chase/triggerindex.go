@@ -19,11 +19,12 @@ package chase
 //     by a head homomorphism that uses a delta atom. So inherited
 //     candidates need re-checking only when the delta contains an atom
 //     whose predicate occurs in the TGD's head (the head-predicate
-//     dependency sets, computed once per TGD set), and the re-check itself
-//     is a delta-pinned head search, not a full activity check.
+//     dependency sets, computed once per TGD set), and the re-check is the
+//     same activity check (matcher.isActive) that discovery and the
+//     engine's pops run.
 //
 // Hence: active(child) = keep(active(parent)) ∪ activeNew(delta), with
-// keep filtering by a delta-pinned head search and activeNew discovered by
+// keep filtering by the activity check and activeNew discovered by
 // ForEachDelta over the body. Both sides are produced in the canonical
 // trigger order (TGD index ascending, then componentwise Term.Compare of
 // the body bindings — the order collectActive/AllTriggers produce), and the
@@ -132,7 +133,7 @@ func (e *expander) discoverActive(i int, ct *compiledTGD, inst *instance.Instanc
 	var ids []logic.TupleID
 	for _, off := range e.sortBuf {
 		tup := e.discBuf[off : off+int32(ct.nBody)+1]
-		if e.isActive(i, tup[1:], inst) {
+		if e.isActive(ct, tup[1:], inst) {
 			id, _ := e.trig.Intern(tup)
 			ids = append(ids, id)
 		}
@@ -158,8 +159,8 @@ func (e *expander) buildIndex(inst *instance.Instance) *trigIndex {
 }
 
 // repairIndex derives the child state's index from its parent's: per TGD,
-// inherited candidates are kept (re-checked by a delta-pinned head search
-// only when a head predicate occurs in the delta) and new candidates are
+// inherited candidates are kept (re-checked for activity only when a head
+// predicate occurs in the delta) and new candidates are
 // discovered by ForEachDelta over the body (only when a body predicate
 // occurs in the delta), then the two canonical-order runs merge. deltaLo is
 // the parent's atom count: the delta atoms are exactly the insertion-index
@@ -174,7 +175,7 @@ func (e *expander) repairIndex(par *trigIndex, inst *instance.Instance, deltaLo 
 			filtered := make([]logic.TupleID, 0, len(kept))
 			for _, id := range kept {
 				e.nRechecks++
-				if !e.deactivatedByDelta(i, e.trig.Tuple(id)[1:], inst, deltaLo) {
+				if e.isActive(ct, e.trig.Tuple(id)[1:], inst) {
 					filtered = append(filtered, id)
 				}
 			}
@@ -209,25 +210,6 @@ func (e *expander) sortDiscovered(ct *compiledTGD) {
 		e.ds.stride = int32(ct.nBody) + 1
 		sort.Sort(&e.ds)
 	}
-}
-
-// deactivatedByDelta reports whether a trigger that was active at the parent
-// is inactive at the child: since the parent admitted no head homomorphism
-// extending the frontier bindings, one exists in the child iff it uses a
-// delta atom — a delta-pinned search over the head pattern, O(delta) instead
-// of a full activity check.
-func (e *expander) deactivatedByDelta(tgd int, bt []uint32, inst *instance.Instance, deltaLo int32) bool {
-	ct := &e.ct[tgd]
-	e.ss.Reset(ct.head)
-	for _, sl := range ct.frontierSlots {
-		e.ss.Bind[sl] = logic.TermID(bt[sl])
-	}
-	found := false
-	e.ss.ForEachDelta(ct.head, inst, deltaLo, func([]logic.TermID) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 // mergeCanonical merges two canonical-order, disjoint trigger-ID runs of one

@@ -58,6 +58,3 @@ func (u *UnionFind) Link(child, parent TermID) {
 	u.grow(p)
 	u.parent[c] = p
 }
-
-// Same reports whether the two IDs are in one equality class.
-func (u *UnionFind) Same(a, b TermID) bool { return u.Find(a) == u.Find(b) }
