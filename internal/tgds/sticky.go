@@ -23,38 +23,65 @@ type Marking struct {
 //     σ′ ∈ T with an atom R(t̄′) in its body such that every variable of t̄′
 //     at a position of pos(R(t̄), x) is marked, then x is marked.
 //
+// The fixpoint is computed in one worklist pass. Each candidate of rule 2
+// (a TGD's body variable x that occurs in its head, with pos(R(t̄), x)) is
+// indexed under every position (R, i) of pos(R(t̄), x). When a variable is
+// marked, its body occurrences are visited once: an occurrence at position
+// i of an atom R(t̄′) re-checks only the candidates indexed under (R, i),
+// and marks one whose positions in t̄′ all hold marked variables. The last
+// of those variables to be marked visits that atom at one of them, so
+// every variable rule 2 marks is found; the result is the least fixpoint.
+//
 // It requires a single-head set (stickiness is defined for class S, which is
 // single-head) and returns an error otherwise.
 func ComputeMarking(s *Set) (*Marking, error) {
 	if !s.IsSingleHead() {
 		return nil, fmt.Errorf("tgds: stickiness marking requires single-head TGDs")
 	}
+	type candidate struct {
+		v   logic.Term
+		pos []int // pos(R(t̄), v), 1-based
+	}
+	type occurrence struct {
+		atom logic.Atom
+		i    int // 1-based
+	}
 	marked := make(logic.TermSet)
-
-	// Base step.
+	var queue []logic.Term
+	mark := func(v logic.Term) {
+		marked[v] = struct{}{}
+		queue = append(queue, v)
+	}
+	byPos := make(map[logic.Position][]candidate)
+	occs := make(map[logic.Term][]occurrence)
 	for _, t := range s.TGDs {
-		headVars := t.HeadVars()
+		head := t.HeadAtom()
 		for v := range t.BodyVars() {
-			if !headVars.Has(v) {
-				marked[v] = struct{}{}
+			pos := head.PositionsOf(v)
+			if len(pos) == 0 {
+				mark(v) // rule 1
+				continue
+			}
+			for _, i := range pos {
+				p := logic.Position{Pred: head.Pred, Index: i}
+				byPos[p] = append(byPos[p], candidate{v: v, pos: pos})
+			}
+		}
+		for _, a := range t.Body {
+			for i, term := range a.Args {
+				if term.IsVar() {
+					occs[term] = append(occs[term], occurrence{atom: a, i: i + 1})
+				}
 			}
 		}
 	}
-
-	// Propagation to fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, t := range s.TGDs {
-			head := t.HeadAtom()
-			bodyVars := t.BodyVars()
-			for v := range bodyVars {
-				if marked.Has(v) || !head.HasTerm(v) {
-					continue
-				}
-				positions := head.PositionsOf(v)
-				if propagatesMark(s, head.Pred, positions, marked) {
-					marked[v] = struct{}{}
-					changed = true
+	for len(queue) > 0 {
+		y := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, o := range occs[y] {
+			for _, c := range byPos[logic.Position{Pred: o.atom.Pred, Index: o.i}] {
+				if !marked.Has(c.v) && allMarked(o.atom, c.pos, marked) {
+					mark(c.v) // rule 2
 				}
 			}
 		}
@@ -64,27 +91,15 @@ func ComputeMarking(s *Set) (*Marking, error) {
 	return m, nil
 }
 
-// propagatesMark reports whether some TGD of s has a body atom with
-// predicate pred whose variables at all the given positions are marked.
-func propagatesMark(s *Set, pred logic.Predicate, positions []int, marked logic.TermSet) bool {
-	for _, t := range s.TGDs {
-		for _, a := range t.Body {
-			if a.Pred != pred {
-				continue
-			}
-			all := true
-			for _, i := range positions {
-				if !marked.Has(a.Arg(i)) {
-					all = false
-					break
-				}
-			}
-			if all {
-				return true
-			}
+// allMarked reports whether a holds a marked variable at every one of the
+// given 1-based positions.
+func allMarked(a logic.Atom, positions []int, marked logic.TermSet) bool {
+	for _, i := range positions {
+		if !marked.Has(a.Arg(i)) {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // IsMarked reports whether the body variable v is marked in T.
