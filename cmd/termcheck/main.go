@@ -77,7 +77,6 @@ func main() {
 	usePortfolio := flag.Bool("portfolio", false, "answer the all-instances question through the staged decider portfolio (cheap checks, k-round probe, semantic deciders)")
 	useCache := flag.Bool("cache", false, "memoise whole answers (the flat report, portfolio runs, -exists searches) in a cross-run cache and report a cache: stats line")
 	cacheFile := flag.String("cache-file", "", "persist the cross-run cache: load the snapshot at this path if it exists and save it back atomically on exit (implies -cache)")
-	cacheSaveEvery := flag.Duration("cache-save-every", 0, "also snapshot the -cache-file cache on this cadence during the run, so a crash loses at most one interval of warm work (0: save at exit only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to the file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to the file before exiting")
 	flag.Parse()
@@ -105,7 +104,7 @@ func main() {
 				}
 			}()
 		}
-		return run(*guardedBudget, *stickyStates, *exists, *existsStates, *existsAtoms, *usePortfolio, *useCache, *cacheFile, *cacheSaveEvery)
+		return run(*guardedBudget, *stickyStates, *exists, *existsStates, *existsAtoms, *usePortfolio, *useCache, *cacheFile)
 	}())
 }
 
@@ -119,7 +118,7 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms int, usePortfolio, useCache bool, cacheFile string, cacheSaveEvery time.Duration) int {
+func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms int, usePortfolio, useCache bool, cacheFile string) int {
 	src, err := readInput(flag.Arg(0))
 	if err != nil {
 		return fail(err)
@@ -138,13 +137,6 @@ func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms
 		return fail(fmt.Errorf("-exists and -portfolio ask different questions; choose one"))
 	}
 	cache := openCache(useCache, cacheFile)
-	var snap *serve.Snapshotter
-	if cache != nil && cacheFile != "" {
-		// The snapshotter owns persistence: a background ticker under
-		// -cache-save-every (so a killed run keeps its last interval of warm
-		// work), plus the historic save-at-exit on Close.
-		snap = serve.NewSnapshotter(cache, cacheFile, cacheSaveEvery, logfStderr)
-	}
 	code := func() int {
 		if exists {
 			return runExists(prog, existsStates, existsAtoms, cache)
@@ -154,8 +146,11 @@ func run(guardedBudget, stickyStates int, exists bool, existsStates, existsAtoms
 		}
 		return runReport(prog, guardedBudget, stickyStates, cache)
 	}()
-	if snap != nil {
-		if err := snap.Close(); err != nil {
+	// A run stores its one entry when its one analysis returns, so one
+	// save at exit writes everything; SaveCacheFile renames atomically, so a
+	// run killed before it leaves the snapshot as it was loaded.
+	if cacheFile != "" {
+		if err := chase.SaveCacheFile(cache, cacheFile); err != nil {
 			return fail(err)
 		}
 	}

@@ -1,13 +1,11 @@
 package serve
 
-// The background snapshotter: the persistent-cache follow-up (ROADMAP item
-// 5a) that turns the CLI's save-once-at-exit into a cadence. One shared
-// implementation serves both front ends — termcheckd snapshots the daemon's
-// cache on a ticker and once more on graceful shutdown, and `termcheck
-// -cache-save-every` opts the CLI into the same loop so a crash mid-run
-// loses at most one interval of warm work instead of the whole set. Every
-// save goes through chase.SaveCacheFile's atomic temp-file rename, so a
-// reader (or a killed writer) always sees a complete snapshot.
+// The background snapshotter: termcheckd snapshots the daemon's cache on a
+// ticker and once more on graceful shutdown, so a crash loses at most one
+// interval of warm work. (termcheck needs no cadence: a run stores its one
+// entry when its one analysis returns and saves once, at exit.) Every save
+// goes through chase.SaveCacheFile's atomic temp-file rename, so a reader
+// (or a killed writer) always sees a complete snapshot.
 
 import (
 	"os"
@@ -39,8 +37,8 @@ type Snapshotter struct {
 }
 
 // NewSnapshotter starts a snapshotter for the cache. every <= 0 disables
-// the ticker — Close still writes the final snapshot, which is exactly the
-// CLI's historic save-at-exit behaviour. logf (optional) receives save
+// the ticker — Close still writes the final snapshot, a save at exit only
+// (termcheckd -cache-save-every 0). logf (optional) receives save
 // errors; ticker saves never abort the loop on error, since a transient
 // full disk must not kill the cadence.
 func NewSnapshotter(cache *chase.Cache, path string, every time.Duration, logf func(format string, args ...any)) *Snapshotter {
