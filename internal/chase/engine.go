@@ -256,26 +256,26 @@ func (r *Run) InstanceAt(i int) *instance.Instance {
 // dedups frontier classes by interned (TGD index, frontier TermID) tuples.
 //
 // A Restricted pop decides activity with the one check the ∀∃ search's
-// trigger index also uses (matcher.isActive) against the instance as it
+// trigger index also uses (matcher.isActive), against the instance as it
 // stands at the pop.
+//
 // Equality steps (EGD support) ride on the same machinery: EGD triggers
 // intern into the trigger table under rule index len(TGDs)+egdIndex and are
-// discovered by the same SlotSearch/ForEachPinnedAtom enumeration.
-// Applying an EGD trigger
-// unifies the two bound terms in a union-find over TermIDs (uf): the
-// representative is the constant if one side is a constant, else the older
-// null (smaller TermID); two distinct constants are an EGDFailure. The
-// instance is then rewritten in place through uf.Find
-// (Instance.RewriteTerms rebuilds its indexes) and the trigger state — tables
-// and queue — is rebuilt from the rewritten instance: an
-// equality step can deactivate triggers (a head image appears by merging)
-// and re-activate work in bulk (rewritten body matches are new trigger
-// identities), and the rebuild re-derives both
-// effects from scratch, which is sound because activity and satisfaction
-// are preserved under the rewriting homomorphism ρ (ρ∘h remains a body
-// match; a satisfied head stays satisfied as ρ of its witness). EGDs are
-// Restricted-only: the oblivious variants' fire-once bookkeeping is keyed
-// on trigger identities that a rewrite invalidates.
+// discovered by the same SlotSearch/ForEachPinnedAtom enumeration. Applying
+// an EGD trigger unifies the two bound terms in a union-find over TermIDs
+// (uf): the representative is the constant if one side is a constant, else
+// the older null (smaller TermID); two distinct constants are an
+// EGDFailure. The instance is then rewritten in place through uf.Find
+// (Instance.RewriteTerms rebuilds its indexes) and the trigger state —
+// tables and queue — is rebuilt from the rewritten instance: an equality
+// step can deactivate triggers (a head image appears by merging) and
+// re-activate work in bulk (rewritten body matches are new trigger
+// identities), and the rebuild re-derives both effects from scratch, which
+// is sound because activity and satisfaction are preserved under the
+// rewriting homomorphism ρ (ρ∘h remains a body match; a satisfied head
+// stays satisfied as ρ of its witness). EGDs are Restricted-only: the
+// oblivious variants' fire-once bookkeeping is keyed on trigger identities
+// that a rewrite invalidates.
 //
 // An engine's memory outlives its runs (see Arena): Bind compiles a TGD set
 // once, and reset truncates the per-run state for the next run.
@@ -393,13 +393,13 @@ func RunChaseContext(ctx context.Context, db *instance.Database, set *tgds.Set, 
 
 // Arena is chase engine memory that outlives a run: the interner, the
 // instance, the trigger and frontier tables, the queue and discovery
-// buffers, and the bound TGD set's compiled rules. Bind compiles a set once; each Run truncates that memory
-// instead of allocating it again, and names its nulls with the n<k> terms
-// earlier runs of the binding interned. Runs are byte-identical to
-// RunChaseContext's: no output reads a TermID's numeric value (trigger
-// order compares term names, posting lists and tuple IDs follow insertion
-// order, Random pops depend only on the queue length, and nulls are
-// interned in naming order).
+// buffers, and the bound TGD set's compiled rules. Bind compiles a set
+// once; each Run truncates that memory instead of allocating it again, and
+// names its nulls with the n<k> terms earlier runs of the binding interned.
+// Runs are byte-identical to RunChaseContext's: no output reads a TermID's
+// numeric value (trigger order compares term names, posting lists and
+// tuple IDs follow insertion order, Random pops depend only on the queue
+// length, and nulls are interned in naming order).
 //
 // The zero value is an unbound arena. An arena has one writer and must not
 // be copied after first use.

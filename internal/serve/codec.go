@@ -137,9 +137,9 @@ type SnapshotStats struct {
 }
 
 // StatsResponse is the /v1/stats body: the shared cache's counters (the
-// CLI's `cache:` line as JSON), the chase engine's aggregated activity-
-// check work (the `activity:` line; its seed-index-hits is always 0), the
-// aggregated ∀∃ search work including the trigger-index and
+// CLI's `cache:` line as JSON), the chase engine's aggregated runs and
+// activity checks (its delta-rechecks and seed-index-hits are always 0),
+// the aggregated ∀∃ search work including the trigger-index and
 // activity-recheck counters (the `trigger-index:` line), per-stage
 // portfolio decision tallies (the `portfolio-stage:` lines' decisive
 // outcomes, with the probe's rejecting fast path broken out as
