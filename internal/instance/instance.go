@@ -31,8 +31,12 @@ type Instance struct {
 	tab   *logic.Interner   // term/pred IDs; owned or shared (NewWithInterner)
 	atoms *logic.TupleTable // (PredID, TermID...) identity; TupleID = insertion index
 
-	predIdx map[logic.PredID][]int32 // insertion indices per predicate
-	ptIdx   map[uint64][]int32       // packed (pred, pos, term) -> insertion indices
+	byPred [][]int32 // insertion indices per predicate, indexed by PredID
+	pt     ptTable   // (pred, pos, term) posting lists
+	// atomLists holds each atom's (pred, pos, term) list IDs, one per
+	// argument, atom after atom in insertion order, so Truncate finds the
+	// lists a dropped atom is on without hashing its keys.
+	atomLists []int32
 
 	tupbuf []uint32 // scratch for tuple probes; single-writer
 }
@@ -43,10 +47,90 @@ type Instance struct {
 // posting list, so insertion refuses one and the parser rejects it first.
 const MaxArity = 1023
 
-// ptPack packs a (PredID, 1-based position, TermID) triple into one map
+// ptPack packs a (PredID, 1-based position, TermID) triple into one table
 // key: 22 bits of predicate, 10 of position (at most MaxArity), 32 of term.
 func ptPack(p logic.PredID, pos int, t logic.TermID) uint64 {
 	return uint64(p)<<42 | uint64(pos)<<32 | uint64(t)
+}
+
+// ptTable holds the (predicate, position, term) posting lists by list ID,
+// and finds a packed key's list by open addressing: a slot holds 1 + a
+// list ID (0 is empty), and keys[id] is list id's key. Probing is linear
+// from the top bits of the key times 2^64/φ, so one find-or-insert costs
+// one probe sequence, and the table doubles past half full.
+type ptTable struct {
+	slots []int32
+	shift uint // 64 - log2(len(slots))
+	keys  []uint64
+	lists [][]int32
+}
+
+func newPTTable(keysHint int) ptTable {
+	size, shift := 16, uint(60)
+	for size < 2*keysHint {
+		size, shift = 2*size, shift-1
+	}
+	return ptTable{slots: make([]int32, size), shift: shift}
+}
+
+// slot returns the slot holding k's list, or the empty slot where add
+// would put it, and whether k has a list.
+func (t *ptTable) slot(k uint64) (int, bool) {
+	mask := len(t.slots) - 1
+	for i := int((k * 0x9e3779b97f4a7c15) >> t.shift); ; i = (i + 1) & mask {
+		switch v := t.slots[i]; {
+		case v == 0:
+			return i, false
+		case t.keys[v-1] == k:
+			return i, true
+		}
+	}
+}
+
+// find returns k's posting list, or nil when k has none.
+func (t *ptTable) find(k uint64) []int32 {
+	if i, ok := t.slot(k); ok {
+		return t.lists[t.slots[i]-1]
+	}
+	return nil
+}
+
+// add returns the ID of k's posting list, opening an empty one if k has
+// none.
+func (t *ptTable) add(k uint64) int32 {
+	i, ok := t.slot(k)
+	if ok {
+		return t.slots[i] - 1
+	}
+	id := int32(len(t.keys))
+	t.keys = append(t.keys, k)
+	t.lists = append(t.lists, nil)
+	t.slots[i] = id + 1
+	if 2*len(t.keys) > len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		t.shift--
+		for id, k := range t.keys {
+			i, _ := t.slot(k)
+			t.slots[i] = int32(id) + 1
+		}
+	}
+	return id
+}
+
+// clear drops every key and list, keeping the slots' and the key store's
+// capacity.
+func (t *ptTable) clear() {
+	clear(t.slots)
+	clear(t.lists)
+	t.keys, t.lists = t.keys[:0], t.lists[:0]
+}
+
+// cut drops the postings >= lo from an ascending posting list.
+func cut(lst []int32, lo int32) []int32 {
+	if len(lst) > 0 && lst[len(lst)-1] >= lo {
+		return lst[:logic.LowerBound(lst, lo)]
+	}
+	return lst
 }
 
 // New returns an empty instance.
@@ -73,10 +157,9 @@ func NewWithInternerHint(tab *logic.Interner, atomsHint int) *Instance {
 		atomsHint = 16
 	}
 	return &Instance{
-		tab:     tab,
-		atoms:   logic.NewTupleTable(atomsHint),
-		predIdx: make(map[logic.PredID][]int32),
-		ptIdx:   make(map[uint64][]int32, 2*atomsHint),
+		tab:   tab,
+		atoms: logic.NewTupleTable(atomsHint),
+		pt:    newPTTable(2 * atomsHint),
 	}
 }
 
@@ -107,41 +190,44 @@ func (in *Instance) Reset() { in.Truncate(0) }
 // instance along its search tree this way, rewinding to a common ancestor
 // and replaying only the deltas below it.
 //
-// Dropped atoms are visited newest first. Posting lists ascend, so a
-// dropped atom's postings are the tail of each list it is on; the first
-// visit to a list cuts every posting >= n at once. Slices and insertion
-// indices previously returned for dropped atoms become invalid.
+// Dropped atoms are visited newest first, each reading its list IDs off
+// the tail of atomLists. Posting lists ascend, so a dropped atom's
+// postings are the tail of each list it is on; the first visit to a list
+// cuts every posting >= n at once. Keys stay, with their lists cut. Slices
+// and insertion indices previously returned for dropped atoms become
+// invalid.
 func (in *Instance) Truncate(n int) {
 	if n >= in.Len() {
 		return
 	}
 	lo := int32(n)
+	end := len(in.atomLists)
 	for i := int32(in.Len() - 1); i >= lo; i-- {
 		tup := in.atoms.Tuple(i)
-		pid := logic.PredID(tup[0])
-		if lst := in.predIdx[pid]; len(lst) > 0 && lst[len(lst)-1] >= lo {
-			in.predIdx[pid] = lst[:logic.LowerBound(lst, lo)]
+		in.byPred[tup[0]] = cut(in.byPred[tup[0]], lo)
+		start := end - (len(tup) - 1)
+		for _, l := range in.atomLists[start:end] {
+			in.pt.lists[l] = cut(in.pt.lists[l], lo)
 		}
-		for pos, t := range tup[1:] {
-			k := ptPack(pid, pos+1, logic.TermID(t))
-			if lst := in.ptIdx[k]; len(lst) > 0 && lst[len(lst)-1] >= lo {
-				in.ptIdx[k] = lst[:logic.LowerBound(lst, lo)]
-			}
-		}
+		end = start
 	}
+	in.atomLists = in.atomLists[:end]
 	in.atoms.Truncate(n)
 }
 
-// Clear empties the instance and drops every index key, keeping the maps'
-// capacity. It goes with resetting the instance's interner: the keys hold
-// IDs the reset invalidated, and kept, they would pile up across every
-// vocabulary the instance served. Clearing a whole map costs its capacity,
-// which beats deleting keys one by one unless the map holds a small share
-// of what it once held. With the maps cleared there are no posting lists
-// left to cut, so only the identity table is truncated.
+// Clear empties the instance and drops every index key and posting list,
+// keeping the capacity of the key table and of the slices that hold the
+// lists. It goes with resetting the instance's interner: the keys hold IDs
+// the reset invalidated, and kept, they would pile up across every
+// vocabulary the instance served. Clearing the whole table costs its
+// capacity, which beats cutting lists one by one unless the instance holds
+// a small share of what it once held. With the keys dropped there are no
+// posting lists left to cut, so only the identity table is truncated.
 func (in *Instance) Clear() {
-	clear(in.predIdx)
-	clear(in.ptIdx)
+	clear(in.byPred)
+	in.byPred = in.byPred[:0]
+	in.pt.clear()
+	in.atomLists = in.atomLists[:0]
 	in.atoms.Truncate(0)
 }
 
@@ -184,10 +270,14 @@ func (in *Instance) insert(pid logic.PredID, tuple []uint32) (int32, bool) {
 	if !isNew {
 		return idx, false
 	}
-	in.predIdx[pid] = append(in.predIdx[pid], idx)
+	for int(pid) >= len(in.byPred) {
+		in.byPred = append(in.byPred, nil)
+	}
+	in.byPred[pid] = append(in.byPred[pid], idx)
 	for i, t := range tuple[1:] {
-		k := ptPack(pid, i+1, logic.TermID(t))
-		in.ptIdx[k] = append(in.ptIdx[k], idx)
+		l := in.pt.add(ptPack(pid, i+1, logic.TermID(t)))
+		in.pt.lists[l] = append(in.pt.lists[l], idx)
+		in.atomLists = append(in.atomLists, l)
 	}
 	return idx, true
 }
@@ -326,7 +416,7 @@ func (in *Instance) AtomsByPredicate(p logic.Predicate) []logic.Atom {
 	if !ok {
 		return nil
 	}
-	ids := in.predIdx[pid]
+	ids := in.IdxByPred(pid)
 	if len(ids) == 0 {
 		return nil
 	}
@@ -348,7 +438,7 @@ func (in *Instance) AtomIndexesByPredicateTerm(p logic.Predicate, pos int, t log
 	if !ok {
 		return nil
 	}
-	return in.ptIdx[ptPack(pid, pos, tid)]
+	return in.pt.find(ptPack(pid, pos, tid))
 }
 
 // AtomByIndex implements logic.IndexedSource.
@@ -366,11 +456,16 @@ func (in *Instance) AtomPredID(i int32) logic.PredID {
 }
 
 // IdxByPred implements logic.IDSource.
-func (in *Instance) IdxByPred(p logic.PredID) []int32 { return in.predIdx[p] }
+func (in *Instance) IdxByPred(p logic.PredID) []int32 {
+	if int(p) < len(in.byPred) {
+		return in.byPred[p]
+	}
+	return nil
+}
 
 // IdxByPredTerm implements logic.IDSource.
 func (in *Instance) IdxByPredTerm(p logic.PredID, pos int, t logic.TermID) []int32 {
-	return in.ptIdx[ptPack(p, pos, t)]
+	return in.pt.find(ptPack(p, pos, t))
 }
 
 // IdxByPredSince implements logic.DeltaSource: the insertion indices >= lo
@@ -380,7 +475,7 @@ func (in *Instance) IdxByPredTerm(p logic.PredID, pos int, t logic.TermID) []int
 // state added on top of its parent: the delta of a state materialised
 // parent-first is exactly the insertion-index range [parentLen, Len()).
 func (in *Instance) IdxByPredSince(p logic.PredID, lo int32) []int32 {
-	list := in.predIdx[p]
+	list := in.IdxByPred(p)
 	return list[logic.LowerBound(list, lo):]
 }
 
