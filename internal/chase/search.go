@@ -28,9 +28,11 @@ package chase
 //     are replayed. Generated-but-never-expanded states (the majority,
 //     under memoisation) never build an instance.
 //
-// The outer loop allocates no object per successor. Nodes live in a
-// chunked arena (nodeArena) addressed by int32 IDs in generation order,
-// with every delta in one flat []uint32; the visited set is an
+// The search allocates no object per successor, and expanding a state
+// allocates none in steady state. Nodes live in a chunked arena
+// (nodeArena) addressed by int32 IDs in generation order, with every delta
+// in one flat []uint32 and every pending active-trigger index in one
+// []int32 slab (indexSlab); the visited set is an
 // open-addressing table of node IDs probed by the fingerprints' own low
 // bits (searcher.find); the frontier is a bucket queue (frontier) that
 // pops the smallest instance first, FIFO among equal sizes: fixpoints are
@@ -159,15 +161,18 @@ type SearchStats struct {
 // searchNode is one chase state in the searcher's node arena: the delta
 // against its parent plus the incremental fingerprint. A node's ID is its
 // generation order (the root is 0); the trigger path is recovered by
-// walking parent IDs.
+// walking parent IDs. A node holds no pointer, so the GC does not scan the
+// arena.
 type searchNode struct {
 	fp     logic.Fingerprint
-	idx    *trigIndex    // active-trigger index, set when the node is expanded
 	delta  int           // offset of the node's delta in searcher.deltas
 	parent int32         // -1 at the root
 	trig   logic.TupleID // trigger applied to parent; -1 at the root
 	size   int32         // instance atom count
 	kids   int32         // frontier children that may still repair from idx
+	// idx is the node's active-trigger index in the expander's slab, held
+	// from its expansion while kids > 0; noIndex otherwise.
+	idx int32
 }
 
 // An arena chunk holds 1<<nodeChunkBits nodes. Chunks never move, so a
@@ -275,13 +280,23 @@ type expander struct {
 	rootFp    logic.Fingerprint
 	rootSize  int
 
-	// deps/predMark/predEpoch/nRechecks serve the delta-maintained trigger
-	// index (triggerindex.go); nRechecks counts the activity re-checks of
-	// inherited triggers and is drained into SearchStats by the owner.
+	// slab/deps/predMark/predEpoch/nRechecks serve the delta-maintained
+	// trigger index (triggerindex.go); nRechecks counts the activity
+	// re-checks of inherited triggers and is drained into SearchStats by the
+	// owner.
+	slab      indexSlab
 	deps      *deltaDeps
 	predMark  []uint32
 	predEpoch uint32
 	nRechecks int
+
+	// The index scratch: buildIndex and repairIndex leave the state's index
+	// here, per-TGD counts and trigger IDs, for the owner to put into the
+	// slab; kept and fresh hold repair's filtered and discovered runs.
+	counts []int32
+	ids    []logic.TupleID
+	kept   []logic.TupleID
+	fresh  []logic.TupleID
 
 	matcher
 	ds discSorter
@@ -311,6 +326,7 @@ func newExpander(db *instance.Database, set *tgds.Set) *expander {
 		namer: logic.NewFreshNamer("n"),
 	}
 	e.ct = compileSet(set, e.itab)
+	e.slab = indexSlab{words: make([]int32, 1), nTGD: len(e.ct)}
 	e.deps = newDeltaDeps(e.ct)
 	e.ds = discSorter{itab: e.itab, disc: &e.discBuf, idx: &e.sortBuf}
 	for _, a := range db.Atoms() {
@@ -418,14 +434,16 @@ func (e *expander) nullFor(trigID logic.TupleID, k int) logic.TermID {
 	return id
 }
 
-// triggersOf materialises the index's public Trigger forms, in enumeration
-// order (TGD ascending, canonical bindings within). Only the onExpand test
-// hook calls this; the search itself never leaves interned identity.
-func (s *searcher) triggersOf(idx *trigIndex) []Trigger {
-	out := make([]Trigger, 0, idx.total)
-	for tgd := range idx.perTGD {
+// triggersOf materialises the public Trigger forms of index h, in
+// enumeration order (TGD ascending, canonical bindings within). Only the
+// onExpand test hook calls this; the search itself never leaves interned
+// identity.
+func (s *searcher) triggersOf(h int32) []Trigger {
+	counts, ids := s.slab.region(h)
+	out := make([]Trigger, 0, len(ids))
+	for tgd, n := range counts {
 		ct := &s.ct[tgd]
-		for _, id := range idx.perTGD[tgd] {
+		for _, id := range ids[:n] {
 			tup := s.trig.Tuple(id)
 			h := logic.NewSubstitution()
 			for i, v := range ct.bodyVars {
@@ -433,6 +451,7 @@ func (s *searcher) triggersOf(idx *trigIndex) []Trigger {
 			}
 			out = append(out, Trigger{TGDIndex: tgd, TGD: s.set.TGDs[tgd], H: h})
 		}
+		ids = ids[n:]
 	}
 	return out
 }
@@ -588,7 +607,7 @@ func (s *searcher) loop() {
 		// Inherit-and-repair the parent's active-trigger index; the parent
 		// always has one (a child is generated only while its parent is being
 		// expanded), so the rebuild path is the root's and fullRescan's.
-		var par *trigIndex
+		par := noIndex
 		var parent *searchNode
 		deltaLo := int32(0)
 		if cur.parent >= 0 {
@@ -598,39 +617,42 @@ func (s *searcher) loop() {
 				par = parent.idx
 			}
 		}
-		idx, repaired := s.stateIndex(par, inst, deltaLo)
-		cur.idx = idx
+		repaired := s.stateIndex(par, inst, deltaLo)
 		// This expansion consumed one of the parent's pending repairs; a
-		// drained (or childless) index is dead weight and is dropped so the
-		// arena doesn't pin every expanded state's trigger list for the
-		// whole run.
+		// drained (or childless) index is dead weight and goes back to the
+		// slab, so the slab does not hold every expanded state's trigger
+		// list for the whole run. The parent's is released before this
+		// state's is stored, so this state can take its region.
 		if parent != nil && parent.kids > 0 {
 			if parent.kids--; parent.kids == 0 {
-				parent.idx = nil
+				s.slab.release(parent.idx)
+				parent.idx = noIndex
 			}
 		}
+		cur.idx = s.slab.put(s.counts, s.ids)
 		if repaired {
 			s.res.Stats.IndexRepairs++
 		} else {
 			s.res.Stats.IndexRebuilds++
 		}
 		if s.opts.onExpand != nil {
-			s.opts.onExpand(s, id, inst, s.triggersOf(idx))
+			s.opts.onExpand(s, id, inst, s.triggersOf(cur.idx))
 		}
 		s.res.Stats.StatesExpanded++
-		if idx.total == 0 {
+		if _, active := s.slab.region(cur.idx); len(active) == 0 {
 			s.res.Found = true
 			s.res.Derivation = s.path(id)
 			s.finish()
 			return
 		}
 		if int(cur.size) < s.opts.MaxAtoms {
-			s.generate(id, inst, idx)
+			s.generate(id, inst)
 		} else {
 			s.res.Exhausted = false
 		}
 		if cur.kids == 0 {
-			cur.idx = nil
+			s.slab.release(cur.idx)
+			cur.idx = noIndex
 		}
 	}
 	s.finish()
@@ -645,11 +667,13 @@ func (s *searcher) finish() {
 // its index, in canonical order (TGD ascending, bindings canonical
 // within): an arena node with its delta appended to the flat store and an
 // incrementally merged fingerprint. Memoised and over-budget successors
-// are dropped without storing anything.
-func (s *searcher) generate(id int32, inst *instance.Instance, idx *trigIndex) {
+// are dropped without storing anything. It reads the index's region in
+// place: nothing here puts into the slab.
+func (s *searcher) generate(id int32, inst *instance.Instance) {
 	cur := s.nodes.at(id)
-	for tgd := range idx.perTGD {
-		for _, trigID := range idx.perTGD[tgd] {
+	counts, ids := s.slab.region(cur.idx)
+	for tgd, n := range counts {
+		for _, trigID := range ids[:n] {
 			trigTup := s.trig.Tuple(trigID)
 
 			childFp, added := s.childState(inst, cur.fp, trigID, tgd, trigTup[1:])
@@ -673,6 +697,7 @@ func (s *searcher) generate(id int32, inst *instance.Instance, idx *trigIndex) {
 			cur.kids++
 			s.front.push(child, size)
 		}
+		ids = ids[n:]
 	}
 }
 

@@ -2,7 +2,8 @@ package chase
 
 // Tests for the ∀∃ search's outer-loop structures (search.go): the bucket
 // queue against the binary heap it replaced, the node arena's ownership of
-// trigger indexes, and state budgets past the arena's int32 IDs.
+// trigger index regions, what a whole search allocates, and state budgets
+// past the arena's int32 IDs.
 
 import (
 	"container/heap"
@@ -105,9 +106,13 @@ func TestFrontierMatchesHeapReference(t *testing.T) {
 
 // TestArenaKeepsOnlyPendingIndexes pins the arena's index ownership: at
 // every expansion, under every frontier order, a node still holds a
-// trigger index only if it is the node being expanded or has children
-// left in the frontier. The search drops an index once its last child has
-// repaired from it, or at once when its node generated none.
+// trigger index region only if it is the node being expanded or has
+// children left in the frontier. The search releases a region once its
+// last child has repaired from it, or at once when its node generated
+// none. It also pins the slab's reuse: a region is taken from its size
+// class's free list before the slab grows, so the slab holds, per class,
+// exactly as many regions as were ever live at once. The hook runs right
+// after each put, so it sees every per-class peak.
 func TestArenaKeepsOnlyPendingIndexes(t *testing.T) {
 	progs := indexGroundTruthPrograms()
 	progs = append(progs, struct {
@@ -120,14 +125,20 @@ func TestArenaKeepsOnlyPendingIndexes(t *testing.T) {
 		for _, order := range searchOrders {
 			prog := parser.MustParse(tc.src)
 			pending := 0
+			var peak []int // per size class, the most regions live at once
 			opts := SearchOptions{
 				MaxStates: tc.maxStates,
 				MaxAtoms:  tc.maxAtoms,
 				order:     order.order,
 				onExpand: func(s *searcher, id int32, _ *instance.Instance, _ []Trigger) {
+					live := make([]int, len(s.slab.free))
 					for i := int32(0); i < s.nodes.n; i++ {
 						n := s.nodes.at(i)
-						if n.idx == nil || i == id {
+						if n.idx == noIndex {
+							continue
+						}
+						live[s.slab.words[n.idx]]++
+						if i == id {
 							continue
 						}
 						if n.kids == 0 {
@@ -135,13 +146,51 @@ func TestArenaKeepsOnlyPendingIndexes(t *testing.T) {
 						}
 						pending++
 					}
+					words := 1 // the slab's unused first word
+					for c := range live {
+						if c == len(peak) {
+							peak = append(peak, 0)
+						}
+						peak[c] = max(peak[c], live[c])
+						words += peak[c] << c
+					}
+					if len(s.slab.words) != words {
+						t.Fatalf("%s/%s: expanding node %d, the slab holds %d words, its per-class peaks of live regions %d",
+							tc.name, order.name, id, len(s.slab.words), words)
+					}
 				},
 			}
-			mustSearch(t, prog.Database, prog.TGDs, opts)
-			if tc.name == "stage-grid-5" && pending == 0 {
-				t.Errorf("%s/%s: no node ever held an index for a pending child", tc.name, order.name)
+			res := mustSearch(t, prog.Database, prog.TGDs, opts)
+			regions := 0
+			for _, p := range peak {
+				regions += p
+			}
+			if tc.name == "stage-grid-5" && (pending == 0 || regions >= res.Stats.StatesExpanded) {
+				t.Errorf("%s/%s: %d expansions fit in %d slab regions, %d pending-child observations: the test must see indexes held and regions reused",
+					tc.name, order.name, res.Stats.StatesExpanded, regions, pending)
 			}
 		}
+	}
+}
+
+// TestStageGridSearchAllocations bounds what one whole ∀∃ search
+// allocates. Expanding a state allocates nothing in steady state, so a
+// StageGrid(7) search (2,187 states) stays under 1,000 objects: per-search
+// set-up plus the amortised growth of the node arena, the index slab, the
+// delta store, the memo, the frontier and the scratch instance.
+func TestStageGridSearchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	prog := workload.StageGrid(7)
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err := SearchTerminatingDerivation(prog.Database, prog.TGDs, SearchOptions{})
+		if err != nil || !res.Found {
+			t.Fatalf("StageGrid(7) must find its fixpoint: %+v, %v", res, err)
+		}
+	})
+	if allocs >= 1000 {
+		t.Errorf("a StageGrid(7) search allocates %.0f objects, want under 1,000", allocs)
 	}
 }
 

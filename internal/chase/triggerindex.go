@@ -35,22 +35,72 @@ package chase
 // the property triggerindex_test.go pins differentially and by property.
 
 import (
+	"math/bits"
 	"sort"
 
 	"airct/internal/instance"
 	"airct/internal/logic"
 )
 
-// trigIndex is the active-trigger set of one expanded search state: per TGD,
-// the interned trigger TupleIDs ([tgd, body TermIDs...] in the owning
-// expander's trig table) of the active triggers, in canonical order. A child
-// index shares the per-TGD slices of its parent wholesale whenever the delta
-// cannot have touched that TGD (copy-on-write inheritance); slices are never
-// mutated after construction. TupleIDs are expander-local: an index is only
-// meaningful to the expander whose trig table interned it.
-type trigIndex struct {
-	perTGD [][]logic.TupleID
-	total  int
+// indexSlab holds the active-trigger indexes of expanded search states in
+// one []int32 that the expander owns. An index is a region of the slab,
+// addressed by its offset (a handle; noIndex is none): [class, total,
+// per-TGD counts..., trigger IDs...], the trigger IDs ([tgd, body
+// TermIDs...] tuples in the expander's trig table) of each TGD's active
+// triggers in canonical order, TGD after TGD. A region spans 1<<class words;
+// every size class keeps a free list, threaded through the released
+// regions' total words, and put takes a region from it before growing the
+// slab, so the slab follows the live indexes rather than every index ever
+// built. The slab holds no pointers, and neither do the search nodes that
+// keep handles into it.
+//
+// put may grow the slab, so a region's slices are valid only until the
+// next put. TupleIDs are expander-local: an index is only meaningful to
+// the expander whose trig table interned it.
+type indexSlab struct {
+	words []int32 // words[0] is never a region: handle 0 is noIndex
+	free  []int32 // per size class, the first free region; noIndex: none
+	nTGD  int
+}
+
+// noIndex is the handle of no index.
+const noIndex int32 = 0
+
+// put stores an index, given its per-TGD counts and its trigger IDs, in a
+// free region of its size class, or at the end of the slab when the class
+// has none, and returns the region's handle.
+func (s *indexSlab) put(counts []int32, ids []logic.TupleID) int32 {
+	n := 2 + len(counts) + len(ids)
+	class := bits.Len(uint(n - 1))
+	for class >= len(s.free) {
+		s.free = append(s.free, noIndex)
+	}
+	h := s.free[class]
+	if h != noIndex {
+		s.free[class] = s.words[h+1]
+	} else {
+		h = int32(len(s.words))
+		s.words = append(s.words, make([]int32, 1<<class)...)
+	}
+	r := s.words[h : int(h)+n]
+	r[0], r[1] = int32(class), int32(len(ids))
+	copy(r[2:], counts)
+	copy(r[2+len(counts):], ids)
+	return h
+}
+
+// release returns region h to its size class's free list.
+func (s *indexSlab) release(h int32) {
+	c := s.words[h]
+	s.words[h+1] = s.free[c]
+	s.free[c] = h
+}
+
+// region returns index h's per-TGD counts and its trigger IDs, valid until
+// the next put.
+func (s *indexSlab) region(h int32) (counts []int32, ids []logic.TupleID) {
+	lo := int(h) + 2 + s.nTGD
+	return s.words[int(h)+2 : lo], s.words[lo : lo+int(s.words[h+1])]
 }
 
 // deltaDeps are the per-TGD predicate dependency sets, computed once per
@@ -115,82 +165,86 @@ func (e *expander) anyMarked(preds []logic.PredID) bool {
 }
 
 // discoverActive runs the shared collect-sort-filter-intern step of index
-// construction for one TGD: enumerate body homomorphisms (the enumerate
-// closure drives ForEach or ForEachDelta over e.ss, which arrives Reset for
-// the body pattern), order the candidate tuples canonically, keep the
-// active ones and intern them. Both buildIndex and repairIndex go through
-// this one function, so the activity filtering can never diverge between
-// the rebuild path and the repair path it is differentially tested against.
-func (e *expander) discoverActive(i int, ct *compiledTGD, inst *instance.Instance, enumerate func(yield func([]logic.TermID) bool)) []logic.TupleID {
+// construction for TGD i: enumerate body homomorphisms (every one with
+// deltaLo < 0, else those using an atom at or after deltaLo), order the
+// candidate tuples canonically, keep the active ones, intern them and
+// append their IDs to dst. Both buildIndex and repairIndex go through this
+// one function, so the activity filtering can never diverge between the
+// rebuild path and the repair path it is differentially tested against.
+func (e *expander) discoverActive(dst []logic.TupleID, i int, inst *instance.Instance, deltaLo int32) []logic.TupleID {
+	ct := &e.ct[i]
 	e.discBuf = e.discBuf[:0]
 	e.sortBuf = e.sortBuf[:0]
 	e.ss.Reset(ct.body)
-	enumerate(func(bind []logic.TermID) bool {
+	collect := func(bind []logic.TermID) bool {
 		e.collectTrigTuple(i, ct, bind)
 		return true
-	})
+	}
+	if deltaLo < 0 {
+		e.ss.ForEach(ct.body, inst, collect)
+	} else {
+		e.ss.ForEachDelta(ct.body, inst, deltaLo, collect)
+	}
 	e.sortDiscovered(ct)
-	var ids []logic.TupleID
 	for _, off := range e.sortBuf {
 		tup := e.discBuf[off : off+int32(ct.nBody)+1]
 		if e.isActive(ct, tup[1:], inst) {
 			id, _ := e.trig.Intern(tup)
-			ids = append(ids, id)
+			dst = append(dst, id)
 		}
 	}
-	return ids
+	return dst
 }
 
-// buildIndex enumerates the active triggers of inst from scratch — the full
-// re-enumeration the repair path exists to avoid. It remains the root
-// state's path and the reference the differential tests compare repairs
-// against.
-func (e *expander) buildIndex(inst *instance.Instance) *trigIndex {
-	idx := &trigIndex{perTGD: make([][]logic.TupleID, len(e.ct))}
+// buildIndex enumerates the active triggers of inst from scratch into the
+// expander's index scratch (e.counts, e.ids) — the full re-enumeration the
+// repair path exists to avoid. It remains the root state's path and the
+// reference the differential tests compare repairs against.
+func (e *expander) buildIndex(inst *instance.Instance) {
+	e.counts, e.ids = e.counts[:0], e.ids[:0]
 	for i := range e.ct {
-		ct := &e.ct[i]
-		ids := e.discoverActive(i, ct, inst, func(yield func([]logic.TermID) bool) {
-			e.ss.ForEach(ct.body, inst, yield)
-		})
-		idx.perTGD[i] = ids
-		idx.total += len(ids)
+		n := len(e.ids)
+		e.ids = e.discoverActive(e.ids, i, inst, -1)
+		e.counts = append(e.counts, int32(len(e.ids)-n))
 	}
-	return idx
 }
 
-// repairIndex derives the child state's index from its parent's: per TGD,
-// inherited candidates are kept (re-checked for activity only when a head
-// predicate occurs in the delta) and new candidates are
-// discovered by ForEachDelta over the body (only when a body predicate
-// occurs in the delta), then the two canonical-order runs merge. deltaLo is
-// the parent's atom count: the delta atoms are exactly the insertion-index
-// range [deltaLo, inst.Len()) of the parent-first materialised instance.
-func (e *expander) repairIndex(par *trigIndex, inst *instance.Instance, deltaLo int32) *trigIndex {
+// repairIndex derives the child state's index from its parent's index
+// par into the expander's index scratch: per TGD, inherited candidates
+// are kept (re-checked for activity only when a head predicate occurs in
+// the delta) and new candidates are discovered by ForEachDelta over the
+// body (only when a body predicate occurs in the delta), then the two
+// canonical-order runs merge. deltaLo is the parent's atom count: the
+// delta atoms are exactly the insertion-index range [deltaLo, inst.Len())
+// of the parent-first materialised instance. The parent's region is read
+// in place: nothing here puts into the slab.
+func (e *expander) repairIndex(par int32, inst *instance.Instance, deltaLo int32) {
 	e.markDelta(inst, deltaLo)
-	idx := &trigIndex{perTGD: make([][]logic.TupleID, len(e.ct))}
-	for i := range e.ct {
+	e.counts, e.ids = e.counts[:0], e.ids[:0]
+	counts, inherited := e.slab.region(par)
+	for i, n := range counts {
 		ct := &e.ct[i]
-		kept := par.perTGD[i]
+		kept := inherited[:n]
+		inherited = inherited[n:]
 		if e.anyMarked(e.deps.headPreds[i]) && len(kept) > 0 {
-			filtered := make([]logic.TupleID, 0, len(kept))
+			e.kept = e.kept[:0]
 			for _, id := range kept {
 				e.nRechecks++
 				if e.isActive(ct, e.trig.Tuple(id)[1:], inst) {
-					filtered = append(filtered, id)
+					e.kept = append(e.kept, id)
 				}
 			}
-			kept = filtered
+			kept = e.kept
 		}
+		start := len(e.ids)
 		if e.anyMarked(e.deps.bodyPreds[i]) {
-			fresh := e.discoverActive(i, ct, inst, func(yield func([]logic.TermID) bool) {
-				e.ss.ForEachDelta(ct.body, inst, deltaLo, yield)
-			})
-			kept = e.mergeCanonical(ct, kept, fresh)
+			e.fresh = e.discoverActive(e.fresh[:0], i, inst, deltaLo)
+			e.ids = e.mergeCanonical(ct, e.ids, kept, e.fresh)
+		} else {
+			e.ids = append(e.ids, kept...)
 		}
-		idx.perTGD[i] = kept
-		idx.total += len(kept)
+		e.counts = append(e.counts, int32(len(e.ids)-start))
 	}
-	return idx
 }
 
 // collectTrigTuple appends the trigger tuple [tgd, body TermIDs...] for the
@@ -212,31 +266,23 @@ func (e *expander) sortDiscovered(ct *compiledTGD) {
 	}
 }
 
-// mergeCanonical merges two canonical-order, disjoint trigger-ID runs of one
-// TGD into one canonical-order slice. Disjointness holds by construction: a
-// fresh candidate's body homomorphism uses a delta atom, so it cannot equal
-// an inherited (parent-instance) candidate.
-func (e *expander) mergeCanonical(ct *compiledTGD, a, b []logic.TupleID) []logic.TupleID {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]logic.TupleID, 0, len(a)+len(b))
+// mergeCanonical appends to dst the merge of two canonical-order, disjoint
+// trigger-ID runs of one TGD, in canonical order. Disjointness holds by
+// construction: a fresh candidate's body homomorphism uses a delta atom, so
+// it cannot equal an inherited (parent-instance) candidate.
+func (e *expander) mergeCanonical(ct *compiledTGD, dst, a, b []logic.TupleID) []logic.TupleID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if e.compareTrig(ct, a[i], b[j]) <= 0 {
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 		} else {
-			out = append(out, b[j])
+			dst = append(dst, b[j])
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // compareTrig orders two interned triggers of the same TGD canonically:
@@ -251,13 +297,16 @@ func (e *expander) compareTrig(ct *compiledTGD, a, b logic.TupleID) int {
 	return 0
 }
 
-// stateIndex computes the index of a popped state: inherited and repaired
-// from the parent's index when one is supplied (the steady-state path),
-// rebuilt from scratch otherwise (the root or the fullRescan baseline). The
-// bool reports whether the repair path ran.
-func (e *expander) stateIndex(par *trigIndex, inst *instance.Instance, deltaLo int32) (*trigIndex, bool) {
-	if par != nil {
-		return e.repairIndex(par, inst, deltaLo), true
+// stateIndex computes the index of a popped state into the expander's
+// index scratch: inherited and repaired from the parent's index par when
+// one is supplied (the steady-state path), rebuilt from scratch otherwise
+// (the root or the fullRescan baseline). It reports whether the repair
+// path ran.
+func (e *expander) stateIndex(par int32, inst *instance.Instance, deltaLo int32) bool {
+	if par != noIndex {
+		e.repairIndex(par, inst, deltaLo)
+		return true
 	}
-	return e.buildIndex(inst), false
+	e.buildIndex(inst)
+	return false
 }

@@ -164,19 +164,20 @@ func randomExistentialProgram(seed int64) *parser.Program {
 }
 
 // walkAndCheckRepairs drives an expander along a random derivation walk of
-// the program, repairing the index at each step and comparing it against a
-// from-scratch rebuild: identical per-TGD trigger IDs (the trig table dedups
-// tuples, so equal tuples mean equal IDs), identical totals.
+// the program, repairing the index at each step and comparing its region
+// against a from-scratch rebuild's, run by run: identical per-TGD counts
+// and trigger IDs (the trig table dedups tuples, so equal tuples mean equal
+// IDs). Both regions live in the expander's slab, and every region but the
+// walk's current one is released, so the walk also drives the slab's free
+// lists.
 func walkAndCheckRepairs(t testing.TB, prog *parser.Program, rng *rand.Rand, maxSteps int) bool {
 	e := newExpander(prog.Database, prog.TGDs)
 	inst := instance.NewWithInterner(e.itab)
 	e.addDeltaTo(inst, e.rootDelta)
-	idx := e.buildIndex(inst)
+	e.buildIndex(inst)
+	idx := e.slab.put(e.counts, e.ids)
 	for step := 0; step < maxSteps; step++ {
-		var all []logic.TupleID
-		for _, ids := range idx.perTGD {
-			all = append(all, ids...)
-		}
+		_, all := e.slab.region(idx)
 		if len(all) == 0 {
 			return true // fixpoint
 		}
@@ -190,26 +191,32 @@ func walkAndCheckRepairs(t testing.TB, prog *parser.Program, rng *rand.Rand, max
 			t.Errorf("active trigger added no atoms — activity check broken")
 			return false
 		}
-		repaired := e.repairIndex(idx, inst, deltaLo)
-		rebuilt := e.buildIndex(inst)
-		if repaired.total != rebuilt.total {
-			t.Errorf("step %d: repaired total %d, rebuilt %d", step, repaired.total, rebuilt.total)
+		e.repairIndex(idx, inst, deltaLo)
+		repaired := e.slab.put(e.counts, e.ids)
+		e.buildIndex(inst)
+		rebuilt := e.slab.put(e.counts, e.ids)
+		rc, rids := e.slab.region(repaired)
+		bc, bids := e.slab.region(rebuilt)
+		if len(rids) != len(bids) {
+			t.Errorf("step %d: repaired total %d, rebuilt %d", step, len(rids), len(bids))
 			return false
 		}
-		for i := range repaired.perTGD {
-			a, b := repaired.perTGD[i], rebuilt.perTGD[i]
-			if len(a) != len(b) {
-				t.Errorf("step %d, TGD %d: repaired %d triggers, rebuilt %d", step, i, len(a), len(b))
+		for i := range bc {
+			if rc[i] != bc[i] {
+				t.Errorf("step %d, TGD %d: repaired %d triggers, rebuilt %d", step, i, rc[i], bc[i])
 				return false
 			}
-			for k := range a {
-				if a[k] != b[k] {
+			for k := range bc[i] {
+				if rids[k] != bids[k] {
 					t.Errorf("step %d, TGD %d, pos %d: repaired trigger %v, rebuilt %v",
-						step, i, k, e.trig.Tuple(a[k]), e.trig.Tuple(b[k]))
+						step, i, k, e.trig.Tuple(rids[k]), e.trig.Tuple(bids[k]))
 					return false
 				}
 			}
+			rids, bids = rids[rc[i]:], bids[bc[i]:]
 		}
+		e.slab.release(idx)
+		e.slab.release(rebuilt)
 		idx = repaired
 	}
 	return true
