@@ -17,10 +17,14 @@ const introProgram = `
 	R(X,Y) -> R(X,Z).
 `
 
+// TestIntroExampleRestrictedTerminatesImmediately runs under budgets its
+// expected run (no step, one atom) cannot reach, so an engine that wrongly
+// reads the trigger as active stops at a budget and fails the test instead
+// of growing the instance until the test process runs out of memory.
 func TestIntroExampleRestrictedTerminatesImmediately(t *testing.T) {
 	prog := parser.MustParse(introProgram)
-	run := RunChase(prog.Database, prog.TGDs, Options{Variant: Restricted})
-	if !run.Terminated() {
+	run := RunChase(prog.Database, prog.TGDs, Options{Variant: Restricted, MaxSteps: 10, MaxAtoms: 10})
+	if run.Reason != Fixpoint {
 		t.Fatalf("restricted chase must terminate, reason = %v", run.Reason)
 	}
 	if run.StepsTaken != 0 {
