@@ -43,7 +43,10 @@
 # 98.8% (new here), internal/chase 95.5% (its floor is within two points).
 # At the ratchet that gave the engine and the ∀∃ search one activity check
 # and made the stickiness marking one worklist pass: internal/tgds 73.9%
-# (new here), internal/chase 95.2% (its floor is within two points).
+# (new here), internal/chase 95.2% (its floor is within two points). At the
+# ratchet that moved the ∀∃ search's trigger indexes into one slab and the
+# instance's postings off Go maps: internal/instance 84.0%, internal/chase
+# 95.3% (its floor is within two points).
 set -eu
 
 check() {
@@ -67,7 +70,7 @@ check ./internal/sticky 87.2
 check ./internal/serve 94.2
 check ./internal/buchi 97.5
 check ./internal/ochase 94.9
-check ./internal/instance 75.8
+check ./internal/instance 82.0
 check ./internal/logic 84.9
 check ./internal/acyclicity 96.8
 check ./internal/tgds 71.9
