@@ -152,7 +152,7 @@ func (m *machine) compileSymbol(set *tgds.Set, marking *tgds.Marking, s Symbol) 
 			cs.headGV[p] = g
 		}
 		cs.frontier[p] = frontier.Has(v)
-		cs.immortal[p] = cs.frontier[p] && !marking.IsMarked(v)
+		cs.immortal[p] = marking.ImmortalHeadPosition(s.TGDIndex, p+1)
 	}
 	for _, p := range s.P {
 		cs.pass = append(cs.pass, uint32(p))

@@ -81,7 +81,7 @@ func AnalyzeConnectivity(cat *Caterpillar, set *tgds.Set, passOn []int) (*Connec
 		for p := 1; p <= head.Pred.Arity; p++ {
 			term := cat.Body[i].Arg(p)
 			for _, relay := range conn.RelayTerms {
-				if term == relay && marking.ImmortalHeadPosition(tr.TGD, p) {
+				if term == relay && marking.ImmortalHeadPosition(tr.TGDIndex, p) {
 					return nil, fmt.Errorf("sticky: relay %v occupies immortal position %d of α_%d",
 						relay, p, i)
 				}

@@ -30,10 +30,11 @@ func (t TGD) IsFrontierGuarded() bool {
 
 // IsFull reports whether every TGD in the set is full. Full sets are in
 // CT^res_∀∀ unconditionally: no nulls are ever invented, so every chase is
-// bounded by the polynomial closure of the active domain.
+// bounded by the polynomial closure of the active domain. It reads the
+// compiled form: a full TGD has no slot past its body slots.
 func (s *Set) IsFull() bool {
-	for _, t := range s.TGDs {
-		if !t.IsFull() {
+	for _, r := range s.Compiled().Rules {
+		if len(r.Vars) > int(r.NBody) {
 			return false
 		}
 	}

@@ -73,16 +73,8 @@ func (e EGD) BodyVars() logic.TermSet { return logic.VarsOf(e.Body) }
 // Rename returns a copy with every variable renamed via the namer, keeping
 // shared variables shared. Used to standardise sets apart.
 func (e EGD) Rename(namer *logic.FreshNamer) EGD {
-	ren := logic.NewSubstitution()
-	for _, v := range logic.VarsOf(e.Body).Sorted() {
-		ren.Bind(v, namer.NextVar())
-	}
-	return EGD{
-		Label: e.Label,
-		Body:  ren.ApplyAtoms(e.Body),
-		X:     ren.ApplyTerm(e.X),
-		Y:     ren.ApplyTerm(e.Y),
-	}
+	r := newRenamer(namer, e.Body)
+	return EGD{Label: e.Label, Body: r.atoms(e.Body), X: r.term(e.X), Y: r.term(e.Y)}
 }
 
 // String renders the EGD in the library's concrete syntax:

@@ -87,11 +87,12 @@ func referenceViolation(s *tgds.Set, marked logic.TermSet) *tgds.StickyViolation
 	return nil
 }
 
-// TestMarkingMatchesReference pins the worklist marking to the round-based
-// fixpoint on the corpus, the seven families at n = 2..12 and the three
-// random generators at seeds 0–1999: RandomExistentialProgram, RandomTGDSet
-// with the default options, and RandomTGDSet with three rules and a 60%
-// existential bias. The marked sets and the violations must agree, and
+// TestMarkingMatchesReference pins the worklist marking on the compiled
+// set to the round-based fixpoint on the corpus, the seven families at
+// n = 2..12, the three random generators at seeds 0–1999
+// (RandomExistentialProgram, RandomTGDSet with the default options, and
+// RandomTGDSet with three rules and a 60% existential bias) and three worst
+// cases. The marked sets and the violations must agree, and
 // both sticky and non-sticky sets must occur among the random ones.
 func TestMarkingMatchesReference(t *testing.T) {
 	sticky := map[bool]int{}
@@ -131,15 +132,26 @@ func TestMarkingMatchesReference(t *testing.T) {
 	if sticky[true] == 0 || sticky[false] == 0 {
 		t.Errorf("stickiness counts %v: the sweep must see both answers", sticky)
 	}
+	// The worst cases: the linear sticky cycle at n = 2,000, the 1023-ary
+	// shift and ExistentialChain(4000).
+	var b strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "P%d(X,Y) -> P%d(Y,Z).\n", i, i+1)
+	}
+	b.WriteString("P2000(X,Y) -> P0(Y,Z).\n")
+	cycle, err := parser.ParseTGDs(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sticky-cycle-2000", cycle)
+	check("shift-1023", widestShift(t))
+	check("existential-chain-4000", workload.ExistentialChain(4000).Set)
 }
 
-// TestMarkingWidestShift: the 1023-ary shift R(X1,…,X1023) ->
-// R(X2,…,X1023,Y), the widest rule the parser admits, marks every body
-// variable (X1 by rule 1, then each Xk from X(k-1) one position left of
-// it), and the marking takes well under a second. The round-based fixpoint
-// took seconds here: each of its 1023 rounds marked one variable and
-// rescanned every body variable against the body.
-func TestMarkingWidestShift(t *testing.T) {
+// widestShift is the 1023-ary shift R(X1,…,X1023) -> R(X2,…,X1023,Y), the
+// widest rule the parser admits.
+func widestShift(t *testing.T) *tgds.Set {
+	t.Helper()
 	var body, head []string
 	for i := 1; i <= 1023; i++ {
 		body = append(body, fmt.Sprintf("X%d", i))
@@ -152,6 +164,17 @@ func TestMarkingWidestShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// TestMarkingWidestShift: the 1023-ary shift R(X1,…,X1023) ->
+// R(X2,…,X1023,Y), the widest rule the parser admits, marks every body
+// variable (X1 by rule 1, then each Xk from X(k-1) one position left of
+// it), and the marking takes well under a second. The round-based fixpoint
+// took seconds here: each of its 1023 rounds marked one variable and
+// rescanned every body variable against the body.
+func TestMarkingWidestShift(t *testing.T) {
+	s := widestShift(t)
 	start := time.Now()
 	m, err := tgds.ComputeMarking(s)
 	if elapsed := time.Since(start); elapsed > time.Second {

@@ -2,6 +2,7 @@ package tgds
 
 import (
 	"fmt"
+	"slices"
 
 	"airct/internal/logic"
 )
@@ -9,10 +10,11 @@ import (
 // Marking is the result of the stickiness marking procedure of Section 2:
 // the set of body variables of a TGD set that are "marked in T". Because
 // NewSet standardises TGDs apart, a variable identifies its TGD, so the
-// marking is a single variable set.
+// marking is a single variable set. It is held by the set's compiled slots
+// (Set.Compiled).
 type Marking struct {
 	set       *Set
-	marked    logic.TermSet
+	marked    []bool // by set-wide slot; existential slots stay false
 	violation *StickyViolation
 }
 
@@ -23,14 +25,15 @@ type Marking struct {
 //     σ′ ∈ T with an atom R(t̄′) in its body such that every variable of t̄′
 //     at a position of pos(R(t̄), x) is marked, then x is marked.
 //
-// The fixpoint is computed in one worklist pass. Each candidate of rule 2
-// (a TGD's body variable x that occurs in its head, with pos(R(t̄), x)) is
-// indexed under every position (R, i) of pos(R(t̄), x). When a variable is
-// marked, its body occurrences are visited once: an occurrence at position
-// i of an atom R(t̄′) re-checks only the candidates indexed under (R, i),
-// and marks one whose positions in t̄′ all hold marked variables. The last
-// of those variables to be marked visits that atom at one of them, so
-// every variable rule 2 marks is found; the result is the least fixpoint.
+// The fixpoint is computed in one worklist pass over the set's compiled
+// slots. Each candidate of rule 2 (a TGD's frontier slot x, with
+// pos(R(t̄), x)) is indexed under every position (R, i) of pos(R(t̄), x).
+// When a slot is marked, its body occurrences are visited once: an
+// occurrence at position i of an atom R(t̄′) re-checks only the candidates
+// indexed under (R, i), and marks one whose positions in t̄′ all hold
+// marked slots. The last of those slots to be marked visits that atom at
+// one of them, so every variable rule 2 marks is found; the result is the
+// least fixpoint. Every index is a dense array over position or slot IDs.
 //
 // It requires a single-head set (stickiness is defined for class S, which is
 // single-head) and returns an error otherwise.
@@ -38,64 +41,97 @@ func ComputeMarking(s *Set) (*Marking, error) {
 	if !s.IsSingleHead() {
 		return nil, fmt.Errorf("tgds: stickiness marking requires single-head TGDs")
 	}
-	type candidate struct {
-		v   logic.Term
-		pos []int // pos(R(t̄), v), 1-based
-	}
-	type occurrence struct {
-		atom logic.Atom
-		i    int // 1-based
-	}
-	marked := make(logic.TermSet)
-	var queue []logic.Term
-	mark := func(v logic.Term) {
-		marked[v] = struct{}{}
-		queue = append(queue, v)
-	}
-	byPos := make(map[logic.Position][]candidate)
-	occs := make(map[logic.Term][]occurrence)
-	for _, t := range s.TGDs {
-		head := t.HeadAtom()
-		for v := range t.BodyVars() {
-			pos := head.PositionsOf(v)
-			if len(pos) == 0 {
-				mark(v) // rule 1
-				continue
-			}
-			for _, i := range pos {
-				p := logic.Position{Pred: head.Pred, Index: i}
-				byPos[p] = append(byPos[p], candidate{v: v, pos: pos})
+	c := s.Compiled()
+	// occurrence is a body argument: rule, body atom and 0-based argument.
+	type occurrence struct{ rule, atom, arg int32 }
+	nPos, nSlots := c.NumPositions(), c.NumSlots
+	// Three CSR indexes, counted and then filled: headAt lists each
+	// frontier slot's head arguments (pos(R(t̄), x), 0-based), byPos each
+	// position's candidates, and occs each body slot's occurrences.
+	headOff := make([]int32, nSlots+1)
+	byPosOff := make([]int32, nPos+1)
+	occOff := make([]int32, nSlots+1)
+	for _, r := range c.Rules {
+		head := r.Head[0]
+		for i, x := range head.Slots {
+			if x < r.NBody {
+				headOff[r.Base+x+1]++
+				byPosOff[c.Pos(head, i)+1]++
 			}
 		}
-		for _, a := range t.Body {
-			for i, term := range a.Args {
-				if term.IsVar() {
-					occs[term] = append(occs[term], occurrence{atom: a, i: i + 1})
-				}
+		for _, a := range r.Body {
+			for _, x := range a.Slots {
+				occOff[r.Base+x+1]++
+			}
+		}
+	}
+	for i := range nSlots {
+		headOff[i+1] += headOff[i]
+		occOff[i+1] += occOff[i]
+	}
+	for i := range nPos {
+		byPosOff[i+1] += byPosOff[i]
+	}
+	headAt := make([]int32, headOff[nSlots])
+	byPos := make([]int32, byPosOff[nPos])
+	occs := make([]occurrence, occOff[nSlots])
+	headFill := slices.Clone(headOff[:nSlots])
+	byPosFill := slices.Clone(byPosOff[:nPos])
+	occFill := slices.Clone(occOff[:nSlots])
+	for ri, r := range c.Rules {
+		head := r.Head[0]
+		for i, x := range head.Slots {
+			if x < r.NBody {
+				g, p := r.Base+x, c.Pos(head, i)
+				headAt[headFill[g]] = int32(i)
+				headFill[g]++
+				byPos[byPosFill[p]] = g
+				byPosFill[p]++
+			}
+		}
+		for ai, a := range r.Body {
+			for i, x := range a.Slots {
+				g := r.Base + x
+				occs[occFill[g]] = occurrence{rule: int32(ri), atom: int32(ai), arg: int32(i)}
+				occFill[g]++
+			}
+		}
+	}
+	marked := make([]bool, nSlots)
+	var queue []int32
+	for _, r := range c.Rules {
+		for x := range r.NBody {
+			if !r.Frontier[x] {
+				marked[r.Base+x] = true // rule 1
+				queue = append(queue, r.Base+x)
 			}
 		}
 	}
 	for len(queue) > 0 {
 		y := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, o := range occs[y] {
-			for _, c := range byPos[logic.Position{Pred: o.atom.Pred, Index: o.i}] {
-				if !marked.Has(c.v) && allMarked(o.atom, c.pos, marked) {
-					mark(c.v) // rule 2
+		for _, o := range occs[occOff[y]:occOff[y+1]] {
+			r := &c.Rules[o.rule]
+			a := r.Body[o.atom]
+			for _, x := range byPos[byPosOff[c.Pos(a, int(o.arg))]:byPosOff[c.Pos(a, int(o.arg))+1]] {
+				if !marked[x] && allMarked(a, r.Base, headAt[headOff[x]:headOff[x+1]], marked) {
+					marked[x] = true // rule 2
+					queue = append(queue, x)
 				}
 			}
 		}
 	}
 	m := &Marking{set: s, marked: marked}
-	m.violation = m.findViolation()
+	m.violation = m.findViolation(c)
 	return m, nil
 }
 
-// allMarked reports whether a holds a marked variable at every one of the
-// given 1-based positions.
-func allMarked(a logic.Atom, positions []int, marked logic.TermSet) bool {
-	for _, i := range positions {
-		if !marked.Has(a.Arg(i)) {
+// allMarked reports whether a, a body atom of the rule whose slot 0 has
+// the set-wide ID base, holds a marked slot at every one of the given
+// 0-based arguments.
+func allMarked(a SlotAtom, base int32, args []int32, marked []bool) bool {
+	for _, i := range args {
+		if !marked[base+a.Slots[i]] {
 			return false
 		}
 	}
@@ -103,10 +139,28 @@ func allMarked(a logic.Atom, positions []int, marked logic.TermSet) bool {
 }
 
 // IsMarked reports whether the body variable v is marked in T.
-func (m *Marking) IsMarked(v logic.Term) bool { return m.marked.Has(v) }
+func (m *Marking) IsMarked(v logic.Term) bool {
+	for _, r := range m.set.Compiled().Rules {
+		if x, ok := slices.BinarySearchFunc(r.Vars[:r.NBody], v, logic.Term.Compare); ok {
+			return m.marked[r.Base+int32(x)]
+		}
+	}
+	return false
+}
 
 // MarkedVars returns the marked variables in sorted order.
-func (m *Marking) MarkedVars() []logic.Term { return m.marked.Sorted() }
+func (m *Marking) MarkedVars() []logic.Term {
+	var out []logic.Term
+	for _, r := range m.set.Compiled().Rules {
+		for x, v := range r.Vars[:r.NBody] {
+			if m.marked[r.Base+int32(x)] {
+				out = append(out, v)
+			}
+		}
+	}
+	logic.SortTerms(out)
+	return out
+}
 
 // StickyViolation describes why a set fails stickiness: a TGD whose body
 // contains two or more occurrences of a marked variable.
@@ -124,19 +178,20 @@ func (v *StickyViolation) Error() string {
 // mentions a marked variable at two or more argument positions.
 func (m *Marking) Violation() *StickyViolation { return m.violation }
 
-func (m *Marking) findViolation() *StickyViolation {
-	for _, t := range m.set.TGDs {
-		counts := make(map[logic.Term]int)
-		for _, a := range t.Body {
-			for _, term := range a.Args {
-				if term.IsVar() {
-					counts[term]++
-				}
+func (m *Marking) findViolation(c *Compiled) *StickyViolation {
+	var count []int32
+	for ti, r := range c.Rules {
+		count = slices.Grow(count[:0], int(r.NBody))[:r.NBody]
+		clear(count)
+		for _, a := range r.Body {
+			for _, x := range a.Slots {
+				count[x]++
 			}
 		}
-		for _, v := range logic.VarsOf(t.Body).Sorted() {
-			if counts[v] > 1 && m.marked.Has(v) {
-				return &StickyViolation{TGD: t, Var: v}
+		// Body slots are in name order, so the first is the least.
+		for x, n := range count {
+			if n > 1 && m.marked[r.Base+int32(x)] {
+				return &StickyViolation{TGD: m.set.TGDs[ti], Var: r.Vars[x]}
 			}
 		}
 	}
@@ -175,15 +230,13 @@ func (s *Set) IsSticky() bool {
 }
 
 // ImmortalHeadPosition reports whether the i-th (1-based) position of the
-// head of σ is immortal w.r.t. T (Section 6.1): the variable at that head
-// position is a frontier variable that is not marked in T. A term landing at
-// an immortal position is propagated forever by sticky sets. Positions
-// holding existential variables are never immortal (the fresh null may die).
-func (m *Marking) ImmortalHeadPosition(t TGD, i int) bool {
-	head := t.HeadAtom()
-	v := head.Arg(i)
-	if !t.Frontier().Has(v) {
-		return false
-	}
-	return !m.marked.Has(v)
+// head of the tgd-th TGD is immortal w.r.t. T (Section 6.1): the variable
+// at that head position is a frontier variable that is not marked in T. A
+// term landing at an immortal position is propagated forever by sticky
+// sets. Positions holding existential variables are never immortal (the
+// fresh null may die).
+func (m *Marking) ImmortalHeadPosition(tgd, i int) bool {
+	r := &m.set.Compiled().Rules[tgd]
+	x := r.Head[0].Slots[i-1]
+	return x < r.NBody && !m.marked[r.Base+x]
 }

@@ -153,13 +153,12 @@ func TestImmortalHeadPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgd := s.TGDs[0]
 	// Position 2 of the head holds the existential Z: never immortal.
-	if m.ImmortalHeadPosition(tgd, 2) {
+	if m.ImmortalHeadPosition(0, 2) {
 		t.Error("existential position must not be immortal")
 	}
 	// Position 1 holds Y, which is marked via X; not immortal.
-	if m.ImmortalHeadPosition(tgd, 1) {
+	if m.ImmortalHeadPosition(0, 1) {
 		t.Error("marked frontier position must not be immortal")
 	}
 
@@ -172,7 +171,7 @@ func TestImmortalHeadPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m2.ImmortalHeadPosition(s2.TGDs[0], 1) {
+	if !m2.ImmortalHeadPosition(0, 1) {
 		t.Error("unmarked frontier position must be immortal")
 	}
 }

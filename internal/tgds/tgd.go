@@ -9,6 +9,7 @@ package tgds
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -56,10 +57,12 @@ func (t TGD) Validate() error {
 	if len(t.Head) == 0 {
 		return fmt.Errorf("tgds: %s has an empty head", t.name())
 	}
-	for _, a := range append(append([]logic.Atom{}, t.Body...), t.Head...) {
-		for _, term := range a.Args {
-			if !term.IsVar() {
-				return fmt.Errorf("tgds: %s contains non-variable term %v (TGDs are constant-free)", t.name(), term)
+	for _, as := range [2][]logic.Atom{t.Body, t.Head} {
+		for _, a := range as {
+			for _, term := range a.Args {
+				if !term.IsVar() {
+					return fmt.Errorf("tgds: %s contains non-variable term %v (TGDs are constant-free)", t.name(), term)
+				}
 			}
 		}
 	}
@@ -162,16 +165,61 @@ func (t TGD) GuardIndex() int {
 // Rename returns a copy of the TGD with every variable renamed via the
 // namer, keeping shared variables shared. Used to standardise sets apart.
 func (t TGD) Rename(namer *logic.FreshNamer) TGD {
-	all := append(append([]logic.Atom{}, t.Body...), t.Head...)
-	ren := logic.NewSubstitution()
-	for _, v := range logic.VarsOf(all).Sorted() {
-		ren.Bind(v, namer.NextVar())
+	r := newRenamer(namer, t.Body, t.Head)
+	return TGD{Label: t.Label, Body: r.atoms(t.Body), Head: r.atoms(t.Head)}
+}
+
+// renamer standardises one dependency apart. Its variables, sorted by name
+// and compacted, take the namer's next variables in that order, and each
+// argument finds its new name by binary search, so no substitution map is
+// built.
+type renamer struct {
+	vars, names []logic.Term
+}
+
+func newRenamer(namer *logic.FreshNamer, lists ...[]logic.Atom) renamer {
+	var r renamer
+	for _, as := range lists {
+		for _, a := range as {
+			for _, v := range a.Args {
+				if v.IsVar() {
+					r.vars = append(r.vars, v)
+				}
+			}
+		}
 	}
-	return TGD{
-		Label: t.Label,
-		Body:  ren.ApplyAtoms(t.Body),
-		Head:  ren.ApplyAtoms(t.Head),
+	r.vars = sortedVars(r.vars)
+	r.names = make([]logic.Term, len(r.vars))
+	for i := range r.names {
+		r.names[i] = namer.NextVar()
 	}
+	return r
+}
+
+// term returns v's new name, or v itself when it is not a variable.
+func (r renamer) term(v logic.Term) logic.Term {
+	if i, ok := slices.BinarySearchFunc(r.vars, v, logic.Term.Compare); ok {
+		return r.names[i]
+	}
+	return v
+}
+
+// atoms returns the renamed atoms, their arguments in one slab.
+func (r renamer) atoms(as []logic.Atom) []logic.Atom {
+	n := 0
+	for _, a := range as {
+		n += len(a.Args)
+	}
+	args := make([]logic.Term, 0, n)
+	out := make([]logic.Atom, len(as))
+	for i, a := range as {
+		from := len(args)
+		for _, v := range a.Args {
+			args = append(args, r.term(v))
+		}
+		out[i] = logic.Atom{Pred: a.Pred, Args: args[from:len(args):len(args)]}
+	}
+	return out
 }
 
 // String renders the TGD in the library's concrete syntax:
@@ -213,6 +261,9 @@ type Set struct {
 	markOnce sync.Once
 	marking  *Marking
 	markErr  error
+
+	compOnce sync.Once
+	comp     *Compiled
 }
 
 // NewSet builds a set, validating every member and standardising the TGDs
@@ -335,13 +386,14 @@ func (s *Set) IsSingleHead() bool {
 
 // IsGuarded reports whether every member is guarded (class G requires
 // single-head as well; the paper's G is a class of single-head TGDs). A set
-// with EGDs is never in G: the guarded decision procedure is TGD-only.
+// with EGDs is never in G: the guarded decision procedure is TGD-only. It
+// reads the compiled form.
 func (s *Set) IsGuarded() bool {
 	if s.HasEGDs() || !s.IsSingleHead() {
 		return false
 	}
-	for _, t := range s.TGDs {
-		if !t.IsGuarded() {
+	for _, r := range s.Compiled().Rules {
+		if !r.Guarded {
 			return false
 		}
 	}
