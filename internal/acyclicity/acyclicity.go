@@ -8,92 +8,140 @@
 // nothing).
 package acyclicity
 
-import (
-	"airct/internal/logic"
-	"airct/internal/tgds"
-)
-
-// edge is a dependency-graph edge between positions; special edges mark the
-// creation of a null (existential variable).
-type edge struct {
-	from, to logic.Position
-	special  bool
-}
-
-// dependencyGraph builds the weak-acyclicity graph: for every TGD σ, every
-// frontier variable x at body position π_b and head position π_h gives a
-// normal edge π_b → π_h; additionally, every existential variable z at head
-// position π_z gives a special edge π_b ⇒ π_z from every body position π_b
-// of every frontier variable of σ.
-func dependencyGraph(set *tgds.Set) []edge {
-	var edges []edge
-	for _, t := range set.TGDs {
-		frontier := t.Frontier()
-		existential := t.ExistentialVars()
-		// Body positions of each frontier variable.
-		bodyPos := make(map[logic.Term][]logic.Position)
-		for _, a := range t.Body {
-			for i, v := range a.Args {
-				if frontier.Has(v) {
-					bodyPos[v] = append(bodyPos[v], logic.Position{Pred: a.Pred, Index: i + 1})
-				}
-			}
-		}
-		for _, h := range t.Head {
-			for i, v := range h.Args {
-				pos := logic.Position{Pred: h.Pred, Index: i + 1}
-				switch {
-				case frontier.Has(v):
-					for _, b := range bodyPos[v] {
-						edges = append(edges, edge{from: b, to: pos})
-					}
-				case existential.Has(v):
-					for _, positions := range bodyPos {
-						for _, b := range positions {
-							edges = append(edges, edge{from: b, to: pos, special: true})
-						}
-					}
-				}
-			}
-		}
-	}
-	return edges
-}
+import "airct/internal/tgds"
 
 // IsWeaklyAcyclic reports whether the set is weakly acyclic: its dependency
 // graph has no cycle through a special edge. Weak acyclicity guarantees
 // termination of every (restricted or oblivious) chase sequence on every
 // database.
+//
+// The dependency graph has, for every TGD σ, a normal edge π_b → π_h for
+// every frontier variable x at body position π_b and head position π_h,
+// and a special edge π_b ⇒ π_z for every existential variable z at head
+// position π_z and every body position π_b of every frontier variable of
+// σ. It is built in CSR form over the compiled set's dense IDs, with two
+// kinds of pass-through node that keep its size linear in the rules': one
+// per frontier slot x (π_b → x → π_h) and one per TGD with existentials
+// (π_b → x → ρ_σ ⇒ π_z). Paths between positions are exactly those of the
+// dependency graph, so a special edge π_b ⇒ π_z lies on a cycle iff π_z
+// reaches ρ_σ, that is iff the edge ρ_σ ⇒ π_z lies inside one strongly
+// connected component. One iterative Tarjan pass finds the components.
 func IsWeaklyAcyclic(set *tgds.Set) bool {
-	edges := dependencyGraph(set)
-	adj := make(map[logic.Position][]logic.Position)
-	for _, e := range edges {
-		adj[e.from] = append(adj[e.from], e.to)
-	}
-	reaches := func(from, to logic.Position) bool {
-		seen := map[logic.Position]bool{from: true}
-		stack := []logic.Position{from}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v == to {
-				return true
+	c := set.Compiled()
+	nPos := c.NumPositions()
+	slotNode := func(r *tgds.Rule, x int32) int32 { return nPos + r.Base + x }
+	ruleNode := func(ri int) int32 { return nPos + c.NumSlots + int32(ri) }
+	n := nPos + c.NumSlots + int32(len(c.Rules))
+	// edges calls add on every edge, twice: once to count, once to fill.
+	edges := func(add func(from, to int32)) {
+		for ri := range c.Rules {
+			r := &c.Rules[ri]
+			exist := len(r.Vars) > int(r.NBody)
+			for _, a := range r.Body {
+				for i, x := range a.Slots {
+					if r.Frontier[x] {
+						add(c.Pos(a, i), slotNode(r, x))
+					}
+				}
 			}
-			for _, u := range adj[v] {
-				if !seen[u] {
-					seen[u] = true
-					stack = append(stack, u)
+			for _, h := range r.Head {
+				for i, x := range h.Slots {
+					if x < r.NBody {
+						add(slotNode(r, x), c.Pos(h, i))
+					} else {
+						add(ruleNode(ri), c.Pos(h, i))
+					}
+				}
+			}
+			if exist {
+				for x, f := range r.Frontier {
+					if f {
+						add(slotNode(r, int32(x)), ruleNode(ri))
+					}
 				}
 			}
 		}
-		return false
 	}
-	for _, e := range edges {
-		if e.special && reaches(e.to, e.from) {
-			return false
+	off := make([]int32, n+1)
+	edges(func(from, _ int32) { off[from+1]++ })
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	adj := make([]int32, off[n])
+	fill := append([]int32(nil), off[:n]...)
+	edges(func(from, to int32) {
+		adj[fill[from]] = to
+		fill[from]++
+	})
+	comp, _ := components(off, adj)
+	for ri := range c.Rules {
+		v := ruleNode(ri)
+		for _, w := range adj[off[v]:off[v+1]] {
+			if comp[w] == comp[v] {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// components labels the strongly connected components of the CSR graph
+// (node v's successors are adj[off[v]:off[v+1]]) by one iterative Tarjan
+// pass, and returns each node's component and the component count.
+func components(off, adj []int32) ([]int32, int32) {
+	n := int32(len(off) - 1)
+	comp := make([]int32, n)
+	index := make([]int32, n) // discovery order, 1-based; 0: unvisited
+	low := make([]int32, n)
+	for v := range comp {
+		comp[v] = -1
+	}
+	var stack, call, next []int32 // Tarjan's stack; the DFS path and each frame's next edge
+	var seen, ncomp int32
+	visit := func(v int32) {
+		seen++
+		index[v], low[v] = seen, seen
+		stack = append(stack, v)
+		call = append(call, v)
+		next = append(next, off[v])
+	}
+	for root := range n {
+		if index[root] != 0 {
+			continue
+		}
+		visit(root)
+		for len(call) > 0 {
+			top := len(call) - 1
+			v := call[top]
+			if e := next[top]; e < off[v+1] {
+				next[top]++
+				switch w := adj[e]; {
+				case index[w] == 0:
+					visit(w)
+				case comp[w] < 0: // on the stack
+					low[v] = min(low[v], index[w])
+				}
+				continue
+			}
+			call, next = call[:top], next[:top]
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					comp[w] = ncomp
+					if w == v {
+						break
+					}
+				}
+				ncomp++
+			}
+			if top > 0 {
+				u := call[top-1]
+				low[u] = min(low[u], low[v])
+			}
+		}
+	}
+	return comp, ncomp
 }
 
 // IsJointlyAcyclic reports whether the set is jointly acyclic (Krötzsch &
@@ -104,77 +152,47 @@ func IsWeaklyAcyclic(set *tgds.Set) bool {
 // whose body positions all lie in Mov(z). Joint acyclicity subsumes weak
 // acyclicity.
 //
+// It reads the compiled set: each frontier slot is one (TGD, frontier
+// variable) pair, and each existential slot one existential variable.
 // Each Mov(z) is one worklist pass. Every body position is indexed to the
-// (TGD, frontier variable) pairs that occur there, once per occurrence,
-// and each pair counts its body occurrences whose position is not yet in
-// Mov(z). A position entering Mov(z) decrements the counts of its pairs,
-// and a pair whose count reaches 0 adds its head positions. So each
-// position, pair and body occurrence is visited once per existential
-// variable.
+// frontier slots that occur there, once per occurrence, and each frontier
+// slot counts its body occurrences whose position is not yet in Mov(z). A
+// position entering Mov(z) decrements the counts of its slots, and a slot
+// whose count reaches 0 adds its head positions. So each position, slot
+// and body occurrence is visited once per existential variable, and the
+// pass resets only what it touched. The dependency graph routes z → z′
+// through one node per TGD, z → σ → z′, which keeps it linear in the
+// existential variables, and it is acyclic iff every strongly connected
+// component is one node.
 func IsJointlyAcyclic(set *tgds.Set) bool {
-	// pair is one (TGD, frontier variable): its count of body occurrences
-	// and its head positions. exVar is one existential variable: its TGD
-	// and head positions, the seed of Mov(z).
-	type pair struct {
-		tgd  int
-		need int32
-		head []int32
-	}
-	type exVar struct {
-		tgd  int
-		head []int32
-	}
-	var pairs []pair
-	var exVars []exVar
-	posID := make(map[logic.Position]int32)
-	var atPos [][]int32 // body position -> a pair per occurrence there
-	id := func(pred logic.Predicate, i int) int32 {
-		p := logic.Position{Pred: pred, Index: i + 1}
-		n, ok := posID[p]
-		if !ok {
-			n = int32(len(posID))
-			posID[p] = n
-			atPos = append(atPos, nil)
-		}
-		return n
-	}
-	// Per TGD, pairOf maps each frontier variable to its pair and exOf
-	// each existential variable to its exVar, in head order.
-	pairOf := make(map[logic.Term]int32)
-	exOf := make(map[logic.Term]int32)
-	for ti, t := range set.TGDs {
-		body := t.BodyVars()
-		clear(pairOf)
-		clear(exOf)
-		for _, h := range t.Head {
-			for i, v := range h.Args {
-				switch p := id(h.Pred, i); {
-				case !v.IsVar():
-				case body.Has(v):
-					q, ok := pairOf[v]
-					if !ok {
-						q = int32(len(pairs))
-						pairOf[v] = q
-						pairs = append(pairs, pair{tgd: ti})
-					}
-					pairs[q].head = append(pairs[q].head, p)
-				default:
-					q, ok := exOf[v]
-					if !ok {
-						q = int32(len(exVars))
-						exOf[v] = q
-						exVars = append(exVars, exVar{tgd: ti})
-					}
-					exVars[q].head = append(exVars[q].head, p)
-				}
+	c := set.Compiled()
+	nPos, nSlots := c.NumPositions(), c.NumSlots
+	var exVars []int32 // set-wide existential slots, rule by rule
+	exOff := make([]int32, len(c.Rules)+1)
+	ruleOf := make([]int32, nSlots)
+	// Two CSR indexes: headAt lists each slot's head positions, atPos each
+	// position's frontier slots, once per body occurrence.
+	headOff := make([]int32, nSlots+1)
+	atOff := make([]int32, nPos+1)
+	need := make([]int32, nSlots)
+	for ri, r := range c.Rules {
+		for x := range int32(len(r.Vars)) {
+			ruleOf[r.Base+x] = int32(ri)
+			if x >= r.NBody {
+				exVars = append(exVars, r.Base+x)
 			}
 		}
-		for _, a := range t.Body {
-			for i, v := range a.Args {
-				if q, ok := pairOf[v]; ok {
-					p := id(a.Pred, i)
-					atPos[p] = append(atPos[p], q)
-					pairs[q].need++
+		exOff[ri+1] = int32(len(exVars))
+		for _, h := range r.Head {
+			for _, x := range h.Slots {
+				headOff[r.Base+x+1]++
+			}
+		}
+		for _, a := range r.Body {
+			for i, x := range a.Slots {
+				if r.Frontier[x] {
+					atOff[c.Pos(a, i)+1]++
+					need[r.Base+x]++
 				}
 			}
 		}
@@ -182,63 +200,92 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 	if len(exVars) == 0 {
 		return true // an empty dependency graph is acyclic
 	}
-	// Dependency graph over existential variables.
-	adj := make([][]int, len(exVars))
-	inMov := make([]bool, len(posID))
-	left := make([]int32, len(pairs))
-	fires := make([]bool, len(set.TGDs)) // some frontier variable of the TGD lies wholly in Mov(z)
+	for i := range nSlots {
+		headOff[i+1] += headOff[i]
+	}
+	for i := range nPos {
+		atOff[i+1] += atOff[i]
+	}
+	headAt := make([]int32, headOff[nSlots])
+	atPos := make([]int32, atOff[nPos])
+	headFill := append([]int32(nil), headOff[:nSlots]...)
+	atFill := append([]int32(nil), atOff[:nPos]...)
+	for _, r := range c.Rules {
+		for _, h := range r.Head {
+			for i, x := range h.Slots {
+				g := r.Base + x
+				headAt[headFill[g]] = c.Pos(h, i)
+				headFill[g]++
+			}
+		}
+		for _, a := range r.Body {
+			for i, x := range a.Slots {
+				if r.Frontier[x] {
+					p := c.Pos(a, i)
+					atPos[atFill[p]] = r.Base + x
+					atFill[p]++
+				}
+			}
+		}
+	}
+	// The dependency graph: node k < len(exVars) is exVars[k], node
+	// len(exVars)+σ is TGD σ, with z → σ when σ fires in Mov(z) and has
+	// existentials, and σ → z′ for each existential z′ of σ.
+	nEx := int32(len(exVars))
+	off := make([]int32, 0, int(nEx)+len(c.Rules)+1)
+	var adj []int32
+	inMov := make([]bool, nPos)
+	left := append([]int32(nil), need...)
+	fires := make([]bool, len(c.Rules))
+	var moved, dec, fired []int32 // what a pass touched, to reset
 	var work []int32
 	add := func(ps []int32) {
 		for _, p := range ps {
 			if !inMov[p] {
 				inMov[p] = true
+				moved = append(moved, p)
 				work = append(work, p)
 			}
 		}
 	}
-	for from, ez := range exVars {
-		clear(inMov)
-		clear(fires)
-		for q := range pairs {
-			left[q] = pairs[q].need
-		}
-		add(ez.head)
+	for _, z := range exVars {
+		add(headAt[headOff[z]:headOff[z+1]])
 		for len(work) > 0 {
 			p := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, q := range atPos[p] {
-				if left[q]--; left[q] == 0 {
-					fires[pairs[q].tgd] = true
-					add(pairs[q].head)
+			for _, x := range atPos[atOff[p]:atOff[p+1]] {
+				dec = append(dec, x)
+				if left[x]--; left[x] == 0 {
+					if ri := ruleOf[x]; !fires[ri] {
+						fires[ri] = true
+						fired = append(fired, ri)
+					}
+					add(headAt[headOff[x]:headOff[x+1]])
 				}
 			}
 		}
-		for to, ev := range exVars {
-			if fires[ev.tgd] {
-				adj[from] = append(adj[from], to)
+		off = append(off, int32(len(adj)))
+		for _, ri := range fired {
+			if exOff[ri+1] > exOff[ri] {
+				adj = append(adj, nEx+ri)
 			}
+			fires[ri] = false
+		}
+		for _, p := range moved {
+			inMov[p] = false
+		}
+		for _, x := range dec {
+			left[x] = need[x]
+		}
+		moved, dec, fired = moved[:0], dec[:0], fired[:0]
+	}
+	for ri := range c.Rules {
+		off = append(off, int32(len(adj)))
+		for k := exOff[ri]; k < exOff[ri+1]; k++ {
+			adj = append(adj, k)
 		}
 	}
-	// Cycle detection.
-	color := make([]int, len(exVars))
-	var dfs func(v int) bool
-	dfs = func(v int) bool {
-		color[v] = 1
-		for _, u := range adj[v] {
-			if color[u] == 1 {
-				return false
-			}
-			if color[u] == 0 && !dfs(u) {
-				return false
-			}
-		}
-		color[v] = 2
-		return true
-	}
-	for v := range exVars {
-		if color[v] == 0 && !dfs(v) {
-			return false
-		}
-	}
-	return true
+	off = append(off, int32(len(adj)))
+	_, ncomp := components(off, adj)
+	return ncomp == int32(len(off)-1)
 }

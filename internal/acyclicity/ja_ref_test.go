@@ -1,15 +1,11 @@
 package acyclicity
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"airct/internal/logic"
-	"airct/internal/parser"
 	"airct/internal/tgds"
-	"airct/internal/workload"
 )
 
 // referenceIsJointlyAcyclic is the round-based fixpoint IsJointlyAcyclic
@@ -113,72 +109,43 @@ func referenceIsJointlyAcyclic(set *tgds.Set) bool {
 	return true
 }
 
-// TestJointAcyclicityMatchesReference pins the worklist pass to the
-// round-based fixpoint on the corpus, the seven families at n = 2..12, a
-// few multi-head sets, and the three random generators at seeds 0–1999:
-// RandomExistentialProgram, RandomTGDSet with the default options, and
-// RandomTGDSet with three rules and a 60% existential bias. Both verdicts
-// must occur among the random sets.
+// TestJointAcyclicityMatchesReference pins the worklist pass on the
+// compiled set to the round-based fixpoint on the sweep sets
+// (forEachSweepSet) and the worst cases. Both verdicts must occur among
+// the random sets.
 func TestJointAcyclicityMatchesReference(t *testing.T) {
-	check := func(name string, s *tgds.Set) bool {
-		t.Helper()
+	verdicts := map[bool]int{}
+	forEachSweepSet(t, func(name string, s *tgds.Set) {
 		got, want := IsJointlyAcyclic(s), referenceIsJointlyAcyclic(s)
 		if got != want {
 			t.Fatalf("%s: IsJointlyAcyclic = %v, reference %v", name, got, want)
 		}
-		return got
-	}
-	for _, src := range []string{
-		`R(X,Y,Y) -> R(X,Z,Y), R(Z,Y,Y). R(X,Y,Z) -> R(Z,Z,Z).`,
-		`A(X) -> R(X,Z,Y), S(Y,Z). R(X,Y,Z), S(Z,Y) -> A(Y).`,
-		`E(X,Y), E(Y,Z) -> E(X,W), E(W,Z).`,
-		`A(X) -> B(X,Y). B(X,Y) -> C(Y,Z), A(Z).`,
-		`R(X,X) -> S(X,Y). S(X,Y), R(Y,X) -> R(X,Y).`,
-	} {
-		check(src, set(t, src))
-	}
-	for _, l := range workload.Corpus() {
-		check(l.Name, l.Set)
-	}
-	for _, fam := range []func(int) workload.Labeled{
-		workload.DatalogChain, workload.ExistentialChain, workload.LinearCycle,
-		workload.SwapIntro, workload.GuardedLadder, workload.StickyJoin, workload.StickyRelay,
-	} {
-		for n := 2; n <= 12; n++ {
-			l := fam(n)
-			check(l.Name, l.Set)
-		}
-	}
-	verdicts := map[bool]int{}
-	for seed := int64(0); seed < 2000; seed++ {
-		verdicts[check(fmt.Sprintf("RandomExistentialProgram(%d)", seed), workload.RandomExistentialProgram(seed).TGDs)]++
-		verdicts[check(fmt.Sprintf("RandomTGDSet(%d)", seed), workload.RandomTGDSet(seed, workload.RandomOptions{}))]++
-		verdicts[check(fmt.Sprintf("RandomTGDSet(%d, biased)", seed), workload.RandomTGDSet(seed, workload.RandomOptions{Rules: 3, ExistentialBias: 60}))]++
-	}
+		verdicts[got]++
+	})
 	if verdicts[true] == 0 || verdicts[false] == 0 {
-		t.Errorf("random verdicts %v: the sweep must see both answers", verdicts)
+		t.Errorf("verdicts %v: the sweep must see both answers", verdicts)
+	}
+	// The worst cases' known answers: only the chain is jointly acyclic.
+	for _, wc := range worstCases(t) {
+		got := IsJointlyAcyclic(wc.set)
+		if want := wc.name == "existential-chain-4000"; got != want {
+			t.Errorf("%s: IsJointlyAcyclic = %v, want %v", wc.name, got, want)
+		}
+		if !slowReferences() {
+			if want := referenceIsJointlyAcyclic(wc.set); got != want {
+				t.Errorf("%s: IsJointlyAcyclic = %v, reference %v", wc.name, got, want)
+			}
+		}
 	}
 }
 
-// TestJointAcyclicityWidestShift: the 1023-ary shift R(X1,…,X1023) ->
-// R(X2,…,X1023,Y), the widest rule the parser admits, is not jointly
+// TestJointAcyclicityWidestShift: the 1023-ary shift is not jointly
 // acyclic (its null moves through every position back into the frontier),
 // and the answer takes well under a second. The round-based fixpoint took
 // seconds here: each of its 1023 rounds rescanned 1022 frontier variables
 // against 1023 body arguments.
 func TestJointAcyclicityWidestShift(t *testing.T) {
-	var body, head []string
-	for i := 1; i <= 1023; i++ {
-		body = append(body, fmt.Sprintf("X%d", i))
-		if i > 1 {
-			head = append(head, fmt.Sprintf("X%d", i))
-		}
-	}
-	head = append(head, "Y")
-	s, err := parser.ParseTGDs(fmt.Sprintf("R(%s) -> R(%s).", strings.Join(body, ","), strings.Join(head, ",")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := widestShift(t)
 	start := time.Now()
 	ja := IsJointlyAcyclic(s)
 	if elapsed := time.Since(start); elapsed > time.Second {

@@ -1,6 +1,9 @@
 package acyclicity
 
 import (
+	"slices"
+	"sync"
+
 	"airct/internal/chase"
 	"airct/internal/critical"
 	"airct/internal/instance"
@@ -39,31 +42,40 @@ type MFAResult struct {
 // (SlotSearch.ForEachDelta) and sorts each TGD's batch canonically, which
 // applies the same triggers in the same order as re-enumerating the whole
 // instance would: the null names, Steps and CyclicNull are unchanged.
+//
+// The run's interner, instance, frontier table and scratch come from a
+// pool and go back to it unless the instance outgrew maxPooledMFAAtoms.
 func CheckMFA(set *tgds.Set, maxSteps int) MFAResult {
 	if maxSteps <= 0 {
 		maxSteps = 100_000
 	}
-	return newMFAChase(set).run(maxSteps)
+	m := mfaStates.Get().(*mfaChase)
+	m.load(set)
+	res := m.run(maxSteps)
+	releaseMFA(m)
+	return res
 }
 
-// mfaTGD is one TGD compiled for the MFA chase: sorted body variables in
-// slots 0..nBody-1, sorted existential variables after them.
+// mfaTGD is one TGD compiled for the MFA chase from the set's compiled
+// form: its sorted body variables in slots 0..nBody-1, its sorted
+// existential variables after them.
 type mfaTGD struct {
 	nBody, nExist int
-	body, head    *logic.CPattern
+	body, head    logic.CPattern
 	frontier      []int32 // body slots of the frontier variables, ascending
 	// witness is the slot of the first existential variable in head
 	// order: the null the cycle test reports.
 	witness int32
 }
 
-// mfaChase is the state of one CheckMFA run on the interned core.
+// mfaChase is the state of one CheckMFA run on the interned core. Its
+// memory is reused across runs through mfaStates; load resets it for a set.
 type mfaChase struct {
 	tab   *logic.Interner
 	inst  *instance.Instance
 	rules []mfaTGD
 	front *logic.TupleTable // frontier classes [tgd, frontier TermIDs...]
-	namer *logic.FreshNamer
+	namer logic.FreshNamer
 
 	// Null ancestry. Every application that invents nulls records the set
 	// of TGDs among its nulls' ancestors, itself included, as a bitset of
@@ -81,71 +93,130 @@ type mfaChase struct {
 	words int
 	scr   []uint64
 
-	ss   logic.SlotSearch
-	disc []uint32 // collected trigger tuples [tgd, body TermIDs...]
-	offs []int32  // tuple offsets into disc, each TGD's run sorted canonically
-	tup  []uint32
-	bind []logic.TermID // the applied trigger's slots, nulls included
-	args []logic.TermID
+	ss     logic.SlotSearch
+	disc   []uint32 // collected trigger tuples [tgd, body TermIDs...]
+	offs   []int32  // tuple offsets into disc, each TGD's run sorted canonically
+	tup    []uint32
+	bind   []logic.TermID // the applied trigger's slots, nulls included
+	args   []logic.TermID
+	atoms  []logic.CAtom // the rules' patterns' atoms, in one slab
+	cterms []logic.CTerm // their arguments, in one slab
+	fronts []int32       // the rules' frontier slots, in one slab
 }
 
-func newMFAChase(set *tgds.Set) *mfaChase {
-	m := &mfaChase{
-		tab:   logic.NewInterner(),
+// mfaStates pools the memory of finished CheckMFA runs. sync.Pool hands
+// each state to one caller at a time, so every interner keeps one writer.
+var mfaStates = sync.Pool{New: func() any {
+	tab := logic.NewInterner()
+	return &mfaChase{
+		tab:   tab,
+		inst:  instance.NewWithInternerHint(tab, 64),
 		front: logic.NewTupleTable(64),
-		namer: logic.NewFreshNamer("n"),
-		words: (len(set.TGDs) + 63) / 64,
 	}
-	m.scr = make([]uint64, m.words)
-	m.inst = instance.NewWithInternerHint(m.tab, 64)
-	crit := m.tab.InternTerm(critical.TheConstant)
-	for _, p := range set.Schema().Predicates() {
-		args := make([]logic.TermID, p.Arity)
-		for i := range args {
-			args[i] = crit
-		}
-		m.inst.AddTuple(m.tab.InternPred(p), args)
+}}
+
+// maxPooledMFAAtoms bounds the instance a run may have built and its state
+// still go back to the pool. The state keeps the capacity of its largest
+// run, so without the bound one large critical-instance chase would pin
+// that memory in the pool.
+const maxPooledMFAAtoms = 8192
+
+// releaseMFA returns m to the pool unless its instance outgrew
+// maxPooledMFAAtoms, and reports whether it did.
+func releaseMFA(m *mfaChase) bool {
+	if m.inst.Len() > maxPooledMFAAtoms {
+		return false
 	}
-	m.rules = make([]mfaTGD, len(set.TGDs))
-	for i, t := range set.TGDs {
-		m.rules[i] = m.compile(t)
-	}
-	return m
+	mfaStates.Put(m)
+	return true
 }
 
-func (m *mfaChase) compile(t tgds.TGD) mfaTGD {
-	bodyVars := t.BodyVars().Sorted()
-	existVars := t.ExistentialVars().Sorted()
-	slots := make(map[logic.Term]int32, len(bodyVars)+len(existVars))
-	for i, v := range bodyVars {
-		slots[v] = int32(i)
+// load resets the state for the set: it empties the interner, the
+// instance, the frontier table and the ancestry, adds the critical
+// instance and compiles the rules from the set's compiled form. The
+// interner takes the form's predicates first, so a form predicate ID is
+// its PredID.
+func (m *mfaChase) load(set *tgds.Set) {
+	c := set.Compiled()
+	m.tab.Reset()
+	m.inst.Clear()
+	m.front.Reset()
+	m.namer = *logic.NewFreshNamer("n")
+	m.appOf, m.anc = m.appOf[:0], m.anc[:0]
+	m.words = (len(c.Rules) + 63) / 64
+	m.scr = slices.Grow(m.scr[:0], m.words)[:m.words]
+	crit := m.tab.InternTerm(critical.TheConstant)
+	for _, p := range c.Preds {
+		m.tab.InternPred(p)
 	}
-	for k, v := range existVars {
-		slots[v] = int32(len(bodyVars) + k)
+	for pid, p := range c.Preds {
+		m.args = m.args[:0]
+		for range p.Arity {
+			m.args = append(m.args, crit)
+		}
+		m.inst.AddTuple(logic.PredID(pid), m.args)
 	}
-	slotOf := func(v logic.Term) int32 { return slots[v] }
-	total := len(bodyVars) + len(existVars)
+	nAtoms, nArgs, nFront := 0, 0, 0
+	for _, r := range c.Rules {
+		nAtoms += len(r.Body) + len(r.Head)
+		for _, a := range r.Body {
+			nArgs += len(a.Slots)
+		}
+		for _, a := range r.Head {
+			nArgs += len(a.Slots)
+		}
+		nFront += int(r.NBody)
+	}
+	// Sized up front, so the rules' slices into the slabs stay valid.
+	m.atoms = slices.Grow(m.atoms[:0], nAtoms)
+	m.cterms = slices.Grow(m.cterms[:0], nArgs)
+	m.fronts = slices.Grow(m.fronts[:0], nFront)
+	m.rules = slices.Grow(m.rules[:0], len(c.Rules))
+	for i := range c.Rules {
+		m.rules = append(m.rules, m.compile(&c.Rules[i]))
+	}
+}
+
+// compile builds the rule's MFA patterns. The compiled form's slots are
+// already in the name order the canonical trigger order relies on.
+func (m *mfaChase) compile(cr *tgds.Rule) mfaTGD {
+	total := len(cr.Vars)
 	r := mfaTGD{
-		nBody:   len(bodyVars),
-		nExist:  len(existVars),
-		body:    logic.CompilePattern(t.Body, total, slotOf, m.tab),
-		head:    logic.CompilePattern(t.Head, total, slotOf, m.tab),
+		nBody:   int(cr.NBody),
+		nExist:  total - int(cr.NBody),
+		body:    logic.CPattern{Atoms: m.pattern(cr.Body), NSlots: total},
+		head:    logic.CPattern{Atoms: m.pattern(cr.Head), NSlots: total},
 		witness: -1,
 	}
-	frontier := t.Frontier()
-	for i, v := range bodyVars {
-		if frontier.Has(v) {
-			r.frontier = append(r.frontier, int32(i))
+	from := len(m.fronts)
+	for x, f := range cr.Frontier {
+		if f {
+			m.fronts = append(m.fronts, int32(x))
 		}
 	}
-	for _, a := range r.head.Atoms {
-		for _, arg := range a.Args {
-			if r.witness < 0 && arg.Slot >= int32(r.nBody) {
-				r.witness = arg.Slot
+	r.frontier = m.fronts[from:len(m.fronts):len(m.fronts)]
+	for _, a := range cr.Head {
+		for _, x := range a.Slots {
+			if r.witness < 0 && x >= cr.NBody {
+				r.witness = x
 			}
 		}
 	}
 	return r
+}
+
+// pattern appends the atoms' compiled patterns to the slabs and returns
+// them. TGDs are constant-free, so every argument is a slot.
+func (m *mfaChase) pattern(as []tgds.SlotAtom) []logic.CAtom {
+	from := len(m.atoms)
+	for _, a := range as {
+		start := len(m.cterms)
+		for _, x := range a.Slots {
+			m.cterms = append(m.cterms, logic.CTerm{Slot: x})
+		}
+		m.atoms = append(m.atoms, logic.CAtom{Pred: logic.PredID(a.Pred), Args: m.cterms[start:len(m.cterms):len(m.cterms)]})
+	}
+	return m.atoms[from:len(m.atoms):len(m.atoms)]
 }
 
 func (m *mfaChase) run(maxSteps int) MFAResult {
@@ -195,11 +266,11 @@ func (m *mfaChase) collect(lo int32) {
 			}
 			return true
 		}
-		m.ss.Reset(r.body)
+		m.ss.Reset(&r.body)
 		if lo == 0 {
-			m.ss.ForEach(r.body, m.inst, yield)
+			m.ss.ForEach(&r.body, m.inst, yield)
 		} else {
-			m.ss.ForEachDelta(r.body, m.inst, lo, yield)
+			m.ss.ForEachDelta(&r.body, m.inst, lo, yield)
 		}
 		chase.SortTriggerTuples(m.tab, m.disc, m.offs[start:], r.nBody+1)
 	}

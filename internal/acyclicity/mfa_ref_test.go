@@ -8,7 +8,6 @@ import (
 	"airct/internal/critical"
 	"airct/internal/logic"
 	"airct/internal/tgds"
-	"airct/internal/workload"
 )
 
 // referenceCheckMFA is the naive round loop CheckMFA replaced, kept as the
@@ -114,48 +113,35 @@ func checkMFAIdentity(t *testing.T, name string, set *tgds.Set) {
 	}
 }
 
-// TestCheckMFAMatchesReference pins the semi-naive rounds to the naive
-// loop: Acyclic, Steps and CyclicNull (by name) agree on the corpus, the
-// seven families at n = 2..14, random TGD sets and a few multi-head sets
-// whose head order differs from their variable order, at budgets that
-// saturate and budgets that stop mid-round.
+// TestCheckMFAMatchesReference pins the semi-naive rounds on the compiled
+// set to the naive loop: Acyclic, Steps and CyclicNull (by name) agree on
+// the sweep sets (forEachSweepSet, which includes multi-head sets whose
+// head order differs from their variable order), the families at n = 13
+// and 14 and the worst cases, at budgets that saturate and budgets that
+// stop mid-round.
 func TestCheckMFAMatchesReference(t *testing.T) {
-	for _, src := range []string{
-		`R(X,Y,Y) -> R(X,Z,Y), R(Z,Y,Y). R(X,Y,Z) -> R(Z,Z,Z).`,
-		`A(X) -> R(X,Z,Y), S(Y,Z). R(X,Y,Z), S(Z,Y) -> A(Y).`,
-		`E(X,Y), E(Y,Z) -> E(X,W), E(W,Z).`,
-		`A(X) -> B(X,Y). B(X,Y) -> C(Y,Z), A(Z).`,
-	} {
-		checkMFAIdentity(t, src, set(t, src))
-	}
-	for _, l := range workload.Corpus() {
-		checkMFAIdentity(t, l.Name, l.Set)
-	}
-	families := []func(int) workload.Labeled{
-		workload.DatalogChain, workload.ExistentialChain, workload.LinearCycle,
-		workload.SwapIntro, workload.GuardedLadder, workload.StickyJoin, workload.StickyRelay,
-	}
+	forEachSweepSet(t, func(name string, s *tgds.Set) { checkMFAIdentity(t, name, s) })
 	for _, fam := range families {
-		for n := 2; n <= 14; n++ {
+		for n := 13; n <= 14; n++ {
 			l := fam(n)
 			checkMFAIdentity(t, l.Name, l.Set)
 		}
 	}
-	for seed := int64(0); seed < 600; seed++ {
-		checkMFAIdentity(t, fmt.Sprintf("RandomTGDSet(%d)", seed), workload.RandomTGDSet(seed, workload.RandomOptions{}))
-	}
-	for seed := int64(0); seed < 600; seed++ {
-		checkMFAIdentity(t, fmt.Sprintf("RandomExistentialProgram(%d)", seed), workload.RandomExistentialProgram(seed).TGDs)
+	for _, wc := range worstCases(t) {
+		if slowReferences() {
+			if got := CheckMFA(wc.set, 20000); got.Acyclic {
+				t.Errorf("%s: CheckMFA = %+v, want not acyclic", wc.name, got)
+			}
+			continue
+		}
+		checkMFAIdentity(t, wc.name, wc.set)
 	}
 }
 
 // BenchmarkCheckMFA times the semi-naive check against the naive reference
 // on the family programs at n = 12.
 func BenchmarkCheckMFA(b *testing.B) {
-	for _, fam := range []func(int) workload.Labeled{
-		workload.DatalogChain, workload.ExistentialChain, workload.LinearCycle,
-		workload.SwapIntro, workload.GuardedLadder, workload.StickyJoin, workload.StickyRelay,
-	} {
+	for _, fam := range families {
 		l := fam(12)
 		b.Run(l.Name+"/semi-naive", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

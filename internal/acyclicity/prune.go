@@ -14,38 +14,173 @@ package acyclicity
 //
 // The fold check is a conjunctive-query containment test; it is attempted
 // only when the body is an acyclic instance in the Definition 5.4 sense
-// (jointree.IsAcyclic — GYO ear removal on the body hypergraph), the class
-// for which such joins are tractable. Cyclic bodies are skipped, which is
-// sound: skipping only prunes less.
+// (GYO ear removal on the body hypergraph, as jointree.IsAcyclic does), the
+// class for which such joins are tractable. Cyclic bodies are skipped,
+// which is sound: skipping only prunes less. Both steps run on the set's
+// compiled slots: the hypergraph has one edge per body atom, its set of
+// slots, and the fold maps head slots to body slots with every frontier
+// slot fixed.
 
-import (
-	"airct/internal/jointree"
-	"airct/internal/logic"
-	"airct/internal/tgds"
-)
+import "airct/internal/tgds"
 
 // NeverFiring returns the indexes of the set's never-firing TGDs: those
 // whose head folds into their own body by a homomorphism fixing the
 // frontier (attempted only for jointree-acyclic bodies).
 func NeverFiring(set *tgds.Set) []int {
 	var out []int
-	for i, t := range set.TGDs {
-		if neverFires(t) {
+	var f folder
+	rules := set.Compiled().Rules
+	for i := range rules {
+		if f.neverFires(&rules[i]) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-func neverFires(t tgds.TGD) bool {
-	if !jointree.IsAcyclic(t.Body) {
-		return false
+// folder is neverFires' scratch, reused across the rules of one set.
+type folder struct {
+	occ   []int32 // per slot: alive atoms holding it
+	mark  []int32 // per slot: the stamp of the last atom that listed it
+	edges []int32 // per atom, its distinct slots, atom after atom
+	eoff  []int32 // atom i's slots are edges[eoff[i]:eoff[i+1]]
+	alive []bool
+	img   []int32 // per existential slot: its body slot, -1 unmapped
+	trail []int32
+	stamp int32
+}
+
+func (f *folder) neverFires(r *tgds.Rule) bool {
+	return f.acyclicBody(r) && f.folds(r)
+}
+
+// acyclicBody reports whether the body hypergraph is acyclic, by GYO ear
+// removal: an alive atom is an ear when some other alive atom holds every
+// slot it shares with the alive atoms, and removing ears until one atom
+// is left succeeds exactly on acyclic hypergraphs. A body of one or two
+// atoms always passes.
+func (f *folder) acyclicBody(r *tgds.Rule) bool {
+	n := len(r.Body)
+	if n <= 2 {
+		return true
 	}
-	base := logic.NewSubstitution()
-	for v := range t.Frontier() {
-		base.Bind(v, v)
+	nv := int(r.NBody)
+	f.occ = resize(f.occ, nv)
+	f.mark = resize(f.mark, nv)
+	clear(f.occ)
+	clear(f.mark)
+	f.stamp = 0
+	f.edges, f.eoff = f.edges[:0], append(f.eoff[:0], 0)
+	for _, a := range r.Body {
+		f.stamp++
+		for _, x := range a.Slots {
+			if f.mark[x] != f.stamp {
+				f.mark[x] = f.stamp
+				f.edges = append(f.edges, x)
+				f.occ[x]++
+			}
+		}
+		f.eoff = append(f.eoff, int32(len(f.edges)))
 	}
-	return logic.HasHomomorphism(t.Head, base, logic.NewSliceSource(t.Body))
+	f.alive = append(f.alive[:0], make([]bool, n)...)
+	for i := range f.alive {
+		f.alive[i] = true
+	}
+	left := n
+	for removed := true; removed && left > 1; {
+		removed = false
+		for i := 0; i < n && left > 1; i++ {
+			if !f.alive[i] {
+				continue
+			}
+			ei := f.edges[f.eoff[i]:f.eoff[i+1]]
+			for j := 0; j < n; j++ {
+				if i == j || !f.alive[j] || !f.covers(j, ei) {
+					continue
+				}
+				f.alive[i] = false
+				left--
+				for _, x := range ei {
+					f.occ[x]--
+				}
+				removed = true
+				break
+			}
+		}
+	}
+	return left == 1
+}
+
+// covers reports whether atom j holds every slot of ei that another alive
+// atom shares.
+func (f *folder) covers(j int, ei []int32) bool {
+	f.stamp++
+	for _, x := range f.edges[f.eoff[j]:f.eoff[j+1]] {
+		f.mark[x] = f.stamp
+	}
+	for _, x := range ei {
+		if f.occ[x] > 1 && f.mark[x] != f.stamp {
+			return false
+		}
+	}
+	return true
+}
+
+// folds reports whether the head maps into the body by a homomorphism that
+// fixes every frontier slot, backtracking over the head atoms in order.
+func (f *folder) folds(r *tgds.Rule) bool {
+	f.img = resize(f.img, len(r.Vars))
+	for i := range f.img {
+		f.img[i] = -1
+	}
+	f.trail = f.trail[:0]
+	return f.fold(r, 0)
+}
+
+func (f *folder) fold(r *tgds.Rule, k int) bool {
+	if k == len(r.Head) {
+		return true
+	}
+	h := r.Head[k]
+	for _, b := range r.Body {
+		if b.Pred != h.Pred {
+			continue
+		}
+		mark := len(f.trail)
+		ok := true
+		for i, x := range h.Slots {
+			y := b.Slots[i]
+			switch {
+			case x < r.NBody:
+				ok = x == y
+			case f.img[x] < 0:
+				f.img[x] = y
+				f.trail = append(f.trail, x)
+			default:
+				ok = f.img[x] == y
+			}
+			if !ok {
+				break
+			}
+		}
+		if ok && f.fold(r, k+1) {
+			return true
+		}
+		for _, x := range f.trail[mark:] {
+			f.img[x] = -1
+		}
+		f.trail = f.trail[:mark]
+	}
+	return false
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // PruneNeverFiring removes the never-firing TGDs and returns the remainder

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"slices"
 	"sort"
 
 	"airct/internal/logic"
@@ -136,10 +137,19 @@ var _ sort.Interface = (*discSorter)(nil)
 // canonical trigger order: the order AllTriggers lists one TGD's triggers
 // in. It lets kernels outside the engine enumerate triggers on the
 // interned core and still apply them in the engine's order.
+//
+// The tuples of one rule are distinct, so the canonical order is total and
+// any sort yields it. slices.SortFunc keeps the comparison on the stack, so
+// a call allocates nothing.
 func SortTriggerTuples(itab *logic.Interner, buf []uint32, offs []int32, stride int) {
-	if len(offs) < 2 {
-		return
-	}
-	ds := discSorter{itab: itab, disc: &buf, idx: &offs, stride: int32(stride)}
-	sort.Sort(&ds)
+	slices.SortFunc(offs, func(i, j int32) int {
+		a, b := buf[i:i+int32(stride)], buf[j:j+int32(stride)]
+		// a[0] and b[0] hold the rule index and are equal within one sort.
+		for k := 1; k < stride; k++ {
+			if c := itab.CompareTermIDs(logic.TermID(a[k]), logic.TermID(b[k])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
 }
