@@ -96,7 +96,7 @@ func (t *ptTable) find(k uint64) []int32 {
 }
 
 // add returns the ID of k's posting list, opening an empty one if k has
-// none.
+// none. A list opened after a clear reuses the array its ID had before.
 func (t *ptTable) add(k uint64) int32 {
 	i, ok := t.slot(k)
 	if ok {
@@ -104,7 +104,7 @@ func (t *ptTable) add(k uint64) int32 {
 	}
 	id := int32(len(t.keys))
 	t.keys = append(t.keys, k)
-	t.lists = append(t.lists, nil)
+	t.lists = reopen(t.lists)
 	t.slots[i] = id + 1
 	if 2*len(t.keys) > len(t.slots) {
 		t.slots = make([]int32, 2*len(t.slots))
@@ -117,12 +117,22 @@ func (t *ptTable) add(k uint64) int32 {
 	return id
 }
 
-// clear drops every key and list, keeping the slots' and the key store's
-// capacity.
+// clear drops every key and list, keeping the capacity of the slots, of
+// the key store and of every list's array, which add hands out again.
 func (t *ptTable) clear() {
 	clear(t.slots)
-	clear(t.lists)
 	t.keys, t.lists = t.keys[:0], t.lists[:0]
+}
+
+// reopen appends an empty list to lists. Past the length, it reuses the
+// array a list had there before lists was cut back.
+func reopen(lists [][]int32) [][]int32 {
+	if n := len(lists); n < cap(lists) {
+		lists = lists[:n+1]
+		lists[n] = lists[n][:0]
+		return lists
+	}
+	return append(lists, nil)
 }
 
 // cut drops the postings >= lo from an ascending posting list.
@@ -216,15 +226,14 @@ func (in *Instance) Truncate(n int) {
 }
 
 // Clear empties the instance and drops every index key and posting list,
-// keeping the capacity of the key table and of the slices that hold the
-// lists. It goes with resetting the instance's interner: the keys hold IDs
+// keeping the capacity of the key table and of every list, so refilling
+// the instance reuses the lists' arrays instead of growing new ones. It goes with resetting the instance's interner: the keys hold IDs
 // the reset invalidated, and kept, they would pile up across every
 // vocabulary the instance served. Clearing the whole table costs its
 // capacity, which beats cutting lists one by one unless the instance holds
 // a small share of what it once held. With the keys dropped there are no
 // posting lists left to cut, so only the identity table is truncated.
 func (in *Instance) Clear() {
-	clear(in.byPred)
 	in.byPred = in.byPred[:0]
 	in.pt.clear()
 	in.atomLists = in.atomLists[:0]
@@ -271,7 +280,7 @@ func (in *Instance) insert(pid logic.PredID, tuple []uint32) (int32, bool) {
 		return idx, false
 	}
 	for int(pid) >= len(in.byPred) {
-		in.byPred = append(in.byPred, nil)
+		in.byPred = reopen(in.byPred)
 	}
 	in.byPred[pid] = append(in.byPred[pid], idx)
 	for i, t := range tuple[1:] {

@@ -96,6 +96,31 @@ func TestInstanceClearThenRefill(t *testing.T) {
 	if diff := sameInstance(in, want); diff != "" {
 		t.Fatalf("refilled after Clear: %s", diff)
 	}
+	// A second refill with the same atoms opens the same lists in the same
+	// order, so every list fits the array it had and must reuse it.
+	lists, byPred := slices.Clone(in.pt.lists), slices.Clone(in.byPred)
+	in.Clear()
+	in.AddAll(atoms)
+	if diff := sameInstance(in, want); diff != "" {
+		t.Fatalf("refilled twice after Clear: %s", diff)
+	}
+	if n := keptArrays(lists, in.pt.lists) + keptArrays(byPred, in.byPred); n != len(lists)+len(byPred) {
+		t.Fatalf("the refill kept %d of %d list arrays", n, len(lists)+len(byPred))
+	}
+}
+
+// keptArrays counts the lists in now that hold the array the list of the
+// same ID held in old, among the lists old had arrays for that fit them.
+// It fails the count, by leaving a list out, only when a list that fits
+// its old array got a new one.
+func keptArrays(old, now [][]int32) int {
+	n := 0
+	for i, l := range old {
+		if i >= len(now) || cap(l) == 0 || len(now[i]) > cap(l) || &now[i][:1][0] == &l[:1][0] {
+			n++
+		}
+	}
+	return n
 }
 
 // postingModel is the posting layout the instance replaced, as a Go-map
@@ -175,12 +200,16 @@ func TestPostingTableMatchesMapModel(t *testing.T) {
 	}
 	fill(500)
 	check("add after truncate", false)
+	lists := slices.Clone(in.pt.lists)
 	in.Clear()
 	if len(in.pt.keys) != 0 || in.pt.find(ptPack(preds[1], 1, terms[0])) != nil {
 		t.Fatalf("Clear left %d keys", len(in.pt.keys))
 	}
 	fill(2000)
 	check("refill after Clear", true)
+	if n := keptArrays(lists, in.pt.lists); n != len(lists) {
+		t.Fatalf("the refill after Clear kept %d of %d list arrays that fit", n, len(lists))
+	}
 	in.Truncate(700)
 	check("truncate the refill", false)
 }
