@@ -207,11 +207,13 @@ func chaseSeedBattery(ctx context.Context, b *battery, set *tgds.Set, seed *inst
 // unification of its body variables (the canonical databases, refined by
 // equality type), then the Treeification expansions computed from
 // real-oblivious-chase fragments of those base seeds (Appendix C.2's
-// remote-side-parent service). The cheap canonical phase runs eagerly at
-// construction; each treeification expansion — the expensive part — is
-// built only when the consumer asks for the next seed, so a sweep that
-// stops early (a scan deciding on, or stopped by, an early seed) never
-// pays for the bases it does not reach.
+// remote-side-parent service). Both phases run on demand: phase one
+// freezes one TGD's unifications when the consumer asks for a seed past
+// the pool, and each treeification expansion — the expensive part — is
+// built only once phase one is done. A sweep that stops early (a scan
+// deciding on, or stopped by, an early seed) never pays for the TGDs or
+// bases it does not reach. The namer runs over the TGDs in set order
+// either way, so the pool is the one an eager pass would build.
 //
 // A pool entry is a duplicate-free fact slice, in the order a Database
 // built from it would list its atoms; only a base being expanded becomes
@@ -219,26 +221,41 @@ func chaseSeedBattery(ctx context.Context, b *battery, set *tgds.Set, seed *inst
 type seedEnum struct {
 	set      *tgds.Set
 	maxSeeds int
+	namer    *logic.FreshNamer
 	seen     map[logic.Fingerprint]bool
 	pool     [][]logic.Atom
-	nbase    int // phase-one prefix length: the treeification bases
+	frozen   int // TGDs whose unifications phase one has frozen
+	nbase    int // phase-one prefix length, the treeification bases; set once phase one is done
 	base     int // next base to expand
 	next     int // next pool index to yield
 }
 
 func newSeedEnum(set *tgds.Set, maxSeeds int) *seedEnum {
-	e := &seedEnum{set: set, maxSeeds: maxSeeds, seen: make(map[logic.Fingerprint]bool)}
-	namer := logic.NewFreshNamer("s")
-	for _, t := range set.TGDs {
-		for _, unified := range unifications(t.Body) {
-			frozen, _ := logic.CanonicalFreeze(unified, namer)
-			if facts, ok := distinctFacts(frozen); ok {
-				e.add(facts)
-			}
+	return &seedEnum{set: set, maxSeeds: maxSeeds, namer: logic.NewFreshNamer("s"), seen: make(map[logic.Fingerprint]bool)}
+}
+
+// freeze adds the frozen bodies of the next TGD under every unification to
+// the pool, and reports false when phase one is already done. Once the
+// pool is full nothing more can enter it, so phase one ends there.
+func (e *seedEnum) freeze() bool {
+	n := len(e.set.TGDs)
+	if e.frozen >= n {
+		return false
+	}
+	for _, unified := range unifications(e.set.TGDs[e.frozen].Body) {
+		frozen, _ := logic.CanonicalFreeze(unified, e.namer)
+		if facts, ok := distinctFacts(frozen); ok {
+			e.add(facts)
 		}
 	}
-	e.nbase = len(e.pool)
-	return e
+	e.frozen++
+	if len(e.pool) >= e.maxSeeds {
+		e.frozen = n
+	}
+	if e.frozen == n {
+		e.nbase = len(e.pool)
+	}
+	return true
 }
 
 func (e *seedEnum) add(seed []logic.Atom) {
@@ -257,10 +274,13 @@ func (e *seedEnum) add(seed []logic.Atom) {
 	e.pool = append(e.pool, seed)
 }
 
-// Next yields the pool's next seed, expanding treeifications on demand.
-// The slice belongs to the pool: read-only.
+// Next yields the pool's next seed, freezing TGDs and then expanding
+// treeifications on demand. The slice belongs to the pool: read-only.
 func (e *seedEnum) Next() ([]logic.Atom, bool) {
 	for e.next >= len(e.pool) {
+		if e.freeze() {
+			continue
+		}
 		if e.base >= e.nbase || len(e.pool) >= e.maxSeeds {
 			return nil, false
 		}

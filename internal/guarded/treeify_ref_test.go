@@ -298,6 +298,8 @@ func TestTreeifyMatchesReference(t *testing.T) {
 	}
 	for _, l := range sets {
 		e := newSeedEnum(l.Set, MaxSeeds)
+		for e.freeze() {
+		}
 		for base := range e.nbase {
 			g := ochase.Build(seedDatabase(e.pool[base]), l.Set, ochase.BuildOptions{MaxNodes: 600, MaxDepth: 6})
 			check(fmt.Sprintf("%s base seed %d", l.Name, base), l.Set, g)
