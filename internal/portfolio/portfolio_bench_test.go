@@ -130,3 +130,37 @@ func BenchmarkPortfolioMixed(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAnalyzeCold measures cold portfolio decides: one iteration runs
+// Analyze with no cache once on each program of the first-contact
+// workload's portfolio catalog, workload.Corpus() and the seven families
+// at n = 2..12 (99 programs). Each run gets a fresh Set over the program's
+// TGDs, so nothing a set memoises (its fingerprint, compiled form and
+// stickiness marking) carries over from an earlier iteration.
+func BenchmarkAnalyzeCold(b *testing.B) {
+	var catalog [][]tgds.TGD
+	for _, l := range workload.Corpus() {
+		catalog = append(catalog, l.Set.TGDs)
+	}
+	for _, fam := range []func(int) workload.Labeled{
+		workload.DatalogChain, workload.ExistentialChain, workload.LinearCycle,
+		workload.SwapIntro, workload.GuardedLadder, workload.StickyJoin, workload.StickyRelay,
+	} {
+		for n := 2; n <= 12; n++ {
+			catalog = append(catalog, fam(n).Set.TGDs)
+		}
+	}
+	if len(catalog) != 99 {
+		b.Fatalf("the catalog holds %d programs, want 99", len(catalog))
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ts := range catalog {
+			if _, err := Analyze(ctx, &tgds.Set{TGDs: ts}, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
