@@ -70,18 +70,21 @@ func (s *Set) Compiled() *Compiled {
 // is keyed by a term. Every slab is sized up front, so the per-rule slices
 // into it stay valid.
 func compile(ts []TGD) *Compiled {
-	nAtoms, nArgs := 0, 0
+	nAtoms, nArgs, maxArgs := 0, 0, 0
 	for _, t := range ts {
 		nAtoms += len(t.Body) + len(t.Head)
+		n := 0
 		for _, a := range t.Body {
-			nArgs += len(a.Args)
+			n += len(a.Args)
 		}
 		for _, a := range t.Head {
-			nArgs += len(a.Args)
+			n += len(a.Args)
 		}
+		nArgs += n
+		maxArgs = max(maxArgs, n)
 	}
 	b := compiler{
-		c:      &Compiled{Rules: make([]Rule, len(ts))},
+		c:      &Compiled{Preds: make([]logic.Predicate, 0, nAtoms), Rules: make([]Rule, len(ts))},
 		atoms:  make([]SlotAtom, 0, nAtoms),
 		slots:  make([]int32, 0, nArgs),
 		predID: make(map[logic.Predicate]int32, nAtoms),
@@ -89,8 +92,8 @@ func compile(ts []TGD) *Compiled {
 	c := b.c
 	vars := make([]logic.Term, 0, nArgs)
 	frontier := make([]bool, nArgs)
-	var scratch []logic.Term
-	var seen []int32 // per body slot: the last body atom, 1-based, that held it
+	scratch := make([]logic.Term, 0, maxArgs)
+	seen := make([]int32, 0, maxArgs) // per body slot: the last body atom, 1-based, that held it
 	for r, t := range ts {
 		scratch = scratch[:0]
 		for _, a := range t.Body {
