@@ -21,7 +21,11 @@ package acyclicity
 // slots, and the fold maps head slots to body slots with every frontier
 // slot fixed.
 
-import "airct/internal/tgds"
+import (
+	"slices"
+
+	"airct/internal/tgds"
+)
 
 // NeverFiring returns the indexes of the set's never-firing TGDs: those
 // whose head folds into their own body by a homomorphism fixing the
@@ -65,8 +69,8 @@ func (f *folder) acyclicBody(r *tgds.Rule) bool {
 		return true
 	}
 	nv := int(r.NBody)
-	f.occ = resize(f.occ, nv)
-	f.mark = resize(f.mark, nv)
+	f.occ = slices.Grow(f.occ[:0], nv)[:nv]
+	f.mark = slices.Grow(f.mark[:0], nv)[:nv]
 	clear(f.occ)
 	clear(f.mark)
 	f.stamp = 0
@@ -129,7 +133,7 @@ func (f *folder) covers(j int, ei []int32) bool {
 // folds reports whether the head maps into the body by a homomorphism that
 // fixes every frontier slot, backtracking over the head atoms in order.
 func (f *folder) folds(r *tgds.Rule) bool {
-	f.img = resize(f.img, len(r.Vars))
+	f.img = slices.Grow(f.img[:0], len(r.Vars))[:len(r.Vars)]
 	for i := range f.img {
 		f.img[i] = -1
 	}
@@ -172,15 +176,6 @@ func (f *folder) fold(r *tgds.Rule, k int) bool {
 		f.trail = f.trail[:mark]
 	}
 	return false
-}
-
-// resize returns s with length n, reusing its array when it is large
-// enough.
-func resize(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 // PruneNeverFiring removes the never-firing TGDs and returns the remainder

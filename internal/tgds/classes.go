@@ -5,10 +5,6 @@ package tgds
 // terminates on every database, and frontier-guardedness, the relaxation of
 // guardedness that only asks the guard to cover the frontier.
 
-// IsFull reports whether the TGD has no existential variables (a full,
-// a.k.a. datalog, rule).
-func (t TGD) IsFull() bool { return len(t.ExistentialVars()) == 0 }
-
 // IsFrontierGuarded reports whether some body atom contains every frontier
 // variable. Guarded TGDs are frontier-guarded; the converse fails.
 func (t TGD) IsFrontierGuarded() bool {

@@ -9,16 +9,12 @@ import (
 func TestIsFull(t *testing.T) {
 	full := MustNew("", []logic.Atom{atom("E", "X", "Y"), atom("E", "Y", "Z")},
 		[]logic.Atom{atom("E", "X", "Z")})
-	if !full.IsFull() {
+	if !MustSet(full).IsFull() {
 		t.Error("transitive closure is full")
 	}
 	notFull := MustNew("", []logic.Atom{atom("S", "X")}, []logic.Atom{atom("R", "X", "Y")})
-	if notFull.IsFull() {
+	if MustSet(notFull).IsFull() {
 		t.Error("∃Y makes the rule non-full")
-	}
-	fullSet := MustSet(full)
-	if !fullSet.IsFull() {
-		t.Error("set of full rules is full")
 	}
 	mixed := MustSet(full, notFull)
 	if mixed.IsFull() {
@@ -41,13 +37,13 @@ func TestFrontierGuarded(t *testing.T) {
 	if !fg.IsFrontierGuarded() {
 		t.Error("frontier {Y} is covered by R(X,Y)")
 	}
-	if fg.IsGuarded() {
+	if MustSet(fg).IsGuarded() {
 		t.Error("corpus error: should not be guarded")
 	}
 	// Guarded implies frontier-guarded.
 	g := MustNew("", []logic.Atom{atom("G", "X", "Y"), atom("S", "X")},
 		[]logic.Atom{atom("H", "X")})
-	if !g.IsGuarded() || !g.IsFrontierGuarded() {
+	if !MustSet(g).IsGuarded() || !g.IsFrontierGuarded() {
 		t.Error("guarded ⊆ frontier-guarded")
 	}
 	set := MustSet(fg)

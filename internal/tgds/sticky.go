@@ -113,7 +113,8 @@ func ComputeMarking(s *Set) (*Marking, error) {
 		for _, o := range occs[occOff[y]:occOff[y+1]] {
 			r := &c.Rules[o.rule]
 			a := r.Body[o.atom]
-			for _, x := range byPos[byPosOff[c.Pos(a, int(o.arg))]:byPosOff[c.Pos(a, int(o.arg))+1]] {
+			p := c.Pos(a, int(o.arg))
+			for _, x := range byPos[byPosOff[p]:byPosOff[p+1]] {
 				if !marked[x] && allMarked(a, r.Base, headAt[headOff[x]:headOff[x+1]], marked) {
 					marked[x] = true // rule 2
 					queue = append(queue, x)

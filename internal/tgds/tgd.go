@@ -142,12 +142,6 @@ func (t TGD) Guard() (logic.Atom, bool) {
 	return logic.Atom{}, false
 }
 
-// IsGuarded reports whether some body atom guards all body variables.
-func (t TGD) IsGuarded() bool {
-	_, ok := t.Guard()
-	return ok
-}
-
 // GuardIndex returns the index of the guard in Body, or -1.
 func (t TGD) GuardIndex() int {
 	g, ok := t.Guard()

@@ -105,8 +105,8 @@ func TestGuard(t *testing.T) {
 			if ok && g.Pred.Name != tc.guardPred {
 				t.Errorf("guard = %v, want predicate %s", g, tc.guardPred)
 			}
-			if tc.guarded != tc.tgd.IsGuarded() {
-				t.Error("IsGuarded disagrees with Guard")
+			if tc.guarded != MustSet(tc.tgd).IsGuarded() {
+				t.Error("the set's IsGuarded, read off the compiled form, disagrees with Guard")
 			}
 		})
 	}
