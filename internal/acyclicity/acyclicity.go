@@ -8,7 +8,11 @@
 // nothing).
 package acyclicity
 
-import "airct/internal/tgds"
+import (
+	"slices"
+
+	"airct/internal/tgds"
+)
 
 // IsWeaklyAcyclic reports whether the set is weakly acyclic: its dependency
 // graph has no cycle through a special edge. Weak acyclicity guarantees
@@ -31,52 +35,38 @@ func IsWeaklyAcyclic(set *tgds.Set) bool {
 	nPos := c.NumPositions()
 	slotNode := func(r *tgds.Rule, x int32) int32 { return nPos + r.Base + x }
 	ruleNode := func(ri int) int32 { return nPos + c.NumSlots + int32(ri) }
-	n := nPos + c.NumSlots + int32(len(c.Rules))
-	// edges calls add on every edge, twice: once to count, once to fill.
-	edges := func(add func(from, to int32)) {
+	g := tgds.BuildCSR(ruleNode(len(c.Rules)), func(edge func(from, to int32)) {
 		for ri := range c.Rules {
 			r := &c.Rules[ri]
-			exist := len(r.Vars) > int(r.NBody)
 			for _, a := range r.Body {
 				for i, x := range a.Slots {
 					if r.Frontier[x] {
-						add(c.Pos(a, i), slotNode(r, x))
+						edge(c.Pos(a, i), slotNode(r, x))
 					}
 				}
 			}
 			for _, h := range r.Head {
 				for i, x := range h.Slots {
 					if x < r.NBody {
-						add(slotNode(r, x), c.Pos(h, i))
+						edge(slotNode(r, x), c.Pos(h, i))
 					} else {
-						add(ruleNode(ri), c.Pos(h, i))
+						edge(ruleNode(ri), c.Pos(h, i))
 					}
 				}
 			}
-			if exist {
+			if len(r.Vars) > int(r.NBody) {
 				for x, f := range r.Frontier {
 					if f {
-						add(slotNode(r, int32(x)), ruleNode(ri))
+						edge(slotNode(r, int32(x)), ruleNode(ri))
 					}
 				}
 			}
 		}
-	}
-	off := make([]int32, n+1)
-	edges(func(from, _ int32) { off[from+1]++ })
-	for v := range n {
-		off[v+1] += off[v]
-	}
-	adj := make([]int32, off[n])
-	fill := append([]int32(nil), off[:n]...)
-	edges(func(from, to int32) {
-		adj[fill[from]] = to
-		fill[from]++
 	})
-	comp, _ := components(off, adj)
+	comp, _ := components(g)
 	for ri := range c.Rules {
 		v := ruleNode(ri)
-		for _, w := range adj[off[v]:off[v+1]] {
+		for _, w := range g.At(v) {
 			if comp[w] == comp[v] {
 				return false
 			}
@@ -85,11 +75,11 @@ func IsWeaklyAcyclic(set *tgds.Set) bool {
 	return true
 }
 
-// components labels the strongly connected components of the CSR graph
-// (node v's successors are adj[off[v]:off[v+1]]) by one iterative Tarjan
-// pass, and returns each node's component and the component count.
-func components(off, adj []int32) ([]int32, int32) {
-	n := int32(len(off) - 1)
+// components labels the strongly connected components of the graph (node
+// v's successors are g.At(v)) by one iterative Tarjan pass, and returns
+// each node's component and the component count.
+func components(g tgds.CSR[int32]) ([]int32, int32) {
+	n := int32(len(g.Off) - 1)
 	comp := make([]int32, n)
 	index := make([]int32, n) // discovery order, 1-based; 0: unvisited
 	low := make([]int32, n)
@@ -103,7 +93,7 @@ func components(off, adj []int32) ([]int32, int32) {
 		index[v], low[v] = seen, seen
 		stack = append(stack, v)
 		call = append(call, v)
-		next = append(next, off[v])
+		next = append(next, g.Off[v])
 	}
 	for root := range n {
 		if index[root] != 0 {
@@ -113,9 +103,9 @@ func components(off, adj []int32) ([]int32, int32) {
 		for len(call) > 0 {
 			top := len(call) - 1
 			v := call[top]
-			if e := next[top]; e < off[v+1] {
+			if e := next[top]; e < g.Off[v+1] {
 				next[top]++
-				switch w := adj[e]; {
+				switch w := g.Val[e]; {
 				case index[w] == 0:
 					visit(w)
 				case comp[w] < 0: // on the stack
@@ -166,15 +156,10 @@ func components(off, adj []int32) ([]int32, int32) {
 // component is one node.
 func IsJointlyAcyclic(set *tgds.Set) bool {
 	c := set.Compiled()
-	nPos, nSlots := c.NumPositions(), c.NumSlots
 	var exVars []int32 // set-wide existential slots, rule by rule
 	exOff := make([]int32, len(c.Rules)+1)
-	ruleOf := make([]int32, nSlots)
-	// Two CSR indexes: headAt lists each slot's head positions, atPos each
-	// position's frontier slots, once per body occurrence.
-	headOff := make([]int32, nSlots+1)
-	atOff := make([]int32, nPos+1)
-	need := make([]int32, nSlots)
+	ruleOf := make([]int32, c.NumSlots)
+	need := make([]int32, c.NumSlots)
 	for ri, r := range c.Rules {
 		for x := range int32(len(r.Vars)) {
 			ruleOf[r.Base+x] = int32(ri)
@@ -183,15 +168,9 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 			}
 		}
 		exOff[ri+1] = int32(len(exVars))
-		for _, h := range r.Head {
-			for _, x := range h.Slots {
-				headOff[r.Base+x+1]++
-			}
-		}
 		for _, a := range r.Body {
-			for i, x := range a.Slots {
+			for _, x := range a.Slots {
 				if r.Frontier[x] {
-					atOff[c.Pos(a, i)+1]++
 					need[r.Base+x]++
 				}
 			}
@@ -200,42 +179,35 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 	if len(exVars) == 0 {
 		return true // an empty dependency graph is acyclic
 	}
-	for i := range nSlots {
-		headOff[i+1] += headOff[i]
-	}
-	for i := range nPos {
-		atOff[i+1] += atOff[i]
-	}
-	headAt := make([]int32, headOff[nSlots])
-	atPos := make([]int32, atOff[nPos])
-	headFill := append([]int32(nil), headOff[:nSlots]...)
-	atFill := append([]int32(nil), atOff[:nPos]...)
-	for _, r := range c.Rules {
-		for _, h := range r.Head {
-			for i, x := range h.Slots {
-				g := r.Base + x
-				headAt[headFill[g]] = c.Pos(h, i)
-				headFill[g]++
-			}
-		}
-		for _, a := range r.Body {
-			for i, x := range a.Slots {
-				if r.Frontier[x] {
-					p := c.Pos(a, i)
-					atPos[atFill[p]] = r.Base + x
-					atFill[p]++
+	// headAt lists each slot's head positions, atPos each position's
+	// frontier slots, once per body occurrence.
+	headAt := tgds.BuildCSR(c.NumSlots, func(put func(int32, int32)) {
+		for _, r := range c.Rules {
+			for _, h := range r.Head {
+				for i, x := range h.Slots {
+					put(r.Base+x, c.Pos(h, i))
 				}
 			}
 		}
-	}
+	})
+	atPos := tgds.BuildCSR(c.NumPositions(), func(put func(int32, int32)) {
+		for _, r := range c.Rules {
+			for _, a := range r.Body {
+				for i, x := range a.Slots {
+					if r.Frontier[x] {
+						put(c.Pos(a, i), r.Base+x)
+					}
+				}
+			}
+		}
+	})
 	// The dependency graph: node k < len(exVars) is exVars[k], node
 	// len(exVars)+σ is TGD σ, with z → σ when σ fires in Mov(z) and has
 	// existentials, and σ → z′ for each existential z′ of σ.
 	nEx := int32(len(exVars))
-	off := make([]int32, 0, int(nEx)+len(c.Rules)+1)
-	var adj []int32
-	inMov := make([]bool, nPos)
-	left := append([]int32(nil), need...)
+	g := tgds.CSR[int32]{Off: make([]int32, 0, int(nEx)+len(c.Rules)+1)}
+	inMov := make([]bool, c.NumPositions())
+	left := slices.Clone(need)
 	fires := make([]bool, len(c.Rules))
 	var moved, dec, fired []int32 // what a pass touched, to reset
 	var work []int32
@@ -249,25 +221,25 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 		}
 	}
 	for _, z := range exVars {
-		add(headAt[headOff[z]:headOff[z+1]])
+		add(headAt.At(z))
 		for len(work) > 0 {
 			p := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, x := range atPos[atOff[p]:atOff[p+1]] {
+			for _, x := range atPos.At(p) {
 				dec = append(dec, x)
 				if left[x]--; left[x] == 0 {
 					if ri := ruleOf[x]; !fires[ri] {
 						fires[ri] = true
 						fired = append(fired, ri)
 					}
-					add(headAt[headOff[x]:headOff[x+1]])
+					add(headAt.At(x))
 				}
 			}
 		}
-		off = append(off, int32(len(adj)))
+		g.Off = append(g.Off, int32(len(g.Val)))
 		for _, ri := range fired {
 			if exOff[ri+1] > exOff[ri] {
-				adj = append(adj, nEx+ri)
+				g.Val = append(g.Val, nEx+ri)
 			}
 			fires[ri] = false
 		}
@@ -280,12 +252,12 @@ func IsJointlyAcyclic(set *tgds.Set) bool {
 		moved, dec, fired = moved[:0], dec[:0], fired[:0]
 	}
 	for ri := range c.Rules {
-		off = append(off, int32(len(adj)))
+		g.Off = append(g.Off, int32(len(g.Val)))
 		for k := exOff[ri]; k < exOff[ri+1]; k++ {
-			adj = append(adj, k)
+			g.Val = append(g.Val, k)
 		}
 	}
-	off = append(off, int32(len(adj)))
-	_, ncomp := components(off, adj)
-	return ncomp == int32(len(off)-1)
+	g.Off = append(g.Off, int32(len(g.Val)))
+	_, ncomp := components(g)
+	return ncomp == int32(len(g.Off)-1)
 }

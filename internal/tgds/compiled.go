@@ -185,3 +185,33 @@ func sortedVars(ts []logic.Term) []logic.Term {
 	slices.SortFunc(ts, logic.Term.Compare)
 	return slices.Compact(ts)
 }
+
+// CSR is a compressed sparse row index over the keys 0..n-1: the values
+// under key k are Val[Off[k]:Off[k+1]], in the order they were put. The
+// marking and the acyclicity checks index the compiled form's positions
+// and slots this way.
+type CSR[T any] struct {
+	Off []int32
+	Val []T
+}
+
+// At returns the values under key k.
+func (x CSR[T]) At(k int32) []T { return x.Val[x.Off[k]:x.Off[k+1]] }
+
+// BuildCSR builds a CSR index over n keys from the values each puts. It
+// runs each twice, once to count and once to fill, so each must put the
+// same values both times.
+func BuildCSR[T any](n int32, each func(put func(k int32, v T))) CSR[T] {
+	off := make([]int32, n+1)
+	each(func(k int32, _ T) { off[k+1]++ })
+	for k := range n {
+		off[k+1] += off[k]
+	}
+	val := make([]T, off[n])
+	fill := slices.Clone(off[:n])
+	each(func(k int32, v T) {
+		val[fill[k]] = v
+		fill[k]++
+	})
+	return CSR[T]{Off: off, Val: val}
+}

@@ -44,60 +44,35 @@ func ComputeMarking(s *Set) (*Marking, error) {
 	c := s.Compiled()
 	// occurrence is a body argument: rule, body atom and 0-based argument.
 	type occurrence struct{ rule, atom, arg int32 }
-	nPos, nSlots := c.NumPositions(), c.NumSlots
-	// Three CSR indexes, counted and then filled: headAt lists each
-	// frontier slot's head arguments (pos(R(t̄), x), 0-based), byPos each
-	// position's candidates, and occs each body slot's occurrences.
-	headOff := make([]int32, nSlots+1)
-	byPosOff := make([]int32, nPos+1)
-	occOff := make([]int32, nSlots+1)
-	for _, r := range c.Rules {
-		head := r.Head[0]
-		for i, x := range head.Slots {
-			if x < r.NBody {
-				headOff[r.Base+x+1]++
-				byPosOff[c.Pos(head, i)+1]++
-			}
-		}
-		for _, a := range r.Body {
-			for _, x := range a.Slots {
-				occOff[r.Base+x+1]++
+	// headAt lists each frontier slot's head arguments (pos(R(t̄), x),
+	// 0-based), byPos each position's candidates, and occs each body
+	// slot's occurrences.
+	frontierHeads := func(put func(r *Rule, x int32, i int)) {
+		for ri := range c.Rules {
+			r := &c.Rules[ri]
+			for i, x := range r.Head[0].Slots {
+				if x < r.NBody {
+					put(r, x, i)
+				}
 			}
 		}
 	}
-	for i := range nSlots {
-		headOff[i+1] += headOff[i]
-		occOff[i+1] += occOff[i]
-	}
-	for i := range nPos {
-		byPosOff[i+1] += byPosOff[i]
-	}
-	headAt := make([]int32, headOff[nSlots])
-	byPos := make([]int32, byPosOff[nPos])
-	occs := make([]occurrence, occOff[nSlots])
-	headFill := slices.Clone(headOff[:nSlots])
-	byPosFill := slices.Clone(byPosOff[:nPos])
-	occFill := slices.Clone(occOff[:nSlots])
-	for ri, r := range c.Rules {
-		head := r.Head[0]
-		for i, x := range head.Slots {
-			if x < r.NBody {
-				g, p := r.Base+x, c.Pos(head, i)
-				headAt[headFill[g]] = int32(i)
-				headFill[g]++
-				byPos[byPosFill[p]] = g
-				byPosFill[p]++
+	headAt := BuildCSR(c.NumSlots, func(put func(int32, int32)) {
+		frontierHeads(func(r *Rule, x int32, i int) { put(r.Base+x, int32(i)) })
+	})
+	byPos := BuildCSR(c.NumPositions(), func(put func(int32, int32)) {
+		frontierHeads(func(r *Rule, x int32, i int) { put(c.Pos(r.Head[0], i), r.Base+x) })
+	})
+	occs := BuildCSR(c.NumSlots, func(put func(int32, occurrence)) {
+		for ri, r := range c.Rules {
+			for ai, a := range r.Body {
+				for i, x := range a.Slots {
+					put(r.Base+x, occurrence{rule: int32(ri), atom: int32(ai), arg: int32(i)})
+				}
 			}
 		}
-		for ai, a := range r.Body {
-			for i, x := range a.Slots {
-				g := r.Base + x
-				occs[occFill[g]] = occurrence{rule: int32(ri), atom: int32(ai), arg: int32(i)}
-				occFill[g]++
-			}
-		}
-	}
-	marked := make([]bool, nSlots)
+	})
+	marked := make([]bool, c.NumSlots)
 	var queue []int32
 	for _, r := range c.Rules {
 		for x := range r.NBody {
@@ -110,12 +85,11 @@ func ComputeMarking(s *Set) (*Marking, error) {
 	for len(queue) > 0 {
 		y := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, o := range occs[occOff[y]:occOff[y+1]] {
+		for _, o := range occs.At(y) {
 			r := &c.Rules[o.rule]
 			a := r.Body[o.atom]
-			p := c.Pos(a, int(o.arg))
-			for _, x := range byPos[byPosOff[p]:byPosOff[p+1]] {
-				if !marked[x] && allMarked(a, r.Base, headAt[headOff[x]:headOff[x+1]], marked) {
+			for _, x := range byPos.At(c.Pos(a, int(o.arg))) {
+				if !marked[x] && allMarked(a, r.Base, headAt.At(x), marked) {
 					marked[x] = true // rule 2
 					queue = append(queue, x)
 				}
