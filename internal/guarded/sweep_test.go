@@ -6,6 +6,8 @@ import (
 
 	"airct/internal/acyclicity"
 	"airct/internal/chase"
+	"airct/internal/logic"
+	"airct/internal/ochase"
 	"airct/internal/parser"
 	"airct/internal/tgds"
 	"airct/internal/workload"
@@ -111,4 +113,58 @@ func mustSet(t *testing.T, src string) *tgds.Set {
 		t.Fatal(err)
 	}
 	return set
+}
+
+// referenceSeedPool builds the GenerateSeeds pool eagerly, the shape the
+// lazy enumeration replaced: every TGD's frozen bodies under every
+// unification first, through one namer, then the treeification expansion
+// of each of those bases in order, all capped at maxSeeds. It returns the
+// pool and the base count.
+func referenceSeedPool(set *tgds.Set, maxSeeds int) ([][]logic.Atom, int) {
+	e := &seedEnum{set: set, maxSeeds: maxSeeds, seen: make(map[logic.Fingerprint]bool)}
+	namer := logic.NewFreshNamer("s")
+	for _, t := range set.TGDs {
+		for _, unified := range unifications(t.Body) {
+			frozen, _ := logic.CanonicalFreeze(unified, namer)
+			if facts, ok := distinctFacts(frozen); ok {
+				e.add(facts)
+			}
+		}
+	}
+	nbase := len(e.pool)
+	for base := 0; base < nbase && len(e.pool) < maxSeeds; base++ {
+		g := ochase.Build(seedDatabase(e.pool[base]), set, ochase.BuildOptions{MaxNodes: 600, MaxDepth: 6})
+		if tr, err := Treeify(g, TreeifyOptions{IncludeDirect: true}); err == nil {
+			e.add(tr.Facts())
+		}
+	}
+	return e.pool, nbase
+}
+
+// TestSeedPoolMatchesEagerPool pins the lazy enumeration, which freezes
+// one TGD at a time and expands bases only after the last TGD, to the
+// eager pool: the seeds it yields, in order, and its base count agree, at
+// the default cap and at caps that stop phase one or phase two early.
+func TestSeedPoolMatchesEagerPool(t *testing.T) {
+	for i, set := range sweepSets() {
+		for _, maxSeeds := range []int{MaxSeeds, 2, 5} {
+			want, wantBase := referenceSeedPool(set, maxSeeds)
+			e := newSeedEnum(set, maxSeeds)
+			var got [][]logic.Atom
+			for {
+				seed, ok := e.Next()
+				if !ok {
+					break
+				}
+				got = append(got, seed)
+			}
+			same := len(got) == len(want) && e.nbase == wantBase
+			for k := 0; same && k < len(got); k++ {
+				same = logic.AtomsString(got[k]) == logic.AtomsString(want[k])
+			}
+			if !same {
+				t.Fatalf("set %d, cap %d: lazy pool %d seeds (%d bases), eager %d seeds (%d bases)\n%v", i, maxSeeds, len(got), e.nbase, len(want), wantBase, set)
+			}
+		}
+	}
 }
