@@ -2,7 +2,6 @@ package chase
 
 import (
 	"slices"
-	"sort"
 
 	"airct/internal/logic"
 	"airct/internal/tgds"
@@ -96,51 +95,18 @@ func compileTGD(t tgds.TGD, in *logic.Interner) compiledTGD {
 	return ct
 }
 
-// discSorter sorts a flat buffer of discovered trigger tuples (offsets in
-// *idx, tuples of length stride in *disc) by the canonical trigger order:
-// componentwise Term.Compare of the bound terms in slot order. This
-// reproduces logic.SortSubstitutions over the interned representation —
-// comparisons resolve terms through the interner, but no key strings are
-// built. It points at its owner's live buffers (engine or searcher) so
-// sorting allocates nothing.
-type discSorter struct {
-	itab   *logic.Interner
-	disc   *[]uint32
-	idx    *[]int32
-	stride int32
-}
-
-func (d *discSorter) Len() int { return len(*d.idx) }
-
-func (d *discSorter) Swap(i, j int) {
-	s := *d.idx
-	s[i], s[j] = s[j], s[i]
-}
-
-func (d *discSorter) Less(i, j int) bool {
-	s, buf := *d.idx, *d.disc
-	a := buf[s[i] : s[i]+d.stride]
-	b := buf[s[j] : s[j]+d.stride]
-	// a[0] and b[0] hold the TGD index and are equal within one sort.
-	for k := 1; k < int(d.stride); k++ {
-		if c := d.itab.CompareTermIDs(logic.TermID(a[k]), logic.TermID(b[k])); c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}
-
-var _ sort.Interface = (*discSorter)(nil)
-
 // SortTriggerTuples sorts offs — offsets into buf of trigger tuples
 // [rule, body TermIDs...] of one rule, stride words each — into the
-// canonical trigger order: the order AllTriggers lists one TGD's triggers
-// in. It lets kernels outside the engine enumerate triggers on the
-// interned core and still apply them in the engine's order.
+// canonical trigger order: componentwise Term.Compare of the bound terms
+// in slot order, the order AllTriggers lists one TGD's triggers in. This
+// reproduces logic.SortSubstitutions over the interned representation:
+// comparisons resolve terms through the interner, and no key strings are
+// built. The engine, the search's trigger index and kernels outside the
+// chase (MFA) all sort through it, so they apply triggers in one order.
 //
-// The tuples of one rule are distinct, so the canonical order is total and
-// any sort yields it. slices.SortFunc keeps the comparison on the stack, so
-// a call allocates nothing.
+// Two tuples that compare equal hold the same words, so any sort yields
+// the same sequence of tuples. slices.SortFunc keeps the comparison on the
+// stack, so a call allocates nothing.
 func SortTriggerTuples(itab *logic.Interner, buf []uint32, offs []int32, stride int) {
 	slices.SortFunc(offs, func(i, j int32) int {
 		a, b := buf[i:i+int32(stride)], buf[j:j+int32(stride)]

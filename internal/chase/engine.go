@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 
 	"airct/internal/instance"
@@ -323,7 +322,6 @@ type engine struct {
 	run *Run
 
 	matcher
-	ds      discSorter
 	tupbuf  []uint32       // scratch identity tuple
 	discBuf []uint32       // flat discovered trigger tuples
 	sortBuf []int32        // offsets into discBuf, sorted canonically
@@ -448,7 +446,6 @@ func (a *Arena) Bind(set *tgds.Set) {
 		e.inst = instance.NewWithInterner(e.itab)
 		e.trig = logic.NewTupleTable(64)
 		e.front = logic.NewTupleTable(16)
-		e.ds = discSorter{itab: e.itab, disc: &e.discBuf, idx: &e.sortBuf}
 	} else {
 		e.itab.Reset()
 		e.inst.Clear()
@@ -540,10 +537,7 @@ func (e *engine) collectTriggers(rule, nBody int, pat *logic.CPattern) {
 // enqueues the ones never seen before. The trigger table's isNew answer is
 // the dedup — no separate seen set.
 func (e *engine) enqueueDiscovered(nBody int) {
-	if len(e.sortBuf) > 1 {
-		e.ds.stride = int32(nBody) + 1
-		sort.Sort(&e.ds)
-	}
+	SortTriggerTuples(e.itab, e.discBuf, e.sortBuf, nBody+1)
 	for _, off := range e.sortBuf {
 		tup := e.discBuf[off : off+int32(nBody)+1]
 		if id, isNew := e.trig.Intern(tup); isNew {

@@ -299,7 +299,6 @@ type expander struct {
 	fresh  []logic.TupleID
 
 	matcher
-	ds discSorter
 
 	// scratch is the reusable materialisation arena: every popped state is
 	// materialised into this one instance (see searcher.materialise), so
@@ -328,7 +327,6 @@ func newExpander(db *instance.Database, set *tgds.Set) *expander {
 	e.ct = compileSet(set, e.itab)
 	e.slab = indexSlab{words: make([]int32, 1), nTGD: len(e.ct)}
 	e.deps = newDeltaDeps(e.ct)
-	e.ds = discSorter{itab: e.itab, disc: &e.discBuf, idx: &e.sortBuf}
 	for _, a := range db.Atoms() {
 		pid := e.itab.InternPred(a.Pred)
 		off := len(e.rootDelta)

@@ -36,7 +36,6 @@ package chase
 
 import (
 	"math/bits"
-	"sort"
 
 	"airct/internal/instance"
 	"airct/internal/logic"
@@ -185,7 +184,7 @@ func (e *expander) discoverActive(dst []logic.TupleID, i int, inst *instance.Ins
 	} else {
 		e.ss.ForEachDelta(ct.body, inst, deltaLo, collect)
 	}
-	e.sortDiscovered(ct)
+	SortTriggerTuples(e.itab, e.discBuf, e.sortBuf, ct.nBody+1)
 	for _, off := range e.sortBuf {
 		tup := e.discBuf[off : off+int32(ct.nBody)+1]
 		if e.isActive(ct, tup[1:], inst) {
@@ -258,14 +257,6 @@ func (e *expander) collectTrigTuple(tgd int, ct *compiledTGD, bind []logic.TermI
 	}
 }
 
-// sortDiscovered orders the collected trigger tuples canonically.
-func (e *expander) sortDiscovered(ct *compiledTGD) {
-	if len(e.sortBuf) > 1 {
-		e.ds.stride = int32(ct.nBody) + 1
-		sort.Sort(&e.ds)
-	}
-}
-
 // mergeCanonical appends to dst the merge of two canonical-order, disjoint
 // trigger-ID runs of one TGD, in canonical order. Disjointness holds by
 // construction: a fresh candidate's body homomorphism uses a delta atom, so
@@ -286,7 +277,8 @@ func (e *expander) mergeCanonical(ct *compiledTGD, dst, a, b []logic.TupleID) []
 }
 
 // compareTrig orders two interned triggers of the same TGD canonically:
-// componentwise Term.Compare of the body bindings, matching discSorter.
+// componentwise Term.Compare of the body bindings, matching
+// SortTriggerTuples.
 func (e *expander) compareTrig(ct *compiledTGD, a, b logic.TupleID) int {
 	ta, tb := e.trig.Tuple(a), e.trig.Tuple(b)
 	for k := 1; k <= ct.nBody; k++ {
