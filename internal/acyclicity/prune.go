@@ -14,16 +14,16 @@ package acyclicity
 //
 // The fold check is a conjunctive-query containment test; it is attempted
 // only when the body is an acyclic instance in the Definition 5.4 sense
-// (GYO ear removal on the body hypergraph, as jointree.IsAcyclic does), the
-// class for which such joins are tractable. Cyclic bodies are skipped,
-// which is sound: skipping only prunes less. Both steps run on the set's
-// compiled slots: the hypergraph has one edge per body atom, its set of
-// slots, and the fold maps head slots to body slots with every frontier
-// slot fixed.
+// (GYO ear removal on the body hypergraph, jointree.Hypergraph), the class
+// for which such joins are tractable. Cyclic bodies are skipped, which is
+// sound: skipping only prunes less. Both steps run on the set's compiled
+// slots: the hypergraph has one edge per body atom, its set of slots, and
+// the fold maps head slots to body slots with every frontier slot fixed.
 
 import (
 	"slices"
 
+	"airct/internal/jointree"
 	"airct/internal/tgds"
 )
 
@@ -44,90 +44,25 @@ func NeverFiring(set *tgds.Set) []int {
 
 // folder is neverFires' scratch, reused across the rules of one set.
 type folder struct {
-	occ   []int32 // per slot: alive atoms holding it
-	mark  []int32 // per slot: the stamp of the last atom that listed it
-	edges []int32 // per atom, its distinct slots, atom after atom
-	eoff  []int32 // atom i's slots are edges[eoff[i]:eoff[i+1]]
-	alive []bool
+	body  jointree.Hypergraph
 	img   []int32 // per existential slot: its body slot, -1 unmapped
 	trail []int32
-	stamp int32
 }
 
+// neverFires reports whether the rule's body is acyclic, by GYO ear
+// removal over its slot sets (a body of one or two atoms always passes),
+// and its head folds into that body.
 func (f *folder) neverFires(r *tgds.Rule) bool {
-	return f.acyclicBody(r) && f.folds(r)
-}
-
-// acyclicBody reports whether the body hypergraph is acyclic, by GYO ear
-// removal: an alive atom is an ear when some other alive atom holds every
-// slot it shares with the alive atoms, and removing ears until one atom
-// is left succeeds exactly on acyclic hypergraphs. A body of one or two
-// atoms always passes.
-func (f *folder) acyclicBody(r *tgds.Rule) bool {
-	n := len(r.Body)
-	if n <= 2 {
-		return true
-	}
-	nv := int(r.NBody)
-	f.occ = slices.Grow(f.occ[:0], nv)[:nv]
-	f.mark = slices.Grow(f.mark[:0], nv)[:nv]
-	clear(f.occ)
-	clear(f.mark)
-	f.stamp = 0
-	f.edges, f.eoff = f.edges[:0], append(f.eoff[:0], 0)
-	for _, a := range r.Body {
-		f.stamp++
-		for _, x := range a.Slots {
-			if f.mark[x] != f.stamp {
-				f.mark[x] = f.stamp
-				f.edges = append(f.edges, x)
-				f.occ[x]++
-			}
+	if len(r.Body) > 2 {
+		f.body.Reset(int(r.NBody))
+		for _, a := range r.Body {
+			f.body.AddEdge(a.Slots)
 		}
-		f.eoff = append(f.eoff, int32(len(f.edges)))
-	}
-	f.alive = append(f.alive[:0], make([]bool, n)...)
-	for i := range f.alive {
-		f.alive[i] = true
-	}
-	left := n
-	for removed := true; removed && left > 1; {
-		removed = false
-		for i := 0; i < n && left > 1; i++ {
-			if !f.alive[i] {
-				continue
-			}
-			ei := f.edges[f.eoff[i]:f.eoff[i+1]]
-			for j := 0; j < n; j++ {
-				if i == j || !f.alive[j] || !f.covers(j, ei) {
-					continue
-				}
-				f.alive[i] = false
-				left--
-				for _, x := range ei {
-					f.occ[x]--
-				}
-				removed = true
-				break
-			}
-		}
-	}
-	return left == 1
-}
-
-// covers reports whether atom j holds every slot of ei that another alive
-// atom shares.
-func (f *folder) covers(j int, ei []int32) bool {
-	f.stamp++
-	for _, x := range f.edges[f.eoff[j]:f.eoff[j+1]] {
-		f.mark[x] = f.stamp
-	}
-	for _, x := range ei {
-		if f.occ[x] > 1 && f.mark[x] != f.stamp {
+		if !f.body.Acyclic(nil) {
 			return false
 		}
 	}
-	return true
+	return f.folds(r)
 }
 
 // folds reports whether the head maps into the body by a homomorphism that

@@ -9,6 +9,7 @@ package jointree
 
 import (
 	"fmt"
+	"slices"
 
 	"airct/internal/logic"
 )
@@ -98,85 +99,138 @@ func Build(atoms []logic.Atom) (*JoinTree, bool) {
 	if n == 0 {
 		return &JoinTree{Root: -1}, true
 	}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
+	ids := make(map[logic.Term]int32)
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			if _, ok := ids[t]; !ok {
+				ids[t] = int32(len(ids))
+			}
+		}
+	}
+	var h Hypergraph
+	h.Reset(len(ids))
+	var vs []int32
+	for _, a := range atoms {
+		vs = vs[:0]
+		for _, t := range a.Args {
+			vs = append(vs, ids[t])
+		}
+		h.AddEdge(vs)
 	}
 	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	// occurrences[t] = number of alive atoms mentioning t.
-	occ := make(map[logic.Term]int)
-	termSets := make([]logic.TermSet, n)
-	for i, a := range atoms {
-		termSets[i] = a.Terms()
-		for t := range termSets[i] {
-			occ[t]++
-		}
-	}
-	aliveCount := n
-	removed := true
-	for removed && aliveCount > 1 {
-		removed = false
-		for i := 0; i < n && aliveCount > 1; i++ {
-			if !alive[i] {
-				continue
-			}
-			// Shared terms of i: terms also alive elsewhere.
-			shared := make([]logic.Term, 0, len(termSets[i]))
-			for t := range termSets[i] {
-				if occ[t] > 1 {
-					shared = append(shared, t)
-				}
-			}
-			// An ear needs a witness atom containing every shared term.
-			for j := 0; j < n; j++ {
-				if i == j || !alive[j] {
-					continue
-				}
-				covers := true
-				for _, t := range shared {
-					if !termSets[j].Has(t) {
-						covers = false
-						break
-					}
-				}
-				if covers {
-					alive[i] = false
-					aliveCount--
-					parent[i] = j
-					for t := range termSets[i] {
-						occ[t]--
-					}
-					removed = true
-					break
-				}
-			}
-		}
-	}
-	if aliveCount != 1 {
+	if !h.Acyclic(parent) {
 		return nil, false
 	}
-	root := -1
-	for i := range alive {
-		if alive[i] {
-			root = i
-		}
-	}
-	// Ear parents may themselves have been removed later; compress chains
-	// into the final tree (parent pointers always reference atoms removed
-	// *after* the child or the root, so they are valid tree edges).
-	tree := &JoinTree{Root: root}
+	tree := &JoinTree{Root: -1}
 	for i := range atoms {
 		tree.Nodes = append(tree.Nodes, Node{ID: i, Atom: atoms[i], Parent: parent[i]})
 	}
 	for i, p := range parent {
 		if p >= 0 {
 			tree.Nodes[p].Children = append(tree.Nodes[p].Children, i)
+		} else {
+			tree.Root = i
 		}
 	}
 	return tree, true
+}
+
+// Hypergraph is GYO ear removal over a hypergraph whose vertices are the
+// dense IDs 0..n-1, built edge by edge. Its buffers survive Reset, so a
+// caller that tests many small hypergraphs (one rule body after another)
+// allocates only while they grow.
+type Hypergraph struct {
+	edges []int32 // each edge's distinct vertices, edge after edge
+	off   []int32 // edge i is edges[off[i]:off[i+1]]
+	occ   []int32 // per vertex: the alive edges holding it
+	mark  []int   // per vertex: the stamp of the last edge that listed it
+	alive []bool
+	stamp int
+}
+
+// Reset empties h for a hypergraph over the vertices 0..n-1.
+func (h *Hypergraph) Reset(n int) {
+	h.occ = slices.Grow(h.occ[:0], n)[:n]
+	h.mark = slices.Grow(h.mark[:0], n)[:n]
+	clear(h.occ)
+	clear(h.mark)
+	h.stamp = 0
+	h.edges, h.off = h.edges[:0], append(h.off[:0], 0)
+}
+
+// AddEdge adds the edge over the vertices vs; a repeated vertex counts
+// once.
+func (h *Hypergraph) AddEdge(vs []int32) {
+	h.stamp++
+	for _, v := range vs {
+		if h.mark[v] != h.stamp {
+			h.mark[v] = h.stamp
+			h.edges = append(h.edges, v)
+			h.occ[v]++
+		}
+	}
+	h.off = append(h.off, int32(len(h.edges)))
+}
+
+// Acyclic runs GYO ear removal and reports whether the hypergraph is
+// acyclic: an alive edge is an ear when some other alive edge (its
+// witness) holds every vertex it shares with the alive edges, and removing
+// ears in edge order, sweep after sweep, until one edge is left succeeds
+// exactly on acyclic hypergraphs. When parent is not nil it holds one
+// entry per edge, and an acyclic run sets each ear's entry to its witness
+// and the last edge's to -1. A witness is removed after its ear or never,
+// so parent is a join tree. Acyclic consumes the edges' occurrence counts:
+// Reset h before the next run.
+func (h *Hypergraph) Acyclic(parent []int) bool {
+	n := len(h.off) - 1
+	h.alive = slices.Grow(h.alive[:0], n)[:n]
+	for i := range h.alive {
+		h.alive[i] = true
+	}
+	for i := range parent {
+		parent[i] = -1
+	}
+	left := n
+	for removed := true; removed && left > 1; {
+		removed = false
+		for i := 0; i < n && left > 1; i++ {
+			if !h.alive[i] {
+				continue
+			}
+			ei := h.edges[h.off[i]:h.off[i+1]]
+			for j := 0; j < n; j++ {
+				if i == j || !h.alive[j] || !h.covers(j, ei) {
+					continue
+				}
+				h.alive[i] = false
+				left--
+				for _, v := range ei {
+					h.occ[v]--
+				}
+				if parent != nil {
+					parent[i] = j
+				}
+				removed = true
+				break
+			}
+		}
+	}
+	return left <= 1
+}
+
+// covers reports whether edge j holds every vertex of ei that another
+// alive edge shares.
+func (h *Hypergraph) covers(j int, ei []int32) bool {
+	h.stamp++
+	for _, v := range h.edges[h.off[j]:h.off[j+1]] {
+		h.mark[v] = h.stamp
+	}
+	for _, v := range ei {
+		if h.occ[v] > 1 && h.mark[v] != h.stamp {
+			return false
+		}
+	}
+	return true
 }
 
 // IsAcyclic reports whether the atoms form an acyclic instance.
