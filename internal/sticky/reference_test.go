@@ -218,7 +218,7 @@ func (s refPathState) key() string {
 
 type refMachine struct {
 	set     *tgds.Set
-	marking *tgds.Marking
+	marked  logic.TermSet
 	symbols map[string]Symbol
 	states  map[string]refPathState
 }
@@ -233,7 +233,7 @@ func newRefMachine(set *tgds.Set) (*refMachine, error) {
 	}
 	m := &refMachine{
 		set:     set,
-		marking: marking,
+		marked:  logic.NewTermSet(marking.MarkedVars()...),
 		symbols: make(map[string]Symbol),
 		states:  make(map[string]refPathState),
 	}
@@ -355,7 +355,7 @@ func (m *refMachine) step(s refPathState, sym Symbol) (refPathState, bool) {
 	}
 	for _, i := range d2 {
 		v := head.Arg(i)
-		if frontier.Has(v) && !m.marking.IsMarked(v) {
+		if frontier.Has(v) && !m.marked.Has(v) {
 			return refPathState{}, false
 		}
 	}

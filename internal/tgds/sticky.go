@@ -113,16 +113,6 @@ func allMarked(a SlotAtom, base int32, args []int32, marked []bool) bool {
 	return true
 }
 
-// IsMarked reports whether the body variable v is marked in T.
-func (m *Marking) IsMarked(v logic.Term) bool {
-	for _, r := range m.set.Compiled().Rules {
-		if x, ok := slices.BinarySearchFunc(r.Vars[:r.NBody], v, logic.Term.Compare); ok {
-			return m.marked[r.Base+int32(x)]
-		}
-	}
-	return false
-}
-
 // MarkedVars returns the marked variables in sorted order.
 func (m *Marking) MarkedVars() []logic.Term {
 	var out []logic.Term

@@ -1,6 +1,7 @@
 package tgds
 
 import (
+	"slices"
 	"testing"
 
 	"airct/internal/logic"
@@ -62,6 +63,12 @@ func TestPaperNonStickyExample(t *testing.T) {
 	}
 }
 
+// isMarked reports whether the body variable v is marked in T.
+func isMarked(m *Marking, v logic.Term) bool {
+	_, ok := slices.BinarySearchFunc(m.MarkedVars(), v, logic.Term.Compare)
+	return ok
+}
+
 func TestMarkingBaseStep(t *testing.T) {
 	// R(X,Y) -> S(X): Y does not occur in the head, so Y is marked; X is not.
 	s := MustSet(MustNew("", []logic.Atom{atom("R", "X", "Y")}, []logic.Atom{atom("S", "X")}))
@@ -71,10 +78,10 @@ func TestMarkingBaseStep(t *testing.T) {
 	}
 	tgd := s.TGDs[0]
 	x, y := tgd.Body[0].Args[0], tgd.Body[0].Args[1]
-	if m.IsMarked(x) {
+	if isMarked(m, x) {
 		t.Error("X occurs in head, must not be base-marked")
 	}
-	if !m.IsMarked(y) {
+	if !isMarked(m, y) {
 		t.Error("Y absent from head, must be marked")
 	}
 	if got := m.MarkedVars(); len(got) != 1 {
@@ -98,10 +105,10 @@ func TestMarkingPropagation(t *testing.T) {
 	}
 	x1 := s.TGDs[0].Body[0].Args[0]
 	x2 := s.TGDs[1].Body[0].Args[0]
-	if !m.IsMarked(x2) {
+	if !isMarked(m, x2) {
 		t.Error("X of σ2 must be base-marked")
 	}
-	if !m.IsMarked(x1) {
+	if !isMarked(m, x1) {
 		t.Error("X of σ1 must be propagation-marked")
 	}
 }
