@@ -120,7 +120,7 @@ func checkMFAIdentity(t *testing.T, name string, set *tgds.Set) {
 // and 14 and the worst cases, at budgets that saturate and budgets that
 // stop mid-round.
 func TestCheckMFAMatchesReference(t *testing.T) {
-	forEachSweepSet(t, func(name string, s *tgds.Set) { checkMFAIdentity(t, name, s) })
+	forEachSweepSet(t, func(name string, s *tgds.Set, _ bool) { checkMFAIdentity(t, name, s) })
 	for _, fam := range families {
 		for n := 13; n <= 14; n++ {
 			l := fam(n)
