@@ -108,6 +108,9 @@ func compileTGD(t tgds.TGD, in *logic.Interner) compiledTGD {
 // the same sequence of tuples. slices.SortFunc keeps the comparison on the
 // stack, so a call allocates nothing.
 func SortTriggerTuples(itab *logic.Interner, buf []uint32, offs []int32, stride int) {
+	if len(offs) < 2 {
+		return
+	}
 	slices.SortFunc(offs, func(i, j int32) int {
 		a, b := buf[i:i+int32(stride)], buf[j:j+int32(stride)]
 		// a[0] and b[0] hold the rule index and are equal within one sort.
