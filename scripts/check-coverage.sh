@@ -77,4 +77,4 @@ check ./internal/ochase 94.9
 check ./internal/instance 82.2
 check ./internal/logic 84.9
 check ./internal/acyclicity 97.2
-check ./internal/tgds 79.6
+check ./internal/tgds 79.7
